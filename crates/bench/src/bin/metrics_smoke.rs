@@ -6,12 +6,12 @@
 //! stdout so the CI step can grep the metric families it expects.
 //! Exits non-zero if any protocol step fails.
 
-use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
 use oodb_datagen::{generate, GenConfig};
-use oodb_server::{net, Protocol, ServerConfig};
+use oodb_server::wire::{verb, WireClient};
+use oodb_server::{net, ServerConfig};
 
 const QUERIES: [&str; 3] = [
     "select d from d in DELIVERY where exists x in d.supply : x.part.color = \"red\"",
@@ -22,69 +22,34 @@ const QUERIES: [&str; 3] = [
 
 fn main() {
     let db = Arc::new(generate(&GenConfig::scaled(300)));
-    let handle = net::serve(
-        db,
-        ServerConfig {
-            protocol: Protocol::Text,
-            ..ServerConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("bind metrics-smoke server");
-    let stream = TcpStream::connect(handle.addr()).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = stream;
+    let handle =
+        net::serve(db, ServerConfig::default(), "127.0.0.1:0").expect("bind metrics-smoke server");
+    let mut client = WireClient::new(TcpStream::connect(handle.addr()).expect("connect"));
 
-    let mut ask = |req: &str| -> Vec<String> {
-        writeln!(writer, "{req}").expect("send request");
-        writer.flush().expect("flush request");
-        let mut lines = Vec::new();
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read response line");
-            let line = line.trim_end().to_string();
-            let done = line == "." || line.starts_with("ERR") || line == "BYE";
-            lines.push(line);
-            if done {
-                break;
-            }
-        }
-        lines
-    };
-
-    for q in QUERIES {
-        let resp = ask(&format!("QUERY {q}"));
-        assert!(
-            resp[0].starts_with("OK "),
-            "QUERY failed: {:?}",
-            resp.first()
-        );
+    for (tag, q) in (1u32..).zip(QUERIES) {
+        let resp = client.query(tag, q).expect("QUERY round trip");
+        assert!(resp.is_ok(), "QUERY failed: {:?}", resp.err());
     }
     // One analyzed query (exercises the diagnostic path) and one error
     // (exercises oodb_query_errors_total).
-    let resp = ask(&format!("EXPLAIN ANALYZE {}", QUERIES[0]));
+    let analyzed = client
+        .text_request(10, verb::ANALYZE, QUERIES[0])
+        .expect("ANALYZE round trip")
+        .unwrap_or_else(|(code, msg)| panic!("ANALYZE failed: {code} {msg}"));
     assert!(
-        resp[0].starts_with("OK "),
-        "EXPLAIN ANALYZE failed: {:?}",
-        resp.first()
-    );
-    assert!(
-        resp.iter().any(|l| l.contains("actual_rows=")),
+        analyzed.contains("actual_rows="),
         "analyzed plan carries no actuals"
     );
-    let resp = ask("QUERY select x from x in NO_SUCH_CLASS");
-    assert!(
-        resp[0].starts_with("ERR"),
-        "expected ERR, got {:?}",
-        resp.first()
-    );
+    let resp = client
+        .query(11, "select x from x in NO_SUCH_CLASS")
+        .expect("error round trip");
+    assert!(resp.is_err(), "expected an ERROR frame, got {resp:?}");
 
-    let metrics = ask("METRICS");
-    assert_eq!(metrics.first().map(String::as_str), Some("OK 0"));
-    assert_eq!(metrics.last().map(String::as_str), Some("."));
-    for line in &metrics[1..metrics.len() - 1] {
-        println!("{line}");
-    }
-    ask("QUIT");
+    let metrics = client
+        .text_request(12, verb::METRICS, "")
+        .expect("METRICS round trip")
+        .unwrap_or_else(|(code, msg)| panic!("METRICS failed: {code} {msg}"));
+    print!("{metrics}");
+    client.send(13, verb::QUIT, &[]).expect("send QUIT");
     handle.shutdown();
 }

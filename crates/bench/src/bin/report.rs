@@ -165,38 +165,6 @@ fn perf_streaming() {
             r.workload, r.streaming_agg_ms, r.streaming_row_ms, r.mask_batches,
         );
     }
-    println!("\n  Serving layer (4 clients × 6 reps through one shared QueryServer):");
-    println!(
-        "  {:<26} {:>10} {:>10} {:>14}",
-        "workload", "p50", "p99", "p99 / stream"
-    );
-    for r in &rows {
-        println!(
-            "  {:<26} {:>8.2}ms {:>8.2}ms {:>13.2}x",
-            r.workload,
-            r.server_p50_ms,
-            r.server_p99_ms,
-            r.server_p99_ms / r.streaming_ms.max(1e-9),
-        );
-    }
-    println!(
-        "\n  Cursor streaming (time to first chunk vs collect-all, best of {}):",
-        oodb_bench::streaming_report::PARALLEL_RUNS
-    );
-    println!(
-        "  {:<26} {:>10} {:>11} {:>8} {:>12}",
-        "workload", "ttfb", "collect-all", "chunks", "ttfb share"
-    );
-    for r in &rows {
-        println!(
-            "  {:<26} {:>8.2}ms {:>9.2}ms {:>8} {:>11.1}%",
-            r.workload,
-            r.server_ttfb_ms,
-            r.exec_ms,
-            r.streamed_chunks,
-            100.0 * r.server_ttfb_ms / r.exec_ms.max(1e-9),
-        );
-    }
     println!("\n  Phase breakdown (cold planner vs streaming execute, best of 3):");
     println!(
         "  {:<26} {:>9} {:>9} {:>12}",

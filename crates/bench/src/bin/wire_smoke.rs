@@ -1,6 +1,6 @@
-//! CI smoke check for the binary wire protocol.
+//! CI smoke check for the wire protocol.
 //!
-//! Boots a binary-protocol TCP server on a generated database, then
+//! Boots a TCP server on a generated database, then
 //! **pipelines** four tagged `QUERY` requests plus an `ANALYZE` in one
 //! send burst before reading anything — the protocol's core promises
 //! (tag-correct routing, streamed chunks that decode to exactly the
@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use oodb_datagen::{generate, GenConfig};
 use oodb_server::wire::{self, verb, WireClient};
-use oodb_server::{net, ErrorCode, Protocol, ServerConfig};
+use oodb_server::{net, ErrorCode, ServerConfig};
 use oodb_value::{Set, Value};
 
 const QUERIES: [&str; 4] = [
@@ -28,15 +28,8 @@ const QUERIES: [&str; 4] = [
 
 fn main() {
     let db = Arc::new(generate(&GenConfig::scaled(300)));
-    let handle = net::serve(
-        Arc::clone(&db),
-        ServerConfig {
-            protocol: Protocol::Binary,
-            ..ServerConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("bind wire-smoke server");
+    let handle = net::serve(Arc::clone(&db), ServerConfig::default(), "127.0.0.1:0")
+        .expect("bind wire-smoke server");
 
     let mut client = WireClient::new(TcpStream::connect(handle.addr()).expect("connect"));
 

@@ -480,28 +480,6 @@ pub mod streaming_report {
         /// evaluation, which the gate tolerates, but growth beyond
         /// tolerance means the plan shape changed.
         pub mask_batches: u64,
-        /// Median per-query latency of the many-client serving-layer
-        /// driver: 4 concurrent sessions re-running the workload
-        /// through one shared `QueryServer` (plan cache, shared morsel
-        /// pool, admission control). Wall clock — not gated.
-        pub server_p50_ms: f64,
-        /// 99th-percentile latency of the same driver (with 24 pooled
-        /// samples, effectively the worst observed query — the one
-        /// that paid the plan-cache miss or lost the pool race).
-        pub server_p99_ms: f64,
-        /// Server time-to-first-chunk: milliseconds from execution
-        /// start until the serving-path cursor hands over its first
-        /// result chunk (result caching off — the pure streaming
-        /// path), best of [`PARALLEL_RUNS`]. The wire protocol writes
-        /// that chunk immediately, so this is the floor on streamed-
-        /// response latency — compare against `exec_ms` (full drain)
-        /// for what streaming buys. Wall clock — not gated.
-        pub server_ttfb_ms: f64,
-        /// Chunks the serving-path cursor streamed for one execution
-        /// of the workload (the wire protocol sends one CHUNK frame
-        /// per entry). Ungated — reported alongside `server_ttfb_ms`
-        /// in the streaming-vs-collect table.
-        pub streamed_chunks: u64,
         /// Planning-phase wall clock (rewrite + lowering on cached
         /// statistics), best of [`PARALLEL_RUNS`]. Ungated — machine
         /// noise, printed in the report's phase-breakdown table.
@@ -554,91 +532,6 @@ pub mod streaming_report {
         let t0 = Instant::now();
         let (v, s) = f();
         (v, s, t0.elapsed().as_secs_f64() * 1e3)
-    }
-
-    /// Many-client serving-layer driver: [`SERVER_CLIENTS`] concurrent
-    /// sessions each run the workload [`SERVER_REPS`] times through one
-    /// shared `QueryServer` (plan cache, shared morsel pool), asserting
-    /// every answer against the reference; returns (p50, p99) of the
-    /// pooled per-query latencies in milliseconds.
-    fn server_percentiles(db: &Database, nested: &Expr, expect: &Value) -> (f64, f64) {
-        use oodb_server::{QueryServer, ServerConfig};
-        const SERVER_CLIENTS: usize = 4;
-        const SERVER_REPS: usize = 6;
-        let server = QueryServer::with_config(
-            db,
-            ServerConfig {
-                planner: PlannerConfig {
-                    parallel_threshold: 256,
-                    memory_budget: 0,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        let samples = std::sync::Mutex::new(Vec::with_capacity(SERVER_CLIENTS * SERVER_REPS));
-        std::thread::scope(|scope| {
-            for _ in 0..SERVER_CLIENTS {
-                let server = &server;
-                let samples = &samples;
-                scope.spawn(move || {
-                    let session = server.session();
-                    for _ in 0..SERVER_REPS {
-                        let t0 = Instant::now();
-                        let out = session.run_expr(nested.clone()).expect("server run");
-                        let dt = t0.elapsed().as_secs_f64() * 1e3;
-                        assert_eq!(&out.result, expect, "server path diverged");
-                        samples.lock().unwrap().push(dt);
-                    }
-                });
-            }
-        });
-        let mut samples = samples.into_inner().unwrap();
-        samples.sort_by(f64::total_cmp);
-        let quantile = |p: f64| samples[((samples.len() - 1) as f64 * p).round() as usize];
-        (quantile(0.50), quantile(0.99))
-    }
-
-    /// Streaming-cursor driver: executes the workload through the
-    /// serving path's `ResultCursor` (result caching off, so nothing is
-    /// replayed or accumulated server-side) and reports the best
-    /// time-to-first-chunk over [`PARALLEL_RUNS`] plus the chunk count
-    /// of one full drain. The decoded stream is asserted against the
-    /// reference on every run.
-    fn cursor_streaming(db: &Database, nested: &Expr, expect: &Value) -> (f64, u64) {
-        use oodb_server::{QueryServer, ServerConfig};
-        let server = QueryServer::with_config(
-            db,
-            ServerConfig {
-                planner: PlannerConfig {
-                    memory_budget: 0,
-                    ..Default::default()
-                },
-                cache_results: false,
-                ..Default::default()
-            },
-        );
-        let session = server.session();
-        let mut best_ttfb = f64::INFINITY;
-        let mut chunks = 0u64;
-        for _ in 0..PARALLEL_RUNS {
-            let mut cursor = session
-                .open_expr_stream(nested.clone())
-                .expect("open cursor");
-            let mut rows = Vec::new();
-            while let Some(batch) = cursor.next_chunk().expect("stream chunk") {
-                rows.extend(batch.into_values());
-            }
-            let reassembled = if cursor.scalar() {
-                rows.into_iter().next().unwrap_or(Value::Null)
-            } else {
-                Value::Set(oodb_value::Set::from_values(rows))
-            };
-            assert_eq!(&reassembled, expect, "cursor stream diverged");
-            best_ttfb = best_ttfb.min(cursor.ttfb_us().unwrap_or(0) as f64 / 1e3);
-            chunks = cursor.chunks_streamed();
-        }
-        (best_ttfb, chunks)
     }
 
     /// Runs the three-way comparison on the §7 workloads at `scale`
@@ -841,22 +734,6 @@ pub mod streaming_report {
                     agg_best = agg_best.min(at);
                 }
             }
-            // the many-client serving-layer percentiles (pure timing —
-            // correctness of the served path is the concurrency suite's
-            // job, but every driver answer is still asserted)
-            let (server_p50, server_p99) = if timings {
-                server_percentiles(&db, &q, &nv)
-            } else {
-                (0.0, 0.0)
-            };
-            // the streaming-cursor driver: time-to-first-chunk and
-            // chunk volume through the serving path (pure timing, but
-            // the stream is asserted row-identical every run)
-            let (server_ttfb, streamed_chunks) = if timings {
-                cursor_streaming(&db, &q, &nv)
-            } else {
-                (0.0, 0)
-            };
             // phase breakdown (ungated wall clock): planning = rewrite +
             // lowering on the cached statistics, execution = the default
             // streaming run of that plan — each best of PARALLEL_RUNS
@@ -914,10 +791,6 @@ pub mod streaming_report {
                 rewrite_order_work,
                 streaming_agg_ms: agg_best,
                 mask_batches: s_stats.mask_batches,
-                server_p50_ms: server_p50,
-                server_p99_ms: server_p99,
-                server_ttfb_ms: server_ttfb,
-                streamed_chunks,
                 plan_ms: plan_best,
                 exec_ms: exec_best,
             });
@@ -947,8 +820,6 @@ pub mod streaming_report {
                  \"spill_bytes\": {}, \"smj_spill_bytes\": {}, \
                  \"join_order_work\": {}, \"rewrite_order_work\": {}, \
                  \"streaming_agg_ms\": {:.3}, \"mask_batches\": {}, \
-                 \"server_p50_ms\": {:.3}, \"server_p99_ms\": {:.3}, \
-                 \"server_ttfb_ms\": {:.3}, \"streamed_chunks\": {}, \
                  \"plan_ms\": {:.3}, \"exec_ms\": {:.3}}}{}\n",
                 r.workload,
                 r.result_rows,
@@ -976,10 +847,6 @@ pub mod streaming_report {
                 r.rewrite_order_work,
                 r.streaming_agg_ms,
                 r.mask_batches,
-                r.server_p50_ms,
-                r.server_p99_ms,
-                r.server_ttfb_ms,
-                r.streamed_chunks,
                 r.plan_ms,
                 r.exec_ms,
                 if i + 1 == rows.len() { "" } else { "," },

@@ -300,10 +300,6 @@ mod tests {
             rewrite_order_work: work,
             streaming_agg_ms: 1.0,
             mask_batches: 0,
-            server_p50_ms: 1.0,
-            server_p99_ms: 1.0,
-            server_ttfb_ms: 1.0,
-            streamed_chunks: 0,
             plan_ms: 1.0,
             exec_ms: 1.0,
         }

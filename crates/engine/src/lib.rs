@@ -33,7 +33,7 @@ pub use oodb_spill::{MemoryBudget, SpillManager, SpillMetrics};
 // The batch layout selector, re-exported so callers configuring
 // `PlannerConfig::batch_kind` need not depend on `oodb-value` paths.
 pub use oodb_value::BatchKind;
-pub use physical::operator::{ResultStream, BATCH_SIZE};
+pub use physical::operator::{ExecOptions, ResultStream, BATCH_SIZE};
 pub use physical::{Partitioning, PhysPlan};
 pub use plan::{JoinAlgo, JoinOrder, Plan, PlanError, Planner, PlannerConfig};
 pub use pool::WorkerPool;

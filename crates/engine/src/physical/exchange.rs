@@ -33,7 +33,8 @@
 
 use super::hashjoin::{self, JoinHashTable, MemberHashTable, MemberShape};
 use super::operator::{
-    drain_rows, drain_to_set, Batch, BoxOp, Buffered, ExecCtx, HashMode, InstrState, Operator,
+    drain_rows, drain_to_set, Batch, BoxOp, Buffered, ExecCtx, ExecOptions, HashMode, InstrState,
+    Operator,
 };
 use super::{spill_exec, Partitioning, PhysPlan};
 use crate::eval::{Env, EvalError, Evaluator};
@@ -188,24 +189,21 @@ impl ExchangeOp {
         let dop = self.dop;
         // Each worker's pipeline state gets an equal share of the
         // memory budget, so the whole exchange stays within it.
-        let budget = ctx.budget.share(dop);
-        let batch_kind = ctx.batch_kind;
-        let vectorize = ctx.vectorize;
-        let timing = ctx.timing;
+        let opts = ExecOptions {
+            budget: ctx.opts.budget.share(dop),
+            ..ctx.opts.clone()
+        };
         let tasks: Vec<WorkerTask<'_, Value>> = (0..dop)
             .map(|w| {
                 let env = env.clone();
-                let budget = budget.clone();
+                let opts = opts.clone();
                 Box::new(move || {
                     let mut stats = Stats::new();
                     let mut wctx = ExecCtx {
                         ev: Evaluator::new(db),
                         env,
                         stats: &mut stats,
-                        budget,
-                        batch_kind,
-                        vectorize,
-                        timing,
+                        opts,
                     };
                     let mut op = plan.compile_stride(w, dop);
                     op.open(&mut wctx)?;
@@ -248,7 +246,7 @@ impl Operator for ExchangeOp {
             .buf
             .as_mut()
             .expect("gathered above")
-            .next_chunk(ctx.batch_kind);
+            .next_chunk(ctx.opts.batch_kind);
         if chunk.is_none() {
             self.state = InstrState::Exhausted;
         }
@@ -560,14 +558,14 @@ impl ParallelHashJoinOp {
         // (partition-at-a-time, within the budget at any dop); the
         // probe side is still undrained, so grace streams it straight
         // into partition files.
-        if ctx.budget.is_bounded() {
+        if ctx.opts.budget.is_bounded() {
             let bytes: usize = keyed
                 .iter()
                 .map(|(ks, row)| spill_exec::entry_bytes(ks, row))
                 .sum();
-            if ctx.budget.exceeded_by(bytes) {
+            if ctx.opts.budget.exceeded_by(bytes) {
                 let mode = self.hash_mode();
-                let budget = ctx.budget.clone();
+                let budget = ctx.opts.budget.clone();
                 return match &self.family {
                     JoinFamily::Equi { lkeys, .. } => spill_exec::grace_equi_join(
                         &mode,
@@ -884,10 +882,11 @@ mod tests {
             ev: Evaluator::new(&db),
             env: Env::new(),
             stats: &mut stats,
-            budget: MemoryBudget::unbounded(),
-            batch_kind: BatchKind::from_env(),
-            vectorize: true,
-            timing: true,
+            opts: ExecOptions {
+                budget: MemoryBudget::unbounded(),
+                vectorize: true,
+                ..PlannerConfig::default().exec_options()
+            },
         };
         let mut op = plan.phys.compile();
         assert!(matches!(

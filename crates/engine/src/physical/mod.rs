@@ -379,71 +379,30 @@ impl PhysPlan {
     /// Executes the plan against `db` through the streaming
     /// [`operator`] pipeline (the default execution path): rows flow in
     /// batches, only pipeline breakers materialize, and
-    /// [`Stats::operators`] records per-operator rows/batches.
-    pub fn execute_streaming_on(
+    /// [`Stats::operators`] records per-operator rows/batches. The one
+    /// streaming entry point: a collect-all drain of a
+    /// [`ResultStream`](operator::ResultStream) under `opts` (budget,
+    /// batch layout, vectorization, timing — see
+    /// [`PlannerConfig::exec_options`](crate::plan::PlannerConfig::exec_options)),
+    /// so the library path and the serving layer's streamed cursors
+    /// drive the very same machinery. Mirrors the result contract of
+    /// the materialized executor: row-producing roots collect into a
+    /// canonical set, scalar roots return their single value.
+    pub fn execute_streaming(
         &self,
         db: &Database,
         stats: &mut Stats,
+        opts: &operator::ExecOptions,
     ) -> Result<Value, EvalError> {
-        operator::run(self, db, stats)
-    }
-
-    /// [`PhysPlan::execute_streaming_on`] under an explicit
-    /// [`MemoryBudget`](oodb_spill::MemoryBudget) instead of the
-    /// process default.
-    pub fn execute_streaming_budgeted(
-        &self,
-        db: &Database,
-        stats: &mut Stats,
-        budget: oodb_spill::MemoryBudget,
-    ) -> Result<Value, EvalError> {
-        operator::run_budgeted(self, db, stats, budget)
-    }
-
-    /// [`PhysPlan::execute_streaming_budgeted`] with the batch layout
-    /// pinned as well — how [`crate::plan::Plan`] threads
-    /// `PlannerConfig::batch_kind` into execution.
-    pub fn execute_streaming_configured(
-        &self,
-        db: &Database,
-        stats: &mut Stats,
-        budget: oodb_spill::MemoryBudget,
-        batch_kind: oodb_value::BatchKind,
-    ) -> Result<Value, EvalError> {
-        operator::run_configured(self, db, stats, budget, batch_kind)
-    }
-
-    /// [`PhysPlan::execute_streaming_configured`] with the
-    /// vectorization switch pinned as well (instead of read from
-    /// `OODB_VECTORIZE`) — how [`crate::plan::Plan`] threads
-    /// `PlannerConfig::vectorize` into execution.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_streaming_full(
-        &self,
-        db: &Database,
-        stats: &mut Stats,
-        budget: oodb_spill::MemoryBudget,
-        batch_kind: oodb_value::BatchKind,
-        vectorize: bool,
-    ) -> Result<Value, EvalError> {
-        operator::run_full(self, db, stats, budget, batch_kind, vectorize)
-    }
-
-    /// [`PhysPlan::execute_streaming_full`] with the per-operator
-    /// timing switch pinned as well (instead of read from
-    /// `OODB_TIMING`) — how [`crate::plan::Plan`] threads
-    /// `PlannerConfig::timing` into execution.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_streaming_traced(
-        &self,
-        db: &Database,
-        stats: &mut Stats,
-        budget: oodb_spill::MemoryBudget,
-        batch_kind: oodb_value::BatchKind,
-        vectorize: bool,
-        timing: bool,
-    ) -> Result<Value, EvalError> {
-        operator::run_traced(self, db, stats, budget, batch_kind, vectorize, timing)
+        let mut stream = operator::ResultStream::with_options(self, db, opts.clone());
+        let result = stream.drain_value();
+        stream.close();
+        stats.merge(stream.stats());
+        let v = result?;
+        if let Value::Set(s) = &v {
+            stats.output_rows += s.len() as u64;
+        }
+        Ok(v)
     }
 
     /// Executes the plan against `db` with whole-set materialization at

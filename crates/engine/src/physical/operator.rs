@@ -19,8 +19,10 @@
 //! * each operator is wrapped in an [`Instrument`] shim recording
 //!   rows/batches emitted into [`Stats::operators`].
 //!
-//! Entry point: [`PhysPlan::execute_streaming_on`] (in
-//! [`crate::physical`]), or [`crate::plan::Plan::execute_streaming`].
+//! Entry point: [`PhysPlan::execute_streaming`], which
+//! [`crate::plan::Plan::execute_streaming`] calls with the planner
+//! configuration's [`ExecOptions`]; [`ResultStream`] is the same
+//! pipeline pulled chunk by chunk.
 
 use super::columnar::{simple_attr, MaskExpr, ProbeInput};
 use super::hashjoin::{self, IndexedBuild, JoinHashTable, MemberHashTable, MemberShape};
@@ -47,9 +49,42 @@ pub use oodb_value::Batch;
 /// A boxed operator node.
 pub type BoxOp = Box<dyn Operator>;
 
+/// How one streaming execution runs: the four execution-time values of
+/// [`PlannerConfig`](crate::plan::PlannerConfig), carried as one value
+/// from the planner configuration
+/// ([`PlannerConfig::exec_options`](crate::plan::PlannerConfig::exec_options))
+/// through [`PhysPlan::execute_streaming`] / [`ResultStream`] into every
+/// operator's [`ExecCtx`]. Results and the classic work counters are
+/// identical under every combination — the options only select
+/// residency, layout and machinery.
+#[derive(Debug, Clone)]
+pub struct ExecOptions {
+    /// The memory budget pipeline state (hash tables, sort runs, PNHL
+    /// segments) is held to; shared across the pipeline, divided into
+    /// per-worker shares by the exchanges.
+    pub budget: MemoryBudget,
+    /// Which layout batch *sources* (scans, scalar-set streams,
+    /// round-robin exchange gathers, spilled canonical-set runs) build
+    /// their batches in — [`BatchKind::Columnar`] or the legacy boxed
+    /// rows of [`BatchKind::Row`]. Layout-preserving transforms keep
+    /// columnar batches columnar; operators that construct fresh rows
+    /// (join outputs, blocking drains) emit row batches.
+    pub batch_kind: BatchKind,
+    /// Master switch for the vectorized fast paths: compiled selection
+    /// masks, column-at-a-time transforms, columnar hash-join outputs
+    /// and the streaming ν/`Agg` group tables. `false` forces every
+    /// operator onto the row-interpreter / drain-to-set reference paths
+    /// for differential testing.
+    pub vectorize: bool,
+    /// Capture per-operator wall-clock timings (`OpStats::timing`) in
+    /// the instrumentation shim. `false` skips the monotonic-clock reads
+    /// on the hot path; only the nanosecond totals stay zero.
+    pub timing: bool,
+}
+
 /// Everything an operator needs at runtime: the expression interpreter
-/// (for predicates, keys and map bodies), the variable environment, and
-/// the shared statistics sink.
+/// (for predicates, keys and map bodies), the variable environment, the
+/// shared statistics sink, and the run's [`ExecOptions`].
 pub struct ExecCtx<'db, 's> {
     /// Interpreter over the bound database.
     pub ev: Evaluator<'db>,
@@ -57,33 +92,8 @@ pub struct ExecCtx<'db, 's> {
     pub env: Env,
     /// Work counters shared by the whole pipeline.
     pub stats: &'s mut Stats,
-    /// The memory budget pipeline state (hash tables, sort runs, PNHL
-    /// segments) is held to; unbounded by default, shared across the
-    /// pipeline, divided into per-worker shares by the exchanges.
-    pub budget: MemoryBudget,
-    /// Which layout batch *sources* (scans, scalar-set streams,
-    /// round-robin exchange gathers, spilled canonical-set runs) build
-    /// their batches in — [`BatchKind::Columnar`] by default;
-    /// `OODB_BATCH_KIND=row` preserves the legacy boxed-row batches for
-    /// differential testing, exactly like `OODB_PARALLELISM=1`
-    /// preserves the serial pipeline. Layout-preserving transforms keep
-    /// columnar batches columnar; operators that construct fresh rows
-    /// (join outputs, blocking drains) emit row batches.
-    pub batch_kind: BatchKind,
-    /// Master switch for the vectorized fast paths: compiled selection
-    /// masks, column-at-a-time transforms, columnar hash-join outputs
-    /// and the streaming ν/`Agg` group tables. `true` by default;
-    /// `OODB_VECTORIZE=off` (or `PlannerConfig::vectorize`) forces every
-    /// operator onto the row-interpreter / drain-to-set reference paths
-    /// for differential testing. Results and the classic work counters
-    /// are identical either way — the switch only selects the machinery.
-    pub vectorize: bool,
-    /// Capture per-operator wall-clock timings (`OpStats::timing`) in
-    /// the instrumentation shim. `true` by default; `OODB_TIMING=off`
-    /// (or `PlannerConfig::timing`) skips the monotonic-clock reads on
-    /// the hot path. Results and every counter are bit-identical either
-    /// way — only the nanosecond totals stay zero when disabled.
-    pub timing: bool,
+    /// Budget, batch layout, vectorization and timing of this run.
+    pub opts: ExecOptions,
 }
 
 /// A pull-based physical operator.
@@ -170,7 +180,7 @@ pub(crate) fn drain_to_set(
     if op.scalar() {
         let v = drain_scalar(op, ctx)?;
         Ok(v.into_set()?)
-    } else if ctx.budget.is_bounded() {
+    } else if ctx.opts.budget.is_bounded() {
         spill_exec::budgeted_canonical_set(op, local, ctx)
     } else {
         Ok(Set::from_values(drain_rows(op, ctx)?))
@@ -312,7 +322,7 @@ impl Operator for Instrument {
         self.state = InstrState::Open;
         self.timing = OpTiming::default();
         self.pushed = None;
-        if ctx.timing {
+        if ctx.opts.timing {
             let t0 = Instant::now();
             let r = self.inner.open(ctx);
             self.timing.open_ns += t0.elapsed().as_nanos() as u64;
@@ -333,7 +343,7 @@ impl Operator for Instrument {
                 return Err(EvalError::OperatorProtocol("next_batch after close"))
             }
         }
-        let next = if ctx.timing {
+        let next = if ctx.opts.timing {
             let t0 = Instant::now();
             let r = self.inner.next_batch(ctx);
             self.timing.next_ns += t0.elapsed().as_nanos() as u64;
@@ -360,7 +370,7 @@ impl Operator for Instrument {
         // Report first (spill metrics are read before the inner state is
         // released), then fold the close duration back into the entry.
         self.report(ctx);
-        if ctx.timing {
+        if ctx.opts.timing {
             let t0 = Instant::now();
             self.inner.close(ctx);
             self.timing.close_ns += t0.elapsed().as_nanos() as u64;
@@ -434,7 +444,7 @@ impl Operator for ScanOp {
             .buf
             .as_mut()
             .expect("buffered above")
-            .next_chunk(ctx.batch_kind))
+            .next_chunk(ctx.opts.batch_kind))
     }
 
     fn close(&mut self, _ctx: &mut ExecCtx<'_, '_>) {
@@ -479,7 +489,7 @@ impl Operator for ScalarOp {
             ScalarKind::Literal(v) => v.clone(),
             ScalarKind::Eval(e) => ctx.ev.eval(e, &mut ctx.env, ctx.stats)?,
             ScalarKind::Agg { op, child } => {
-                if ctx.vectorize {
+                if ctx.opts.vectorize {
                     streaming_aggregate(*op, child, &mut self.in_batches, &mut self.spill, ctx)?
                 } else {
                     let s = drain_to_set(child, &mut self.spill, ctx)?;
@@ -560,7 +570,7 @@ fn streaming_aggregate(
                 },
             )))
         }
-        AggOp::Count | AggOp::Sum | AggOp::Avg if !ctx.budget.is_bounded() => {
+        AggOp::Count | AggOp::Sum | AggOp::Avg if !ctx.opts.budget.is_bounded() => {
             let mut distinct: FxHashSet<Value> = FxHashSet::default();
             while let Some(b) = child.next_batch(ctx)? {
                 *in_batches += 1;
@@ -599,7 +609,7 @@ impl Operator for ScalarRows {
             .buf
             .as_mut()
             .expect("buffered above")
-            .next_chunk(ctx.batch_kind))
+            .next_chunk(ctx.opts.batch_kind))
     }
 
     fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
@@ -660,7 +670,7 @@ impl TransformOp {
         batch: &Batch,
         ctx: &mut ExecCtx<'_, '_>,
     ) -> Result<Option<Batch>, EvalError> {
-        if !ctx.vectorize {
+        if !ctx.opts.vectorize {
             return Ok(None); // kill-switch: every batch takes the row view
         }
         let Batch::Columnar(cb) = batch else {
@@ -899,12 +909,12 @@ impl Operator for BlockingOp {
                     as_attr,
                     child,
                 } => {
-                    if ctx.vectorize && !child.scalar() {
+                    if ctx.opts.vectorize && !child.scalar() {
                         // streaming ν: the group table reads the child
                         // batch by batch — no canonical-set drain. The
                         // final Set::from_values canonicalizes exactly
                         // like the reference nest_set output.
-                        let budget = ctx.budget.clone();
+                        let budget = ctx.opts.budget.clone();
                         let mut nest = spill_exec::StreamingNest::new(as_attr, &budget);
                         while let Some(b) = child.next_batch(ctx)? {
                             *in_batches += 1;
@@ -938,11 +948,11 @@ impl Operator for BlockingOp {
                 } => {
                     let o = drain_to_set(outer, spill, ctx)?;
                     let i = drain_to_set(inner, spill, ctx)?;
-                    if ctx.budget.is_bounded() {
+                    if ctx.opts.budget.is_bounded() {
                         // spill-backed PNHL: probe partitions persist
                         // through the SpillManager instead of
                         // re-scanning every outer element per segment
-                        let budget = ctx.budget.clone();
+                        let budget = ctx.opts.budget.clone();
                         spill_exec::pnhl_spill_rows(&o, set_attr, &i, keys, &budget, spill, ctx)?
                     } else {
                         pnhl::pnhl_rows(
@@ -1178,7 +1188,7 @@ struct HashJoinOp {
     state: HashJoinState<JoinHashTable>,
     /// Columnar re-materialization of the in-memory build table, built
     /// once per open when the vectorized probe applies (residual-free
-    /// inner/semi/anti join, batchable build rows, `ctx.vectorize`).
+    /// inner/semi/anti join, batchable build rows, `ctx.opts.vectorize`).
     indexed: Option<IndexedBuild>,
     spill: SpillMetrics,
 }
@@ -1194,7 +1204,7 @@ impl Operator for HashJoinOp {
     fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
         if matches!(self.state, HashJoinState::Pending) {
             let build = drain_to_set(&mut self.right, &mut self.spill, ctx)?;
-            self.state = if !ctx.budget.is_bounded() {
+            self.state = if !ctx.opts.budget.is_bounded() {
                 HashJoinState::InMem(JoinHashTable::build(
                     &self.rkeys,
                     &self.rvar,
@@ -1210,10 +1220,10 @@ impl Operator for HashJoinOp {
                     &self.rvar,
                     ctx,
                 )?;
-                if !ctx.budget.exceeded_by(bytes) {
+                if !ctx.opts.budget.exceeded_by(bytes) {
                     HashJoinState::InMem(JoinHashTable::from_keyed(keyed, ctx.stats))
                 } else {
-                    let budget = ctx.budget.clone();
+                    let budget = ctx.opts.budget.clone();
                     let rows = spill_exec::grace_equi_join(
                         &self.mode,
                         &self.lvar,
@@ -1230,7 +1240,7 @@ impl Operator for HashJoinOp {
                 }
             };
             if let HashJoinState::InMem(table) = &self.state {
-                if ctx.vectorize
+                if ctx.opts.vectorize
                     && self.residual.is_none()
                     && matches!(
                         self.mode,
@@ -1343,7 +1353,7 @@ impl Operator for MemberJoinOp {
     fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
         if matches!(self.state, HashJoinState::Pending) {
             let build = drain_to_set(&mut self.right, &mut self.spill, ctx)?;
-            self.state = if !ctx.budget.is_bounded() {
+            self.state = if !ctx.opts.budget.is_bounded() {
                 HashJoinState::InMem(MemberHashTable::build(
                     &self.shape,
                     &self.rvar,
@@ -1359,10 +1369,10 @@ impl Operator for MemberJoinOp {
                     &self.rvar,
                     ctx,
                 )?;
-                if !ctx.budget.exceeded_by(bytes) {
+                if !ctx.opts.budget.exceeded_by(bytes) {
                     HashJoinState::InMem(MemberHashTable::from_keyed(keyed, ctx.stats))
                 } else {
-                    let budget = ctx.budget.clone();
+                    let budget = ctx.opts.budget.clone();
                     let rows = spill_exec::grace_member_join(
                         &self.mode,
                         &self.lvar,
@@ -1602,7 +1612,7 @@ impl Operator for SortMergeJoinOp {
 
     fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
         if matches!(self.state, SmjState::Pending) {
-            self.state = if ctx.budget.is_bounded() {
+            self.state = if ctx.opts.budget.is_bounded() {
                 // raw drains: the canonical-set dedupe is folded into
                 // the keyed external merge (runs deduplicate before
                 // each spill, the group cursor drops cross-run
@@ -1610,7 +1620,7 @@ impl Operator for SortMergeJoinOp {
                 // paying a separate canonicalize-and-spill pass first
                 let l = drain_raw(&mut self.left, ctx)?;
                 let r = drain_raw(&mut self.right, ctx)?;
-                let budget = ctx.budget.clone();
+                let budget = ctx.opts.budget.clone();
                 let rows = spill_exec::external_sort_merge_join(
                     &self.lvar,
                     &self.rvar,
@@ -2107,107 +2117,6 @@ impl PhysPlan {
     }
 }
 
-/// Drives a compiled plan to completion against `db`, mirroring the
-/// result contract of the materialized executor: row-producing roots
-/// collect into a canonical set, scalar roots return their single value.
-/// The memory budget is the process default ([`MemoryBudget::from_env`],
-/// i.e. `OODB_MEMORY_BUDGET` or unbounded); [`run_budgeted`] takes an
-/// explicit one.
-pub fn run(plan: &PhysPlan, db: &Database, stats: &mut Stats) -> Result<Value, EvalError> {
-    run_budgeted(plan, db, stats, MemoryBudget::from_env())
-}
-
-/// [`run`] under an explicit [`MemoryBudget`] and the process-default
-/// batch layout ([`BatchKind::from_env`]).
-pub fn run_budgeted(
-    plan: &PhysPlan,
-    db: &Database,
-    stats: &mut Stats,
-    budget: MemoryBudget,
-) -> Result<Value, EvalError> {
-    run_configured(plan, db, stats, budget, BatchKind::from_env())
-}
-
-/// [`run`] under an explicit [`MemoryBudget`] **and** batch layout — how
-/// [`crate::plan::Plan`] threads `PlannerConfig::memory_budget` and
-/// `PlannerConfig::batch_kind` into execution.
-pub fn run_configured(
-    plan: &PhysPlan,
-    db: &Database,
-    stats: &mut Stats,
-    budget: MemoryBudget,
-    batch_kind: BatchKind,
-) -> Result<Value, EvalError> {
-    run_full(
-        plan,
-        db,
-        stats,
-        budget,
-        batch_kind,
-        super::columnar::vectorize_from_env(),
-    )
-}
-
-/// [`run_configured`] with the vectorization switch made explicit — how
-/// `PlannerConfig::vectorize` reaches execution without going through
-/// the `OODB_VECTORIZE` environment variable. Per-operator timing
-/// follows `OODB_TIMING` (on by default); [`run_traced`] makes it
-/// explicit.
-pub fn run_full(
-    plan: &PhysPlan,
-    db: &Database,
-    stats: &mut Stats,
-    budget: MemoryBudget,
-    batch_kind: BatchKind,
-    vectorize: bool,
-) -> Result<Value, EvalError> {
-    run_traced(
-        plan,
-        db,
-        stats,
-        budget,
-        batch_kind,
-        vectorize,
-        timing_from_env(),
-    )
-}
-
-/// Whether the instrumentation shim should capture per-operator
-/// wall-clock timings: on unless `OODB_TIMING` is `off`/`0`/`false`.
-pub fn timing_from_env() -> bool {
-    match std::env::var("OODB_TIMING") {
-        Ok(v) => !(v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false") || v == "0"),
-        Err(_) => true,
-    }
-}
-
-/// [`run_full`] with the per-operator timing switch made explicit — how
-/// `PlannerConfig::timing` reaches execution without going through the
-/// `OODB_TIMING` environment variable. Implemented as a collect-all
-/// drain of a [`ResultStream`] cursor, so the library path and the
-/// serving layer's streamed wire protocol drive the very same pipeline
-/// machinery.
-#[allow(clippy::too_many_arguments)]
-pub fn run_traced(
-    plan: &PhysPlan,
-    db: &Database,
-    stats: &mut Stats,
-    budget: MemoryBudget,
-    batch_kind: BatchKind,
-    vectorize: bool,
-    timing: bool,
-) -> Result<Value, EvalError> {
-    let mut stream = ResultStream::new(plan, db, budget, batch_kind, vectorize, timing);
-    let result = stream.drain_value();
-    stream.close();
-    stats.merge(stream.stats());
-    let v = result?;
-    if let Value::Set(s) = &v {
-        stats.output_rows += s.len() as u64;
-    }
-    Ok(v)
-}
-
 /// Where a [`ResultStream`] is in its lifecycle.
 enum StreamState {
     /// Compiled, not yet opened — the first [`ResultStream::next_chunk`]
@@ -2231,16 +2140,14 @@ enum StreamState {
 /// plan it was compiled from. Chunks are *raw* pipeline output: they may
 /// carry duplicates and arrive in pipeline order — the canonical
 /// (deduplicated) set is whatever [`Set::from_values`] makes of their
-/// concatenation, which is exactly how [`run_traced`] assembles it.
+/// concatenation, which is exactly how [`PhysPlan::execute_streaming`]
+/// assembles it.
 pub struct ResultStream<'db> {
     root: BoxOp,
     db: &'db Database,
     env: Env,
     stats: Stats,
-    budget: MemoryBudget,
-    batch_kind: BatchKind,
-    vectorize: bool,
-    timing: bool,
+    opts: ExecOptions,
     scalar: bool,
     state: StreamState,
 }
@@ -2249,13 +2156,10 @@ impl<'db> ResultStream<'db> {
     /// Compiles `plan` into a cursor. Nothing executes until the first
     /// [`ResultStream::next_chunk`] (which opens the root), so creation
     /// is cheap and infallible.
-    pub fn new(
+    pub fn with_options(
         plan: &PhysPlan,
         db: &'db Database,
-        budget: MemoryBudget,
-        batch_kind: BatchKind,
-        vectorize: bool,
-        timing: bool,
+        opts: ExecOptions,
     ) -> ResultStream<'db> {
         let root = plan.compile();
         let scalar = root.scalar();
@@ -2264,13 +2168,29 @@ impl<'db> ResultStream<'db> {
             db,
             env: Env::new(),
             stats: Stats::default(),
+            opts,
+            scalar,
+            state: StreamState::Created,
+        }
+    }
+
+    /// [`ResultStream::with_options`] with the [`ExecOptions`] spelled
+    /// out positionally.
+    pub fn new(
+        plan: &PhysPlan,
+        db: &'db Database,
+        budget: MemoryBudget,
+        batch_kind: BatchKind,
+        vectorize: bool,
+        timing: bool,
+    ) -> ResultStream<'db> {
+        let opts = ExecOptions {
             budget,
             batch_kind,
             vectorize,
             timing,
-            scalar,
-            state: StreamState::Created,
-        }
+        };
+        ResultStream::with_options(plan, db, opts)
     }
 
     /// True when the root produces exactly one (possibly non-set) value;
@@ -2293,7 +2213,7 @@ impl<'db> ResultStream<'db> {
 
     /// Builds a per-call [`ExecCtx`] around the stream's owned state and
     /// runs `f` with it. The [`Evaluator`] is a cheap wrapper over the
-    /// database reference and [`MemoryBudget`] is stateless
+    /// database reference and [`ExecOptions`] is stateless
     /// configuration, so rebuilding both per pull costs nothing; the
     /// environment is threaded through by value so bindings survive
     /// across pulls.
@@ -2303,10 +2223,7 @@ impl<'db> ResultStream<'db> {
             ev: Evaluator::new(self.db),
             env,
             stats: &mut self.stats,
-            budget: self.budget.clone(),
-            batch_kind: self.batch_kind,
-            vectorize: self.vectorize,
-            timing: self.timing,
+            opts: self.opts.clone(),
         };
         let out = f(&mut self.root, &mut ctx);
         self.env = std::mem::replace(&mut ctx.env, Env::new());
@@ -2399,6 +2316,22 @@ mod tests {
     use crate::plan::{JoinAlgo, Planner, PlannerConfig};
     use oodb_adl::dsl::*;
     use oodb_catalog::fixtures::{figure3_db, supplier_part_db};
+
+    /// The process-default options — whatever layout / budget /
+    /// vectorization the CI pass configured through `PlannerConfig`.
+    fn default_opts() -> ExecOptions {
+        PlannerConfig::default().exec_options()
+    }
+
+    /// [`default_opts`] for the hand-built contexts below: the pass's
+    /// batch layout, but always in-memory and vectorized.
+    fn unbounded_opts() -> ExecOptions {
+        ExecOptions {
+            budget: MemoryBudget::unbounded(),
+            vectorize: true,
+            ..default_opts()
+        }
+    }
 
     fn both_paths(db: &Database, e: &Expr) -> (Value, Stats, Value, Stats) {
         let plan = Planner::new(db).plan(e).unwrap();
@@ -2558,7 +2491,9 @@ mod tests {
             input: Box::new(PhysPlan::Scan("PART".into())),
         };
         let mut stats = Stats::new();
-        let v = count_plan.execute_streaming_on(&db, &mut stats).unwrap();
+        let v = count_plan
+            .execute_streaming(&db, &mut stats, &default_opts())
+            .unwrap();
         assert_eq!(v, Value::Int(7));
         // aggregates drain their input through the instrumented pipeline
         assert!(stats.operator("Scan(PART)").is_some());
@@ -2566,7 +2501,8 @@ mod tests {
         let lit = PhysPlan::Literal(Value::str("hello"));
         let mut s2 = Stats::new();
         assert_eq!(
-            lit.execute_streaming_on(&db, &mut s2).unwrap(),
+            lit.execute_streaming(&db, &mut s2, &default_opts())
+                .unwrap(),
             Value::str("hello")
         );
     }
@@ -2644,7 +2580,9 @@ mod tests {
             }),
         };
         let mut ss = Stats::new();
-        let v = prod.execute_streaming_on(&db, &mut ss).unwrap();
+        let v = prod
+            .execute_streaming(&db, &mut ss, &default_opts())
+            .unwrap();
         assert_eq!(v.as_set().unwrap().len(), 35);
         assert_eq!(ss.loop_iterations, 35);
 
@@ -2662,7 +2600,9 @@ mod tests {
             }),
         };
         let mut s2 = Stats::new();
-        let v2 = inter.execute_streaming_on(&db, &mut s2).unwrap();
+        let v2 = inter
+            .execute_streaming(&db, &mut s2, &default_opts())
+            .unwrap();
         assert_eq!(v2.as_set().unwrap().len(), 1); // screw (red, 7)
     }
 
@@ -2693,7 +2633,7 @@ mod tests {
         let bad = PhysPlan::Scan("NO_SUCH".into());
         let mut stats = Stats::new();
         assert!(matches!(
-            bad.execute_streaming_on(&db, &mut stats),
+            bad.execute_streaming(&db, &mut stats, &default_opts()),
             Err(EvalError::UnknownTable(_))
         ));
         // flatten of non-set rows errors exactly like the materialized path
@@ -2705,7 +2645,7 @@ mod tests {
             }),
         };
         let mut s2 = Stats::new();
-        let streaming_err = flat.execute_streaming_on(&db, &mut s2);
+        let streaming_err = flat.execute_streaming(&db, &mut s2, &default_opts());
         let mut s3 = Stats::new();
         let materialized_err = flat.execute_on(&db, &mut s3);
         assert!(streaming_err.is_err());
@@ -2733,7 +2673,7 @@ mod tests {
                 input: Box::new(empty.clone()),
             };
             let mut ss = Stats::new();
-            let streaming = agg.execute_streaming_on(&db, &mut ss);
+            let streaming = agg.execute_streaming(&db, &mut ss, &default_opts());
             let mut ms = Stats::new();
             let materialized = agg.execute_on(&db, &mut ms);
             assert!(
@@ -2756,7 +2696,9 @@ mod tests {
         };
         let mut ss = Stats::new();
         assert_eq!(
-            count.execute_streaming_on(&db, &mut ss).unwrap(),
+            count
+                .execute_streaming(&db, &mut ss, &default_opts())
+                .unwrap(),
             Value::Int(0)
         );
     }
@@ -2773,10 +2715,7 @@ mod tests {
             ev: Evaluator::new(&db),
             env: Env::new(),
             stats: &mut stats,
-            budget: MemoryBudget::unbounded(),
-            batch_kind: BatchKind::from_env(),
-            vectorize: true,
-            timing: true,
+            opts: unbounded_opts(),
         };
         let mut op = plan.compile();
         op.open(&mut ctx).unwrap();
@@ -2798,10 +2737,7 @@ mod tests {
             ev: Evaluator::new(&db),
             env: Env::new(),
             stats: &mut stats,
-            budget: MemoryBudget::unbounded(),
-            batch_kind: BatchKind::from_env(),
-            vectorize: true,
-            timing: true,
+            opts: unbounded_opts(),
         };
         // next_batch before open
         let mut op = plan.compile();
@@ -2848,10 +2784,7 @@ mod tests {
             ev: Evaluator::new(&db),
             env: Env::new(),
             stats: &mut stats,
-            budget: MemoryBudget::unbounded(),
-            batch_kind: BatchKind::from_env(),
-            vectorize: true,
-            timing: true,
+            opts: unbounded_opts(),
         };
         let mut op = plan.compile();
         op.open(&mut ctx).unwrap();
@@ -2869,6 +2802,8 @@ mod tests {
         op.close(&mut ctx);
         // and the whole-plan entry point reports the error cleanly too
         let mut s2 = Stats::new();
-        assert!(plan.execute_streaming_on(&db, &mut s2).is_err());
+        assert!(plan
+            .execute_streaming(&db, &mut s2, &default_opts())
+            .is_err());
     }
 }

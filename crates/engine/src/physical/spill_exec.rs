@@ -917,8 +917,8 @@ pub(crate) fn budgeted_canonical_set(
     local: &mut SpillMetrics,
     ctx: &mut ExecCtx<'_, '_>,
 ) -> Result<Set, EvalError> {
-    let budget = ctx.budget.clone();
-    let batch_kind = ctx.batch_kind;
+    let budget = ctx.opts.budget.clone();
+    let batch_kind = ctx.opts.batch_kind;
     let mut buf: Vec<Value> = Vec::new();
     let mut bytes = 0usize;
     let mut mgr: Option<SpillManager> = None;

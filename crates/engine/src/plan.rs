@@ -19,6 +19,7 @@
 
 use crate::cost::{CostModel, Estimate};
 use crate::physical::hashjoin::MemberShape;
+use crate::physical::operator::ExecOptions;
 use crate::physical::{exchange, MatchKeys, Partitioning, PhysPlan};
 use crate::stats::{OpStats, Stats};
 use oodb_adl::expr::{conjuncts, Expr, JoinKind};
@@ -28,8 +29,6 @@ use oodb_catalog::{CatalogStats, Database};
 use oodb_spill::MemoryBudget;
 use oodb_value::{BatchKind, CmpOp, Name, SetCmpOp, Value};
 use std::fmt;
-
-pub use crate::physical::operator::timing_from_env;
 
 /// Which join implementation the rule-based planner prefers when keys
 /// allow it (ignored when [`PlannerConfig::cost_based`] is on).
@@ -147,12 +146,25 @@ pub struct PlannerConfig {
     pub join_order: JoinOrder,
     /// Whether the streaming pipeline's instrumentation shim captures
     /// per-operator wall-clock timings (`OpStats::timing`, the numbers
-    /// behind `EXPLAIN ANALYZE`'s `actual_ms`). The `OODB_TIMING`
-    /// environment variable supplies the process default (`on` unless
-    /// set to `off`/`0`/`false`); results and every work counter are
-    /// bit-identical either way — disabling only skips the
-    /// monotonic-clock reads and leaves the nanosecond totals zero.
+    /// behind `EXPLAIN ANALYZE`'s `actual_ms`). On by default; results
+    /// and every work counter are bit-identical either way — disabling
+    /// only skips the monotonic-clock reads and leaves the nanosecond
+    /// totals zero.
     pub timing: bool,
+}
+
+impl PlannerConfig {
+    /// The execution-time part of the configuration — memory budget,
+    /// batch layout, vectorization and timing — as the one value the
+    /// streaming pipeline takes.
+    pub fn exec_options(&self) -> ExecOptions {
+        ExecOptions {
+            budget: MemoryBudget::bytes(self.memory_budget),
+            batch_kind: self.batch_kind,
+            vectorize: self.vectorize,
+            timing: self.timing,
+        }
+    }
 }
 
 /// Default worker count: the `OODB_PARALLELISM` environment variable if
@@ -183,7 +195,7 @@ impl Default for PlannerConfig {
             batch_kind: BatchKind::from_env(),
             vectorize: crate::physical::columnar::vectorize_from_env(),
             join_order: JoinOrder::from_env(),
-            timing: crate::physical::operator::timing_from_env(),
+            timing: true,
         }
     }
 }
@@ -218,18 +230,9 @@ pub struct Plan<'a> {
     db: &'a Database,
     /// Cost model the plan was built with (cost-based planning only).
     cost: Option<CostModel<'a>>,
-    /// The memory budget streaming execution runs under (from
-    /// [`PlannerConfig::memory_budget`]).
-    budget: MemoryBudget,
-    /// The batch layout streaming execution ships rows in (from
-    /// [`PlannerConfig::batch_kind`]).
-    batch_kind: BatchKind,
-    /// Whether streaming execution takes the vectorized fast paths
-    /// (from [`PlannerConfig::vectorize`]).
-    vectorize: bool,
-    /// Whether streaming execution captures per-operator wall-clock
-    /// timings (from [`PlannerConfig::timing`]).
-    timing: bool,
+    /// What streaming execution runs under (from
+    /// [`PlannerConfig::exec_options`]).
+    opts: ExecOptions,
     /// Microseconds join-order enumeration spent while lowering this
     /// plan (zero when enumeration never fired) — the `joinorder` span
     /// in the server's query-phase traces.
@@ -244,17 +247,9 @@ pub struct Plan<'a> {
 impl Plan<'_> {
     /// Runs the plan through the streaming operator pipeline (the
     /// default execution path — see [`crate::physical::operator`]),
-    /// under the planner configuration's memory budget, batch layout
-    /// and vectorization switch.
+    /// under the planner configuration's [`ExecOptions`].
     pub fn execute_streaming(&self, stats: &mut Stats) -> Result<Value, crate::eval::EvalError> {
-        self.phys.execute_streaming_traced(
-            self.db,
-            stats,
-            self.budget.clone(),
-            self.batch_kind,
-            self.vectorize,
-            self.timing,
-        )
+        self.phys.execute_streaming(self.db, stats, &self.opts)
     }
 
     /// Runs the plan with whole-set materialization at every operator
@@ -320,14 +315,11 @@ impl Plan<'_> {
         &self,
         stats: &mut Stats,
     ) -> Result<AnalyzedPlan, crate::eval::EvalError> {
-        let value = self.phys.execute_streaming_traced(
-            self.db,
-            stats,
-            self.budget.clone(),
-            self.batch_kind,
-            self.vectorize,
-            true,
-        )?;
+        let opts = ExecOptions {
+            timing: true,
+            ..self.opts.clone()
+        };
+        let value = self.phys.execute_streaming(self.db, stats, &opts)?;
         // Per-label FIFO queues over the reported entries: explain
         // renders pre-order and `Stats::operators` holds one entry per
         // instrumented operator (exchange workers already folded by
@@ -518,10 +510,7 @@ impl<'a> Planner<'a> {
                 CostModel::with_stats(self.db, m.stats().clone())
                     .with_memory_budget(self.config.memory_budget)
             }),
-            budget: MemoryBudget::bytes(self.config.memory_budget),
-            batch_kind: self.config.batch_kind,
-            vectorize: self.config.vectorize,
-            timing: self.config.timing,
+            opts: self.config.exec_options(),
             joinorder_micros: self.joinorder_micros.take(),
             order_notes: self.order_notes.take(),
         })
@@ -2150,7 +2139,8 @@ mod index_tests {
         // the streaming pipeline refuses identically
         let mut s2 = Stats::new();
         assert!(matches!(
-            bad.execute_streaming_on(&db, &mut s2).unwrap_err(),
+            bad.execute_streaming(&db, &mut s2, &PlannerConfig::default().exec_options())
+                .unwrap_err(),
             crate::eval::EvalError::MissingIndex { .. }
         ));
     }

@@ -83,8 +83,9 @@ pub struct CachedPlan {
     /// Optimizer output (rewritten expression + rule trace) — replayed
     /// into the output of cache-hit runs, which skip the optimizer.
     pub rewrite: Optimized,
-    /// The physical plan, executed directly via
-    /// [`PhysPlan::execute_streaming_full`] on hits (skipping costing).
+    /// The physical plan, streamed directly through a
+    /// [`ResultStream`](oodb_engine::ResultStream) on hits (skipping
+    /// costing).
     pub phys: PhysPlan,
     /// EXPLAIN rendering captured at plan time (cost annotations
     /// included when the planner was cost-based).

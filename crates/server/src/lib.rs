@@ -41,11 +41,8 @@
 //!
 //! [`net`] wraps all of this in a TCP transport (thread-per-connection
 //! over one shared cache/budget state) speaking the length-prefixed
-//! binary frame protocol of [`wire`] by default — pipelined tagged
-//! requests, results streamed chunk by chunk straight out of a
-//! [`ResultCursor`] — with the legacy line-oriented text protocol kept
-//! as a compatibility layer behind [`Protocol::Text`] /
-//! `OODB_PROTOCOL=text`.
+//! binary frame protocol of [`wire`] — pipelined tagged requests,
+//! results streamed chunk by chunk straight out of a [`ResultCursor`].
 
 pub mod cache;
 pub mod net;
@@ -58,37 +55,12 @@ use oodb_adl::expr::Expr;
 use oodb_catalog::{CatalogStats, Database};
 use oodb_core::strategy::{Optimized, Optimizer};
 use oodb_engine::eval::EvalError;
-use oodb_engine::{
-    MemoryBudget, PhysPlan, Planner, PlannerConfig, ResultStream, Stats, BATCH_SIZE,
-};
+use oodb_engine::{ExecOptions, PhysPlan, Planner, PlannerConfig, ResultStream, Stats, BATCH_SIZE};
 use oodb_obs::{Counter, Gauge, Histogram, Registry, SpanRecorder, TraceLog};
 use oodb_spill::{BudgetGrant, BudgetPool};
 use oodb_value::{Batch, Set, Value};
 
 use cache::{CachedPlan, CachedResult, Lookup, PlanCache, ResultCache};
-
-/// Which protocol [`net::serve`] speaks on accepted connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// The length-prefixed binary frame protocol of [`wire`]: pipelined
-    /// tagged requests, streamed result chunks. The default.
-    Binary,
-    /// The legacy line-oriented text protocol (one request line, whole
-    /// result on one line, `.` terminator) — kept as a compatibility
-    /// layer; `OODB_PROTOCOL=text` selects it process-wide.
-    Text,
-}
-
-impl Protocol {
-    /// The process-default protocol: [`Protocol::Text`] when
-    /// `OODB_PROTOCOL=text`, [`Protocol::Binary`] otherwise.
-    pub fn from_env() -> Protocol {
-        match std::env::var("OODB_PROTOCOL") {
-            Ok(v) if v.eq_ignore_ascii_case("text") => Protocol::Text,
-            _ => Protocol::Binary,
-        }
-    }
-}
 
 /// Server-level configuration: the per-query planner configuration plus
 /// the serving-layer knobs layered on top of it.
@@ -124,10 +96,6 @@ pub struct ServerConfig {
     /// full span tree *and* EXPLAIN text retained; faster queries only
     /// keep their span tree in the bounded recent-trace ring.
     pub slow_query_ms: u64,
-    /// Which protocol TCP connections speak ([`Protocol::from_env`] by
-    /// default — binary unless `OODB_PROTOCOL=text`). The in-process
-    /// API ignores it.
-    pub protocol: Protocol,
 }
 
 impl Default for ServerConfig {
@@ -140,7 +108,6 @@ impl Default for ServerConfig {
             cache_results: true,
             adaptive_stats: false,
             slow_query_ms: 250,
-            protocol: Protocol::from_env(),
         }
     }
 }
@@ -177,9 +144,7 @@ struct ServerMetrics {
     plan_invalidations: Counter,
     result_hits: Counter,
     result_misses: Counter,
-    /// End-to-end query latency (parse through execute), log-bucketed;
-    /// `oodb_query_latency_ms` quantiles bracket the bench suite's
-    /// measured `server_p50/p99_ms`.
+    /// End-to-end query latency (parse through execute), log-bucketed.
     latency: Arc<Histogram>,
     /// Time from admission to the first result chunk leaving the
     /// cursor — the latency a streaming client actually experiences,
@@ -187,10 +152,14 @@ struct ServerMetrics {
     ttfb: Arc<Histogram>,
     spill_bytes: Counter,
     rows_out: Counter,
-    /// Result chunks handed to streaming consumers (every protocol).
+    /// Result chunks handed to streaming consumers (in-process cursors
+    /// and the wire alike).
     streamed_chunks: Counter,
-    /// Encoded chunk bytes written by the binary wire protocol.
+    /// Encoded chunk bytes written by the wire protocol.
     streamed_bytes: Counter,
+    /// Accepted TCP connections dropped because no connection thread
+    /// could be spawned for them.
+    connections_refused: Counter,
     /// Refreshed from the [`BudgetPool`] at render time.
     pool_in_use: Gauge,
     pool_queue_depth: Gauge,
@@ -240,7 +209,11 @@ impl ServerMetrics {
             ),
             streamed_bytes: registry.counter(
                 "oodb_streamed_bytes_total",
-                "Encoded result-chunk bytes written by the binary wire protocol",
+                "Encoded result-chunk bytes written by the wire protocol",
+            ),
+            connections_refused: registry.counter(
+                "oodb_connections_refused_total",
+                "Accepted connections dropped because no connection thread could be spawned",
             ),
             spill_bytes: registry.counter(
                 "oodb_spill_bytes_total",
@@ -428,6 +401,20 @@ impl<'db> QueryServer<'db> {
     pub fn session(&self) -> Session<'_, 'db> {
         Session { server: self }
     }
+
+    /// A planner over this server's database and configuration, priced
+    /// on the statistics collected at construction (so no caller
+    /// re-scans the database to plan).
+    pub fn planner(&self) -> Planner<'db> {
+        self.planner_with(self.stats.clone())
+    }
+
+    fn planner_with(&self, stats: Option<CatalogStats>) -> Planner<'db> {
+        match stats {
+            Some(s) => Planner::with_stats(self.db, self.config.planner.clone(), s),
+            None => Planner::with_config(self.db, self.config.planner.clone()),
+        }
+    }
 }
 
 /// One client's handle on a [`QueryServer`]. Sessions hold no state of
@@ -447,9 +434,8 @@ impl<'srv, 'db> Session<'srv, 'db> {
     /// folding the end-to-end latency into the metrics registry.
     ///
     /// A thin collect-all wrapper over [`Session::open_stream`]: it
-    /// drains the cursor and assembles the canonical result, keeping
-    /// library callers and the `OODB_SERVER=inproc` reroute
-    /// source-compatible with the pre-cursor API.
+    /// drains the cursor and assembles the canonical result — what the
+    /// facade's `Pipeline::run` returns.
     pub fn run(&self, oosql_text: &str) -> Result<ServerOutput, ServerError> {
         self.open_stream(oosql_text)?.into_output()
     }
@@ -543,20 +529,12 @@ impl<'srv, 'db> Session<'srv, 'db> {
                 // Adaptive feedback replans on the absorbed statistics
                 // when any are present; the server's collected baseline
                 // otherwise.
-                let planner_stats = if server.config.adaptive_stats {
-                    shared
-                        .adaptive
-                        .lock()
-                        .unwrap()
-                        .clone()
-                        .or_else(|| server.stats.clone())
+                let absorbed = if server.config.adaptive_stats {
+                    shared.adaptive.lock().unwrap().clone()
                 } else {
-                    server.stats.clone()
+                    None
                 };
-                let planner = match planner_stats {
-                    Some(s) => Planner::with_stats(db, server.config.planner.clone(), s),
-                    None => Planner::with_config(db, server.config.planner.clone()),
-                };
+                let planner = server.planner_with(absorbed.or_else(|| server.stats.clone()));
                 let plan_start = rec.elapsed_us();
                 let plan = planner.plan(&rewrite.expr).map_err(ServerError::Plan)?;
                 rec.push("plan", 0, plan_start, rec.elapsed_us() - plan_start);
@@ -673,11 +651,14 @@ impl<'srv, 'db> Session<'srv, 'db> {
         let grant = rec.span("admission", || {
             shared.pool.grant(server.config.planner.memory_budget)
         });
-        let budget = grant.budget();
+        let opts = ExecOptions {
+            budget: grant.budget(),
+            ..server.config.planner.exec_options()
+        };
 
         let exec_start_us = rec.elapsed_us();
         let phys = if server.config.cache_results {
-            match self.resolve_let_spine(&entry.phys, &entry.rewrite.expr, &mut stats, &budget) {
+            match self.resolve_let_spine(&entry.phys, &entry.rewrite.expr, &mut stats, &opts) {
                 Ok(p) => p,
                 Err(e) => {
                     drop(grant);
@@ -689,14 +670,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
             entry.phys.clone()
         };
 
-        let stream = ResultStream::new(
-            &phys,
-            db,
-            budget,
-            server.config.planner.batch_kind,
-            server.config.planner.vectorize,
-            server.config.planner.timing,
-        );
+        let stream = ResultStream::with_options(&phys, db, opts);
         let scalar = stream.scalar();
         Ok(ResultCursor {
             server,
@@ -741,11 +715,10 @@ impl<'srv, 'db> Session<'srv, 'db> {
         let rewrite = Optimizer::default()
             .optimize(&nested, db.catalog())
             .map_err(ServerError::Rewrite)?;
-        let planner = match &server.stats {
-            Some(s) => Planner::with_stats(db, server.config.planner.clone(), s.clone()),
-            None => Planner::with_config(db, server.config.planner.clone()),
-        };
-        let plan = planner.plan(&rewrite.expr).map_err(ServerError::Plan)?;
+        let plan = server
+            .planner()
+            .plan(&rewrite.expr)
+            .map_err(ServerError::Plan)?;
         let grant = server
             .shared
             .pool
@@ -771,7 +744,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
         plan: &PhysPlan,
         expr: &Expr,
         stats: &mut Stats,
-        budget: &MemoryBudget,
+        opts: &ExecOptions,
     ) -> Result<PhysPlan, EvalError> {
         let server = self.server;
         let db = server.db;
@@ -800,14 +773,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                     // profile can be snapshotted for replay, then fold
                     // it into the query's counters as before.
                     let mut local = Stats::default();
-                    let v = value.execute_streaming_traced(
-                        db,
-                        &mut local,
-                        budget.clone(),
-                        server.config.planner.batch_kind,
-                        server.config.planner.vectorize,
-                        server.config.planner.timing,
-                    )?;
+                    let v = value.execute_streaming(db, &mut local, opts)?;
                     let extents = cache::footprint(&[evalue], db);
                     shared.result_cache.insert(
                         key,
@@ -820,7 +786,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                     stats.merge(&local);
                     v
                 };
-                let body = self.resolve_let_spine(body, ebody, stats, budget)?;
+                let body = self.resolve_let_spine(body, ebody, stats, opts)?;
                 return Ok(PhysPlan::LetOp {
                     var: var.clone(),
                     value: Box::new(PhysPlan::Literal(memoized)),
@@ -1168,9 +1134,8 @@ impl std::fmt::Display for ServerError {
 impl std::error::Error for ServerError {}
 
 /// Stable numeric wire error codes — the protocol-level identity of
-/// every failure the server can report. The text protocol prints them
-/// as `ERR <code> <msg>`; the binary protocol carries them as the `u16`
-/// of the error frame. Codes are append-only: 1–9 are protocol-level
+/// every failure the server can report, carried as the `u16` of the
+/// ERROR frame. Codes are append-only: 1–9 are protocol-level
 /// (no query ever ran), 10–19 are the query-compilation phases, 20+ are
 /// execution failures (one code per [`EvalError`] variant, so a client
 /// can distinguish, say, a dangling pointer from a spill I/O failure

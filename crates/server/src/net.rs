@@ -1,41 +1,25 @@
-//! TCP transport over [`QueryServer`] — binary frame protocol by
-//! default, legacy text lines behind `OODB_PROTOCOL=text`.
+//! TCP transport over [`QueryServer`]: the binary frame protocol of
+//! [`crate::wire`].
 //!
 //! One thread per connection, every connection sharing one
 //! [`ServerShared`] (caches + global admission pool) — the network layer
 //! adds transport, not semantics; everything interesting stays testable
 //! through the in-process API.
 //!
-//! ## Binary protocol (default)
-//!
-//! Frames as specified in [`crate::wire`]: every request is a tagged
-//! frame `(u32 len, u32 tag, u8 verb, body)`; every response frame
-//! echoes the request's tag, so clients may **pipeline** requests. A
-//! `QUERY` answer **streams**: HEADER, then one CHUNK per pipeline batch
-//! — each encoded and flushed the moment the operator tree yields it, so
-//! the first chunk reaches the client while the pipeline is still
-//! running — then END with row/chunk totals. `EXPLAIN`/`ANALYZE`/
-//! `STATS`/`METRICS`/`TRACE` answer with one TEXT frame; `QUIT` with
-//! BYE. Failures are ERROR frames carrying a stable
+//! Every request is a tagged frame `(u32 len, u32 tag, u8 verb, body)`;
+//! every response frame echoes the request's tag, so clients may
+//! **pipeline** requests. A `QUERY` answer **streams**: HEADER, then one
+//! CHUNK per pipeline batch — each encoded and flushed the moment the
+//! operator tree yields it, so the first chunk reaches the client while
+//! the pipeline is still running — then END with row/chunk totals.
+//! `EXPLAIN`/`ANALYZE`/`STATS`/`METRICS`/`TRACE` answer with one TEXT
+//! frame; `QUIT` with BYE. Failures are ERROR frames carrying a stable
 //! [`ErrorCode`](crate::ErrorCode) + message; a malformed frame is
 //! answered with an ERROR (tag 0) and the connection closed, since
-//! framing can no longer be trusted.
+//! framing can no longer be trusted. Request frames are capped at
+//! [`wire::MAX_REQUEST_LEN`].
 //!
-//! ## Text protocol (`OODB_PROTOCOL=text`)
-//!
-//! Requests are single lines:
-//!
-//! | request            | response                                        |
-//! |--------------------|-------------------------------------------------|
-//! | `QUERY <oosql>`    | `OK <rows> plan_hit=<0/1>`, the result set on one line, `.` |
-//! | `EXPLAIN <oosql>`  | `OK 0 plan_hit=<0/1>`, the plan (indented lines), `.` |
-//! | `EXPLAIN ANALYZE <oosql>` / `ANALYZE <oosql>` | `OK <rows> plan_hit=0`, the plan with `actual_rows`/`actual_ms`/`err=` per operator (indented lines), `.` |
-//! | `STATS`            | `OK 0`, two counter lines (below), `.`          |
-//! | `METRICS`          | `OK 0`, the metrics registry in Prometheus text exposition format, `.` |
-//! | `TRACE`            | `OK 0`, recent + slow query-phase span trees (indented lines), `.` |
-//! | `QUIT`             | `BYE` and the connection closes                 |
-//!
-//! `STATS` emits two space-separated `key=value` lines:
+//! `STATS` answers two space-separated `key=value` lines:
 //!
 //! 1. **server-wide** serving-layer counters —
 //!    `plan_hits= plan_misses= plan_invalidations= result_hits=
@@ -46,11 +30,11 @@
 //!    oid_lookups= index_probes= mask_batches= spill_bytes=
 //!    output_rows= plan_cache_hits= result_cache_hits=`.
 //!
-//! Any failure is a single `ERR <code> <message>` line (newlines
-//! flattened, code per [`ErrorCode`](crate::ErrorCode)); the connection
-//! stays usable.
+//! `METRICS` answers the metrics registry in Prometheus text exposition
+//! format; `TRACE` the recent + slow query-phase span trees (indented
+//! lines).
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -60,7 +44,7 @@ use oodb_catalog::Database;
 use oodb_engine::Stats;
 
 use crate::wire::{self, kind, verb};
-use crate::{ErrorCode, Protocol, QueryServer, ServerConfig, ServerShared};
+use crate::{ErrorCode, QueryServer, ServerConfig, ServerShared};
 
 /// Handle on a listening server; dropping it (or calling
 /// [`ServeHandle::shutdown`]) stops the accept loop and joins every
@@ -125,18 +109,27 @@ pub fn serve(db: Arc<Database>, config: ServerConfig, addr: &str) -> std::io::Re
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
+                    // Reap finished connections so the handle list
+                    // tracks live connections, not every one ever made.
+                    conns.retain(|c| !c.is_finished());
                     let Ok(stream) = stream else { continue };
                     let db = Arc::clone(&db);
                     let config = config.clone();
-                    let shared = Arc::clone(&shared);
-                    let conn = std::thread::Builder::new()
-                        .name("oodb-conn".into())
-                        .spawn(move || {
-                            let server = QueryServer::with_shared(&db, config, shared);
-                            let _ = handle_connection(stream, &server);
-                        })
-                        .expect("spawn connection thread");
-                    conns.push(conn);
+                    let conn_shared = Arc::clone(&shared);
+                    let spawned =
+                        std::thread::Builder::new()
+                            .name("oodb-conn".into())
+                            .spawn(move || {
+                                let server = QueryServer::with_shared(&db, config, conn_shared);
+                                let _ = handle_connection(stream, &server);
+                            });
+                    match spawned {
+                        Ok(conn) => conns.push(conn),
+                        // Out of threads: the closure (and with it the
+                        // socket) is dropped, which hangs up on this one
+                        // client; the listener keeps serving.
+                        Err(_) => shared.metrics.connections_refused.inc(),
+                    }
                 }
                 for conn in conns {
                     let _ = conn.join();
@@ -151,14 +144,7 @@ pub fn serve(db: Arc<Database>, config: ServerConfig, addr: &str) -> std::io::Re
     })
 }
 
-fn handle_connection(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Result<()> {
-    match server.config.protocol {
-        Protocol::Binary => handle_binary(stream, server),
-        Protocol::Text => handle_text(stream, server),
-    }
-}
-
-/// Renders the two STATS `key=value` lines shared by both protocols.
+/// Renders the two STATS `key=value` lines.
 fn render_stats(server: &QueryServer<'_>, acc: &Stats) -> String {
     let shared = server.shared();
     let m = shared.metrics();
@@ -196,7 +182,7 @@ fn render_stats(server: &QueryServer<'_>, acc: &Stats) -> String {
     )
 }
 
-/// Renders the recent + slow trace listing shared by both protocols.
+/// Renders the recent + slow trace listing.
 fn render_traces(server: &QueryServer<'_>) -> String {
     let shared = server.shared();
     let mut out = String::new();
@@ -221,17 +207,18 @@ fn render_traces(server: &QueryServer<'_>) -> String {
     out
 }
 
-/// The binary frame protocol: read tagged request frames in order,
-/// answer each with tag-echoing response frames. Pipelining falls out of
-/// processing requests sequentially while the client is free to send
-/// ahead.
-fn handle_binary(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Result<()> {
+/// One connection: read tagged request frames in order, answer each
+/// with tag-echoing response frames. Pipelining falls out of processing
+/// requests sequentially while the client is free to send ahead.
+fn handle_connection(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let session = server.session();
     let shared = server.shared();
-    // Connection-accumulated execution counters for STATS, as in the
-    // text protocol.
+    // This connection's execution counters, accumulated across its
+    // successful QUERYs for the second STATS line. Only the scalar
+    // counters matter here, so the per-operator entries each merge
+    // brings along are dropped to keep long connections bounded.
     let mut acc = Stats::default();
     loop {
         let frame = match wire::read_frame(&mut reader, wire::MAX_REQUEST_LEN) {
@@ -326,9 +313,9 @@ fn handle_binary(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Result
             },
             verb::EXPLAIN => match session.open_stream(text) {
                 Ok(mut cursor) => {
-                    // EXPLAIN executes (like the text protocol's) but
-                    // answers with the plan text only; drain so caches,
-                    // traces and the admission grant settle normally.
+                    // EXPLAIN executes but answers with the plan text
+                    // only; drain so caches, traces and the admission
+                    // grant settle normally.
                     let outcome = loop {
                         match cursor.next_chunk() {
                             Ok(Some(_)) => {}
@@ -399,111 +386,4 @@ fn handle_binary(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Result
             }
         }
     }
-}
-
-fn handle_text(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let session = server.session();
-    // This connection's execution counters, accumulated across its
-    // successful QUERYs for the second STATS line. Only the scalar
-    // counters matter here, so the per-operator entries each merge
-    // brings along are dropped to keep long connections bounded.
-    let mut acc = Stats::default();
-    for line in reader.lines() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (verb, rest) = match line.split_once(' ') {
-            Some((v, r)) => (v, r.trim()),
-            None => (line, ""),
-        };
-        let mut verb = verb.to_ascii_uppercase();
-        let mut rest = rest;
-        if verb == "EXPLAIN" {
-            if let Some(r) = rest
-                .strip_prefix("ANALYZE ")
-                .or_else(|| rest.strip_prefix("analyze "))
-            {
-                verb = "ANALYZE".into();
-                rest = r.trim();
-            }
-        }
-        match verb.as_str() {
-            "QUIT" => {
-                writeln!(writer, "BYE")?;
-                writer.flush()?;
-                return Ok(());
-            }
-            "STATS" => {
-                writeln!(writer, "OK 0")?;
-                for l in render_stats(server, &acc).lines() {
-                    writeln!(writer, "{l}")?;
-                }
-                writeln!(writer, ".")?;
-            }
-            "METRICS" => {
-                writeln!(writer, "OK 0")?;
-                for l in server.shared().render_metrics().lines() {
-                    writeln!(writer, "{l}")?;
-                }
-                writeln!(writer, ".")?;
-            }
-            "TRACE" => {
-                writeln!(writer, "OK 0")?;
-                for l in render_traces(server).lines() {
-                    writeln!(writer, "{l}")?;
-                }
-                writeln!(writer, ".")?;
-            }
-            "QUERY" => match session.run(rest) {
-                Ok(out) => {
-                    acc.merge(&out.stats);
-                    acc.operators.clear();
-                    writeln!(
-                        writer,
-                        "OK {} plan_hit={}",
-                        out.stats.output_rows, out.stats.plan_cache_hits
-                    )?;
-                    writeln!(writer, "{}", flatten(&out.result.to_string()))?;
-                    writeln!(writer, ".")?;
-                }
-                Err(e) => writeln!(writer, "ERR {} {}", e.code(), flatten(&e.to_string()))?,
-            },
-            "EXPLAIN" => match session.run(rest) {
-                Ok(out) => {
-                    writeln!(writer, "OK 0 plan_hit={}", out.stats.plan_cache_hits)?;
-                    for l in out.explain.lines() {
-                        writeln!(writer, " {l}")?;
-                    }
-                    writeln!(writer, ".")?;
-                }
-                Err(e) => writeln!(writer, "ERR {} {}", e.code(), flatten(&e.to_string()))?,
-            },
-            "ANALYZE" => match session.analyze(rest) {
-                Ok((analyzed, stats)) => {
-                    writeln!(writer, "OK {} plan_hit=0", stats.output_rows)?;
-                    for l in analyzed.text.lines() {
-                        writeln!(writer, " {l}")?;
-                    }
-                    writeln!(writer, ".")?;
-                }
-                Err(e) => writeln!(writer, "ERR {} {}", e.code(), flatten(&e.to_string()))?,
-            },
-            other => writeln!(
-                writer,
-                "ERR {} unknown request {other:?}",
-                ErrorCode::UnknownVerb
-            )?,
-        }
-        writer.flush()?;
-    }
-    Ok(())
-}
-
-/// Protocol framing is line-based; make sure payloads stay one line.
-fn flatten(s: &str) -> String {
-    s.replace(['\n', '\r'], " ")
 }

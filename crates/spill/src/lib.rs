@@ -93,7 +93,7 @@ pub struct MemoryBudget {
 
 impl Default for MemoryBudget {
     fn default() -> Self {
-        MemoryBudget::from_env()
+        MemoryBudget::unbounded()
     }
 }
 
@@ -115,8 +115,9 @@ impl MemoryBudget {
     }
 
     /// The process default: `OODB_MEMORY_BUDGET` (bytes) if set,
-    /// unbounded if unset. This is how CI runs the whole suite under a
-    /// 4 KiB budget without touching any test.
+    /// unbounded if unset. Read in one place — the engine's
+    /// `PlannerConfig::default()` — which is how CI runs the whole suite
+    /// under a 4 KiB budget without touching any test.
     ///
     /// A set-but-malformed value **panics** instead of silently falling
     /// back to unbounded — an operator who typed `4k` meant to bound

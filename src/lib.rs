@@ -35,11 +35,12 @@ pub use oodb_translate as translate;
 pub use oodb_value as value;
 
 use oodb_adl::expr::Expr;
-use oodb_catalog::{CatalogStats, Database};
+use oodb_catalog::Database;
 use oodb_core::strategy::{Optimized, Optimizer};
 use oodb_engine::eval::Evaluator;
-use oodb_engine::plan::{Planner, PlannerConfig};
+use oodb_engine::plan::PlannerConfig;
 use oodb_engine::stats::Stats;
+use oodb_server::{QueryServer, ServerConfig, ServerError};
 use oodb_value::Value;
 
 /// Everything the pipeline produced for one query, from source text to
@@ -59,22 +60,21 @@ pub struct PipelineOutput {
     pub explain: String,
     /// Operator statistics from executing the **optimized** plan —
     /// including per-operator rows/batches from the streaming pipeline
-    /// (see [`oodb_engine::stats::OpStats`]).
+    /// (see [`oodb_engine::stats::OpStats`]); `plan_cache_hits` /
+    /// `result_cache_hits` report when a repeat of an earlier query
+    /// skipped planning or execution.
     pub stats: Stats,
 }
 
 /// One-call façade over the full query processing pipeline.
 pub struct Pipeline<'db> {
     db: &'db Database,
-    config: PlannerConfig,
-    /// Catalog statistics, collected once at construction (cost-based
-    /// configurations only) and reused by every query this pipeline
-    /// plans — `run` in a loop must not re-scan the database per query.
-    stats: Option<CatalogStats>,
-    /// The serving path (plan cache + shared-pool admission), built on
-    /// first use when `OODB_SERVER=inproc` routes streaming execution
-    /// through it (how CI runs the whole suite against the server).
-    server: std::sync::OnceLock<oodb_server::QueryServer<'db>>,
+    /// The serving path every [`Pipeline::run`] goes through: plan and
+    /// result caches, shared-pool admission, and the catalog statistics
+    /// collected once at construction — `run` in a loop must not re-scan
+    /// the database per query. Owned, so each pipeline (and hence each
+    /// planner configuration) has caches of its own.
+    server: QueryServer<'db>,
 }
 
 impl<'db> Pipeline<'db> {
@@ -98,81 +98,24 @@ impl<'db> Pipeline<'db> {
     /// results, different residency (see the README's memory-budget
     /// section).
     pub fn with_config(db: &'db Database, config: PlannerConfig) -> Self {
-        let stats = config.cost_based.then(|| CatalogStats::from_database(db));
+        let config = ServerConfig {
+            planner: config,
+            ..ServerConfig::default()
+        };
         Pipeline {
             db,
-            config,
-            stats,
-            server: std::sync::OnceLock::new(),
+            server: QueryServer::with_config(db, config),
         }
     }
 
     /// Parses, type checks, translates, optimizes and executes an OOSQL
     /// query through the **streaming operator pipeline**, returning
-    /// every intermediate artifact.
+    /// every intermediate artifact. This *is* a session of the
+    /// pipeline's own [`QueryServer`]: a repeat of an earlier query is
+    /// served from its caches with identical results and operator
+    /// profile.
     pub fn run(&self, oosql_text: &str) -> Result<PipelineOutput, PipelineError> {
-        self.run_with(oosql_text, ExecMode::Streaming)
-    }
-
-    /// Like [`Pipeline::run`], but materializing a full set at every
-    /// operator boundary — the pre-streaming execution path, kept for
-    /// equivalence testing and benchmarking.
-    pub fn run_materialized(&self, oosql_text: &str) -> Result<PipelineOutput, PipelineError> {
-        self.run_with(oosql_text, ExecMode::Materialized)
-    }
-
-    fn run_with(&self, oosql_text: &str, mode: ExecMode) -> Result<PipelineOutput, PipelineError> {
-        if mode == ExecMode::Streaming && server_mode() {
-            return self.run_served(oosql_text);
-        }
-        let query = oodb_oosql::parse(oosql_text).map_err(PipelineError::Parse)?;
-        oodb_oosql::typecheck(&query, self.db.catalog()).map_err(PipelineError::Type)?;
-        let nested = oodb_translate::translate(&query, self.db.catalog())
-            .map_err(PipelineError::Translate)?;
-        let rewrite = Optimizer::default()
-            .optimize(&nested, self.db.catalog())
-            .map_err(PipelineError::Rewrite)?;
-        let planner = match &self.stats {
-            Some(s) => Planner::with_stats(self.db, self.config.clone(), s.clone()),
-            None => Planner::with_config(self.db, self.config.clone()),
-        };
-        let plan = planner.plan(&rewrite.expr).map_err(PipelineError::Plan)?;
-        let mut stats = Stats::default();
-        let result = match mode {
-            ExecMode::Streaming => plan.execute_streaming(&mut stats),
-            ExecMode::Materialized => plan.execute(&mut stats),
-        }
-        .map_err(PipelineError::Exec)?;
-        Ok(PipelineOutput {
-            nested,
-            rewrite,
-            result,
-            explain: plan.explain(),
-            stats,
-        })
-    }
-
-    /// Routes a streaming query through the in-process
-    /// [`oodb_server::QueryServer`] (built lazily, once per pipeline):
-    /// identical results and operator profile, plus plan caching and
-    /// shared-pool admission. `Stats::plan_cache_hits` reports when a
-    /// repeat of an earlier query skipped rewrite + costing.
-    fn run_served(&self, oosql_text: &str) -> Result<PipelineOutput, PipelineError> {
-        let server = self.server.get_or_init(|| {
-            let config = oodb_server::ServerConfig {
-                planner: self.config.clone(),
-                ..oodb_server::ServerConfig::default()
-            };
-            oodb_server::QueryServer::with_config(self.db, config)
-        });
-        let out = server.session().run(oosql_text).map_err(|e| match e {
-            oodb_server::ServerError::Parse(e) => PipelineError::Parse(e),
-            oodb_server::ServerError::Type(e) => PipelineError::Type(e),
-            oodb_server::ServerError::Translate(e) => PipelineError::Translate(e),
-            oodb_server::ServerError::Rewrite(e) => PipelineError::Rewrite(e),
-            oodb_server::ServerError::Plan(e) => PipelineError::Plan(e),
-            oodb_server::ServerError::Exec(e) => PipelineError::Exec(e),
-        })?;
+        let out = self.server.session().run(oosql_text)?;
         Ok(PipelineOutput {
             nested: out.nested,
             rewrite: out.rewrite,
@@ -182,38 +125,46 @@ impl<'db> Pipeline<'db> {
         })
     }
 
+    /// Like [`Pipeline::run`], but materializing a full set at every
+    /// operator boundary and bypassing the caches — the pre-streaming
+    /// execution path, kept as a reference for equivalence testing and
+    /// benchmarking.
+    pub fn run_materialized(&self, oosql_text: &str) -> Result<PipelineOutput, PipelineError> {
+        let nested = self.translate(oosql_text)?;
+        let rewrite = Optimizer::default()
+            .optimize(&nested, self.db.catalog())
+            .map_err(PipelineError::Rewrite)?;
+        let plan = self
+            .server
+            .planner()
+            .plan(&rewrite.expr)
+            .map_err(PipelineError::Plan)?;
+        let mut stats = Stats::default();
+        let result = plan.execute(&mut stats).map_err(PipelineError::Exec)?;
+        Ok(PipelineOutput {
+            nested,
+            rewrite,
+            result,
+            explain: plan.explain(),
+            stats,
+        })
+    }
+
     /// Executes the *unoptimized* nested translation with the reference
     /// nested-loop evaluator — the baseline the paper argues against.
     pub fn run_naive(&self, oosql_text: &str) -> Result<Value, PipelineError> {
-        let query = oodb_oosql::parse(oosql_text).map_err(PipelineError::Parse)?;
-        oodb_oosql::typecheck(&query, self.db.catalog()).map_err(PipelineError::Type)?;
-        let nested = oodb_translate::translate(&query, self.db.catalog())
-            .map_err(PipelineError::Translate)?;
+        let nested = self.translate(oosql_text)?;
         let ev = Evaluator::new(self.db);
         ev.eval_closed(&nested).map_err(PipelineError::Exec)
     }
-}
 
-/// Whether `OODB_SERVER=inproc` routes streaming execution through the
-/// serving layer (read once per process — it configures a CI pass, not
-/// a per-query choice). Unset or empty means the direct library path.
-fn server_mode() -> bool {
-    static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("OODB_SERVER") {
-        Ok(v) if v.is_empty() => false,
-        Ok(v) if v == "inproc" => true,
-        Ok(v) => panic!("OODB_SERVER must be \"inproc\" or unset, got {v:?}"),
-        Err(_) => false,
-    })
-}
-
-/// Which physical execution path [`Pipeline`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecMode {
-    /// Batched operator pipeline (default).
-    Streaming,
-    /// Whole-set materialization at every operator boundary.
-    Materialized,
+    /// Parse → typecheck → translate: the front end the two reference
+    /// paths share.
+    fn translate(&self, oosql_text: &str) -> Result<Expr, PipelineError> {
+        let query = oodb_oosql::parse(oosql_text).map_err(PipelineError::Parse)?;
+        oodb_oosql::typecheck(&query, self.db.catalog()).map_err(PipelineError::Type)?;
+        oodb_translate::translate(&query, self.db.catalog()).map_err(PipelineError::Translate)
+    }
 }
 
 /// Union of the per-phase error types.
@@ -247,3 +198,16 @@ impl std::fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
+
+impl From<ServerError> for PipelineError {
+    fn from(e: ServerError) -> Self {
+        match e {
+            ServerError::Parse(e) => PipelineError::Parse(e),
+            ServerError::Type(e) => PipelineError::Type(e),
+            ServerError::Translate(e) => PipelineError::Translate(e),
+            ServerError::Rewrite(e) => PipelineError::Rewrite(e),
+            ServerError::Plan(e) => PipelineError::Plan(e),
+            ServerError::Exec(e) => PipelineError::Exec(e),
+        }
+    }
+}

@@ -10,7 +10,6 @@
 //! an estimate of it.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,7 +18,8 @@ use oodb::catalog::{CatalogStats, Database};
 use oodb::core::strategy::Optimizer;
 use oodb::datagen::{generate, GenConfig};
 use oodb::engine::{BatchKind, Planner, PlannerConfig, Stats};
-use oodb::server::{net, Protocol, QueryServer, ServerConfig};
+use oodb::server::wire::{verb, WireClient};
+use oodb::server::{net, QueryServer, ServerConfig};
 use oodb_bench::{join_supplier_delivery_query, multi_join_chain_query, query5_nested};
 
 fn scaled_db(scale: usize) -> Database {
@@ -173,23 +173,20 @@ fn explain_analyze_actuals_match_stats_exactly() {
 // --------------------------------------------------------------------
 // Metrics over the wire.
 
-/// One framed request/response exchange (response ends at `.`, `ERR`,
-/// or `BYE`).
-fn ask(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> Vec<String> {
-    writeln!(writer, "{req}").expect("send");
-    writer.flush().expect("flush");
-    let mut lines = Vec::new();
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read");
-        let line = line.trim_end().to_string();
-        let done = line == "." || line.starts_with("ERR") || line == "BYE";
-        lines.push(line);
-        if done {
-            break;
-        }
-    }
-    lines
+/// Connects a wire client to the server behind `handle`.
+fn connect(handle: &net::ServeHandle) -> WireClient<TcpStream> {
+    WireClient::new(TcpStream::connect(handle.addr()).expect("connect"))
+}
+
+/// One text-answering verb (STATS / METRICS / TRACE), split into lines.
+fn ask(client: &mut WireClient<TcpStream>, tag: u32, verb: u8) -> Vec<String> {
+    client
+        .text_request(tag, verb, "")
+        .expect("text round trip")
+        .unwrap_or_else(|(code, msg)| panic!("verb {verb} failed: {code} {msg}"))
+        .lines()
+        .map(String::from)
+        .collect()
 }
 
 /// Parses `oodb_query_latency_ms` buckets out of a Prometheus payload:
@@ -230,18 +227,8 @@ fn quantile_from_buckets(buckets: &[(f64, u64)], q: f64) -> (f64, f64) {
 #[test]
 fn metrics_endpoint_exposes_consistent_prometheus_text() {
     let db = Arc::new(scaled_db(240));
-    let handle = net::serve(
-        db,
-        ServerConfig {
-            protocol: Protocol::Text,
-            ..ServerConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("serve");
-    let stream = TcpStream::connect(handle.addr()).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
+    let handle = net::serve(db, ServerConfig::default(), "127.0.0.1:0").expect("serve");
+    let mut client = connect(&handle);
 
     let queries = [
         "select d from d in DELIVERY where exists x in d.supply : x.part.color = \"red\"",
@@ -251,9 +238,9 @@ fn metrics_endpoint_exposes_consistent_prometheus_text() {
     for _ in 0..6 {
         for q in queries {
             let t0 = Instant::now();
-            let resp = ask(&mut writer, &mut reader, &format!("QUERY {q}"));
+            let resp = client.query(1, q).expect("query round trip");
             client_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            assert!(resp[0].starts_with("OK "), "{:?}", resp.first());
+            assert!(resp.is_ok(), "{:?}", resp.err());
         }
     }
     let n = client_ms.len() as u64; // 12 successful queries
@@ -261,10 +248,7 @@ fn metrics_endpoint_exposes_consistent_prometheus_text() {
     let client_p50 = client_ms[client_ms.len() / 2];
     let client_p99 = *client_ms.last().unwrap();
 
-    let resp = ask(&mut writer, &mut reader, "METRICS");
-    assert_eq!(resp.first().map(String::as_str), Some("OK 0"));
-    assert_eq!(resp.last().map(String::as_str), Some("."));
-    let metrics = &resp[1..resp.len() - 1];
+    let metrics = &ask(&mut client, 2, verb::METRICS);
 
     for family in [
         "# TYPE oodb_queries_total counter",
@@ -337,7 +321,7 @@ fn metrics_endpoint_exposes_consistent_prometheus_text() {
         "rendered buckets diverge from the live histogram"
     );
 
-    ask(&mut writer, &mut reader, "QUIT");
+    client.send(99, verb::QUIT, &[]).expect("send QUIT");
     handle.shutdown();
 }
 
@@ -347,27 +331,17 @@ fn metrics_endpoint_exposes_consistent_prometheus_text() {
 #[test]
 fn stats_and_trace_round_trip_over_the_wire() {
     let db = Arc::new(scaled_db(240));
-    let handle = net::serve(
-        db,
-        ServerConfig {
-            protocol: Protocol::Text,
-            ..ServerConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("serve");
-    let stream = TcpStream::connect(handle.addr()).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
+    let handle = net::serve(db, ServerConfig::default(), "127.0.0.1:0").expect("serve");
+    let mut client = connect(&handle);
 
     let q = "select p.pname from p in PART where p.color = \"red\"";
     for _ in 0..2 {
-        let resp = ask(&mut writer, &mut reader, &format!("QUERY {q}"));
-        assert!(resp[0].starts_with("OK "), "{:?}", resp.first());
+        let resp = client.query(1, q).expect("query round trip");
+        assert!(resp.is_ok(), "{:?}", resp.err());
     }
 
-    let stats = ask(&mut writer, &mut reader, "STATS");
-    assert_eq!(stats.first().map(String::as_str), Some("OK 0"));
+    let stats = ask(&mut client, 2, verb::STATS);
+    assert_eq!(stats.len(), 2, "STATS answers two lines: {stats:?}");
     // line 1: server-wide serving counters; line 2: this connection's
     // accumulated execution counters (documented in net.rs).
     for key in [
@@ -379,10 +353,10 @@ fn stats_and_trace_round_trip_over_the_wire() {
         "pool_in_use=",
         "pool_waiting=",
     ] {
-        assert!(stats[1].contains(key), "missing {key} in {:?}", stats[1]);
+        assert!(stats[0].contains(key), "missing {key} in {:?}", stats[0]);
     }
     for key in ["work=", "rows_scanned=", "spill_bytes=", "output_rows="] {
-        assert!(stats[2].contains(key), "missing {key} in {:?}", stats[2]);
+        assert!(stats[1].contains(key), "missing {key} in {:?}", stats[1]);
     }
     let field = |line: &str, key: &str| -> u64 {
         line.split_whitespace()
@@ -391,13 +365,12 @@ fn stats_and_trace_round_trip_over_the_wire() {
             .unwrap_or_else(|| panic!("no {key} in {line:?}"))
     };
     // identical text twice: second run hits the plan cache
-    assert_eq!(field(&stats[1], "plan_hits="), 1);
-    assert_eq!(field(&stats[1], "plan_misses="), 1);
-    assert!(field(&stats[2], "work=") > 0, "{:?}", stats[2]);
-    assert!(field(&stats[2], "output_rows=") > 0, "{:?}", stats[2]);
+    assert_eq!(field(&stats[0], "plan_hits="), 1);
+    assert_eq!(field(&stats[0], "plan_misses="), 1);
+    assert!(field(&stats[1], "work=") > 0, "{:?}", stats[1]);
+    assert!(field(&stats[1], "output_rows=") > 0, "{:?}", stats[1]);
 
-    let trace = ask(&mut writer, &mut reader, "TRACE");
-    assert_eq!(trace.first().map(String::as_str), Some("OK 0"));
+    let trace = ask(&mut client, 3, verb::TRACE);
     let body = trace.join("\n");
     assert_eq!(
         trace
@@ -421,7 +394,7 @@ fn stats_and_trace_round_trip_over_the_wire() {
         "no plan_cache_lookup span in:\n{body}"
     );
 
-    ask(&mut writer, &mut reader, "QUIT");
+    client.send(99, verb::QUIT, &[]).expect("send QUIT");
     handle.shutdown();
 }
 

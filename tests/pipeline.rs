@@ -3,7 +3,7 @@
 //! than nested loops on the same query.
 
 use oodb::datagen::{generate, GenConfig};
-use oodb::engine::{Evaluator, Planner, Stats};
+use oodb::engine::{Evaluator, JoinAlgo, Planner, PlannerConfig, Stats};
 use oodb::{Pipeline, PipelineError};
 
 #[test]
@@ -61,6 +61,48 @@ fn explain_shows_set_oriented_operators() {
     let explain = plan.explain();
     assert!(explain.contains("HashMemberJoin"), "plan:\n{explain}");
     assert!(explain.contains("Scan SUPPLIER"));
+}
+
+/// `Pipeline::run` is a session of the pipeline's own query server: a
+/// repeat of the same text is served from its caches — same result,
+/// same operator profile, the hits reported in the stats — and a
+/// pipeline under another planner configuration has a server (and
+/// hence caches) of its own.
+#[test]
+fn repeated_runs_hit_the_pipelines_own_caches() {
+    let db = generate(&GenConfig::scaled(200));
+    let src = "select s.sname from s in SUPPLIER where exists x in s.parts : \
+               exists p in PART : x = p.pid and p.color = \"red\"";
+    let pipeline = Pipeline::new(&db);
+    let first = pipeline.run(src).unwrap();
+    assert_eq!(first.stats.plan_cache_hits, 0);
+    assert_eq!(first.stats.result_cache_hits, 0);
+
+    let second = pipeline.run(src).unwrap();
+    assert_eq!(second.result, first.result);
+    assert_eq!(second.explain, first.explain);
+    assert_eq!(second.stats.plan_cache_hits, 1, "repeat must skip planning");
+    assert_eq!(
+        second.stats.result_cache_hits, 1,
+        "repeat must skip execution"
+    );
+    // a hit replays the recorded profile: work and per-operator rows
+    // are what executing again would have reported
+    assert_eq!(second.stats.work(), first.stats.work());
+    assert_eq!(second.stats.operators, first.stats.operators);
+
+    // no cross-config sharing: another configuration plans and executes
+    // for itself, and arrives at the same answer by another plan
+    let nested_loops = PlannerConfig {
+        cost_based: false,
+        join_algo: JoinAlgo::NestedLoop,
+        ..PlannerConfig::default()
+    };
+    let other = Pipeline::with_config(&db, nested_loops).run(src).unwrap();
+    assert_eq!(other.stats.plan_cache_hits, 0);
+    assert_eq!(other.stats.result_cache_hits, 0);
+    assert_eq!(other.result, first.result);
+    assert_ne!(other.explain, first.explain);
 }
 
 /// The paper's core claim, measured with deterministic work counters:

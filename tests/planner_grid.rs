@@ -64,7 +64,7 @@ fn full_grid() -> Vec<PlannerConfig> {
                                                 batch_kind,
                                                 vectorize,
                                                 join_order,
-                                                timing: oodb_engine::plan::timing_from_env(),
+                                                timing: true,
                                             });
                                         }
                                     }

@@ -27,7 +27,7 @@ use oodb::catalog::{CatalogStats, Database};
 use oodb::core::strategy::Optimizer;
 use oodb::datagen::{generate, GenConfig};
 use oodb::engine::{Planner, PlannerConfig, Stats};
-use oodb::server::{net, Protocol, QueryServer, ServerConfig};
+use oodb::server::{net, QueryServer, ServerConfig};
 use oodb::value::{Oid, Value};
 use proptest::prelude::*;
 
@@ -71,9 +71,9 @@ fn config(dop: usize, memory_budget: usize) -> PlannerConfig {
     }
 }
 
-/// Direct library execution — deliberately *not* `Pipeline`, which the
-/// `OODB_SERVER=inproc` CI pass itself routes through the server. This
-/// is the serial reference the server must be indistinguishable from.
+/// Direct library execution — deliberately *not* `Pipeline`, which
+/// itself runs through a `QueryServer`. This is the serial reference
+/// the server must be indistinguishable from.
 fn library_run(db: &Database, config: &PlannerConfig, q: &str) -> (Value, Stats) {
     let query = oodb::oosql::parse(q).unwrap();
     oodb::oosql::typecheck(&query, db.catalog()).unwrap();
@@ -412,74 +412,55 @@ proptest! {
 /// hits visible in the protocol; STATS and QUIT round-trip.
 #[test]
 fn tcp_protocol_serves_concurrent_clients() {
-    use std::io::{BufRead, BufReader, Write};
+    use oodb::server::wire::{flags, kind, verb, WireClient};
+    use oodb::server::ErrorCode;
+    use oodb::value::Set;
     use std::net::TcpStream;
 
     let db = Arc::new(scaled_db(60));
-    let handle = net::serve(
-        Arc::clone(&db),
-        ServerConfig {
-            protocol: Protocol::Text,
-            ..ServerConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .unwrap();
+    let handle = net::serve(Arc::clone(&db), ServerConfig::default(), "127.0.0.1:0").unwrap();
     let addr = handle.addr();
     let q = "select s.sname from s in SUPPLIER where exists x in s.parts : \
              exists p in PART : x = p.pid and p.color = \"red\"";
 
-    let ask = |line: &str| -> Vec<String> {
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut stream = stream;
-        writeln!(stream, "{line}").unwrap();
-        let mut head = String::new();
-        reader.read_line(&mut head).unwrap();
-        let mut lines = vec![head.trim_end().to_string()];
-        if lines[0].starts_with("OK") {
-            loop {
-                let mut l = String::new();
-                reader.read_line(&mut l).unwrap();
-                let l = l.trim_end().to_string();
-                if l == "." {
-                    break;
-                }
-                lines.push(l);
-            }
-        }
-        writeln!(stream, "QUIT").unwrap();
-        let mut bye = String::new();
-        reader.read_line(&mut bye).unwrap();
-        assert_eq!(bye.trim_end(), "BYE");
-        lines
+    // One connection per exchange: `f` speaks, then QUIT must answer BYE.
+    fn on_connection<T>(
+        addr: std::net::SocketAddr,
+        f: impl FnOnce(&mut WireClient<TcpStream>) -> T,
+    ) -> T {
+        let mut client = WireClient::new(TcpStream::connect(addr).unwrap());
+        let out = f(&mut client);
+        client.send(9, verb::QUIT, &[]).unwrap();
+        let bye = client.read_frame().unwrap().expect("BYE before hang-up");
+        assert_eq!((bye.tag, bye.kind), (9, kind::BYE));
+        out
+    }
+    let query = |q: &str| -> (u8, String) {
+        on_connection(addr, |c| {
+            let (flags, rows) = c.query(1, q).unwrap().expect("query errored");
+            (flags, Value::Set(Set::from_values(rows)).to_string())
+        })
     };
 
     // Concurrent first wave: everyone gets the same payload.
     let payloads: Vec<String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..3)
-            .map(|_| scope.spawn(|| ask(&format!("QUERY {q}"))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                let lines = h.join().unwrap();
-                assert!(lines[0].starts_with("OK "), "got {:?}", lines[0]);
-                lines[1].clone()
-            })
-            .collect()
+        let handles: Vec<_> = (0..3).map(|_| scope.spawn(|| query(q).1)).collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     assert!(payloads.windows(2).all(|w| w[0] == w[1]));
 
     // A later connection hits the shared plan cache.
-    let lines = ask(&format!("QUERY {q}"));
-    assert!(lines[0].ends_with("plan_hit=1"), "got {:?}", lines[0]);
+    let (header, payload) = query(q);
+    assert_ne!(header & flags::PLAN_HIT, 0, "got flags {header:#b}");
+    assert_eq!(payload, payloads[0]);
 
-    let stats = ask("STATS");
-    assert!(stats[1].contains("plan_hits="), "got {:?}", stats[1]);
+    let stats = on_connection(addr, |c| c.text_request(1, verb::STATS, "").unwrap())
+        .expect("STATS errored");
+    assert!(stats.contains("plan_hits="), "got {stats:?}");
 
-    let err = ask("FROBNICATE");
-    assert!(err[0].starts_with("ERR "), "got {:?}", err[0]);
+    let err = on_connection(addr, |c| c.text_request(1, 0xEE, "").unwrap())
+        .expect_err("an unknown verb must be refused");
+    assert_eq!(ErrorCode::from_u16(err.0), Some(ErrorCode::UnknownVerb));
 
     handle.shutdown();
 }

@@ -12,7 +12,7 @@
 use oodb::catalog::Database;
 use oodb::core::strategy::Optimizer;
 use oodb::datagen::{generate, GenConfig};
-use oodb::engine::{EvalError, JoinAlgo, MemoryBudget, Planner, PlannerConfig, Stats};
+use oodb::engine::{EvalError, ExecOptions, JoinAlgo, MemoryBudget, Planner, PlannerConfig, Stats};
 use oodb::Pipeline;
 use oodb_bench::{
     materialize_query, query31_nested, query4_nested, query5_nested, query6_nested, run_naive,
@@ -338,7 +338,10 @@ fn unwritable_spill_dir_reports_io_error() {
     let marker =
         std::env::temp_dir().join(format!("oodb-not-a-dir-{}-{}", std::process::id(), line!()));
     std::fs::write(&marker, b"regular file, not a directory").unwrap();
-    let budget = MemoryBudget::bytes(256).with_spill_dir(&marker);
+    let opts = ExecOptions {
+        budget: MemoryBudget::bytes(256).with_spill_dir(&marker),
+        ..config(256, 1).exec_options()
+    };
 
     // a hash-family join whose build side must spill…
     let q = query5_nested();
@@ -351,7 +354,7 @@ fn unwritable_spill_dir_reports_io_error() {
     let mut stats = Stats::new();
     let err = plan
         .phys
-        .execute_streaming_budgeted(&db, &mut stats, budget.clone())
+        .execute_streaming(&db, &mut stats, &opts)
         .expect_err("spilling into a file-as-directory must fail");
     assert!(
         matches!(err, EvalError::Io { .. }),
@@ -381,7 +384,7 @@ fn unwritable_spill_dir_reports_io_error() {
     let mut stats = Stats::new();
     let err = plan
         .phys
-        .execute_streaming_budgeted(&db, &mut stats, budget)
+        .execute_streaming(&db, &mut stats, &opts)
         .expect_err("run spill must fail");
     assert!(matches!(err, EvalError::Io { .. }), "{err:?}");
 

@@ -1,18 +1,16 @@
 //! Wire-protocol acceptance: the binary frame protocol must be a
 //! transparent, *streaming* transport over the same serving path as the
-//! text protocol and the library —
+//! library —
 //!
 //! * pipelined tagged requests route responses tag-correctly;
-//! * decoded binary results are byte-identical to the text protocol and
-//!   serial library execution across dop × budget × layout;
+//! * decoded results are byte-identical to serial library execution
+//!   across dop × budget × layout;
 //! * the first result chunk leaves the server before the pipeline is
-//!   exhausted (the cursor pin behind the `server_ttfb_ms` bench
-//!   column);
+//!   exhausted;
 //! * malformed / truncated frames and mid-stream client disconnects
 //!   never panic the server or leak an admission-pool slot (property
 //!   test over random interleavings).
 
-use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,7 +20,7 @@ use oodb::core::strategy::Optimizer;
 use oodb::datagen::{generate, GenConfig};
 use oodb::engine::{Planner, PlannerConfig, Stats, BATCH_SIZE};
 use oodb::server::wire::{self, verb, WireClient};
-use oodb::server::{net, ErrorCode, Protocol, QueryServer, ServerConfig};
+use oodb::server::{net, ErrorCode, QueryServer, ServerConfig};
 use oodb::value::{BatchKind, Set, Value};
 use proptest::prelude::*;
 
@@ -54,8 +52,8 @@ fn scaled_db(scale: usize) -> Database {
     })
 }
 
-/// Serial library reference (deliberately not `Pipeline`, which the
-/// `OODB_SERVER=inproc` CI pass reroutes through the server).
+/// Serial library reference (deliberately not `Pipeline`, which itself
+/// runs through a `QueryServer`).
 fn library_run(db: &Database, config: &PlannerConfig, q: &str) -> Value {
     let query = oodb::oosql::parse(q).unwrap();
     oodb::oosql::typecheck(&query, db.catalog()).unwrap();
@@ -84,46 +82,13 @@ fn binary_client(addr: std::net::SocketAddr) -> WireClient<TcpStream> {
     WireClient::new(TcpStream::connect(addr).unwrap())
 }
 
-/// One text-protocol round trip (the compatibility reference).
-fn ask_text(addr: std::net::SocketAddr, line: &str) -> Vec<String> {
-    use std::io::{BufRead, BufReader};
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut stream = stream;
-    writeln!(stream, "{line}").unwrap();
-    let mut head = String::new();
-    reader.read_line(&mut head).unwrap();
-    let mut lines = vec![head.trim_end().to_string()];
-    if lines[0].starts_with("OK") {
-        loop {
-            let mut l = String::new();
-            reader.read_line(&mut l).unwrap();
-            let l = l.trim_end().to_string();
-            if l == "." {
-                break;
-            }
-            lines.push(l);
-        }
-    }
-    writeln!(stream, "QUIT").unwrap();
-    lines
-}
-
 /// Pipelining: four QUERYs and an ANALYZE sent back-to-back before any
 /// response is read; every response frame must echo its request's tag
 /// and carry that request's result.
 #[test]
 fn pipelined_requests_route_responses_by_tag() {
     let db = Arc::new(scaled_db(80));
-    let handle = net::serve(
-        Arc::clone(&db),
-        ServerConfig {
-            protocol: Protocol::Binary,
-            ..ServerConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .unwrap();
+    let handle = net::serve(Arc::clone(&db), ServerConfig::default(), "127.0.0.1:0").unwrap();
 
     let expected: Vec<String> = QUERIES[..4]
         .iter()
@@ -160,11 +125,10 @@ fn pipelined_requests_route_responses_by_tag() {
     handle.shutdown();
 }
 
-/// Byte identity: decoded binary results equal the text protocol's
-/// rendering and serial library execution at every dop × budget ×
-/// layout grid point.
+/// Byte identity: decoded wire results equal serial library execution
+/// at every dop × budget × layout grid point.
 #[test]
-fn binary_results_match_text_protocol_and_library_across_grid() {
+fn wire_results_match_library_across_grid() {
     let db = Arc::new(scaled_db(120));
     for &dop in &[1usize, 4] {
         for &budget in &[0usize, 4 << 10] {
@@ -176,37 +140,28 @@ fn binary_results_match_text_protocol_and_library_across_grid() {
                     batch_kind: layout,
                     ..Default::default()
                 };
-                let mk = |protocol| ServerConfig {
+                let config = ServerConfig {
                     planner: cfg.clone(),
-                    protocol,
                     ..ServerConfig::default()
                 };
-                let bin = net::serve(Arc::clone(&db), mk(Protocol::Binary), "127.0.0.1:0").unwrap();
-                let txt = net::serve(Arc::clone(&db), mk(Protocol::Text), "127.0.0.1:0").unwrap();
-                let mut client = binary_client(bin.addr());
+                let handle = net::serve(Arc::clone(&db), config, "127.0.0.1:0").unwrap();
+                let mut client = binary_client(handle.addr());
                 for (i, q) in QUERIES.iter().enumerate() {
                     let lib = library_run(&db, &cfg, q).to_string();
                     let (flags, rows) = client
                         .query(i as u32, q)
                         .unwrap()
                         .unwrap_or_else(|(code, msg)| panic!("{q}: {code} {msg}"));
-                    let via_binary = reassemble(flags, rows).to_string();
-                    let text_lines = ask_text(txt.addr(), &format!("QUERY {q}"));
-                    assert!(text_lines[0].starts_with("OK "), "text: {text_lines:?}");
                     assert_eq!(
-                        via_binary, text_lines[1],
-                        "binary vs text diverged (dop={dop} budget={budget} layout={layout:?})"
-                    );
-                    assert_eq!(
-                        via_binary, lib,
-                        "binary vs library diverged (dop={dop} budget={budget} layout={layout:?})"
+                        reassemble(flags, rows).to_string(),
+                        lib,
+                        "wire vs library diverged (dop={dop} budget={budget} layout={layout:?})"
                     );
                 }
                 // Hang up before shutdown — the handle joins every
                 // connection thread, which waits on our socket's EOF.
                 drop(client);
-                bin.shutdown();
-                txt.shutdown();
+                handle.shutdown();
             }
         }
     }
@@ -263,15 +218,7 @@ fn first_chunk_arrives_before_pipeline_is_exhausted() {
 #[test]
 fn error_frames_carry_stable_codes() {
     let db = Arc::new(scaled_db(40));
-    let handle = net::serve(
-        Arc::clone(&db),
-        ServerConfig {
-            protocol: Protocol::Binary,
-            ..ServerConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .unwrap();
+    let handle = net::serve(Arc::clone(&db), ServerConfig::default(), "127.0.0.1:0").unwrap();
     let mut client = binary_client(handle.addr());
     // Parse failure → code 10.
     let err = client
@@ -382,7 +329,6 @@ proptest! {
         let handle = net::serve(
             Arc::clone(&db),
             ServerConfig {
-                protocol: Protocol::Binary,
                 // Small but real budgets so a leaked grant is visible.
                 planner: PlannerConfig {
                     memory_budget: 1 << 20,
