@@ -1,5 +1,6 @@
-//! Regenerates every table and figure of the paper, plus the
-//! performance-shape experiments recorded in EXPERIMENTS.md.
+//! Regenerates every table and figure of the paper, plus the §7-style
+//! experiments A–E in work units, probes, segments and rows — counts,
+//! never wall times (those are the repo benchmark's, `benchmark/`).
 //!
 //! ```sh
 //! cargo run -p oodb-bench --bin report --release
@@ -17,23 +18,6 @@ use oodb_core::rules::setcmp::table1_rows;
 use oodb_core::rules::{RewriteCtx, Rule};
 use oodb_datagen::{generate, GenConfig};
 use oodb_engine::{Evaluator, JoinAlgo, PlannerConfig};
-use std::time::{Duration, Instant};
-
-fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t0 = Instant::now();
-    let v = f();
-    (v, t0.elapsed())
-}
-
-fn fmt_dur(d: Duration) -> String {
-    if d.as_secs_f64() >= 1.0 {
-        format!("{:.2}s", d.as_secs_f64())
-    } else if d.as_micros() >= 1000 {
-        format!("{:.2}ms", d.as_secs_f64() * 1e3)
-    } else {
-        format!("{}µs", d.as_micros())
-    }
-}
 
 fn headline(s: &str) {
     println!("\n{s}");
@@ -86,12 +70,12 @@ fn main() {
 /// Experiment E — the streaming operator pipeline vs whole-set
 /// materialization vs nested loops, emitting `BENCH_streaming.json`.
 fn perf_streaming() {
-    headline("Experiment E — Streaming pipeline vs materialized vs nested loops");
+    headline("Experiment E — Streaming pipeline vs materialized vs nested loops (work units)");
     let scale = 1_600;
     let rows =
         oodb_bench::streaming_report::write_bench_json(scale).expect("write BENCH_streaming.json");
     println!(
-        "  {:<26} {:>7} {:>12} {:>13} {:>11} {:>9} {:>8} {:>11} {:>11}",
+        "  {:<26} {:>7} {:>12} {:>13} {:>10} {:>5} {:>8} {:>6} {:>11} {:>11}",
         "workload",
         "rows",
         "nested-loop",
@@ -99,85 +83,23 @@ fn perf_streaming() {
         "streaming",
         "ops",
         "batches",
+        "masks",
         "cost-based",
         "best-forced"
     );
     for r in &rows {
         println!(
-            "  {:<26} {:>7} {:>10.2}ms {:>11.2}ms {:>9.2}ms {:>9} {:>8} {:>11} {:>11}",
+            "  {:<26} {:>7} {:>12} {:>13} {:>10} {:>5} {:>8} {:>6} {:>11} {:>11}",
             r.workload,
             r.result_rows,
-            r.nested_loop_ms,
-            r.materialized_ms,
-            r.streaming_ms,
+            r.nested_loop_work,
+            r.materialized_work,
+            r.streaming_work,
             r.streaming_operators,
             r.streaming_batches,
+            r.mask_batches,
             r.cost_based_work,
             r.best_forced_work()
-        );
-        // the equi-join workloads are exempt: work() excludes sort
-        // comparisons, so their forced sort-merge counter under-reports
-        assert!(
-            r.workload == "join_supplier_delivery"
-                || r.workload == "multi_join_chain"
-                || r.cost_based_work <= r.best_forced_work(),
-            "{}: cost-based planning lost to a forced algorithm",
-            r.workload
-        );
-    }
-    println!("\n  Exchange parallelism (same plan, dop 1 / 2 / 4, best of 3):");
-    println!(
-        "  {:<26} {:>9} {:>9} {:>9} {:>10}",
-        "workload", "dop=1", "dop=2", "dop=4", "speedup x4"
-    );
-    for r in &rows {
-        println!(
-            "  {:<26} {:>7.2}ms {:>7.2}ms {:>7.2}ms {:>9.2}x",
-            r.workload,
-            r.streaming_p1_ms,
-            r.streaming_p2_ms,
-            r.streaming_p4_ms,
-            r.streaming_p1_ms / r.streaming_p4_ms.max(1e-9),
-        );
-    }
-    println!("\n  Batch layout (same plan, dop 1, row vs columnar, best of 3):");
-    println!(
-        "  {:<26} {:>9} {:>9} {:>10}",
-        "workload", "row", "columnar", "col/row"
-    );
-    for r in &rows {
-        println!(
-            "  {:<26} {:>7.2}ms {:>7.2}ms {:>9.2}x",
-            r.workload,
-            r.streaming_row_ms,
-            r.streaming_col_ms,
-            r.streaming_row_ms / r.streaming_col_ms.max(1e-9),
-        );
-    }
-    println!("\n  Vectorized layer (masks + columnar joins + streaming ν/Agg pinned on):");
-    println!(
-        "  {:<26} {:>11} {:>9} {:>12}",
-        "workload", "vectorized", "row-path", "mask batches"
-    );
-    for r in &rows {
-        println!(
-            "  {:<26} {:>9.2}ms {:>7.2}ms {:>12}",
-            r.workload, r.streaming_agg_ms, r.streaming_row_ms, r.mask_batches,
-        );
-    }
-    println!("\n  Phase breakdown (cold planner vs streaming execute, best of 3):");
-    println!(
-        "  {:<26} {:>9} {:>9} {:>12}",
-        "workload", "plan", "execute", "plan share"
-    );
-    for r in &rows {
-        let total = r.plan_ms + r.exec_ms;
-        println!(
-            "  {:<26} {:>7.2}ms {:>7.2}ms {:>11.1}%",
-            r.workload,
-            r.plan_ms,
-            r.exec_ms,
-            100.0 * r.plan_ms / total.max(1e-9),
         );
     }
     println!("\n  Join-order enumeration (DP vs the rewrite's association, work units):");
@@ -193,24 +115,20 @@ fn perf_streaming() {
             r.rewrite_order_work,
             r.join_order_work as f64 / r.rewrite_order_work.max(1) as f64,
         );
-        assert!(
-            r.join_order_work <= r.rewrite_order_work,
-            "{}: DP enumeration measured more work than the rewrite order",
-            r.workload
-        );
     }
-    println!("\n  External memory (same plan, 64 KiB budget, best of 3):");
+    println!("\n  External memory (same plan, 64 KiB budget):");
     println!(
-        "  {:<26} {:>11} {:>11} {:>12} {:>15}",
-        "workload", "unbounded", "64 KiB", "spill bytes", "smj spill bytes"
+        "  {:<26} {:>12} {:>15}",
+        "workload", "spill bytes", "smj spill bytes"
     );
     for r in &rows {
         println!(
-            "  {:<26} {:>9.2}ms {:>9.2}ms {:>12} {:>15}",
-            r.workload, r.streaming_p1_ms, r.streaming_b64k_ms, r.spill_bytes, r.smj_spill_bytes,
+            "  {:<26} {:>12} {:>15}",
+            r.workload, r.spill_bytes, r.smj_spill_bytes,
         );
     }
-    println!("  (written to BENCH_streaming.json at the workspace root)");
+    println!("  (written to BENCH_streaming.json at the workspace root; gated by");
+    println!("   `report --check BENCH_streaming.json`)");
 }
 
 /// Table 1 — rewriting set comparison operations.
@@ -324,37 +242,34 @@ fn figure3() {
 
 struct Row {
     label: String,
-    naive: (Duration, u64),
-    opt: (Duration, u64),
+    naive_work: u64,
+    opt_work: u64,
 }
 
 fn print_rows(rows: &[Row]) {
     println!(
-        "  {:<26} {:>11} {:>13} {:>10} {:>12} {:>9}",
-        "workload", "naive time", "naive work", "opt time", "opt work", "speedup"
+        "  {:<26} {:>13} {:>12} {:>10}",
+        "workload", "naive work", "opt work", "ratio"
     );
     for r in rows {
-        let speedup = r.naive.0.as_secs_f64() / r.opt.0.as_secs_f64().max(1e-9);
         println!(
-            "  {:<26} {:>11} {:>13} {:>10} {:>12} {:>8.1}×",
+            "  {:<26} {:>13} {:>12} {:>9.1}×",
             r.label,
-            fmt_dur(r.naive.0),
-            r.naive.1,
-            fmt_dur(r.opt.0),
-            r.opt.1,
-            speedup
+            r.naive_work,
+            r.opt_work,
+            r.naive_work as f64 / r.opt_work.max(1) as f64
         );
     }
 }
 
 fn bench_query(db: &Database, label: &str, q: &Expr) -> Row {
-    let ((nv, ns), nt) = time_it(|| run_naive(db, q));
-    let ((ov, os, _), ot) = time_it(|| run_optimized(db, q));
+    let (nv, ns) = run_naive(db, q);
+    let (ov, os, _) = run_optimized(db, q);
     assert_eq!(nv, ov, "{label}: optimized diverged");
     Row {
         label: label.to_string(),
-        naive: (nt, ns.work()),
-        opt: (ot, os.work()),
+        naive_work: ns.work(),
+        opt_work: os.work(),
     }
 }
 
@@ -403,38 +318,36 @@ fn perf_grouping() {
     };
     let q = figure_query();
 
-    let ((naive_v, naive_s), naive_t) = time_it(|| run_naive(&db, &q));
+    let (naive_v, naive_s) = run_naive(&db, &q);
     let buggy = Gawo87Unsafe.apply(&q, &ctx).expect("applies");
-    let ((buggy_v, _), buggy_t) = time_it(|| run_planned(&db, &buggy, PlannerConfig::default()));
+    let (buggy_v, buggy_s) = run_planned(&db, &buggy, PlannerConfig::default());
     let outer = OuterjoinGroup.apply(&q, &ctx).expect("applies");
-    let ((outer_v, _), outer_t) = time_it(|| run_planned(&db, &outer, PlannerConfig::default()));
+    let (outer_v, outer_s) = run_planned(&db, &outer, PlannerConfig::default());
     let nestj = NestJoinSelect.apply(&q, &ctx).expect("applies");
-    let ((nest_v, nest_s), nest_t) = time_it(|| run_planned(&db, &nestj, PlannerConfig::default()));
+    let (nest_v, nest_s) = run_planned(&db, &nestj, PlannerConfig::default());
 
     let nres = naive_v.as_set().unwrap().len();
     println!("  |X| = 2000, |Y| = 4000, 50 join groups");
     println!(
-        "  nested loops   : {:>10}  ({} rows, work {})",
-        fmt_dur(naive_t),
-        nres,
-        naive_s.work()
+        "  nested loops   : work {:>10}  ({} rows)",
+        naive_s.work(),
+        nres
     );
     println!(
-        "  GaWo87 grouping: {:>10}  ({} rows — WRONG, lost {} dangling tuples)",
-        fmt_dur(buggy_t),
+        "  GaWo87 grouping: work {:>10}  ({} rows — WRONG, lost {} dangling tuples)",
+        buggy_s.work(),
         buggy_v.as_set().unwrap().len(),
         nres - buggy_v.as_set().unwrap().len()
     );
     println!(
-        "  outerjoin fix  : {:>10}  ({} rows — correct)",
-        fmt_dur(outer_t),
+        "  outerjoin fix  : work {:>10}  ({} rows — correct)",
+        outer_s.work(),
         outer_v.as_set().unwrap().len()
     );
     println!(
-        "  nestjoin  ⊣    : {:>10}  ({} rows — correct, work {})",
-        fmt_dur(nest_t),
-        nest_v.as_set().unwrap().len(),
-        nest_s.work()
+        "  nestjoin  ⊣    : work {:>10}  ({} rows — correct)",
+        nest_s.work(),
+        nest_v.as_set().unwrap().len()
     );
     assert_eq!(outer_v, naive_v);
     assert_eq!(nest_v, naive_v);
@@ -452,10 +365,9 @@ fn perf_pnhl() {
         ..GenConfig::default()
     });
     let q = materialize_query();
-    let ((naive_v, naive_s), naive_t) = time_it(|| run_naive(&db, &q));
+    let (naive_v, naive_s) = run_naive(&db, &q);
     println!(
-        "  |SUPPLIER| = 2000 (fanout ≈ 10), |PART| = 8000; naive nested loop: {} (work {})",
-        fmt_dur(naive_t),
+        "  |SUPPLIER| = 2000 (fanout ≈ 10), |PART| = 8000; naive nested loop: work {}",
         naive_s.work()
     );
     for budget in [8_000usize, 2_000, 500, 125] {
@@ -465,21 +377,20 @@ fn perf_pnhl() {
             prefer_assembly: false,
             ..Default::default()
         };
-        let ((v, s), t) = time_it(|| run_planned(&db, &q, cfg));
+        let (v, s) = run_planned(&db, &q, cfg);
         assert_eq!(v, naive_v);
         println!(
-            "  PNHL budget {budget:>5}: {:>10}  ({} segments, {} probes)",
-            fmt_dur(t),
+            "  PNHL budget {budget:>5}: work {:>8}  ({} segments, {} probes)",
+            s.work(),
             s.partitions,
             s.hash_probes
         );
     }
-    let cat_stats = oodb_catalog::CatalogStats::from_database(&db);
-    let ((v, s), t) = time_it(|| run_planned_stats(&db, &cat_stats, &q, Default::default()));
+    let (v, s) = run_planned(&db, &q, PlannerConfig::default());
     assert_eq!(v, naive_v);
     println!(
-        "  assembly (ptr) : {:>10}  ({} oid-index lookups)",
-        fmt_dur(t),
+        "  assembly (ptr) : work {:>8}  ({} oid-index lookups)",
+        s.work(),
         s.oid_lookups
     );
 }
@@ -514,24 +425,18 @@ fn perf_join_algorithms() {
             use_indexes: false,
             ..Default::default()
         };
-        let ((v, s), t) = time_it(|| run_planned(&db, &q, cfg));
+        let (v, s) = run_planned(&db, &q, cfg);
         if let Some(r) = &reference {
             assert_eq!(&v, r);
         } else {
             reference = Some(v);
         }
-        println!("    {label:<12}: {:>10}  (work {})", fmt_dur(t), s.work());
+        println!("    {label:<12}: work {:>9}", s.work());
     }
     // index nested-loop join (secondary index on DELIVERY.supplier)
     let mut db2 = db.clone();
     db2.create_index("DELIVERY", "supplier").expect("indexable");
-    let cat_stats = oodb_catalog::CatalogStats::from_database(&db2);
-    let ((v, s), t) = time_it(|| run_planned_stats(&db2, &cat_stats, &q, Default::default()));
+    let (v, s) = run_planned(&db2, &q, PlannerConfig::default());
     assert_eq!(Some(v), reference);
-    println!(
-        "    {:<12}: {:>10}  (work {})",
-        "index NL",
-        fmt_dur(t),
-        s.work()
-    );
+    println!("    {:<12}: work {:>9}", "index NL", s.work());
 }

@@ -84,8 +84,14 @@ fn build(
             .map(|g| oodb_adl::subst(&g, &sq.var, &Expr::Var(y.clone())));
         (renamed_pred, renamed_g)
     };
-    // Q must not smuggle the group attribute in some other way: it may
-    // reference x and y only (checked by find_subquery via free vars).
+    // Q may reference x and y (find_subquery admits no other free
+    // variable), but the collected function G is bound to y alone — the
+    // nestjoin evaluates it per right row, with no left row in scope. A
+    // G that mentions x (`d : s.sname`) has no nestjoin form; decline
+    // and leave the block to the other rules.
+    if gfunc.as_ref().is_some_and(|g| is_free_in(x, g)) {
+        return None;
+    }
     let nj = Expr::NestJoin {
         lvar: x.clone(),
         rvar: y,
@@ -425,6 +431,26 @@ mod tests {
             panic!("{out}")
         };
         assert_eq!(as_attr.as_ref(), "ys_1");
+    }
+
+    #[test]
+    fn collected_function_over_the_left_variable_declines() {
+        // ⋃ α[s : α[d : s.sname](σ[d : s.eid = d.supplier](DELIVERY))](SUPPLIER)
+        // — G = s.sname mentions the left variable, which a nestjoin's
+        // collected function cannot see
+        let cat = ctx_catalog();
+        let ctx = RewriteCtx { catalog: &cat };
+        let sub = map(
+            "d",
+            var("s").field("sname"),
+            select(
+                "d",
+                eq(var("s").field("eid"), var("d").field("supplier")),
+                table("DELIVERY"),
+            ),
+        );
+        let e = map("s", sub, table("SUPPLIER"));
+        assert!(NestJoinMap.apply(&e, &ctx).is_none());
     }
 
     use oodb_adl::expr::Expr;

@@ -235,3 +235,21 @@ fn unnesting_goal_reached() {
         );
     }
 }
+
+/// A two-variable from-clause join whose select-clause reads only the
+/// left variable. `nestjoin-map` used to turn it into a nestjoin whose
+/// collected function `d : s.sname` mentions `s`, which a nestjoin
+/// cannot bind, and the rewrite died with "unbound variable s". The rule
+/// now declines; the answer must be the nested loop's.
+#[test]
+fn two_variable_join_selecting_the_left_variable() {
+    let out = run("select s.sname from s in SUPPLIER, d in DELIVERY where s.eid = d.supplier");
+    assert!(
+        !out.rewrite.trace.fired("nestjoin-map"),
+        "trace:\n{}",
+        out.rewrite.trace
+    );
+    let mut names = snames(&out.result);
+    names.sort();
+    assert_eq!(names, ["s1", "s2"]);
+}
