@@ -49,7 +49,13 @@ use oodb_value::{BatchKind, Name, Value};
 
 /// Compiles an `Exchange` node into its streaming operator. Called from
 /// [`PhysPlan::compile`]'s node dispatch.
-pub(crate) fn compile_exchange(partitioning: Partitioning, dop: usize, input: &PhysPlan) -> BoxOp {
+/// `ord` is `input`'s pre-order ordinal.
+pub(crate) fn compile_exchange(
+    partitioning: Partitioning,
+    dop: usize,
+    input: &PhysPlan,
+    ord: usize,
+) -> BoxOp {
     match partitioning {
         Partitioning::RoundRobin => {
             // A round-robin exchange is only valid over a per-row
@@ -62,16 +68,17 @@ pub(crate) fn compile_exchange(partitioning: Partitioning, dop: usize, input: &P
             };
             Box::new(ExchangeOp {
                 plan: input.clone(),
+                ord,
                 dop: dop.max(1),
                 buf: None,
                 state: InstrState::Created,
             })
         }
-        Partitioning::Hash => match ParallelHashJoinOp::from_plan(input, dop.max(1)) {
+        Partitioning::Hash => match ParallelHashJoinOp::from_plan(input, ord, dop.max(1)) {
             Some(op) => Box::new(op),
             // Not a hash-family join: degrade to the input's own
             // serial compilation (unreachable through the planner).
-            None => input.compile_rows(0, 1),
+            None => input.compile_rows(ord, 0, 1),
         },
     }
 }
@@ -169,6 +176,8 @@ fn pool_run<'env, T: Send + 'env>(
 /// rows in [`BATCH_SIZE`](super::operator::BATCH_SIZE) chunks.
 struct ExchangeOp {
     plan: PhysPlan,
+    /// `plan`'s pre-order ordinal in the whole tree.
+    ord: usize,
     dop: usize,
     buf: Option<Buffered>,
     /// Round-robin exchanges skip the [`Instrument`] shim (their
@@ -186,6 +195,7 @@ impl ExchangeOp {
         let db: &Database = ctx.ev.db();
         let env = &ctx.env;
         let plan = &self.plan;
+        let ord = self.ord;
         let dop = self.dop;
         // Each worker's pipeline state gets an equal share of the
         // memory budget, so the whole exchange stays within it.
@@ -205,7 +215,7 @@ impl ExchangeOp {
                         stats: &mut stats,
                         opts,
                     };
-                    let mut op = plan.compile_stride(w, dop);
+                    let mut op = plan.compile_stride(ord, w, dop);
                     op.open(&mut wctx)?;
                     let rows = drain_rows(&mut op, &mut wctx);
                     op.close(&mut wctx);
@@ -310,9 +320,9 @@ struct ParallelHashJoinOp {
 }
 
 impl ParallelHashJoinOp {
-    /// Builds the operator from a hash-family join node; `None` for any
-    /// other plan shape.
-    fn from_plan(plan: &PhysPlan, dop: usize) -> Option<Self> {
+    /// Builds the operator from a hash-family join node at pre-order
+    /// ordinal `ord`; `None` for any other plan shape.
+    fn from_plan(plan: &PhysPlan, ord: usize, dop: usize) -> Option<Self> {
         let (family, mode, lvar, rvar, residual, left, right) = match plan {
             PhysPlan::HashJoin {
                 kind,
@@ -412,6 +422,7 @@ impl ParallelHashJoinOp {
             ),
             _ => return None,
         };
+        let kids = plan.child_ordinals(ord);
         Some(ParallelHashJoinOp {
             family,
             mode,
@@ -419,8 +430,8 @@ impl ParallelHashJoinOp {
             rvar: rvar.clone(),
             residual: residual.clone(),
             dop,
-            left: left.compile_rows(0, 1),
-            right: right.compile_rows(0, 1),
+            left: left.compile_rows(kids[0], 0, 1),
+            right: right.compile_rows(kids[1], 0, 1),
             buf: None,
             spill: SpillMetrics::default(),
         })

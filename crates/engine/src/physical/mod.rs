@@ -882,6 +882,29 @@ impl PhysPlan {
             }
         }
     }
+
+    /// Pre-order ordinals of the direct children, given this node's own
+    /// — the numbering of EXPLAIN's lines.
+    pub(crate) fn child_ordinals(&self, ord: usize) -> Vec<usize> {
+        let mut next = ord + 1;
+        self.children()
+            .into_iter()
+            .map(|c| {
+                let at = next;
+                next += c.node_count();
+                at
+            })
+            .collect()
+    }
+
+    /// Nodes in this subtree, itself included.
+    fn node_count(&self) -> usize {
+        1 + self
+            .children()
+            .iter()
+            .map(|c| c.node_count())
+            .sum::<usize>()
+    }
 }
 
 #[cfg(test)]

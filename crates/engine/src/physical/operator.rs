@@ -29,7 +29,7 @@ use super::hashjoin::{self, IndexedBuild, JoinHashTable, MemberHashTable, Member
 use super::sortmerge::SortMergeState;
 use super::{pnhl, spill_exec, MatchKeys, PhysPlan};
 use crate::eval::{aggregate, nest_set, unnest_value, Env, EvalError, Evaluator};
-use crate::stats::{OpStats, OpTiming, Stats};
+use crate::stats::{OpStats, OpTiming, PlanOrdinal, Stats};
 use oodb_adl::expr::{AggOp, Expr, JoinKind, SetOp};
 use oodb_catalog::Database;
 use oodb_spill::{MemoryBudget, SpillMetrics};
@@ -209,30 +209,79 @@ fn drain_value(op: &mut BoxOp, ctx: &mut ExecCtx<'_, '_>) -> Result<Value, EvalE
 }
 
 /// Buffered rows emitted in [`BATCH_SIZE`] chunks (blocking operators'
-/// output side).
-#[derive(Debug, Default)]
+/// output side). Owned rows are moved out chunk by chunk; a shared set
+/// is cut into chunks in place, so buffering it copies nothing.
+#[derive(Debug)]
 pub(crate) struct Buffered {
-    rows: Vec<Value>,
+    rows: Rows,
     pos: usize,
+    /// Rows skipped after each chunk — `(parts − 1) · BATCH_SIZE` for a
+    /// worker's stride of a shared scan, 0 otherwise.
+    skip: usize,
+}
+
+#[derive(Debug)]
+enum Rows {
+    Owned(Vec<Value>),
+    Shared(Set),
 }
 
 impl Buffered {
     pub(crate) fn new(rows: Vec<Value>) -> Self {
-        Buffered { rows, pos: 0 }
+        Buffered {
+            rows: Rows::Owned(rows),
+            pos: 0,
+            skip: 0,
+        }
+    }
+
+    /// Every chunk of a shared set, in canonical order.
+    pub(crate) fn shared(set: Set) -> Self {
+        Buffered::strided(set, 0, 1)
+    }
+
+    /// The morsel stride of a shared set: the [`BATCH_SIZE`]-aligned
+    /// chunks whose index is ≡ `part` (mod `parts`).
+    fn strided(set: Set, part: usize, parts: usize) -> Self {
+        Buffered {
+            rows: Rows::Shared(set),
+            pos: part * BATCH_SIZE,
+            skip: (parts - 1) * BATCH_SIZE,
+        }
+    }
+
+    fn total(&self) -> usize {
+        match &self.rows {
+            Rows::Owned(v) => v.len(),
+            Rows::Shared(s) => s.len(),
+        }
+    }
+
+    /// Rows still to be emitted.
+    fn remaining(&self) -> usize {
+        let total = self.total();
+        (self.pos..total)
+            .step_by(BATCH_SIZE + self.skip)
+            .map(|start| (total - start).min(BATCH_SIZE))
+            .sum()
     }
 
     pub(crate) fn next_chunk(&mut self, kind: BatchKind) -> Option<Batch> {
-        if self.pos >= self.rows.len() {
+        let total = self.total();
+        if self.pos >= total {
             return None;
         }
-        let end = (self.pos + BATCH_SIZE).min(self.rows.len());
-        // Move rows out (leaving cheap `Null`s) — each buffered row is
-        // emitted exactly once, so no deep clone is needed.
-        let chunk: Vec<Value> = self.rows[self.pos..end]
-            .iter_mut()
-            .map(|v| std::mem::replace(v, Value::Null))
-            .collect();
-        self.pos = end;
+        let end = (self.pos + BATCH_SIZE).min(total);
+        let chunk: Vec<Value> = match &mut self.rows {
+            // Move rows out (leaving cheap `Null`s) — each buffered row
+            // is emitted exactly once.
+            Rows::Owned(v) => v[self.pos..end]
+                .iter_mut()
+                .map(|v| std::mem::replace(v, Value::Null))
+                .collect(),
+            Rows::Shared(s) => s.as_slice()[self.pos..end].to_vec(),
+        };
+        self.pos = end + self.skip;
         Some(Batch::of(kind, chunk))
     }
 }
@@ -264,6 +313,8 @@ pub(crate) enum InstrState {
 /// reporting them into [`Stats::operators`] when the stream ends.
 struct Instrument {
     label: String,
+    /// The plan node's pre-order ordinal, reported with the entry.
+    ordinal: usize,
     inner: BoxOp,
     rows_out: u64,
     batches: u64,
@@ -282,9 +333,10 @@ struct Instrument {
 }
 
 impl Instrument {
-    fn new(label: String, inner: BoxOp) -> Self {
+    fn new(label: String, ordinal: usize, inner: BoxOp) -> Self {
         Instrument {
             label,
+            ordinal,
             inner,
             rows_out: 0,
             batches: 0,
@@ -309,6 +361,7 @@ impl Instrument {
                 spill_partitions: spill.partitions,
                 spill_passes: spill.passes,
                 timing: self.timing,
+                ordinal: PlanOrdinal(self.ordinal),
             });
         }
     }
@@ -425,18 +478,10 @@ impl Operator for ScanOp {
                 .db()
                 .table(&self.table)
                 .ok_or_else(|| EvalError::UnknownTable(self.table.clone()))?;
-            let all = t.as_set_value().into_set()?.into_values();
-            let rows = if self.parts <= 1 {
-                all
-            } else {
-                all.into_iter()
-                    .enumerate()
-                    .filter(|(i, _)| (i / BATCH_SIZE) % self.parts == self.part)
-                    .map(|(_, v)| v)
-                    .collect()
-            };
-            ctx.stats.rows_scanned += rows.len() as u64;
-            self.buf = Some(Buffered::new(rows));
+            let all = t.as_set_value().into_set()?;
+            let buf = Buffered::strided(all, self.part, self.parts.max(1));
+            ctx.stats.rows_scanned += buf.remaining() as u64;
+            self.buf = Some(buf);
         }
         // scans build columnar batches directly from the extent rows —
         // the layout every operator above inherits
@@ -603,7 +648,7 @@ impl Operator for ScalarRows {
     fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
         if self.buf.is_none() {
             let v = drain_scalar(&mut self.child, ctx)?;
-            self.buf = Some(Buffered::new(v.into_set()?.into_values()));
+            self.buf = Some(Buffered::shared(v.into_set()?));
         }
         Ok(self
             .buf
@@ -745,7 +790,7 @@ impl TransformOp {
             RowTransform::Flatten => {
                 for elem in batch {
                     match elem {
-                        Value::Set(s) => out.extend(s.into_values()),
+                        Value::Set(s) => out.extend_from_slice(s.as_slice()),
                         other => {
                             return Err(EvalError::Value(oodb_value::ValueError::NotASet(
                                 other.to_string(),
@@ -903,7 +948,7 @@ impl Operator for BlockingOp {
         if self.buf.is_none() {
             let spill = &mut self.spill;
             let in_batches = &mut self.in_batches;
-            let rows = match &mut self.kind {
+            let buf = match &mut self.kind {
                 BlockingKind::Nest {
                     attrs,
                     as_attr,
@@ -923,10 +968,10 @@ impl Operator for BlockingOp {
                             }
                         }
                         let grouped = nest.finish(spill, ctx.stats)?;
-                        Set::from_values(grouped).into_values()
+                        Buffered::shared(Set::from_values(grouped))
                     } else {
                         let s = drain_to_set(child, spill, ctx)?;
-                        nest_set(&s, attrs, as_attr)?.into_set()?.into_values()
+                        Buffered::shared(nest_set(&s, attrs, as_attr)?.into_set()?)
                     }
                 }
                 BlockingKind::SetOp { op, left, right } => {
@@ -937,7 +982,7 @@ impl Operator for BlockingOp {
                         SetOp::Intersect => l.intersect(&r),
                         SetOp::Difference => l.difference(&r),
                     };
-                    out.into_values()
+                    Buffered::shared(out)
                 }
                 BlockingKind::Pnhl {
                     outer,
@@ -953,9 +998,11 @@ impl Operator for BlockingOp {
                         // through the SpillManager instead of
                         // re-scanning every outer element per segment
                         let budget = ctx.opts.budget.clone();
-                        spill_exec::pnhl_spill_rows(&o, set_attr, &i, keys, &budget, spill, ctx)?
+                        Buffered::new(spill_exec::pnhl_spill_rows(
+                            &o, set_attr, &i, keys, &budget, spill, ctx,
+                        )?)
                     } else {
-                        pnhl::pnhl_rows(
+                        Buffered::new(pnhl::pnhl_rows(
                             &o,
                             set_attr,
                             &i,
@@ -964,7 +1011,7 @@ impl Operator for BlockingOp {
                             &ctx.ev,
                             &mut ctx.env,
                             ctx.stats,
-                        )?
+                        )?)
                     }
                 }
                 BlockingKind::UnnestJoin {
@@ -975,7 +1022,7 @@ impl Operator for BlockingOp {
                 } => {
                     let o = drain_to_set(outer, spill, ctx)?;
                     let i = drain_to_set(inner, spill, ctx)?;
-                    pnhl::unnest_join_rows(
+                    Buffered::new(pnhl::unnest_join_rows(
                         &o,
                         set_attr,
                         &i,
@@ -983,10 +1030,10 @@ impl Operator for BlockingOp {
                         &ctx.ev,
                         &mut ctx.env,
                         ctx.stats,
-                    )?
+                    )?)
                 }
             };
-            self.buf = Some(Buffered::new(rows));
+            self.buf = Some(buf);
         }
         Ok(self
             .buf
@@ -1685,17 +1732,18 @@ impl Operator for SortMergeJoinOp {
 impl PhysPlan {
     /// Compiles this plan into a streaming operator tree. Every node is
     /// wrapped in an instrumentation shim that records rows/batches
-    /// emitted into [`Stats::operators`].
+    /// emitted into [`Stats::operators`] under the node's pre-order
+    /// ordinal (the root is 0).
     pub fn compile(&self) -> BoxOp {
-        self.compile_stride(0, 1)
+        self.compile_stride(0, 0, 1)
     }
 
-    /// Compiles with a morsel stride: base scans in per-row segments
-    /// emit only the batches worker `part` of `parts` owns (see
-    /// [`ScanOp`]). The round-robin exchange compiles one clone of its
-    /// segment per worker through this entry point; `(0, 1)` is the
-    /// ordinary serial compilation.
-    pub(crate) fn compile_stride(&self, part: usize, parts: usize) -> BoxOp {
+    /// Compiles the node at pre-order ordinal `ord` with a morsel stride:
+    /// base scans in per-row segments emit only the batches worker `part`
+    /// of `parts` owns (see [`ScanOp`]). The round-robin exchange
+    /// compiles one clone of its segment per worker through this entry
+    /// point; `(0, 1)` is the ordinary serial compilation.
+    pub(crate) fn compile_stride(&self, ord: usize, part: usize, parts: usize) -> BoxOp {
         match self {
             // A round-robin exchange runs its own instrumented workers
             // and merges their reports by label; wrapping the exchange
@@ -1703,34 +1751,36 @@ impl PhysPlan {
             PhysPlan::Exchange {
                 partitioning: super::Partitioning::RoundRobin,
                 ..
-            } => self.compile_node(part, parts),
+            } => self.compile_node(ord, part, parts),
             // A hash exchange *replaces* the join node it wraps, so it
-            // reports under the join's own label — serial and parallel
-            // plans keep identical per-operator profiles.
+            // reports under the join's own label and ordinal — serial and
+            // parallel plans keep identical per-operator profiles.
             PhysPlan::Exchange {
                 partitioning: super::Partitioning::Hash,
                 input,
                 ..
             } => Box::new(Instrument::new(
                 input.op_label(),
-                self.compile_node(part, parts),
+                ord + 1,
+                self.compile_node(ord, part, parts),
             )),
             // A literal contributes no work of its own; leaving it
             // uninstrumented keeps profiles identical whether a value
             // was computed inline or substituted from a memo (the
             // server's let-spine memoization relies on this).
-            PhysPlan::Literal(_) => self.compile_node(part, parts),
+            PhysPlan::Literal(_) => self.compile_node(ord, part, parts),
             _ => Box::new(Instrument::new(
                 self.op_label(),
-                self.compile_node(part, parts),
+                ord,
+                self.compile_node(ord, part, parts),
             )),
         }
     }
 
     /// Compiles a child whose parent consumes rows: scalar-shaped nodes
     /// are adapted so their single set value streams as elements.
-    pub(crate) fn compile_rows(&self, part: usize, parts: usize) -> BoxOp {
-        let op = self.compile_stride(part, parts);
+    pub(crate) fn compile_rows(&self, ord: usize, part: usize, parts: usize) -> BoxOp {
+        let op = self.compile_stride(ord, part, parts);
         if op.scalar() {
             Box::new(ScalarRows {
                 child: op,
@@ -1746,7 +1796,8 @@ impl PhysPlan {
     /// assembly, scans); everything else — joins, blocking operators,
     /// `let`, scalars — compiles its children serially, so a stride can
     /// never split the two sides of a join inconsistently.
-    fn compile_node(&self, part: usize, parts: usize) -> BoxOp {
+    fn compile_node(&self, ord: usize, part: usize, parts: usize) -> BoxOp {
+        let kids = self.child_ordinals(ord);
         match self {
             PhysPlan::Scan(name) => Box::new(ScanOp {
                 table: name.clone(),
@@ -1769,7 +1820,7 @@ impl PhysPlan {
             PhysPlan::AggNode { op, input } => Box::new(ScalarOp {
                 kind: ScalarKind::Agg {
                     op: *op,
-                    child: input.compile_rows(0, 1),
+                    child: input.compile_rows(kids[0], 0, 1),
                 },
                 done: false,
                 spill: SpillMetrics::default(),
@@ -1781,7 +1832,7 @@ impl PhysPlan {
                     pred: pred.clone(),
                     mask: MaskExpr::compile(var, pred),
                 },
-                child: input.compile_rows(part, parts),
+                child: input.compile_rows(kids[0], part, parts),
             }),
             PhysPlan::MapOp { var, body, input } => Box::new(TransformOp {
                 t: RowTransform::Map {
@@ -1789,27 +1840,27 @@ impl PhysPlan {
                     body: body.clone(),
                     simple: simple_attr(body, var).cloned(),
                 },
-                child: input.compile_rows(part, parts),
+                child: input.compile_rows(kids[0], part, parts),
             }),
             PhysPlan::ProjectOp { attrs, input } => Box::new(TransformOp {
                 t: RowTransform::Project {
                     attrs: attrs.clone(),
                 },
-                child: input.compile_rows(part, parts),
+                child: input.compile_rows(kids[0], part, parts),
             }),
             PhysPlan::RenameOp { pairs, input } => Box::new(TransformOp {
                 t: RowTransform::Rename {
                     pairs: pairs.clone(),
                 },
-                child: input.compile_rows(part, parts),
+                child: input.compile_rows(kids[0], part, parts),
             }),
             PhysPlan::UnnestOp { attr, input } => Box::new(TransformOp {
                 t: RowTransform::Unnest { attr: attr.clone() },
-                child: input.compile_rows(part, parts),
+                child: input.compile_rows(kids[0], part, parts),
             }),
             PhysPlan::FlattenOp { input } => Box::new(TransformOp {
                 t: RowTransform::Flatten,
-                child: input.compile_rows(part, parts),
+                child: input.compile_rows(kids[0], part, parts),
             }),
             PhysPlan::NestOp {
                 attrs,
@@ -1819,7 +1870,7 @@ impl PhysPlan {
                 kind: BlockingKind::Nest {
                     attrs: attrs.clone(),
                     as_attr: as_attr.clone(),
-                    child: input.compile_rows(0, 1),
+                    child: input.compile_rows(kids[0], 0, 1),
                 },
                 buf: None,
                 spill: SpillMetrics::default(),
@@ -1828,8 +1879,8 @@ impl PhysPlan {
             PhysPlan::SetOpNode { op, left, right } => Box::new(BlockingOp {
                 kind: BlockingKind::SetOp {
                     op: *op,
-                    left: left.compile_rows(0, 1),
-                    right: right.compile_rows(0, 1),
+                    left: left.compile_rows(kids[0], 0, 1),
+                    right: right.compile_rows(kids[1], 0, 1),
                 },
                 buf: None,
                 spill: SpillMetrics::default(),
@@ -1843,9 +1894,9 @@ impl PhysPlan {
                 budget,
             } => Box::new(BlockingOp {
                 kind: BlockingKind::Pnhl {
-                    outer: outer.compile_rows(0, 1),
+                    outer: outer.compile_rows(kids[0], 0, 1),
                     set_attr: set_attr.clone(),
-                    inner: inner.compile_rows(0, 1),
+                    inner: inner.compile_rows(kids[1], 0, 1),
                     keys: Box::new(keys.clone()),
                     budget: *budget,
                 },
@@ -1860,9 +1911,9 @@ impl PhysPlan {
                 keys,
             } => Box::new(BlockingOp {
                 kind: BlockingKind::UnnestJoin {
-                    outer: outer.compile_rows(0, 1),
+                    outer: outer.compile_rows(kids[0], 0, 1),
                     set_attr: set_attr.clone(),
-                    inner: inner.compile_rows(0, 1),
+                    inner: inner.compile_rows(kids[1], 0, 1),
                     keys: Box::new(keys.clone()),
                 },
                 buf: None,
@@ -1871,13 +1922,13 @@ impl PhysPlan {
             }),
             PhysPlan::LetOp { var, value, body } => Box::new(LetOp {
                 var: var.clone(),
-                value: value.compile(),
-                body: body.compile(),
+                value: value.compile_stride(kids[0], 0, 1),
+                body: body.compile_stride(kids[1], 0, 1),
                 bound: None,
             }),
             PhysPlan::ProductOp { left, right } => Box::new(ProductOp {
-                left: left.compile_rows(0, 1),
-                right: right.compile_rows(0, 1),
+                left: left.compile_rows(kids[0], 0, 1),
+                right: right.compile_rows(kids[1], 0, 1),
                 right_set: None,
                 spill: SpillMetrics::default(),
             }),
@@ -1901,8 +1952,8 @@ impl PhysPlan {
                 lkeys: lkeys.clone(),
                 rkeys: rkeys.clone(),
                 residual: residual.clone(),
-                left: left.compile_rows(0, 1),
-                right: right.compile_rows(0, 1),
+                left: left.compile_rows(kids[0], 0, 1),
+                right: right.compile_rows(kids[1], 0, 1),
                 state: HashJoinState::Pending,
                 indexed: None,
                 spill: SpillMetrics::default(),
@@ -1927,8 +1978,8 @@ impl PhysPlan {
                 lkeys: lkeys.clone(),
                 rkeys: rkeys.clone(),
                 residual: residual.clone(),
-                left: left.compile_rows(0, 1),
-                right: right.compile_rows(0, 1),
+                left: left.compile_rows(kids[0], 0, 1),
+                right: right.compile_rows(kids[1], 0, 1),
                 state: HashJoinState::Pending,
                 indexed: None,
                 spill: SpillMetrics::default(),
@@ -1951,8 +2002,8 @@ impl PhysPlan {
                 rvar: rvar.clone(),
                 shape: shape.clone(),
                 residual: residual.clone(),
-                left: left.compile_rows(0, 1),
-                right: right.compile_rows(0, 1),
+                left: left.compile_rows(kids[0], 0, 1),
+                right: right.compile_rows(kids[1], 0, 1),
                 state: HashJoinState::Pending,
                 spill: SpillMetrics::default(),
             }),
@@ -1974,8 +2025,8 @@ impl PhysPlan {
                 rvar: rvar.clone(),
                 shape: shape.clone(),
                 residual: residual.clone(),
-                left: left.compile_rows(0, 1),
-                right: right.compile_rows(0, 1),
+                left: left.compile_rows(kids[0], 0, 1),
+                right: right.compile_rows(kids[1], 0, 1),
                 state: HashJoinState::Pending,
                 spill: SpillMetrics::default(),
             }),
@@ -1999,7 +2050,7 @@ impl PhysPlan {
                 residual: residual.clone(),
                 right_attrs: right_attrs.clone(),
                 checked: false,
-                left: left.compile_rows(0, 1),
+                left: left.compile_rows(kids[0], 0, 1),
             }),
             PhysPlan::NLJoin {
                 kind,
@@ -2017,8 +2068,8 @@ impl PhysPlan {
                 lvar: lvar.clone(),
                 rvar: rvar.clone(),
                 pred: pred.clone(),
-                left: left.compile_rows(0, 1),
-                right: right.compile_rows(0, 1),
+                left: left.compile_rows(kids[0], 0, 1),
+                right: right.compile_rows(kids[1], 0, 1),
                 right_set: None,
                 spill: SpillMetrics::default(),
             }),
@@ -2038,8 +2089,8 @@ impl PhysPlan {
                 lvar: lvar.clone(),
                 rvar: rvar.clone(),
                 pred: pred.clone(),
-                left: left.compile_rows(0, 1),
-                right: right.compile_rows(0, 1),
+                left: left.compile_rows(kids[0], 0, 1),
+                right: right.compile_rows(kids[1], 0, 1),
                 right_set: None,
                 spill: SpillMetrics::default(),
             }),
@@ -2057,8 +2108,8 @@ impl PhysPlan {
                 lkeys: lkeys.clone(),
                 rkeys: rkeys.clone(),
                 residual: residual.clone(),
-                left: left.compile_rows(0, 1),
-                right: right.compile_rows(0, 1),
+                left: left.compile_rows(kids[0], 0, 1),
+                right: right.compile_rows(kids[1], 0, 1),
                 state: SmjState::Pending,
                 spill: SpillMetrics::default(),
             }),
@@ -2072,13 +2123,13 @@ impl PhysPlan {
                 class: class.clone(),
                 set_valued: *set_valued,
                 checked: false,
-                child: input.compile_rows(part, parts),
+                child: input.compile_rows(kids[0], part, parts),
             }),
             PhysPlan::Exchange {
                 partitioning,
                 dop,
                 input,
-            } => super::exchange::compile_exchange(*partitioning, *dop, input),
+            } => super::exchange::compile_exchange(*partitioning, *dop, input, kids[0]),
         }
     }
 

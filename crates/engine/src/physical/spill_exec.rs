@@ -928,7 +928,9 @@ pub(crate) fn budgeted_canonical_set(
             bytes += encoded_size(&v);
             buf.push(v);
             if budget.exceeded_by(bytes) {
-                let run = Set::from_values(std::mem::take(&mut buf));
+                let mut rows = std::mem::take(&mut buf);
+                rows.sort();
+                rows.dedup();
                 let m = mgr.get_or_insert_with(|| SpillManager::new(&budget));
                 let mut w = m.writer()?;
                 // Runs persist in the pipeline's batch layout: columnar
@@ -942,7 +944,6 @@ pub(crate) fn budgeted_canonical_set(
                 // whole-run block would re-materialize every run at
                 // merge time, exactly the residency the budget exists
                 // to prevent.
-                let mut rows = run.into_values();
                 while !rows.is_empty() {
                     let tail = rows.split_off(rows.len().min(SPILL_BLOCK_ROWS));
                     w.write_batch(&oodb_value::Batch::of(batch_kind, rows))?;
@@ -962,11 +963,9 @@ pub(crate) fn budgeted_canonical_set(
     // (a canonical-set run is a keyed run with empty keys, ordered by
     // the row itself): every source is sorted and unique, so the merged
     // stream is non-decreasing and `last` suffices to dedupe.
-    let mem: Vec<KeyedRow> = Set::from_values(buf)
-        .into_values()
-        .into_iter()
-        .map(|v| (Vec::new(), v))
-        .collect();
+    buf.sort();
+    buf.dedup();
+    let mem: Vec<KeyedRow> = buf.into_iter().map(|v| (Vec::new(), v)).collect();
     let mut runs = KeyedRuns::new(mem, &mut mgr, writers)?;
     let mut out: Vec<Value> = Vec::new();
     while let Some((_, v)) = runs.next_entry()? {

@@ -21,7 +21,7 @@ use crate::cost::{CostModel, Estimate};
 use crate::physical::hashjoin::MemberShape;
 use crate::physical::operator::ExecOptions;
 use crate::physical::{exchange, MatchKeys, Partitioning, PhysPlan};
-use crate::stats::{OpStats, Stats};
+use crate::stats::{OpTiming, Stats};
 use oodb_adl::expr::{conjuncts, Expr, JoinKind};
 use oodb_adl::vars::free_vars;
 use oodb_adl::AdlTypeError;
@@ -302,15 +302,14 @@ impl Plan<'_> {
     /// an `err=` estimate-error factor per operator where both are
     /// known.
     ///
-    /// Actuals come from [`Stats::operators`] entries matched to tree
-    /// nodes by operator label in pre-order (the order `explain` renders
-    /// and exhaustion reports agree for single-instance labels; when a
-    /// label appears on several nodes — self-join chains — each node
-    /// consumes the next entry for its label, preserving per-label
-    /// totals). Nodes with no entry (round-robin `Exchange` gathers,
-    /// whose *workers* report the segment operators below; `Literal`
-    /// leaves) render without actuals. `actual_ms` on an operator is
-    /// inclusive of its subtree, Postgres-style.
+    /// Actuals come from the [`Stats::operators`] entries carrying the
+    /// node's pre-order ordinal (its line index here): entries arrive in
+    /// exhaustion order and a label may sit on several nodes, so neither
+    /// order nor label identifies a node. Entries sharing an ordinal (a
+    /// re-opened operator) fold. Nodes with no entry (round-robin
+    /// `Exchange` gathers, whose *workers* report the segment operators
+    /// below; `Literal` leaves) render without actuals. `actual_ms` on an
+    /// operator is inclusive of its subtree, Postgres-style.
     pub fn explain_analyze(
         &self,
         stats: &mut Stats,
@@ -320,22 +319,19 @@ impl Plan<'_> {
             ..self.opts.clone()
         };
         let value = self.phys.execute_streaming(self.db, stats, &opts)?;
-        // Per-label FIFO queues over the reported entries: explain
-        // renders pre-order and `Stats::operators` holds one entry per
-        // instrumented operator (exchange workers already folded by
-        // label), so each tree node takes the next entry for its label.
-        let mut by_label: std::collections::HashMap<&str, std::collections::VecDeque<&OpStats>> =
+        let mut by_node: std::collections::HashMap<usize, (u64, OpTiming)> =
             std::collections::HashMap::new();
         for op in &stats.operators {
-            by_label.entry(op.op.as_str()).or_default().push_back(op);
+            let (rows, timing) = by_node.entry(op.ordinal.0).or_default();
+            *rows += op.rows_out;
+            timing.absorb(&op.timing);
         }
         let lines = match &self.cost {
             Some(m) => m.annotated_lines(&self.phys),
             None => plain_lines(&self.phys),
         };
-        // `Stats::operators` keys by `op_label`, EXPLAIN lines by
-        // `node_line`; both walks are pre-order, so collect labels in
-        // parallel and zip.
+        // `AnalyzedOp`s carry `op_label`s, EXPLAIN lines `node_line`s;
+        // both walks are pre-order, so a line's index is its ordinal.
         let labels = op_labels(&self.phys);
         debug_assert_eq!(labels.len(), lines.len());
         let mut text = String::new();
@@ -344,8 +340,8 @@ impl Plan<'_> {
             text.push('\n');
         }
         let mut ops = Vec::new();
-        for ((depth, node, est_annot), label) in lines.iter().zip(&labels) {
-            let actual = by_label.get_mut(label.as_str()).and_then(|q| q.pop_front());
+        for (ord, ((depth, node, est_annot), label)) in lines.iter().zip(&labels).enumerate() {
+            let actual = by_node.get(&ord);
             let est_rows = est_annot
                 .split("est_rows=")
                 .nth(1)
@@ -356,17 +352,16 @@ impl Plan<'_> {
             }
             text.push_str(node);
             text.push_str(est_annot);
-            if let Some(op) = actual {
+            if let Some((rows, timing)) = actual {
                 text.push_str(&format!(
-                    " (actual_rows={}, actual_ms={:.3}",
-                    op.rows_out,
-                    op.timing.total_ms()
+                    " (actual_rows={rows}, actual_ms={:.3}",
+                    timing.total_ms()
                 ));
                 if let Some(est) = est_rows {
                     // Symmetric over/under-estimate factor, 1-row floors
                     // so empty streams don't divide by zero.
                     let est = est.max(1.0);
-                    let act = (op.rows_out as f64).max(1.0);
+                    let act = (*rows as f64).max(1.0);
                     text.push_str(&format!(", err={:.1}x", est.max(act) / est.min(act)));
                 }
                 text.push(')');
@@ -374,8 +369,8 @@ impl Plan<'_> {
             ops.push(AnalyzedOp {
                 label: label.clone(),
                 est_rows,
-                actual_rows: actual.map(|op| op.rows_out),
-                actual_ns: actual.map(|op| op.timing.total_ns()),
+                actual_rows: actual.map(|(rows, _)| *rows),
+                actual_ns: actual.map(|(_, timing)| timing.total_ns()),
             });
             text.push('\n');
         }

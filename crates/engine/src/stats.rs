@@ -89,7 +89,28 @@ pub struct OpStats {
     /// like `EXPLAIN ANALYZE` in Postgres). All-zero unless the run
     /// had timing on ([`crate::plan::PlannerConfig::timing`]).
     pub timing: OpTiming,
+    /// Which plan node reported this entry.
+    pub ordinal: PlanOrdinal,
 }
+
+/// A plan node's pre-order position — the index of its line in EXPLAIN,
+/// assigned when the operator tree is compiled. Reports arrive in
+/// exhaustion order and a label may sit on several nodes, so this is how
+/// `EXPLAIN ANALYZE` hands each node its own actuals. Like [`OpTiming`]
+/// it identifies, it does not measure: equality ignores it, so profiles
+/// of differently shaped plans (serial vs. exchange, a memoized `let`
+/// binding compiled on its own) still compare by work alone.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PlanOrdinal(pub usize);
+
+impl PartialEq for PlanOrdinal {
+    /// Never part of `Stats` equality (see the type docs).
+    fn eq(&self, _: &PlanOrdinal) -> bool {
+        true
+    }
+}
+
+impl Eq for PlanOrdinal {}
 
 /// Per-operator timing totals. A **measurement**, not a semantic
 /// counter: two runs that did identical work at different speeds are
@@ -171,8 +192,10 @@ impl Stats {
     /// appending them. Exchange workers execute clones of the same
     /// operator segment, so their emissions are one logical operator's
     /// work; folding (in worker-id order) keeps `operators` identical in
-    /// shape to a serial run of the same plan. Entry order follows the
-    /// first worker that reported each label.
+    /// shape to a serial run of the same plan. Entries fold when label
+    /// and node ordinal both agree, so two same-label nodes in one
+    /// segment stay apart; entry order follows the first worker that
+    /// reported each node.
     pub fn absorb_worker(&mut self, other: &Stats) {
         self.rows_scanned += other.rows_scanned;
         self.loop_iterations += other.loop_iterations;
@@ -190,7 +213,8 @@ impl Stats {
         self.plan_cache_hits += other.plan_cache_hits;
         self.result_cache_hits += other.result_cache_hits;
         for op in &other.operators {
-            match self.operators.iter_mut().find(|o| o.op == op.op) {
+            let same = |o: &&mut OpStats| o.op == op.op && o.ordinal.0 == op.ordinal.0;
+            match self.operators.iter_mut().find(same) {
                 Some(mine) => {
                     mine.rows_out += op.rows_out;
                     mine.batches += op.batches;

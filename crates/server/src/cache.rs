@@ -29,7 +29,7 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use oodb_adl::expr::Expr;
 use oodb_catalog::Database;
@@ -223,7 +223,7 @@ impl<V> WeightedMap<V> {
 /// behind `Arc` so hits hand out references without holding the lock.
 /// Eviction is cost×frequency-weighted by planning time and hit count.
 pub struct PlanCache {
-    inner: Mutex<WeightedMap<std::sync::Arc<CachedPlan>>>,
+    inner: Mutex<WeightedMap<Arc<CachedPlan>>>,
 }
 
 impl PlanCache {
@@ -237,7 +237,7 @@ impl PlanCache {
     /// `db`; stale entries are invisible (the caller replans and
     /// replaces them via [`PlanCache::insert`]). A hit bumps the
     /// entry's frequency weight.
-    pub fn get_current(&self, key: &str, db: &Database) -> Lookup<std::sync::Arc<CachedPlan>> {
+    pub fn get_current(&self, key: &str, db: &Database) -> Lookup<Arc<CachedPlan>> {
         match self.inner.lock().unwrap().get(key) {
             Some(entry) if stamp_is_current(&entry.stamp, db) => Lookup::Hit(entry.clone()),
             Some(_) => Lookup::Stale,
@@ -247,7 +247,7 @@ impl PlanCache {
 
     /// Caches a plan; `planning_micros` (how long rewrite + costing
     /// took) becomes its eviction cost weight.
-    pub fn insert(&self, key: String, entry: std::sync::Arc<CachedPlan>, planning_micros: u64) {
+    pub fn insert(&self, key: String, entry: Arc<CachedPlan>, planning_micros: u64) {
         self.inner
             .lock()
             .unwrap()
@@ -257,8 +257,11 @@ impl PlanCache {
 
 /// Shared result cache (whole-query results under `q␟…` keys, hoisted
 /// `let` values under `let␟…` keys — the session layer prefixes).
+/// Entries sit behind `Arc`, as in [`PlanCache`], so a hit holds the lock
+/// only for a pointer copy and replays the shared value without cloning
+/// it.
 pub struct ResultCache {
-    inner: Mutex<FifoMap<CachedResult>>,
+    inner: Mutex<FifoMap<Arc<CachedResult>>>,
 }
 
 impl ResultCache {
@@ -270,16 +273,13 @@ impl ResultCache {
 
     /// The cached entry (value + recorded execution profile) under
     /// `key` if its stamp is still current.
-    pub fn get_current(&self, key: &str, db: &Database) -> Option<CachedResult> {
-        let inner = self.inner.lock().unwrap();
-        match inner.get(key) {
-            Some(entry) if stamp_is_current(&entry.stamp, db) => Some(entry.clone()),
-            _ => None,
-        }
+    pub fn get_current(&self, key: &str, db: &Database) -> Option<Arc<CachedResult>> {
+        let entry = self.inner.lock().unwrap().get(key).cloned()?;
+        stamp_is_current(&entry.stamp, db).then_some(entry)
     }
 
     pub fn insert(&self, key: String, entry: CachedResult) {
-        self.inner.lock().unwrap().insert(key, entry);
+        self.inner.lock().unwrap().insert(key, Arc::new(entry));
     }
 }
 

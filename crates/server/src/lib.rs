@@ -613,13 +613,6 @@ impl<'srv, 'db> Session<'srv, 'db> {
                 stats.result_cache_hits += 1;
                 let exec_start_us = rec.elapsed_us();
                 let scalar = !matches!(cached.value, Value::Set(_));
-                let chunks: Vec<Vec<Value>> = match &cached.value {
-                    Value::Set(s) => {
-                        let rows: Vec<Value> = s.iter().cloned().collect();
-                        rows.chunks(BATCH_SIZE).map(<[Value]>::to_vec).collect()
-                    }
-                    v => vec![vec![v.clone()]],
-                };
                 return Ok(ResultCursor {
                     server,
                     query,
@@ -627,7 +620,10 @@ impl<'srv, 'db> Session<'srv, 'db> {
                     stats,
                     entry,
                     nested: Some(nested),
-                    source: CursorSource::Replay(chunks.into_iter()),
+                    source: CursorSource::Replay {
+                        value: cached.value.clone(),
+                        pos: 0,
+                    },
                     grant: None,
                     result_key,
                     accumulate: None,
@@ -637,7 +633,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                     rows_streamed: 0,
                     chunks_streamed: 0,
                     finished: false,
-                    final_value: Some(cached.value),
+                    final_value: Some(cached.value.clone()),
                 });
             }
             shared.metrics.result_misses.inc();
@@ -766,7 +762,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                     // exactly as if the value subplan had run here.
                     stats.merge(&cached.profile);
                     stats.result_cache_hits += 1;
-                    cached.value
+                    cached.value.clone()
                 } else {
                     shared.metrics.result_misses.inc();
                     // Execute under a local `Stats` so the binding's own
@@ -803,7 +799,27 @@ impl<'srv, 'db> Session<'srv, 'db> {
 /// [`BATCH_SIZE`] so both sources look identical to the consumer).
 enum CursorSource<'db> {
     Live(ResultStream<'db>),
-    Replay(std::vec::IntoIter<Vec<Value>>),
+    /// The shared cached value and how many of its rows were replayed.
+    Replay {
+        value: Value,
+        pos: usize,
+    },
+}
+
+/// The next [`BATCH_SIZE`] rows of a memoized value, cut from its shared
+/// storage on demand: a set replays in canonical order, any other
+/// (scalar) value as one 1-row chunk, an empty set as no chunk at all.
+fn replay_chunk(value: &Value, pos: &mut usize) -> Option<Batch> {
+    let rows = match value {
+        Value::Set(s) => s.as_slice(),
+        scalar => std::slice::from_ref(scalar),
+    };
+    let start = *pos;
+    if start >= rows.len() {
+        return None;
+    }
+    *pos = (start + BATCH_SIZE).min(rows.len());
+    Some(Batch::from_rows(rows[start..*pos].to_vec()))
 }
 
 /// A server-side cursor over one executing query — the session API's
@@ -858,7 +874,7 @@ impl<'srv, 'db> ResultCursor<'srv, 'db> {
 
     /// Whether the chunks replay a memoized result-cache value.
     pub fn result_hit(&self) -> bool {
-        matches!(self.source, CursorSource::Replay(_))
+        matches!(self.source, CursorSource::Replay { .. })
     }
 
     /// EXPLAIN rendering of the (cached or fresh) plan.
@@ -910,7 +926,7 @@ impl<'srv, 'db> ResultCursor<'srv, 'db> {
                     return Err(ServerError::Exec(e));
                 }
             },
-            CursorSource::Replay(chunks) => chunks.next().map(Batch::from_rows),
+            CursorSource::Replay { value, pos } => replay_chunk(value, pos),
         };
         match pulled {
             Some(batch) => {
@@ -1023,7 +1039,7 @@ impl<'srv, 'db> ResultCursor<'srv, 'db> {
                     }
                 }
             }
-            CursorSource::Replay(_) => {
+            CursorSource::Replay { .. } => {
                 // The replayed profile was merged when the cursor
                 // opened; nothing executed here.
             }

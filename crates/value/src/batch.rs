@@ -357,12 +357,12 @@ impl ColumnarBatch {
             .iter()
             .map(|(_, v)| ColumnBuilder::for_value(v, len))
             .collect();
-        for row in rows {
+        for row in &rows {
             let Value::Tuple(t) = row else {
                 unreachable!("uniformity checked above")
             };
-            for (b, (_, v)) in builders.iter_mut().zip(t.into_fields()) {
-                b.push(v);
+            for (b, (_, v)) in builders.iter_mut().zip(t.iter()) {
+                b.push(v.clone());
             }
         }
         Ok(ColumnarBatch {

@@ -320,6 +320,41 @@ mod tests {
     }
 
     #[test]
+    fn nested_encoding_is_pinned() {
+        // The wire and spill formats are this byte layout; sharing
+        // storage must not change a byte of it.
+        let v = Value::tuple([
+            ("id", Value::Oid(Oid(7))),
+            ("name", Value::str("s1")),
+            (
+                "parts",
+                Value::set([
+                    Value::tuple([("p", Value::Int(-2)), ("q", Value::float(1.5))]),
+                    Value::tuple([("p", Value::Int(3)), ("q", Value::Null)]),
+                ]),
+            ),
+            ("tags", Value::set([Value::Bool(true), Value::Date(940101)])),
+        ]);
+        #[rustfmt::skip]
+        let expected: [u8; 130] = [
+            8, 4, 0, 0, 0,
+            2, 0, 0, 0, b'i', b'd', 7, 7, 0, 0, 0, 0, 0, 0, 0,
+            4, 0, 0, 0, b'n', b'a', b'm', b'e', 5, 2, 0, 0, 0, b's', b'1',
+            5, 0, 0, 0, b'p', b'a', b'r', b't', b's', 9, 2, 0, 0, 0,
+            8, 2, 0, 0, 0,
+            1, 0, 0, 0, b'p', 3, 254, 255, 255, 255, 255, 255, 255, 255,
+            1, 0, 0, 0, b'q', 4, 0, 0, 0, 0, 0, 0, 248, 63,
+            8, 2, 0, 0, 0,
+            1, 0, 0, 0, b'p', 3, 3, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, b'q', 0,
+            4, 0, 0, 0, b't', b'a', b'g', b's', 9, 2, 0, 0, 0,
+            2, 6, 69, 88, 14, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(encode(&v), expected);
+        roundtrip(&v);
+    }
+
+    #[test]
     fn truncated_and_garbage_inputs_error() {
         let bytes = encode(&Value::str("hello"));
         assert!(decode(&bytes[..bytes.len() - 1]).is_err());

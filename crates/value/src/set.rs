@@ -11,29 +11,38 @@
 
 use crate::{Value, ValueError};
 use std::fmt;
+use std::sync::Arc;
 
 /// A set of [`Value`]s with canonical (sorted, deduplicated) storage.
+///
+/// The elements live behind an [`Arc`], so `clone` is a reference-count
+/// bump and a cached or scanned set is shared, not copied. Sets are
+/// immutable; the set operations build new ones.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Set {
-    elems: Vec<Value>,
+    elems: Arc<[Value]>,
 }
 
 impl Set {
     /// The empty set `∅`.
     pub fn empty() -> Self {
-        Set { elems: Vec::new() }
+        Set::default()
     }
 
     /// Builds a set from arbitrary (unsorted, possibly duplicated) values.
     pub fn from_values(mut elems: Vec<Value>) -> Self {
         elems.sort();
         elems.dedup();
-        Set { elems }
+        Set {
+            elems: elems.into(),
+        }
     }
 
     /// A singleton set.
     pub fn singleton(v: Value) -> Self {
-        Set { elems: vec![v] }
+        Set {
+            elems: Arc::new([v]),
+        }
     }
 
     /// Number of elements.
@@ -51,18 +60,6 @@ impl Set {
         self.elems.binary_search(v).is_ok()
     }
 
-    /// Inserts an element, keeping canonical order. Returns `true` if the
-    /// element was new.
-    pub fn insert(&mut self, v: Value) -> bool {
-        match self.elems.binary_search(&v) {
-            Ok(_) => false,
-            Err(i) => {
-                self.elems.insert(i, v);
-                true
-            }
-        }
-    }
-
     /// Iterates elements in canonical order.
     pub fn iter(&self) -> std::slice::Iter<'_, Value> {
         self.elems.iter()
@@ -73,9 +70,11 @@ impl Set {
         &self.elems
     }
 
-    /// Consumes the set, yielding its elements in canonical order.
+    /// The elements in canonical order, as an owned vector. The storage
+    /// may be shared, so each element is cloned (a reference-count bump
+    /// for nested values); callers that only iterate read [`Set::as_slice`].
     pub fn into_values(self) -> Vec<Value> {
-        self.elems
+        self.elems.to_vec()
     }
 
     /// Set union `self ∪ other` (linear merge).
@@ -101,7 +100,7 @@ impl Set {
         }
         out.extend_from_slice(&self.elems[i..]);
         out.extend_from_slice(&other.elems[j..]);
-        Set { elems: out }
+        Set { elems: out.into() }
     }
 
     /// Set intersection `self ∩ other`.
@@ -160,7 +159,7 @@ impl Set {
     /// (paper §3 def. 1). Every element of `self` must itself be a set.
     pub fn flatten(&self) -> Result<Set, ValueError> {
         let mut out = Vec::new();
-        for v in &self.elems {
+        for v in self.elems.iter() {
             match v {
                 Value::Set(inner) => out.extend(inner.elems.iter().cloned()),
                 other => return Err(ValueError::NotASet(other.to_string())),
@@ -180,7 +179,7 @@ impl IntoIterator for Set {
     type Item = Value;
     type IntoIter = std::vec::IntoIter<Value>;
     fn into_iter(self) -> Self::IntoIter {
-        self.elems.into_iter()
+        self.into_values().into_iter()
     }
 }
 
@@ -221,12 +220,15 @@ mod tests {
 
     #[test]
     fn membership_and_insert() {
-        let mut s = ints(&[1, 3]);
+        // sets are immutable: "insert" is a union with a singleton, and
+        // the source set is left as it was
+        let s = ints(&[1, 3]);
         assert!(s.contains(&Value::Int(1)));
         assert!(!s.contains(&Value::Int(2)));
-        assert!(s.insert(Value::Int(2)));
-        assert!(!s.insert(Value::Int(2)));
-        assert_eq!(s, ints(&[1, 2, 3]));
+        let t = s.union(&Set::singleton(Value::Int(2)));
+        assert_eq!(t, ints(&[1, 2, 3]));
+        assert_eq!(t.union(&Set::singleton(Value::Int(2))), t);
+        assert_eq!(s, ints(&[1, 3]));
     }
 
     #[test]
@@ -277,5 +279,26 @@ mod tests {
     fn display_canonical() {
         assert_eq!(ints(&[2, 1]).to_string(), "{1, 2}");
         assert_eq!(Set::empty().to_string(), "{}");
+    }
+
+    #[test]
+    fn clone_shares_storage() {
+        let a = ints(&[1, 2, 3]);
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.elems, &b.elems));
+    }
+
+    #[test]
+    fn operations_leave_shared_inputs_untouched() {
+        let a = ints(&[1, 2, 3]);
+        let alias = a.clone();
+        let b = ints(&[3, 4]);
+        assert_eq!(a.union(&b), ints(&[1, 2, 3, 4]));
+        assert_eq!(a.intersect(&b), ints(&[3]));
+        assert_eq!(a.difference(&b), ints(&[1, 2]));
+        assert_eq!(a.clone().into_values().len(), 3);
+        assert_eq!(a, ints(&[1, 2, 3]));
+        assert_eq!(b, ints(&[3, 4]));
+        assert!(Arc::ptr_eq(&a.elems, &alias.elems));
     }
 }

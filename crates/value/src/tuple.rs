@@ -8,18 +8,25 @@
 
 use crate::{Name, Value, ValueError};
 use std::fmt;
+use std::sync::Arc;
 
 /// A complex-object tuple: attribute name → value, canonically ordered.
+///
+/// The fields live behind an [`Arc`], so `clone` is a reference-count
+/// bump: binding a row, probing a join or replaying a cached result shares
+/// the nested object instead of copying it. Tuples are immutable; every
+/// operation below builds a new one and leaves its inputs (and their other
+/// clones) untouched.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Tuple {
     /// Sorted by name; names are unique.
-    fields: Vec<(Name, Value)>,
+    fields: Arc<[(Name, Value)]>,
 }
 
 impl Tuple {
     /// The empty tuple `⟨⟩`.
     pub fn empty() -> Self {
-        Tuple { fields: Vec::new() }
+        Tuple::default()
     }
 
     /// Builds a tuple from `(name, value)` pairs.
@@ -32,7 +39,9 @@ impl Tuple {
                 return Err(ValueError::DuplicateField(w[0].0.clone()));
             }
         }
-        Ok(Tuple { fields })
+        Ok(Tuple {
+            fields: fields.into(),
+        })
     }
 
     /// Builds a tuple from fields already in canonical (sorted, unique)
@@ -44,7 +53,9 @@ impl Tuple {
             fields.windows(2).all(|w| w[0].0 < w[1].0),
             "fields must be sorted and unique"
         );
-        Tuple { fields }
+        Tuple {
+            fields: fields.into(),
+        }
     }
 
     /// Builds a tuple from `(&str, Value)` pairs; panics on duplicates.
@@ -95,13 +106,6 @@ impl Tuple {
         self.fields.iter().map(|(n, v)| (n, v))
     }
 
-    /// Consumes the tuple into its `(name, value)` pairs in canonical
-    /// order — the zero-clone decomposition the columnar batch builder
-    /// shreds rows through.
-    pub fn into_fields(self) -> Vec<(Name, Value)> {
-        self.fields
-    }
-
     /// The attribute names, in canonical order. This is the tuple-level
     /// schema function `SCH`.
     pub fn attr_names(&self) -> Vec<Name> {
@@ -122,7 +126,7 @@ impl Tuple {
     /// `updates` replace existing values **or** extend the tuple with new
     /// attributes; all other fields are left as they are.
     pub fn except(&self, updates: &[(Name, Value)]) -> Result<Tuple, ValueError> {
-        let mut fields = self.fields.clone();
+        let mut fields = self.fields.to_vec();
         for (n, v) in updates {
             match fields.binary_search_by(|(field, _)| field.cmp(n)) {
                 Ok(i) => fields[i].1 = v.clone(),
@@ -131,7 +135,9 @@ impl Tuple {
         }
         // updates may themselves contain duplicates: last one wins by the
         // loop above, so the invariant (sorted, unique) already holds.
-        Ok(Tuple { fields })
+        Ok(Tuple {
+            fields: fields.into(),
+        })
     }
 
     /// Tuple concatenation `x ∘ y`.
@@ -158,7 +164,9 @@ impl Tuple {
         }
         fields.extend_from_slice(&self.fields[i..]);
         fields.extend_from_slice(&other.fields[j..]);
-        Ok(Tuple { fields })
+        Ok(Tuple {
+            fields: fields.into(),
+        })
     }
 
     /// Removes the named attribute, returning the remaining tuple.
@@ -178,7 +186,7 @@ impl Tuple {
     pub fn rename(&self, from: &str, to: &Name) -> Result<Tuple, ValueError> {
         let mut fields = Vec::with_capacity(self.fields.len());
         let mut found = false;
-        for (n, v) in &self.fields {
+        for (n, v) in self.fields.iter() {
             if n.as_ref() == from {
                 fields.push((to.clone(), v.clone()));
                 found = true;
@@ -295,5 +303,26 @@ mod tests {
     fn display_is_paper_style() {
         let x = t(&[("a", 1), ("c", 0)]);
         assert_eq!(x.to_string(), "⟨a = 1, c = 0⟩");
+    }
+
+    #[test]
+    fn clone_shares_storage() {
+        let x = t(&[("a", 1), ("b", 2)]);
+        let y = x.clone();
+        assert!(Arc::ptr_eq(&x.fields, &y.fields));
+    }
+
+    #[test]
+    fn operations_leave_shared_inputs_untouched() {
+        let x = t(&[("a", 1), ("b", 2)]);
+        let alias = x.clone();
+        let before = t(&[("a", 1), ("b", 2)]);
+        let _ = x.except(&[(name("a"), Value::Int(9)), (name("c"), Value::Int(3))]);
+        let _ = x.concat(&t(&[("z", 0)])).unwrap();
+        let _ = x.rename("a", &name("y")).unwrap();
+        let _ = x.without("b");
+        assert_eq!(x, before);
+        assert_eq!(alias, before);
+        assert!(Arc::ptr_eq(&x.fields, &alias.fields));
     }
 }

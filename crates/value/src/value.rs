@@ -558,6 +558,38 @@ mod tests {
     }
 
     #[test]
+    fn value_is_three_words() {
+        // tuples and sets are one fat pointer each, like `Str`
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
+    #[test]
+    fn shared_and_rebuilt_values_are_indistinguishable() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let hashes = |v: &Value| {
+            (
+                BuildHasherDefault::<crate::fxhash::FxHasher>::default().hash_one(v),
+                BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default()
+                    .hash_one(v),
+            )
+        };
+        let build = |order: &[i64]| {
+            Value::tuple([
+                ("name", Value::str("s1")),
+                ("parts", Value::set(order.iter().map(|i| Value::Int(*i)))),
+            ])
+        };
+        let original = build(&[1, 2, 3]);
+        let shared = original.clone();
+        let rebuilt = build(&[3, 1, 2]);
+        assert_eq!(shared, rebuilt);
+        assert_eq!(shared.cmp(&rebuilt), std::cmp::Ordering::Equal);
+        assert_eq!(hashes(&shared), hashes(&rebuilt));
+        assert_eq!(format!("{shared:?}"), format!("{rebuilt:?}"));
+        assert_eq!(shared.to_string(), rebuilt.to_string());
+    }
+
+    #[test]
     fn deep_size_counts_atoms() {
         let v = Value::tuple([
             ("a", Value::Int(1)),

@@ -170,6 +170,71 @@ fn explain_analyze_actuals_match_stats_exactly() {
     }
 }
 
+/// Operators report when their stream is exhausted, not in tree order,
+/// and a label may sit on several nodes. Here two `Map` nodes are in the
+/// plan and the inner one is exhausted first. Each node must still get its
+/// own actuals: the root reports the result's cardinality, a `Map` emits
+/// exactly what its child emitted, and per-label totals match `Stats`.
+#[test]
+fn explain_analyze_gives_each_node_its_own_actuals() {
+    let db = scaled_db(400);
+    let cfg = ServerConfig {
+        planner: PlannerConfig {
+            parallelism: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let server = QueryServer::with_config(&db, cfg);
+    let (analyzed, stats) = server
+        .session()
+        .analyze(
+            "select s.sname from s in SUPPLIER where s.parts supseteq \
+             flatten(select t.parts from t in SUPPLIER where t.sname <> \"supplier-3\")",
+        )
+        .expect("analyze");
+    let labels: Vec<&str> = analyzed.ops.iter().map(|o| o.label.as_str()).collect();
+    assert!(
+        labels.iter().filter(|l| **l == "Map").count() >= 2,
+        "the query should plan two Map nodes:\n{}",
+        analyzed.text
+    );
+    let result_rows = analyzed.value.as_set().expect("set result").len() as u64;
+    assert_eq!(
+        analyzed.ops[0].actual_rows,
+        Some(result_rows),
+        "root actuals disagree with the result:\n{}",
+        analyzed.text
+    );
+    // Rebuild the tree from the pre-order rendering's indentation and
+    // check every Map against its only child.
+    let depths: Vec<usize> = analyzed
+        .text
+        .lines()
+        .map(|l| (l.len() - l.trim_start().len()) / 2)
+        .collect();
+    assert_eq!(depths.len(), analyzed.ops.len(), "{}", analyzed.text);
+    for (i, op) in analyzed.ops.iter().enumerate() {
+        if op.label != "Map" {
+            continue;
+        }
+        let child = &analyzed.ops[i + 1];
+        assert_eq!(depths[i + 1], depths[i] + 1, "{}", analyzed.text);
+        assert_eq!(
+            op.actual_rows, child.actual_rows,
+            "Map at line {i} and its child {} disagree:\n{}",
+            child.label, analyzed.text
+        );
+    }
+    let mut annotated: BTreeMap<String, u64> = BTreeMap::new();
+    for op in &analyzed.ops {
+        if let Some(act) = op.actual_rows {
+            *annotated.entry(op.label.clone()).or_default() += act;
+        }
+    }
+    assert_eq!(annotated, rows_by_label(&stats), "{}", analyzed.text);
+}
+
 // --------------------------------------------------------------------
 // Metrics over the wire.
 

@@ -7,6 +7,7 @@
 //!   across dop × budget × layout;
 //! * the first result chunk leaves the server before the pipeline is
 //!   exhausted;
+//! * a result-cache hit replays the cached set in `BATCH_SIZE` chunks;
 //! * malformed / truncated frames and mid-stream client disconnects
 //!   never panic the server or leak an admission-pool slot (property
 //!   test over random interleavings).
@@ -212,6 +213,94 @@ fn first_chunk_arrives_before_pipeline_is_exhausted() {
     );
     // The cursor finalizes exactly once: stats carry the execution.
     assert!(cursor.stats().output_rows >= cursor.rows_streamed());
+}
+
+/// One QUERY over the wire, frame by frame: the HEADER flags, each
+/// CHUNK's rows, and the END totals.
+fn query_chunks(
+    client: &mut WireClient<TcpStream>,
+    tag: u32,
+    text: &str,
+) -> (u8, Vec<Vec<Value>>, (u64, u64)) {
+    client.send(tag, verb::QUERY, text.as_bytes()).unwrap();
+    let mut flags = None;
+    let mut chunks = Vec::new();
+    loop {
+        let frame = client.read_frame().unwrap().expect("frame");
+        assert_eq!(frame.tag, tag);
+        match frame.kind {
+            wire::kind::HEADER => flags = Some(frame.body[0]),
+            wire::kind::CHUNK => chunks.push(wire::decode_chunk(&frame.body).unwrap()),
+            wire::kind::END => {
+                let end = wire::decode_end(&frame.body).unwrap();
+                return (flags.expect("HEADER first"), chunks, end);
+            }
+            other => panic!("{text}: unexpected frame kind {other}"),
+        }
+    }
+}
+
+/// A result-cache hit replays the cached set in `BATCH_SIZE` slices cut
+/// from the shared value: ⌈n/BATCH_SIZE⌉ chunks, all full but the last,
+/// the live run's rows in the live run's order, and matching END totals.
+/// An empty hit streams no chunk; a scalar hit one 1-row chunk.
+#[test]
+fn result_cache_hits_replay_in_batch_sized_chunks() {
+    let n = 3 * BATCH_SIZE + 7;
+    let db = Arc::new(generate(&GenConfig {
+        parts: n,
+        ..GenConfig::scaled(80)
+    }));
+    // Serial, so the live run streams the extent in canonical order —
+    // the order a hit replays the cached set in.
+    let config = ServerConfig {
+        planner: PlannerConfig {
+            parallelism: 1,
+            ..Default::default()
+        },
+        ..ServerConfig::default()
+    };
+    let handle = net::serve(Arc::clone(&db), config, "127.0.0.1:0").unwrap();
+    let mut client = binary_client(handle.addr());
+
+    let all = "select p from p in PART";
+    let (live_flags, live, live_end) = query_chunks(&mut client, 1, all);
+    assert_eq!(live_flags & wire::flags::RESULT_HIT, 0, "first run is live");
+    let live_rows: Vec<Value> = live.concat();
+    assert_eq!(live_rows.len(), n);
+    assert_eq!(live_end, (n as u64, live.len() as u64));
+
+    let (flags, hit, end) = query_chunks(&mut client, 2, all);
+    assert_ne!(flags & wire::flags::RESULT_HIT, 0, "second run is a hit");
+    assert_eq!(hit.len(), n.div_ceil(BATCH_SIZE));
+    let (last, full) = hit.split_last().unwrap();
+    assert!(full.iter().all(|c| c.len() == BATCH_SIZE));
+    assert_eq!(last.len(), n % BATCH_SIZE);
+    assert_eq!(
+        hit.concat(),
+        live_rows,
+        "replayed rows differ from the live run"
+    );
+    assert_eq!(end, (n as u64, hit.len() as u64));
+
+    let none = "select p from p in PART where p.price < 0";
+    for tag in [3, 4] {
+        let (flags, chunks, end) = query_chunks(&mut client, tag, none);
+        assert_eq!(flags & wire::flags::RESULT_HIT != 0, tag == 4);
+        assert!(chunks.is_empty(), "an empty result streams no chunk");
+        assert_eq!(end, (0, 0));
+    }
+
+    let scalar = "count(select p from p in PART)";
+    for tag in [5, 6] {
+        let (flags, chunks, end) = query_chunks(&mut client, tag, scalar);
+        assert_ne!(flags & wire::flags::SCALAR, 0);
+        assert_eq!(flags & wire::flags::RESULT_HIT != 0, tag == 6);
+        assert_eq!(chunks, vec![vec![Value::Int(n as i64)]]);
+        assert_eq!(end, (1, 1));
+    }
+    drop(client);
+    handle.shutdown();
 }
 
 /// Error frames carry the stable numeric codes.
