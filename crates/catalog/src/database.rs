@@ -335,6 +335,36 @@ mod tests {
     }
 
     #[test]
+    fn rejected_insert_changes_nothing() {
+        let mut db = crate::fixtures::supplier_part_db();
+        db.create_index("PART", "color").unwrap();
+        let table = db.table("PART").unwrap();
+        let first = table.row(0).unwrap().clone();
+        let oid = first.get("pid").unwrap().as_oid().unwrap();
+        let (len, version, before) = (table.len(), table.version(), table.as_set_value());
+        let red = table
+            .index_probe("color", &Value::str("red"))
+            .unwrap()
+            .len();
+        assert!(matches!(
+            db.insert("PART", first.clone()),
+            Err(CatalogError::DuplicateOid { .. })
+        ));
+        let table = db.table("PART").unwrap();
+        assert_eq!(table.len(), len);
+        assert_eq!(table.version(), version);
+        assert_eq!(table.by_oid(oid), Some(&first));
+        assert_eq!(table.as_set_value(), before);
+        let reds = table.index_probe("color", &Value::str("red")).unwrap();
+        assert_eq!(reds.len(), red);
+        // the next successful insert does not disturb the old object
+        db.insert("PART", part(99, "cog", 3, "red")).unwrap();
+        let table = db.table("PART").unwrap();
+        assert_eq!(table.by_oid(oid), Some(&first));
+        assert_eq!(table.len(), len + 1);
+    }
+
+    #[test]
     fn conforms_accepts_empty_sets_anywhere() {
         let ty = Type::set(Type::Oid(Some(name("Part"))));
         assert!(conforms(&Value::empty_set(), &ty).is_ok());

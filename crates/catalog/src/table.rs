@@ -1,8 +1,10 @@
 //! Extents (base tables) with oid indexes.
 
 use crate::CatalogError;
+use oodb_value::batch::BATCH_SIZE;
 use oodb_value::fxhash::FxHashMap;
-use oodb_value::{Name, Oid, Set, Tuple, Value};
+use oodb_value::{Batch, BatchKind, Name, Oid, Set, Tuple, Value};
+use std::sync::OnceLock;
 
 /// A populated class extension: a table of complex objects.
 ///
@@ -12,6 +14,15 @@ use oodb_value::{Name, Oid, Set, Tuple, Value};
 /// rely on. Set-valued attributes are stored inline with their tuple —
 /// the paper's "assuming set-valued attributes are stored clustered" (§3),
 /// which is why unnesting them is undesirable.
+///
+/// Readers see the extent as a canonical [`Set`] (the *snapshot*, see
+/// [`Table::as_set`]) cut into [`BATCH_SIZE`]-row scan chunks (see
+/// [`Table::chunk`]). Both are built lazily — the snapshot on the first
+/// read, each columnar chunk the first time a scan reads it — and kept
+/// until the extent changes: [`Table::insert`] and [`Table::create_index`],
+/// the only writers, drop them together with the version bump. A scan
+/// therefore sorts and transposes the extent once per version, not once
+/// per query and worker.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
     /// Identity attribute name within each row tuple.
@@ -27,6 +38,19 @@ pub struct Table {
     /// server's plan/result caches) stamp entries with the versions of the
     /// extents they read and treat any bump as invalidation.
     version: u64,
+    /// The snapshot and its scan chunks for the current version; empty
+    /// until first read, emptied by every write.
+    scan: OnceLock<Snapshot>,
+}
+
+/// What readers of one version of a [`Table`] share.
+#[derive(Clone, Debug)]
+struct Snapshot {
+    /// The rows as a canonical set.
+    set: Set,
+    /// Cell `i` holds `Batch::of(Columnar, set[i·BATCH_SIZE ..][..BATCH_SIZE])`,
+    /// built by the first scan that reads it.
+    columnar: Box<[OnceLock<Batch>]>,
 }
 
 impl Table {
@@ -38,6 +62,7 @@ impl Table {
             oid_index: FxHashMap::default(),
             secondary: FxHashMap::default(),
             version: 0,
+            scan: OnceLock::new(),
         }
     }
 
@@ -58,7 +83,7 @@ impl Table {
             idx.entry(v.clone()).or_default().push(i);
         }
         self.secondary.insert(attr.clone(), idx);
-        self.version += 1;
+        self.bump_version();
         Ok(())
     }
 
@@ -94,7 +119,9 @@ impl Table {
     }
 
     /// Inserts an object; maintains the oid index. The caller (the
-    /// [`crate::Database`]) has already schema-checked the tuple.
+    /// [`crate::Database`]) has already schema-checked the tuple. Every
+    /// check runs before anything changes, so a rejected insert leaves
+    /// the table as it was.
     pub fn insert(&mut self, extent: &Name, row: Tuple) -> Result<(), CatalogError> {
         let oid = row
             .get(&self.identity)
@@ -103,23 +130,34 @@ impl Table {
                 extent: extent.clone(),
                 detail: format!("missing oid attribute `{}`", self.identity),
             })?;
-        if self.oid_index.insert(oid, self.rows.len()).is_some() {
+        if self.oid_index.contains_key(&oid) {
             return Err(CatalogError::DuplicateOid {
                 extent: extent.clone(),
                 oid,
             });
         }
-        let pos = self.rows.len();
-        for (attr, idx) in self.secondary.iter_mut() {
-            let v = row.get(attr).ok_or_else(|| CatalogError::SchemaViolation {
+        if let Some(attr) = self.secondary.keys().find(|attr| row.get(attr).is_none()) {
+            return Err(CatalogError::SchemaViolation {
                 extent: extent.clone(),
                 detail: format!("indexed attribute `{attr}` missing"),
-            })?;
+            });
+        }
+        let pos = self.rows.len();
+        for (attr, idx) in self.secondary.iter_mut() {
+            let v = row.get(attr).expect("checked above");
             idx.entry(v.clone()).or_default().push(pos);
         }
+        self.oid_index.insert(oid, pos);
         self.rows.push(row);
-        self.version += 1;
+        self.bump_version();
         Ok(())
+    }
+
+    /// A write happened: new version, and the snapshot of the old one
+    /// goes.
+    fn bump_version(&mut self) {
+        self.version += 1;
+        self.scan = OnceLock::new();
     }
 
     /// Row lookup by oid — the pointer dereference behind the materialize
@@ -146,12 +184,45 @@ impl Table {
             .filter_map(move |r| r.get(&id).and_then(|v| v.as_oid().ok()))
     }
 
+    /// The current version's snapshot, built on first use.
+    fn snapshot(&self) -> &Snapshot {
+        self.scan.get_or_init(|| {
+            let set = Set::from_values(self.rows.iter().cloned().map(Value::Tuple).collect());
+            let columnar = (0..set.len().div_ceil(BATCH_SIZE))
+                .map(|_| OnceLock::new())
+                .collect();
+            Snapshot { set, columnar }
+        })
+    }
+
+    /// The extent as a canonical set. Sorted once per version and shared
+    /// by every reader until the next write.
+    pub fn as_set(&self) -> &Set {
+        &self.snapshot().set
+    }
+
     /// The extent as an ADL set value (what a `Table` leaf of an ADL
-    /// expression evaluates to).
+    /// expression evaluates to): the shared snapshot, so a reference-count
+    /// bump.
     pub fn as_set_value(&self) -> Value {
-        Value::Set(Set::from_values(
-            self.rows.iter().cloned().map(Value::Tuple).collect(),
-        ))
+        Value::Set(self.as_set().clone())
+    }
+
+    /// Scan chunk `i` in layout `kind`: rows `i·BATCH_SIZE ..` of
+    /// [`Table::as_set`], at most [`BATCH_SIZE`] of them; `None` past the
+    /// last chunk. A columnar chunk is transposed by the first call that
+    /// asks for it and cloned from then on; a row chunk is a slice copy.
+    pub fn chunk(&self, i: usize, kind: BatchKind) -> Option<Batch> {
+        let snap = self.snapshot();
+        let cell = snap.columnar.get(i)?;
+        let rows = || {
+            let all = snap.set.as_slice();
+            all[i * BATCH_SIZE..all.len().min((i + 1) * BATCH_SIZE)].to_vec()
+        };
+        Some(match kind {
+            BatchKind::Row => Batch::Rows(rows()),
+            BatchKind::Columnar => cell.get_or_init(|| Batch::of(kind, rows())).clone(),
+        })
     }
 }
 
@@ -206,6 +277,96 @@ mod tests {
         // oids enumerate in insertion order
         let oids: Vec<Oid> = t.oids().collect();
         assert_eq!(oids, vec![Oid(2), Oid(1)]);
+    }
+}
+
+#[cfg(test)]
+mod snapshot_tests {
+    use super::*;
+    use oodb_value::name;
+
+    fn row(oid: u64) -> Tuple {
+        Tuple::from_pairs([
+            ("pid", Value::Oid(Oid(oid))),
+            (
+                "color",
+                Value::str(["red", "blue", "green"][oid as usize % 3]),
+            ),
+            ("refs", Value::set((0..oid % 4).map(|k| Value::Oid(Oid(k))))),
+        ])
+    }
+
+    /// `n` rows inserted in descending oid order, so insertion order and
+    /// canonical order differ.
+    fn table(n: u64) -> Table {
+        let mut t = Table::new(name("pid"));
+        for oid in (0..n).rev() {
+            t.insert(&name("PART"), row(oid)).unwrap();
+        }
+        t
+    }
+
+    /// Reads every columnar chunk, filling the cache.
+    fn read_all(t: &Table) {
+        let mut i = 0;
+        while t.chunk(i, BatchKind::Columnar).is_some() {
+            i += 1;
+        }
+    }
+
+    /// The snapshot and every chunk equal what is rebuilt from `rows()`
+    /// without the cache.
+    fn assert_current(t: &Table) {
+        let rebuilt = Set::from_values(t.rows().cloned().map(Value::Tuple).collect());
+        assert_eq!(t.as_set(), &rebuilt);
+        let chunks: Vec<&[Value]> = rebuilt.as_slice().chunks(BATCH_SIZE).collect();
+        for kind in [BatchKind::Columnar, BatchKind::Row] {
+            for (i, rows) in chunks.iter().enumerate() {
+                assert_eq!(t.chunk(i, kind), Some(Batch::of(kind, rows.to_vec())));
+            }
+            assert_eq!(t.chunk(chunks.len(), kind), None);
+        }
+    }
+
+    #[test]
+    fn reads_share_one_snapshot() {
+        let t = table(10);
+        let a = t.as_set_value();
+        let b = t.as_set_value();
+        assert!(std::ptr::eq(
+            a.as_set().unwrap().as_slice(),
+            b.as_set().unwrap().as_slice()
+        ));
+    }
+
+    #[test]
+    fn snapshot_and_chunks_follow_every_write() {
+        let mut t = table(2 * BATCH_SIZE as u64 + 5);
+        read_all(&t);
+        assert_current(&t);
+        // a write lands in the middle of the canonical order, shifting
+        // every later chunk boundary
+        t.insert(&name("PART"), row(1 << 20)).unwrap();
+        assert_current(&t);
+        read_all(&t);
+        t.create_index(&name("color")).unwrap();
+        assert_current(&t);
+        // the last chunk fills exactly, then a new one starts
+        let mut t = table(BATCH_SIZE as u64 - 1);
+        read_all(&t);
+        t.insert(&name("PART"), row(5000)).unwrap();
+        assert_current(&t);
+        read_all(&t);
+        t.insert(&name("PART"), row(5001)).unwrap();
+        assert_current(&t);
+    }
+
+    #[test]
+    fn empty_table_has_no_chunks() {
+        let t = Table::new(name("pid"));
+        assert!(t.as_set().is_empty());
+        assert_eq!(t.chunk(0, BatchKind::Columnar), None);
+        assert_eq!(t.chunk(0, BatchKind::Row), None);
     }
 }
 

@@ -37,9 +37,7 @@ use oodb_value::fxhash::FxHashSet;
 use oodb_value::{BatchKind, Name, Set, Value};
 use std::time::Instant;
 
-/// Rows per batch. Batches are soft-bounded: operators that expand rows
-/// (unnest, inner joins) may exceed it rather than split mid-tuple-group.
-pub const BATCH_SIZE: usize = 1024;
+pub use oodb_value::batch::BATCH_SIZE;
 
 /// One batch of rows flowing between operators — columnar by default,
 /// legacy `Vec<Value>` rows under `BatchKind::Row` (see
@@ -215,9 +213,6 @@ fn drain_value(op: &mut BoxOp, ctx: &mut ExecCtx<'_, '_>) -> Result<Value, EvalE
 pub(crate) struct Buffered {
     rows: Rows,
     pos: usize,
-    /// Rows skipped after each chunk — `(parts − 1) · BATCH_SIZE` for a
-    /// worker's stride of a shared scan, 0 otherwise.
-    skip: usize,
 }
 
 #[derive(Debug)]
@@ -231,43 +226,22 @@ impl Buffered {
         Buffered {
             rows: Rows::Owned(rows),
             pos: 0,
-            skip: 0,
         }
     }
 
     /// Every chunk of a shared set, in canonical order.
     pub(crate) fn shared(set: Set) -> Self {
-        Buffered::strided(set, 0, 1)
-    }
-
-    /// The morsel stride of a shared set: the [`BATCH_SIZE`]-aligned
-    /// chunks whose index is ≡ `part` (mod `parts`).
-    fn strided(set: Set, part: usize, parts: usize) -> Self {
         Buffered {
             rows: Rows::Shared(set),
-            pos: part * BATCH_SIZE,
-            skip: (parts - 1) * BATCH_SIZE,
+            pos: 0,
         }
-    }
-
-    fn total(&self) -> usize {
-        match &self.rows {
-            Rows::Owned(v) => v.len(),
-            Rows::Shared(s) => s.len(),
-        }
-    }
-
-    /// Rows still to be emitted.
-    fn remaining(&self) -> usize {
-        let total = self.total();
-        (self.pos..total)
-            .step_by(BATCH_SIZE + self.skip)
-            .map(|start| (total - start).min(BATCH_SIZE))
-            .sum()
     }
 
     pub(crate) fn next_chunk(&mut self, kind: BatchKind) -> Option<Batch> {
-        let total = self.total();
+        let total = match &self.rows {
+            Rows::Owned(v) => v.len(),
+            Rows::Shared(s) => s.len(),
+        };
         if self.pos >= total {
             return None;
         }
@@ -281,7 +255,7 @@ impl Buffered {
                 .collect(),
             Rows::Shared(s) => s.as_slice()[self.pos..end].to_vec(),
         };
-        self.pos = end + self.skip;
+        self.pos = end;
         Some(Batch::of(kind, chunk))
     }
 }
@@ -399,7 +373,12 @@ impl Operator for Instrument {
         let next = if ctx.opts.timing {
             let t0 = Instant::now();
             let r = self.inner.next_batch(ctx);
-            self.timing.next_ns += t0.elapsed().as_nanos() as u64;
+            let ns = t0.elapsed().as_nanos() as u64;
+            self.timing.next_ns += ns;
+            // no batch yet and not exhausted: this call is the first
+            if self.batches == 0 {
+                self.timing.first_ns = self.timing.open_ns + ns;
+            }
             r
         } else {
             self.inner.next_batch(ctx)
@@ -451,49 +430,54 @@ impl Operator for Instrument {
 // ---------------------------------------------------------------------
 // Leaf operators.
 
-/// Base-table scan, emitted in batches.
+/// Base-table scan, emitted in batches: the table's own scan chunks
+/// ([`oodb_catalog::Table::chunk`]), which it sorts and transposes once
+/// per extent version, so a scan only clones them.
 ///
 /// `(part, parts)` is the morsel stride: worker `part` of a round-robin
-/// exchange takes exactly the [`BATCH_SIZE`]-aligned batches whose index
-/// is ≡ `part` (mod `parts`), so every row is scanned by exactly one
-/// worker and per-worker `rows_scanned` sums to the serial count.
-/// `(0, 1)` is the ordinary serial scan.
+/// exchange takes exactly the chunks whose index is ≡ `part`
+/// (mod `parts`), so every row is scanned by exactly one worker and
+/// per-worker `rows_scanned` sums to the serial count. `(0, 1)` is the
+/// ordinary serial scan.
 struct ScanOp {
     table: Name,
     part: usize,
     parts: usize,
-    buf: Option<Buffered>,
+    /// The next chunk of the stride; `None` until the first pull.
+    next: Option<usize>,
 }
 
 impl Operator for ScanOp {
     fn open(&mut self, _ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
-        self.buf = None;
+        self.next = None;
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
-        if self.buf.is_none() {
-            let t = ctx
-                .ev
-                .db()
-                .table(&self.table)
-                .ok_or_else(|| EvalError::UnknownTable(self.table.clone()))?;
-            let all = t.as_set_value().into_set()?;
-            let buf = Buffered::strided(all, self.part, self.parts.max(1));
-            ctx.stats.rows_scanned += buf.remaining() as u64;
-            self.buf = Some(buf);
-        }
-        // scans build columnar batches directly from the extent rows —
-        // the layout every operator above inherits
-        Ok(self
-            .buf
-            .as_mut()
-            .expect("buffered above")
-            .next_chunk(ctx.opts.batch_kind))
+        let t = ctx
+            .ev
+            .db()
+            .table(&self.table)
+            .ok_or_else(|| EvalError::UnknownTable(self.table.clone()))?;
+        let parts = self.parts.max(1);
+        let i = match self.next {
+            Some(i) => i,
+            None => {
+                let total = t.as_set().len();
+                ctx.stats.rows_scanned += (self.part * BATCH_SIZE..total)
+                    .step_by(parts * BATCH_SIZE)
+                    .map(|start| (total - start).min(BATCH_SIZE))
+                    .sum::<usize>() as u64;
+                self.part
+            }
+        };
+        self.next = Some(i + parts);
+        // the chunk comes in the layout every operator above inherits
+        Ok(t.chunk(i, ctx.opts.batch_kind))
     }
 
     fn close(&mut self, _ctx: &mut ExecCtx<'_, '_>) {
-        self.buf = None;
+        self.next = None;
     }
 }
 
@@ -1803,7 +1787,7 @@ impl PhysPlan {
                 table: name.clone(),
                 part,
                 parts,
-                buf: None,
+                next: None,
             }),
             PhysPlan::Literal(v) => Box::new(ScalarOp {
                 kind: ScalarKind::Literal(v.clone()),

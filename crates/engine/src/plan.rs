@@ -298,9 +298,9 @@ impl Plan<'_> {
 
     /// EXPLAIN ANALYZE: executes the plan through the streaming
     /// pipeline (per-operator timing forced on) and renders the EXPLAIN
-    /// tree with `actual_rows`/`actual_ms` next to the estimates, plus
-    /// an `err=` estimate-error factor per operator where both are
-    /// known.
+    /// tree with `actual_rows`/`actual_ms`/`first_ms` next to the
+    /// estimates, plus an `err=` estimate-error factor per operator where
+    /// both are known.
     ///
     /// Actuals come from the [`Stats::operators`] entries carrying the
     /// node's pre-order ordinal (its line index here): entries arrive in
@@ -354,8 +354,9 @@ impl Plan<'_> {
             text.push_str(est_annot);
             if let Some((rows, timing)) = actual {
                 text.push_str(&format!(
-                    " (actual_rows={rows}, actual_ms={:.3}",
-                    timing.total_ms()
+                    " (actual_rows={rows}, actual_ms={:.3}, first_ms={:.3}",
+                    timing.total_ms(),
+                    timing.first_ms()
                 ));
                 if let Some(est) = est_rows {
                     // Symmetric over/under-estimate factor, 1-row floors
@@ -371,6 +372,7 @@ impl Plan<'_> {
                 est_rows,
                 actual_rows: actual.map(|(rows, _)| *rows),
                 actual_ns: actual.map(|(_, timing)| timing.total_ns()),
+                first_ns: actual.map(|(_, timing)| timing.first_ns),
             });
             text.push('\n');
         }
@@ -393,6 +395,11 @@ pub struct AnalyzedOp {
     /// Measured wall-clock nanoseconds (open+next+close, inclusive of
     /// the subtree), when instrumented.
     pub actual_ns: Option<u64>,
+    /// Measured wall-clock nanoseconds until the node's first batch (or
+    /// its exhaustion, when it emits none), inclusive of the subtree;
+    /// never more than `actual_ns`. The slowest worker's, under an
+    /// exchange.
+    pub first_ns: Option<u64>,
 }
 
 /// The result of [`Plan::explain_analyze`]: the annotated EXPLAIN text,

@@ -129,6 +129,10 @@ pub struct OpTiming {
     pub next_ns: u64,
     /// Nanoseconds in `close`.
     pub close_ns: u64,
+    /// Nanoseconds until the first batch: `open` plus the first
+    /// `next_batch` call, which returns the first batch or, for an empty
+    /// stream, reports exhaustion. Part of the total, never more.
+    pub first_ns: u64,
 }
 
 impl OpTiming {
@@ -142,12 +146,19 @@ impl OpTiming {
         self.total_ns() as f64 / 1e6
     }
 
+    /// First-batch milliseconds (the `first_ms` EXPLAIN ANALYZE column).
+    pub fn first_ms(&self) -> f64 {
+        self.first_ns as f64 / 1e6
+    }
+
     /// Adds another operator instance's timing (worker folds, label
-    /// merges).
+    /// merges). Phase totals add up; the first batch is the slowest
+    /// instance's, since the consumer waits for all of them.
     pub fn absorb(&mut self, other: &OpTiming) {
         self.open_ns += other.open_ns;
         self.next_ns += other.next_ns;
         self.close_ns += other.close_ns;
+        self.first_ns = self.first_ns.max(other.first_ns);
     }
 }
 
@@ -357,6 +368,7 @@ mod tests {
                 open_ns: 1,
                 next_ns: 2,
                 close_ns: 3,
+                first_ns: 2,
             },
             ..OpStats::default()
         };
@@ -381,5 +393,7 @@ mod tests {
         assert_eq!(a.operators.len(), 1);
         assert_eq!(a.operators[0].rows_out, 10);
         assert_eq!(a.operators[0].timing.total_ns(), 12);
+        // ...except the first batch, which folds by max
+        assert_eq!(a.operators[0].timing.first_ns, 2);
     }
 }

@@ -34,6 +34,12 @@ use crate::{codec, Name, Oid, Tuple, Value, ValueError, F64};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
+/// Rows per batch. Batches are soft-bounded: operators that expand rows
+/// (unnest, inner joins) may exceed it rather than split mid-tuple-group.
+/// Base-extent scan chunks are cut at exactly these boundaries, by the
+/// catalog that caches them and the engine that streams them alike.
+pub const BATCH_SIZE: usize = 1024;
+
 /// Which layout the pipeline ships batches in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchKind {

@@ -170,6 +170,50 @@ fn explain_analyze_actuals_match_stats_exactly() {
     }
 }
 
+/// Every instrumented node reports its first-batch time, and it is part
+/// of the node's total: `first_ms ≤ actual_ms`, serial and with the
+/// exchange's worker fold, on a plan with scans, joins and nesting.
+#[test]
+fn explain_analyze_first_batch_time_is_part_of_the_total() {
+    let db = scaled_db(400);
+    for q in [multi_join_chain_query(), query5_nested()] {
+        let optimized = Optimizer::default()
+            .optimize(&q, db.catalog())
+            .expect("optimize");
+        for dop in [1usize, 4] {
+            let planner = Planner::with_stats(
+                &db,
+                config(true, dop, 0, BatchKind::Columnar),
+                CatalogStats::from_database(&db),
+            );
+            let plan = planner.plan(&optimized.expr).expect("plan");
+            let analyzed = plan.explain_analyze(&mut Stats::new()).expect("analyze");
+            let text = &analyzed.text;
+            // join-order notes precede the tree's one line per node
+            let lines: Vec<&str> = text.lines().collect();
+            let tree = &lines[lines.len() - analyzed.ops.len()..];
+            let mut scans = 0;
+            for (op, line) in analyzed.ops.iter().zip(tree) {
+                let Some(actual) = op.actual_ns else {
+                    assert!(!line.contains("first_ms="), "dop={dop}: {line}");
+                    continue;
+                };
+                let first = op
+                    .first_ns
+                    .expect("instrumented nodes time the first batch");
+                assert!(
+                    first <= actual,
+                    "dop={dop}: {} first {first} ns > total {actual} ns\n{text}",
+                    op.label
+                );
+                assert!(line.contains("first_ms="), "dop={dop}: {line}");
+                scans += usize::from(op.label.starts_with("Scan"));
+            }
+            assert!(scans > 0, "dop={dop}: no timed Scan line in\n{text}");
+        }
+    }
+}
+
 /// Operators report when their stream is exhausted, not in tree order,
 /// and a label may sit on several nodes. Here two `Map` nodes are in the
 /// plan and the inner one is exhausted first. Each node must still get its
