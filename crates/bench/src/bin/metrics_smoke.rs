@@ -6,7 +6,6 @@
 //! stdout so the CI step can grep the metric families it expects.
 //! Exits non-zero if any protocol step fails.
 
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use oodb_datagen::{generate, GenConfig};
@@ -24,7 +23,7 @@ fn main() {
     let db = Arc::new(generate(&GenConfig::scaled(300)));
     let handle =
         net::serve(db, ServerConfig::default(), "127.0.0.1:0").expect("bind metrics-smoke server");
-    let mut client = WireClient::new(TcpStream::connect(handle.addr()).expect("connect"));
+    let mut client = WireClient::connect(handle.addr()).expect("connect");
 
     for (tag, q) in (1u32..).zip(QUERIES) {
         let resp = client.query(tag, q).expect("QUERY round trip");

@@ -9,7 +9,6 @@
 //! end make the error-code and uniform-verb paths part of the smoke.
 //! Exits non-zero if any step fails.
 
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use oodb_datagen::{generate, GenConfig};
@@ -31,7 +30,7 @@ fn main() {
     let handle = net::serve(Arc::clone(&db), ServerConfig::default(), "127.0.0.1:0")
         .expect("bind wire-smoke server");
 
-    let mut client = WireClient::new(TcpStream::connect(handle.addr()).expect("connect"));
+    let mut client = WireClient::connect(handle.addr()).expect("connect");
 
     // Pipelined burst: four QUERYs and an ANALYZE, no reads in between.
     for (i, q) in QUERIES.iter().enumerate() {

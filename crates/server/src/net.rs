@@ -12,6 +12,11 @@
 //! CHUNK per pipeline batch — each encoded and flushed the moment the
 //! operator tree yields it, so the first chunk reaches the client while
 //! the pipeline is still running — then END with row/chunk totals.
+//! HEADER is not flushed on its own: it leaves in the same write as the
+//! first CHUNK (or as END or ERROR when there is none). Every flush is
+//! one `write_all` of whole frames, and accepted sockets set
+//! `TCP_NODELAY`, so no frame waits on Nagle's algorithm for the
+//! client's delayed ACK.
 //! `EXPLAIN`/`ANALYZE`/`STATS`/`METRICS`/`TRACE` answer with one TEXT
 //! frame; `QUIT` with BYE. Failures are ERROR frames carrying a stable
 //! [`ErrorCode`](crate::ErrorCode) + message; a malformed frame is
@@ -34,7 +39,7 @@
 //! format; `TRACE` the recent + slow query-phase span trees (indented
 //! lines).
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -207,12 +212,52 @@ fn render_traces(server: &QueryServer<'_>) -> String {
     out
 }
 
+/// A connection's outgoing side. Response frames are staged in one
+/// buffer and leave in a single `write_all` at each [`Outbox::flush`],
+/// so a frame — or a HEADER staged ahead of its first CHUNK — never
+/// straddles two writes.
+struct Outbox {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl Outbox {
+    /// Stages one frame without sending it.
+    fn stage(&mut self, tag: u32, kind: u8, body: &[u8]) {
+        wire::push_frame(&mut self.buf, tag, kind, |out| out.extend_from_slice(body));
+    }
+
+    /// Stages one frame and sends everything staged.
+    fn send(&mut self, tag: u32, kind: u8, body: &[u8]) -> std::io::Result<()> {
+        self.stage(tag, kind, body);
+        self.flush()
+    }
+
+    /// Sends an ERROR frame for `code` and `message`.
+    fn send_error(&mut self, tag: u32, code: u16, message: &str) -> std::io::Result<()> {
+        self.send(tag, kind::ERROR, &wire::encode_error(code, message))
+    }
+
+    /// Writes everything staged in one call.
+    fn flush(&mut self) -> std::io::Result<()> {
+        let sent = self.stream.write_all(&self.buf);
+        self.buf.clear();
+        sent
+    }
+}
+
 /// One connection: read tagged request frames in order, answer each
 /// with tag-echoing response frames. Pipelining falls out of processing
 /// requests sequentially while the client is free to send ahead.
 fn handle_connection(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Result<()> {
+    // Every flush is a complete answer or a chunk the client is waiting
+    // for; Nagle's algorithm would only hold it back.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut out = Outbox {
+        stream,
+        buf: Vec::new(),
+    };
     let session = server.session();
     let shared = server.shared();
     // This connection's execution counters, accumulated across its
@@ -228,10 +273,7 @@ fn handle_connection(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Re
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
                 // Framing is broken — after a bad length prefix nothing
                 // downstream can be trusted. Report and hang up.
-                let body = wire::encode_error(ErrorCode::Malformed.as_u16(), &e.to_string());
-                wire::write_frame(&mut writer, 0, kind::ERROR, &body)?;
-                writer.flush()?;
-                return Ok(());
+                return out.send_error(0, ErrorCode::Malformed.as_u16(), &e.to_string());
             }
             // EOF mid-frame (or a transport error): nothing to answer.
             Err(_) => return Ok(()),
@@ -241,19 +283,17 @@ fn handle_connection(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Re
         let text = match std::str::from_utf8(&frame.body) {
             Ok(t) => t.trim(),
             Err(e) => {
-                let body = wire::encode_error(
+                out.send_error(
+                    tag,
                     ErrorCode::Malformed.as_u16(),
                     &format!("request body is not utf-8: {e}"),
-                );
-                wire::write_frame(&mut writer, tag, kind::ERROR, &body)?;
-                writer.flush()?;
+                )?;
                 continue;
             }
         };
         match frame.kind {
             verb::QUIT => {
-                wire::write_frame(&mut writer, tag, kind::BYE, &[])?;
-                writer.flush()?;
+                out.send(tag, kind::BYE, &[])?;
                 return Ok(());
             }
             verb::QUERY => match session.open_stream(text) {
@@ -268,19 +308,20 @@ fn handle_connection(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Re
                     if cursor.result_hit() {
                         flag_bits |= wire::flags::RESULT_HIT;
                     }
-                    wire::write_frame(&mut writer, tag, kind::HEADER, &[flag_bits])?;
-                    // Flush per frame: the client must see the first
-                    // chunk while the pipeline is still producing.
-                    writer.flush()?;
-                    let mut body = Vec::new();
+                    // HEADER waits for the first CHUNK (or END/ERROR) so
+                    // both leave in one write.
+                    out.stage(tag, kind::HEADER, &[flag_bits]);
                     loop {
                         match cursor.next_chunk() {
                             Ok(Some(batch)) => {
-                                body.clear();
-                                wire::encode_chunk(&batch, &mut body);
-                                shared.metrics.streamed_bytes.add(body.len() as u64);
-                                wire::write_frame(&mut writer, tag, kind::CHUNK, &body)?;
-                                writer.flush()?;
+                                let len = wire::push_frame(&mut out.buf, tag, kind::CHUNK, |b| {
+                                    wire::encode_chunk(&batch, b)
+                                });
+                                shared.metrics.streamed_bytes.add(len as u64);
+                                // Flush per chunk: the client must see
+                                // the first one while the pipeline is
+                                // still producing.
+                                out.flush()?;
                             }
                             Ok(None) => {
                                 acc.merge(cursor.stats());
@@ -289,27 +330,20 @@ fn handle_connection(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Re
                                     cursor.rows_streamed(),
                                     cursor.chunks_streamed(),
                                 );
-                                wire::write_frame(&mut writer, tag, kind::END, &end)?;
-                                writer.flush()?;
+                                out.send(tag, kind::END, &end)?;
                                 break;
                             }
                             Err(e) => {
                                 // Mid-stream failure: the ERROR frame
                                 // terminates this tag's stream; the
                                 // connection stays usable.
-                                let body = wire::encode_error(e.code().as_u16(), &e.to_string());
-                                wire::write_frame(&mut writer, tag, kind::ERROR, &body)?;
-                                writer.flush()?;
+                                out.send_error(tag, e.code().as_u16(), &e.to_string())?;
                                 break;
                             }
                         }
                     }
                 }
-                Err(e) => {
-                    let body = wire::encode_error(e.code().as_u16(), &e.to_string());
-                    wire::write_frame(&mut writer, tag, kind::ERROR, &body)?;
-                    writer.flush()?;
-                }
+                Err(e) => out.send_error(tag, e.code().as_u16(), &e.to_string())?,
             },
             verb::EXPLAIN => match session.open_stream(text) {
                 Ok(mut cursor) => {
@@ -327,63 +361,31 @@ fn handle_connection(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Re
                         Ok(()) => {
                             acc.merge(cursor.stats());
                             acc.operators.clear();
-                            wire::write_frame(
-                                &mut writer,
-                                tag,
-                                kind::TEXT,
-                                cursor.explain().as_bytes(),
-                            )?;
+                            out.send(tag, kind::TEXT, cursor.explain().as_bytes())?;
                         }
-                        Err(e) => {
-                            let body = wire::encode_error(e.code().as_u16(), &e.to_string());
-                            wire::write_frame(&mut writer, tag, kind::ERROR, &body)?;
-                        }
+                        Err(e) => out.send_error(tag, e.code().as_u16(), &e.to_string())?,
                     }
-                    writer.flush()?;
                 }
-                Err(e) => {
-                    let body = wire::encode_error(e.code().as_u16(), &e.to_string());
-                    wire::write_frame(&mut writer, tag, kind::ERROR, &body)?;
-                    writer.flush()?;
-                }
+                Err(e) => out.send_error(tag, e.code().as_u16(), &e.to_string())?,
             },
-            verb::ANALYZE => {
-                match session.analyze(text) {
-                    Ok((analyzed, stats)) => {
-                        acc.merge(&stats);
-                        acc.operators.clear();
-                        wire::write_frame(&mut writer, tag, kind::TEXT, analyzed.text.as_bytes())?;
-                    }
-                    Err(e) => {
-                        let body = wire::encode_error(e.code().as_u16(), &e.to_string());
-                        wire::write_frame(&mut writer, tag, kind::ERROR, &body)?;
-                    }
+            verb::ANALYZE => match session.analyze(text) {
+                Ok((analyzed, stats)) => {
+                    acc.merge(&stats);
+                    acc.operators.clear();
+                    out.send(tag, kind::TEXT, analyzed.text.as_bytes())?;
                 }
-                writer.flush()?;
-            }
-            verb::STATS => {
-                let text = render_stats(server, &acc);
-                wire::write_frame(&mut writer, tag, kind::TEXT, text.as_bytes())?;
-                writer.flush()?;
-            }
+                Err(e) => out.send_error(tag, e.code().as_u16(), &e.to_string())?,
+            },
+            verb::STATS => out.send(tag, kind::TEXT, render_stats(server, &acc).as_bytes())?,
             verb::METRICS => {
-                let text = server.shared().render_metrics();
-                wire::write_frame(&mut writer, tag, kind::TEXT, text.as_bytes())?;
-                writer.flush()?;
+                out.send(tag, kind::TEXT, server.shared().render_metrics().as_bytes())?
             }
-            verb::TRACE => {
-                let text = render_traces(server);
-                wire::write_frame(&mut writer, tag, kind::TEXT, text.as_bytes())?;
-                writer.flush()?;
-            }
-            other => {
-                let body = wire::encode_error(
-                    ErrorCode::UnknownVerb.as_u16(),
-                    &format!("unknown request verb {other}"),
-                );
-                wire::write_frame(&mut writer, tag, kind::ERROR, &body)?;
-                writer.flush()?;
-            }
+            verb::TRACE => out.send(tag, kind::TEXT, render_traces(server).as_bytes())?,
+            other => out.send_error(
+                tag,
+                ErrorCode::UnknownVerb.as_u16(),
+                &format!("unknown request verb {other}"),
+            )?,
         }
     }
 }

@@ -20,7 +20,10 @@
 //! A `QUERY` answer is a *stream*: one `HEADER` frame (scalar/cache
 //! flags), zero or more `CHUNK` frames — each one pipeline batch,
 //! encoded the moment it is pulled from the operator tree — and an `END`
-//! frame carrying row/chunk totals. Chunk bodies reuse the engine's two
+//! frame carrying row/chunk totals. The server writes each frame whole
+//! and holds HEADER back until the first CHUNK (or END/ERROR) is ready,
+//! so both leave in one write; chunks are still flushed one by one as
+//! they are encoded. Chunk bodies reuse the engine's two
 //! canonical encodings (a layout byte selects): the self-delimiting
 //! [`Value`] codec for row batches and the column-block format shared
 //! with the spill subsystem for columnar batches. Errors are `ERROR`
@@ -28,6 +31,7 @@
 //! rendered message.
 
 use std::io::{self, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 
 use oodb_value::{codec, Batch, ColumnarBatch, Value, ValueError};
 
@@ -107,16 +111,34 @@ pub struct Frame {
     pub body: Vec<u8>,
 }
 
-/// Writes one frame. The caller flushes (the server flushes per frame on
-/// streamed responses so the first chunk reaches the client before the
-/// pipeline is exhausted).
-pub fn write_frame(w: &mut impl Write, tag: u32, kind: u8, body: &[u8]) -> io::Result<()> {
-    let len = 4 + 1 + body.len();
+/// Appends one frame to `out`, letting `body` encode the payload in
+/// place after the tag and kind; the length prefix is filled in once
+/// the body's size is known. Returns the body's length.
+pub(crate) fn push_frame(
+    out: &mut Vec<u8>,
+    tag: u32,
+    kind: u8,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.push(kind);
+    body(out);
+    let len = out.len() - start - 4;
     debug_assert!(len <= u32::MAX as usize);
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&tag.to_le_bytes())?;
-    w.write_all(&[kind])?;
-    w.write_all(body)
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    len - 5
+}
+
+/// Writes one frame with a single `write_all`: a frame split over
+/// several writes on a socket leaves its tail to Nagle's algorithm,
+/// which holds it until the peer's delayed ACK arrives. The caller
+/// flushes.
+pub fn write_frame(w: &mut impl Write, tag: u32, kind: u8, body: &[u8]) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(4 + 4 + 1 + body.len());
+    push_frame(&mut frame, tag, kind, |out| out.extend_from_slice(body));
+    w.write_all(&frame)
 }
 
 /// Reads one frame. `Ok(None)` is a clean end of stream (EOF exactly at
@@ -246,8 +268,20 @@ pub struct WireClient<S: Read + Write> {
     stream: S,
 }
 
+impl WireClient<TcpStream> {
+    /// Connects over TCP with `TCP_NODELAY` set, so a request — and
+    /// every request pipelined behind it — leaves the moment it is sent
+    /// instead of waiting for the ACK of the one before.
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(WireClient::new(stream))
+    }
+}
+
 impl<S: Read + Write> WireClient<S> {
-    /// Wraps an established connection.
+    /// Wraps an established connection (a TCP one through
+    /// [`WireClient::connect`], which also sets `TCP_NODELAY`).
     pub fn new(stream: S) -> Self {
         WireClient { stream }
     }
@@ -398,6 +432,63 @@ mod tests {
         let f2 = read_frame(&mut r, MAX_REQUEST_LEN).unwrap().unwrap();
         assert_eq!((f2.tag, f2.kind, f2.body.len()), (8, verb::QUIT, 0));
         assert!(read_frame(&mut r, MAX_REQUEST_LEN).unwrap().is_none());
+    }
+
+    /// Counts the `write` calls that reach it.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for body in [&b""[..], b"select!", &[7u8; 100_000]] {
+            let mut w = CountingWriter {
+                writes: 0,
+                bytes: Vec::new(),
+            };
+            write_frame(&mut w, 9, kind::CHUNK, body).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte body", body.len());
+            let frame = read_frame(&mut &w.bytes[..], MAX_RESPONSE_LEN)
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                (frame.tag, frame.kind, &frame.body[..]),
+                (9, kind::CHUNK, body)
+            );
+        }
+    }
+
+    #[test]
+    fn pushed_frames_read_back_in_order() {
+        let mut out = Vec::new();
+        push_frame(&mut out, 3, kind::HEADER, |b| b.push(flags::RESULT_HIT));
+        let len = push_frame(&mut out, 3, kind::CHUNK, |b| b.extend_from_slice(b"rows"));
+        assert_eq!(len, 4);
+        let mut r = &out[..];
+        let header = read_frame(&mut r, MAX_RESPONSE_LEN).unwrap().unwrap();
+        assert_eq!(
+            (header.kind, header.body),
+            (kind::HEADER, vec![flags::RESULT_HIT])
+        );
+        let chunk = read_frame(&mut r, MAX_RESPONSE_LEN).unwrap().unwrap();
+        assert_eq!(
+            (chunk.tag, chunk.kind, chunk.body),
+            (3, kind::CHUNK, b"rows".to_vec())
+        );
+        assert!(r.is_empty());
     }
 
     #[test]

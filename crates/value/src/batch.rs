@@ -633,13 +633,14 @@ impl ColumnarBatch {
                 col_tag::INTERNED => {
                     let n = read_u32(bytes, &mut pos)? as usize;
                     let mut dict = Vec::with_capacity(n);
+                    let mut decoder = codec::Decoder::default();
                     for _ in 0..n {
                         let vlen = read_u32(bytes, &mut pos)? as usize;
                         let end = pos + vlen;
                         let payload = bytes
                             .get(pos..end)
                             .ok_or_else(|| ValueError::Codec("truncated pooled value".into()))?;
-                        let (v, used) = codec::decode_prefix(payload)?;
+                        let (v, used) = decoder.prefix(payload)?;
                         if used != vlen {
                             return Err(ValueError::Codec("pooled value length mismatch".into()));
                         }

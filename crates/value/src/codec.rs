@@ -133,11 +133,9 @@ pub fn decode_rows(bytes: &[u8]) -> Result<Vec<Value>, ValueError> {
     // Cap the preallocation: a hostile count must not allocate ahead of
     // the bytes that back it.
     let mut rows = Vec::with_capacity(n.min(bytes.len() / 2 + 1));
+    let mut decoder = Decoder::default();
     for _ in 0..n {
-        let mut local = pos;
-        let v = decode_at(bytes, &mut local)?;
-        pos = local;
-        rows.push(v);
+        rows.push(decoder.value(bytes, &mut pos)?);
     }
     if pos != bytes.len() {
         return Err(codec_err(format!(
@@ -152,9 +150,7 @@ pub fn decode_rows(bytes: &[u8]) -> Result<Vec<Value>, ValueError> {
 /// Decodes one value from the front of `bytes`, returning it and the
 /// number of bytes consumed.
 pub fn decode_prefix(bytes: &[u8]) -> Result<(Value, usize), ValueError> {
-    let mut pos = 0usize;
-    let v = decode_at(bytes, &mut pos)?;
-    Ok((v, pos))
+    Decoder::default().prefix(bytes)
 }
 
 /// Decodes exactly one value spanning all of `bytes`.
@@ -202,50 +198,118 @@ pub(crate) fn push_len(out: &mut Vec<u8>, len: usize) {
     out.extend_from_slice(&(len as u32).to_le_bytes());
 }
 
-fn decode_at(bytes: &[u8], pos: &mut usize) -> Result<Value, ValueError> {
-    let t = take(bytes, pos, 1)?[0];
-    Ok(match t {
-        tag::NULL => Value::Null,
-        tag::FALSE => Value::Bool(false),
-        tag::TRUE => Value::Bool(true),
-        tag::INT => Value::Int(take_u64(bytes, pos)? as i64),
-        tag::FLOAT => {
-            // the encoder wrote the canonicalised bit pattern, so
-            // rebuilding through `F64::new` is the identity — but it
-            // keeps the canonicalisation invariant even for bytes that
-            // did not come from our encoder
-            Value::Float(F64::new(f64::from_bits(take_u64(bytes, pos)?)))
-        }
-        tag::STR => {
-            let n = take_u32(bytes, pos)?;
-            let s = std::str::from_utf8(take(bytes, pos, n)?)
-                .map_err(|e| codec_err(format!("invalid utf-8 in string: {e}")))?;
-            Value::Str(Name::from(s))
-        }
-        tag::DATE => Value::Date(take_u64(bytes, pos)? as i64),
-        tag::OID => Value::Oid(Oid(take_u64(bytes, pos)?)),
-        tag::TUPLE => {
-            let n = take_u32(bytes, pos)?;
-            let mut fields = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let nl = take_u32(bytes, pos)?;
-                let name = std::str::from_utf8(take(bytes, pos, nl)?)
-                    .map_err(|e| codec_err(format!("invalid utf-8 in field name: {e}")))?;
-                let field = decode_at(bytes, pos)?;
-                fields.push((Name::from(name), field));
+/// Most distinct field names one [`Decoder`] shares. Rows of one chunk
+/// repeat a handful of names; past the cap, names are allocated per
+/// field, so a hostile input cannot grow the list or make its linear
+/// lookup quadratic.
+const MAX_INTERNED_NAMES: usize = 64;
+
+/// Scratch state of one decode call: a row block, a column block's
+/// value dictionary, or one value.
+///
+/// * **Field names are interned**: every tuple of the block that carries
+///   a name shares one [`Name`] for it instead of allocating its own.
+/// * **Canonical input is stored as is**: the encoder writes tuple fields
+///   and set elements in canonical order, so a linear strictly-increasing
+///   check replaces the sort. Input that fails it (bytes not from this
+///   encoder) goes through [`Tuple::new`] / [`Set::from_values`], so the
+///   result — or the [`ValueError::DuplicateField`] — is the same for
+///   every input.
+/// * **One allocation per tuple or set**: children are decoded onto a
+///   scratch stack and moved from there straight into the shared storage.
+///   Nested values push above their parent's entries and drain them
+///   before the parent continues, so one stack per kind serves every
+///   depth.
+#[derive(Default)]
+pub(crate) struct Decoder {
+    names: Vec<Name>,
+    fields: Vec<(Name, Value)>,
+    elems: Vec<Value>,
+}
+
+impl Decoder {
+    /// Decodes one value from the front of `bytes`, returning it and the
+    /// number of bytes consumed.
+    pub(crate) fn prefix(&mut self, bytes: &[u8]) -> Result<(Value, usize), ValueError> {
+        let mut pos = 0usize;
+        let v = self.value(bytes, &mut pos)?;
+        Ok((v, pos))
+    }
+
+    fn value(&mut self, bytes: &[u8], pos: &mut usize) -> Result<Value, ValueError> {
+        let t = take(bytes, pos, 1)?[0];
+        Ok(match t {
+            tag::NULL => Value::Null,
+            tag::FALSE => Value::Bool(false),
+            tag::TRUE => Value::Bool(true),
+            tag::INT => Value::Int(take_u64(bytes, pos)? as i64),
+            tag::FLOAT => {
+                // the encoder wrote the canonicalised bit pattern, so
+                // rebuilding through `F64::new` is the identity — but it
+                // keeps the canonicalisation invariant even for bytes that
+                // did not come from our encoder
+                Value::Float(F64::new(f64::from_bits(take_u64(bytes, pos)?)))
             }
-            Value::Tuple(Tuple::new(fields)?)
-        }
-        tag::SET => {
-            let n = take_u32(bytes, pos)?;
-            let mut elems = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                elems.push(decode_at(bytes, pos)?);
+            tag::STR => {
+                let n = take_u32(bytes, pos)?;
+                let s = std::str::from_utf8(take(bytes, pos, n)?)
+                    .map_err(|e| codec_err(format!("invalid utf-8 in string: {e}")))?;
+                Value::Str(Name::from(s))
             }
-            Value::Set(Set::from_values(elems))
+            tag::DATE => Value::Date(take_u64(bytes, pos)? as i64),
+            tag::OID => Value::Oid(Oid(take_u64(bytes, pos)?)),
+            tag::TUPLE => {
+                let n = take_u32(bytes, pos)?;
+                let base = self.fields.len();
+                for _ in 0..n {
+                    let nl = take_u32(bytes, pos)?;
+                    let name = self.name(take(bytes, pos, nl)?)?;
+                    let field = self.value(bytes, pos)?;
+                    self.fields.push((name, field));
+                }
+                let canonical = self.fields[base..].windows(2).all(|w| w[0].0 < w[1].0);
+                let fields = self.fields.drain(base..);
+                Value::Tuple(if canonical {
+                    Tuple::from_sorted_unchecked(fields.collect())
+                } else {
+                    Tuple::new(fields.collect())?
+                })
+            }
+            tag::SET => {
+                let n = take_u32(bytes, pos)?;
+                let base = self.elems.len();
+                for _ in 0..n {
+                    let elem = self.value(bytes, pos)?;
+                    self.elems.push(elem);
+                }
+                let canonical = self.elems[base..].windows(2).all(|w| w[0] < w[1]);
+                let elems = self.elems.drain(base..);
+                Value::Set(if canonical {
+                    Set::from_sorted_unchecked(elems.collect())
+                } else {
+                    Set::from_values(elems.collect())
+                })
+            }
+            other => return Err(codec_err(format!("unknown value tag {other}"))),
+        })
+    }
+
+    /// The field name spelled by `raw`: the interned copy when one exists
+    /// (its bytes were validated when it was interned), else a fresh one,
+    /// interned while the list has room.
+    fn name(&mut self, raw: &[u8]) -> Result<Name, ValueError> {
+        if let Some(n) = self.names.iter().find(|n| n.as_bytes() == raw) {
+            return Ok(n.clone());
         }
-        other => return Err(codec_err(format!("unknown value tag {other}"))),
-    })
+        let name = Name::from(
+            std::str::from_utf8(raw)
+                .map_err(|e| codec_err(format!("invalid utf-8 in field name: {e}")))?,
+        );
+        if self.names.len() < MAX_INTERNED_NAMES {
+            self.names.push(name.clone());
+        }
+        Ok(name)
+    }
 }
 
 #[cfg(test)]
@@ -352,6 +416,127 @@ mod tests {
         ];
         assert_eq!(encode(&v), expected);
         roundtrip(&v);
+    }
+
+    /// Hand-built encodings, free to break the canonical order the
+    /// encoder guarantees.
+    fn int_bytes(i: i64) -> Vec<u8> {
+        let mut out = vec![tag::INT];
+        out.extend_from_slice(&i.to_le_bytes());
+        out
+    }
+
+    fn set_bytes(elems: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = vec![tag::SET];
+        push_len(&mut out, elems.len());
+        elems.iter().for_each(|e| out.extend_from_slice(e));
+        out
+    }
+
+    fn tuple_bytes(fields: &[(&str, Vec<u8>)]) -> Vec<u8> {
+        let mut out = vec![tag::TUPLE];
+        push_len(&mut out, fields.len());
+        for (name, field) in fields {
+            push_len(&mut out, name.len());
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(field);
+        }
+        out
+    }
+
+    fn ints(vs: &[i64]) -> Vec<Value> {
+        vs.iter().map(|&i| Value::Int(i)).collect()
+    }
+
+    fn int_fields(names: &[&str], vs: &[i64]) -> Vec<(Name, Value)> {
+        names.iter().map(|n| Name::from(*n)).zip(ints(vs)).collect()
+    }
+
+    #[test]
+    fn non_canonical_input_decodes_like_the_constructors() {
+        let unsorted = set_bytes(&[int_bytes(3), int_bytes(1), int_bytes(2)]);
+        assert_eq!(
+            decode(&unsorted).unwrap(),
+            Value::Set(Set::from_values(ints(&[3, 1, 2])))
+        );
+        let duplicated = set_bytes(&[int_bytes(1), int_bytes(1), int_bytes(2)]);
+        let set = Set::from_values(ints(&[1, 1, 2]));
+        assert_eq!(set.len(), 2);
+        assert_eq!(decode(&duplicated).unwrap(), Value::Set(set));
+
+        let swapped = tuple_bytes(&[("b", int_bytes(1)), ("a", int_bytes(2))]);
+        assert_eq!(
+            decode(&swapped).unwrap(),
+            Value::Tuple(Tuple::new(int_fields(&["b", "a"], &[1, 2])).unwrap())
+        );
+        let twice = tuple_bytes(&[("a", int_bytes(1)), ("a", int_bytes(2))]);
+        let expected = Tuple::new(int_fields(&["a", "a"], &[1, 2])).unwrap_err();
+        assert_eq!(expected, ValueError::DuplicateField(Name::from("a")));
+        assert_eq!(decode(&twice).unwrap_err(), expected);
+
+        // Non-canonical levels nested inside canonical ones, and the
+        // reverse: every level is checked on its own.
+        let inner = [
+            tuple_bytes(&[("y", int_bytes(1)), ("x", int_bytes(2))]),
+            tuple_bytes(&[("x", int_bytes(0))]),
+        ];
+        let nested = tuple_bytes(&[
+            ("a", set_bytes(&[int_bytes(9), int_bytes(4)])),
+            ("b", set_bytes(&inner)),
+        ]);
+        let expected = Value::tuple([
+            ("a", Value::set(ints(&[9, 4]))),
+            (
+                "b",
+                Value::set([
+                    Value::tuple([("y", Value::Int(1)), ("x", Value::Int(2))]),
+                    Value::tuple([("x", Value::Int(0))]),
+                ]),
+            ),
+        ]);
+        assert_eq!(decode(&nested).unwrap(), expected);
+        assert_eq!(encode(&decode(&nested).unwrap()), encode(&expected));
+    }
+
+    #[test]
+    fn field_names_are_shared_up_to_the_cap() {
+        let names: Vec<String> = (0..100).map(|i| format!("f{i:03}")).collect();
+        let fields: Vec<(&str, Vec<u8>)> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.as_str(), int_bytes(i as i64)))
+            .collect();
+        let row = tuple_bytes(&fields);
+        let mut block = Vec::new();
+        push_len(&mut block, 2);
+        block.extend_from_slice(&row);
+        block.extend_from_slice(&row);
+        let rows = decode_rows(&block).unwrap();
+        let expected = Tuple::new(
+            names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (Name::from(n.as_str()), Value::Int(i as i64)))
+                .collect(),
+        )
+        .unwrap();
+        assert_eq!(rows, vec![Value::Tuple(expected.clone()); 2]);
+        let (Value::Tuple(a), Value::Tuple(b)) = (&rows[0], &rows[1]) else {
+            panic!("rows are tuples");
+        };
+        let shared = a
+            .iter()
+            .zip(b.iter())
+            .map(|((x, _), (y, _))| std::sync::Arc::ptr_eq(x, y))
+            .collect::<Vec<_>>();
+        assert!(shared[..MAX_INTERNED_NAMES].iter().all(|&s| s));
+        assert!(shared[MAX_INTERNED_NAMES..].iter().all(|&s| !s));
+
+        // Past the cap a name is still validated: an invalid one errors.
+        let mut bad = row.clone();
+        let at = bad.len() - 9 - 4;
+        bad[at] = 0xFF;
+        assert!(matches!(decode(&bad), Err(ValueError::Codec(_))));
     }
 
     #[test]

@@ -38,6 +38,17 @@ impl Set {
         }
     }
 
+    /// Builds a set from elements already in canonical (strictly
+    /// increasing) order — the codec's path, which checks the order it
+    /// reads. Debug builds verify the invariant.
+    pub(crate) fn from_sorted_unchecked(elems: Arc<[Value]>) -> Self {
+        debug_assert!(
+            elems.windows(2).all(|w| w[0] < w[1]),
+            "elements must be sorted and unique"
+        );
+        Set { elems }
+    }
+
     /// A singleton set.
     pub fn singleton(v: Value) -> Self {
         Set {

@@ -45,17 +45,15 @@ impl Tuple {
     }
 
     /// Builds a tuple from fields already in canonical (sorted, unique)
-    /// order — the hot row-materialization path of the columnar batch,
-    /// whose schema is canonical by construction. Debug builds verify
-    /// the invariant.
-    pub(crate) fn from_sorted_unchecked(fields: Vec<(Name, Value)>) -> Self {
+    /// order — the hot row-materialization paths of the columnar batch,
+    /// whose schema is canonical by construction, and of the codec, which
+    /// checks the order it reads. Debug builds verify the invariant.
+    pub(crate) fn from_sorted_unchecked(fields: Arc<[(Name, Value)]>) -> Self {
         debug_assert!(
             fields.windows(2).all(|w| w[0].0 < w[1].0),
             "fields must be sorted and unique"
         );
-        Tuple {
-            fields: fields.into(),
-        }
+        Tuple { fields }
     }
 
     /// Builds a tuple from `(&str, Value)` pairs; panics on duplicates.

@@ -284,7 +284,7 @@ fn explain_analyze_gives_each_node_its_own_actuals() {
 
 /// Connects a wire client to the server behind `handle`.
 fn connect(handle: &net::ServeHandle) -> WireClient<TcpStream> {
-    WireClient::new(TcpStream::connect(handle.addr()).expect("connect"))
+    WireClient::connect(handle.addr()).expect("connect")
 }
 
 /// One text-answering verb (STATS / METRICS / TRACE), split into lines.

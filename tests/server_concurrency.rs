@@ -428,7 +428,7 @@ fn tcp_protocol_serves_concurrent_clients() {
         addr: std::net::SocketAddr,
         f: impl FnOnce(&mut WireClient<TcpStream>) -> T,
     ) -> T {
-        let mut client = WireClient::new(TcpStream::connect(addr).unwrap());
+        let mut client = WireClient::connect(addr).unwrap();
         let out = f(&mut client);
         client.send(9, verb::QUIT, &[]).unwrap();
         let bye = client.read_frame().unwrap().expect("BYE before hang-up");

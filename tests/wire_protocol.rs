@@ -8,6 +8,7 @@
 //! * the first result chunk leaves the server before the pipeline is
 //!   exhausted;
 //! * a result-cache hit replays the cached set in `BATCH_SIZE` chunks;
+//! * a cached round trip does not wait on Nagle's algorithm;
 //! * malformed / truncated frames and mid-stream client disconnects
 //!   never panic the server or leak an admission-pool slot (property
 //!   test over random interleavings).
@@ -80,7 +81,7 @@ fn reassemble(flags: u8, rows: Vec<Value>) -> Value {
 }
 
 fn binary_client(addr: std::net::SocketAddr) -> WireClient<TcpStream> {
-    WireClient::new(TcpStream::connect(addr).unwrap())
+    WireClient::connect(addr).unwrap()
 }
 
 /// Pipelining: four QUERYs and an ANALYZE sent back-to-back before any
@@ -299,6 +300,43 @@ fn result_cache_hits_replay_in_batch_sized_chunks() {
         assert_eq!(chunks, vec![vec![Value::Int(n as i64)]]);
         assert_eq!(end, (1, 1));
     }
+    drop(client);
+    handle.shutdown();
+}
+
+/// Transport latency pin: a result-cache hit over loopback is a round
+/// trip of a few hundred microseconds. A frame split over several writes,
+/// or a HEADER flushed ahead of its CHUNK, waits on Nagle's algorithm for
+/// the client's delayed ACK — about 40 ms, twice per round trip. The bound
+/// sits well below that floor and far above the expected time.
+#[test]
+fn cached_round_trips_do_not_wait_for_delayed_acks() {
+    let db = Arc::new(scaled_db(40));
+    let handle = net::serve(Arc::clone(&db), ServerConfig::default(), "127.0.0.1:0").unwrap();
+    let mut client = binary_client(handle.addr());
+    let text = QUERIES[5];
+    let (_, warm) = client.query(1, text).unwrap().unwrap();
+    assert!(!warm.is_empty(), "the pinned query must stream a chunk");
+    let mut times: Vec<Duration> = (0..30)
+        .map(|i| {
+            let start = Instant::now();
+            let (flags, rows) = client.query(2 + i, text).unwrap().unwrap();
+            let took = start.elapsed();
+            assert_ne!(
+                flags & wire::flags::RESULT_HIT,
+                0,
+                "round trip {i} is a hit"
+            );
+            assert_eq!(rows, warm);
+            took
+        })
+        .collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median cached round trip {median:?} (all: {times:?})"
+    );
     drop(client);
     handle.shutdown();
 }
