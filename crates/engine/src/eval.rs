@@ -164,6 +164,28 @@ impl Env {
     }
 }
 
+/// Whether `e` names a value instead of computing one: a literal, a
+/// variable, or an attribute path over a variable. Resolving such an
+/// expression reads no table and counts no work.
+fn names_value(e: &Expr) -> bool {
+    match e {
+        Expr::Lit(_) | Expr::Var(_) => true,
+        Expr::Field(inner, _) => names_value(inner),
+        _ => false,
+    }
+}
+
+/// Resolves an expression that [`names_value`] by reference into the
+/// plan or `env`, failing exactly as [`Evaluator::eval`] would.
+fn resolve<'v>(e: &'v Expr, env: &'v Env) -> Result<&'v Value, EvalError> {
+    match e {
+        Expr::Lit(v) => Ok(v),
+        Expr::Var(n) => env.get(n).ok_or_else(|| EvalError::UnboundVar(n.clone())),
+        Expr::Field(inner, attr) => Ok(resolve(inner, env)?.as_tuple()?.field(attr)?),
+        _ => unreachable!("resolve is only called where names_value holds"),
+    }
+}
+
 /// The nested-loop interpreter over a [`Database`].
 pub struct Evaluator<'a> {
     db: &'a Database,
@@ -194,6 +216,40 @@ impl<'a> Evaluator<'a> {
             stats.output_rows += s.len() as u64;
         }
         Ok(v)
+    }
+
+    /// Applies `f` to the two operands of a comparison, evaluated left
+    /// to right. An operand that [names a value](names_value) is
+    /// borrowed from the plan or `env` instead of cloned — a clone is an
+    /// atomic refcount bump on a shared literal or row, which parallel
+    /// workers probing the same plan would contend on. As in plain
+    /// evaluation, the left operand's error wins and a failing left
+    /// operand leaves the right one unevaluated.
+    fn with_operands(
+        &self,
+        a: &Expr,
+        b: &Expr,
+        env: &mut Env,
+        stats: &mut Stats,
+        f: impl FnOnce(&Value, &Value) -> Result<Value, EvalError>,
+    ) -> Result<Value, EvalError> {
+        match (names_value(a), names_value(b)) {
+            (true, true) => f(resolve(a, env)?, resolve(b, env)?),
+            (false, true) => {
+                let va = self.eval(a, env, stats)?;
+                f(&va, resolve(b, env)?)
+            }
+            (true, false) => {
+                resolve(a, env)?;
+                let vb = self.eval(b, env, stats)?;
+                f(resolve(a, env)?, &vb)
+            }
+            (false, false) => {
+                let va = self.eval(a, env, stats)?;
+                let vb = self.eval(b, env, stats)?;
+                f(&va, &vb)
+            }
+        }
     }
 
     /// Evaluates `e` under `env`.
@@ -258,14 +314,12 @@ impl<'a> Evaluator<'a> {
                         oid,
                     })
             }
-            Cmp(op, a, b) => {
-                let va = self.eval(a, env, stats)?;
-                let vb = self.eval(b, env, stats)?;
+            Cmp(op, a, b) => self.with_operands(a, b, env, stats, |va, vb| {
                 if matches!(va, Value::Null) || matches!(vb, Value::Null) {
                     return Err(EvalError::NullNotAllowed("comparison"));
                 }
-                Ok(Value::Bool(Value::compare(*op, &va, &vb)?))
-            }
+                Ok(Value::Bool(Value::compare(*op, va, vb)?))
+            }),
             Arith(op, a, b) => {
                 let va = self.eval(a, env, stats)?;
                 let vb = self.eval(b, env, stats)?;
@@ -307,9 +361,7 @@ impl<'a> Evaluator<'a> {
                 }))
             }
             SetCmp(op, a, b) => {
-                let va = self.eval(a, env, stats)?;
-                let vb = self.eval(b, env, stats)?;
-                Ok(Value::Bool(op.eval(&va, &vb)?))
+                self.with_operands(a, b, env, stats, |va, vb| Ok(Value::Bool(op.eval(va, vb)?)))
             }
             Flatten(inner) => {
                 let v = self.eval(inner, env, stats)?;
@@ -763,6 +815,8 @@ mod tests {
     use super::*;
     use oodb_adl::dsl::*;
     use oodb_catalog::fixtures::{figure3_db, supplier_part_db};
+    use oodb_value::ArithOp;
+    use std::sync::Arc;
 
     fn names_of(v: &Value) -> Vec<String> {
         v.as_set()
@@ -1105,6 +1159,86 @@ mod tests {
         let ev = Evaluator::new(&db);
         let q = let_("n", count(table("PART")), eq(var("n"), Expr::int(7)));
         assert_eq!(ev.eval_closed(&q).unwrap(), Value::TRUE);
+    }
+
+    #[test]
+    fn comparisons_report_the_left_operands_error() {
+        let db = supplier_part_db();
+        let ev = Evaluator::new(&db);
+        let mut env = Env::new();
+        // `p` is no tuple, so every path over it fails
+        env.push(&"p".into(), Value::Int(3));
+        // failing operands that name a value, and ones that compute one
+        let lefts = [var("u1"), arith(ArithOp::Add, var("u2"), int(1))];
+        let rights = [
+            var("p").field("price"),
+            arith(ArithOp::Add, var("p").field("pid"), int(1)),
+        ];
+        for a in &lefts {
+            let want = ev.eval(a, &mut env, &mut Stats::new()).unwrap_err();
+            for b in &rights {
+                for e in [lt(a.clone(), b.clone()), member(a.clone(), b.clone())] {
+                    let got = ev.eval(&e, &mut env, &mut Stats::new()).unwrap_err();
+                    assert_eq!(got, want, "{e}");
+                }
+            }
+        }
+        for b in &rights {
+            let want = ev.eval(b, &mut env, &mut Stats::new()).unwrap_err();
+            let got = ev.eval(&lt(int(1), b.clone()), &mut env, &mut Stats::new());
+            assert_eq!(got.unwrap_err(), want);
+        }
+        // a failing left operand leaves the right one unevaluated
+        let mut stats = Stats::new();
+        let e = lt(var("u1"), count(table("PART")));
+        assert!(ev.eval(&e, &mut env, &mut stats).is_err());
+        assert_eq!(stats.rows_scanned, 0);
+    }
+
+    #[test]
+    fn comparison_operands_are_borrowed_not_cloned() {
+        let db = supplier_part_db();
+        let ev = Evaluator::new(&db);
+        let first = |extent: &str| db.table(extent).unwrap().as_set().iter().next().cloned();
+        let (part, supplier) = (first("PART").unwrap(), first("SUPPLIER").unwrap());
+        let mut env = Env::new();
+        env.push(&"p".into(), part.clone());
+        env.push(&"s".into(), supplier);
+        let color = match part.as_tuple().unwrap().get("color") {
+            Some(Value::Str(n)) => n.clone(),
+            other => panic!("PART.color is a string, got {other:?}"),
+        };
+        let by_color = eq(var("p").field("color"), str_lit("red"));
+        let Expr::Cmp(_, _, red_lit) = &by_color else {
+            unreachable!("eq builds a comparison")
+        };
+        let Expr::Lit(Value::Str(red)) = &**red_lit else {
+            unreachable!("str_lit builds a string literal")
+        };
+        let counts = || (Arc::strong_count(&color), Arc::strong_count(red));
+        let before = counts();
+        // The operands resolve to references into the environment's row
+        // and the plan's literal: nothing is cloned while they are held.
+        let (price_path, color_path) = (var("p").field("price"), var("p").field("color"));
+        let price = resolve(&price_path, &env).unwrap();
+        assert!(std::ptr::eq(
+            price,
+            part.as_tuple().unwrap().get("price").unwrap()
+        ));
+        let held = (
+            resolve(&color_path, &env).unwrap(),
+            resolve(red_lit, &env).unwrap(),
+        );
+        assert!(matches!(held.0, Value::Str(n) if Arc::ptr_eq(n, &color)));
+        assert!(matches!(held.1, Value::Str(n) if Arc::ptr_eq(n, red)));
+        assert_eq!(counts(), before);
+        // … and evaluating a comparison leaves every count where it was
+        let by_price = lt(var("p").field("price"), int(510));
+        let by_part = member(var("p").field("pid"), var("s").field("parts"));
+        for e in [&by_price, &by_part, &by_color] {
+            ev.eval(e, &mut env, &mut Stats::new()).unwrap();
+            assert_eq!(counts(), before, "{e}");
+        }
     }
 
     #[test]

@@ -17,11 +17,14 @@
 //!   exchange gathers worker outputs in worker order — a blocking
 //!   boundary, like the breaker it feeds.
 //! * **Hash** ([`ParallelHashJoinOp`]): hash-partitioned parallel build
-//!   *and* probe for the hash join family. Build keys are evaluated in
-//!   parallel, rows are routed by [`hashjoin::key_hash`] to per-worker
-//!   partition tables built concurrently, and probe rows are split
-//!   across workers, each probe key consulting exactly its owning
-//!   partition — the same lookups a serial probe performs.
+//!   *and* probe for the hash join family. A join input that is a
+//!   round-robin exchange over a segment is not gathered: the join's own
+//!   build and probe workers each run their stride of the segment. Build
+//!   workers evaluate route keys and route rows by [`hashjoin::key_hash`]
+//!   into per-partition buckets, partition tables are built concurrently
+//!   from those buckets, and probe workers stream their stride's batches
+//!   into the shared tables, each probe key consulting exactly its
+//!   owning partition — the same lookups a serial probe performs.
 //!
 //! **Determinism.** Results are canonical-set identical to serial
 //! execution at every degree of parallelism (each row is scanned,
@@ -37,11 +40,10 @@ use super::operator::{
     Operator,
 };
 use super::{spill_exec, Partitioning, PhysPlan};
-use crate::eval::{Env, EvalError, Evaluator};
+use crate::eval::{EvalError, Evaluator};
 use crate::pool::WorkerPool;
 use crate::stats::Stats;
 use oodb_adl::expr::{Expr, JoinKind};
-use oodb_catalog::Database;
 #[cfg(test)]
 use oodb_spill::MemoryBudget;
 use oodb_spill::SpillMetrics;
@@ -67,8 +69,10 @@ pub(crate) fn compile_exchange(
                 1
             };
             Box::new(ExchangeOp {
-                plan: input.clone(),
-                ord,
+                segment: Segment {
+                    plan: input.clone(),
+                    ord,
+                },
                 dop: dop.max(1),
                 buf: None,
                 state: InstrState::Created,
@@ -102,9 +106,22 @@ pub(crate) fn segment_scan(plan: &PhysPlan) -> Option<&Name> {
     }
 }
 
+/// Whether a segment can never emit the same row twice: a scan of an
+/// extent (a set) under any number of filters. Maps, projections,
+/// unnests and assembly can collapse distinct rows into equal ones, so
+/// a build side made of them still goes through the canonical-set
+/// breaker.
+fn duplicate_free(plan: &PhysPlan) -> bool {
+    match plan {
+        PhysPlan::Scan(_) => true,
+        PhysPlan::Filter { input, .. } => duplicate_free(input),
+        _ => false,
+    }
+}
+
 /// Splits `rows` into `n` contiguous chunks (first chunks one longer
 /// when the split is uneven) — the deterministic work assignment for
-/// build-key evaluation and probe phases.
+/// inputs drained on the calling thread.
 fn split_chunks(mut rows: Vec<Value>, n: usize) -> Vec<Vec<Value>> {
     let total = rows.len();
     let mut out = Vec::with_capacity(n);
@@ -120,20 +137,20 @@ fn split_chunks(mut rows: Vec<Value>, n: usize) -> Vec<Vec<Value>> {
     out
 }
 
-/// Joins worker results in worker-id order: outputs are concatenated,
+/// Joins worker results in worker-id order: outputs are collected,
 /// statistics folded via [`Stats::absorb_worker`], and the first error
 /// (by worker id, for determinism) wins.
-fn gather<T>(
-    results: Vec<Result<(Vec<T>, Stats), EvalError>>,
+fn gather<A>(
+    results: Vec<Result<(A, Stats), EvalError>>,
     folded: &mut Stats,
-) -> Result<Vec<Vec<T>>, EvalError> {
+) -> Result<Vec<A>, EvalError> {
     let mut out = Vec::with_capacity(results.len());
     let mut first_err = None;
     for r in results {
         match r {
-            Ok((rows, stats)) => {
+            Ok((a, stats)) => {
                 folded.absorb_worker(&stats);
-                out.push(rows);
+                out.push(a);
             }
             Err(e) => {
                 if first_err.is_none() {
@@ -148,9 +165,9 @@ fn gather<T>(
     }
 }
 
-/// One exchange worker's closure: produces its output slice plus its
-/// private [`Stats`], or the first error it hit.
-type WorkerTask<'env, T> = Box<dyn FnOnce() -> Result<(Vec<T>, Stats), EvalError> + Send + 'env>;
+/// One exchange worker's closure: produces its output plus its private
+/// [`Stats`], or the first error it hit.
+type WorkerTask<'env, A> = Box<dyn FnOnce() -> Result<(A, Stats), EvalError> + Send + 'env>;
 
 /// Runs `tasks` on the [shared worker pool](crate::pool), mapping
 /// per-task panics to the same error the scoped-thread implementation
@@ -158,14 +175,120 @@ type WorkerTask<'env, T> = Box<dyn FnOnce() -> Result<(Vec<T>, Stats), EvalError
 /// (query, worker) key [`gather`]'s deterministic fold depends on —
 /// regardless of which pool threads (or the submitting thread itself)
 /// executed the morsels.
-fn pool_run<'env, T: Send + 'env>(
-    tasks: Vec<WorkerTask<'env, T>>,
-) -> Vec<Result<(Vec<T>, Stats), EvalError>> {
+fn pool_run<'env, A: Send + 'env>(
+    tasks: Vec<WorkerTask<'env, A>>,
+) -> Vec<Result<(A, Stats), EvalError>> {
     WorkerPool::global()
         .scope_run(tasks)
         .into_iter()
         .map(|r| r.unwrap_or(Err(EvalError::OperatorProtocol("parallel worker panicked"))))
         .collect()
+}
+
+/// A per-row segment and its pre-order ordinal in the whole tree — what
+/// a worker compiles its stride from.
+struct Segment {
+    plan: PhysPlan,
+    ord: usize,
+}
+
+/// One worker's share of an exchange or join input.
+enum Share<'p> {
+    /// Stride `part` of `parts` of a segment, run in the worker.
+    Stride {
+        seg: &'p Segment,
+        part: usize,
+        parts: usize,
+    },
+    /// A contiguous chunk of an input drained on the calling thread.
+    Rows(Vec<Value>),
+}
+
+impl<'p> Share<'p> {
+    /// The `dop` strides of `seg`, one per worker.
+    fn strides(seg: &'p Segment, dop: usize) -> Vec<Self> {
+        (0..dop)
+            .map(|part| Share::Stride {
+                seg,
+                part,
+                parts: dop,
+            })
+            .collect()
+    }
+
+    /// `rows` cut into `dop` contiguous chunks, one per worker.
+    fn chunks(rows: Vec<Value>, dop: usize) -> Vec<Self> {
+        split_chunks(rows, dop)
+            .into_iter()
+            .map(Share::Rows)
+            .collect()
+    }
+
+    /// Feeds every batch of this share to `f`. A stride compiles and
+    /// runs the segment's instrumented operators in the calling worker,
+    /// so their reports land in the worker's [`Stats`].
+    fn for_each_batch(
+        self,
+        ctx: &mut ExecCtx<'_, '_>,
+        mut f: impl FnMut(Batch, &mut ExecCtx<'_, '_>) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        match self {
+            Share::Stride { seg, part, parts } => {
+                let mut op = seg.plan.compile_stride(seg.ord, part, parts);
+                op.open(ctx)?;
+                let mut pull = || -> Result<(), EvalError> {
+                    while let Some(b) = op.next_batch(ctx)? {
+                        f(b, ctx)?;
+                    }
+                    Ok(())
+                };
+                let r = pull();
+                op.close(ctx);
+                r
+            }
+            Share::Rows(rows) => f(Batch::from_rows(rows), ctx),
+        }
+    }
+}
+
+/// Runs `work` once per share on the worker pool. Each worker gets its
+/// own [`ExecCtx`] — a clone of the caller's environment, private
+/// [`Stats`] and a `1/dop` share of the memory budget, so the workers
+/// together stay within it. Outputs come back in worker order; worker
+/// statistics are folded into `ctx` (see [`gather`]) even on error.
+fn run_workers<'p, A: Send>(
+    shares: Vec<Share<'p>>,
+    ctx: &mut ExecCtx<'_, '_>,
+    work: impl Fn(Share<'p>, &mut ExecCtx<'_, '_>) -> Result<A, EvalError> + Sync,
+) -> Result<Vec<A>, EvalError> {
+    let db = ctx.ev.db();
+    let opts = ExecOptions {
+        budget: ctx.opts.budget.share(shares.len()),
+        ..ctx.opts.clone()
+    };
+    let work = &work;
+    let tasks: Vec<WorkerTask<'_, A>> = shares
+        .into_iter()
+        .map(|share| {
+            let env = ctx.env.clone();
+            let opts = opts.clone();
+            Box::new(move || {
+                let mut stats = Stats::new();
+                let mut wctx = ExecCtx {
+                    ev: Evaluator::new(db),
+                    env,
+                    stats: &mut stats,
+                    opts,
+                };
+                let out = work(share, &mut wctx)?;
+                Ok((out, stats))
+            }) as WorkerTask<'_, A>
+        })
+        .collect();
+    let mut folded = Stats::new();
+    let gathered = gather(pool_run(tasks), &mut folded);
+    ctx.stats.merge(&folded);
+    gathered
 }
 
 // ---------------------------------------------------------------------
@@ -175,9 +298,7 @@ fn pool_run<'env, T: Send + 'env>(
 /// module docs. Blocking on its first pull, then emits the gathered
 /// rows in [`BATCH_SIZE`](super::operator::BATCH_SIZE) chunks.
 struct ExchangeOp {
-    plan: PhysPlan,
-    /// `plan`'s pre-order ordinal in the whole tree.
-    ord: usize,
+    segment: Segment,
     dop: usize,
     buf: Option<Buffered>,
     /// Round-robin exchanges skip the [`Instrument`] shim (their
@@ -192,42 +313,16 @@ struct ExchangeOp {
 
 impl ExchangeOp {
     fn run_workers(&self, ctx: &mut ExecCtx<'_, '_>) -> Result<Vec<Value>, EvalError> {
-        let db: &Database = ctx.ev.db();
-        let env = &ctx.env;
-        let plan = &self.plan;
-        let ord = self.ord;
-        let dop = self.dop;
-        // Each worker's pipeline state gets an equal share of the
-        // memory budget, so the whole exchange stays within it.
-        let opts = ExecOptions {
-            budget: ctx.opts.budget.share(dop),
-            ..ctx.opts.clone()
-        };
-        let tasks: Vec<WorkerTask<'_, Value>> = (0..dop)
-            .map(|w| {
-                let env = env.clone();
-                let opts = opts.clone();
-                Box::new(move || {
-                    let mut stats = Stats::new();
-                    let mut wctx = ExecCtx {
-                        ev: Evaluator::new(db),
-                        env,
-                        stats: &mut stats,
-                        opts,
-                    };
-                    let mut op = plan.compile_stride(ord, w, dop);
-                    op.open(&mut wctx)?;
-                    let rows = drain_rows(&mut op, &mut wctx);
-                    op.close(&mut wctx);
-                    rows.map(|r| (r, stats))
-                }) as WorkerTask<'_, Value>
-            })
-            .collect();
-        let results = pool_run(tasks);
-        let mut folded = Stats::new();
-        let gathered = gather(results, &mut folded);
-        ctx.stats.merge(&folded);
-        Ok(gathered?.into_iter().flatten().collect())
+        let shares = Share::strides(&self.segment, self.dop);
+        let outs = run_workers(shares, ctx, |share, wctx| {
+            let mut rows = Vec::new();
+            share.for_each_batch(wctx, |b, _| {
+                rows.extend(b.into_values());
+                Ok(())
+            })?;
+            Ok(rows)
+        })?;
+        Ok(outs.into_iter().flatten().collect())
     }
 }
 
@@ -298,25 +393,75 @@ enum OutputMode {
 /// keys) and the row.
 type Keyed = (Vec<Value>, Value);
 
+/// One side of a [`ParallelHashJoinOp`].
+struct JoinInput {
+    /// The compiled child, drained on the calling thread whenever the
+    /// side does not stride.
+    op: BoxOp,
+    /// The segment under a round-robin exchange child, whose strides
+    /// the join's own workers run instead of gathering them. On the
+    /// build side only a [`duplicate_free`] segment strides.
+    stride: Option<Segment>,
+}
+
+impl JoinInput {
+    /// Compiles child `plan` at pre-order ordinal `ord`. `set_input`
+    /// marks the build side, whose rows must form a set.
+    fn new(plan: &PhysPlan, ord: usize, set_input: bool) -> Self {
+        let stride = match plan {
+            PhysPlan::Exchange {
+                partitioning: Partitioning::RoundRobin,
+                input,
+                ..
+            } if segment_scan(input).is_some() && (!set_input || duplicate_free(input)) => {
+                Some(Segment {
+                    plan: (**input).clone(),
+                    ord: ord + 1,
+                })
+            }
+            _ => None,
+        };
+        JoinInput {
+            op: plan.compile_rows(ord, 0, 1),
+            stride,
+        }
+    }
+}
+
 /// Hash-partitioned parallel build + probe for the hash join family.
 ///
 /// Replaces the serial `HashJoinOp`/`MemberJoinOp` when the planner
-/// wraps a join in `Exchange { partitioning: Hash }`: both sides are
-/// drained (the build side through the usual canonical-set breaker),
-/// build keys are evaluated in parallel and rows routed by key hash to
-/// `dop` partition tables built concurrently, then probe rows are split
-/// across `dop` workers probing the shared partition tables.
+/// wraps a join in `Exchange { partitioning: Hash }`. `dop` build
+/// workers each take a share of the build side, evaluate its route keys
+/// and route every keyed row into one bucket per partition; partition
+/// *p*'s table is built from bucket *p* of every worker, in worker
+/// order, with the tables built concurrently. Then `dop` probe workers
+/// each stream a share of the probe side through the shared tables.
+///
+/// A share is a worker's stride of the side's segment when the side is
+/// a round-robin exchange over one (its batches reach the probe with
+/// their key columns in place), else a contiguous chunk of the side
+/// drained on the calling thread — the build side through the usual
+/// canonical-set breaker, which is also how a build segment that may
+/// emit duplicate rows keeps its set semantics. Under a bounded memory
+/// budget the build side always drains and stays one partition, so an
+/// oversized build can fall back to the grace hash join unchanged.
 struct ParallelHashJoinOp {
+    spec: JoinSpec,
+    dop: usize,
+    left: JoinInput,
+    right: JoinInput,
+    buf: Option<Buffered>,
+    spill: SpillMetrics,
+}
+
+/// What the join computes — everything its workers share.
+struct JoinSpec {
     family: JoinFamily,
     mode: OutputMode,
     lvar: Name,
     rvar: Name,
     residual: Option<Expr>,
-    dop: usize,
-    left: BoxOp,
-    right: BoxOp,
-    buf: Option<Buffered>,
-    spill: SpillMetrics,
 }
 
 impl ParallelHashJoinOp {
@@ -424,19 +569,158 @@ impl ParallelHashJoinOp {
         };
         let kids = plan.child_ordinals(ord);
         Some(ParallelHashJoinOp {
-            family,
-            mode,
-            lvar: lvar.clone(),
-            rvar: rvar.clone(),
-            residual: residual.clone(),
+            spec: JoinSpec {
+                family,
+                mode,
+                lvar: lvar.clone(),
+                rvar: rvar.clone(),
+                residual: residual.clone(),
+            },
             dop,
-            left: left.compile_rows(kids[0], 0, 1),
-            right: right.compile_rows(kids[1], 0, 1),
+            left: JoinInput::new(left, kids[0], false),
+            right: JoinInput::new(right, kids[1], true),
             buf: None,
             spill: SpillMetrics::default(),
         })
     }
 
+    /// Runs build and probe to completion, returning the joined rows.
+    fn execute(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Vec<Value>, EvalError> {
+        let (dop, spec) = (self.dop, &self.spec);
+        let bounded = ctx.opts.budget.is_bounded();
+
+        // Build: the workers key and route their shares. A strided
+        // share skips the breaker (a duplicate-free segment is already
+        // a set); anything else drains through it first.
+        let build_stride = self.right.stride.as_ref().filter(|_| !bounded);
+        let shares = match build_stride {
+            Some(seg) => Share::strides(seg, dop),
+            None => {
+                let set = drain_to_set(&mut self.right.op, &mut self.spill, ctx)?;
+                Share::chunks(set.into_values(), dop)
+            }
+        };
+        // Under a bounded budget the build stays one partition: the
+        // grace fallback needs every row once, with all its keys.
+        let parts = if bounded { 1 } else { dop };
+        let routed = run_workers(shares, ctx, |share, wctx| {
+            let mut buckets: Vec<Vec<Keyed>> = (0..parts).map(|_| Vec::new()).collect();
+            share.for_each_batch(wctx, |batch, c| {
+                for y in batch.into_values() {
+                    let keys = spec.build_keys(&y, c)?;
+                    spec.route(keys, y, &mut buckets);
+                }
+                Ok(())
+            })?;
+            Ok(buckets)
+        })?;
+        // Partition p takes bucket p of every worker, in worker order.
+        let mut partitions: Vec<Vec<Vec<Keyed>>> = (0..parts).map(|_| Vec::new()).collect();
+        for buckets in routed {
+            for (p, bucket) in buckets.into_iter().enumerate() {
+                partitions[p].push(bucket);
+            }
+        }
+
+        // An oversized build side falls back to the grace hash join,
+        // which partitions both sides through the SpillManager
+        // (partition-at-a-time, within the budget at any dop); the
+        // probe side is still undrained, so grace streams it straight
+        // into partition files.
+        if bounded {
+            let keyed: Vec<Keyed> = partitions.drain(..).flatten().flatten().collect();
+            let bytes: usize = keyed
+                .iter()
+                .map(|(ks, row)| spill_exec::entry_bytes(ks, row))
+                .sum();
+            if ctx.opts.budget.exceeded_by(bytes) {
+                let mode = spec.hash_mode();
+                let budget = ctx.opts.budget.clone();
+                return match &spec.family {
+                    JoinFamily::Equi { lkeys, .. } => spill_exec::grace_equi_join(
+                        &mode,
+                        &spec.lvar,
+                        &spec.rvar,
+                        lkeys,
+                        spec.residual.as_ref(),
+                        keyed,
+                        &mut self.left.op,
+                        &budget,
+                        &mut self.spill,
+                        ctx,
+                    ),
+                    JoinFamily::Member { shape } => spill_exec::grace_member_join(
+                        &mode,
+                        &spec.lvar,
+                        &spec.rvar,
+                        shape,
+                        spec.residual.as_ref(),
+                        keyed,
+                        &mut self.left.op,
+                        &budget,
+                        &mut self.spill,
+                        ctx,
+                    ),
+                };
+            }
+            partitions.push(vec![keyed]);
+        }
+
+        // The partition tables, built concurrently. Strided buckets hold
+        // each key's candidates in worker order; a residual can observe
+        // that order, so those tables restore the serial build's
+        // canonical order.
+        let member = matches!(spec.family, JoinFamily::Member { .. });
+        let canonical = build_stride.is_some() && spec.residual.is_some();
+        let build_tasks: Vec<WorkerTask<'_, Tables>> = partitions
+            .into_iter()
+            .map(|buckets| {
+                Box::new(move || {
+                    let mut stats = Stats::new();
+                    let entries = buckets.into_iter().flatten();
+                    let table = if member {
+                        let mut t = MemberHashTable::from_keyed(entries, &mut stats);
+                        if canonical {
+                            t.sort_candidates();
+                        }
+                        Tables::Member(t)
+                    } else {
+                        let mut t = JoinHashTable::from_keyed(entries, &mut stats);
+                        if canonical {
+                            t.sort_candidates();
+                        }
+                        Tables::Equi(t)
+                    };
+                    Ok((table, stats))
+                }) as WorkerTask<'_, Tables>
+            })
+            .collect();
+        let mut folded = Stats::new();
+        let tables = gather(pool_run(build_tasks), &mut folded);
+        ctx.stats.merge(&folded);
+        let (equi_tables, member_tables) = split_tables(tables?);
+
+        // Probe: each worker streams its share's batches through the
+        // shared tables. The probe side is a raw row stream (the serial
+        // probe does not deduplicate either).
+        let shares = match &self.left.stride {
+            Some(seg) => Share::strides(seg, dop),
+            None => Share::chunks(drain_rows(&mut self.left.op, ctx)?, dop),
+        };
+        let tables = (&equi_tables[..], &member_tables[..]);
+        let outs = run_workers(shares, ctx, |share, wctx| {
+            let mut out = Vec::new();
+            share.for_each_batch(wctx, |batch, c| {
+                out.extend(spec.probe(tables, &batch, c)?);
+                Ok(())
+            })?;
+            Ok(out)
+        })?;
+        Ok(outs.into_iter().flatten().collect())
+    }
+}
+
+impl JoinSpec {
     /// The serial [`HashMode`] equivalent of this operator's output mode
     /// (what the grace fallback executes partition-by-partition).
     fn hash_mode(&self) -> HashMode {
@@ -452,281 +736,139 @@ impl ParallelHashJoinOp {
         }
     }
 
-    /// Phase 1: evaluate every build row's route keys in parallel.
-    /// Equi joins route each row under its single composite key;
-    /// membership joins route under `rkey(y)` (`RightInLeftSet`) or
-    /// every element of `rset(y)` (`LeftInRightSet`).
-    fn eval_build_keys(
-        &self,
-        db: &Database,
-        env: &Env,
-        build: Vec<Value>,
-        folded: &mut Stats,
-    ) -> Result<Vec<Keyed>, EvalError> {
-        let chunks = split_chunks(build, self.dop);
-        let family = &self.family;
-        let rvar = &self.rvar;
-        let tasks: Vec<WorkerTask<'_, Keyed>> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let env = env.clone();
-                Box::new(move || {
-                    let ev = Evaluator::new(db);
-                    let mut env = env;
-                    let mut stats = Stats::new();
-                    let mut out = Vec::with_capacity(chunk.len());
-                    for y in chunk {
-                        let keys = match family {
-                            JoinFamily::Equi { rkeys, .. } => {
-                                hashjoin::eval_keys(rkeys, rvar, &y, &ev, &mut env, &mut stats)?
-                            }
-                            JoinFamily::Member { shape } => match shape {
-                                MemberShape::RightInLeftSet { rkey, .. } => {
-                                    vec![hashjoin::eval_under(
-                                        rkey, rvar, &y, &ev, &mut env, &mut stats,
-                                    )?]
-                                }
-                                MemberShape::LeftInRightSet { rset, .. } => {
-                                    let s = hashjoin::eval_under(
-                                        rset, rvar, &y, &ev, &mut env, &mut stats,
-                                    )?;
-                                    s.as_set()?.iter().cloned().collect()
-                                }
-                            },
-                        };
-                        out.push((keys, y));
-                    }
-                    Ok((out, stats))
-                }) as WorkerTask<'_, Keyed>
-            })
-            .collect();
-        let results = pool_run(tasks);
-        Ok(gather(results, folded)?.into_iter().flatten().collect())
+    /// A build row's route keys: equi joins route each row under its
+    /// single composite key; membership joins under `rkey(y)`
+    /// (`RightInLeftSet`) or every element of `rset(y)`
+    /// (`LeftInRightSet`).
+    fn build_keys(&self, y: &Value, ctx: &mut ExecCtx<'_, '_>) -> Result<Vec<Value>, EvalError> {
+        let (ev, env, stats, rvar) = (&ctx.ev, &mut ctx.env, &mut *ctx.stats, &self.rvar);
+        Ok(match &self.family {
+            JoinFamily::Equi { rkeys, .. } => hashjoin::eval_keys(rkeys, rvar, y, ev, env, stats)?,
+            JoinFamily::Member { shape } => match shape {
+                MemberShape::RightInLeftSet { rkey, .. } => {
+                    vec![hashjoin::eval_under(rkey, rvar, y, ev, env, stats)?]
+                }
+                MemberShape::LeftInRightSet { rset, .. } => {
+                    let s = hashjoin::eval_under(rset, rvar, y, ev, env, stats)?;
+                    s.as_set()?.iter().cloned().collect()
+                }
+            },
+        })
     }
 
-    /// Phase 2: route keyed rows to their partitions. For equi joins
-    /// the whole key vector hashes as a unit; for membership joins each
-    /// key routes separately, and a row reachable from several
-    /// partitions is replicated into each, indexed only under that
-    /// partition's keys (a keyless row — empty `rset` — indexes
-    /// nowhere, exactly as in the serial build).
-    fn partition_buckets(&self, keyed: Vec<Keyed>) -> Vec<Vec<Keyed>> {
-        let dop = self.dop as u64;
-        let mut buckets: Vec<Vec<Keyed>> = (0..self.dop).map(|_| Vec::new()).collect();
+    /// Routes one keyed build row into `buckets` (one per partition).
+    /// For equi joins the whole key vector hashes as a unit; for
+    /// membership joins each key routes separately, and a row reachable
+    /// from several partitions is replicated into each, indexed only
+    /// under that partition's keys (a keyless row — empty `rset` —
+    /// indexes nowhere, exactly as in the serial build). A single
+    /// bucket takes every row whole, with all its keys.
+    fn route(&self, keys: Vec<Value>, row: Value, buckets: &mut [Vec<Keyed>]) {
+        let parts = buckets.len() as u64;
+        if parts == 1 {
+            buckets[0].push((keys, row));
+            return;
+        }
         match &self.family {
             JoinFamily::Equi { .. } => {
-                for (key, row) in keyed {
-                    let p = (hashjoin::key_hash(&key) % dop) as usize;
-                    buckets[p].push((key, row));
-                }
+                let p = (hashjoin::key_hash(&keys) % parts) as usize;
+                buckets[p].push((keys, row));
             }
             JoinFamily::Member { .. } => {
-                for (keys, row) in keyed {
-                    let mut per_part: Vec<(usize, Vec<Value>)> = Vec::new();
-                    for k in keys {
-                        let p = (hashjoin::value_hash(&k) % dop) as usize;
-                        match per_part.iter_mut().find(|(q, _)| *q == p) {
-                            Some((_, ks)) => ks.push(k),
-                            None => per_part.push((p, vec![k])),
-                        }
+                let mut per_part: Vec<(usize, Vec<Value>)> = Vec::new();
+                for k in keys {
+                    let p = (hashjoin::value_hash(&k) % parts) as usize;
+                    match per_part.iter_mut().find(|(q, _)| *q == p) {
+                        Some((_, ks)) => ks.push(k),
+                        None => per_part.push((p, vec![k])),
                     }
-                    let replicas = per_part.len();
-                    let mut row = Some(row);
-                    for (i, (p, ks)) in per_part.into_iter().enumerate() {
-                        let r = if i + 1 == replicas {
-                            row.take().expect("moved into the last replica only")
-                        } else {
-                            row.as_ref().expect("not yet moved").clone()
-                        };
-                        buckets[p].push((ks, r));
-                    }
+                }
+                let replicas = per_part.len();
+                let mut row = Some(row);
+                for (i, (p, ks)) in per_part.into_iter().enumerate() {
+                    let r = if i + 1 == replicas {
+                        row.take().expect("moved into the last replica only")
+                    } else {
+                        row.as_ref().expect("not yet moved").clone()
+                    };
+                    buckets[p].push((ks, r));
                 }
             }
         }
-        buckets
     }
 
-    /// Runs build and probe to completion, returning the joined rows.
-    fn execute(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Vec<Value>, EvalError> {
-        // The build side drains up front through the usual canonical-set
-        // breaker.
-        let build = drain_to_set(&mut self.right, &mut self.spill, ctx)?.into_values();
-        let db: &Database = ctx.ev.db();
-        let env = ctx.env.clone();
-
-        // Phase 1: parallel build-key evaluation — bounded or not, the
-        // keys are needed either way (for routing, or for the grace
-        // partition files), so the budget never serializes this phase.
-        let keyed = {
-            let mut folded = Stats::new();
-            let r = self.eval_build_keys(db, &env, build, &mut folded);
-            ctx.stats.merge(&folded);
-            r?
-        };
-
-        // An oversized build side falls back to the grace hash join,
-        // which partitions both sides through the SpillManager
-        // (partition-at-a-time, within the budget at any dop); the
-        // probe side is still undrained, so grace streams it straight
-        // into partition files.
-        if ctx.opts.budget.is_bounded() {
-            let bytes: usize = keyed
-                .iter()
-                .map(|(ks, row)| spill_exec::entry_bytes(ks, row))
-                .sum();
-            if ctx.opts.budget.exceeded_by(bytes) {
-                let mode = self.hash_mode();
-                let budget = ctx.opts.budget.clone();
-                return match &self.family {
-                    JoinFamily::Equi { lkeys, .. } => spill_exec::grace_equi_join(
-                        &mode,
-                        &self.lvar,
-                        &self.rvar,
-                        lkeys,
-                        self.residual.as_ref(),
-                        keyed,
-                        &mut self.left,
-                        &budget,
-                        &mut self.spill,
-                        ctx,
-                    ),
-                    JoinFamily::Member { shape } => spill_exec::grace_member_join(
-                        &mode,
-                        &self.lvar,
-                        &self.rvar,
-                        shape,
-                        self.residual.as_ref(),
-                        keyed,
-                        &mut self.left,
-                        &budget,
-                        &mut self.spill,
-                        ctx,
-                    ),
-                };
+    /// Probes one batch of left rows against the partition tables.
+    fn probe(
+        &self,
+        tables: (&[JoinHashTable], &[MemberHashTable]),
+        batch: &Batch,
+        ctx: &mut ExecCtx<'_, '_>,
+    ) -> Result<Vec<Value>, EvalError> {
+        let (equi_tables, member_tables) = tables;
+        let (lvar, rvar, residual) = (&self.lvar, &self.rvar, self.residual.as_ref());
+        let (ev, env, stats) = (&ctx.ev, &mut ctx.env, &mut *ctx.stats);
+        match (&self.family, &self.mode) {
+            (JoinFamily::Equi { lkeys, .. }, OutputMode::Join { kind, right_attrs }) => {
+                JoinHashTable::probe_batch(
+                    equi_tables,
+                    *kind,
+                    lvar,
+                    rvar,
+                    lkeys,
+                    residual,
+                    right_attrs,
+                    batch.into(),
+                    ev,
+                    env,
+                    stats,
+                )
+            }
+            (JoinFamily::Equi { lkeys, .. }, OutputMode::Nest { rfunc, as_attr }) => {
+                JoinHashTable::probe_nest_batch(
+                    equi_tables,
+                    lvar,
+                    rvar,
+                    lkeys,
+                    residual,
+                    rfunc.as_ref(),
+                    as_attr,
+                    batch.into(),
+                    ev,
+                    env,
+                    stats,
+                )
+            }
+            (JoinFamily::Member { shape }, OutputMode::Join { kind, right_attrs }) => {
+                MemberHashTable::probe_batch(
+                    member_tables,
+                    *kind,
+                    lvar,
+                    rvar,
+                    shape,
+                    residual,
+                    right_attrs,
+                    batch.into(),
+                    ev,
+                    env,
+                    stats,
+                )
+            }
+            (JoinFamily::Member { shape }, OutputMode::Nest { rfunc, as_attr }) => {
+                MemberHashTable::probe_nest_batch(
+                    member_tables,
+                    lvar,
+                    rvar,
+                    shape,
+                    residual,
+                    rfunc.as_ref(),
+                    as_attr,
+                    batch.into(),
+                    ev,
+                    env,
+                    stats,
+                )
             }
         }
-
-        // The probe side drains as a raw row stream (the serial probe
-        // does not deduplicate either). Phase 2: routing.
-        let probe = drain_rows(&mut self.left, ctx)?;
-        let mut folded = Stats::new();
-        let buckets = self.partition_buckets(keyed);
-
-        // Phase 3: build the partition tables concurrently.
-        let build_tasks: Vec<WorkerTask<'_, Tables>> = buckets
-            .into_iter()
-            .map(|bucket| {
-                let member = matches!(self.family, JoinFamily::Member { .. });
-                Box::new(move || {
-                    let mut stats = Stats::new();
-                    let table = if member {
-                        Tables::Member(MemberHashTable::from_keyed(bucket, &mut stats))
-                    } else {
-                        Tables::Equi(JoinHashTable::from_keyed(bucket, &mut stats))
-                    };
-                    Ok((vec![table], stats))
-                }) as WorkerTask<'_, Tables>
-            })
-            .collect();
-        let build_results = pool_run(build_tasks);
-        let tables: Vec<Tables> = match gather(build_results, &mut folded) {
-            Ok(ts) => ts.into_iter().flatten().collect(),
-            Err(e) => {
-                ctx.stats.merge(&folded);
-                return Err(e);
-            }
-        };
-        let (equi_tables, member_tables) = split_tables(tables);
-
-        // Phase 4: parallel probe over the shared partition tables.
-        let chunks = split_chunks(probe, self.dop);
-        let (family, mode, lvar, rvar, residual) = (
-            &self.family,
-            &self.mode,
-            &self.lvar,
-            &self.rvar,
-            &self.residual,
-        );
-        let (equi_tables, member_tables) = (&equi_tables, &member_tables);
-        let probe_tasks: Vec<WorkerTask<'_, Value>> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let env = env.clone();
-                Box::new(move || {
-                    let ev = Evaluator::new(db);
-                    let mut env = env;
-                    let mut stats = Stats::new();
-                    let out = match (family, mode) {
-                        (
-                            JoinFamily::Equi { lkeys, .. },
-                            OutputMode::Join { kind, right_attrs },
-                        ) => JoinHashTable::probe_batch(
-                            equi_tables,
-                            *kind,
-                            lvar,
-                            rvar,
-                            lkeys,
-                            residual.as_ref(),
-                            right_attrs,
-                            (&chunk).into(),
-                            &ev,
-                            &mut env,
-                            &mut stats,
-                        )?,
-                        (JoinFamily::Equi { lkeys, .. }, OutputMode::Nest { rfunc, as_attr }) => {
-                            JoinHashTable::probe_nest_batch(
-                                equi_tables,
-                                lvar,
-                                rvar,
-                                lkeys,
-                                residual.as_ref(),
-                                rfunc.as_ref(),
-                                as_attr,
-                                (&chunk).into(),
-                                &ev,
-                                &mut env,
-                                &mut stats,
-                            )?
-                        }
-                        (JoinFamily::Member { shape }, OutputMode::Join { kind, right_attrs }) => {
-                            MemberHashTable::probe_batch(
-                                member_tables,
-                                *kind,
-                                lvar,
-                                rvar,
-                                shape,
-                                residual.as_ref(),
-                                right_attrs,
-                                (&chunk).into(),
-                                &ev,
-                                &mut env,
-                                &mut stats,
-                            )?
-                        }
-                        (JoinFamily::Member { shape }, OutputMode::Nest { rfunc, as_attr }) => {
-                            MemberHashTable::probe_nest_batch(
-                                member_tables,
-                                lvar,
-                                rvar,
-                                shape,
-                                residual.as_ref(),
-                                rfunc.as_ref(),
-                                as_attr,
-                                (&chunk).into(),
-                                &ev,
-                                &mut env,
-                                &mut stats,
-                            )?
-                        }
-                    };
-                    Ok((out, stats))
-                }) as WorkerTask<'_, Value>
-            })
-            .collect();
-        let probe_results = pool_run(probe_tasks);
-        let gathered = gather(probe_results, &mut folded);
-        ctx.stats.merge(&folded);
-        Ok(gathered?.into_iter().flatten().collect())
     }
 }
 
@@ -754,8 +896,8 @@ fn split_tables(tables: Vec<Tables>) -> (Vec<JoinHashTable>, Vec<MemberHashTable
 impl Operator for ParallelHashJoinOp {
     fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
         self.buf = None;
-        self.left.open(ctx)?;
-        self.right.open(ctx)
+        self.left.op.open(ctx)?;
+        self.right.op.open(ctx)
     }
 
     fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
@@ -772,8 +914,8 @@ impl Operator for ParallelHashJoinOp {
 
     fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
         self.buf = None;
-        self.left.close(ctx);
-        self.right.close(ctx);
+        self.left.op.close(ctx);
+        self.right.op.close(ctx);
     }
 
     fn spill_metrics(&self) -> SpillMetrics {
@@ -784,13 +926,14 @@ impl Operator for ParallelHashJoinOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::Env;
     use crate::physical::operator::BATCH_SIZE;
-    use crate::plan::{Planner, PlannerConfig};
+    use crate::plan::{JoinAlgo, Planner, PlannerConfig};
     use oodb_adl::dsl::*;
     use oodb_adl::expr::JoinKind;
     use oodb_catalog::fixtures::{supplier_part_catalog, supplier_part_db};
     use oodb_catalog::Database;
-    use oodb_value::{Oid, Tuple};
+    use oodb_value::{Oid, Set, Tuple};
 
     /// A PART extent big enough to span many batches.
     fn big_part_db(n: usize) -> Database {
@@ -925,41 +1068,134 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_hash_join_matches_serial_for_every_kind() {
-        let db = supplier_part_db();
-        for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
-            let e = Expr::Join {
-                kind,
-                lvar: "s".into(),
-                rvar: "d".into(),
-                pred: Box::new(eq(var("s").field("eid"), var("d").field("supplier"))),
-                left: Box::new(project(&["eid", "sname"], table("SUPPLIER"))),
-                right: Box::new(project(&["did", "supplier"], table("DELIVERY"))),
+    /// A database whose extents all span several batches: `n` parts
+    /// (as [`big_part_db`]), `n` suppliers holding up to three part oids
+    /// each (some dangling, some none) and `n` deliveries, several per
+    /// supplier and some naming no supplier.
+    fn big_join_db(n: usize) -> Database {
+        let mut db = big_part_db(n);
+        let pid = |i: usize| Value::Oid(Oid(1_000_000 + (i % n) as u64));
+        for i in 0..n {
+            let parts = match i % 10 {
+                0 => vec![],
+                1 => vec![pid(i), Value::Oid(Oid(9_999_999))],
+                _ => vec![pid(i), pid(i * 7 + 3), pid(i / 2)],
             };
-            let serial_plan = Planner::with_config(&db, config(1)).plan(&e).unwrap();
-            let mut serial = Stats::new();
-            let want = serial_plan.execute_streaming(&mut serial).unwrap();
-            let plan = Planner::with_config(&db, config(4)).plan(&e).unwrap();
+            db.insert(
+                "SUPPLIER",
+                Tuple::from_pairs([
+                    ("eid", Value::Oid(Oid(2_000_000 + i as u64))),
+                    ("sname", Value::str(&format!("supplier-{i}"))),
+                    ("parts", Value::Set(Set::from_values(parts))),
+                ]),
+            )
+            .unwrap();
+            let supply =
+                Tuple::from_pairs([("part", pid(i)), ("quantity", Value::Int((i % 50) as i64))]);
+            db.insert(
+                "DELIVERY",
+                Tuple::from_pairs([
+                    ("did", Value::Oid(Oid(3_000_000 + i as u64))),
+                    (
+                        "supplier",
+                        Value::Oid(Oid(2_000_000 + (i * 3 % (n + n / 4)) as u64)),
+                    ),
+                    ("supply", Value::Set(Set::singleton(Value::Tuple(supply)))),
+                    ("date", Value::Date(940_101 + (i % 28) as i64)),
+                ]),
+            )
+            .unwrap();
+        }
+        db
+    }
+
+    /// [`config`] with the hash join family pinned: rule-based planning
+    /// never trades it for sort-merge, even under a tight budget.
+    fn hash_config(dop: usize) -> PlannerConfig {
+        PlannerConfig {
+            cost_based: false,
+            join_algo: JoinAlgo::Hash,
+            ..config(dop)
+        }
+    }
+
+    /// Runs `e` serially and at every dop in `dops` (each through a hash
+    /// exchange), asserting the parallel runs return the serial answer
+    /// with the serial work counters and per-operator row profile.
+    fn assert_parallel_matches_serial(db: &Database, e: &Expr, dops: &[usize]) {
+        let mut serial = Stats::new();
+        let want = Planner::with_config(db, hash_config(1))
+            .plan(e)
+            .unwrap()
+            .execute_streaming(&mut serial)
+            .unwrap();
+        for &dop in dops {
+            let plan = Planner::with_config(db, hash_config(dop)).plan(e).unwrap();
+            let explain = plan.explain();
+            assert!(
+                explain.contains("Exchange hash"),
+                "dop {dop}: no parallel join for {e}:\n{explain}"
+            );
             let mut stats = Stats::new();
             let got = plan.execute_streaming(&mut stats).unwrap();
-            assert_eq!(got, want, "kind {kind:?}");
+            assert_eq!(got, want, "dop {dop}: {e}");
+            assert_eq!(stats.rows_scanned, serial.rows_scanned, "dop {dop}: {e}");
+            assert_eq!(
+                stats.predicate_evals, serial.predicate_evals,
+                "dop {dop}: {e}"
+            );
             assert_eq!(
                 stats.hash_build_rows, serial.hash_build_rows,
-                "kind {kind:?}"
+                "dop {dop}: {e}"
             );
-            assert_eq!(stats.hash_probes, serial.hash_probes, "kind {kind:?}");
+            assert_eq!(stats.hash_probes, serial.hash_probes, "dop {dop}: {e}");
             assert_eq!(
                 stats.operator_rows_by_label(),
                 serial.operator_rows_by_label(),
-                "kind {kind:?}"
+                "dop {dop}: {e}"
             );
         }
     }
 
     #[test]
+    fn parallel_hash_join_matches_serial_for_every_kind() {
+        let fixture = supplier_part_db();
+        let big = big_join_db(3 * BATCH_SIZE + 17);
+        for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
+            let join = |pred: Expr, right: Expr| Expr::Join {
+                kind,
+                lvar: "s".into(),
+                rvar: "d".into(),
+                pred: Box::new(pred),
+                left: Box::new(project(&["eid", "sname"], table("SUPPLIER"))),
+                right: Box::new(right),
+            };
+            let keys = eq(var("s").field("eid"), var("d").field("supplier"));
+            // a projected build side drains through the set breaker; a
+            // bare extent is strided by the build workers
+            let projected = join(
+                keys.clone(),
+                project(&["did", "supplier"], table("DELIVERY")),
+            );
+            let extent = join(keys.clone(), table("DELIVERY"));
+            // a residual over several candidates per key observes their
+            // order: semi/anti probes stop at the first match. DELIVERY's
+            // canonical order is by date, and this threshold falls inside
+            // batch 2, which worker 0 of 2 owns — its rows reach the
+            // build ahead of batch 1's.
+            let residual = join(
+                and(keys, lt(var("d").field("date"), lit(Value::Date(940_119)))),
+                table("DELIVERY"),
+            );
+            assert_parallel_matches_serial(&fixture, &projected, &[4]);
+            for e in [projected, extent, residual] {
+                assert_parallel_matches_serial(&big, &e, &[2, 3, 4, 7]);
+            }
+        }
+    }
+
+    #[test]
     fn parallel_member_join_and_nestjoins_match_serial() {
-        let db = supplier_part_db();
         let queries = vec![
             // membership semijoin (Query 5 shape)
             semijoin(
@@ -979,6 +1215,14 @@ mod tests {
                 member(var("p").field("pid"), var("s").field("parts")),
                 table("SUPPLIER"),
                 table("PART"),
+            ),
+            // membership inner join
+            join(
+                "s",
+                "p",
+                member(var("p").field("pid"), var("s").field("parts")),
+                project(&["eid", "parts"], table("SUPPLIER")),
+                project(&["pid", "price"], table("PART")),
             ),
             // LeftInRightSet membership
             semijoin(
@@ -1008,21 +1252,46 @@ mod tests {
                 table("DELIVERY"),
             ),
         ];
-        for e in queries {
+        let fixture = supplier_part_db();
+        let big = big_join_db(3 * BATCH_SIZE + 17);
+        for e in &queries {
+            assert_parallel_matches_serial(&fixture, e, &[2, 4, 7]);
+            assert_parallel_matches_serial(&big, e, &[2, 3, 4, 7]);
+        }
+    }
+
+    #[test]
+    fn duplicate_bearing_build_segments_keep_set_semantics() {
+        // α[p : ⟨color = p.color⟩](PART) emits one row per part but only
+        // two distinct rows: the build must see the set, as serially.
+        let db = big_part_db(3 * BATCH_SIZE + 17);
+        let left = map(
+            "p",
+            tuple(vec![
+                ("pid", var("p").field("pid")),
+                ("pcolor", var("p").field("color")),
+            ]),
+            table("PART"),
+        );
+        let colors = map(
+            "p",
+            tuple(vec![("color", var("p").field("color"))]),
+            table("PART"),
+        );
+        let keys = eq(var("x").field("pcolor"), var("c").field("color"));
+        let queries = [
+            join("x", "c", keys.clone(), left.clone(), colors.clone()),
+            nestjoin("x", "c", keys, "cs", left, colors),
+        ];
+        for e in &queries {
             let mut serial = Stats::new();
-            let want = Planner::with_config(&db, config(1))
-                .plan(&e)
+            Planner::with_config(&db, hash_config(1))
+                .plan(e)
                 .unwrap()
                 .execute_streaming(&mut serial)
                 .unwrap();
-            for dop in [2usize, 4, 7] {
-                let plan = Planner::with_config(&db, config(dop)).plan(&e).unwrap();
-                let mut stats = Stats::new();
-                let got = plan.execute_streaming(&mut stats).unwrap();
-                assert_eq!(got, want, "dop {dop}: {e}");
-                assert_eq!(stats.hash_build_rows, serial.hash_build_rows, "{e}");
-                assert_eq!(stats.hash_probes, serial.hash_probes, "{e}");
-            }
+            assert_eq!(serial.hash_build_rows, 2, "{e}");
+            assert_parallel_matches_serial(&db, e, &[4]);
         }
     }
 

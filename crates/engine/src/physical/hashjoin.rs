@@ -155,13 +155,26 @@ impl<V: std::borrow::Borrow<Value>> JoinHashTable<V> {
     /// parallel exchange evaluates every build key once to route rows to
     /// partitions; the per-partition build must not re-evaluate (and
     /// re-count) them, so only the insertions are charged here.
-    pub fn from_keyed(pairs: Vec<(Vec<Value>, V)>, stats: &mut Stats) -> Self {
+    pub fn from_keyed(pairs: impl IntoIterator<Item = (Vec<Value>, V)>, stats: &mut Stats) -> Self {
         let mut map: FxHashMap<Vec<Value>, Vec<V>> = FxHashMap::default();
         for (key, y) in pairs {
             stats.hash_build_rows += 1;
             map.entry(key).or_default().push(y);
         }
         JoinHashTable { map }
+    }
+
+    /// Puts every key's candidates in canonical row order — the order a
+    /// build over a canonical set inserts them in. A parallel build fed
+    /// by strided workers inserts them in worker order instead, and a
+    /// residual observes candidate order (semi/anti probes stop at the
+    /// first match, and the first failing candidate names the error).
+    pub fn sort_candidates(&mut self) {
+        for ys in self.map.values_mut() {
+            if ys.len() > 1 {
+                ys.sort_by(|a, b| a.borrow().cmp(b.borrow()));
+            }
+        }
     }
 
     /// The partition of `tables` that owns `key` — identity for the
@@ -532,8 +545,12 @@ impl<V: std::borrow::Borrow<Value>> MemberHashTable<V> {
     /// only under its partition's elements). See
     /// [`JoinHashTable::from_keyed`] for why insertion is charged here
     /// and key evaluation is not.
-    pub fn from_keyed(entries: Vec<(Vec<Value>, V)>, stats: &mut Stats) -> Self {
-        let mut rows = Vec::with_capacity(entries.len());
+    pub fn from_keyed(
+        entries: impl IntoIterator<Item = (Vec<Value>, V)>,
+        stats: &mut Stats,
+    ) -> Self {
+        let entries = entries.into_iter();
+        let mut rows = Vec::with_capacity(entries.size_hint().0);
         let mut index: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
         for (keys, y) in entries {
             let yi = rows.len();
@@ -544,6 +561,17 @@ impl<V: std::borrow::Borrow<Value>> MemberHashTable<V> {
             rows.push(y);
         }
         MemberHashTable { rows, index }
+    }
+
+    /// [`JoinHashTable::sort_candidates`] for membership keys: every
+    /// key's row indices in canonical order of the rows they name.
+    pub fn sort_candidates(&mut self) {
+        let rows = &self.rows;
+        for ix in self.index.values_mut() {
+            if ix.len() > 1 {
+                ix.sort_by(|&a, &b| rows[a].borrow().cmp(rows[b].borrow()));
+            }
+        }
     }
 
     /// The partition of `tables` that owns probe key `p`, with its
