@@ -8,7 +8,7 @@
 //! explicit **join graph** from the rewritten ADL, then search orders
 //! over it.
 //!
-//! * **Extraction** ([`JoinGraph::extract`]): a chain of `Inner`
+//! * **Extraction** (`JoinGraph::extract`): a chain of `Inner`
 //!   [`Expr::Join`] nodes is flattened into *leaves* (the non-join
 //!   operands, left opaque — nest/assembly/PNHL subtrees stay exactly
 //!   the composite vertices the §6.2 materialization detection built)
@@ -17,7 +17,7 @@
 //!   a bare tuple reference, an attribute owned by no unique leaf, a
 //!   non-inner join — aborts the whole attempt and the rewrite order is
 //!   kept.
-//! * **Enumeration** ([`enumerate`]): DPsize over connected subsets
+//! * **Enumeration** (`enumerate`): DPsize over connected subsets
 //!   (cross products are never considered), pricing every candidate
 //!   through the existing [`CostModel`] — including its spill and
 //!   exchange terms — with **interesting orders**: a sort-merge join's

@@ -10,44 +10,41 @@
 //!
 //! Two partitioning strategies (see [`Partitioning`]):
 //!
-//! * **Round-robin** ([`ExchangeOp`]): each worker executes a clone of
-//!   the same per-row segment (filters, maps, projections, unnests,
-//!   assembly over one base scan), with the scan strided so each
-//!   [`BATCH_SIZE`](super::operator::BATCH_SIZE)-aligned morsel belongs to exactly one worker. The
-//!   exchange gathers worker outputs in worker order — a blocking
-//!   boundary, like the breaker it feeds.
-//! * **Hash** ([`ParallelHashJoinOp`]): hash-partitioned parallel build
-//!   *and* probe for the hash join family. A join input that is a
-//!   round-robin exchange over a segment is not gathered: the join's own
-//!   build and probe workers each run their stride of the segment. Build
-//!   workers evaluate route keys and route rows by [`hashjoin::key_hash`]
-//!   into per-partition buckets, partition tables are built concurrently
-//!   from those buckets, and probe workers stream their stride's batches
-//!   into the shared tables, each probe key consulting exactly its
-//!   owning partition — the same lookups a serial probe performs.
+//! * **Round-robin** (`ExchangeOp`): each worker executes a clone of the
+//!   same per-row segment (filters, maps, projections, unnests, assembly
+//!   over one base scan), with the scan strided so each
+//!   [`BATCH_SIZE`](super::operator::BATCH_SIZE)-aligned morsel belongs
+//!   to exactly one worker. The exchange gathers worker outputs in
+//!   worker order — a blocking boundary, like the breaker it feeds.
+//! * **Hash**: the hash join family's one operator
+//!   ([`super::hashjoin`]) at the exchange's degree of parallelism — the
+//!   same operator a plain join node runs at dop 1. Its build and probe
+//!   workers run on the harness below, each taking its stride of a
+//!   round-robin input segment instead of gathering it, with build rows
+//!   routed by [`hashjoin::key_hash`](super::hashjoin::key_hash) into
+//!   per-partition tables.
+//!
+//! The worker harness (`run_workers` over per-worker `Share`s of an
+//! input) is shared by both: each worker gets its own execution context
+//! and a `1/dop` share of the memory budget.
 //!
 //! **Determinism.** Results are canonical-set identical to serial
 //! execution at every degree of parallelism (each row is scanned,
 //! transformed and probed exactly once; only the transient row order
-//! changes, which every canonical [`Set`] boundary erases), and worker
-//! statistics are merged in worker-id order with per-operator entries
-//! folded by label ([`Stats::absorb_worker`]), so `Stats::operators`
-//! row totals match a serial run of the same plan.
+//! changes, which every canonical [`Set`](oodb_value::Set) boundary
+//! erases), and worker statistics are merged in worker-id order with
+//! per-operator entries folded by label ([`Stats::absorb_worker`]), so
+//! `Stats::operators` row totals match a serial run of the same plan.
 
-use super::hashjoin::{self, JoinHashTable, MemberHashTable, MemberShape};
-use super::operator::{
-    drain_rows, drain_to_set, Batch, BoxOp, Buffered, ExecCtx, ExecOptions, HashMode, InstrState,
-    Operator,
-};
-use super::{spill_exec, Partitioning, PhysPlan};
+use super::hashjoin::HashJoinOp;
+use super::operator::{Batch, BoxOp, Buffered, ExecCtx, ExecOptions, InstrState, Operator};
+use super::{Partitioning, PhysPlan};
 use crate::eval::{EvalError, Evaluator};
 use crate::pool::WorkerPool;
 use crate::stats::Stats;
-use oodb_adl::expr::{Expr, JoinKind};
 #[cfg(test)]
 use oodb_spill::MemoryBudget;
-use oodb_spill::SpillMetrics;
-use oodb_value::{BatchKind, Name, Value};
+use oodb_value::{Name, Value};
 
 /// Compiles an `Exchange` node into its streaming operator. Called from
 /// [`PhysPlan::compile`]'s node dispatch.
@@ -78,7 +75,7 @@ pub(crate) fn compile_exchange(
                 state: InstrState::Created,
             })
         }
-        Partitioning::Hash => match ParallelHashJoinOp::from_plan(input, ord, dop.max(1)) {
+        Partitioning::Hash => match HashJoinOp::from_plan(input, ord, dop.max(1)) {
             Some(op) => Box::new(op),
             // Not a hash-family join: degrade to the input's own
             // serial compilation (unreachable through the planner).
@@ -111,7 +108,7 @@ pub(crate) fn segment_scan(plan: &PhysPlan) -> Option<&Name> {
 /// unnests and assembly can collapse distinct rows into equal ones, so
 /// a build side made of them still goes through the canonical-set
 /// breaker.
-fn duplicate_free(plan: &PhysPlan) -> bool {
+pub(crate) fn duplicate_free(plan: &PhysPlan) -> bool {
     match plan {
         PhysPlan::Scan(_) => true,
         PhysPlan::Filter { input, .. } => duplicate_free(input),
@@ -187,13 +184,13 @@ fn pool_run<'env, A: Send + 'env>(
 
 /// A per-row segment and its pre-order ordinal in the whole tree — what
 /// a worker compiles its stride from.
-struct Segment {
-    plan: PhysPlan,
-    ord: usize,
+pub(crate) struct Segment {
+    pub(crate) plan: PhysPlan,
+    pub(crate) ord: usize,
 }
 
 /// One worker's share of an exchange or join input.
-enum Share<'p> {
+pub(crate) enum Share<'p> {
     /// Stride `part` of `parts` of a segment, run in the worker.
     Stride {
         seg: &'p Segment,
@@ -206,7 +203,7 @@ enum Share<'p> {
 
 impl<'p> Share<'p> {
     /// The `dop` strides of `seg`, one per worker.
-    fn strides(seg: &'p Segment, dop: usize) -> Vec<Self> {
+    pub(crate) fn strides(seg: &'p Segment, dop: usize) -> Vec<Self> {
         (0..dop)
             .map(|part| Share::Stride {
                 seg,
@@ -217,7 +214,7 @@ impl<'p> Share<'p> {
     }
 
     /// `rows` cut into `dop` contiguous chunks, one per worker.
-    fn chunks(rows: Vec<Value>, dop: usize) -> Vec<Self> {
+    pub(crate) fn chunks(rows: Vec<Value>, dop: usize) -> Vec<Self> {
         split_chunks(rows, dop)
             .into_iter()
             .map(Share::Rows)
@@ -227,7 +224,7 @@ impl<'p> Share<'p> {
     /// Feeds every batch of this share to `f`. A stride compiles and
     /// runs the segment's instrumented operators in the calling worker,
     /// so their reports land in the worker's [`Stats`].
-    fn for_each_batch(
+    pub(crate) fn for_each_batch(
         self,
         ctx: &mut ExecCtx<'_, '_>,
         mut f: impl FnMut(Batch, &mut ExecCtx<'_, '_>) -> Result<(), EvalError>,
@@ -251,15 +248,16 @@ impl<'p> Share<'p> {
     }
 }
 
-/// Runs `work` once per share on the worker pool. Each worker gets its
-/// own [`ExecCtx`] — a clone of the caller's environment, private
-/// [`Stats`] and a `1/dop` share of the memory budget, so the workers
-/// together stay within it. Outputs come back in worker order; worker
-/// statistics are folded into `ctx` (see [`gather`]) even on error.
-fn run_workers<'p, A: Send>(
-    shares: Vec<Share<'p>>,
+/// Runs `work` once per share (a [`Share`] of an input, or any other
+/// unit of per-worker work) on the worker pool. Each worker gets its own
+/// [`ExecCtx`] — a clone of the caller's environment, private [`Stats`]
+/// and a `1/n` share of the memory budget, so the workers together stay
+/// within it. Outputs come back in worker order; worker statistics are
+/// folded into `ctx` (see [`gather`]) even on error.
+pub(crate) fn run_workers<S: Send, A: Send>(
+    shares: Vec<S>,
     ctx: &mut ExecCtx<'_, '_>,
-    work: impl Fn(Share<'p>, &mut ExecCtx<'_, '_>) -> Result<A, EvalError> + Sync,
+    work: impl Fn(S, &mut ExecCtx<'_, '_>) -> Result<A, EvalError> + Sync,
 ) -> Result<Vec<A>, EvalError> {
     let db = ctx.ev.db();
     let opts = ExecOptions {
@@ -301,13 +299,12 @@ struct ExchangeOp {
     segment: Segment,
     dop: usize,
     buf: Option<Buffered>,
-    /// Round-robin exchanges skip the [`Instrument`] shim (their
+    /// Round-robin exchanges skip the `Instrument` shim (their
     /// workers report instead), so they enforce the
     /// `open → next_batch* → close` protocol themselves — pulling a
     /// created or closed exchange must error, not silently re-run the
     /// whole worker fan-out.
     ///
-    /// [`Instrument`]: super::operator
     state: InstrState,
 }
 
@@ -364,565 +361,6 @@ impl Operator for ExchangeOp {
     }
 }
 
-// ---------------------------------------------------------------------
-// Hash-partitioned parallel join.
-
-/// Which key machinery the join family uses.
-enum JoinFamily {
-    /// Equi-keyed (`HashJoin` / `HashNestJoin`).
-    Equi { lkeys: Vec<Expr>, rkeys: Vec<Expr> },
-    /// Membership-keyed (`HashMemberJoin` / `MemberNestJoin`).
-    Member { shape: MemberShape },
-}
-
-/// Whether the join emits join rows or nestjoin groups (mirrors the
-/// serial operators' `HashMode`).
-enum OutputMode {
-    Join {
-        kind: JoinKind,
-        right_attrs: Vec<Name>,
-    },
-    Nest {
-        rfunc: Option<Expr>,
-        as_attr: Name,
-    },
-}
-
-/// One partition's pre-keyed build entries: the route keys (one
-/// composite key for equi joins; the partition's subset of membership
-/// keys) and the row.
-type Keyed = (Vec<Value>, Value);
-
-/// One side of a [`ParallelHashJoinOp`].
-struct JoinInput {
-    /// The compiled child, drained on the calling thread whenever the
-    /// side does not stride.
-    op: BoxOp,
-    /// The segment under a round-robin exchange child, whose strides
-    /// the join's own workers run instead of gathering them. On the
-    /// build side only a [`duplicate_free`] segment strides.
-    stride: Option<Segment>,
-}
-
-impl JoinInput {
-    /// Compiles child `plan` at pre-order ordinal `ord`. `set_input`
-    /// marks the build side, whose rows must form a set.
-    fn new(plan: &PhysPlan, ord: usize, set_input: bool) -> Self {
-        let stride = match plan {
-            PhysPlan::Exchange {
-                partitioning: Partitioning::RoundRobin,
-                input,
-                ..
-            } if segment_scan(input).is_some() && (!set_input || duplicate_free(input)) => {
-                Some(Segment {
-                    plan: (**input).clone(),
-                    ord: ord + 1,
-                })
-            }
-            _ => None,
-        };
-        JoinInput {
-            op: plan.compile_rows(ord, 0, 1),
-            stride,
-        }
-    }
-}
-
-/// Hash-partitioned parallel build + probe for the hash join family.
-///
-/// Replaces the serial `HashJoinOp`/`MemberJoinOp` when the planner
-/// wraps a join in `Exchange { partitioning: Hash }`. `dop` build
-/// workers each take a share of the build side, evaluate its route keys
-/// and route every keyed row into one bucket per partition; partition
-/// *p*'s table is built from bucket *p* of every worker, in worker
-/// order, with the tables built concurrently. Then `dop` probe workers
-/// each stream a share of the probe side through the shared tables.
-///
-/// A share is a worker's stride of the side's segment when the side is
-/// a round-robin exchange over one (its batches reach the probe with
-/// their key columns in place), else a contiguous chunk of the side
-/// drained on the calling thread — the build side through the usual
-/// canonical-set breaker, which is also how a build segment that may
-/// emit duplicate rows keeps its set semantics. Under a bounded memory
-/// budget the build side always drains and stays one partition, so an
-/// oversized build can fall back to the grace hash join unchanged.
-struct ParallelHashJoinOp {
-    spec: JoinSpec,
-    dop: usize,
-    left: JoinInput,
-    right: JoinInput,
-    buf: Option<Buffered>,
-    spill: SpillMetrics,
-}
-
-/// What the join computes — everything its workers share.
-struct JoinSpec {
-    family: JoinFamily,
-    mode: OutputMode,
-    lvar: Name,
-    rvar: Name,
-    residual: Option<Expr>,
-}
-
-impl ParallelHashJoinOp {
-    /// Builds the operator from a hash-family join node at pre-order
-    /// ordinal `ord`; `None` for any other plan shape.
-    fn from_plan(plan: &PhysPlan, ord: usize, dop: usize) -> Option<Self> {
-        let (family, mode, lvar, rvar, residual, left, right) = match plan {
-            PhysPlan::HashJoin {
-                kind,
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                right_attrs,
-                left,
-                right,
-            } => (
-                JoinFamily::Equi {
-                    lkeys: lkeys.clone(),
-                    rkeys: rkeys.clone(),
-                },
-                OutputMode::Join {
-                    kind: *kind,
-                    right_attrs: right_attrs.clone(),
-                },
-                lvar,
-                rvar,
-                residual,
-                left,
-                right,
-            ),
-            PhysPlan::HashNestJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => (
-                JoinFamily::Equi {
-                    lkeys: lkeys.clone(),
-                    rkeys: rkeys.clone(),
-                },
-                OutputMode::Nest {
-                    rfunc: rfunc.clone(),
-                    as_attr: as_attr.clone(),
-                },
-                lvar,
-                rvar,
-                residual,
-                left,
-                right,
-            ),
-            PhysPlan::HashMemberJoin {
-                kind,
-                lvar,
-                rvar,
-                shape,
-                residual,
-                right_attrs,
-                left,
-                right,
-            } => (
-                JoinFamily::Member {
-                    shape: shape.clone(),
-                },
-                OutputMode::Join {
-                    kind: *kind,
-                    right_attrs: right_attrs.clone(),
-                },
-                lvar,
-                rvar,
-                residual,
-                left,
-                right,
-            ),
-            PhysPlan::MemberNestJoin {
-                lvar,
-                rvar,
-                shape,
-                residual,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => (
-                JoinFamily::Member {
-                    shape: shape.clone(),
-                },
-                OutputMode::Nest {
-                    rfunc: rfunc.clone(),
-                    as_attr: as_attr.clone(),
-                },
-                lvar,
-                rvar,
-                residual,
-                left,
-                right,
-            ),
-            _ => return None,
-        };
-        let kids = plan.child_ordinals(ord);
-        Some(ParallelHashJoinOp {
-            spec: JoinSpec {
-                family,
-                mode,
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                residual: residual.clone(),
-            },
-            dop,
-            left: JoinInput::new(left, kids[0], false),
-            right: JoinInput::new(right, kids[1], true),
-            buf: None,
-            spill: SpillMetrics::default(),
-        })
-    }
-
-    /// Runs build and probe to completion, returning the joined rows.
-    fn execute(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Vec<Value>, EvalError> {
-        let (dop, spec) = (self.dop, &self.spec);
-        let bounded = ctx.opts.budget.is_bounded();
-
-        // Build: the workers key and route their shares. A strided
-        // share skips the breaker (a duplicate-free segment is already
-        // a set); anything else drains through it first.
-        let build_stride = self.right.stride.as_ref().filter(|_| !bounded);
-        let shares = match build_stride {
-            Some(seg) => Share::strides(seg, dop),
-            None => {
-                let set = drain_to_set(&mut self.right.op, &mut self.spill, ctx)?;
-                Share::chunks(set.into_values(), dop)
-            }
-        };
-        // Under a bounded budget the build stays one partition: the
-        // grace fallback needs every row once, with all its keys.
-        let parts = if bounded { 1 } else { dop };
-        let routed = run_workers(shares, ctx, |share, wctx| {
-            let mut buckets: Vec<Vec<Keyed>> = (0..parts).map(|_| Vec::new()).collect();
-            share.for_each_batch(wctx, |batch, c| {
-                for y in batch.into_values() {
-                    let keys = spec.build_keys(&y, c)?;
-                    spec.route(keys, y, &mut buckets);
-                }
-                Ok(())
-            })?;
-            Ok(buckets)
-        })?;
-        // Partition p takes bucket p of every worker, in worker order.
-        let mut partitions: Vec<Vec<Vec<Keyed>>> = (0..parts).map(|_| Vec::new()).collect();
-        for buckets in routed {
-            for (p, bucket) in buckets.into_iter().enumerate() {
-                partitions[p].push(bucket);
-            }
-        }
-
-        // An oversized build side falls back to the grace hash join,
-        // which partitions both sides through the SpillManager
-        // (partition-at-a-time, within the budget at any dop); the
-        // probe side is still undrained, so grace streams it straight
-        // into partition files.
-        if bounded {
-            let keyed: Vec<Keyed> = partitions.drain(..).flatten().flatten().collect();
-            let bytes: usize = keyed
-                .iter()
-                .map(|(ks, row)| spill_exec::entry_bytes(ks, row))
-                .sum();
-            if ctx.opts.budget.exceeded_by(bytes) {
-                let mode = spec.hash_mode();
-                let budget = ctx.opts.budget.clone();
-                return match &spec.family {
-                    JoinFamily::Equi { lkeys, .. } => spill_exec::grace_equi_join(
-                        &mode,
-                        &spec.lvar,
-                        &spec.rvar,
-                        lkeys,
-                        spec.residual.as_ref(),
-                        keyed,
-                        &mut self.left.op,
-                        &budget,
-                        &mut self.spill,
-                        ctx,
-                    ),
-                    JoinFamily::Member { shape } => spill_exec::grace_member_join(
-                        &mode,
-                        &spec.lvar,
-                        &spec.rvar,
-                        shape,
-                        spec.residual.as_ref(),
-                        keyed,
-                        &mut self.left.op,
-                        &budget,
-                        &mut self.spill,
-                        ctx,
-                    ),
-                };
-            }
-            partitions.push(vec![keyed]);
-        }
-
-        // The partition tables, built concurrently. Strided buckets hold
-        // each key's candidates in worker order; a residual can observe
-        // that order, so those tables restore the serial build's
-        // canonical order.
-        let member = matches!(spec.family, JoinFamily::Member { .. });
-        let canonical = build_stride.is_some() && spec.residual.is_some();
-        let build_tasks: Vec<WorkerTask<'_, Tables>> = partitions
-            .into_iter()
-            .map(|buckets| {
-                Box::new(move || {
-                    let mut stats = Stats::new();
-                    let entries = buckets.into_iter().flatten();
-                    let table = if member {
-                        let mut t = MemberHashTable::from_keyed(entries, &mut stats);
-                        if canonical {
-                            t.sort_candidates();
-                        }
-                        Tables::Member(t)
-                    } else {
-                        let mut t = JoinHashTable::from_keyed(entries, &mut stats);
-                        if canonical {
-                            t.sort_candidates();
-                        }
-                        Tables::Equi(t)
-                    };
-                    Ok((table, stats))
-                }) as WorkerTask<'_, Tables>
-            })
-            .collect();
-        let mut folded = Stats::new();
-        let tables = gather(pool_run(build_tasks), &mut folded);
-        ctx.stats.merge(&folded);
-        let (equi_tables, member_tables) = split_tables(tables?);
-
-        // Probe: each worker streams its share's batches through the
-        // shared tables. The probe side is a raw row stream (the serial
-        // probe does not deduplicate either).
-        let shares = match &self.left.stride {
-            Some(seg) => Share::strides(seg, dop),
-            None => Share::chunks(drain_rows(&mut self.left.op, ctx)?, dop),
-        };
-        let tables = (&equi_tables[..], &member_tables[..]);
-        let outs = run_workers(shares, ctx, |share, wctx| {
-            let mut out = Vec::new();
-            share.for_each_batch(wctx, |batch, c| {
-                out.extend(spec.probe(tables, &batch, c)?);
-                Ok(())
-            })?;
-            Ok(out)
-        })?;
-        Ok(outs.into_iter().flatten().collect())
-    }
-}
-
-impl JoinSpec {
-    /// The serial [`HashMode`] equivalent of this operator's output mode
-    /// (what the grace fallback executes partition-by-partition).
-    fn hash_mode(&self) -> HashMode {
-        match &self.mode {
-            OutputMode::Join { kind, right_attrs } => HashMode::Join {
-                kind: *kind,
-                right_attrs: right_attrs.clone(),
-            },
-            OutputMode::Nest { rfunc, as_attr } => HashMode::Nest {
-                rfunc: rfunc.clone(),
-                as_attr: as_attr.clone(),
-            },
-        }
-    }
-
-    /// A build row's route keys: equi joins route each row under its
-    /// single composite key; membership joins under `rkey(y)`
-    /// (`RightInLeftSet`) or every element of `rset(y)`
-    /// (`LeftInRightSet`).
-    fn build_keys(&self, y: &Value, ctx: &mut ExecCtx<'_, '_>) -> Result<Vec<Value>, EvalError> {
-        let (ev, env, stats, rvar) = (&ctx.ev, &mut ctx.env, &mut *ctx.stats, &self.rvar);
-        Ok(match &self.family {
-            JoinFamily::Equi { rkeys, .. } => hashjoin::eval_keys(rkeys, rvar, y, ev, env, stats)?,
-            JoinFamily::Member { shape } => match shape {
-                MemberShape::RightInLeftSet { rkey, .. } => {
-                    vec![hashjoin::eval_under(rkey, rvar, y, ev, env, stats)?]
-                }
-                MemberShape::LeftInRightSet { rset, .. } => {
-                    let s = hashjoin::eval_under(rset, rvar, y, ev, env, stats)?;
-                    s.as_set()?.iter().cloned().collect()
-                }
-            },
-        })
-    }
-
-    /// Routes one keyed build row into `buckets` (one per partition).
-    /// For equi joins the whole key vector hashes as a unit; for
-    /// membership joins each key routes separately, and a row reachable
-    /// from several partitions is replicated into each, indexed only
-    /// under that partition's keys (a keyless row — empty `rset` —
-    /// indexes nowhere, exactly as in the serial build). A single
-    /// bucket takes every row whole, with all its keys.
-    fn route(&self, keys: Vec<Value>, row: Value, buckets: &mut [Vec<Keyed>]) {
-        let parts = buckets.len() as u64;
-        if parts == 1 {
-            buckets[0].push((keys, row));
-            return;
-        }
-        match &self.family {
-            JoinFamily::Equi { .. } => {
-                let p = (hashjoin::key_hash(&keys) % parts) as usize;
-                buckets[p].push((keys, row));
-            }
-            JoinFamily::Member { .. } => {
-                let mut per_part: Vec<(usize, Vec<Value>)> = Vec::new();
-                for k in keys {
-                    let p = (hashjoin::value_hash(&k) % parts) as usize;
-                    match per_part.iter_mut().find(|(q, _)| *q == p) {
-                        Some((_, ks)) => ks.push(k),
-                        None => per_part.push((p, vec![k])),
-                    }
-                }
-                let replicas = per_part.len();
-                let mut row = Some(row);
-                for (i, (p, ks)) in per_part.into_iter().enumerate() {
-                    let r = if i + 1 == replicas {
-                        row.take().expect("moved into the last replica only")
-                    } else {
-                        row.as_ref().expect("not yet moved").clone()
-                    };
-                    buckets[p].push((ks, r));
-                }
-            }
-        }
-    }
-
-    /// Probes one batch of left rows against the partition tables.
-    fn probe(
-        &self,
-        tables: (&[JoinHashTable], &[MemberHashTable]),
-        batch: &Batch,
-        ctx: &mut ExecCtx<'_, '_>,
-    ) -> Result<Vec<Value>, EvalError> {
-        let (equi_tables, member_tables) = tables;
-        let (lvar, rvar, residual) = (&self.lvar, &self.rvar, self.residual.as_ref());
-        let (ev, env, stats) = (&ctx.ev, &mut ctx.env, &mut *ctx.stats);
-        match (&self.family, &self.mode) {
-            (JoinFamily::Equi { lkeys, .. }, OutputMode::Join { kind, right_attrs }) => {
-                JoinHashTable::probe_batch(
-                    equi_tables,
-                    *kind,
-                    lvar,
-                    rvar,
-                    lkeys,
-                    residual,
-                    right_attrs,
-                    batch.into(),
-                    ev,
-                    env,
-                    stats,
-                )
-            }
-            (JoinFamily::Equi { lkeys, .. }, OutputMode::Nest { rfunc, as_attr }) => {
-                JoinHashTable::probe_nest_batch(
-                    equi_tables,
-                    lvar,
-                    rvar,
-                    lkeys,
-                    residual,
-                    rfunc.as_ref(),
-                    as_attr,
-                    batch.into(),
-                    ev,
-                    env,
-                    stats,
-                )
-            }
-            (JoinFamily::Member { shape }, OutputMode::Join { kind, right_attrs }) => {
-                MemberHashTable::probe_batch(
-                    member_tables,
-                    *kind,
-                    lvar,
-                    rvar,
-                    shape,
-                    residual,
-                    right_attrs,
-                    batch.into(),
-                    ev,
-                    env,
-                    stats,
-                )
-            }
-            (JoinFamily::Member { shape }, OutputMode::Nest { rfunc, as_attr }) => {
-                MemberHashTable::probe_nest_batch(
-                    member_tables,
-                    lvar,
-                    rvar,
-                    shape,
-                    residual,
-                    rfunc.as_ref(),
-                    as_attr,
-                    batch.into(),
-                    ev,
-                    env,
-                    stats,
-                )
-            }
-        }
-    }
-}
-
-/// A built partition table of either join family.
-enum Tables {
-    Equi(JoinHashTable),
-    Member(MemberHashTable),
-}
-
-/// Splits the heterogeneous partition list into the two homogeneous
-/// slices the probe entry points take (exactly one of them is
-/// non-empty).
-fn split_tables(tables: Vec<Tables>) -> (Vec<JoinHashTable>, Vec<MemberHashTable>) {
-    let mut equi = Vec::new();
-    let mut member = Vec::new();
-    for t in tables {
-        match t {
-            Tables::Equi(t) => equi.push(t),
-            Tables::Member(t) => member.push(t),
-        }
-    }
-    (equi, member)
-}
-
-impl Operator for ParallelHashJoinOp {
-    fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
-        self.buf = None;
-        self.left.op.open(ctx)?;
-        self.right.op.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
-        if self.buf.is_none() {
-            let rows = self.execute(ctx)?;
-            self.buf = Some(Buffered::new(rows));
-        }
-        Ok(self
-            .buf
-            .as_mut()
-            .expect("joined above")
-            .next_chunk(BatchKind::Row))
-    }
-
-    fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
-        self.buf = None;
-        self.left.op.close(ctx);
-        self.right.op.close(ctx);
-    }
-
-    fn spill_metrics(&self) -> SpillMetrics {
-        self.spill
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -930,6 +368,7 @@ mod tests {
     use crate::physical::operator::BATCH_SIZE;
     use crate::plan::{JoinAlgo, Planner, PlannerConfig};
     use oodb_adl::dsl::*;
+    use oodb_adl::expr::Expr;
     use oodb_adl::expr::JoinKind;
     use oodb_catalog::fixtures::{supplier_part_catalog, supplier_part_db};
     use oodb_catalog::Database;
@@ -1321,6 +760,58 @@ mod tests {
             std::mem::discriminant(&parallel_err),
             "serial {serial_err} vs parallel {parallel_err}"
         );
+
+        // Build keys that fail, through the hash join at every dop: an
+        // equi key dereferencing the deliveries' dangling supplier oids
+        // (some build rows only), and a `LeftInRightSet` "set" that is a
+        // string (every build row).
+        let db = big_join_db(3 * BATCH_SIZE + 17);
+        let dangling = join(
+            "s",
+            "d",
+            eq(
+                var("s").field("eid"),
+                deref(var("d").field("supplier"), "Supplier").field("eid"),
+            ),
+            project(&["eid", "sname"], table("SUPPLIER")),
+            table("DELIVERY"),
+        );
+        let not_a_set = semijoin(
+            "p",
+            "s",
+            member(var("p").field("pid"), var("s").field("sname")),
+            table("PART"),
+            table("SUPPLIER"),
+        );
+        let is_dangling: fn(&EvalError) -> bool =
+            |e| matches!(e, EvalError::DanglingPointer { .. });
+        let is_value_error: fn(&EvalError) -> bool = |e| matches!(e, EvalError::Value(_));
+        for (e, expected) in [(dangling, is_dangling), (not_a_set, is_value_error)] {
+            let errors: Vec<EvalError> = [1usize, 2, 4]
+                .into_iter()
+                .map(|dop| {
+                    let plan = Planner::with_config(&db, hash_config(dop))
+                        .plan(&e)
+                        .unwrap();
+                    let explain = plan.explain();
+                    assert_eq!(
+                        explain.contains("Exchange hash"),
+                        dop > 1,
+                        "dop {dop}: {e}\n{explain}"
+                    );
+                    plan.execute_streaming(&mut Stats::new()).unwrap_err()
+                })
+                .collect();
+            assert!(expected(&errors[0]), "{e} failed with {}", errors[0]);
+            for err in &errors[1..] {
+                assert_eq!(
+                    std::mem::discriminant(err),
+                    std::mem::discriminant(&errors[0]),
+                    "{e}: {err} vs dop 1's {}",
+                    errors[0]
+                );
+            }
+        }
     }
 
     #[test]

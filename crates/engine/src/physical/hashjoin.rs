@@ -1,16 +1,47 @@
-//! Hash and nested-loop implementations of the join family.
+//! The join family: one hash join for every equi- and membership-keyed
+//! join, plus the index and nested-loop joins it replaces.
 //!
 //! "For example, the join can be implemented as an index nested-loop
-//! join, a sort-merge join, a hash join, etc." (paper §6). Keys are
-//! arbitrary ADL expressions over one side's variable; the residual
-//! predicate (non-equi conjuncts) is re-checked after a key match.
+//! join, a sort-merge join, a hash join, etc." (paper §6), and "to
+//! implement the nestjoin, common join implementation methods like the
+//! sort-merge join, or the hash join can be adapted" (§6.1). Here one
+//! hash implementation serves the join, semijoin, antijoin, outerjoin
+//! and nestjoin alike:
+//!
+//! * **One description.** A `JoinSpec` — key family (equi keys or a
+//!   [`MemberShape`]), output mode (join rows or nestjoin groups), the
+//!   two variables and the residual — is read off a `HashJoin`,
+//!   `HashNestJoin`, `HashMemberJoin` or `MemberNestJoin` node, and
+//!   nothing else in execution reads those nodes.
+//! * **One build.** The spec evaluates every build row's keys once and
+//!   hashes the keyed rows into `JoinHashTable`s or
+//!   `MemberHashTable`s: one table, or one per [`key_hash`] partition
+//!   of a parallel build.
+//! * **One probe.** Every probe row consults the partition that owns its
+//!   key and turns its residual-checked matches into output the same
+//!   way, whether it came from a streaming batch, a materialized set or
+//!   a grace-join spill partition.
+//! * **One streaming operator**, at any degree of parallelism. At dop 1
+//!   it runs on the calling thread and streams its probe side batch by
+//!   batch; at dop > 1 (under a hash `Exchange`) its build and probe run
+//!   on the worker pool. Under a bounded memory budget an oversized
+//!   build falls back to the grace hash join at every dop.
+//!
+//! Keys are arbitrary ADL expressions over one side's variable; the
+//! residual predicate (non-equi conjuncts) is re-checked after a key
+//! match.
 
 use super::columnar::{take_row, ProbeInput};
+use super::exchange::{duplicate_free, run_workers, segment_scan, Segment, Share};
+use super::operator::{drain_rows, drain_to_set, BoxOp, Buffered, ExecCtx, ExecOptions, Operator};
+use super::{spill_exec, Partitioning, PhysPlan};
 use crate::eval::{Env, EvalError, Evaluator};
 use crate::stats::Stats;
 use oodb_adl::expr::{Expr, JoinKind};
+use oodb_spill::SpillMetrics;
 use oodb_value::fxhash::FxHashMap;
-use oodb_value::{Batch, Column, ColumnarBatch, Name, Set, Tuple, Value};
+use oodb_value::{Batch, BatchKind, ColumnarBatch, Name, Set, Tuple, Value};
+use std::borrow::{Borrow, Cow};
 
 /// The two supported membership predicate shapes.
 #[derive(Debug, Clone)]
@@ -123,42 +154,475 @@ pub(crate) fn null_pad(x: &Value, right_attrs: &[Name]) -> Result<Value, EvalErr
     Ok(Value::Tuple(padded))
 }
 
-/// A built hash table over the right (build) side of an equi-join,
-/// keyed by the evaluated key vector. Generic over row ownership: the
-/// streaming pipeline moves owned rows in (`V = Value`, so the table
-/// outlives any one probe batch), while the materialized entry points
-/// borrow their input set (`V = &Value`, zero copies).
-pub struct JoinHashTable<V = Value> {
-    map: FxHashMap<Vec<Value>, Vec<V>>,
+// ---------------------------------------------------------------------
+// The description.
+
+/// Which key machinery a hash join uses.
+pub(crate) enum JoinFamily {
+    /// Equi-keyed (`HashJoin` / `HashNestJoin`): `lkeys(x) = rkeys(y)`.
+    Equi { lkeys: Vec<Expr>, rkeys: Vec<Expr> },
+    /// Membership-keyed (`HashMemberJoin` / `MemberNestJoin`).
+    Member { shape: MemberShape },
 }
 
-impl<V: std::borrow::Borrow<Value>> JoinHashTable<V> {
-    /// Build phase: hashes every build row under its key vector.
-    pub fn build(
-        rkeys: &[Expr],
-        rvar: &Name,
+/// Whether a join emits join rows or nestjoin groups.
+pub(crate) enum HashMode {
+    /// `⋈ ⋉ ▷ ⟕`; an outer join pads `right_attrs` with `Null`.
+    Join {
+        kind: JoinKind,
+        right_attrs: Vec<Name>,
+    },
+    /// `⊣` — one output row per probe row, carrying its group.
+    Nest { rfunc: Option<Expr>, as_attr: Name },
+}
+
+/// One build row with its index keys: the composite key of an equi
+/// join, or the membership keys the row is reachable under.
+pub(crate) type Keyed<V = Value> = (Vec<Value>, V);
+
+/// What a hash join computes: build on the right (`rvar`), probe with
+/// the left (`lvar`), keyed by `family`, emitting per `mode`, with the
+/// non-key conjuncts re-checked as `residual` after a key match.
+pub(crate) struct JoinSpec {
+    pub(crate) family: JoinFamily,
+    pub(crate) mode: HashMode,
+    pub(crate) lvar: Name,
+    pub(crate) rvar: Name,
+    pub(crate) residual: Option<Expr>,
+}
+
+/// The output a probe row has accumulated from its matches so far.
+#[derive(Default)]
+struct RowMatches {
+    matched: bool,
+    /// The nestjoin group (empty in join mode).
+    group: Vec<Value>,
+}
+
+impl JoinSpec {
+    /// The spec of a hash-family join node with its (probe, build)
+    /// children, or `None` for any other node — the one place execution
+    /// reads the four hash join variants.
+    pub(crate) fn from_plan(plan: &PhysPlan) -> Option<(JoinSpec, &PhysPlan, &PhysPlan)> {
+        let equi = |lkeys: &[Expr], rkeys: &[Expr]| JoinFamily::Equi {
+            lkeys: lkeys.to_vec(),
+            rkeys: rkeys.to_vec(),
+        };
+        let join = |kind: &JoinKind, right_attrs: &[Name]| HashMode::Join {
+            kind: *kind,
+            right_attrs: right_attrs.to_vec(),
+        };
+        let nest = |rfunc: &Option<Expr>, as_attr: &Name| HashMode::Nest {
+            rfunc: rfunc.clone(),
+            as_attr: as_attr.clone(),
+        };
+        let member = |shape: &MemberShape| JoinFamily::Member {
+            shape: shape.clone(),
+        };
+        let (family, mode, lvar, rvar, residual, left, right) = match plan {
+            PhysPlan::HashJoin {
+                kind,
+                lvar,
+                rvar,
+                lkeys,
+                rkeys,
+                residual,
+                right_attrs,
+                left,
+                right,
+            } => (
+                equi(lkeys, rkeys),
+                join(kind, right_attrs),
+                lvar,
+                rvar,
+                residual,
+                left,
+                right,
+            ),
+            PhysPlan::HashNestJoin {
+                lvar,
+                rvar,
+                lkeys,
+                rkeys,
+                residual,
+                rfunc,
+                as_attr,
+                left,
+                right,
+            } => (
+                equi(lkeys, rkeys),
+                nest(rfunc, as_attr),
+                lvar,
+                rvar,
+                residual,
+                left,
+                right,
+            ),
+            PhysPlan::HashMemberJoin {
+                kind,
+                lvar,
+                rvar,
+                shape,
+                residual,
+                right_attrs,
+                left,
+                right,
+            } => (
+                member(shape),
+                join(kind, right_attrs),
+                lvar,
+                rvar,
+                residual,
+                left,
+                right,
+            ),
+            PhysPlan::MemberNestJoin {
+                lvar,
+                rvar,
+                shape,
+                residual,
+                rfunc,
+                as_attr,
+                left,
+                right,
+            } => (
+                member(shape),
+                nest(rfunc, as_attr),
+                lvar,
+                rvar,
+                residual,
+                left,
+                right,
+            ),
+            _ => return None,
+        };
+        let spec = JoinSpec {
+            family,
+            mode,
+            lvar: lvar.clone(),
+            rvar: rvar.clone(),
+            residual: residual.clone(),
+        };
+        Some((spec, left, right))
+    }
+
+    /// A build row's index keys: its composite key for an equi join;
+    /// `rkey(y)` (`RightInLeftSet`) or every element of `rset(y)`
+    /// (`LeftInRightSet`) for a membership join. Every build evaluates
+    /// them here, once per row.
+    fn build_keys(
+        &self,
+        y: &Value,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Result<Vec<Value>, EvalError> {
+        let rvar = &self.rvar;
+        Ok(match &self.family {
+            JoinFamily::Equi { rkeys, .. } => eval_keys(rkeys, rvar, y, ev, env, stats)?,
+            JoinFamily::Member {
+                shape: MemberShape::RightInLeftSet { rkey, .. },
+            } => vec![eval_under(rkey, rvar, y, ev, env, stats)?],
+            JoinFamily::Member {
+                shape: MemberShape::LeftInRightSet { rset, .. },
+            } => {
+                let s = eval_under(rset, rvar, y, ev, env, stats)?;
+                s.as_set()?.iter().cloned().collect()
+            }
+        })
+    }
+
+    /// One table over pre-keyed build entries; each index insertion is
+    /// counted into `inserted` (the `hash_build_rows` counter).
+    fn table<V: Borrow<Value>>(
+        &self,
+        entries: impl IntoIterator<Item = Keyed<V>>,
+        inserted: &mut u64,
+    ) -> HashTables<V> {
+        match self.family {
+            JoinFamily::Equi { .. } => {
+                HashTables::Equi(vec![JoinHashTable::from_keyed(entries, inserted)])
+            }
+            JoinFamily::Member { .. } => {
+                HashTables::Member(vec![MemberHashTable::from_keyed(entries, inserted)])
+            }
+        }
+    }
+
+    /// Keys `rows` and hashes them into one table as they stream past —
+    /// the build of every join that needs neither partitions nor a
+    /// budget check. Generic over row ownership: the streaming operator
+    /// moves owned rows in (`V = Value`, so the table outlives any one
+    /// probe batch), the materialized join borrows its input set
+    /// (`V = &Value`, zero copies).
+    fn build<V: Borrow<Value>>(
+        &self,
         rows: impl IntoIterator<Item = V>,
         ev: &Evaluator<'_>,
         env: &mut Env,
         stats: &mut Stats,
-    ) -> Result<Self, EvalError> {
-        let mut map: FxHashMap<Vec<Value>, Vec<V>> = FxHashMap::default();
-        for y in rows {
-            let key = eval_keys(rkeys, rvar, y.borrow(), ev, env, stats)?;
-            stats.hash_build_rows += 1;
-            map.entry(key).or_default().push(y);
-        }
-        Ok(JoinHashTable { map })
+    ) -> Result<HashTables<V>, EvalError> {
+        let mut err = None;
+        let mut inserted = 0;
+        let keyed =
+            rows.into_iter()
+                .map_while(|y| match self.build_keys(y.borrow(), ev, env, stats) {
+                    Ok(keys) => Some((keys, y)),
+                    Err(e) => {
+                        err = Some(e);
+                        None
+                    }
+                });
+        let tables = self.table(keyed, &mut inserted);
+        stats.hash_build_rows += inserted;
+        err.map_or(Ok(tables), Err)
     }
 
-    /// Build phase over **pre-evaluated** `(key, row)` pairs. The
-    /// parallel exchange evaluates every build key once to route rows to
-    /// partitions; the per-partition build must not re-evaluate (and
-    /// re-count) them, so only the insertions are charged here.
-    pub fn from_keyed(pairs: impl IntoIterator<Item = (Vec<Value>, V)>, stats: &mut Stats) -> Self {
+    /// Routes one keyed build row into `buckets` (one per partition).
+    /// For equi joins the whole key vector hashes as a unit; for
+    /// membership joins each key routes separately, and a row reachable
+    /// from several partitions is replicated into each, indexed only
+    /// under that partition's keys (a keyless row — empty `rset` —
+    /// indexes nowhere, exactly as in a one-table build). A single
+    /// bucket takes every row whole, with all its keys.
+    fn route(&self, keys: Vec<Value>, row: Value, buckets: &mut [Vec<Keyed>]) {
+        let parts = buckets.len() as u64;
+        if parts == 1 {
+            buckets[0].push((keys, row));
+            return;
+        }
+        match &self.family {
+            JoinFamily::Equi { .. } => {
+                let p = (key_hash(&keys) % parts) as usize;
+                buckets[p].push((keys, row));
+            }
+            JoinFamily::Member { .. } => {
+                let mut per_part: Vec<(usize, Vec<Value>)> = Vec::new();
+                for k in keys {
+                    let p = (value_hash(&k) % parts) as usize;
+                    match per_part.iter_mut().find(|(q, _)| *q == p) {
+                        Some((_, ks)) => ks.push(k),
+                        None => per_part.push((p, vec![k])),
+                    }
+                }
+                let replicas = per_part.len();
+                let mut row = Some(row);
+                for (i, (p, ks)) in per_part.into_iter().enumerate() {
+                    let r = if i + 1 == replicas {
+                        row.take().expect("moved into the last replica only")
+                    } else {
+                        row.as_ref().expect("not yet moved").clone()
+                    };
+                    buckets[p].push((ks, r));
+                }
+            }
+        }
+    }
+
+    /// The partition tables of a parallel build, built concurrently on
+    /// the worker pool: partition *p* from bucket *p* of every routing
+    /// worker, in worker order. With `canonical` each key's candidates
+    /// are put back in canonical row order (see
+    /// [`JoinHashTable::sort_candidates`]).
+    fn partition_tables(
+        &self,
+        partitions: Vec<Vec<Vec<Keyed>>>,
+        canonical: bool,
+        ctx: &mut ExecCtx<'_, '_>,
+    ) -> Result<HashTables, EvalError> {
+        Ok(match self.family {
+            JoinFamily::Equi { .. } => HashTables::Equi(run_workers(partitions, ctx, |b, w| {
+                let entries = b.into_iter().flatten();
+                let mut t = JoinHashTable::from_keyed(entries, &mut w.stats.hash_build_rows);
+                if canonical {
+                    t.sort_candidates();
+                }
+                Ok(t)
+            })?),
+            JoinFamily::Member { .. } => {
+                HashTables::Member(run_workers(partitions, ctx, |b, w| {
+                    let entries = b.into_iter().flatten();
+                    let mut t = MemberHashTable::from_keyed(entries, &mut w.stats.hash_build_rows);
+                    if canonical {
+                        t.sort_candidates();
+                    }
+                    Ok(t)
+                })?)
+            }
+        })
+    }
+
+    /// Probes one batch of left rows against `tables`, producing output
+    /// rows. Each probe key consults exactly the partition [`key_hash`]
+    /// (equi) or [`value_hash`] (membership) assigns it, so a
+    /// partitioned probe does the same lookups as a one-table probe.
+    fn probe<V: Borrow<Value>>(
+        &self,
+        tables: &HashTables<V>,
+        probe: ProbeInput<'_>,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Result<Vec<Value>, EvalError> {
+        match (&self.family, tables) {
+            (JoinFamily::Equi { lkeys, .. }, HashTables::Equi(t)) => {
+                JoinHashTable::probe_batch(t, self, lkeys, probe, ev, env, stats)
+            }
+            (JoinFamily::Member { shape }, HashTables::Member(t)) => {
+                MemberHashTable::probe_batch(t, self, shape, probe, ev, env, stats)
+            }
+            _ => unreachable!("a spec only probes the tables it built"),
+        }
+    }
+
+    /// The materialized join: builds over `right` and probes with
+    /// `left`, both borrowed.
+    pub(crate) fn join_sets(
+        &self,
+        left: &Set,
+        right: &Set,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Result<Value, EvalError> {
+        let tables = self.build(right.iter(), ev, env, stats)?;
+        let out = self.probe(&tables, left.as_slice().into(), ev, env, stats)?;
+        Ok(Value::Set(Set::from_values(out)))
+    }
+
+    /// Records one residual-checked `(x, y)` match of the current probe
+    /// row: inner and outer joins emit the pair, nestjoins add `y`'s
+    /// contribution to the group. Returns whether the row wants further
+    /// matches (semi- and antijoins stop at the first).
+    #[allow(clippy::too_many_arguments)]
+    fn matched(
+        &self,
+        x: &Value,
+        y: &Value,
+        row: &mut RowMatches,
+        out: &mut Vec<Value>,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Result<bool, EvalError> {
+        row.matched = true;
+        match &self.mode {
+            HashMode::Join {
+                kind: JoinKind::Inner | JoinKind::LeftOuter,
+                ..
+            } => {
+                out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?));
+                Ok(true)
+            }
+            HashMode::Join { .. } => Ok(false),
+            HashMode::Nest { rfunc, .. } => {
+                let v = collect_right(rfunc.as_ref(), &self.rvar, y, ev, env, stats)?;
+                row.group.push(v);
+                Ok(true)
+            }
+        }
+    }
+
+    /// What probe row `i` emits once its matches are in: a semijoin
+    /// keeps a matched row, an antijoin an unmatched one, an outer join
+    /// pads an unmatched one, a nestjoin attaches the (possibly empty)
+    /// group. `xc` holds the row if it was already materialized.
+    fn finish_row<'p>(
+        &self,
+        row: RowMatches,
+        xc: &mut Option<Cow<'p, Value>>,
+        probe: &ProbeInput<'p>,
+        i: usize,
+        out: &mut Vec<Value>,
+    ) -> Result<(), EvalError> {
+        match &self.mode {
+            HashMode::Join {
+                kind: JoinKind::Semi,
+                ..
+            } if row.matched => out.push(take_row(xc, probe, i)),
+            HashMode::Join {
+                kind: JoinKind::Anti,
+                ..
+            } if !row.matched => out.push(take_row(xc, probe, i)),
+            HashMode::Join {
+                kind: JoinKind::LeftOuter,
+                right_attrs,
+            } if !row.matched => {
+                let x = xc.get_or_insert_with(|| probe.row_at(i));
+                out.push(null_pad(x, right_attrs)?);
+            }
+            HashMode::Nest { as_attr, .. } => {
+                let x = xc.get_or_insert_with(|| probe.row_at(i));
+                out.push(with_group(x, as_attr, row.group)?);
+            }
+            HashMode::Join { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// [`JoinSpec::finish_row`] for an owned probe row whose matches
+    /// were folded elsewhere (the membership grace join folds them
+    /// across partitions). The row is already in hand, so no probe input
+    /// is read.
+    pub(crate) fn finish_owned_row(
+        &self,
+        x: Value,
+        matched: bool,
+        group: Vec<Value>,
+        out: &mut Vec<Value>,
+    ) -> Result<(), EvalError> {
+        let row = RowMatches { matched, group };
+        let none = ProbeInput::Rows(&[]);
+        self.finish_row(row, &mut Some(Cow::Owned(x)), &none, 0, out)
+    }
+
+    /// The columnar view of a one-table build, when the vectorized probe
+    /// applies: a residual-free equi inner/semi/anti join under
+    /// `vectorize`, over batchable build rows.
+    fn indexed(&self, tables: &HashTables, opts: &ExecOptions) -> Option<IndexedBuild> {
+        match (tables, &self.mode) {
+            (
+                HashTables::Equi(t),
+                HashMode::Join {
+                    kind: JoinKind::Inner | JoinKind::Semi | JoinKind::Anti,
+                    ..
+                },
+            ) if opts.vectorize && self.residual.is_none() && t.len() == 1 => t[0].indexed(),
+            _ => None,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tables.
+
+/// The built side of a hash join: one table, or one per hash partition
+/// of a parallel build.
+enum HashTables<V = Value> {
+    /// Equi-join tables.
+    Equi(Vec<JoinHashTable<V>>),
+    /// Membership-join tables.
+    Member(Vec<MemberHashTable<V>>),
+}
+
+/// A built hash table over the right (build) side of an equi-join,
+/// keyed by the evaluated key vector. Generic over row ownership (see
+/// `JoinSpec::build`).
+pub(crate) struct JoinHashTable<V = Value> {
+    map: FxHashMap<Vec<Value>, Vec<V>>,
+}
+
+impl<V: Borrow<Value>> JoinHashTable<V> {
+    /// Build phase over pre-evaluated `(key, row)` pairs: only the
+    /// insertions are counted (into `inserted`), because whoever keyed
+    /// the rows already charged the key evaluation.
+    pub(crate) fn from_keyed(
+        pairs: impl IntoIterator<Item = Keyed<V>>,
+        inserted: &mut u64,
+    ) -> Self {
         let mut map: FxHashMap<Vec<Value>, Vec<V>> = FxHashMap::default();
         for (key, y) in pairs {
-            stats.hash_build_rows += 1;
+            *inserted += 1;
             map.entry(key).or_default().push(y);
         }
         JoinHashTable { map }
@@ -169,7 +633,7 @@ impl<V: std::borrow::Borrow<Value>> JoinHashTable<V> {
     /// by strided workers inserts them in worker order instead, and a
     /// residual observes candidate order (semi/anti probes stop at the
     /// first match, and the first failing candidate names the error).
-    pub fn sort_candidates(&mut self) {
+    fn sort_candidates(&mut self) {
         for ys in self.map.values_mut() {
             if ys.len() > 1 {
                 ys.sort_by(|a, b| a.borrow().cmp(b.borrow()));
@@ -177,43 +641,21 @@ impl<V: std::borrow::Borrow<Value>> JoinHashTable<V> {
         }
     }
 
-    /// The partition of `tables` that owns `key` — identity for the
-    /// serial single-table case.
-    fn pick<'t>(tables: &'t [Self], key: &[Value]) -> &'t Self {
-        if tables.len() == 1 {
-            &tables[0]
-        } else {
-            &tables[(key_hash(key) % tables.len() as u64) as usize]
-        }
-    }
-
-    /// Probe phase over one batch of left rows, producing output rows.
-    ///
-    /// `tables` is a single table under serial execution, or the `dop`
-    /// hash-partitioned tables of a parallel build (see
-    /// [`JoinHashTable::from_keyed`]); each probe key consults exactly
-    /// the partition [`key_hash`] assigns it to, so the partitioned
-    /// probe does the same lookups as the serial one.
-    ///
-    /// Columnar probe batches whose keys are simple attributes evaluate
-    /// the whole key vector straight off the key columns; the probe row
-    /// itself is materialized only when actually needed (residual
-    /// checks, output construction) — semi/anti misses never touch it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_batch(
+    /// Probe phase over one batch. Columnar probe batches whose keys are
+    /// simple attributes read the whole key vector straight off the key
+    /// columns; the probe row itself is materialized only when actually
+    /// needed (residual checks, output construction) — semi/anti misses
+    /// never touch it.
+    fn probe_batch(
         tables: &[Self],
-        kind: JoinKind,
-        lvar: &Name,
-        rvar: &Name,
+        spec: &JoinSpec,
         lkeys: &[Expr],
-        residual: Option<&Expr>,
-        right_attrs: &[Name],
         probe: ProbeInput<'_>,
         ev: &Evaluator<'_>,
         env: &mut Env,
         stats: &mut Stats,
     ) -> Result<Vec<Value>, EvalError> {
-        let key_cols = probe.key_columns(lkeys, lvar);
+        let key_cols = probe.key_columns(lkeys, &spec.lvar);
         let mut out = Vec::new();
         for i in 0..probe.len() {
             let mut xc = None;
@@ -221,159 +663,54 @@ impl<V: std::borrow::Borrow<Value>> JoinHashTable<V> {
                 Some(cols) => cols.iter().map(|c| c.value_at(i)).collect::<Vec<_>>(),
                 None => {
                     let x = xc.get_or_insert_with(|| probe.row_at(i));
-                    eval_keys(lkeys, lvar, x, ev, env, stats)?
+                    eval_keys(lkeys, &spec.lvar, x, ev, env, stats)?
                 }
             };
-            stats.hash_probes += 1;
-            let mut matched = false;
-            if let Some(candidates) = Self::pick(tables, &key).map.get(&key) {
-                let x = xc.get_or_insert_with(|| probe.row_at(i));
-                for y in candidates {
-                    let y = y.borrow();
-                    if residual_holds(residual, lvar, x, rvar, y, ev, env, stats)? {
-                        matched = true;
-                        match kind {
-                            JoinKind::Inner | JoinKind::LeftOuter => {
-                                out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?))
-                            }
-                            JoinKind::Semi | JoinKind::Anti => break,
-                        }
-                    }
-                }
-            }
-            match kind {
-                JoinKind::Semi if matched => out.push(take_row(&mut xc, &probe, i)),
-                JoinKind::Anti if !matched => out.push(take_row(&mut xc, &probe, i)),
-                JoinKind::LeftOuter if !matched => {
-                    let x = xc.get_or_insert_with(|| probe.row_at(i));
-                    out.push(null_pad(x, right_attrs)?);
-                }
-                _ => {}
-            }
+            Self::probe_row(
+                tables, spec, &key, &probe, i, &mut xc, &mut out, ev, env, stats,
+            )?;
         }
         Ok(out)
     }
 
-    /// Probe one **pre-keyed** left row against this single table — the
-    /// grace-hash partition probe, where the key was already evaluated
-    /// to route the row to its partition file. Matching output rows are
-    /// appended to `out`; the kind-specific unmatched handling (semi /
-    /// anti / outer padding) is safe here because an equi-keyed probe
-    /// row can only ever match inside its own partition.
+    /// Probes row `i` of `probe` under its evaluated `key` — also the
+    /// grace join's per-row probe, whose keys were evaluated to route
+    /// the row to its partition file. Kind-specific unmatched handling
+    /// is safe there too: an equi-keyed probe row can only ever match
+    /// inside its own partition.
     #[allow(clippy::too_many_arguments)]
-    pub fn probe_keyed_row(
-        &self,
-        kind: JoinKind,
-        lvar: &Name,
-        rvar: &Name,
-        key: &[Value],
-        x: &Value,
-        residual: Option<&Expr>,
-        right_attrs: &[Name],
-        out: &mut Vec<Value>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<(), EvalError> {
-        stats.hash_probes += 1;
-        let mut matched = false;
-        if let Some(candidates) = self.map.get(key) {
-            for y in candidates {
-                let y = y.borrow();
-                if residual_holds(residual, lvar, x, rvar, y, ev, env, stats)? {
-                    matched = true;
-                    match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => {
-                            out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?))
-                        }
-                        JoinKind::Semi | JoinKind::Anti => break,
-                    }
-                }
-            }
-        }
-        match kind {
-            JoinKind::Semi if matched => out.push(x.clone()),
-            JoinKind::Anti if !matched => out.push(x.clone()),
-            JoinKind::LeftOuter if !matched => out.push(null_pad(x, right_attrs)?),
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// [`JoinHashTable::probe_keyed_row`] for the nestjoin: exactly one
-    /// output row per probe row, carrying its (possibly empty) group.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_keyed_nest_row(
-        &self,
-        lvar: &Name,
-        rvar: &Name,
-        key: &[Value],
-        x: &Value,
-        residual: Option<&Expr>,
-        rfunc: Option<&Expr>,
-        as_attr: &Name,
-        out: &mut Vec<Value>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<(), EvalError> {
-        stats.hash_probes += 1;
-        let mut group = Vec::new();
-        if let Some(candidates) = self.map.get(key) {
-            for y in candidates {
-                let y = y.borrow();
-                if residual_holds(residual, lvar, x, rvar, y, ev, env, stats)? {
-                    group.push(collect_right(rfunc, rvar, y, ev, env, stats)?);
-                }
-            }
-        }
-        out.push(with_group(x, as_attr, group)?);
-        Ok(())
-    }
-
-    /// Nestjoin probe over one batch: every left row yields exactly one
-    /// output row carrying its (possibly empty) group. Simple keys read
-    /// the probe batch's key columns directly (the row itself is still
-    /// materialized once, for the output tuple).
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_nest_batch(
+    pub(crate) fn probe_row<'p>(
         tables: &[Self],
-        lvar: &Name,
-        rvar: &Name,
-        lkeys: &[Expr],
-        residual: Option<&Expr>,
-        rfunc: Option<&Expr>,
-        as_attr: &Name,
-        probe: ProbeInput<'_>,
+        spec: &JoinSpec,
+        key: &[Value],
+        probe: &ProbeInput<'p>,
+        i: usize,
+        xc: &mut Option<Cow<'p, Value>>,
+        out: &mut Vec<Value>,
         ev: &Evaluator<'_>,
         env: &mut Env,
         stats: &mut Stats,
-    ) -> Result<Vec<Value>, EvalError> {
-        let key_cols = probe.key_columns(lkeys, lvar);
-        let mut out = Vec::with_capacity(probe.len());
-        for i in 0..probe.len() {
-            let mut xc = None;
-            let key = match &key_cols {
-                Some(cols) => cols.iter().map(|c| c.value_at(i)).collect::<Vec<_>>(),
-                None => {
-                    let x = xc.get_or_insert_with(|| probe.row_at(i));
-                    eval_keys(lkeys, lvar, x, ev, env, stats)?
-                }
-            };
-            stats.hash_probes += 1;
-            let mut group = Vec::new();
+    ) -> Result<(), EvalError> {
+        stats.hash_probes += 1;
+        let mut row = RowMatches::default();
+        let table = if tables.len() == 1 {
+            &tables[0]
+        } else {
+            &tables[(key_hash(key) % tables.len() as u64) as usize]
+        };
+        if let Some(candidates) = table.map.get(key) {
             let x = xc.get_or_insert_with(|| probe.row_at(i));
-            if let Some(candidates) = Self::pick(tables, &key).map.get(&key) {
-                for y in candidates {
-                    let y = y.borrow();
-                    if residual_holds(residual, lvar, x, rvar, y, ev, env, stats)? {
-                        group.push(collect_right(rfunc, rvar, y, ev, env, stats)?);
-                    }
+            for y in candidates {
+                let y = y.borrow();
+                let (lvar, rvar) = (&spec.lvar, &spec.rvar);
+                if residual_holds(spec.residual.as_ref(), lvar, x, rvar, y, ev, env, stats)?
+                    && !spec.matched(x, y, &mut row, out, ev, env, stats)?
+                {
+                    break;
                 }
             }
-            out.push(with_group(x, as_attr, group)?);
         }
-        Ok(out)
+        spec.finish_row(row, xc, probe, i, out)
     }
 }
 
@@ -384,7 +721,7 @@ impl<V: std::borrow::Borrow<Value>> JoinHashTable<V> {
 /// column-at-a-time through [`ColumnarBatch::gather`] /
 /// [`ColumnarBatch::filter`] instead of boxed row concatenation, so
 /// residual-free equi-join output never leaves columnar form.
-pub(crate) struct IndexedBuild {
+struct IndexedBuild {
     cb: ColumnarBatch,
     map: FxHashMap<Vec<Value>, Vec<usize>>,
 }
@@ -394,7 +731,7 @@ impl JoinHashTable<Value> {
     /// they do not form a uniform block of primitive-typed tuples. No
     /// counters are charged — the build itself was already counted;
     /// this only re-shapes it.
-    pub(crate) fn indexed(&self) -> Option<IndexedBuild> {
+    fn indexed(&self) -> Option<IndexedBuild> {
         let mut rows = Vec::new();
         let mut map: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
         for (key, bucket) in &self.map {
@@ -408,24 +745,24 @@ impl JoinHashTable<Value> {
 }
 
 impl IndexedBuild {
-    /// Probes one columnar batch entirely in columnar form. Only valid
-    /// for residual-free joins whose keys read straight off `key_cols`
-    /// (the caller checks both): inner joins gather matching
+    /// Probes one batch entirely in columnar form, when it is columnar
+    /// and `spec`'s keys read straight off its key columns (the spec is
+    /// one [`JoinSpec::indexed`] accepted): inner joins gather matching
     /// (probe, build) row pairs and concatenate them column-wise;
     /// semi/anti joins reduce to a selection mask over the probe batch.
     ///
-    /// Returns `None` for unsupported kinds or when the output schemas
-    /// collide (`concat` fails); the caller then re-probes the same
-    /// batch through the row path, which reports the exact reference
-    /// error — so `hash_probes` is charged here only on success, and
-    /// the counter totals stay identical to a pure row-probe run.
-    pub(crate) fn probe_columnar(
-        &self,
-        kind: JoinKind,
-        key_cols: &[&Column],
-        probe: &ColumnarBatch,
-        stats: &mut Stats,
-    ) -> Option<Batch> {
+    /// Returns `None` for any other batch, or when the output schemas
+    /// collide (`concat` fails); the caller then probes the same batch
+    /// through the row path, which reports the exact reference error —
+    /// so `hash_probes` is charged here only on success, and the
+    /// counter totals stay identical to a pure row-probe run.
+    fn probe_columnar(&self, spec: &JoinSpec, batch: &Batch, stats: &mut Stats) -> Option<Batch> {
+        let (Batch::Columnar(probe), JoinFamily::Equi { lkeys, .. }, HashMode::Join { kind, .. }) =
+            (batch, &spec.family, &spec.mode)
+        else {
+            return None;
+        };
+        let key_cols = ProbeInput::from(batch).key_columns(lkeys, &spec.lvar)?;
         let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
         let out = match kind {
             JoinKind::Semi | JoinKind::Anti => {
@@ -461,93 +798,26 @@ impl IndexedBuild {
     }
 }
 
-/// Classic hash join: build on the right, probe with the left.
-#[allow(clippy::too_many_arguments)]
-pub fn hash_join(
-    kind: JoinKind,
-    lvar: &Name,
-    rvar: &Name,
-    lkeys: &[Expr],
-    rkeys: &[Expr],
-    residual: Option<&Expr>,
-    right_attrs: &[Name],
-    left: &Set,
-    right: &Set,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    let table = JoinHashTable::build(rkeys, rvar, right.iter(), ev, env, stats)?;
-    let out = JoinHashTable::probe_batch(
-        std::slice::from_ref(&table),
-        kind,
-        lvar,
-        rvar,
-        lkeys,
-        residual,
-        right_attrs,
-        left.as_slice().into(),
-        ev,
-        env,
-        stats,
-    )?;
-    Ok(Value::Set(Set::from_values(out)))
-}
-
 /// A built hash table for membership joins: right rows are stored once
 /// and indexed by key (for `RightInLeftSet`, `rkey(y)`; for
 /// `LeftInRightSet`, every element of `rset(y)`). Row *indices* in the
 /// multimap make the per-left-tuple dedupe exact even though the rows
 /// are owned.
-pub struct MemberHashTable<V = Value> {
+pub(crate) struct MemberHashTable<V = Value> {
     rows: Vec<V>,
     index: FxHashMap<Value, Vec<usize>>,
 }
 
-impl<V: std::borrow::Borrow<Value>> MemberHashTable<V> {
-    /// Build phase over the right rows (generic over row ownership,
-    /// like [`JoinHashTable::build`]).
-    pub fn build(
-        shape: &MemberShape,
-        rvar: &Name,
-        right_rows: impl IntoIterator<Item = V>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<Self, EvalError> {
-        let mut rows = Vec::new();
-        let mut index: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
-        for y in right_rows {
-            let yi = rows.len();
-            match shape {
-                MemberShape::RightInLeftSet { rkey, .. } => {
-                    let k = eval_under(rkey, rvar, y.borrow(), ev, env, stats)?;
-                    stats.hash_build_rows += 1;
-                    index.entry(k).or_default().push(yi);
-                }
-                MemberShape::LeftInRightSet { rset, .. } => {
-                    let s = eval_under(rset, rvar, y.borrow(), ev, env, stats)?;
-                    for elem in s.as_set()?.iter() {
-                        stats.hash_build_rows += 1;
-                        index.entry(elem.clone()).or_default().push(yi);
-                    }
-                }
-            }
-            rows.push(y);
-        }
-        Ok(MemberHashTable { rows, index })
-    }
-
+impl<V: Borrow<Value>> MemberHashTable<V> {
     /// Build phase over pre-evaluated `(keys, row)` entries — one entry
     /// per row, carrying every index key the row is reachable under in
     /// **this** partition (a `LeftInRightSet` row whose set elements
     /// hash to several partitions is replicated, each replica indexed
-    /// only under its partition's elements). See
-    /// [`JoinHashTable::from_keyed`] for why insertion is charged here
-    /// and key evaluation is not.
-    pub fn from_keyed(
-        entries: impl IntoIterator<Item = (Vec<Value>, V)>,
-        stats: &mut Stats,
+    /// only under its partition's elements). Each index insertion is
+    /// counted into `inserted`, as in [`JoinHashTable::from_keyed`].
+    pub(crate) fn from_keyed(
+        entries: impl IntoIterator<Item = Keyed<V>>,
+        inserted: &mut u64,
     ) -> Self {
         let entries = entries.into_iter();
         let mut rows = Vec::with_capacity(entries.size_hint().0);
@@ -555,7 +825,7 @@ impl<V: std::borrow::Borrow<Value>> MemberHashTable<V> {
         for (keys, y) in entries {
             let yi = rows.len();
             for k in keys {
-                stats.hash_build_rows += 1;
+                *inserted += 1;
                 index.entry(k).or_default().push(yi);
             }
             rows.push(y);
@@ -565,7 +835,7 @@ impl<V: std::borrow::Borrow<Value>> MemberHashTable<V> {
 
     /// [`JoinHashTable::sort_candidates`] for membership keys: every
     /// key's row indices in canonical order of the rows they name.
-    pub fn sort_candidates(&mut self) {
+    fn sort_candidates(&mut self) {
         let rows = &self.rows;
         for ix in self.index.values_mut() {
             if ix.len() > 1 {
@@ -593,13 +863,11 @@ impl<V: std::borrow::Borrow<Value>> MemberHashTable<V> {
     /// land in the same partition, so one `(x, y)` pair can match in at
     /// most one partition.
     #[allow(clippy::too_many_arguments)]
-    pub fn keyed_matches(
+    pub(crate) fn keyed_matches(
         &self,
-        lvar: &Name,
-        rvar: &Name,
+        spec: &JoinSpec,
         keys: &[Value],
         x: &Value,
-        residual: Option<&Expr>,
         first_only: bool,
         ev: &Evaluator<'_>,
         env: &mut Env,
@@ -607,6 +875,7 @@ impl<V: std::borrow::Borrow<Value>> MemberHashTable<V> {
     ) -> Result<Vec<&Value>, EvalError> {
         let mut seen: Vec<usize> = Vec::new();
         let mut out = Vec::new();
+        let (lvar, rvar, residual) = (&spec.lvar, &spec.rvar, spec.residual.as_ref());
         for k in keys {
             stats.hash_probes += 1;
             if let Some(candidates) = self.index.get(k) {
@@ -669,7 +938,7 @@ impl<V: std::borrow::Borrow<Value>> MemberHashTable<V> {
         probe: &ProbeInput<'p>,
         left_col: Option<&oodb_value::Column>,
         i: usize,
-        cache: &mut Option<std::borrow::Cow<'p, Value>>,
+        cache: &mut Option<Cow<'p, Value>>,
         ev: &Evaluator<'_>,
         env: &mut Env,
         stats: &mut Stats,
@@ -688,33 +957,27 @@ impl<V: std::borrow::Borrow<Value>> MemberHashTable<V> {
         }
     }
 
-    /// Probe phase over one batch of left rows. Like
-    /// [`JoinHashTable::probe_batch`], `tables` is one table under
-    /// serial execution or the hash-partitioned tables of a parallel
-    /// build; every probe key consults its owning partition, and the
-    /// per-left-tuple dedupe tracks `(partition, row)` pairs so a row
-    /// matched through several set elements still joins once.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_batch(
+    /// Probe phase over one batch of left rows. Every probe key consults
+    /// its owning partition, and the per-left-tuple dedupe tracks
+    /// `(partition, row)` pairs so a row matched through several set
+    /// elements still joins once.
+    fn probe_batch(
         tables: &[Self],
-        kind: JoinKind,
-        lvar: &Name,
-        rvar: &Name,
+        spec: &JoinSpec,
         shape: &MemberShape,
-        residual: Option<&Expr>,
-        right_attrs: &[Name],
         probe: ProbeInput<'_>,
         ev: &Evaluator<'_>,
         env: &mut Env,
         stats: &mut Stats,
     ) -> Result<Vec<Value>, EvalError> {
+        let (lvar, rvar, residual) = (&spec.lvar, &spec.rvar, spec.residual.as_ref());
         let left_col = probe.key_column(Self::probe_left_expr(shape), lvar);
         let mut out = Vec::new();
         for i in 0..probe.len() {
             let mut xc = None;
             let probes =
                 Self::probe_keys_at(shape, lvar, &probe, left_col, i, &mut xc, ev, env, stats)?;
-            let mut matched = false;
+            let mut row = RowMatches::default();
             let mut seen: Vec<(usize, usize)> = Vec::new();
             'probe: for p in &probes {
                 stats.hash_probes += 1;
@@ -729,108 +992,319 @@ impl<V: std::borrow::Borrow<Value>> MemberHashTable<V> {
                         }
                         let y = table.rows[yi].borrow();
                         if residual_holds(residual, lvar, x, rvar, y, ev, env, stats)? {
-                            matched = true;
                             seen.push((ti, yi));
-                            match kind {
-                                JoinKind::Inner | JoinKind::LeftOuter => {
-                                    out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?))
-                                }
-                                JoinKind::Semi | JoinKind::Anti => break 'probe,
+                            if !spec.matched(x, y, &mut row, &mut out, ev, env, stats)? {
+                                break 'probe;
                             }
                         }
                     }
                 }
             }
-            match kind {
-                JoinKind::Semi if matched => out.push(take_row(&mut xc, &probe, i)),
-                JoinKind::Anti if !matched => out.push(take_row(&mut xc, &probe, i)),
-                JoinKind::LeftOuter if !matched => {
-                    let x = xc.get_or_insert_with(|| probe.row_at(i));
-                    out.push(null_pad(x, right_attrs)?);
-                }
-                _ => {}
-            }
+            spec.finish_row(row, &mut xc, &probe, i, &mut out)?;
         }
         Ok(out)
     }
+}
 
-    /// Membership nestjoin probe over one batch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_nest_batch(
-        tables: &[Self],
-        lvar: &Name,
-        rvar: &Name,
-        shape: &MemberShape,
-        residual: Option<&Expr>,
-        rfunc: Option<&Expr>,
-        as_attr: &Name,
-        probe: ProbeInput<'_>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
+// ---------------------------------------------------------------------
+// The streaming operator.
+
+/// One side of a [`HashJoinOp`].
+struct JoinInput {
+    /// The compiled child, drained on the calling thread whenever the
+    /// side does not stride.
+    op: BoxOp,
+    /// At dop > 1, the segment under a round-robin exchange child, whose
+    /// strides the join's own workers run instead of gathering them. On
+    /// the build side only a [`duplicate_free`] segment strides.
+    stride: Option<Segment>,
+}
+
+impl JoinInput {
+    /// Compiles child `plan` at pre-order ordinal `ord`. `set_input`
+    /// marks the build side, whose rows must form a set.
+    fn new(plan: &PhysPlan, ord: usize, set_input: bool, dop: usize) -> Self {
+        let stride = match plan {
+            PhysPlan::Exchange {
+                partitioning: Partitioning::RoundRobin,
+                input,
+                ..
+            } if dop > 1
+                && segment_scan(input).is_some()
+                && (!set_input || duplicate_free(input)) =>
+            {
+                Some(Segment {
+                    plan: (**input).clone(),
+                    ord: ord + 1,
+                })
+            }
+            _ => None,
+        };
+        JoinInput {
+            op: plan.compile_rows(ord, 0, 1),
+            stride,
+        }
+    }
+}
+
+/// The hash join family's streaming operator, at any degree of
+/// parallelism: the four hash join nodes compile to it at dop 1, and a
+/// hash `Exchange` over one compiles to it at the exchange's dop.
+///
+/// **dop 1** runs on the calling thread with the caller's context. The
+/// build side drains through the canonical-set breaker and is hashed
+/// into one table; then the probe side streams, one left batch per
+/// `next_batch` (residual-free equi inner/semi/anti joins probe
+/// columnar batches in columnar form under `vectorize`).
+///
+/// **dop > 1** runs build and probe on the worker pool. `dop` build
+/// workers each take a share of the build side, evaluate its keys and
+/// route every keyed row into one bucket per partition; partition *p*'s
+/// table is built from bucket *p* of every worker, in worker order, with
+/// the tables built concurrently. Then `dop` probe workers each stream a
+/// share of the probe side through the shared tables, and the output is
+/// buffered. A share is a worker's stride of the side's segment when the
+/// side is a round-robin exchange over one (its batches reach the probe
+/// with their key columns in place), else a contiguous chunk of the side
+/// drained on the calling thread — the build side through the usual
+/// canonical-set breaker, which is also how a build segment that may
+/// emit duplicate rows keeps its set semantics.
+///
+/// Under a bounded memory budget the build side always drains and stays
+/// one partition, and a build that does not fit the budget falls back
+/// to the grace hash join (see `spill_exec::grace_join`) at every dop.
+pub(crate) struct HashJoinOp {
+    spec: JoinSpec,
+    dop: usize,
+    left: JoinInput,
+    right: JoinInput,
+    state: JoinState,
+    spill: SpillMetrics,
+}
+
+/// Where a [`HashJoinOp`] is between `open` and exhaustion.
+enum JoinState {
+    /// Build side not yet drained.
+    Pending,
+    /// dop 1 with an in-memory build: probe batches stream against it.
+    Probing {
+        tables: HashTables,
+        /// The columnar view of the build, when the columnar probe
+        /// applies (see [`JoinSpec::indexed`]).
+        indexed: Option<IndexedBuild>,
+    },
+    /// The whole output, buffered: the grace join's, or the parallel
+    /// probe's.
+    Done(Buffered),
+}
+
+/// What a build produced: tables to probe, or — when a bounded build
+/// did not fit its budget — the output of the grace join it ran instead.
+enum Built {
+    Tables(HashTables),
+    Spilled(Vec<Value>),
+}
+
+impl HashJoinOp {
+    /// The operator for a hash-family join node at pre-order ordinal
+    /// `ord`; `None` for any other plan shape.
+    pub(crate) fn from_plan(plan: &PhysPlan, ord: usize, dop: usize) -> Option<Self> {
+        let (spec, left, right) = JoinSpec::from_plan(plan)?;
+        let kids = plan.child_ordinals(ord);
+        Some(HashJoinOp {
+            spec,
+            dop,
+            left: JoinInput::new(left, kids[0], false, dop),
+            right: JoinInput::new(right, kids[1], true, dop),
+            state: JoinState::Pending,
+            spill: SpillMetrics::default(),
+        })
+    }
+
+    /// Runs the build — and at dop > 1 the whole probe — on the first
+    /// pull.
+    fn start(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<JoinState, EvalError> {
+        let built = if self.dop == 1 {
+            self.build_serial(ctx)?
+        } else {
+            self.build_parallel(ctx)?
+        };
+        Ok(match built {
+            Built::Spilled(rows) => JoinState::Done(Buffered::new(rows)),
+            Built::Tables(tables) if self.dop == 1 => JoinState::Probing {
+                indexed: self.spec.indexed(&tables, &ctx.opts),
+                tables,
+            },
+            Built::Tables(tables) => {
+                JoinState::Done(Buffered::new(self.probe_parallel(&tables, ctx)?))
+            }
+        })
+    }
+
+    /// The dop 1 build, on the calling thread.
+    fn build_serial(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Built, EvalError> {
+        let rows = drain_to_set(&mut self.right.op, &mut self.spill, ctx)?.into_values();
+        if !ctx.opts.budget.is_bounded() {
+            let tables = self.spec.build(rows, &ctx.ev, &mut ctx.env, ctx.stats)?;
+            return Ok(Built::Tables(tables));
+        }
+        let keyed = rows
+            .into_iter()
+            .map(|y| {
+                let keys = self.spec.build_keys(&y, &ctx.ev, &mut ctx.env, ctx.stats)?;
+                Ok((keys, y))
+            })
+            .collect::<Result<Vec<_>, EvalError>>()?;
+        self.build_bounded(keyed, ctx)
+    }
+
+    /// The dop > 1 build: the workers key and route their shares. A
+    /// strided share skips the breaker (a duplicate-free segment is
+    /// already a set); anything else drains through it first.
+    fn build_parallel(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Built, EvalError> {
+        let (dop, spec) = (self.dop, &self.spec);
+        let bounded = ctx.opts.budget.is_bounded();
+        let build_stride = self.right.stride.as_ref().filter(|_| !bounded);
+        let shares = match build_stride {
+            Some(seg) => Share::strides(seg, dop),
+            None => {
+                let set = drain_to_set(&mut self.right.op, &mut self.spill, ctx)?;
+                Share::chunks(set.into_values(), dop)
+            }
+        };
+        let parts = if bounded { 1 } else { dop };
+        let routed = run_workers(shares, ctx, |share, wctx| {
+            let mut buckets: Vec<Vec<Keyed>> = (0..parts).map(|_| Vec::new()).collect();
+            share.for_each_batch(wctx, |batch, c| {
+                for y in batch.into_values() {
+                    let keys = spec.build_keys(&y, &c.ev, &mut c.env, c.stats)?;
+                    spec.route(keys, y, &mut buckets);
+                }
+                Ok(())
+            })?;
+            Ok(buckets)
+        })?;
+        if bounded {
+            let keyed = routed.into_iter().flatten().flatten().collect();
+            return self.build_bounded(keyed, ctx);
+        }
+        // Partition p takes bucket p of every worker, in worker order.
+        let mut partitions: Vec<Vec<Vec<Keyed>>> = (0..parts).map(|_| Vec::new()).collect();
+        for buckets in routed {
+            for (p, bucket) in buckets.into_iter().enumerate() {
+                partitions[p].push(bucket);
+            }
+        }
+        // Strided buckets hold each key's candidates in worker order; a
+        // residual can observe that order, so those tables restore the
+        // canonical order a one-table build has.
+        let canonical = build_stride.is_some() && spec.residual.is_some();
+        Ok(Built::Tables(
+            spec.partition_tables(partitions, canonical, ctx)?,
+        ))
+    }
+
+    /// The bounded build of every dop: keyed rows that fit the budget
+    /// become one table; an oversized build falls back to the grace hash
+    /// join, which partitions both sides through the spill manager
+    /// (partition-at-a-time, within the budget). The probe side is still
+    /// undrained, so grace streams it straight into partition files.
+    fn build_bounded(
+        &mut self,
+        keyed: Vec<Keyed>,
+        ctx: &mut ExecCtx<'_, '_>,
+    ) -> Result<Built, EvalError> {
+        let bytes: usize = keyed
+            .iter()
+            .map(|(ks, row)| spill_exec::entry_bytes(ks, row))
+            .sum();
+        if ctx.opts.budget.exceeded_by(bytes) {
+            let rows =
+                spill_exec::grace_join(&self.spec, keyed, &mut self.left.op, &mut self.spill, ctx)?;
+            return Ok(Built::Spilled(rows));
+        }
+        let tables = self.spec.table(keyed, &mut ctx.stats.hash_build_rows);
+        Ok(Built::Tables(tables))
+    }
+
+    /// The dop > 1 probe: each worker streams its share's batches
+    /// through the shared tables. The probe side is a raw row stream
+    /// (no probe deduplicates it).
+    fn probe_parallel(
+        &mut self,
+        tables: &HashTables,
+        ctx: &mut ExecCtx<'_, '_>,
     ) -> Result<Vec<Value>, EvalError> {
-        let left_col = probe.key_column(Self::probe_left_expr(shape), lvar);
-        let mut out = Vec::with_capacity(probe.len());
-        for i in 0..probe.len() {
-            let mut xc = None;
-            let probes =
-                Self::probe_keys_at(shape, lvar, &probe, left_col, i, &mut xc, ev, env, stats)?;
-            let mut group = Vec::new();
-            let mut seen: Vec<(usize, usize)> = Vec::new();
-            let x = xc.get_or_insert_with(|| probe.row_at(i));
-            for p in &probes {
-                stats.hash_probes += 1;
-                let (ti, table) = Self::pick(tables, p);
-                if let Some(candidates) = table.index.get(p) {
-                    for &yi in candidates {
-                        if seen.contains(&(ti, yi)) {
-                            continue;
-                        }
-                        let y = table.rows[yi].borrow();
-                        if residual_holds(residual, lvar, x, rvar, y, ev, env, stats)? {
-                            seen.push((ti, yi));
-                            group.push(collect_right(rfunc, rvar, y, ev, env, stats)?);
-                        }
-                    }
-                }
-            }
-            out.push(with_group(x, as_attr, group)?);
-        }
-        Ok(out)
+        let shares = match &self.left.stride {
+            Some(seg) => Share::strides(seg, self.dop),
+            None => Share::chunks(drain_rows(&mut self.left.op, ctx)?, self.dop),
+        };
+        let spec = &self.spec;
+        let outs = run_workers(shares, ctx, |share, wctx| {
+            let mut out = Vec::new();
+            share.for_each_batch(wctx, |batch, c| {
+                out.extend(spec.probe(tables, (&batch).into(), &c.ev, &mut c.env, c.stats)?);
+                Ok(())
+            })?;
+            Ok(out)
+        })?;
+        Ok(outs.into_iter().flatten().collect())
     }
 }
 
-/// Membership hash join for `MemberShape` predicates.
-#[allow(clippy::too_many_arguments)]
-pub fn member_join(
-    kind: JoinKind,
-    lvar: &Name,
-    rvar: &Name,
-    shape: &MemberShape,
-    residual: Option<&Expr>,
-    right_attrs: &[Name],
-    left: &Set,
-    right: &Set,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    let table = MemberHashTable::build(shape, rvar, right.iter(), ev, env, stats)?;
-    let out = MemberHashTable::probe_batch(
-        std::slice::from_ref(&table),
-        kind,
-        lvar,
-        rvar,
-        shape,
-        residual,
-        right_attrs,
-        left.as_slice().into(),
-        ev,
-        env,
-        stats,
-    )?;
-    Ok(Value::Set(Set::from_values(out)))
+impl Operator for HashJoinOp {
+    fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
+        self.state = JoinState::Pending;
+        self.left.op.open(ctx)?;
+        self.right.op.open(ctx)
+    }
+
+    fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
+        if matches!(self.state, JoinState::Pending) {
+            self.state = self.start(ctx)?;
+        }
+        let (tables, indexed) = match &mut self.state {
+            JoinState::Done(buf) => return Ok(buf.next_chunk(BatchKind::Row)),
+            JoinState::Probing { tables, indexed } => (&*tables, indexed.as_ref()),
+            JoinState::Pending => unreachable!("started above"),
+        };
+        loop {
+            let Some(batch) = self.left.op.next_batch(ctx)? else {
+                return Ok(None);
+            };
+            // Columnar fast path: output via gather, never building boxed
+            // rows. `None` falls through to the row probe, which reports
+            // the reference error and charges the counters itself.
+            if let Some(out) =
+                indexed.and_then(|ib| ib.probe_columnar(&self.spec, &batch, ctx.stats))
+            {
+                if out.is_empty() {
+                    continue;
+                }
+                return Ok(Some(out));
+            }
+            let out = self
+                .spec
+                .probe(tables, (&batch).into(), &ctx.ev, &mut ctx.env, ctx.stats)?;
+            if !out.is_empty() {
+                return Ok(Some(Batch::from_rows(out)));
+            }
+        }
+    }
+
+    fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
+        self.state = JoinState::Pending;
+        self.left.op.close(ctx);
+        self.right.op.close(ctx);
+    }
+
+    fn spill_metrics(&self) -> SpillMetrics {
+        self.spill
+    }
 }
+
+// ---------------------------------------------------------------------
+// Index and nested-loop joins.
 
 /// Index nested-loop join: probes a secondary hash index on
 /// `extent.attr` with `lkey(x)` for every left tuple — "the join can be
@@ -1040,74 +1514,6 @@ pub(crate) fn collect_right(
     }
 }
 
-/// Hash nestjoin: "to implement the nestjoin, common join implementation
-/// methods like the sort-merge join, or the hash join can be adapted"
-/// (§6.1). Build on the right; each left tuple gathers its matching right
-/// tuples — dangling left tuples keep `∅`.
-#[allow(clippy::too_many_arguments)]
-pub fn hash_nestjoin(
-    lvar: &Name,
-    rvar: &Name,
-    lkeys: &[Expr],
-    rkeys: &[Expr],
-    residual: Option<&Expr>,
-    rfunc: Option<&Expr>,
-    as_attr: &Name,
-    left: &Set,
-    right: &Set,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    let table = JoinHashTable::build(rkeys, rvar, right.iter(), ev, env, stats)?;
-    let out = JoinHashTable::probe_nest_batch(
-        std::slice::from_ref(&table),
-        lvar,
-        rvar,
-        lkeys,
-        residual,
-        rfunc,
-        as_attr,
-        left.as_slice().into(),
-        ev,
-        env,
-        stats,
-    )?;
-    Ok(Value::Set(Set::from_values(out)))
-}
-
-/// Membership-keyed nestjoin (Example Query 6's plan).
-#[allow(clippy::too_many_arguments)]
-pub fn member_nestjoin(
-    lvar: &Name,
-    rvar: &Name,
-    shape: &MemberShape,
-    residual: Option<&Expr>,
-    rfunc: Option<&Expr>,
-    as_attr: &Name,
-    left: &Set,
-    right: &Set,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    let table = MemberHashTable::build(shape, rvar, right.iter(), ev, env, stats)?;
-    let out = MemberHashTable::probe_nest_batch(
-        std::slice::from_ref(&table),
-        lvar,
-        rvar,
-        shape,
-        residual,
-        rfunc,
-        as_attr,
-        left.as_slice().into(),
-        ev,
-        env,
-        stats,
-    )?;
-    Ok(Value::Set(Set::from_values(out)))
-}
-
 /// Nested-loop nestjoin — definition 1 executed literally.
 #[allow(clippy::too_many_arguments)]
 pub fn nl_nestjoin(
@@ -1171,8 +1577,11 @@ pub fn nl_nestjoin_batch(
 mod tests {
     use super::*;
     use crate::eval::Evaluator;
+    use crate::physical::operator::{ResultStream, BATCH_SIZE};
+    use crate::plan::PlannerConfig;
     use oodb_adl::dsl::*;
     use oodb_catalog::fixtures::{figure3_db, supplier_part_db};
+    use oodb_spill::MemoryBudget;
 
     fn run(
         db: &oodb_catalog::Database,
@@ -1193,31 +1602,44 @@ mod tests {
             .unwrap()
     }
 
+    /// A spec joining `l` (probe) with `r` (build).
+    fn spec(
+        l: &str,
+        r: &str,
+        family: JoinFamily,
+        mode: HashMode,
+        residual: Option<Expr>,
+    ) -> JoinSpec {
+        JoinSpec {
+            family,
+            mode,
+            lvar: l.into(),
+            rvar: r.into(),
+            residual,
+        }
+    }
+
+    fn equi(lkeys: Vec<Expr>, rkeys: Vec<Expr>) -> JoinFamily {
+        JoinFamily::Equi { lkeys, rkeys }
+    }
+
+    fn joining(kind: JoinKind) -> HashMode {
+        HashMode::Join {
+            kind,
+            right_attrs: Vec::new(),
+        }
+    }
+
     #[test]
     fn hash_join_agrees_with_nl_join_figure3() {
         let db = figure3_db();
         let x = set_of(&db, "X");
         let y = set_of(&db, "Y");
-        let lk = [var("x").field("b")];
-        let rk = [var("y").field("d")];
         let pred = eq(var("x").field("b"), var("y").field("d"));
         for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
-            let (h, hs) = run(&db, |ev, env, st| {
-                hash_join(
-                    kind,
-                    &"x".into(),
-                    &"y".into(),
-                    &lk,
-                    &rk,
-                    None,
-                    &[],
-                    &x,
-                    &y,
-                    ev,
-                    env,
-                    st,
-                )
-            });
+            let keys = equi(vec![var("x").field("b")], vec![var("y").field("d")]);
+            let hash = spec("x", "y", keys, joining(kind), None);
+            let (h, hs) = run(&db, |ev, env, st| hash.join_sets(&x, &y, ev, env, st));
             let (n, ns) = run(&db, |ev, env, st| {
                 nl_join(
                     kind,
@@ -1245,22 +1667,10 @@ mod tests {
         let x = set_of(&db, "X");
         let y = set_of(&db, "Y");
         // join on b = d with residual y.c > 1: x1/x2 match only y(c=2,d=1)
-        let (v, _) = run(&db, |ev, env, st| {
-            hash_join(
-                JoinKind::Inner,
-                &"x".into(),
-                &"y".into(),
-                &[var("x").field("b")],
-                &[var("y").field("d")],
-                Some(&gt(var("y").field("c"), int(1))),
-                &[],
-                &x,
-                &y,
-                ev,
-                env,
-                st,
-            )
-        });
+        let keys = equi(vec![var("x").field("b")], vec![var("y").field("d")]);
+        let residual = Some(gt(var("y").field("c"), int(1)));
+        let hash = spec("x", "y", keys, joining(JoinKind::Inner), residual);
+        let (v, _) = run(&db, |ev, env, st| hash.join_sets(&x, &y, ev, env, st));
         assert_eq!(v.as_set().unwrap().len(), 2);
     }
 
@@ -1274,21 +1684,15 @@ mod tests {
             lset: var("s").field("parts"),
             rkey: var("p").field("pid"),
         };
-        let (v, stats) = run(&db, |ev, env, st| {
-            member_join(
-                JoinKind::Semi,
-                &"s".into(),
-                &"p".into(),
-                &shape,
-                Some(&eq(var("p").field("color"), str_lit("red"))),
-                &[],
-                &s,
-                &p,
-                ev,
-                env,
-                st,
-            )
-        });
+        let residual = Some(eq(var("p").field("color"), str_lit("red")));
+        let member = spec(
+            "s",
+            "p",
+            JoinFamily::Member { shape },
+            joining(JoinKind::Semi),
+            residual,
+        );
+        let (v, stats) = run(&db, |ev, env, st| member.join_sets(&s, &p, ev, env, st));
         let names: Vec<&Value> = v
             .as_set()
             .unwrap()
@@ -1313,21 +1717,14 @@ mod tests {
             lkey: var("p").field("pid"),
             rset: var("s").field("parts"),
         };
-        let (v, _) = run(&db, |ev, env, st| {
-            member_join(
-                JoinKind::Semi,
-                &"p".into(),
-                &"s".into(),
-                &shape,
-                None,
-                &[],
-                &p,
-                &s,
-                ev,
-                env,
-                st,
-            )
-        });
+        let member = spec(
+            "p",
+            "s",
+            JoinFamily::Member { shape },
+            joining(JoinKind::Semi),
+            None,
+        );
+        let (v, _) = run(&db, |ev, env, st| member.join_sets(&p, &s, ev, env, st));
         // supplied parts: 11,12,13,14,17 (15,16 unsupplied)
         assert_eq!(v.as_set().unwrap().len(), 5);
     }
@@ -1345,51 +1742,30 @@ mod tests {
             ("ks", Value::set([Value::Int(10), Value::Int(20)])),
             ("tag", Value::str("y")),
         ])]);
-        // x.elems ∩ y.ks ≠ ∅ via LeftInRightSet on each elem? Use shape
-        // RightInLeftSet with rkey being... construct: probe x.elems against
-        // build keyed by each elem of y.ks.
-        let shape = MemberShape::LeftInRightSet {
-            lkey: var("x").field("k"),
-            rset: var("y").field("ks"),
+        let inner = |shape| {
+            spec(
+                "x",
+                "y",
+                JoinFamily::Member { shape },
+                joining(JoinKind::Inner),
+                None,
+            )
         };
         // x.k = 1 not in {10, 20}: no match
+        let miss = inner(MemberShape::LeftInRightSet {
+            lkey: var("x").field("k"),
+            rset: var("y").field("ks"),
+        });
         let (v, _) = run(&db, |ev, env, st| {
-            member_join(
-                JoinKind::Inner,
-                &"x".into(),
-                &"y".into(),
-                &shape,
-                None,
-                &[],
-                &left,
-                &right,
-                ev,
-                env,
-                st,
-            )
+            miss.join_sets(&left, &right, ev, env, st)
         });
         assert_eq!(v.as_set().unwrap().len(), 0);
-        // Now RightInLeftSet: y probes via tag-key? Instead check dedupe
-        // path: rkey constant → both probes hit the same right tuple.
-        let shape2 = MemberShape::RightInLeftSet {
+        // rkey constant → both probes of x.elems reach the same right tuple
+        let dup = inner(MemberShape::RightInLeftSet {
             lset: var("x").field("elems"),
             rkey: Expr::int(10),
-        };
-        let (v2, _) = run(&db, |ev, env, st| {
-            member_join(
-                JoinKind::Inner,
-                &"x".into(),
-                &"y".into(),
-                &shape2,
-                None,
-                &[],
-                &left,
-                &right,
-                ev,
-                env,
-                st,
-            )
         });
+        let (v2, _) = run(&db, |ev, env, st| dup.join_sets(&left, &right, ev, env, st));
         // only the elem 10 probe hits; elem 20 misses; and the single
         // (x,y) pair appears exactly once
         assert_eq!(v2.as_set().unwrap().len(), 1);
@@ -1400,22 +1776,13 @@ mod tests {
         let db = figure3_db();
         let x = set_of(&db, "X");
         let y = set_of(&db, "Y");
-        let (h, hs) = run(&db, |ev, env, st| {
-            hash_nestjoin(
-                &"x".into(),
-                &"y".into(),
-                &[var("x").field("b")],
-                &[var("y").field("d")],
-                None,
-                None,
-                &"ys".into(),
-                &x,
-                &y,
-                ev,
-                env,
-                st,
-            )
-        });
+        let nest = HashMode::Nest {
+            rfunc: None,
+            as_attr: "ys".into(),
+        };
+        let keys = equi(vec![var("x").field("b")], vec![var("y").field("d")]);
+        let hash = spec("x", "y", keys, nest, None);
+        let (h, hs) = run(&db, |ev, env, st| hash.join_sets(&x, &y, ev, env, st));
         let pred = eq(var("x").field("b"), var("y").field("d"));
         let (n, _) = run(&db, |ev, env, st| {
             nl_nestjoin(
@@ -1447,21 +1814,12 @@ mod tests {
             lset: var("s").field("parts"),
             rkey: var("p").field("pid"),
         };
-        let (v, _) = run(&db, |ev, env, st| {
-            member_nestjoin(
-                &"s".into(),
-                &"p".into(),
-                &shape,
-                None,
-                Some(&var("p").field("pname")),
-                &"pnames".into(),
-                &s,
-                &p,
-                ev,
-                env,
-                st,
-            )
-        });
+        let nest = HashMode::Nest {
+            rfunc: Some(var("p").field("pname")),
+            as_attr: "pnames".into(),
+        };
+        let member = spec("s", "p", JoinFamily::Member { shape }, nest, None);
+        let (v, _) = run(&db, |ev, env, st| member.join_sets(&s, &p, ev, env, st));
         let rows = v.as_set().unwrap();
         assert_eq!(rows.len(), 5);
         let s4 = rows
@@ -1502,27 +1860,116 @@ mod tests {
         let db = figure3_db();
         let x = set_of(&db, "X");
         let y = set_of(&db, "Y");
-        let (v, _) = run(&db, |ev, env, st| {
-            hash_join(
-                JoinKind::LeftOuter,
-                &"x".into(),
-                &"y".into(),
-                &[var("x").field("b")],
-                &[var("y").field("d")],
-                None,
-                &["c".into(), "d".into(), "yid".into()],
-                &x,
-                &y,
-                ev,
-                env,
-                st,
-            )
-        });
+        let outer = HashMode::Join {
+            kind: JoinKind::LeftOuter,
+            right_attrs: vec!["c".into(), "d".into(), "yid".into()],
+        };
+        let keys = equi(vec![var("x").field("b")], vec![var("y").field("d")]);
+        let hash = spec("x", "y", keys, outer, None);
+        let (v, _) = run(&db, |ev, env, st| hash.join_sets(&x, &y, ev, env, st));
         let rows = v.as_set().unwrap();
         assert_eq!(rows.len(), 5);
         assert!(rows
             .iter()
             .any(|r| r.as_tuple().unwrap().get("c") == Some(&Value::Null)));
+    }
+
+    /// `σ[x : x.price < 1000](L)` over a literal `L` of `rows` tuples
+    /// `⟨k, price, elems⟩`, canonically ordered by `k`. The rows of the
+    /// last batch carry a `Null` price, so the filter fails only there.
+    fn failing_tail_probe(rows: usize) -> PhysPlan {
+        let first_bad = rows - BATCH_SIZE / 2;
+        let tuples: Vec<Value> = (0..rows)
+            .map(|k| {
+                let price = if k >= first_bad {
+                    Value::Null
+                } else {
+                    Value::Int(k as i64 % 100)
+                };
+                Value::tuple([
+                    ("k", Value::Int(k as i64)),
+                    ("price", price),
+                    ("elems", Value::set([Value::Int(k as i64)])),
+                ])
+            })
+            .collect();
+        PhysPlan::Filter {
+            var: "x".into(),
+            pred: lt(var("x").field("price"), int(1000)),
+            input: Box::new(PhysPlan::Literal(Value::Set(Set::from_values(tuples)))),
+        }
+    }
+
+    #[test]
+    fn dop_1_streams_its_probe_side() {
+        // A probe side of 3+ batches whose last batch fails to evaluate:
+        // a streaming probe hands out output before it reaches the
+        // failure; a buffering one would fail on the first pull.
+        let rows = 3 * BATCH_SIZE + 17;
+        let build = (0..rows)
+            .map(|k| Value::tuple([("k", Value::Int(k as i64))]))
+            .collect();
+        let build = Box::new(PhysPlan::Literal(Value::Set(Set::from_values(build))));
+        let semijoin = PhysPlan::HashJoin {
+            kind: JoinKind::Semi,
+            lvar: "x".into(),
+            rvar: "y".into(),
+            lkeys: vec![var("x").field("k")],
+            rkeys: vec![var("y").field("k")],
+            residual: None,
+            right_attrs: Vec::new(),
+            left: Box::new(failing_tail_probe(rows)),
+            right: build.clone(),
+        };
+        let nestjoin = PhysPlan::MemberNestJoin {
+            lvar: "x".into(),
+            rvar: "y".into(),
+            shape: MemberShape::RightInLeftSet {
+                lset: var("x").field("elems"),
+                rkey: var("y").field("k"),
+            },
+            residual: None,
+            rfunc: None,
+            as_attr: "ys".into(),
+            left: Box::new(failing_tail_probe(rows)),
+            right: build,
+        };
+        let db = supplier_part_db();
+        for plan in [semijoin, nestjoin] {
+            for (batch_kind, vectorize) in [
+                (BatchKind::Columnar, true),
+                (BatchKind::Columnar, false),
+                (BatchKind::Row, true),
+            ] {
+                // an in-memory build: a grace fallback must drain the
+                // probe side whole, so it cannot stream
+                let opts = ExecOptions {
+                    budget: MemoryBudget::unbounded(),
+                    batch_kind,
+                    vectorize,
+                    ..PlannerConfig::default().exec_options()
+                };
+                let mut stream = ResultStream::with_options(&plan, &db, opts);
+                let first = stream.next_chunk();
+                assert!(
+                    matches!(first, Ok(Some(_))),
+                    "{}: first pull {first:?}",
+                    plan.op_label()
+                );
+                let err = loop {
+                    match stream.next_chunk() {
+                        Ok(Some(_)) => continue,
+                        Ok(None) => panic!("{}: the failing tail never surfaced", plan.op_label()),
+                        Err(e) => break e,
+                    }
+                };
+                assert!(
+                    matches!(err, EvalError::NullNotAllowed(_)),
+                    "{}: {err}",
+                    plan.op_label()
+                );
+            }
+        }
     }
 
     use oodb_adl::expr::Expr;

@@ -530,59 +530,15 @@ impl PhysPlan {
                 }
                 Ok(Value::Set(Set::from_values(out)))
             }
-            PhysPlan::HashJoin {
-                kind,
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                right_attrs,
-                left,
-                right,
-            } => {
+            PhysPlan::HashJoin { .. }
+            | PhysPlan::HashNestJoin { .. }
+            | PhysPlan::HashMemberJoin { .. }
+            | PhysPlan::MemberNestJoin { .. } => {
+                let (spec, left, right) =
+                    hashjoin::JoinSpec::from_plan(self).expect("a hash-family join node");
                 let l = left.exec(ev, env, stats)?.into_set()?;
                 let r = right.exec(ev, env, stats)?.into_set()?;
-                hashjoin::hash_join(
-                    *kind,
-                    lvar,
-                    rvar,
-                    lkeys,
-                    rkeys,
-                    residual.as_ref(),
-                    right_attrs,
-                    &l,
-                    &r,
-                    ev,
-                    env,
-                    stats,
-                )
-            }
-            PhysPlan::HashMemberJoin {
-                kind,
-                lvar,
-                rvar,
-                shape,
-                residual,
-                right_attrs,
-                left,
-                right,
-            } => {
-                let l = left.exec(ev, env, stats)?.into_set()?;
-                let r = right.exec(ev, env, stats)?.into_set()?;
-                hashjoin::member_join(
-                    *kind,
-                    lvar,
-                    rvar,
-                    shape,
-                    residual.as_ref(),
-                    right_attrs,
-                    &l,
-                    &r,
-                    ev,
-                    env,
-                    stats,
-                )
+                spec.join_sets(&l, &r, ev, env, stats)
             }
             PhysPlan::IndexNLJoin {
                 kind,
@@ -641,60 +597,6 @@ impl PhysPlan {
                     lkeys,
                     rkeys,
                     residual.as_ref(),
-                    &l,
-                    &r,
-                    ev,
-                    env,
-                    stats,
-                )
-            }
-            PhysPlan::HashNestJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => {
-                let l = left.exec(ev, env, stats)?.into_set()?;
-                let r = right.exec(ev, env, stats)?.into_set()?;
-                hashjoin::hash_nestjoin(
-                    lvar,
-                    rvar,
-                    lkeys,
-                    rkeys,
-                    residual.as_ref(),
-                    rfunc.as_ref(),
-                    as_attr,
-                    &l,
-                    &r,
-                    ev,
-                    env,
-                    stats,
-                )
-            }
-            PhysPlan::MemberNestJoin {
-                lvar,
-                rvar,
-                shape,
-                residual,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => {
-                let l = left.exec(ev, env, stats)?.into_set()?;
-                let r = right.exec(ev, env, stats)?.into_set()?;
-                hashjoin::member_nestjoin(
-                    lvar,
-                    rvar,
-                    shape,
-                    residual.as_ref(),
-                    rfunc.as_ref(),
-                    as_attr,
                     &l,
                     &r,
                     ev,

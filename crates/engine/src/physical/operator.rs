@@ -16,7 +16,7 @@
 //!   deduplicating semantics), while selections, maps, projections,
 //!   unnests, assembly and every join **probe side stream** batch by
 //!   batch;
-//! * each operator is wrapped in an [`Instrument`] shim recording
+//! * each operator is wrapped in an `Instrument` shim recording
 //!   rows/batches emitted into [`Stats::operators`].
 //!
 //! Entry point: [`PhysPlan::execute_streaming`], which
@@ -24,8 +24,8 @@
 //! configuration's [`ExecOptions`]; [`ResultStream`] is the same
 //! pipeline pulled chunk by chunk.
 
-use super::columnar::{simple_attr, MaskExpr, ProbeInput};
-use super::hashjoin::{self, IndexedBuild, JoinHashTable, MemberHashTable, MemberShape};
+use super::columnar::{simple_attr, MaskExpr};
+use super::hashjoin::{self, HashJoinOp, HashMode};
 use super::sortmerge::SortMergeState;
 use super::{pnhl, spill_exec, MatchKeys, PhysPlan};
 use crate::eval::{aggregate, nest_set, unnest_value, Env, EvalError, Evaluator};
@@ -1178,302 +1178,6 @@ impl Operator for ProductOp {
     }
 }
 
-/// Whether a hash-family operator produces join rows or nestjoin groups.
-pub(crate) enum HashMode {
-    /// `⋈ ⋉ ▷ ⟕` on equi-keys.
-    Join {
-        kind: JoinKind,
-        right_attrs: Vec<Name>,
-    },
-    /// `⊣` — one output row per probe row, carrying its group.
-    Nest { rfunc: Option<Expr>, as_attr: Name },
-}
-
-/// Build-phase outcome of a budget-aware hash-family join: the build
-/// side fit in memory (stream the probe side as before), or it spilled
-/// and the whole join already ran partition-wise (emit the buffered
-/// output).
-enum HashJoinState<T> {
-    /// Build side not yet drained.
-    Pending,
-    /// In-memory table; probe batches stream against it.
-    InMem(T),
-    /// The build side exceeded the budget: grace join ran to completion
-    /// (draining the probe side into partition files), output buffered.
-    Spilled(Buffered),
-}
-
-/// Hash join family on extracted equi-keys: build on the right (a
-/// pipeline breaker), then probe batches as the left side streams.
-/// Under a bounded memory budget an oversized build side switches the
-/// operator to a grace hash join (see [`spill_exec::grace_equi_join`]).
-struct HashJoinOp {
-    mode: HashMode,
-    lvar: Name,
-    rvar: Name,
-    lkeys: Vec<Expr>,
-    rkeys: Vec<Expr>,
-    residual: Option<Expr>,
-    left: BoxOp,
-    right: BoxOp,
-    state: HashJoinState<JoinHashTable>,
-    /// Columnar re-materialization of the in-memory build table, built
-    /// once per open when the vectorized probe applies (residual-free
-    /// inner/semi/anti join, batchable build rows, `ctx.opts.vectorize`).
-    indexed: Option<IndexedBuild>,
-    spill: SpillMetrics,
-}
-
-impl Operator for HashJoinOp {
-    fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
-        self.state = HashJoinState::Pending;
-        self.indexed = None;
-        self.left.open(ctx)?;
-        self.right.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
-        if matches!(self.state, HashJoinState::Pending) {
-            let build = drain_to_set(&mut self.right, &mut self.spill, ctx)?;
-            self.state = if !ctx.opts.budget.is_bounded() {
-                HashJoinState::InMem(JoinHashTable::build(
-                    &self.rkeys,
-                    &self.rvar,
-                    build.into_values(),
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?)
-            } else {
-                let (keyed, bytes) = spill_exec::keyed_equi_build(
-                    build.into_values(),
-                    &self.rkeys,
-                    &self.rvar,
-                    ctx,
-                )?;
-                if !ctx.opts.budget.exceeded_by(bytes) {
-                    HashJoinState::InMem(JoinHashTable::from_keyed(keyed, ctx.stats))
-                } else {
-                    let budget = ctx.opts.budget.clone();
-                    let rows = spill_exec::grace_equi_join(
-                        &self.mode,
-                        &self.lvar,
-                        &self.rvar,
-                        &self.lkeys,
-                        self.residual.as_ref(),
-                        keyed,
-                        &mut self.left,
-                        &budget,
-                        &mut self.spill,
-                        ctx,
-                    )?;
-                    HashJoinState::Spilled(Buffered::new(rows))
-                }
-            };
-            if let HashJoinState::InMem(table) = &self.state {
-                if ctx.opts.vectorize
-                    && self.residual.is_none()
-                    && matches!(
-                        self.mode,
-                        HashMode::Join {
-                            kind: JoinKind::Inner | JoinKind::Semi | JoinKind::Anti,
-                            ..
-                        }
-                    )
-                {
-                    self.indexed = table.indexed();
-                }
-            }
-        }
-        let table = match &mut self.state {
-            HashJoinState::Spilled(buf) => return Ok(buf.next_chunk(BatchKind::Row)),
-            HashJoinState::InMem(table) => table,
-            HashJoinState::Pending => unreachable!("resolved above"),
-        };
-        loop {
-            let Some(batch) = self.left.next_batch(ctx)? else {
-                return Ok(None);
-            };
-            // columnar fast path: a residual-free equi-join over a
-            // columnar probe batch whose keys read straight off the key
-            // columns emits columnar output via gather, never building
-            // boxed rows. `None` (unsupported shape, schema collision)
-            // falls through to the row probe below, which reports the
-            // reference error and charges the counters itself.
-            if let (Some(ib), HashMode::Join { kind, .. }) = (&self.indexed, &self.mode) {
-                if let Batch::Columnar(cb) = &batch {
-                    let probe = ProbeInput::from(&batch);
-                    if let Some(cols) = probe.key_columns(&self.lkeys, &self.lvar) {
-                        if let Some(out) = ib.probe_columnar(*kind, &cols, cb, ctx.stats) {
-                            if out.is_empty() {
-                                continue;
-                            }
-                            return Ok(Some(out));
-                        }
-                    }
-                }
-            }
-            let out = match &self.mode {
-                HashMode::Join { kind, right_attrs } => JoinHashTable::probe_batch(
-                    std::slice::from_ref(table),
-                    *kind,
-                    &self.lvar,
-                    &self.rvar,
-                    &self.lkeys,
-                    self.residual.as_ref(),
-                    right_attrs,
-                    (&batch).into(),
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?,
-                HashMode::Nest { rfunc, as_attr } => JoinHashTable::probe_nest_batch(
-                    std::slice::from_ref(table),
-                    &self.lvar,
-                    &self.rvar,
-                    &self.lkeys,
-                    self.residual.as_ref(),
-                    rfunc.as_ref(),
-                    as_attr,
-                    (&batch).into(),
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?,
-            };
-            if !out.is_empty() {
-                return Ok(Some(Batch::from_rows(out)));
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
-        self.state = HashJoinState::Pending;
-        self.indexed = None;
-        self.left.close(ctx);
-        self.right.close(ctx);
-    }
-
-    fn spill_metrics(&self) -> SpillMetrics {
-        self.spill
-    }
-}
-
-/// Membership-keyed hash join family (`p.pid ∈ s.parts` shapes). Under
-/// a bounded budget an oversized build side switches to the membership
-/// grace join (see [`spill_exec::grace_member_join`]).
-struct MemberJoinOp {
-    mode: HashMode,
-    lvar: Name,
-    rvar: Name,
-    shape: MemberShape,
-    residual: Option<Expr>,
-    left: BoxOp,
-    right: BoxOp,
-    state: HashJoinState<MemberHashTable>,
-    spill: SpillMetrics,
-}
-
-impl Operator for MemberJoinOp {
-    fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
-        self.state = HashJoinState::Pending;
-        self.left.open(ctx)?;
-        self.right.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
-        if matches!(self.state, HashJoinState::Pending) {
-            let build = drain_to_set(&mut self.right, &mut self.spill, ctx)?;
-            self.state = if !ctx.opts.budget.is_bounded() {
-                HashJoinState::InMem(MemberHashTable::build(
-                    &self.shape,
-                    &self.rvar,
-                    build.into_values(),
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?)
-            } else {
-                let (keyed, bytes) = spill_exec::keyed_member_build(
-                    build.into_values(),
-                    &self.shape,
-                    &self.rvar,
-                    ctx,
-                )?;
-                if !ctx.opts.budget.exceeded_by(bytes) {
-                    HashJoinState::InMem(MemberHashTable::from_keyed(keyed, ctx.stats))
-                } else {
-                    let budget = ctx.opts.budget.clone();
-                    let rows = spill_exec::grace_member_join(
-                        &self.mode,
-                        &self.lvar,
-                        &self.rvar,
-                        &self.shape,
-                        self.residual.as_ref(),
-                        keyed,
-                        &mut self.left,
-                        &budget,
-                        &mut self.spill,
-                        ctx,
-                    )?;
-                    HashJoinState::Spilled(Buffered::new(rows))
-                }
-            };
-        }
-        let table = match &mut self.state {
-            HashJoinState::Spilled(buf) => return Ok(buf.next_chunk(BatchKind::Row)),
-            HashJoinState::InMem(table) => table,
-            HashJoinState::Pending => unreachable!("resolved above"),
-        };
-        loop {
-            let Some(batch) = self.left.next_batch(ctx)? else {
-                return Ok(None);
-            };
-            let out = match &self.mode {
-                HashMode::Join { kind, right_attrs } => MemberHashTable::probe_batch(
-                    std::slice::from_ref(table),
-                    *kind,
-                    &self.lvar,
-                    &self.rvar,
-                    &self.shape,
-                    self.residual.as_ref(),
-                    right_attrs,
-                    (&batch).into(),
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?,
-                HashMode::Nest { rfunc, as_attr } => MemberHashTable::probe_nest_batch(
-                    std::slice::from_ref(table),
-                    &self.lvar,
-                    &self.rvar,
-                    &self.shape,
-                    self.residual.as_ref(),
-                    rfunc.as_ref(),
-                    as_attr,
-                    (&batch).into(),
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?,
-            };
-            if !out.is_empty() {
-                return Ok(Some(Batch::from_rows(out)));
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
-        self.state = HashJoinState::Pending;
-        self.left.close(ctx);
-        self.right.close(ctx);
-    }
-
-    fn spill_metrics(&self) -> SpillMetrics {
-        self.spill
-    }
-}
-
 /// Index nested-loop join: the left side streams, each row probing the
 /// right extent's secondary hash index.
 struct IndexNLJoinOp {
@@ -1916,104 +1620,12 @@ impl PhysPlan {
                 right_set: None,
                 spill: SpillMetrics::default(),
             }),
-            PhysPlan::HashJoin {
-                kind,
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                right_attrs,
-                left,
-                right,
-            } => Box::new(HashJoinOp {
-                mode: HashMode::Join {
-                    kind: *kind,
-                    right_attrs: right_attrs.clone(),
-                },
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                lkeys: lkeys.clone(),
-                rkeys: rkeys.clone(),
-                residual: residual.clone(),
-                left: left.compile_rows(kids[0], 0, 1),
-                right: right.compile_rows(kids[1], 0, 1),
-                state: HashJoinState::Pending,
-                indexed: None,
-                spill: SpillMetrics::default(),
-            }),
-            PhysPlan::HashNestJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => Box::new(HashJoinOp {
-                mode: HashMode::Nest {
-                    rfunc: rfunc.clone(),
-                    as_attr: as_attr.clone(),
-                },
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                lkeys: lkeys.clone(),
-                rkeys: rkeys.clone(),
-                residual: residual.clone(),
-                left: left.compile_rows(kids[0], 0, 1),
-                right: right.compile_rows(kids[1], 0, 1),
-                state: HashJoinState::Pending,
-                indexed: None,
-                spill: SpillMetrics::default(),
-            }),
-            PhysPlan::HashMemberJoin {
-                kind,
-                lvar,
-                rvar,
-                shape,
-                residual,
-                right_attrs,
-                left,
-                right,
-            } => Box::new(MemberJoinOp {
-                mode: HashMode::Join {
-                    kind: *kind,
-                    right_attrs: right_attrs.clone(),
-                },
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                shape: shape.clone(),
-                residual: residual.clone(),
-                left: left.compile_rows(kids[0], 0, 1),
-                right: right.compile_rows(kids[1], 0, 1),
-                state: HashJoinState::Pending,
-                spill: SpillMetrics::default(),
-            }),
-            PhysPlan::MemberNestJoin {
-                lvar,
-                rvar,
-                shape,
-                residual,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => Box::new(MemberJoinOp {
-                mode: HashMode::Nest {
-                    rfunc: rfunc.clone(),
-                    as_attr: as_attr.clone(),
-                },
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                shape: shape.clone(),
-                residual: residual.clone(),
-                left: left.compile_rows(kids[0], 0, 1),
-                right: right.compile_rows(kids[1], 0, 1),
-                state: HashJoinState::Pending,
-                spill: SpillMetrics::default(),
-            }),
+            PhysPlan::HashJoin { .. }
+            | PhysPlan::HashNestJoin { .. }
+            | PhysPlan::HashMemberJoin { .. }
+            | PhysPlan::MemberNestJoin { .. } => {
+                Box::new(HashJoinOp::from_plan(self, ord, 1).expect("a hash-family join node"))
+            }
             PhysPlan::IndexNLJoin {
                 kind,
                 lvar,

@@ -181,6 +181,7 @@ fn keyed<V: std::borrow::Borrow<Value>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::hashjoin::{HashMode, JoinFamily, JoinSpec};
     use oodb_adl::dsl::*;
     use oodb_adl::expr::JoinKind;
     use oodb_catalog::fixtures::figure3_db;
@@ -211,21 +212,20 @@ mod tests {
         .unwrap();
 
         let mut s2 = Stats::new();
-        let hj = crate::physical::hashjoin::hash_join(
-            JoinKind::Inner,
-            &"x".into(),
-            &"y".into(),
-            &lk,
-            &rk,
-            None,
-            &[],
-            &x,
-            &y,
-            &ev,
-            &mut env,
-            &mut s2,
-        )
-        .unwrap();
+        let hash = JoinSpec {
+            family: JoinFamily::Equi {
+                lkeys: lk.to_vec(),
+                rkeys: rk.to_vec(),
+            },
+            mode: HashMode::Join {
+                kind: JoinKind::Inner,
+                right_attrs: Vec::new(),
+            },
+            lvar: "x".into(),
+            rvar: "y".into(),
+            residual: None,
+        };
+        let hj = hash.join_sets(&x, &y, &ev, &mut env, &mut s2).unwrap();
         assert_eq!(smj, hj);
         assert_eq!(smj.as_set().unwrap().len(), 4);
     }

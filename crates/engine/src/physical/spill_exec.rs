@@ -5,7 +5,7 @@
 //! runs and every operator keeps its legacy in-memory behavior. Under a
 //! bounded budget:
 //!
-//! * **Grace hash join** ([`grace_equi_join`] / [`grace_member_join`]):
+//! * **Grace hash join** ([`grace_join`]):
 //!   when a build side's keyed rows exceed the budget, both build *and*
 //!   probe rows are hash-partitioned to spill files and the join runs
 //!   partition by partition, recursively re-partitioning any partition
@@ -27,8 +27,12 @@
 //! per-recursion-level remix, so equal keys always meet in the same
 //! partition and recursion actually redistributes.
 
-use super::hashjoin::{self, eval_keys, eval_under, JoinHashTable, MemberHashTable, MemberShape};
-use super::operator::{BoxOp, ExecCtx, HashMode};
+use super::columnar::ProbeInput;
+use super::hashjoin::{
+    self, eval_keys, eval_under, HashMode, JoinFamily, JoinHashTable, JoinSpec, Keyed,
+    MemberHashTable, MemberShape,
+};
+use super::operator::{BoxOp, ExecCtx};
 use super::MatchKeys;
 use crate::eval::EvalError;
 use crate::stats::Stats;
@@ -40,10 +44,6 @@ use oodb_value::{Name, Set, Tuple, Value};
 
 /// An equal-key group from a merged run stream: the key and its rows.
 type KeyGroup = (Vec<Value>, Vec<Value>);
-
-/// One keyed entry: the routing keys (a composite equi key, or a
-/// membership key subset) and the row.
-pub(crate) type KeyedRow = (Vec<Value>, Value);
 
 /// Spill partitions per grace pass. Skewed partitions re-partition with
 /// the same fan-out at the next recursion level.
@@ -104,58 +104,6 @@ fn account(local: &mut SpillMetrics, stats: &mut Stats, mgr: &SpillManager) {
     stats.spill_passes += mgr.metrics.passes;
 }
 
-/// Evaluates the equi build keys of every row, returning the keyed rows
-/// and their total encoded size. Insertion (and `hash_build_rows`) is
-/// charged later, by whichever table the rows end up in.
-pub(crate) fn keyed_equi_build(
-    rows: impl IntoIterator<Item = Value>,
-    rkeys: &[Expr],
-    rvar: &Name,
-    ctx: &mut ExecCtx<'_, '_>,
-) -> Result<(Vec<KeyedRow>, usize), EvalError> {
-    let mut keyed = Vec::new();
-    let mut bytes = 0usize;
-    for y in rows {
-        let key = eval_keys(rkeys, rvar, &y, &ctx.ev, &mut ctx.env, ctx.stats)?;
-        bytes += entry_bytes(&key, &y);
-        keyed.push((key, y));
-    }
-    Ok((keyed, bytes))
-}
-
-/// Evaluates the membership index keys of every build row (one key for
-/// `RightInLeftSet`, every set element for `LeftInRightSet`).
-pub(crate) fn keyed_member_build(
-    rows: impl IntoIterator<Item = Value>,
-    shape: &MemberShape,
-    rvar: &Name,
-    ctx: &mut ExecCtx<'_, '_>,
-) -> Result<(Vec<KeyedRow>, usize), EvalError> {
-    let mut keyed = Vec::new();
-    let mut bytes = 0usize;
-    for y in rows {
-        let keys = match shape {
-            MemberShape::RightInLeftSet { rkey, .. } => {
-                vec![eval_under(
-                    rkey,
-                    rvar,
-                    &y,
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?]
-            }
-            MemberShape::LeftInRightSet { rset, .. } => {
-                let s = eval_under(rset, rvar, &y, &ctx.ev, &mut ctx.env, ctx.stats)?;
-                s.as_set()?.iter().cloned().collect()
-            }
-        };
-        bytes += entry_bytes(&keys, &y);
-        keyed.push((keys, y));
-    }
-    Ok((keyed, bytes))
-}
-
 /// A keyed record on disk: the keys followed by the row (`keys` +
 /// `[row]`), so `rec[..rec.len()-1]` are the keys and the last value is
 /// the row — no arity prefix needed.
@@ -182,7 +130,7 @@ fn write_keyed(
 
 /// Reads a sealed partition back as keyed entries, with their total
 /// encoded size.
-fn read_keyed(reader: Option<SpillReader>) -> Result<(Vec<KeyedRow>, usize), EvalError> {
+fn read_keyed(reader: Option<SpillReader>) -> Result<(Vec<Keyed>, usize), EvalError> {
     let mut entries = Vec::new();
     let mut bytes = 0usize;
     if let Some(mut r) = reader {
@@ -196,21 +144,37 @@ fn read_keyed(reader: Option<SpillReader>) -> Result<(Vec<KeyedRow>, usize), Eva
 }
 
 // ---------------------------------------------------------------------
-// Grace hash join: equi-keyed family.
+// Grace hash join.
 
-/// Grace hash join for the equi-keyed family (`HashJoin` /
-/// `HashNestJoin`). `keyed_build` is the fully drained, key-evaluated
-/// build side that was found to exceed the budget; `probe` is the
-/// still-streaming probe child, drained batch by batch straight into
-/// partition files (it is never materialized whole).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn grace_equi_join(
-    mode: &HashMode,
-    lvar: &Name,
-    rvar: &Name,
+/// Grace hash join for the hash join family `spec` describes, within
+/// the context's budget. `keyed_build` is the fully drained,
+/// key-evaluated build side that was found to exceed the budget; `probe`
+/// is the still-streaming probe child, drained batch by batch straight
+/// into partition files (it is never materialized whole).
+pub(crate) fn grace_join(
+    spec: &JoinSpec,
+    keyed_build: Vec<Keyed>,
+    probe: &mut BoxOp,
+    local: &mut SpillMetrics,
+    ctx: &mut ExecCtx<'_, '_>,
+) -> Result<Vec<Value>, EvalError> {
+    let budget = ctx.opts.budget.clone();
+    match &spec.family {
+        JoinFamily::Equi { lkeys, .. } => {
+            grace_equi_join(spec, lkeys, keyed_build, probe, &budget, local, ctx)
+        }
+        JoinFamily::Member { shape } => {
+            grace_member_join(spec, shape, keyed_build, probe, &budget, local, ctx)
+        }
+    }
+}
+
+/// [`grace_join`] for the equi-keyed family (`HashJoin` /
+/// `HashNestJoin`).
+fn grace_equi_join(
+    spec: &JoinSpec,
     lkeys: &[Expr],
-    residual: Option<&Expr>,
-    keyed_build: Vec<(Vec<Value>, Value)>,
+    keyed_build: Vec<Keyed>,
     probe: &mut BoxOp,
     budget: &MemoryBudget,
     local: &mut SpillMetrics,
@@ -230,7 +194,7 @@ pub(crate) fn grace_equi_join(
     let mut pw = mgr.partition_writers(GRACE_FANOUT)?;
     while let Some(batch) = probe.next_batch(ctx)? {
         for x in batch.into_values() {
-            let keys = eval_keys(lkeys, lvar, &x, &ctx.ev, &mut ctx.env, ctx.stats)?;
+            let keys = eval_keys(lkeys, &spec.lvar, &x, &ctx.ev, &mut ctx.env, ctx.stats)?;
             let p = partition_of(hashjoin::key_hash(&keys), 0);
             write_keyed(&mut pw[p], &keys, &x)?;
         }
@@ -268,80 +232,39 @@ pub(crate) fn grace_equi_join(
             }
             continue;
         }
-        let table: JoinHashTable = JoinHashTable::from_keyed(entries, ctx.stats);
+        let table = JoinHashTable::from_keyed(entries, &mut ctx.stats.hash_build_rows);
+        let tables = std::slice::from_ref(&table);
         while let Some(rec) = probe_r.next_record()? {
             let (keys, x) = split_keyed(rec);
-            match mode {
-                HashMode::Join { kind, right_attrs } => table.probe_keyed_row(
-                    *kind,
-                    lvar,
-                    rvar,
-                    &keys,
-                    &x,
-                    residual,
-                    right_attrs,
-                    &mut out,
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?,
-                HashMode::Nest { rfunc, as_attr } => table.probe_keyed_nest_row(
-                    lvar,
-                    rvar,
-                    &keys,
-                    &x,
-                    residual,
-                    rfunc.as_ref(),
-                    as_attr,
-                    &mut out,
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?,
-            }
+            let row = [x];
+            let (ev, env, stats) = (&ctx.ev, &mut ctx.env, &mut *ctx.stats);
+            let probe = ProbeInput::Rows(&row);
+            JoinHashTable::probe_row(
+                tables, spec, &keys, &probe, 0, &mut None, &mut out, ev, env, stats,
+            )?;
         }
     }
     account(local, ctx.stats, &mgr);
     Ok(out)
 }
 
-// ---------------------------------------------------------------------
-// Grace hash join: membership family.
-
-/// Kind-specific output for a probe row that can match nothing (no
-/// probe keys at all, or unmatched after every partition).
-fn unmatched_row(mode: &HashMode, x: &Value, out: &mut Vec<Value>) -> Result<(), EvalError> {
-    match mode {
-        HashMode::Join { kind, right_attrs } => match kind {
-            JoinKind::Anti => out.push(x.clone()),
-            JoinKind::LeftOuter => out.push(hashjoin::null_pad(x, right_attrs)?),
-            JoinKind::Inner | JoinKind::Semi => {}
-        },
-        HashMode::Nest { as_attr, .. } => out.push(hashjoin::with_group(x, as_attr, Vec::new())?),
-    }
-    Ok(())
-}
-
-/// Grace hash join for the membership family (`HashMemberJoin` /
+/// [`grace_join`] for the membership family (`HashMemberJoin` /
 /// `MemberNestJoin`). Build rows are replicated per partition with only
 /// that partition's index keys (mirroring the parallel exchange's
 /// routing); probe rows may probe several partitions, so each carries
 /// its ordinal and matches are folded across partitions: semi/anti and
 /// outer padding resolve in a final pass over a once-written pending
 /// file, and nestjoin groups accumulate per ordinal.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn grace_member_join(
-    mode: &HashMode,
-    lvar: &Name,
-    rvar: &Name,
+fn grace_member_join(
+    spec: &JoinSpec,
     shape: &MemberShape,
-    residual: Option<&Expr>,
-    keyed_build: Vec<(Vec<Value>, Value)>,
+    keyed_build: Vec<Keyed>,
     probe: &mut BoxOp,
     budget: &MemoryBudget,
     local: &mut SpillMetrics,
     ctx: &mut ExecCtx<'_, '_>,
 ) -> Result<Vec<Value>, EvalError> {
+    let mode = &spec.mode;
     let inner_join = matches!(
         mode,
         HashMode::Join {
@@ -379,14 +302,14 @@ pub(crate) fn grace_member_join(
         for x in batch.into_values() {
             let probes = MemberHashTable::<Value>::probe_keys(
                 shape,
-                lvar,
+                &spec.lvar,
                 &x,
                 &ctx.ev,
                 &mut ctx.env,
                 ctx.stats,
             )?;
             if probes.is_empty() {
-                unmatched_row(mode, &x, &mut out)?;
+                spec.finish_owned_row(x, false, Vec::new(), &mut out)?;
                 continue;
             }
             let id = ordinal;
@@ -445,7 +368,8 @@ pub(crate) fn grace_member_join(
             }
             continue;
         }
-        let table: MemberHashTable = MemberHashTable::from_keyed(entries, ctx.stats);
+        let table: MemberHashTable =
+            MemberHashTable::from_keyed(entries, &mut ctx.stats.hash_build_rows);
         while let Some(mut rec) = probe_r.next_record()? {
             let x = rec.pop().expect("probe record has a row");
             let id = rec.remove(0).as_int()?;
@@ -455,17 +379,8 @@ pub(crate) fn grace_member_join(
                 // No: a serial semi-join also stops at the first match.
                 continue;
             }
-            let ys = table.keyed_matches(
-                lvar,
-                rvar,
-                &rec,
-                &x,
-                residual,
-                semi_like,
-                &ctx.ev,
-                &mut ctx.env,
-                ctx.stats,
-            )?;
+            let ys =
+                table.keyed_matches(spec, &rec, &x, semi_like, &ctx.ev, &mut ctx.env, ctx.stats)?;
             if ys.is_empty() {
                 continue;
             }
@@ -484,7 +399,7 @@ pub(crate) fn grace_member_join(
                     for y in ys {
                         group.push(hashjoin::collect_right(
                             rfunc.as_ref(),
-                            rvar,
+                            &spec.rvar,
                             y,
                             &ctx.ev,
                             &mut ctx.env,
@@ -502,25 +417,8 @@ pub(crate) fn grace_member_join(
             while let Some(mut rec) = r.next_record()? {
                 let x = rec.pop().expect("pending record has a row");
                 let id = rec.remove(0).as_int()?;
-                match mode {
-                    HashMode::Join { kind, .. } => match kind {
-                        JoinKind::Semi => {
-                            if matched.contains(&id) {
-                                out.push(x);
-                            }
-                        }
-                        JoinKind::Anti | JoinKind::LeftOuter => {
-                            if !matched.contains(&id) {
-                                unmatched_row(mode, &x, &mut out)?;
-                            }
-                        }
-                        JoinKind::Inner => unreachable!("inner joins write no pending file"),
-                    },
-                    HashMode::Nest { as_attr, .. } => {
-                        let group = groups.remove(&id).unwrap_or_default();
-                        out.push(hashjoin::with_group(&x, as_attr, group)?);
-                    }
-                }
+                let group = groups.remove(&id).unwrap_or_default();
+                spec.finish_owned_row(x, matched.contains(&id), group, &mut out)?;
             }
         }
     }
@@ -717,7 +615,7 @@ impl KeyedRuns {
     /// `(key, row)`) and every sealed spilled run — the one place the
     /// head-priming happens, so no caller can forget a run's refill.
     fn new(
-        mem: Vec<KeyedRow>,
+        mem: Vec<Keyed>,
         mgr: &mut SpillManager,
         writers: Vec<oodb_spill::SpillWriter>,
     ) -> Result<Self, EvalError> {
@@ -965,7 +863,7 @@ pub(crate) fn budgeted_canonical_set(
     // stream is non-decreasing and `last` suffices to dedupe.
     buf.sort();
     buf.dedup();
-    let mem: Vec<KeyedRow> = buf.into_iter().map(|v| (Vec::new(), v)).collect();
+    let mem: Vec<Keyed> = buf.into_iter().map(|v| (Vec::new(), v)).collect();
     let mut runs = KeyedRuns::new(mem, &mut mgr, writers)?;
     let mut out: Vec<Value> = Vec::new();
     while let Some((_, v)) = runs.next_entry()? {

@@ -19,7 +19,7 @@
 //! client's delayed ACK.
 //! `EXPLAIN`/`ANALYZE`/`STATS`/`METRICS`/`TRACE` answer with one TEXT
 //! frame; `QUIT` with BYE. Failures are ERROR frames carrying a stable
-//! [`ErrorCode`](crate::ErrorCode) + message; a malformed frame is
+//! [`ErrorCode`] + message; a malformed frame is
 //! answered with an ERROR (tag 0) and the connection closed, since
 //! framing can no longer be trusted. Request frames are capped at
 //! [`wire::MAX_REQUEST_LEN`].

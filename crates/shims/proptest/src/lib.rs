@@ -302,7 +302,7 @@ pub mod collection {
         VecStrategy { elem, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: Range<usize>,
