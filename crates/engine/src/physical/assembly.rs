@@ -16,8 +16,11 @@ use crate::stats::Stats;
 use oodb_catalog::Database;
 use oodb_value::{Name, Set, Value};
 
-/// Replaces the oid-carrying attribute `attr` of every tuple in `s` with
-/// the referenced object(s) of `class`.
+/// Replaces the oid-carrying attribute `attr` of every row in `batch`
+/// with the referenced object(s) of `class`. Pointer dereferencing is
+/// per-tuple work, so the streaming pipeline maps batches through this
+/// without materializing its input. The caller is responsible for
+/// checking that `class` exists.
 ///
 /// * `set_valued = false`: `attr` holds one oid → it is replaced by the
 ///   referenced tuple. Dangling pointers raise
@@ -26,31 +29,6 @@ use oodb_value::{Name, Set, Value};
 ///   the set of referenced tuples; dangling pointers are silently dropped
 ///   (matching the semijoin semantics of element materialization, and the
 ///   behaviour of PNHL on the same input).
-pub fn assemble(
-    s: &Set,
-    attr: &Name,
-    class: &Name,
-    set_valued: bool,
-    db: &Database,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    db.catalog()
-        .class(class)
-        .ok_or_else(|| EvalError::UnknownClass(class.clone()))?;
-    Ok(Value::Set(Set::from_values(assemble_batch(
-        s.as_slice(),
-        attr,
-        class,
-        set_valued,
-        db,
-        stats,
-    )?)))
-}
-
-/// [`assemble`] over one batch of rows: pointer dereferencing is
-/// per-tuple work, so the streaming pipeline maps batches through this
-/// without materializing its input. The caller is responsible for
-/// checking that `class` exists.
 pub fn assemble_batch(
     batch: &[Value],
     attr: &Name,
@@ -98,6 +76,7 @@ pub fn assemble_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::PhysPlan;
     use oodb_catalog::fixtures::supplier_part_db;
 
     #[test]
@@ -110,8 +89,8 @@ mod tests {
             .into_set()
             .unwrap();
         let mut stats = Stats::new();
-        let v = assemble(
-            &deliveries,
+        let v = assemble_batch(
+            deliveries.as_slice(),
             &"supplier".into(),
             &"Supplier".into(),
             false,
@@ -119,6 +98,7 @@ mod tests {
             &mut stats,
         )
         .unwrap();
+        let v = Value::Set(Set::from_values(v));
         for row in v.as_set().unwrap().iter() {
             let sup = row.as_tuple().unwrap().get("supplier").unwrap();
             assert!(sup.as_tuple().unwrap().get("sname").is_some());
@@ -136,8 +116,8 @@ mod tests {
             .into_set()
             .unwrap();
         let mut stats = Stats::new();
-        let v = assemble(
-            &suppliers,
+        let v = assemble_batch(
+            suppliers.as_slice(),
             &"parts".into(),
             &"Part".into(),
             true,
@@ -145,6 +125,7 @@ mod tests {
             &mut stats,
         )
         .unwrap();
+        let v = Value::Set(Set::from_values(v));
         let s5 = v
             .as_set()
             .unwrap()
@@ -172,8 +153,8 @@ mod tests {
             ("k", Value::Int(1)),
         ])]);
         let mut stats = Stats::new();
-        let err = assemble(
-            &fake,
+        let err = assemble_batch(
+            fake.as_slice(),
             &"supplier".into(),
             &"Supplier".into(),
             false,
@@ -186,17 +167,16 @@ mod tests {
 
     #[test]
     fn unknown_class_errors() {
+        // the executors check the class before calling the kernel
         let db = supplier_part_db();
+        let plan = PhysPlan::Assemble {
+            input: Box::new(PhysPlan::Literal(Value::empty_set())),
+            attr: "x".into(),
+            class: "Nope".into(),
+            set_valued: false,
+        };
         let mut stats = Stats::new();
-        let err = assemble(
-            &Set::empty(),
-            &"x".into(),
-            &"Nope".into(),
-            false,
-            &db,
-            &mut stats,
-        )
-        .unwrap_err();
+        let err = plan.execute_on(&db, &mut stats).unwrap_err();
         assert!(matches!(err, EvalError::UnknownClass(_)));
     }
 }

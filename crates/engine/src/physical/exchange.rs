@@ -36,7 +36,7 @@
 //! per-operator entries folded by label ([`Stats::absorb_worker`]), so
 //! `Stats::operators` row totals match a serial run of the same plan.
 
-use super::hashjoin::HashJoinOp;
+use super::hashjoin::JoinOp;
 use super::operator::{Batch, BoxOp, Buffered, ExecCtx, ExecOptions, InstrState, Operator};
 use super::{Partitioning, PhysPlan};
 use crate::eval::{EvalError, Evaluator};
@@ -75,10 +75,11 @@ pub(crate) fn compile_exchange(
                 state: InstrState::Created,
             })
         }
-        Partitioning::Hash => match HashJoinOp::from_plan(input, ord, dop.max(1)) {
+        // A join of any other family runs at dop 1 (the operator clamps
+        // it); not a join at all degrades to the input's own serial
+        // compilation. Neither is reachable through the planner.
+        Partitioning::Hash => match JoinOp::from_plan(input, ord, dop.max(1)) {
             Some(op) => Box::new(op),
-            // Not a hash-family join: degrade to the input's own
-            // serial compilation (unreachable through the planner).
             None => input.compile_rows(ord, 0, 1),
         },
     }

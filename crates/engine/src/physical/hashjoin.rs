@@ -1,35 +1,41 @@
-//! The join family: one hash join for every equi- and membership-keyed
-//! join, plus the index and nested-loop joins it replaces.
+//! The join family: one `JoinSpec` and one operator for every join the
+//! planner emits except sort-merge — hash, membership, nested-loop,
+//! product and index joins.
 //!
 //! "For example, the join can be implemented as an index nested-loop
 //! join, a sort-merge join, a hash join, etc." (paper §6), and "to
 //! implement the nestjoin, common join implementation methods like the
 //! sort-merge join, or the hash join can be adapted" (§6.1). Here one
-//! hash implementation serves the join, semijoin, antijoin, outerjoin
-//! and nestjoin alike:
+//! implementation serves the join, semijoin, antijoin, outerjoin and
+//! nestjoin alike, and only the way candidates are found differs:
 //!
-//! * **One description.** A `JoinSpec` — key family (equi keys or a
-//!   [`MemberShape`]), output mode (join rows or nestjoin groups), the
-//!   two variables and the residual — is read off a `HashJoin`,
-//!   `HashNestJoin`, `HashMemberJoin` or `MemberNestJoin` node, and
-//!   nothing else in execution reads those nodes.
-//! * **One build.** The spec evaluates every build row's keys once and
-//!   hashes the keyed rows into `JoinHashTable`s or
-//!   `MemberHashTable`s: one table, or one per [`key_hash`] partition
-//!   of a parallel build.
-//! * **One probe.** Every probe row consults the partition that owns its
-//!   key and turns its residual-checked matches into output the same
-//!   way, whether it came from a streaming batch, a materialized set or
-//!   a grace-join spill partition.
-//! * **One streaming operator**, at any degree of parallelism. At dop 1
-//!   it runs on the calling thread and streams its probe side batch by
-//!   batch; at dop > 1 (under a hash `Exchange`) its build and probe run
-//!   on the worker pool. Under a bounded memory budget an oversized
-//!   build falls back to the grace hash join at every dop.
+//! * **One description.** A `JoinSpec` — key family, output mode (join
+//!   rows or nestjoin groups), the two variables and the residual — is
+//!   read off a `HashJoin`, `HashNestJoin`, `HashMemberJoin`,
+//!   `MemberNestJoin`, `NLJoin`, `NLNestJoin`, `ProductOp` or
+//!   `IndexNLJoin` node, and nothing else in execution reads those
+//!   nodes. The family is equi keys or a [`MemberShape`] (hash tables),
+//!   `Loop` (no keys: every row of the drained right set is a
+//!   candidate) or `Index` (no right child: candidates come from the
+//!   extent's secondary index).
+//! * **One build.** A hash family evaluates every build row's keys once
+//!   and hashes the keyed rows into `JoinHashTable`s or
+//!   `MemberHashTable`s: one table, or one per [`key_hash`] partition of
+//!   a parallel build. A loop build keeps the drained rows; an index
+//!   build only checks that the extent and its index exist.
+//! * **One probe.** Every probe row turns its residual-checked
+//!   candidates into output the same way, whether it came from a
+//!   streaming batch, a materialized set or a grace-join spill
+//!   partition.
+//! * **One streaming operator.** At dop 1 it runs on the calling thread
+//!   and streams its probe side batch by batch; a hash family at dop > 1
+//!   (under a hash `Exchange`) runs build and probe on the worker pool.
+//!   Under a bounded memory budget an oversized hash build falls back to
+//!   the grace hash join at every dop.
 //!
 //! Keys are arbitrary ADL expressions over one side's variable; the
-//! residual predicate (non-equi conjuncts) is re-checked after a key
-//! match.
+//! residual predicate (non-equi conjuncts, or a nested-loop join's whole
+//! predicate) is checked on every candidate.
 
 use super::columnar::{take_row, ProbeInput};
 use super::exchange::{duplicate_free, run_workers, segment_scan, Segment, Share};
@@ -38,6 +44,7 @@ use super::{spill_exec, Partitioning, PhysPlan};
 use crate::eval::{Env, EvalError, Evaluator};
 use crate::stats::Stats;
 use oodb_adl::expr::{Expr, JoinKind};
+use oodb_catalog::{Database, Table};
 use oodb_spill::SpillMetrics;
 use oodb_value::fxhash::FxHashMap;
 use oodb_value::{Batch, BatchKind, ColumnarBatch, Name, Set, Tuple, Value};
@@ -157,16 +164,35 @@ pub(crate) fn null_pad(x: &Value, right_attrs: &[Name]) -> Result<Value, EvalErr
 // ---------------------------------------------------------------------
 // The description.
 
-/// Which key machinery a hash join uses.
+/// How a join finds a probe row's candidates.
 pub(crate) enum JoinFamily {
     /// Equi-keyed (`HashJoin` / `HashNestJoin`): `lkeys(x) = rkeys(y)`.
     Equi { lkeys: Vec<Expr>, rkeys: Vec<Expr> },
     /// Membership-keyed (`HashMemberJoin` / `MemberNestJoin`).
     Member { shape: MemberShape },
+    /// No keys (`NLJoin` / `NLNestJoin` / `ProductOp`): every row of the
+    /// drained right set is a candidate, counted in `loop_iterations`.
+    Loop,
+    /// `IndexNLJoin`: no build and no right child; the candidates are
+    /// the rows the secondary index on `extent.attr` holds under
+    /// `lkey(x)`, each probe counted in `index_probes`.
+    Index {
+        lkey: Expr,
+        attr: Name,
+        extent: Name,
+    },
+}
+
+impl JoinFamily {
+    /// Whether the family builds hash tables — the only families that
+    /// partition across workers or fall back to the grace join.
+    pub(crate) fn hashed(&self) -> bool {
+        matches!(self, JoinFamily::Equi { .. } | JoinFamily::Member { .. })
+    }
 }
 
 /// Whether a join emits join rows or nestjoin groups.
-pub(crate) enum HashMode {
+pub(crate) enum JoinMode {
     /// `⋈ ⋉ ▷ ⟕`; an outer join pads `right_attrs` with `Null`.
     Join {
         kind: JoinKind,
@@ -180,12 +206,12 @@ pub(crate) enum HashMode {
 /// join, or the membership keys the row is reachable under.
 pub(crate) type Keyed<V = Value> = (Vec<Value>, V);
 
-/// What a hash join computes: build on the right (`rvar`), probe with
-/// the left (`lvar`), keyed by `family`, emitting per `mode`, with the
-/// non-key conjuncts re-checked as `residual` after a key match.
+/// What a join computes: build on the right (`rvar`), probe with the
+/// left (`lvar`), finding candidates per `family`, emitting per `mode`,
+/// with `residual` checked on every candidate.
 pub(crate) struct JoinSpec {
     pub(crate) family: JoinFamily,
-    pub(crate) mode: HashMode,
+    pub(crate) mode: JoinMode,
     pub(crate) lvar: Name,
     pub(crate) rvar: Name,
     pub(crate) residual: Option<Expr>,
@@ -200,26 +226,29 @@ struct RowMatches {
 }
 
 impl JoinSpec {
-    /// The spec of a hash-family join node with its (probe, build)
-    /// children, or `None` for any other node — the one place execution
-    /// reads the four hash join variants.
-    pub(crate) fn from_plan(plan: &PhysPlan) -> Option<(JoinSpec, &PhysPlan, &PhysPlan)> {
+    /// The spec of a join node with its probe child and, unless it is an
+    /// index join, its build child; `None` for any other node — the one
+    /// place execution reads the eight non-sort-merge join variants.
+    pub(crate) fn from_plan(plan: &PhysPlan) -> Option<(JoinSpec, &PhysPlan, Option<&PhysPlan>)> {
         let equi = |lkeys: &[Expr], rkeys: &[Expr]| JoinFamily::Equi {
             lkeys: lkeys.to_vec(),
             rkeys: rkeys.to_vec(),
         };
-        let join = |kind: &JoinKind, right_attrs: &[Name]| HashMode::Join {
+        let join = |kind: &JoinKind, right_attrs: &[Name]| JoinMode::Join {
             kind: *kind,
             right_attrs: right_attrs.to_vec(),
         };
-        let nest = |rfunc: &Option<Expr>, as_attr: &Name| HashMode::Nest {
+        let nest = |rfunc: &Option<Expr>, as_attr: &Name| JoinMode::Nest {
             rfunc: rfunc.clone(),
             as_attr: as_attr.clone(),
         };
         let member = |shape: &MemberShape| JoinFamily::Member {
             shape: shape.clone(),
         };
-        let (family, mode, lvar, rvar, residual, left, right) = match plan {
+        // A product binds no variables: with no residual and an inner
+        // join, its spec never evaluates anything under them.
+        let unbound = Name::from("");
+        let (family, mode, (lvar, rvar), residual, left, right) = match plan {
             PhysPlan::HashJoin {
                 kind,
                 lvar,
@@ -233,11 +262,10 @@ impl JoinSpec {
             } => (
                 equi(lkeys, rkeys),
                 join(kind, right_attrs),
-                lvar,
-                rvar,
-                residual,
+                (lvar, rvar),
+                residual.clone(),
                 left,
-                right,
+                Some(right),
             ),
             PhysPlan::HashNestJoin {
                 lvar,
@@ -252,11 +280,10 @@ impl JoinSpec {
             } => (
                 equi(lkeys, rkeys),
                 nest(rfunc, as_attr),
-                lvar,
-                rvar,
-                residual,
+                (lvar, rvar),
+                residual.clone(),
                 left,
-                right,
+                Some(right),
             ),
             PhysPlan::HashMemberJoin {
                 kind,
@@ -270,11 +297,10 @@ impl JoinSpec {
             } => (
                 member(shape),
                 join(kind, right_attrs),
-                lvar,
-                rvar,
-                residual,
+                (lvar, rvar),
+                residual.clone(),
                 left,
-                right,
+                Some(right),
             ),
             PhysPlan::MemberNestJoin {
                 lvar,
@@ -288,11 +314,72 @@ impl JoinSpec {
             } => (
                 member(shape),
                 nest(rfunc, as_attr),
+                (lvar, rvar),
+                residual.clone(),
+                left,
+                Some(right),
+            ),
+            PhysPlan::NLJoin {
+                kind,
                 lvar,
                 rvar,
-                residual,
+                pred,
+                right_attrs,
                 left,
                 right,
+            } => (
+                JoinFamily::Loop,
+                join(kind, right_attrs),
+                (lvar, rvar),
+                Some(pred.clone()),
+                left,
+                Some(right),
+            ),
+            PhysPlan::NLNestJoin {
+                lvar,
+                rvar,
+                pred,
+                rfunc,
+                as_attr,
+                left,
+                right,
+            } => (
+                JoinFamily::Loop,
+                nest(rfunc, as_attr),
+                (lvar, rvar),
+                Some(pred.clone()),
+                left,
+                Some(right),
+            ),
+            PhysPlan::ProductOp { left, right } => (
+                JoinFamily::Loop,
+                join(&JoinKind::Inner, &[]),
+                (&unbound, &unbound),
+                None,
+                left,
+                Some(right),
+            ),
+            PhysPlan::IndexNLJoin {
+                kind,
+                lvar,
+                rvar,
+                lkey,
+                attr,
+                extent,
+                residual,
+                right_attrs,
+                left,
+            } => (
+                JoinFamily::Index {
+                    lkey: lkey.clone(),
+                    attr: attr.clone(),
+                    extent: extent.clone(),
+                },
+                join(kind, right_attrs),
+                (lvar, rvar),
+                residual.clone(),
+                left,
+                None,
             ),
             _ => return None,
         };
@@ -301,9 +388,9 @@ impl JoinSpec {
             mode,
             lvar: lvar.clone(),
             rvar: rvar.clone(),
-            residual: residual.clone(),
+            residual,
         };
-        Some((spec, left, right))
+        Some((spec, left, right.map(|r| &**r)))
     }
 
     /// A build row's index keys: its composite key for an equi join;
@@ -329,6 +416,7 @@ impl JoinSpec {
                 let s = eval_under(rset, rvar, y, ev, env, stats)?;
                 s.as_set()?.iter().cloned().collect()
             }
+            JoinFamily::Loop | JoinFamily::Index { .. } => not_hashed(),
         })
     }
 
@@ -338,30 +426,41 @@ impl JoinSpec {
         &self,
         entries: impl IntoIterator<Item = Keyed<V>>,
         inserted: &mut u64,
-    ) -> HashTables<V> {
+    ) -> BuildSide<V> {
         match self.family {
             JoinFamily::Equi { .. } => {
-                HashTables::Equi(vec![JoinHashTable::from_keyed(entries, inserted)])
+                BuildSide::Equi(vec![JoinHashTable::from_keyed(entries, inserted)])
             }
             JoinFamily::Member { .. } => {
-                HashTables::Member(vec![MemberHashTable::from_keyed(entries, inserted)])
+                BuildSide::Member(vec![MemberHashTable::from_keyed(entries, inserted)])
             }
+            JoinFamily::Loop | JoinFamily::Index { .. } => not_hashed(),
         }
     }
 
-    /// Keys `rows` and hashes them into one table as they stream past —
-    /// the build of every join that needs neither partitions nor a
-    /// budget check. Generic over row ownership: the streaming operator
-    /// moves owned rows in (`V = Value`, so the table outlives any one
-    /// probe batch), the materialized join borrows its input set
-    /// (`V = &Value`, zero copies).
+    /// The build of every join that needs neither partitions nor a
+    /// budget check: a hash family keys `rows` and hashes them into one
+    /// table as they stream past, a loop keeps them, and an index join
+    /// (whose `rows` are empty) checks its extent and index. Generic over
+    /// row ownership: the streaming operator moves owned rows in
+    /// (`V = Value`, so the build outlives any one probe batch), the
+    /// materialized join borrows its input set (`V = &Value`, zero
+    /// copies).
     fn build<V: Borrow<Value>>(
         &self,
         rows: impl IntoIterator<Item = V>,
         ev: &Evaluator<'_>,
         env: &mut Env,
         stats: &mut Stats,
-    ) -> Result<HashTables<V>, EvalError> {
+    ) -> Result<BuildSide<V>, EvalError> {
+        match &self.family {
+            JoinFamily::Loop => return Ok(BuildSide::Loop(rows.into_iter().collect())),
+            JoinFamily::Index { attr, extent, .. } => {
+                index_table(ev.db(), extent, attr)?;
+                return Ok(BuildSide::Index);
+            }
+            JoinFamily::Equi { .. } | JoinFamily::Member { .. } => {}
+        }
         let mut err = None;
         let mut inserted = 0;
         let keyed =
@@ -416,6 +515,7 @@ impl JoinSpec {
                     buckets[p].push((ks, r));
                 }
             }
+            JoinFamily::Loop | JoinFamily::Index { .. } => not_hashed(),
         }
     }
 
@@ -429,9 +529,9 @@ impl JoinSpec {
         partitions: Vec<Vec<Vec<Keyed>>>,
         canonical: bool,
         ctx: &mut ExecCtx<'_, '_>,
-    ) -> Result<HashTables, EvalError> {
+    ) -> Result<BuildSide, EvalError> {
         Ok(match self.family {
-            JoinFamily::Equi { .. } => HashTables::Equi(run_workers(partitions, ctx, |b, w| {
+            JoinFamily::Equi { .. } => BuildSide::Equi(run_workers(partitions, ctx, |b, w| {
                 let entries = b.into_iter().flatten();
                 let mut t = JoinHashTable::from_keyed(entries, &mut w.stats.hash_build_rows);
                 if canonical {
@@ -440,7 +540,7 @@ impl JoinSpec {
                 Ok(t)
             })?),
             JoinFamily::Member { .. } => {
-                HashTables::Member(run_workers(partitions, ctx, |b, w| {
+                BuildSide::Member(run_workers(partitions, ctx, |b, w| {
                     let entries = b.into_iter().flatten();
                     let mut t = MemberHashTable::from_keyed(entries, &mut w.stats.hash_build_rows);
                     if canonical {
@@ -449,45 +549,143 @@ impl JoinSpec {
                     Ok(t)
                 })?)
             }
+            JoinFamily::Loop | JoinFamily::Index { .. } => not_hashed(),
         })
     }
 
-    /// Probes one batch of left rows against `tables`, producing output
-    /// rows. Each probe key consults exactly the partition [`key_hash`]
-    /// (equi) or [`value_hash`] (membership) assigns it, so a
-    /// partitioned probe does the same lookups as a one-table probe.
+    /// Probes one batch of left rows against `build`, producing output
+    /// rows. Each hash probe key consults exactly the partition
+    /// [`key_hash`] (equi) or [`value_hash`] (membership) assigns it, so
+    /// a partitioned probe does the same lookups as a one-table probe.
     fn probe<V: Borrow<Value>>(
         &self,
-        tables: &HashTables<V>,
+        build: &BuildSide<V>,
         probe: ProbeInput<'_>,
         ev: &Evaluator<'_>,
         env: &mut Env,
         stats: &mut Stats,
     ) -> Result<Vec<Value>, EvalError> {
-        match (&self.family, tables) {
-            (JoinFamily::Equi { lkeys, .. }, HashTables::Equi(t)) => {
+        match (&self.family, build) {
+            (JoinFamily::Equi { lkeys, .. }, BuildSide::Equi(t)) => {
                 JoinHashTable::probe_batch(t, self, lkeys, probe, ev, env, stats)
             }
-            (JoinFamily::Member { shape }, HashTables::Member(t)) => {
+            (JoinFamily::Member { shape }, BuildSide::Member(t)) => {
                 MemberHashTable::probe_batch(t, self, shape, probe, ev, env, stats)
             }
-            _ => unreachable!("a spec only probes the tables it built"),
+            (JoinFamily::Loop, BuildSide::Loop(rows)) => {
+                self.probe_loop(rows, probe, ev, env, stats)
+            }
+            (JoinFamily::Index { lkey, attr, extent }, BuildSide::Index) => {
+                let table = index_table(ev.db(), extent, attr)?;
+                self.probe_index(table, lkey, attr, probe, ev, env, stats)
+            }
+            _ => unreachable!("a spec only probes the side it built"),
         }
     }
 
-    /// The materialized join: builds over `right` and probes with
-    /// `left`, both borrowed.
+    /// The loop probe: every drained right row is a candidate of every
+    /// probe row.
+    fn probe_loop<V: Borrow<Value>>(
+        &self,
+        rows: &[V],
+        probe: ProbeInput<'_>,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Result<Vec<Value>, EvalError> {
+        let mut out = Vec::new();
+        for i in 0..probe.len() {
+            let mut xc = None;
+            let mut row = RowMatches::default();
+            if !rows.is_empty() {
+                let x = xc.get_or_insert_with(|| probe.row_at(i));
+                for y in rows {
+                    stats.loop_iterations += 1;
+                    if !self.candidate(x, y.borrow(), &mut row, &mut out, ev, env, stats)? {
+                        break;
+                    }
+                }
+            }
+            self.finish_row(row, &mut xc, &probe, i, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// The index probe: each probe row's candidates are the rows of
+    /// `table`'s index on `attr` under `lkey(x)`. A simple key over a
+    /// columnar batch reads the key column without materializing the row.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_index(
+        &self,
+        table: &Table,
+        lkey: &Expr,
+        attr: &Name,
+        probe: ProbeInput<'_>,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Result<Vec<Value>, EvalError> {
+        let key_col = probe.key_column(lkey, &self.lvar);
+        let mut out = Vec::new();
+        for i in 0..probe.len() {
+            let mut xc = None;
+            let key = match key_col {
+                Some(col) => col.value_at(i),
+                None => {
+                    let x = xc.get_or_insert_with(|| probe.row_at(i));
+                    eval_under(lkey, &self.lvar, x, ev, env, stats)?
+                }
+            };
+            stats.index_probes += 1;
+            let mut row = RowMatches::default();
+            let candidates = table.index_probe(attr, &key).unwrap_or_default();
+            if !candidates.is_empty() {
+                let x = xc.get_or_insert_with(|| probe.row_at(i));
+                for t in candidates {
+                    let y = Value::Tuple(t.clone());
+                    if !self.candidate(x, &y, &mut row, &mut out, ev, env, stats)? {
+                        break;
+                    }
+                }
+            }
+            self.finish_row(row, &mut xc, &probe, i, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// The materialized join: builds over `right` (absent for an index
+    /// join) and probes with `left`, both borrowed.
     pub(crate) fn join_sets(
         &self,
         left: &Set,
-        right: &Set,
+        right: Option<&Set>,
         ev: &Evaluator<'_>,
         env: &mut Env,
         stats: &mut Stats,
     ) -> Result<Value, EvalError> {
-        let tables = self.build(right.iter(), ev, env, stats)?;
-        let out = self.probe(&tables, left.as_slice().into(), ev, env, stats)?;
+        let rows = right.into_iter().flat_map(|r| r.iter());
+        let build = self.build(rows, ev, env, stats)?;
+        let out = self.probe(&build, left.as_slice().into(), ev, env, stats)?;
         Ok(Value::Set(Set::from_values(out)))
+    }
+
+    /// Checks candidate `y` of probe row `x` against the residual and
+    /// records it as a match if it holds. Returns whether the row wants
+    /// further candidates.
+    #[allow(clippy::too_many_arguments)]
+    fn candidate(
+        &self,
+        x: &Value,
+        y: &Value,
+        row: &mut RowMatches,
+        out: &mut Vec<Value>,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Result<bool, EvalError> {
+        let (lvar, rvar, residual) = (&self.lvar, &self.rvar, self.residual.as_ref());
+        Ok(!residual_holds(residual, lvar, x, rvar, y, ev, env, stats)?
+            || self.matched(x, y, row, out, ev, env, stats)?)
     }
 
     /// Records one residual-checked `(x, y)` match of the current probe
@@ -507,15 +705,15 @@ impl JoinSpec {
     ) -> Result<bool, EvalError> {
         row.matched = true;
         match &self.mode {
-            HashMode::Join {
+            JoinMode::Join {
                 kind: JoinKind::Inner | JoinKind::LeftOuter,
                 ..
             } => {
                 out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?));
                 Ok(true)
             }
-            HashMode::Join { .. } => Ok(false),
-            HashMode::Nest { rfunc, .. } => {
+            JoinMode::Join { .. } => Ok(false),
+            JoinMode::Nest { rfunc, .. } => {
                 let v = collect_right(rfunc.as_ref(), &self.rvar, y, ev, env, stats)?;
                 row.group.push(v);
                 Ok(true)
@@ -536,26 +734,26 @@ impl JoinSpec {
         out: &mut Vec<Value>,
     ) -> Result<(), EvalError> {
         match &self.mode {
-            HashMode::Join {
+            JoinMode::Join {
                 kind: JoinKind::Semi,
                 ..
             } if row.matched => out.push(take_row(xc, probe, i)),
-            HashMode::Join {
+            JoinMode::Join {
                 kind: JoinKind::Anti,
                 ..
             } if !row.matched => out.push(take_row(xc, probe, i)),
-            HashMode::Join {
+            JoinMode::Join {
                 kind: JoinKind::LeftOuter,
                 right_attrs,
             } if !row.matched => {
                 let x = xc.get_or_insert_with(|| probe.row_at(i));
                 out.push(null_pad(x, right_attrs)?);
             }
-            HashMode::Nest { as_attr, .. } => {
+            JoinMode::Nest { as_attr, .. } => {
                 let x = xc.get_or_insert_with(|| probe.row_at(i));
                 out.push(with_group(x, as_attr, row.group)?);
             }
-            HashMode::Join { .. } => {}
+            JoinMode::Join { .. } => {}
         }
         Ok(())
     }
@@ -579,11 +777,11 @@ impl JoinSpec {
     /// The columnar view of a one-table build, when the vectorized probe
     /// applies: a residual-free equi inner/semi/anti join under
     /// `vectorize`, over batchable build rows.
-    fn indexed(&self, tables: &HashTables, opts: &ExecOptions) -> Option<IndexedBuild> {
+    fn indexed(&self, tables: &BuildSide, opts: &ExecOptions) -> Option<IndexedBuild> {
         match (tables, &self.mode) {
             (
-                HashTables::Equi(t),
-                HashMode::Join {
+                BuildSide::Equi(t),
+                JoinMode::Join {
                     kind: JoinKind::Inner | JoinKind::Semi | JoinKind::Anti,
                     ..
                 },
@@ -593,16 +791,49 @@ impl JoinSpec {
     }
 }
 
+/// The arm of a hash-only step (keying, routing, partitioning, grace)
+/// for a family without hash tables: the operator never sends one there
+/// (see [`JoinFamily::hashed`]).
+pub(crate) fn not_hashed() -> ! {
+    unreachable!("only the hash families key, partition or spill build rows")
+}
+
+/// The extent an index join probes, checked to carry the index on
+/// `attr`. The planner guards this (see `Planner::index_nl_candidate`), so
+/// a failure means a hand-built or stale plan — fail loudly instead of
+/// probing a missing index.
+fn index_table<'db>(
+    db: &'db Database,
+    extent: &Name,
+    attr: &Name,
+) -> Result<&'db Table, EvalError> {
+    let table = db
+        .table(extent)
+        .ok_or_else(|| EvalError::UnknownTable(extent.clone()))?;
+    if !table.has_index(attr) {
+        return Err(EvalError::MissingIndex {
+            extent: extent.clone(),
+            attr: attr.clone(),
+        });
+    }
+    Ok(table)
+}
+
 // ---------------------------------------------------------------------
 // The tables.
 
-/// The built side of a hash join: one table, or one per hash partition
-/// of a parallel build.
-enum HashTables<V = Value> {
+/// The built side of a join: for a hash family one table, or one per
+/// hash partition of a parallel build; for a loop the drained right
+/// rows; nothing for an index join, which probes its extent's index.
+enum BuildSide<V = Value> {
     /// Equi-join tables.
     Equi(Vec<JoinHashTable<V>>),
     /// Membership-join tables.
     Member(Vec<MemberHashTable<V>>),
+    /// The right set, every row a candidate.
+    Loop(Vec<V>),
+    /// The index join's checked extent, looked up per probe batch.
+    Index,
 }
 
 /// A built hash table over the right (build) side of an equi-join,
@@ -701,11 +932,7 @@ impl<V: Borrow<Value>> JoinHashTable<V> {
         if let Some(candidates) = table.map.get(key) {
             let x = xc.get_or_insert_with(|| probe.row_at(i));
             for y in candidates {
-                let y = y.borrow();
-                let (lvar, rvar) = (&spec.lvar, &spec.rvar);
-                if residual_holds(spec.residual.as_ref(), lvar, x, rvar, y, ev, env, stats)?
-                    && !spec.matched(x, y, &mut row, out, ev, env, stats)?
-                {
+                if !spec.candidate(x, y.borrow(), &mut row, out, ev, env, stats)? {
                     break;
                 }
             }
@@ -757,7 +984,7 @@ impl IndexedBuild {
     /// so `hash_probes` is charged here only on success, and the
     /// counter totals stay identical to a pure row-probe run.
     fn probe_columnar(&self, spec: &JoinSpec, batch: &Batch, stats: &mut Stats) -> Option<Batch> {
-        let (Batch::Columnar(probe), JoinFamily::Equi { lkeys, .. }, HashMode::Join { kind, .. }) =
+        let (Batch::Columnar(probe), JoinFamily::Equi { lkeys, .. }, JoinMode::Join { kind, .. }) =
             (batch, &spec.family, &spec.mode)
         else {
             return None;
@@ -1009,7 +1236,7 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
 // ---------------------------------------------------------------------
 // The streaming operator.
 
-/// One side of a [`HashJoinOp`].
+/// One side of a [`JoinOp`].
 struct JoinInput {
     /// The compiled child, drained on the calling thread whenever the
     /// side does not stride.
@@ -1047,48 +1274,53 @@ impl JoinInput {
     }
 }
 
-/// The hash join family's streaming operator, at any degree of
-/// parallelism: the four hash join nodes compile to it at dop 1, and a
-/// hash `Exchange` over one compiles to it at the exchange's dop.
+/// The join family's streaming operator: every join node
+/// [`JoinSpec::from_plan`] reads compiles to it at dop 1, and a hash
+/// `Exchange` over a hash-family join compiles to it at the exchange's
+/// dop (any other family is clamped to dop 1).
 ///
 /// **dop 1** runs on the calling thread with the caller's context. The
 /// build side drains through the canonical-set breaker and is hashed
-/// into one table; then the probe side streams, one left batch per
-/// `next_batch` (residual-free equi inner/semi/anti joins probe
-/// columnar batches in columnar form under `vectorize`).
+/// into one table (a loop keeps the drained rows; an index join has no
+/// build side and only checks its extent and index); then the probe
+/// side streams, one left batch per `next_batch` (residual-free equi
+/// inner/semi/anti joins probe columnar batches in columnar form under
+/// `vectorize`).
 ///
-/// **dop > 1** runs build and probe on the worker pool. `dop` build
-/// workers each take a share of the build side, evaluate its keys and
-/// route every keyed row into one bucket per partition; partition *p*'s
-/// table is built from bucket *p* of every worker, in worker order, with
-/// the tables built concurrently. Then `dop` probe workers each stream a
-/// share of the probe side through the shared tables, and the output is
-/// buffered. A share is a worker's stride of the side's segment when the
+/// **dop > 1** (hash families only) runs build and probe on the worker
+/// pool. `dop` build workers each take a share of the build side,
+/// evaluate its keys and route every keyed row into one bucket per
+/// partition; partition *p*'s table is built from bucket *p* of every
+/// worker, in worker order, with the tables built concurrently. Then
+/// `dop` probe workers each stream a share of the probe side through
+/// the shared tables, and the output is buffered. A share is a worker's stride of the side's segment when the
 /// side is a round-robin exchange over one (its batches reach the probe
 /// with their key columns in place), else a contiguous chunk of the side
 /// drained on the calling thread — the build side through the usual
 /// canonical-set breaker, which is also how a build segment that may
 /// emit duplicate rows keeps its set semantics.
 ///
-/// Under a bounded memory budget the build side always drains and stays
-/// one partition, and a build that does not fit the budget falls back
-/// to the grace hash join (see `spill_exec::grace_join`) at every dop.
-pub(crate) struct HashJoinOp {
+/// Under a bounded memory budget a hash build side always drains and
+/// stays one partition, and a hash build that does not fit the budget
+/// falls back to the grace hash join (see `spill_exec::grace_join`) at
+/// every dop.
+pub(crate) struct JoinOp {
     spec: JoinSpec,
     dop: usize,
     left: JoinInput,
-    right: JoinInput,
+    /// The build side; `None` for an index join.
+    right: Option<JoinInput>,
     state: JoinState,
     spill: SpillMetrics,
 }
 
-/// Where a [`HashJoinOp`] is between `open` and exhaustion.
+/// Where a [`JoinOp`] is between `open` and exhaustion.
 enum JoinState {
     /// Build side not yet drained.
     Pending,
     /// dop 1 with an in-memory build: probe batches stream against it.
     Probing {
-        tables: HashTables,
+        build: BuildSide,
         /// The columnar view of the build, when the columnar probe
         /// applies (see [`JoinSpec::indexed`]).
         indexed: Option<IndexedBuild>,
@@ -1098,24 +1330,26 @@ enum JoinState {
     Done(Buffered),
 }
 
-/// What a build produced: tables to probe, or — when a bounded build
-/// did not fit its budget — the output of the grace join it ran instead.
+/// What a build produced: a side to probe, or — when a bounded hash
+/// build did not fit its budget — the output of the grace join it ran
+/// instead.
 enum Built {
-    Tables(HashTables),
+    Side(BuildSide),
     Spilled(Vec<Value>),
 }
 
-impl HashJoinOp {
-    /// The operator for a hash-family join node at pre-order ordinal
-    /// `ord`; `None` for any other plan shape.
+impl JoinOp {
+    /// The operator for a join node at pre-order ordinal `ord`; `None`
+    /// for any plan shape [`JoinSpec::from_plan`] does not read.
     pub(crate) fn from_plan(plan: &PhysPlan, ord: usize, dop: usize) -> Option<Self> {
         let (spec, left, right) = JoinSpec::from_plan(plan)?;
+        let dop = if spec.family.hashed() { dop } else { 1 };
         let kids = plan.child_ordinals(ord);
-        Some(HashJoinOp {
+        Some(JoinOp {
             spec,
             dop,
             left: JoinInput::new(left, kids[0], false, dop),
-            right: JoinInput::new(right, kids[1], true, dop),
+            right: right.map(|r| JoinInput::new(r, kids[1], true, dop)),
             state: JoinState::Pending,
             spill: SpillMetrics::default(),
         })
@@ -1131,22 +1365,24 @@ impl HashJoinOp {
         };
         Ok(match built {
             Built::Spilled(rows) => JoinState::Done(Buffered::new(rows)),
-            Built::Tables(tables) if self.dop == 1 => JoinState::Probing {
-                indexed: self.spec.indexed(&tables, &ctx.opts),
-                tables,
+            Built::Side(build) if self.dop == 1 => JoinState::Probing {
+                indexed: self.spec.indexed(&build, &ctx.opts),
+                build,
             },
-            Built::Tables(tables) => {
-                JoinState::Done(Buffered::new(self.probe_parallel(&tables, ctx)?))
-            }
+            Built::Side(build) => JoinState::Done(Buffered::new(self.probe_parallel(&build, ctx)?)),
         })
     }
 
-    /// The dop 1 build, on the calling thread.
+    /// The dop 1 build, on the calling thread. Only a hash build is
+    /// held to the budget.
     fn build_serial(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Built, EvalError> {
-        let rows = drain_to_set(&mut self.right.op, &mut self.spill, ctx)?.into_values();
-        if !ctx.opts.budget.is_bounded() {
-            let tables = self.spec.build(rows, &ctx.ev, &mut ctx.env, ctx.stats)?;
-            return Ok(Built::Tables(tables));
+        let rows = match &mut self.right {
+            Some(right) => drain_to_set(&mut right.op, &mut self.spill, ctx)?.into_values(),
+            None => Vec::new(),
+        };
+        if !self.spec.family.hashed() || !ctx.opts.budget.is_bounded() {
+            let build = self.spec.build(rows, &ctx.ev, &mut ctx.env, ctx.stats)?;
+            return Ok(Built::Side(build));
         }
         let keyed = rows
             .into_iter()
@@ -1163,12 +1399,13 @@ impl HashJoinOp {
     /// already a set); anything else drains through it first.
     fn build_parallel(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Built, EvalError> {
         let (dop, spec) = (self.dop, &self.spec);
+        let right = self.right.as_mut().expect("a hash join has a build side");
         let bounded = ctx.opts.budget.is_bounded();
-        let build_stride = self.right.stride.as_ref().filter(|_| !bounded);
+        let build_stride = right.stride.as_ref().filter(|_| !bounded);
         let shares = match build_stride {
             Some(seg) => Share::strides(seg, dop),
             None => {
-                let set = drain_to_set(&mut self.right.op, &mut self.spill, ctx)?;
+                let set = drain_to_set(&mut right.op, &mut self.spill, ctx)?;
                 Share::chunks(set.into_values(), dop)
             }
         };
@@ -1199,7 +1436,7 @@ impl HashJoinOp {
         // residual can observe that order, so those tables restore the
         // canonical order a one-table build has.
         let canonical = build_stride.is_some() && spec.residual.is_some();
-        Ok(Built::Tables(
+        Ok(Built::Side(
             spec.partition_tables(partitions, canonical, ctx)?,
         ))
     }
@@ -1224,7 +1461,7 @@ impl HashJoinOp {
             return Ok(Built::Spilled(rows));
         }
         let tables = self.spec.table(keyed, &mut ctx.stats.hash_build_rows);
-        Ok(Built::Tables(tables))
+        Ok(Built::Side(tables))
     }
 
     /// The dop > 1 probe: each worker streams its share's batches
@@ -1232,7 +1469,7 @@ impl HashJoinOp {
     /// (no probe deduplicates it).
     fn probe_parallel(
         &mut self,
-        tables: &HashTables,
+        tables: &BuildSide,
         ctx: &mut ExecCtx<'_, '_>,
     ) -> Result<Vec<Value>, EvalError> {
         let shares = match &self.left.stride {
@@ -1252,20 +1489,23 @@ impl HashJoinOp {
     }
 }
 
-impl Operator for HashJoinOp {
+impl Operator for JoinOp {
     fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
         self.state = JoinState::Pending;
         self.left.op.open(ctx)?;
-        self.right.op.open(ctx)
+        match &mut self.right {
+            Some(right) => right.op.open(ctx),
+            None => Ok(()),
+        }
     }
 
     fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
         if matches!(self.state, JoinState::Pending) {
             self.state = self.start(ctx)?;
         }
-        let (tables, indexed) = match &mut self.state {
+        let (build, indexed) = match &mut self.state {
             JoinState::Done(buf) => return Ok(buf.next_chunk(BatchKind::Row)),
-            JoinState::Probing { tables, indexed } => (&*tables, indexed.as_ref()),
+            JoinState::Probing { build, indexed } => (&*build, indexed.as_ref()),
             JoinState::Pending => unreachable!("started above"),
         };
         loop {
@@ -1285,7 +1525,7 @@ impl Operator for HashJoinOp {
             }
             let out = self
                 .spec
-                .probe(tables, (&batch).into(), &ctx.ev, &mut ctx.env, ctx.stats)?;
+                .probe(build, (&batch).into(), &ctx.ev, &mut ctx.env, ctx.stats)?;
             if !out.is_empty() {
                 return Ok(Some(Batch::from_rows(out)));
             }
@@ -1295,7 +1535,9 @@ impl Operator for HashJoinOp {
     fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
         self.state = JoinState::Pending;
         self.left.op.close(ctx);
-        self.right.op.close(ctx);
+        if let Some(right) = &mut self.right {
+            right.op.close(ctx);
+        }
     }
 
     fn spill_metrics(&self) -> SpillMetrics {
@@ -1304,191 +1546,7 @@ impl Operator for HashJoinOp {
 }
 
 // ---------------------------------------------------------------------
-// Index and nested-loop joins.
-
-/// Index nested-loop join: probes a secondary hash index on
-/// `extent.attr` with `lkey(x)` for every left tuple — "the join can be
-/// implemented as an index nested-loop join, …" (§6).
-#[allow(clippy::too_many_arguments)]
-pub fn index_nl_join(
-    kind: JoinKind,
-    lvar: &Name,
-    rvar: &Name,
-    lkey: &Expr,
-    attr: &Name,
-    extent: &Name,
-    residual: Option<&Expr>,
-    right_attrs: &[Name],
-    left: &Set,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    let out = index_nl_join_batch(
-        kind,
-        lvar,
-        rvar,
-        lkey,
-        attr,
-        extent,
-        residual,
-        right_attrs,
-        left.as_slice().into(),
-        ev,
-        env,
-        stats,
-    )?;
-    Ok(Value::Set(Set::from_values(out)))
-}
-
-/// [`index_nl_join`] over one batch of left rows, producing output rows.
-/// A simple probe key over a columnar batch reads the key column
-/// without materializing the row.
-#[allow(clippy::too_many_arguments)]
-pub fn index_nl_join_batch(
-    kind: JoinKind,
-    lvar: &Name,
-    rvar: &Name,
-    lkey: &Expr,
-    attr: &Name,
-    extent: &Name,
-    residual: Option<&Expr>,
-    right_attrs: &[Name],
-    probe: ProbeInput<'_>,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Vec<Value>, EvalError> {
-    let table = ev
-        .db()
-        .table(extent)
-        .ok_or_else(|| EvalError::UnknownTable(extent.clone()))?;
-    if !table.has_index(attr) {
-        // the planner guards this (see `Planner::indexed_equi_key`), so
-        // reaching it means a hand-built or stale plan — fail loudly
-        // instead of probing a missing index
-        return Err(EvalError::MissingIndex {
-            extent: extent.clone(),
-            attr: attr.clone(),
-        });
-    }
-    let key_col = probe.key_column(lkey, lvar);
-    let mut out = Vec::new();
-    for i in 0..probe.len() {
-        let mut xc = None;
-        let key = match key_col {
-            Some(col) => col.value_at(i),
-            None => {
-                let x = xc.get_or_insert_with(|| probe.row_at(i));
-                eval_under(lkey, lvar, x, ev, env, stats)?
-            }
-        };
-        stats.index_probes += 1;
-        let candidates = table.index_probe(attr, &key).unwrap_or_default();
-        let mut matched = false;
-        if !candidates.is_empty() {
-            let x = xc.get_or_insert_with(|| probe.row_at(i));
-            for row in candidates {
-                let y = Value::Tuple(row.clone());
-                if residual_holds(residual, lvar, x, rvar, &y, ev, env, stats)? {
-                    matched = true;
-                    match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => {
-                            out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?))
-                        }
-                        JoinKind::Semi | JoinKind::Anti => break,
-                    }
-                }
-            }
-        }
-        match kind {
-            JoinKind::Semi if matched => out.push(take_row(&mut xc, &probe, i)),
-            JoinKind::Anti if !matched => out.push(take_row(&mut xc, &probe, i)),
-            JoinKind::LeftOuter if !matched => {
-                let x = xc.get_or_insert_with(|| probe.row_at(i));
-                out.push(null_pad(x, right_attrs)?);
-            }
-            _ => {}
-        }
-    }
-    Ok(out)
-}
-
-/// Nested-loop join — the fallback for arbitrary predicates, and the
-/// baseline the set-oriented implementations are measured against.
-#[allow(clippy::too_many_arguments)]
-pub fn nl_join(
-    kind: JoinKind,
-    lvar: &Name,
-    rvar: &Name,
-    pred: &Expr,
-    right_attrs: &[Name],
-    left: &Set,
-    right: &Set,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    let out = nl_join_batch(
-        kind,
-        lvar,
-        rvar,
-        pred,
-        right_attrs,
-        left.as_slice().into(),
-        right,
-        ev,
-        env,
-        stats,
-    )?;
-    Ok(Value::Set(Set::from_values(out)))
-}
-
-/// [`nl_join`] over one batch of left rows, producing output rows. The
-/// arbitrary predicate needs the full row, so the probe input is read
-/// through its row view.
-#[allow(clippy::too_many_arguments)]
-pub fn nl_join_batch(
-    kind: JoinKind,
-    lvar: &Name,
-    rvar: &Name,
-    pred: &Expr,
-    right_attrs: &[Name],
-    probe: ProbeInput<'_>,
-    right: &Set,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Vec<Value>, EvalError> {
-    let mut out = Vec::new();
-    for i in 0..probe.len() {
-        let mut xc = None;
-        let x = xc.get_or_insert_with(|| probe.row_at(i));
-        let mut matched = false;
-        for y in right.iter() {
-            stats.loop_iterations += 1;
-            if residual_holds(Some(pred), lvar, x, rvar, y, ev, env, stats)? {
-                matched = true;
-                match kind {
-                    JoinKind::Inner | JoinKind::LeftOuter => {
-                        out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?))
-                    }
-                    JoinKind::Semi | JoinKind::Anti => break,
-                }
-            }
-        }
-        match kind {
-            JoinKind::Semi if matched => out.push(take_row(&mut xc, &probe, i)),
-            JoinKind::Anti if !matched => out.push(take_row(&mut xc, &probe, i)),
-            JoinKind::LeftOuter if !matched => {
-                let x = xc.get_or_insert_with(|| probe.row_at(i));
-                out.push(null_pad(x, right_attrs)?);
-            }
-            _ => {}
-        }
-    }
-    Ok(out)
-}
+// Output helpers.
 
 /// Appends the collected group to a left tuple.
 pub(crate) fn with_group(x: &Value, as_attr: &Name, group: Vec<Value>) -> Result<Value, EvalError> {
@@ -1512,65 +1570,6 @@ pub(crate) fn collect_right(
         Some(g) => eval_under(g, rvar, y, ev, env, stats),
         None => Ok(y.clone()),
     }
-}
-
-/// Nested-loop nestjoin — definition 1 executed literally.
-#[allow(clippy::too_many_arguments)]
-pub fn nl_nestjoin(
-    lvar: &Name,
-    rvar: &Name,
-    pred: &Expr,
-    rfunc: Option<&Expr>,
-    as_attr: &Name,
-    left: &Set,
-    right: &Set,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    let out = nl_nestjoin_batch(
-        lvar,
-        rvar,
-        pred,
-        rfunc,
-        as_attr,
-        left.as_slice().into(),
-        right,
-        ev,
-        env,
-        stats,
-    )?;
-    Ok(Value::Set(Set::from_values(out)))
-}
-
-/// [`nl_nestjoin`] over one batch of left rows, producing output rows.
-#[allow(clippy::too_many_arguments)]
-pub fn nl_nestjoin_batch(
-    lvar: &Name,
-    rvar: &Name,
-    pred: &Expr,
-    rfunc: Option<&Expr>,
-    as_attr: &Name,
-    probe: ProbeInput<'_>,
-    right: &Set,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Vec<Value>, EvalError> {
-    let mut out = Vec::with_capacity(probe.len());
-    for i in 0..probe.len() {
-        let xc = probe.row_at(i);
-        let x = xc.as_ref();
-        let mut group = Vec::new();
-        for y in right.iter() {
-            stats.loop_iterations += 1;
-            if residual_holds(Some(pred), lvar, x, rvar, y, ev, env, stats)? {
-                group.push(collect_right(rfunc, rvar, y, ev, env, stats)?);
-            }
-        }
-        out.push(with_group(x, as_attr, group)?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1607,7 +1606,7 @@ mod tests {
         l: &str,
         r: &str,
         family: JoinFamily,
-        mode: HashMode,
+        mode: JoinMode,
         residual: Option<Expr>,
     ) -> JoinSpec {
         JoinSpec {
@@ -1623,8 +1622,8 @@ mod tests {
         JoinFamily::Equi { lkeys, rkeys }
     }
 
-    fn joining(kind: JoinKind) -> HashMode {
-        HashMode::Join {
+    fn joining(kind: JoinKind) -> JoinMode {
+        JoinMode::Join {
             kind,
             right_attrs: Vec::new(),
         }
@@ -1639,21 +1638,15 @@ mod tests {
         for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
             let keys = equi(vec![var("x").field("b")], vec![var("y").field("d")]);
             let hash = spec("x", "y", keys, joining(kind), None);
-            let (h, hs) = run(&db, |ev, env, st| hash.join_sets(&x, &y, ev, env, st));
-            let (n, ns) = run(&db, |ev, env, st| {
-                nl_join(
-                    kind,
-                    &"x".into(),
-                    &"y".into(),
-                    &pred,
-                    &[],
-                    &x,
-                    &y,
-                    ev,
-                    env,
-                    st,
-                )
-            });
+            let (h, hs) = run(&db, |ev, env, st| hash.join_sets(&x, Some(&y), ev, env, st));
+            let nl = spec(
+                "x",
+                "y",
+                JoinFamily::Loop,
+                joining(kind),
+                Some(pred.clone()),
+            );
+            let (n, ns) = run(&db, |ev, env, st| nl.join_sets(&x, Some(&y), ev, env, st));
             assert_eq!(h, n, "kind {kind:?}");
             // the hash join must do fewer pairwise iterations
             assert_eq!(hs.loop_iterations, 0);
@@ -1670,7 +1663,7 @@ mod tests {
         let keys = equi(vec![var("x").field("b")], vec![var("y").field("d")]);
         let residual = Some(gt(var("y").field("c"), int(1)));
         let hash = spec("x", "y", keys, joining(JoinKind::Inner), residual);
-        let (v, _) = run(&db, |ev, env, st| hash.join_sets(&x, &y, ev, env, st));
+        let (v, _) = run(&db, |ev, env, st| hash.join_sets(&x, Some(&y), ev, env, st));
         assert_eq!(v.as_set().unwrap().len(), 2);
     }
 
@@ -1692,7 +1685,9 @@ mod tests {
             joining(JoinKind::Semi),
             residual,
         );
-        let (v, stats) = run(&db, |ev, env, st| member.join_sets(&s, &p, ev, env, st));
+        let (v, stats) = run(&db, |ev, env, st| {
+            member.join_sets(&s, Some(&p), ev, env, st)
+        });
         let names: Vec<&Value> = v
             .as_set()
             .unwrap()
@@ -1724,7 +1719,9 @@ mod tests {
             joining(JoinKind::Semi),
             None,
         );
-        let (v, _) = run(&db, |ev, env, st| member.join_sets(&p, &s, ev, env, st));
+        let (v, _) = run(&db, |ev, env, st| {
+            member.join_sets(&p, Some(&s), ev, env, st)
+        });
         // supplied parts: 11,12,13,14,17 (15,16 unsupplied)
         assert_eq!(v.as_set().unwrap().len(), 5);
     }
@@ -1757,7 +1754,7 @@ mod tests {
             rset: var("y").field("ks"),
         });
         let (v, _) = run(&db, |ev, env, st| {
-            miss.join_sets(&left, &right, ev, env, st)
+            miss.join_sets(&left, Some(&right), ev, env, st)
         });
         assert_eq!(v.as_set().unwrap().len(), 0);
         // rkey constant → both probes of x.elems reach the same right tuple
@@ -1765,7 +1762,9 @@ mod tests {
             lset: var("x").field("elems"),
             rkey: Expr::int(10),
         });
-        let (v2, _) = run(&db, |ev, env, st| dup.join_sets(&left, &right, ev, env, st));
+        let (v2, _) = run(&db, |ev, env, st| {
+            dup.join_sets(&left, Some(&right), ev, env, st)
+        });
         // only the elem 10 probe hits; elem 20 misses; and the single
         // (x,y) pair appears exactly once
         assert_eq!(v2.as_set().unwrap().len(), 1);
@@ -1776,28 +1775,20 @@ mod tests {
         let db = figure3_db();
         let x = set_of(&db, "X");
         let y = set_of(&db, "Y");
-        let nest = HashMode::Nest {
+        let nest = JoinMode::Nest {
             rfunc: None,
             as_attr: "ys".into(),
         };
         let keys = equi(vec![var("x").field("b")], vec![var("y").field("d")]);
         let hash = spec("x", "y", keys, nest, None);
-        let (h, hs) = run(&db, |ev, env, st| hash.join_sets(&x, &y, ev, env, st));
+        let (h, hs) = run(&db, |ev, env, st| hash.join_sets(&x, Some(&y), ev, env, st));
         let pred = eq(var("x").field("b"), var("y").field("d"));
-        let (n, _) = run(&db, |ev, env, st| {
-            nl_nestjoin(
-                &"x".into(),
-                &"y".into(),
-                &pred,
-                None,
-                &"ys".into(),
-                &x,
-                &y,
-                ev,
-                env,
-                st,
-            )
-        });
+        let nest = JoinMode::Nest {
+            rfunc: None,
+            as_attr: "ys".into(),
+        };
+        let nl = spec("x", "y", JoinFamily::Loop, nest, Some(pred));
+        let (n, _) = run(&db, |ev, env, st| nl.join_sets(&x, Some(&y), ev, env, st));
         assert_eq!(h, n);
         assert_eq!(hs.loop_iterations, 0);
         // all three left tuples survive; x3 with empty group
@@ -1814,12 +1805,14 @@ mod tests {
             lset: var("s").field("parts"),
             rkey: var("p").field("pid"),
         };
-        let nest = HashMode::Nest {
+        let nest = JoinMode::Nest {
             rfunc: Some(var("p").field("pname")),
             as_attr: "pnames".into(),
         };
         let member = spec("s", "p", JoinFamily::Member { shape }, nest, None);
-        let (v, _) = run(&db, |ev, env, st| member.join_sets(&s, &p, ev, env, st));
+        let (v, _) = run(&db, |ev, env, st| {
+            member.join_sets(&s, Some(&p), ev, env, st)
+        });
         let rows = v.as_set().unwrap();
         assert_eq!(rows.len(), 5);
         let s4 = rows
@@ -1860,13 +1853,13 @@ mod tests {
         let db = figure3_db();
         let x = set_of(&db, "X");
         let y = set_of(&db, "Y");
-        let outer = HashMode::Join {
+        let outer = JoinMode::Join {
             kind: JoinKind::LeftOuter,
             right_attrs: vec!["c".into(), "d".into(), "yid".into()],
         };
         let keys = equi(vec![var("x").field("b")], vec![var("y").field("d")]);
         let hash = spec("x", "y", keys, outer, None);
-        let (v, _) = run(&db, |ev, env, st| hash.join_sets(&x, &y, ev, env, st));
+        let (v, _) = run(&db, |ev, env, st| hash.join_sets(&x, Some(&y), ev, env, st));
         let rows = v.as_set().unwrap();
         assert_eq!(rows.len(), 5);
         assert!(rows
@@ -1934,8 +1927,45 @@ mod tests {
             left: Box::new(failing_tail_probe(rows)),
             right: build,
         };
-        let db = supplier_part_db();
-        for plan in [semijoin, nestjoin] {
+        // The nested loops get a small build side: every probe row scans
+        // all of it.
+        let small = (0..17)
+            .map(|k| Value::tuple([("k", Value::Int(k))]))
+            .collect();
+        let small = Box::new(PhysPlan::Literal(Value::Set(Set::from_values(small))));
+        let nl_join = PhysPlan::NLJoin {
+            kind: JoinKind::Semi,
+            lvar: "x".into(),
+            rvar: "y".into(),
+            pred: eq(var("x").field("k"), var("y").field("k")),
+            right_attrs: Vec::new(),
+            left: Box::new(failing_tail_probe(rows)),
+            right: small.clone(),
+        };
+        let nl_nestjoin = PhysPlan::NLNestJoin {
+            lvar: "x".into(),
+            rvar: "y".into(),
+            pred: eq(var("x").field("k"), var("y").field("k")),
+            rfunc: None,
+            as_attr: "ys".into(),
+            left: Box::new(failing_tail_probe(rows)),
+            right: small,
+        };
+        // PART's prices are few and small: nearly every probe row misses.
+        let index_join = PhysPlan::IndexNLJoin {
+            kind: JoinKind::Anti,
+            lvar: "x".into(),
+            rvar: "p".into(),
+            lkey: var("x").field("k"),
+            attr: "price".into(),
+            extent: "PART".into(),
+            residual: None,
+            right_attrs: Vec::new(),
+            left: Box::new(failing_tail_probe(rows)),
+        };
+        let mut db = supplier_part_db();
+        db.create_index("PART", "price").unwrap();
+        for plan in [semijoin, nestjoin, nl_join, nl_nestjoin, index_join] {
             for (batch_kind, vectorize) in [
                 (BatchKind::Columnar, true),
                 (BatchKind::Columnar, false),

@@ -4,15 +4,16 @@
 //! join queries can be implemented in many different ways (set-oriented
 //! query processing)" — paper §7. This module provides those many ways:
 //!
-//! * [`hashjoin`] — hash implementations of `⋈`, `⋉`, `▷`, `⟕`, the
-//!   nestjoin `⊣`, and membership variants for predicates like
-//!   `p.pid ∈ s.parts`;
+//! * [`hashjoin`] — one join operator for `⋈`, `⋉`, `▷`, `⟕` and the
+//!   nestjoin `⊣`, implemented as a hash join (equi keys, or membership
+//!   keys for predicates like `p.pid ∈ s.parts`), an index nested-loop
+//!   join, or a nested loop (the fallback for arbitrary predicates, and
+//!   the Cartesian product);
 //! * [`sortmerge`] — sort-merge join;
 //! * [`pnhl`] — the Partitioned Nested-Hashed-Loops algorithm of \[DeLa92\]
 //!   for materializing set-valued attributes under a memory budget (§6.2);
 //! * [`assembly`] — the pointer-based materialize operator of \[BlMG93\]
-//!   (§6.2), using the catalog's oid indexes;
-//! * nested-loop fallbacks for non-equi predicates.
+//!   (§6.2), using the catalog's oid indexes.
 //!
 //! [`PhysPlan`] is the operator tree; [`PhysPlan::execute_on`] runs it.
 
@@ -518,67 +519,21 @@ impl PhysPlan {
                 env.pop();
                 r
             }
-            PhysPlan::ProductOp { left, right } => {
-                let l = left.exec(ev, env, stats)?.into_set()?;
-                let r = right.exec(ev, env, stats)?.into_set()?;
-                let mut out = Vec::with_capacity(l.len() * r.len());
-                for x in l.iter() {
-                    for y in r.iter() {
-                        stats.loop_iterations += 1;
-                        out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?));
-                    }
-                }
-                Ok(Value::Set(Set::from_values(out)))
-            }
             PhysPlan::HashJoin { .. }
             | PhysPlan::HashNestJoin { .. }
             | PhysPlan::HashMemberJoin { .. }
-            | PhysPlan::MemberNestJoin { .. } => {
-                let (spec, left, right) =
-                    hashjoin::JoinSpec::from_plan(self).expect("a hash-family join node");
+            | PhysPlan::MemberNestJoin { .. }
+            | PhysPlan::NLJoin { .. }
+            | PhysPlan::NLNestJoin { .. }
+            | PhysPlan::ProductOp { .. }
+            | PhysPlan::IndexNLJoin { .. } => {
+                let (spec, left, right) = hashjoin::JoinSpec::from_plan(self).expect("a join node");
                 let l = left.exec(ev, env, stats)?.into_set()?;
-                let r = right.exec(ev, env, stats)?.into_set()?;
-                spec.join_sets(&l, &r, ev, env, stats)
-            }
-            PhysPlan::IndexNLJoin {
-                kind,
-                lvar,
-                rvar,
-                lkey,
-                attr,
-                extent,
-                residual,
-                right_attrs,
-                left,
-            } => {
-                let l = left.exec(ev, env, stats)?.into_set()?;
-                hashjoin::index_nl_join(
-                    *kind,
-                    lvar,
-                    rvar,
-                    lkey,
-                    attr,
-                    extent,
-                    residual.as_ref(),
-                    right_attrs,
-                    &l,
-                    ev,
-                    env,
-                    stats,
-                )
-            }
-            PhysPlan::NLJoin {
-                kind,
-                lvar,
-                rvar,
-                pred,
-                right_attrs,
-                left,
-                right,
-            } => {
-                let l = left.exec(ev, env, stats)?.into_set()?;
-                let r = right.exec(ev, env, stats)?.into_set()?;
-                hashjoin::nl_join(*kind, lvar, rvar, pred, right_attrs, &l, &r, ev, env, stats)
+                let r = match right {
+                    Some(right) => Some(right.exec(ev, env, stats)?.into_set()?),
+                    None => None,
+                };
+                spec.join_sets(&l, r.as_ref(), ev, env, stats)
             }
             PhysPlan::SortMergeJoin {
                 lvar,
@@ -591,42 +546,24 @@ impl PhysPlan {
             } => {
                 let l = left.exec(ev, env, stats)?.into_set()?;
                 let r = right.exec(ev, env, stats)?.into_set()?;
-                sortmerge::sort_merge_join(
+                let mut state = sortmerge::SortMergeState::build(
                     lvar,
                     rvar,
                     lkeys,
                     rkeys,
-                    residual.as_ref(),
-                    &l,
-                    &r,
+                    l.iter(),
+                    r.iter(),
                     ev,
                     env,
                     stats,
-                )
-            }
-            PhysPlan::NLNestJoin {
-                lvar,
-                rvar,
-                pred,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => {
-                let l = left.exec(ev, env, stats)?.into_set()?;
-                let r = right.exec(ev, env, stats)?.into_set()?;
-                hashjoin::nl_nestjoin(
-                    lvar,
-                    rvar,
-                    pred,
-                    rfunc.as_ref(),
-                    as_attr,
-                    &l,
-                    &r,
-                    ev,
-                    env,
-                    stats,
-                )
+                )?;
+                let mut out = Vec::new();
+                while let Some(chunk) =
+                    state.next_chunk(lvar, rvar, residual.as_ref(), usize::MAX, ev, env, stats)?
+                {
+                    out.extend(chunk);
+                }
+                Ok(Value::Set(Set::from_values(out)))
             }
             PhysPlan::Pnhl {
                 outer,
@@ -637,7 +574,8 @@ impl PhysPlan {
             } => {
                 let o = outer.exec(ev, env, stats)?.into_set()?;
                 let i = inner.exec(ev, env, stats)?.into_set()?;
-                pnhl::pnhl_materialize(&o, set_attr, &i, keys, *budget, ev, env, stats)
+                let rows = pnhl::pnhl_rows(&o, set_attr, &i, keys, *budget, ev, env, stats)?;
+                Ok(Value::Set(Set::from_values(rows)))
             }
             PhysPlan::UnnestJoin {
                 outer,
@@ -647,7 +585,8 @@ impl PhysPlan {
             } => {
                 let o = outer.exec(ev, env, stats)?.into_set()?;
                 let i = inner.exec(ev, env, stats)?.into_set()?;
-                pnhl::unnest_join_nest(&o, set_attr, &i, keys, ev, env, stats)
+                let rows = pnhl::unnest_join_rows(&o, set_attr, &i, keys, ev, env, stats)?;
+                Ok(Value::Set(Set::from_values(rows)))
             }
             PhysPlan::Assemble {
                 input,
@@ -656,7 +595,13 @@ impl PhysPlan {
                 set_valued,
             } => {
                 let s = input.exec(ev, env, stats)?.into_set()?;
-                assembly::assemble(&s, attr, class, *set_valued, ev.db(), stats)
+                let db = ev.db();
+                db.catalog()
+                    .class(class)
+                    .ok_or_else(|| EvalError::UnknownClass(class.clone()))?;
+                let rows =
+                    assembly::assemble_batch(s.as_slice(), attr, class, *set_valued, db, stats)?;
+                Ok(Value::Set(Set::from_values(rows)))
             }
             // The exchange is semantically the identity; the materialized
             // reference path evaluates its input serially.

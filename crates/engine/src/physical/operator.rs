@@ -25,12 +25,12 @@
 //! pipeline pulled chunk by chunk.
 
 use super::columnar::{simple_attr, MaskExpr};
-use super::hashjoin::{self, HashJoinOp, HashMode};
+use super::hashjoin::JoinOp;
 use super::sortmerge::SortMergeState;
 use super::{pnhl, spill_exec, MatchKeys, PhysPlan};
 use crate::eval::{aggregate, nest_set, unnest_value, Env, EvalError, Evaluator};
 use crate::stats::{OpStats, OpTiming, PlanOrdinal, Stats};
-use oodb_adl::expr::{AggOp, Expr, JoinKind, SetOp};
+use oodb_adl::expr::{AggOp, Expr, SetOp};
 use oodb_catalog::Database;
 use oodb_spill::{MemoryBudget, SpillMetrics};
 use oodb_value::fxhash::FxHashSet;
@@ -1125,191 +1125,7 @@ impl Operator for LetOp {
 }
 
 // ---------------------------------------------------------------------
-// Joins: build once, stream the probe side.
-
-/// Extended Cartesian product: right side drained, left side streamed.
-struct ProductOp {
-    left: BoxOp,
-    right: BoxOp,
-    right_set: Option<Set>,
-    spill: SpillMetrics,
-}
-
-impl Operator for ProductOp {
-    fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
-        self.right_set = None;
-        self.left.open(ctx)?;
-        self.right.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
-        if self.right_set.is_none() {
-            self.right_set = Some(drain_to_set(&mut self.right, &mut self.spill, ctx)?);
-        }
-        let r = self.right_set.as_ref().expect("drained above");
-        loop {
-            let Some(batch) = self.left.next_batch(ctx)? else {
-                return Ok(None);
-            };
-            // every row is concatenated |r| times: materialize the rows
-            // once up front
-            let rows = batch.into_values();
-            let mut out = Vec::with_capacity(rows.len() * r.len());
-            for x in &rows {
-                for y in r.iter() {
-                    ctx.stats.loop_iterations += 1;
-                    out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?));
-                }
-            }
-            if !out.is_empty() {
-                return Ok(Some(Batch::from_rows(out)));
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
-        self.right_set = None;
-        self.left.close(ctx);
-        self.right.close(ctx);
-    }
-
-    fn spill_metrics(&self) -> SpillMetrics {
-        self.spill
-    }
-}
-
-/// Index nested-loop join: the left side streams, each row probing the
-/// right extent's secondary hash index.
-struct IndexNLJoinOp {
-    kind: JoinKind,
-    lvar: Name,
-    rvar: Name,
-    lkey: Expr,
-    attr: Name,
-    extent: Name,
-    residual: Option<Expr>,
-    right_attrs: Vec<Name>,
-    checked: bool,
-    left: BoxOp,
-}
-
-impl Operator for IndexNLJoinOp {
-    fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
-        self.checked = false;
-        self.left.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
-        if !self.checked {
-            // Resolve the extent before the first pull so an unknown
-            // table errors even when the probe side is empty, exactly
-            // like the materialized path.
-            ctx.ev
-                .db()
-                .table(&self.extent)
-                .ok_or_else(|| EvalError::UnknownTable(self.extent.clone()))?;
-            self.checked = true;
-        }
-        loop {
-            let Some(batch) = self.left.next_batch(ctx)? else {
-                return Ok(None);
-            };
-            let out = hashjoin::index_nl_join_batch(
-                self.kind,
-                &self.lvar,
-                &self.rvar,
-                &self.lkey,
-                &self.attr,
-                &self.extent,
-                self.residual.as_ref(),
-                &self.right_attrs,
-                (&batch).into(),
-                &ctx.ev,
-                &mut ctx.env,
-                ctx.stats,
-            )?;
-            if !out.is_empty() {
-                return Ok(Some(Batch::from_rows(out)));
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
-        self.left.close(ctx);
-    }
-}
-
-/// Nested-loop fallback (join and nestjoin): the right side is drained
-/// once, the left side streams against it.
-struct NLJoinOp {
-    mode: HashMode,
-    lvar: Name,
-    rvar: Name,
-    pred: Expr,
-    left: BoxOp,
-    right: BoxOp,
-    right_set: Option<Set>,
-    spill: SpillMetrics,
-}
-
-impl Operator for NLJoinOp {
-    fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
-        self.right_set = None;
-        self.left.open(ctx)?;
-        self.right.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
-        if self.right_set.is_none() {
-            self.right_set = Some(drain_to_set(&mut self.right, &mut self.spill, ctx)?);
-        }
-        loop {
-            let Some(batch) = self.left.next_batch(ctx)? else {
-                return Ok(None);
-            };
-            let r = self.right_set.as_ref().expect("drained above");
-            let out = match &self.mode {
-                HashMode::Join { kind, right_attrs } => hashjoin::nl_join_batch(
-                    *kind,
-                    &self.lvar,
-                    &self.rvar,
-                    &self.pred,
-                    right_attrs,
-                    (&batch).into(),
-                    r,
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?,
-                HashMode::Nest { rfunc, as_attr } => hashjoin::nl_nestjoin_batch(
-                    &self.lvar,
-                    &self.rvar,
-                    &self.pred,
-                    rfunc.as_ref(),
-                    as_attr,
-                    (&batch).into(),
-                    r,
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?,
-            };
-            if !out.is_empty() {
-                return Ok(Some(Batch::from_rows(out)));
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
-        self.right_set = None;
-        self.left.close(ctx);
-        self.right.close(ctx);
-    }
-
-    fn spill_metrics(&self) -> SpillMetrics {
-        self.spill
-    }
-}
+// Sort-merge join. Every other join compiles to `hashjoin::JoinOp`.
 
 /// How a sort-merge join holds its sorted inputs.
 enum SmjState {
@@ -1614,82 +1430,16 @@ impl PhysPlan {
                 body: body.compile_stride(kids[1], 0, 1),
                 bound: None,
             }),
-            PhysPlan::ProductOp { left, right } => Box::new(ProductOp {
-                left: left.compile_rows(kids[0], 0, 1),
-                right: right.compile_rows(kids[1], 0, 1),
-                right_set: None,
-                spill: SpillMetrics::default(),
-            }),
             PhysPlan::HashJoin { .. }
             | PhysPlan::HashNestJoin { .. }
             | PhysPlan::HashMemberJoin { .. }
-            | PhysPlan::MemberNestJoin { .. } => {
-                Box::new(HashJoinOp::from_plan(self, ord, 1).expect("a hash-family join node"))
+            | PhysPlan::MemberNestJoin { .. }
+            | PhysPlan::NLJoin { .. }
+            | PhysPlan::NLNestJoin { .. }
+            | PhysPlan::ProductOp { .. }
+            | PhysPlan::IndexNLJoin { .. } => {
+                Box::new(JoinOp::from_plan(self, ord, 1).expect("a join node"))
             }
-            PhysPlan::IndexNLJoin {
-                kind,
-                lvar,
-                rvar,
-                lkey,
-                attr,
-                extent,
-                residual,
-                right_attrs,
-                left,
-            } => Box::new(IndexNLJoinOp {
-                kind: *kind,
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                lkey: lkey.clone(),
-                attr: attr.clone(),
-                extent: extent.clone(),
-                residual: residual.clone(),
-                right_attrs: right_attrs.clone(),
-                checked: false,
-                left: left.compile_rows(kids[0], 0, 1),
-            }),
-            PhysPlan::NLJoin {
-                kind,
-                lvar,
-                rvar,
-                pred,
-                right_attrs,
-                left,
-                right,
-            } => Box::new(NLJoinOp {
-                mode: HashMode::Join {
-                    kind: *kind,
-                    right_attrs: right_attrs.clone(),
-                },
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                pred: pred.clone(),
-                left: left.compile_rows(kids[0], 0, 1),
-                right: right.compile_rows(kids[1], 0, 1),
-                right_set: None,
-                spill: SpillMetrics::default(),
-            }),
-            PhysPlan::NLNestJoin {
-                lvar,
-                rvar,
-                pred,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => Box::new(NLJoinOp {
-                mode: HashMode::Nest {
-                    rfunc: rfunc.clone(),
-                    as_attr: as_attr.clone(),
-                },
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                pred: pred.clone(),
-                left: left.compile_rows(kids[0], 0, 1),
-                right: right.compile_rows(kids[1], 0, 1),
-                right_set: None,
-                spill: SpillMetrics::default(),
-            }),
             PhysPlan::SortMergeJoin {
                 lvar,
                 rvar,
@@ -1960,8 +1710,10 @@ impl Drop for ResultStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::Partitioning;
     use crate::plan::{JoinAlgo, Planner, PlannerConfig};
     use oodb_adl::dsl::*;
+    use oodb_adl::expr::JoinKind;
     use oodb_catalog::fixtures::{figure3_db, supplier_part_db};
 
     /// The process-default options — whatever layout / budget /
@@ -2047,6 +1799,145 @@ mod tests {
             assert_eq!(m, s, "algo {algo:?}");
             assert!(!ss.operators.is_empty(), "algo {algo:?} not instrumented");
         }
+
+        // Every node the one join operator runs besides the hash joins,
+        // hand-built next to its ADL expression.
+        let scan = |t: &str| Box::new(PhysPlan::Scan(t.into()));
+        let kinds = [
+            JoinKind::Inner,
+            JoinKind::Semi,
+            JoinKind::Anti,
+            JoinKind::LeftOuter,
+        ];
+        let padding = |kind, attrs: &[&str]| match kind {
+            JoinKind::LeftOuter => attrs.iter().map(|&a| Name::from(a)).collect(),
+            _ => Vec::new(),
+        };
+        let adl_join = |kind, lv: &str, rv: &str, pred: Expr, l: &str, r: &str| Expr::Join {
+            kind,
+            lvar: lv.into(),
+            rvar: rv.into(),
+            pred: Box::new(pred),
+            left: Box::new(table(l)),
+            right: Box::new(table(r)),
+        };
+        let mut cases: Vec<(&Database, PhysPlan, Expr)> = Vec::new();
+        let pred = lt(var("x").field("a"), var("y").field("c"));
+        for kind in kinds {
+            let plan = PhysPlan::NLJoin {
+                kind,
+                lvar: "x".into(),
+                rvar: "y".into(),
+                pred: pred.clone(),
+                right_attrs: padding(kind, &["c", "d", "yid"]),
+                left: scan("X"),
+                right: scan("Y"),
+            };
+            cases.push((&db, plan, adl_join(kind, "x", "y", pred.clone(), "X", "Y")));
+        }
+        for rfunc in [None, Some(var("y").field("c"))] {
+            let plan = PhysPlan::NLNestJoin {
+                lvar: "x".into(),
+                rvar: "y".into(),
+                pred: pred.clone(),
+                rfunc: rfunc.clone(),
+                as_attr: "ys".into(),
+                left: scan("X"),
+                right: scan("Y"),
+            };
+            let e = Expr::NestJoin {
+                lvar: "x".into(),
+                rvar: "y".into(),
+                pred: Box::new(pred.clone()),
+                rfunc: rfunc.map(Box::new),
+                as_attr: "ys".into(),
+                left: Box::new(table("X")),
+                right: Box::new(table("Y")),
+            };
+            cases.push((&db, plan, e));
+        }
+        let plan = PhysPlan::ProductOp {
+            left: scan("X"),
+            right: scan("Y"),
+        };
+        cases.push((&db, plan, product(table("X"), table("Y"))));
+        let mut indexed = supplier_part_db();
+        indexed.create_index("DELIVERY", "supplier").unwrap();
+        let key = eq(var("s").field("eid"), var("d").field("supplier"));
+        let early = eq(var("d").field("date"), lit(Value::Date(940101)));
+        for kind in kinds {
+            for residual in [None, Some(early.clone())] {
+                let plan = PhysPlan::IndexNLJoin {
+                    kind,
+                    lvar: "s".into(),
+                    rvar: "d".into(),
+                    lkey: var("s").field("eid"),
+                    attr: "supplier".into(),
+                    extent: "DELIVERY".into(),
+                    residual: residual.clone(),
+                    right_attrs: padding(kind, &["did", "supplier", "supply", "date"]),
+                    left: scan("SUPPLIER"),
+                };
+                let pred = residual.map_or(key.clone(), |r| and(key.clone(), r));
+                let e = adl_join(kind, "s", "d", pred, "SUPPLIER", "DELIVERY");
+                cases.push((&indexed, plan, e));
+            }
+        }
+        for (db, plan, e) in cases {
+            let label = plan.op_label();
+            let mut ms = Stats::new();
+            let m = plan.execute_on(db, &mut ms).unwrap();
+            let mut ss = Stats::new();
+            let s = plan
+                .execute_streaming(db, &mut ss, &default_opts())
+                .unwrap();
+            assert_eq!(m, s, "{label}");
+            assert_eq!(m, Evaluator::new(db).eval_closed(&e).unwrap(), "{label}");
+            let work = |st: &Stats| (st.loop_iterations, st.predicate_evals, st.index_probes);
+            assert_eq!(work(&ms), work(&ss), "{label}");
+            assert_eq!(
+                ss.operator_rows_by_label(),
+                materialized_rows_by_label(&plan, db),
+                "{label}"
+            );
+            // Under a hash exchange a non-hash join still runs at dop 1.
+            let exchanged = PhysPlan::Exchange {
+                partitioning: Partitioning::Hash,
+                dop: 2,
+                input: Box::new(plan),
+            };
+            let mut xs = Stats::new();
+            let x = exchanged
+                .execute_streaming(db, &mut xs, &default_opts())
+                .unwrap();
+            assert_eq!(x, s, "{label} under a hash exchange");
+            assert_eq!(work(&xs), work(&ss), "{label} under a hash exchange");
+            assert_eq!(
+                xs.operator_rows_by_label(),
+                ss.operator_rows_by_label(),
+                "{label} under a hash exchange"
+            );
+        }
+    }
+
+    /// The result size of every node of `plan` under the materialized
+    /// executor, summed per operator label — what the streamed
+    /// `operator_rows_by_label` must be when every node emits a set
+    /// (scans, and joins over them).
+    fn materialized_rows_by_label(plan: &PhysPlan, db: &Database) -> Vec<(String, u64)> {
+        let mut v: Vec<(String, u64)> = Vec::new();
+        let mut nodes = vec![plan];
+        while let Some(node) = nodes.pop() {
+            let rows = node.execute_on(db, &mut Stats::new()).unwrap();
+            let n = rows.as_set().unwrap().len() as u64;
+            match v.iter_mut().find(|(l, _)| *l == node.op_label()) {
+                Some((_, r)) => *r += n,
+                None => v.push((node.op_label(), n)),
+            }
+            nodes.extend(node.children());
+        }
+        v.sort();
+        v
     }
 
     #[test]

@@ -24,25 +24,8 @@ use oodb_value::{Name, Set, Tuple, Value};
 
 /// Runs PNHL: for every outer tuple `x`, replaces `x.set_attr` by the set
 /// of inner tuples `y` with `ikey(y) = ekey(e)` for some `e ∈ x.set_attr`.
-#[allow(clippy::too_many_arguments)]
-pub fn pnhl_materialize(
-    outer: &Set,
-    set_attr: &Name,
-    inner: &Set,
-    keys: &MatchKeys,
-    budget: usize,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    Ok(Value::Set(Set::from_values(pnhl_rows(
-        outer, set_attr, inner, keys, budget, ev, env, stats,
-    )?)))
-}
-
-/// [`pnhl_materialize`] returning the output rows unwrapped, so the
-/// streaming pipeline can emit them in batches after the (inherently
-/// blocking) partitioned probe phases.
+/// Returns the output rows, which the streaming pipeline emits in
+/// batches after the (inherently blocking) partitioned probe phases.
 #[allow(clippy::too_many_arguments)]
 pub fn pnhl_rows(
     outer: &Set,
@@ -108,24 +91,8 @@ pub fn pnhl_rows(
 /// built at once, every outer element probes exactly one table, and the
 /// unnest duplicates the outer tuple per element (the `loop_iterations`
 /// it pays that PNHL does not). The cost-based planner picks it when a
-/// tight budget would force PNHL through 3+ probe passes.
-#[allow(clippy::too_many_arguments)]
-pub fn unnest_join_nest(
-    outer: &Set,
-    set_attr: &Name,
-    inner: &Set,
-    keys: &MatchKeys,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    Ok(Value::Set(Set::from_values(unnest_join_rows(
-        outer, set_attr, inner, keys, ev, env, stats,
-    )?)))
-}
-
-/// [`unnest_join_nest`] returning the output rows unwrapped (streaming
-/// pipeline entry point, mirroring [`pnhl_rows`]).
+/// tight budget would force PNHL through 3+ probe passes. Returns the
+/// output rows, mirroring [`pnhl_rows`].
 #[allow(clippy::too_many_arguments)]
 pub fn unnest_join_rows(
     outer: &Set,
@@ -188,6 +155,11 @@ mod tests {
         }
     }
 
+    /// The output rows as the set the materialized executor returns.
+    fn set_of(rows: Result<Vec<Value>, EvalError>) -> Value {
+        Value::Set(Set::from_values(rows.unwrap()))
+    }
+
     fn materialized_parts(v: &Value, sname: &str) -> Set {
         v.as_set()
             .unwrap()
@@ -216,7 +188,7 @@ mod tests {
         let inner = db.table("PART").unwrap().as_set_value().into_set().unwrap();
         let mut env = Env::new();
         let mut stats = Stats::new();
-        let v = pnhl_materialize(
+        let v = set_of(pnhl_rows(
             &outer,
             &"parts".into(),
             &inner,
@@ -225,8 +197,7 @@ mod tests {
             &ev,
             &mut env,
             &mut stats,
-        )
-        .unwrap();
+        ));
         // s1 gets its three part OBJECTS
         let s1_parts = materialized_parts(&v, "s1");
         assert_eq!(s1_parts.len(), 3);
@@ -253,7 +224,7 @@ mod tests {
         let mut env = Env::new();
 
         let mut wide = Stats::new();
-        let v_wide = pnhl_materialize(
+        let v_wide = set_of(pnhl_rows(
             &outer,
             &"parts".into(),
             &inner,
@@ -262,10 +233,9 @@ mod tests {
             &ev,
             &mut env,
             &mut wide,
-        )
-        .unwrap();
+        ));
         let mut tight = Stats::new();
-        let v_tight = pnhl_materialize(
+        let v_tight = set_of(pnhl_rows(
             &outer,
             &"parts".into(),
             &inner,
@@ -274,8 +244,7 @@ mod tests {
             &ev,
             &mut env,
             &mut tight,
-        )
-        .unwrap();
+        ));
         assert_eq!(v_wide, v_tight);
         assert_eq!(wide.partitions, 1);
         assert_eq!(tight.partitions, 4); // ⌈7 / 2⌉
@@ -295,7 +264,7 @@ mod tests {
         let inner = db.table("PART").unwrap().as_set_value().into_set().unwrap();
         let mut env = Env::new();
         let mut s1 = Stats::new();
-        let a = pnhl_materialize(
+        let a = set_of(pnhl_rows(
             &outer,
             &"parts".into(),
             &inner,
@@ -304,10 +273,9 @@ mod tests {
             &ev,
             &mut env,
             &mut s1,
-        )
-        .unwrap();
+        ));
         let mut s2 = Stats::new();
-        let b = unnest_join_nest(
+        let b = set_of(unnest_join_rows(
             &outer,
             &"parts".into(),
             &inner,
@@ -315,8 +283,7 @@ mod tests {
             &ev,
             &mut env,
             &mut s2,
-        )
-        .unwrap();
+        ));
         assert_eq!(a, b);
     }
 
@@ -334,7 +301,7 @@ mod tests {
         let inner = db.table("PART").unwrap().as_set_value().into_set().unwrap();
         let mut env = Env::new();
         let mut stats = Stats::new();
-        let _ = pnhl_materialize(
+        let _ = pnhl_rows(
             &outer,
             &"parts".into(),
             &inner,

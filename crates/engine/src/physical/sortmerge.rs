@@ -5,10 +5,11 @@
 //! vector; matching key groups produce the cross product of their tuples
 //! (filtered by the residual predicate).
 
+use super::hashjoin::{eval_keys, residual_holds};
 use crate::eval::{Env, EvalError, Evaluator};
 use crate::stats::Stats;
 use oodb_adl::expr::Expr;
-use oodb_value::{Name, Set, Value};
+use oodb_value::{Name, Value};
 
 /// The sort phase of the sort-merge join, holding both sorted runs and
 /// the merge cursor. [`SortMergeState::next_chunk`] then emits matches
@@ -24,7 +25,7 @@ pub struct SortMergeState<V = Value> {
 impl<V: std::borrow::Borrow<Value>> SortMergeState<V> {
     /// Evaluates and sorts both key runs (the blocking phase). Generic
     /// over row ownership: the streaming pipeline moves owned rows in
-    /// (`V = Value`), the materialized entry point borrows its sets
+    /// (`V = Value`), the materialized executor borrows its sets
     /// (`V = &Value`, zero copies).
     #[allow(clippy::too_many_arguments)]
     pub fn build(
@@ -85,19 +86,7 @@ impl<V: std::borrow::Borrow<Value>> SortMergeState<V> {
                             stats.loop_iterations += 1;
                             let x = self.ls[li].1.borrow();
                             let y = self.rs[rj].1.borrow();
-                            let keep = match residual {
-                                None => true,
-                                Some(pred) => {
-                                    stats.predicate_evals += 1;
-                                    env.push(lvar, x.clone());
-                                    env.push(rvar, y.clone());
-                                    let r = ev.eval(pred, env, stats);
-                                    env.pop();
-                                    env.pop();
-                                    r?.as_bool()?
-                                }
-                            };
-                            if keep {
+                            if residual_holds(residual, lvar, x, rvar, y, ev, env, stats)? {
                                 out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?));
                             }
                         }
@@ -118,38 +107,6 @@ impl<V: std::borrow::Borrow<Value>> SortMergeState<V> {
     }
 }
 
-/// Sort-merge inner join.
-#[allow(clippy::too_many_arguments)]
-pub fn sort_merge_join(
-    lvar: &Name,
-    rvar: &Name,
-    lkeys: &[Expr],
-    rkeys: &[Expr],
-    residual: Option<&Expr>,
-    left: &Set,
-    right: &Set,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    let mut state = SortMergeState::build(
-        lvar,
-        rvar,
-        lkeys,
-        rkeys,
-        left.iter(),
-        right.iter(),
-        ev,
-        env,
-        stats,
-    )?;
-    let mut out = Vec::new();
-    while let Some(chunk) = state.next_chunk(lvar, rvar, residual, usize::MAX, ev, env, stats)? {
-        out.extend(chunk);
-    }
-    Ok(Value::Set(Set::from_values(out)))
-}
-
 /// Pairs every tuple with its evaluated key vector.
 fn keyed<V: std::borrow::Borrow<Value>>(
     s: impl IntoIterator<Item = V>,
@@ -159,32 +116,56 @@ fn keyed<V: std::borrow::Borrow<Value>>(
     env: &mut Env,
     stats: &mut Stats,
 ) -> Result<Vec<(Vec<Value>, V)>, EvalError> {
-    let mut out = Vec::new();
-    for v in s {
-        env.push(var, v.borrow().clone());
-        let mut key = Vec::with_capacity(keys.len());
-        for k in keys {
-            match ev.eval(k, env, stats) {
-                Ok(kv) => key.push(kv),
-                Err(e) => {
-                    env.pop();
-                    return Err(e);
-                }
-            }
-        }
-        env.pop();
-        out.push((key, v));
-    }
-    Ok(out)
+    s.into_iter()
+        .map(|v| Ok((eval_keys(keys, var, v.borrow(), ev, env, stats)?, v)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::hashjoin::{HashMode, JoinFamily, JoinSpec};
+    use crate::physical::hashjoin::{JoinFamily, JoinMode, JoinSpec};
     use oodb_adl::dsl::*;
     use oodb_adl::expr::JoinKind;
     use oodb_catalog::fixtures::figure3_db;
+    use oodb_value::Set;
+
+    /// Sorts `left` and `right` and merges them to the end, collecting
+    /// the output into a set — the materialized executor's use of the
+    /// kernel.
+    #[allow(clippy::too_many_arguments)]
+    fn sort_merge(
+        lkeys: &[Expr],
+        rkeys: &[Expr],
+        residual: Option<&Expr>,
+        left: &Set,
+        right: &Set,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Value {
+        let (lvar, rvar) = (Name::from("x"), Name::from("y"));
+        let mut state = SortMergeState::build(
+            &lvar,
+            &rvar,
+            lkeys,
+            rkeys,
+            left.iter(),
+            right.iter(),
+            ev,
+            env,
+            stats,
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        while let Some(chunk) = state
+            .next_chunk(&lvar, &rvar, residual, usize::MAX, ev, env, stats)
+            .unwrap()
+        {
+            out.extend(chunk);
+        }
+        Value::Set(Set::from_values(out))
+    }
 
     #[test]
     fn agrees_with_hash_join() {
@@ -197,19 +178,7 @@ mod tests {
 
         let mut env = Env::new();
         let mut s1 = Stats::new();
-        let smj = sort_merge_join(
-            &"x".into(),
-            &"y".into(),
-            &lk,
-            &rk,
-            None,
-            &x,
-            &y,
-            &ev,
-            &mut env,
-            &mut s1,
-        )
-        .unwrap();
+        let smj = sort_merge(&lk, &rk, None, &x, &y, &ev, &mut env, &mut s1);
 
         let mut s2 = Stats::new();
         let hash = JoinSpec {
@@ -217,7 +186,7 @@ mod tests {
                 lkeys: lk.to_vec(),
                 rkeys: rk.to_vec(),
             },
-            mode: HashMode::Join {
+            mode: JoinMode::Join {
                 kind: JoinKind::Inner,
                 right_attrs: Vec::new(),
             },
@@ -225,7 +194,9 @@ mod tests {
             rvar: "y".into(),
             residual: None,
         };
-        let hj = hash.join_sets(&x, &y, &ev, &mut env, &mut s2).unwrap();
+        let hj = hash
+            .join_sets(&x, Some(&y), &ev, &mut env, &mut s2)
+            .unwrap();
         assert_eq!(smj, hj);
         assert_eq!(smj.as_set().unwrap().len(), 4);
     }
@@ -238,9 +209,7 @@ mod tests {
         let y = db.table("Y").unwrap().as_set_value().into_set().unwrap();
         let mut env = Env::new();
         let mut st = Stats::new();
-        let v = sort_merge_join(
-            &"x".into(),
-            &"y".into(),
+        let v = sort_merge(
             &[var("x").field("b")],
             &[var("y").field("d")],
             Some(&lt(var("x").field("a"), var("y").field("c"))),
@@ -249,8 +218,7 @@ mod tests {
             &ev,
             &mut env,
             &mut st,
-        )
-        .unwrap();
+        );
         // matches on b=d=1: pairs (x1,y1),(x1,y2),(x2,y1),(x2,y2) — keep a<c:
         // (1,2) only... x1=(a=1) with y(c=2): 1<2 ✓; x1 with y(c=1): ✗;
         // x2=(a=2): 2<1 ✗, 2<2 ✗ → exactly 1 row

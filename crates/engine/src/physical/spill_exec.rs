@@ -29,7 +29,7 @@
 
 use super::columnar::ProbeInput;
 use super::hashjoin::{
-    self, eval_keys, eval_under, HashMode, JoinFamily, JoinHashTable, JoinSpec, Keyed,
+    self, eval_keys, eval_under, JoinFamily, JoinHashTable, JoinMode, JoinSpec, Keyed,
     MemberHashTable, MemberShape,
 };
 use super::operator::{BoxOp, ExecCtx};
@@ -166,6 +166,7 @@ pub(crate) fn grace_join(
         JoinFamily::Member { shape } => {
             grace_member_join(spec, shape, keyed_build, probe, &budget, local, ctx)
         }
+        JoinFamily::Loop | JoinFamily::Index { .. } => hashjoin::not_hashed(),
     }
 }
 
@@ -267,14 +268,14 @@ fn grace_member_join(
     let mode = &spec.mode;
     let inner_join = matches!(
         mode,
-        HashMode::Join {
+        JoinMode::Join {
             kind: JoinKind::Inner,
             ..
         }
     );
     let semi_like = matches!(
         mode,
-        HashMode::Join {
+        JoinMode::Join {
             kind: JoinKind::Semi | JoinKind::Anti,
             ..
         }
@@ -386,7 +387,7 @@ fn grace_member_join(
             }
             matched.insert(id);
             match mode {
-                HashMode::Join { kind, .. } => match kind {
+                JoinMode::Join { kind, .. } => match kind {
                     JoinKind::Inner | JoinKind::LeftOuter => {
                         for y in ys {
                             out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?));
@@ -394,7 +395,7 @@ fn grace_member_join(
                     }
                     JoinKind::Semi | JoinKind::Anti => {}
                 },
-                HashMode::Nest { rfunc, as_attr: _ } => {
+                JoinMode::Nest { rfunc, as_attr: _ } => {
                     let group = groups.entry(id).or_default();
                     for y in ys {
                         group.push(hashjoin::collect_right(

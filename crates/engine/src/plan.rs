@@ -2115,36 +2115,45 @@ mod index_tests {
     #[test]
     fn executing_index_nl_on_unindexed_attr_is_a_real_error() {
         // hand-built plan that violates the planner guard: execution must
-        // fail loudly (this used to be a debug_assert!)
+        // fail loudly (this used to be a debug_assert!) — also when the
+        // probe side is empty, so no probe ever reaches the index
         let db = supplier_part_db();
-        let bad = PhysPlan::IndexNLJoin {
-            kind: JoinKind::Inner,
-            lvar: "s".into(),
-            rvar: "d".into(),
-            lkey: var("s").field("eid"),
-            attr: "supplier".into(),
-            extent: "DELIVERY".into(),
-            residual: None,
-            right_attrs: vec![],
-            left: Box::new(PhysPlan::Scan("SUPPLIER".into())),
+        let suppliers = PhysPlan::Scan("SUPPLIER".into());
+        let no_suppliers = PhysPlan::Filter {
+            var: "s".into(),
+            pred: lit(Value::Bool(false)),
+            input: Box::new(suppliers.clone()),
         };
-        let mut stats = Stats::new();
-        let err = bad.execute_on(&db, &mut stats).unwrap_err();
-        assert!(
-            matches!(
-                &err,
-                crate::eval::EvalError::MissingIndex { extent, attr }
-                    if extent.as_ref() == "DELIVERY" && attr.as_ref() == "supplier"
-            ),
-            "{err}"
-        );
-        // the streaming pipeline refuses identically
-        let mut s2 = Stats::new();
-        assert!(matches!(
-            bad.execute_streaming(&db, &mut s2, &PlannerConfig::default().exec_options())
-                .unwrap_err(),
-            crate::eval::EvalError::MissingIndex { .. }
-        ));
+        for left in [suppliers, no_suppliers] {
+            let bad = PhysPlan::IndexNLJoin {
+                kind: JoinKind::Inner,
+                lvar: "s".into(),
+                rvar: "d".into(),
+                lkey: var("s").field("eid"),
+                attr: "supplier".into(),
+                extent: "DELIVERY".into(),
+                residual: None,
+                right_attrs: vec![],
+                left: Box::new(left),
+            };
+            let mut stats = Stats::new();
+            let err = bad.execute_on(&db, &mut stats).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    crate::eval::EvalError::MissingIndex { extent, attr }
+                        if extent.as_ref() == "DELIVERY" && attr.as_ref() == "supplier"
+                ),
+                "{err}"
+            );
+            // the streaming pipeline refuses identically
+            let mut s2 = Stats::new();
+            assert!(matches!(
+                bad.execute_streaming(&db, &mut s2, &PlannerConfig::default().exec_options())
+                    .unwrap_err(),
+                crate::eval::EvalError::MissingIndex { .. }
+            ));
+        }
     }
 
     #[test]
