@@ -5,10 +5,14 @@
 //! send burst before reading anything — the protocol's core promises
 //! (tag-correct routing, streamed chunks that decode to exactly the
 //! library result, END totals that match what arrived) are all asserted
-//! on the way back. A deliberate error and a `METRICS` request at the
-//! end make the error-code and uniform-verb paths part of the smoke.
+//! on the way back. Two repeats of one query must be result-cache hits
+//! that send identical CHUNK bytes, counted by
+//! `oodb_wire_cached_chunks_total`. A deliberate error and a `METRICS`
+//! request at the end make the error-code and uniform-verb paths part of
+//! the smoke.
 //! Exits non-zero if any step fails.
 
+use std::net::TcpStream;
 use std::sync::Arc;
 
 use oodb_datagen::{generate, GenConfig};
@@ -24,6 +28,33 @@ const QUERIES: [&str; 4] = [
     "select s.eid from s in SUPPLIER \
      where exists x in s.parts : not (exists p in PART : x = p.pid)",
 ];
+
+/// One QUERY, frame by frame: the HEADER flags and the raw CHUNK
+/// bodies, checked against the END totals.
+fn chunk_bodies(client: &mut WireClient<TcpStream>, tag: u32, text: &str) -> (u8, Vec<Vec<u8>>) {
+    client
+        .send(tag, verb::QUERY, text.as_bytes())
+        .expect("send QUERY");
+    let mut flags = None;
+    let mut bodies = Vec::new();
+    loop {
+        let frame = client
+            .read_frame()
+            .expect("read frame")
+            .expect("server hung up mid-stream");
+        assert_eq!(frame.tag, tag, "frame for another request");
+        match frame.kind {
+            wire::kind::HEADER => flags = Some(frame.body[0]),
+            wire::kind::CHUNK => bodies.push(frame.body),
+            wire::kind::END => {
+                let (_, chunks) = wire::decode_end(&frame.body).expect("decode END");
+                assert_eq!(chunks, bodies.len() as u64, "END chunk total");
+                return (flags.expect("HEADER before END"), bodies);
+            }
+            other => panic!("{text:?}: unexpected frame kind {other}"),
+        }
+    }
+}
 
 fn main() {
     let db = Arc::new(generate(&GenConfig::scaled(300)));
@@ -66,16 +97,28 @@ fn main() {
     );
 
     // A repeat of query 0 must hit the shared caches and return the
-    // same bytes.
-    let (flags, rows) = client
-        .query(500, QUERIES[0])
-        .expect("repeat query")
-        .expect("repeat query errored");
+    // same rows; a second repeat must send the first hit's CHUNK bodies
+    // byte for byte (both are the cached entry's stored encoding).
+    let (flags, first_hit) = chunk_bodies(&mut client, 500, QUERIES[0]);
     assert_ne!(flags & wire::flags::PLAN_HIT, 0, "repeat missed plan cache");
+    assert_ne!(
+        flags & wire::flags::RESULT_HIT,
+        0,
+        "repeat missed result cache"
+    );
+    let rows: Vec<Value> = first_hit
+        .iter()
+        .flat_map(|body| wire::decode_chunk(body).expect("decode cached chunk"))
+        .collect();
     assert_eq!(
         Value::Set(Set::from_values(rows)).to_string(),
         results[0],
         "cached repeat diverged"
+    );
+    let (_, second_hit) = chunk_bodies(&mut client, 501, QUERIES[0]);
+    assert_eq!(
+        second_hit, first_hit,
+        "repeated hits sent different CHUNK bytes"
     );
 
     // A deliberate error carries its stable code.
@@ -98,6 +141,13 @@ fn main() {
         metrics.contains("oodb_streamed_chunks_total"),
         "streaming counters missing from metrics"
     );
+    let cached_chunks: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("oodb_wire_cached_chunks_total "))
+        .expect("oodb_wire_cached_chunks_total missing from metrics")
+        .parse()
+        .expect("counter value");
+    assert!(cached_chunks > 0, "result hits sent no cached chunk");
     println!("{metrics}");
 
     client.send(999, verb::QUIT, &[]).expect("send QUIT");

@@ -29,13 +29,15 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use oodb_adl::expr::Expr;
 use oodb_catalog::Database;
 use oodb_core::strategy::Optimized;
-use oodb_engine::{PhysPlan, Stats};
+use oodb_engine::{PhysPlan, Stats, BATCH_SIZE};
 use oodb_value::{Name, Value};
+
+use crate::wire;
 
 /// Extent versions at the time a cache entry was built. An entry is
 /// *current* iff every listed extent still has its recorded version.
@@ -97,7 +99,13 @@ pub struct CachedPlan {
 }
 
 /// A cached query (or hoisted-`let` subquery) result.
-#[derive(Debug, Clone)]
+///
+/// A hit replays the value in [`BATCH_SIZE`] slices
+/// ([`CachedResult::slice`]). Each slice has one slot for its encoded
+/// CHUNK body, filled by the first wire reader of that slice and shared
+/// by every later one, so a result is encoded at most once however often
+/// it is served. In-process readers never fill a slot.
+#[derive(Debug)]
 pub struct CachedResult {
     /// The materialized value.
     pub value: Value,
@@ -110,6 +118,63 @@ pub struct CachedResult {
     /// then assert identical profiles whether or not a value came from
     /// the cache.
     pub profile: Stats,
+    /// `chunks[i]` holds [`wire::encode_row_chunk`] of slice `i` once a
+    /// wire reader asked for it.
+    chunks: Box<[OnceLock<Box<[u8]>>]>,
+}
+
+impl CachedResult {
+    /// An entry with one empty chunk slot per replay slice.
+    pub fn new(value: Value, stamp: Stamp, profile: Stats) -> Self {
+        let slices = replay_rows(&value).len().div_ceil(BATCH_SIZE);
+        CachedResult {
+            value,
+            stamp,
+            profile,
+            chunks: (0..slices).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Replay slice `i`: the next [`BATCH_SIZE`] rows of the value, a
+    /// set's in canonical order; any other (scalar) value is one 1-row
+    /// slice, and an empty set has none. `None` past the last slice.
+    pub fn slice(&self, i: usize) -> Option<&[Value]> {
+        let rows = replay_rows(&self.value);
+        let start = i.checked_mul(BATCH_SIZE).filter(|&s| s < rows.len())?;
+        Some(&rows[start..(start + BATCH_SIZE).min(rows.len())])
+    }
+
+    /// Slice `i`'s row count and CHUNK body — exactly what
+    /// [`wire::encode_chunk`] writes for the slice as a row batch. The
+    /// first caller encodes the body; concurrent first callers race
+    /// safely and all get the one stored copy. `None` past the last
+    /// slice.
+    pub fn chunk_body(&self, i: usize) -> Option<(usize, &[u8])> {
+        let rows = self.slice(i)?;
+        let body = self.chunks[i].get_or_init(|| {
+            let mut body = Vec::new();
+            wire::encode_row_chunk(rows, &mut body);
+            body.into_boxed_slice()
+        });
+        Some((rows.len(), body))
+    }
+
+    /// Bytes held by the filled chunk slots.
+    pub fn encoded_bytes(&self) -> usize {
+        self.chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|b| b.len())
+            .sum()
+    }
+}
+
+/// The rows a hit replays: a set's elements, or the one scalar value.
+fn replay_rows(value: &Value) -> &[Value] {
+    match value {
+        Value::Set(s) => s.as_slice(),
+        scalar => std::slice::from_ref(scalar),
+    }
 }
 
 /// Bounded map with FIFO eviction — insertion order, not LRU, because
@@ -280,6 +345,12 @@ impl ResultCache {
 
     pub fn insert(&self, key: String, entry: CachedResult) {
         self.inner.lock().unwrap().insert(key, Arc::new(entry));
+    }
+
+    /// Bytes held by the filled chunk slots of every cached entry.
+    pub fn encoded_bytes(&self) -> usize {
+        let inner = self.inner.lock().unwrap();
+        inner.map.values().map(|e| e.encoded_bytes()).sum()
     }
 }
 

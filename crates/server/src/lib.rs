@@ -55,7 +55,7 @@ use oodb_adl::expr::Expr;
 use oodb_catalog::{CatalogStats, Database};
 use oodb_core::strategy::{Optimized, Optimizer};
 use oodb_engine::eval::EvalError;
-use oodb_engine::{ExecOptions, PhysPlan, Planner, PlannerConfig, ResultStream, Stats, BATCH_SIZE};
+use oodb_engine::{ExecOptions, PhysPlan, Planner, PlannerConfig, ResultStream, Stats};
 use oodb_obs::{Counter, Gauge, Histogram, Registry, SpanRecorder, TraceLog};
 use oodb_spill::{BudgetGrant, BudgetPool};
 use oodb_value::{Batch, Set, Value};
@@ -157,6 +157,9 @@ struct ServerMetrics {
     streamed_chunks: Counter,
     /// Encoded chunk bytes written by the wire protocol.
     streamed_bytes: Counter,
+    /// CHUNK frames the wire served from a cached result's encoded
+    /// bytes, with no encoder call.
+    wire_cached_chunks: Counter,
     /// Accepted TCP connections dropped because no connection thread
     /// could be spawned for them.
     connections_refused: Counter,
@@ -164,6 +167,8 @@ struct ServerMetrics {
     pool_in_use: Gauge,
     pool_queue_depth: Gauge,
     budget_high_water: Gauge,
+    /// Refreshed from the [`ResultCache`] at render time.
+    result_cache_encoded_bytes: Gauge,
 }
 
 impl ServerMetrics {
@@ -211,6 +216,10 @@ impl ServerMetrics {
                 "oodb_streamed_bytes_total",
                 "Encoded result-chunk bytes written by the wire protocol",
             ),
+            wire_cached_chunks: registry.counter(
+                "oodb_wire_cached_chunks_total",
+                "CHUNK frames sent from a cached result's encoded bytes",
+            ),
             connections_refused: registry.counter(
                 "oodb_connections_refused_total",
                 "Accepted connections dropped because no connection thread could be spawned",
@@ -234,6 +243,10 @@ impl ServerMetrics {
             budget_high_water: registry.gauge(
                 "oodb_budget_high_water_bytes",
                 "Largest sum of live admission grants ever observed",
+            ),
+            result_cache_encoded_bytes: registry.gauge(
+                "oodb_result_cache_encoded_bytes",
+                "Encoded CHUNK bytes held by result-cache entries",
             ),
             registry,
         }
@@ -309,15 +322,19 @@ impl ServerShared {
     }
 
     /// The whole metrics registry rendered in Prometheus text exposition
-    /// format (the `METRICS` protocol payload). Pool gauges are
-    /// refreshed from the [`BudgetPool`] first, so point-in-time values
-    /// are current as of this call.
+    /// format (the `METRICS` protocol payload). Pool and result-cache
+    /// gauges are refreshed from the [`BudgetPool`] and the
+    /// [`ResultCache`] first, so point-in-time values are current as of
+    /// this call.
     pub fn render_metrics(&self) -> String {
         self.metrics.pool_in_use.set(self.pool.in_use() as u64);
         self.metrics.pool_queue_depth.set(self.pool.waiting());
         self.metrics
             .budget_high_water
             .set(self.pool.high_water() as u64);
+        self.metrics
+            .result_cache_encoded_bytes
+            .set(self.result_cache.encoded_bytes() as u64);
         self.metrics.registry.render()
     }
 
@@ -613,6 +630,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                 stats.result_cache_hits += 1;
                 let exec_start_us = rec.elapsed_us();
                 let scalar = !matches!(cached.value, Value::Set(_));
+                let final_value = Some(cached.value.clone());
                 return Ok(ResultCursor {
                     server,
                     query,
@@ -620,10 +638,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                     stats,
                     entry,
                     nested: Some(nested),
-                    source: CursorSource::Replay {
-                        value: cached.value.clone(),
-                        pos: 0,
-                    },
+                    source: CursorSource::Replay { cached, next: 0 },
                     grant: None,
                     result_key,
                     accumulate: None,
@@ -633,7 +648,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                     rows_streamed: 0,
                     chunks_streamed: 0,
                     finished: false,
-                    final_value: Some(cached.value.clone()),
+                    final_value,
                 });
             }
             shared.metrics.result_misses.inc();
@@ -675,7 +690,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
             stats,
             entry,
             nested: Some(nested),
-            source: CursorSource::Live(stream),
+            source: CursorSource::Live(Box::new(stream)),
             grant: Some(grant),
             result_key,
             accumulate: server.config.cache_results.then(Vec::new),
@@ -773,11 +788,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                     let extents = cache::footprint(&[evalue], db);
                     shared.result_cache.insert(
                         key,
-                        CachedResult {
-                            value: v.clone(),
-                            stamp: cache::stamp(&extents, db),
-                            profile: local.clone(),
-                        },
+                        CachedResult::new(v.clone(), cache::stamp(&extents, db), local.clone()),
                     );
                     stats.merge(&local);
                     v
@@ -795,31 +806,17 @@ impl<'srv, 'db> Session<'srv, 'db> {
 }
 
 /// Where a [`ResultCursor`]'s chunks come from: a live streaming
-/// pipeline, or the replay of a memoized result-cache value (chunked at
-/// [`BATCH_SIZE`] so both sources look identical to the consumer).
+/// pipeline, or the replay of a shared result-cache entry in its
+/// [`BATCH_SIZE`](oodb_engine::BATCH_SIZE) slices
+/// ([`CachedResult::slice`]), so both sources look identical to the
+/// consumer.
 enum CursorSource<'db> {
-    Live(ResultStream<'db>),
-    /// The shared cached value and how many of its rows were replayed.
+    Live(Box<ResultStream<'db>>),
+    /// The shared cache entry and the index of the next slice to replay.
     Replay {
-        value: Value,
-        pos: usize,
+        cached: Arc<CachedResult>,
+        next: usize,
     },
-}
-
-/// The next [`BATCH_SIZE`] rows of a memoized value, cut from its shared
-/// storage on demand: a set replays in canonical order, any other
-/// (scalar) value as one 1-row chunk, an empty set as no chunk at all.
-fn replay_chunk(value: &Value, pos: &mut usize) -> Option<Batch> {
-    let rows = match value {
-        Value::Set(s) => s.as_slice(),
-        scalar => std::slice::from_ref(scalar),
-    };
-    let start = *pos;
-    if start >= rows.len() {
-        return None;
-    }
-    *pos = (start + BATCH_SIZE).min(rows.len());
-    Some(Batch::from_rows(rows[start..*pos].to_vec()))
 }
 
 /// A server-side cursor over one executing query — the session API's
@@ -918,35 +915,91 @@ impl<'srv, 'db> ResultCursor<'srv, 'db> {
         if self.finished {
             return Ok(None);
         }
+        let mut batch = None;
         let pulled = match &mut self.source {
-            CursorSource::Live(stream) => match stream.next_chunk() {
-                Ok(b) => b,
-                Err(e) => {
-                    self.finish_error();
-                    return Err(ServerError::Exec(e));
-                }
-            },
-            CursorSource::Replay { value, pos } => replay_chunk(value, pos),
+            CursorSource::Live(stream) => stream.next_chunk().map(|b| {
+                batch = b;
+                batch.as_ref().map(Batch::len)
+            }),
+            CursorSource::Replay { cached, next } => Ok(cached.slice(*next).map(|rows| {
+                *next += 1;
+                batch = Some(Batch::from_rows(rows.to_vec()));
+                rows.len()
+            })),
         };
+        self.settle(pulled)?;
+        if let (Some(b), Some(acc)) = (&batch, &mut self.accumulate) {
+            acc.extend(b.clone().into_values());
+        }
+        Ok(batch)
+    }
+
+    /// The wire protocol's [`ResultCursor::next_chunk`]: appends the
+    /// next chunk to `out` as a CHUNK frame tagged `tag` and returns
+    /// whether there was one. A live chunk is encoded as it is pulled;
+    /// a result-cache hit copies its entry's encoded slice
+    /// ([`CachedResult::chunk_body`]) and builds no batch. Counters,
+    /// traces and finalization are those of `next_chunk`.
+    pub fn next_chunk_frame(&mut self, tag: u32, out: &mut Vec<u8>) -> Result<bool, ServerError> {
+        if self.finished {
+            return Ok(false);
+        }
+        let metrics = &self.server.shared.metrics;
+        let accumulate = &mut self.accumulate;
+        let pulled = match &mut self.source {
+            CursorSource::Live(stream) => stream.next_chunk().map(|b| {
+                b.map(|batch| {
+                    let len = wire::push_frame(out, tag, wire::kind::CHUNK, |body| {
+                        wire::encode_chunk(&batch, body)
+                    });
+                    metrics.streamed_bytes.add(len as u64);
+                    let rows = batch.len();
+                    if let Some(acc) = accumulate {
+                        acc.extend(batch.into_values());
+                    }
+                    rows
+                })
+            }),
+            CursorSource::Replay { cached, next } => {
+                Ok(cached.chunk_body(*next).map(|(rows, body)| {
+                    *next += 1;
+                    let len = wire::push_frame(out, tag, wire::kind::CHUNK, |b| {
+                        b.extend_from_slice(body)
+                    });
+                    metrics.streamed_bytes.add(len as u64);
+                    metrics.wire_cached_chunks.inc();
+                    rows
+                }))
+            }
+        };
+        self.settle(pulled)
+    }
+
+    /// Bookkeeping shared by every way of pulling a chunk. `pulled` is
+    /// the row count of the chunk just handed out, `None` at the end of
+    /// the stream, or the pipeline's error; the cursor counts the chunk
+    /// (TTFB on the first) or finalizes.
+    fn settle(&mut self, pulled: Result<Option<usize>, EvalError>) -> Result<bool, ServerError> {
         match pulled {
-            Some(batch) => {
+            Ok(Some(rows)) => {
                 if self.ttfb_us.is_none() {
                     let now = self.rec.as_ref().map_or(0, SpanRecorder::elapsed_us);
                     let ttfb = now.saturating_sub(self.exec_start_us);
                     self.ttfb_us = Some(ttfb);
                     self.server.shared.metrics.ttfb.observe_us(ttfb);
                 }
-                self.rows_streamed += batch.len() as u64;
+                self.rows_streamed += rows as u64;
                 self.chunks_streamed += 1;
                 self.server.shared.metrics.streamed_chunks.inc();
-                if let Some(acc) = &mut self.accumulate {
-                    acc.extend(batch.clone().into_values());
-                }
-                Ok(Some(batch))
+                Ok(true)
             }
-            None => {
+            Ok(None) => {
                 self.finish_success();
-                Ok(None)
+                Ok(false)
+            }
+            Err(e) => {
+                self.finish_error();
+                Err(ServerError::Exec(e))
             }
         }
     }
@@ -1012,11 +1065,11 @@ impl<'srv, 'db> ResultCursor<'srv, 'db> {
                         profile.result_cache_hits = 0;
                         shared.result_cache.insert(
                             self.result_key.clone(),
-                            CachedResult {
-                                value: value.clone(),
-                                stamp: cache::stamp(&self.entry.extents, server.db),
+                            CachedResult::new(
+                                value.clone(),
+                                cache::stamp(&self.entry.extents, server.db),
                                 profile,
-                            },
+                            ),
                         );
                     }
                     self.final_value = Some(value);

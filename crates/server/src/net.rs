@@ -11,7 +11,12 @@
 //! **pipeline** requests. A `QUERY` answer **streams**: HEADER, then one
 //! CHUNK per pipeline batch — each encoded and flushed the moment the
 //! operator tree yields it, so the first chunk reaches the client while
-//! the pipeline is still running — then END with row/chunk totals.
+//! the pipeline is still running — then END with row/chunk totals. A
+//! result-cache hit streams the cached value's `BATCH_SIZE` slices
+//! instead, each sent from the bytes the entry keeps once the first
+//! wire reader encoded it
+//! ([`ResultCursor::next_chunk_frame`](crate::ResultCursor::next_chunk_frame)):
+//! a hit encodes nothing the cache has already encoded.
 //! HEADER is not flushed on its own: it leaves in the same write as the
 //! first CHUNK (or as END or ERROR when there is none). Every flush is
 //! one `write_all` of whole frames, and accepted sockets set
@@ -259,7 +264,6 @@ fn handle_connection(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Re
         buf: Vec::new(),
     };
     let session = server.session();
-    let shared = server.shared();
     // This connection's execution counters, accumulated across its
     // successful QUERYs for the second STATS line. Only the scalar
     // counters matter here, so the per-operator entries each merge
@@ -312,18 +316,12 @@ fn handle_connection(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Re
                     // both leave in one write.
                     out.stage(tag, kind::HEADER, &[flag_bits]);
                     loop {
-                        match cursor.next_chunk() {
-                            Ok(Some(batch)) => {
-                                let len = wire::push_frame(&mut out.buf, tag, kind::CHUNK, |b| {
-                                    wire::encode_chunk(&batch, b)
-                                });
-                                shared.metrics.streamed_bytes.add(len as u64);
-                                // Flush per chunk: the client must see
-                                // the first one while the pipeline is
-                                // still producing.
-                                out.flush()?;
-                            }
-                            Ok(None) => {
+                        match cursor.next_chunk_frame(tag, &mut out.buf) {
+                            // Flush per chunk: the client must see the
+                            // first one while the pipeline is still
+                            // producing.
+                            Ok(true) => out.flush()?,
+                            Ok(false) => {
                                 acc.merge(cursor.stats());
                                 acc.operators.clear();
                                 let end = wire::encode_end(

@@ -19,8 +19,11 @@
 //!
 //! A `QUERY` answer is a *stream*: one `HEADER` frame (scalar/cache
 //! flags), zero or more `CHUNK` frames — each one pipeline batch,
-//! encoded the moment it is pulled from the operator tree — and an `END`
-//! frame carrying row/chunk totals. The server writes each frame whole
+//! encoded the moment it is pulled from the operator tree, or on a
+//! result-cache hit one `BATCH_SIZE` slice of the cached set in row
+//! layout, sent from the bytes its cache entry stored when the slice was
+//! first served ([`crate::cache::CachedResult::chunk_body`]) — and an
+//! `END` frame carrying row/chunk totals. The server writes each frame whole
 //! and holds HEADER back until the first CHUNK (or END/ERROR) is ready,
 //! so both leave in one write; chunks are still flushed one by one as
 //! they are encoded. Chunk bodies reuse the engine's two
@@ -191,29 +194,51 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Option<Frame>> 
 
 /// Encodes one pipeline batch as a CHUNK body: a layout byte, then the
 /// batch in its native encoding — no transposition, no materialized
-/// intermediate.
+/// intermediate. A columnar batch without columns (rows of empty
+/// tuples) goes in row layout, so every CHUNK spends at least one byte
+/// per row and [`decode_chunk`] can bound what it materializes by the
+/// body's size.
 pub fn encode_chunk(batch: &Batch, out: &mut Vec<u8>) {
     match batch {
-        Batch::Rows(rows) => {
-            out.push(layout::ROWS);
-            codec::encode_rows(rows, out);
-        }
-        Batch::Columnar(cb) => {
+        Batch::Columnar(cb) if !cb.columns().is_empty() => {
             out.push(layout::COLUMNAR);
             cb.encode_into(out);
         }
+        Batch::Columnar(cb) => encode_row_chunk(&cb.to_rows(), out),
+        Batch::Rows(rows) => encode_row_chunk(rows, out),
     }
+}
+
+/// Encodes `rows` as a row-layout CHUNK body: the bytes
+/// [`encode_chunk`] writes for `Batch::from_rows(rows.to_vec())`,
+/// without the copy.
+pub fn encode_row_chunk(rows: &[Value], out: &mut Vec<u8>) {
+    out.push(layout::ROWS);
+    codec::encode_rows(rows, out);
 }
 
 /// Decodes a CHUNK body back to rows (columnar chunks are transposed on
 /// the client side — the decode direction is allowed to materialize).
+/// Malformed input is an error, never a panic or an allocation larger
+/// than the body justifies: a columnar body may not claim more rows
+/// than it has bytes.
 pub fn decode_chunk(body: &[u8]) -> Result<Vec<Value>, ValueError> {
     let (&layout_byte, rest) = body
         .split_first()
         .ok_or_else(|| ValueError::Codec("empty chunk body".into()))?;
     match layout_byte {
         layout::ROWS => codec::decode_rows(rest),
-        layout::COLUMNAR => Ok(Batch::Columnar(ColumnarBatch::decode(rest)?).into_values()),
+        layout::COLUMNAR => {
+            let cb = ColumnarBatch::decode(rest)?;
+            if cb.len() > rest.len() {
+                return Err(ValueError::Codec(format!(
+                    "columnar chunk claims {} rows in {} bytes",
+                    cb.len(),
+                    rest.len()
+                )));
+            }
+            Ok(Batch::Columnar(cb).into_values())
+        }
         other => Err(ValueError::Codec(format!("unknown chunk layout {other}"))),
     }
 }
@@ -537,6 +562,28 @@ mod tests {
         }
         assert!(decode_chunk(&[]).is_err());
         assert!(decode_chunk(&[9, 0, 0, 0, 0]).is_err());
+    }
+
+    /// Rows of empty tuples are a columnar batch without columns, which
+    /// costs no bytes per row; they travel in row layout, and a columnar
+    /// body claiming more rows than bytes is refused before any row is
+    /// materialized.
+    #[test]
+    fn chunks_spend_a_byte_per_row() {
+        let rows = vec![Value::Tuple(oodb_value::Tuple::empty()); 3];
+        let batch = Batch::of(oodb_value::BatchKind::Columnar, rows.clone());
+        assert!(matches!(batch, Batch::Columnar(_)));
+        let mut body = Vec::new();
+        encode_chunk(&batch, &mut body);
+        let mut rows_body = Vec::new();
+        encode_row_chunk(&rows, &mut rows_body);
+        assert_eq!(body, rows_body);
+        assert_eq!(decode_chunk(&body).unwrap(), rows);
+
+        let mut hostile = vec![layout::COLUMNAR];
+        hostile.extend_from_slice(&u32::MAX.to_le_bytes()); // rows
+        hostile.extend_from_slice(&0u32.to_le_bytes()); // columns
+        assert!(matches!(decode_chunk(&hostile), Err(ValueError::Codec(_))));
     }
 
     #[test]

@@ -261,7 +261,7 @@ macro_rules! int_range_strategies {
     )*};
 }
 
-int_range_strategies!(i32, i64, u32, u64, usize);
+int_range_strategies!(u8, i32, i64, u32, u64, usize);
 
 impl Strategy for std::ops::Range<f64> {
     type Value = f64;

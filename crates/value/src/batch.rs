@@ -593,7 +593,8 @@ impl ColumnarBatch {
         let mut pos = 0usize;
         let len = read_u32(bytes, &mut pos)? as usize;
         let ncols = read_u32(bytes, &mut pos)? as usize;
-        let mut cols = Vec::with_capacity(ncols);
+        // A column costs at least its name length and its tag.
+        let mut cols = capped(ncols, bytes, pos, 5);
         for _ in 0..ncols {
             let name = read_str(bytes, &mut pos)?;
             let tag = *bytes
@@ -603,7 +604,7 @@ impl ColumnarBatch {
             let col = match tag {
                 col_tag::INT => Column::Int(read_i64s(bytes, &mut pos, len)?),
                 col_tag::FLOAT => {
-                    let mut v = Vec::with_capacity(len);
+                    let mut v = capped(len, bytes, pos, 8);
                     for _ in 0..len {
                         v.push(F64::new(f64::from_bits(read_u64(bytes, &mut pos)?)));
                     }
@@ -615,7 +616,7 @@ impl ColumnarBatch {
                 }
                 col_tag::DATE => Column::Date(read_i64s(bytes, &mut pos, len)?),
                 col_tag::OID => {
-                    let mut v = Vec::with_capacity(len);
+                    let mut v = capped(len, bytes, pos, 8);
                     for _ in 0..len {
                         v.push(read_u64(bytes, &mut pos)?);
                     }
@@ -623,7 +624,7 @@ impl ColumnarBatch {
                 }
                 col_tag::STR => {
                     let n = read_u32(bytes, &mut pos)? as usize;
-                    let mut dict = Vec::with_capacity(n);
+                    let mut dict = capped(n, bytes, pos, 4);
                     for _ in 0..n {
                         dict.push(read_str(bytes, &mut pos)?);
                     }
@@ -632,7 +633,7 @@ impl ColumnarBatch {
                 }
                 col_tag::INTERNED => {
                     let n = read_u32(bytes, &mut pos)? as usize;
-                    let mut dict = Vec::with_capacity(n);
+                    let mut dict = capped(n, bytes, pos, 5);
                     let mut decoder = codec::Decoder::default();
                     for _ in 0..n {
                         let vlen = read_u32(bytes, &mut pos)? as usize;
@@ -692,8 +693,15 @@ fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, ValueError> {
     codec::take_u64(bytes, pos)
 }
 
+/// An empty vector with room for `n` items of at least `min_bytes`
+/// encoded bytes each, capped by the bytes left after `pos`: a hostile
+/// count must not allocate ahead of the bytes that back it.
+fn capped<T>(n: usize, bytes: &[u8], pos: usize, min_bytes: usize) -> Vec<T> {
+    Vec::with_capacity(n.min(bytes.len().saturating_sub(pos) / min_bytes))
+}
+
 fn read_i64s(bytes: &[u8], pos: &mut usize, n: usize) -> Result<Vec<i64>, ValueError> {
-    let mut v = Vec::with_capacity(n);
+    let mut v = capped(n, bytes, *pos, 8);
     for _ in 0..n {
         v.push(read_u64(bytes, pos)? as i64);
     }
@@ -714,7 +722,7 @@ fn read_ids(
     n: usize,
     dict_len: usize,
 ) -> Result<Vec<u32>, ValueError> {
-    let mut ids = Vec::with_capacity(n);
+    let mut ids = capped(n, bytes, *pos, 4);
     for _ in 0..n {
         let id = read_u32(bytes, pos)?;
         if id as usize >= dict_len {
@@ -1006,6 +1014,50 @@ mod tests {
             ColumnarBatch::decode(&bytes[..bytes.len() - 2]),
             Err(ValueError::Codec(_))
         ));
+    }
+
+    /// A hostile row or column count is an error, not an allocation of
+    /// the size it claims: every preallocation is capped by the bytes
+    /// left to back it.
+    #[test]
+    fn hostile_counts_are_codec_errors() {
+        let mut huge_len = Vec::new();
+        push_u32(&mut huge_len, u32::MAX); // len
+        push_u32(&mut huge_len, 1); // ncols
+        push_u32(&mut huge_len, 1);
+        huge_len.push(b'a');
+        huge_len.push(col_tag::INT);
+        assert_eq!(huge_len.len(), 14);
+        let mut huge_ncols = Vec::new();
+        push_u32(&mut huge_ncols, 1);
+        push_u32(&mut huge_ncols, u32::MAX);
+        for body in [huge_len, huge_ncols] {
+            assert!(matches!(
+                ColumnarBatch::decode(&body),
+                Err(ValueError::Codec(_))
+            ));
+        }
+        // The same for every other counted column kind and dictionary.
+        for (tag, tail) in [
+            (col_tag::FLOAT, vec![]),
+            (col_tag::OID, vec![]),
+            (col_tag::DATE, vec![]),
+            (col_tag::STR, 0u32.to_le_bytes().to_vec()),
+            (col_tag::STR, u32::MAX.to_le_bytes().to_vec()),
+            (col_tag::INTERNED, u32::MAX.to_le_bytes().to_vec()),
+        ] {
+            let mut body = Vec::new();
+            push_u32(&mut body, u32::MAX);
+            push_u32(&mut body, 1);
+            push_u32(&mut body, 1);
+            body.push(b'a');
+            body.push(tag);
+            body.extend_from_slice(&tail);
+            assert!(
+                matches!(ColumnarBatch::decode(&body), Err(ValueError::Codec(_))),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

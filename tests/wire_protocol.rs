@@ -7,7 +7,8 @@
 //!   across dop × budget × layout;
 //! * the first result chunk leaves the server before the pipeline is
 //!   exhausted;
-//! * a result-cache hit replays the cached set in `BATCH_SIZE` chunks;
+//! * a result-cache hit replays the cached set in `BATCH_SIZE` chunks,
+//!   each encoded once and sent as the same bytes to every connection;
 //! * a cached round trip does not wait on Nagle's algorithm;
 //! * malformed / truncated frames and mid-stream client disconnects
 //!   never panic the server or leak an admission-pool slot (property
@@ -22,8 +23,8 @@ use oodb::core::strategy::Optimizer;
 use oodb::datagen::{generate, GenConfig};
 use oodb::engine::{Planner, PlannerConfig, Stats, BATCH_SIZE};
 use oodb::server::wire::{self, verb, WireClient};
-use oodb::server::{net, ErrorCode, QueryServer, ServerConfig};
-use oodb::value::{BatchKind, Set, Value};
+use oodb::server::{net, ErrorCode, QueryServer, ServerConfig, ServerShared};
+use oodb::value::{Batch, BatchKind, Set, Value};
 use proptest::prelude::*;
 
 /// The paper-query workload (same set as the server-concurrency suite).
@@ -223,28 +224,74 @@ fn query_chunks(
     tag: u32,
     text: &str,
 ) -> (u8, Vec<Vec<Value>>, (u64, u64)) {
+    let (flags, bodies, end) = query_bodies(client, tag, text);
+    let chunks = bodies
+        .iter()
+        .map(|b| wire::decode_chunk(b).unwrap())
+        .collect();
+    (flags, chunks, end)
+}
+
+/// [`query_chunks`] without the decode: the raw CHUNK bodies.
+fn query_bodies(
+    client: &mut WireClient<TcpStream>,
+    tag: u32,
+    text: &str,
+) -> (u8, Vec<Vec<u8>>, (u64, u64)) {
     client.send(tag, verb::QUERY, text.as_bytes()).unwrap();
     let mut flags = None;
-    let mut chunks = Vec::new();
+    let mut bodies = Vec::new();
     loop {
         let frame = client.read_frame().unwrap().expect("frame");
         assert_eq!(frame.tag, tag);
         match frame.kind {
             wire::kind::HEADER => flags = Some(frame.body[0]),
-            wire::kind::CHUNK => chunks.push(wire::decode_chunk(&frame.body).unwrap()),
+            wire::kind::CHUNK => bodies.push(frame.body),
             wire::kind::END => {
                 let end = wire::decode_end(&frame.body).unwrap();
-                return (flags.expect("HEADER first"), chunks, end);
+                return (flags.expect("HEADER first"), bodies, end);
             }
             other => panic!("{text}: unexpected frame kind {other}"),
         }
     }
 }
 
+/// The current value of one unlabelled metric family.
+fn metric(shared: &ServerShared, family: &str) -> u64 {
+    shared
+        .render_metrics()
+        .lines()
+        .find_map(|l| l.strip_prefix(family)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{family} missing from METRICS"))
+}
+
+/// The CHUNK bodies a hit on `rows` must send: each `BATCH_SIZE` slice
+/// of the canonical set, encoded as a row batch.
+fn replay_bodies(rows: &[Value]) -> Vec<Vec<u8>> {
+    Set::from_values(rows.to_vec())
+        .as_slice()
+        .chunks(BATCH_SIZE)
+        .map(|slice| {
+            let mut body = Vec::new();
+            wire::encode_chunk(&Batch::from_rows(slice.to_vec()), &mut body);
+            body
+        })
+        .collect()
+}
+
+/// Bytes held by one stored copy of `bodies`.
+fn held(bodies: &[Vec<u8>]) -> u64 {
+    bodies.iter().map(|b| b.len() as u64).sum()
+}
+
 /// A result-cache hit replays the cached set in `BATCH_SIZE` slices cut
 /// from the shared value: ⌈n/BATCH_SIZE⌉ chunks, all full but the last,
 /// the live run's rows in the live run's order, and matching END totals.
-/// An empty hit streams no chunk; a scalar hit one 1-row chunk.
+/// Each slice is encoded once, by the first hit that sends it: every hit,
+/// on any connection, sends byte-identical CHUNK bodies — the encoding of
+/// the slice as a row batch — and `oodb_wire_cached_chunks_total` counts
+/// them, while a miss leaves it alone. An empty hit streams no chunk; a
+/// scalar hit one 1-row chunk.
 #[test]
 fn result_cache_hits_replay_in_batch_sized_chunks() {
     let n = 3 * BATCH_SIZE + 7;
@@ -262,6 +309,9 @@ fn result_cache_hits_replay_in_batch_sized_chunks() {
         ..ServerConfig::default()
     };
     let handle = net::serve(Arc::clone(&db), config, "127.0.0.1:0").unwrap();
+    let shared = handle.shared();
+    let cached_chunks = || metric(&shared, "oodb_wire_cached_chunks_total");
+    let encoded_bytes = || metric(&shared, "oodb_result_cache_encoded_bytes");
     let mut client = binary_client(handle.addr());
 
     let all = "select p from p in PART";
@@ -270,19 +320,36 @@ fn result_cache_hits_replay_in_batch_sized_chunks() {
     let live_rows: Vec<Value> = live.concat();
     assert_eq!(live_rows.len(), n);
     assert_eq!(live_end, (n as u64, live.len() as u64));
+    assert_eq!(cached_chunks(), 0, "a miss sends no cached chunk");
+    assert_eq!(encoded_bytes(), 0, "a miss fills no chunk slot");
 
-    let (flags, hit, end) = query_chunks(&mut client, 2, all);
-    assert_ne!(flags & wire::flags::RESULT_HIT, 0, "second run is a hit");
-    assert_eq!(hit.len(), n.div_ceil(BATCH_SIZE));
-    let (last, full) = hit.split_last().unwrap();
-    assert!(full.iter().all(|c| c.len() == BATCH_SIZE));
-    assert_eq!(last.len(), n % BATCH_SIZE);
-    assert_eq!(
-        hit.concat(),
-        live_rows,
-        "replayed rows differ from the live run"
-    );
-    assert_eq!(end, (n as u64, hit.len() as u64));
+    let want = replay_bodies(&live_rows);
+    let slices = n.div_ceil(BATCH_SIZE) as u64;
+    assert_eq!(want.len() as u64, slices);
+    // Hits 2 and 3 on the first connection, then one from a second.
+    let mut second = binary_client(handle.addr());
+    for (hits, (on_second, tag)) in (1..).zip([(false, 2), (false, 3), (true, 1)]) {
+        let conn = if on_second { &mut second } else { &mut client };
+        let (flags, bodies, end) = query_bodies(conn, tag, all);
+        assert_ne!(flags & wire::flags::RESULT_HIT, 0, "hit {hits}");
+        assert_eq!(bodies, want, "hit {hits} sent other bytes");
+        assert_eq!(end, (n as u64, slices));
+        assert_eq!(cached_chunks(), hits * slices);
+        assert_eq!(encoded_bytes(), held(&want), "one stored body per slice");
+        let hit: Vec<Vec<Value>> = bodies
+            .iter()
+            .map(|b| wire::decode_chunk(b).unwrap())
+            .collect();
+        let (last, full) = hit.split_last().unwrap();
+        assert!(full.iter().all(|c| c.len() == BATCH_SIZE));
+        assert_eq!(last.len(), n % BATCH_SIZE);
+        assert_eq!(
+            hit.concat(),
+            live_rows,
+            "replayed rows differ from the live run"
+        );
+    }
+    drop(second);
 
     let none = "select p from p in PART where p.price < 0";
     for tag in [3, 4] {
@@ -291,6 +358,7 @@ fn result_cache_hits_replay_in_batch_sized_chunks() {
         assert!(chunks.is_empty(), "an empty result streams no chunk");
         assert_eq!(end, (0, 0));
     }
+    assert_eq!(cached_chunks(), 3 * slices);
 
     let scalar = "count(select p from p in PART)";
     for tag in [5, 6] {
@@ -300,7 +368,56 @@ fn result_cache_hits_replay_in_batch_sized_chunks() {
         assert_eq!(chunks, vec![vec![Value::Int(n as i64)]]);
         assert_eq!(end, (1, 1));
     }
+    assert_eq!(cached_chunks(), 3 * slices + 1);
     drop(client);
+    handle.shutdown();
+}
+
+/// Two connections that fire the first hit on an entry at the same
+/// moment race to fill its chunk slots; both send the one stored
+/// encoding, byte for byte, and the cache keeps one copy of it.
+#[test]
+fn concurrent_first_hits_send_identical_bytes() {
+    let n = 2 * BATCH_SIZE + 3;
+    let db = Arc::new(generate(&GenConfig {
+        parts: n,
+        ..GenConfig::scaled(80)
+    }));
+    let handle = net::serve(Arc::clone(&db), ServerConfig::default(), "127.0.0.1:0").unwrap();
+    let text = "select p from p in PART";
+    let (_, live) = binary_client(handle.addr())
+        .query(1, text)
+        .unwrap()
+        .unwrap();
+    let want = replay_bodies(&live);
+    let addr = handle.addr();
+    let barrier = std::sync::Barrier::new(2);
+    let bodies: Vec<Vec<Vec<u8>>> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut client = binary_client(addr);
+                    barrier.wait();
+                    let (flags, bodies, _) = query_bodies(&mut client, 7, text);
+                    assert_ne!(flags & wire::flags::RESULT_HIT, 0);
+                    bodies
+                })
+            })
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(bodies[0], bodies[1]);
+    assert_eq!(bodies[0], want);
+    let shared = handle.shared();
+    assert_eq!(
+        metric(&shared, "oodb_wire_cached_chunks_total"),
+        2 * n.div_ceil(BATCH_SIZE) as u64
+    );
+    assert_eq!(
+        metric(&shared, "oodb_result_cache_encoded_bytes"),
+        held(&want)
+    );
     handle.shutdown();
 }
 
