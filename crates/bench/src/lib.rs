@@ -131,6 +131,38 @@ pub fn query6_nested() -> Expr {
     )
 }
 
+/// Example Query 6 with PART-only conjuncts in the subquery: the parts of
+/// each supplier cheaper than `price`, not of `color`, and not named
+/// `skip`. The nestjoin keeps only the membership conjunct; the rest
+/// filters PART before the build.
+pub fn query6_priced_nested(price: i64, color: &str, skip: &str) -> Expr {
+    let p = || var("p");
+    map(
+        "s",
+        tuple(vec![
+            ("sname", var("s").field("sname")),
+            (
+                "partssuppl",
+                select(
+                    "p",
+                    and(
+                        and(
+                            and(
+                                member(p().field("pid"), var("s").field("parts")),
+                                lt(p().field("price"), int(price)),
+                            ),
+                            ne(p().field("color"), str_lit(color)),
+                        ),
+                        ne(p().field("pname"), str_lit(skip)),
+                    ),
+                    table("PART"),
+                ),
+            ),
+        ]),
+        table("SUPPLIER"),
+    )
+}
+
 /// Example Query 3.1's nested translation (uncorrelated ⊇ between blocks).
 pub fn query31_nested(anchor: &str) -> Expr {
     map(
@@ -452,6 +484,10 @@ pub mod streaming_report {
             ("q5_red_part_suppliers", query5_nested()),
             ("q4_referential_integrity", query4_nested()),
             ("q6_portfolios_nestjoin", query6_nested()),
+            (
+                "q6_priced_portfolios",
+                query6_priced_nested(510, "red", "part-3"),
+            ),
             ("q31_superset_of_anchor", query31_nested("supplier-0")),
             ("materialize_section_6_2", materialize_query()),
             ("nu_group_supply", nu_group_query()),

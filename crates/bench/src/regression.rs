@@ -407,7 +407,7 @@ mod tests {
         .expect("committed baseline exists");
         let base = parse_baseline(&text).expect("committed baseline parses");
         assert_eq!(base.scale, 1600);
-        assert_eq!(base.workloads.len(), 8);
+        assert_eq!(base.workloads.len(), 9);
         for w in &base.workloads {
             assert!(w.field("result_rows").is_some(), "{w:?}");
             assert!(w.field("streaming_work").is_some(), "{w:?}");

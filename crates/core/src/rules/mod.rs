@@ -6,6 +6,7 @@ pub mod grouping;
 pub mod hoist;
 pub mod nestjoin;
 pub mod normalize;
+pub mod pushdown;
 pub mod range;
 pub mod rule1;
 pub mod rule2;

@@ -13,6 +13,20 @@
 //! >    performance compared to nested-loop processing.
 //! > 4. If none of the above works, leave the query as it is, which means
 //! >    that it is executed by means of nested loops."
+//!
+//! [`Optimizer::optimize`] runs it as fixpoint phases:
+//!
+//! 0. normalization (constants hoisted, booleans simplified, `∀ → ¬∃`,
+//!    Table 2 predicate rewrites);
+//! 1. relational join operators (range extraction, quantifier exchange,
+//!    Rules 1 and 2);
+//! 2. attribute unnesting, then phase 1 again;
+//! 3. the nestjoin, then phase 1 again;
+//! 4. selection pushdown (`join-operand-select`): conjuncts of a join or
+//!    nestjoin predicate that read only the right tuple become a
+//!    selection over the right operand. It comes last because range
+//!    extraction moves selections the other way;
+//! 5. whatever is left runs as nested loops.
 
 use crate::rules::setcmp::SetCmpToQuant;
 use crate::rules::{
@@ -22,6 +36,7 @@ use crate::rules::{
     normalize::{
         ForallToNotExists, IdentityMap, MergeSelects, PredToQuant, PushNegation, SimplifyBool,
     },
+    pushdown::JoinOperandSelect,
     range::{ExistsExchange, QuantSplitIndependent, QuantToMember, RangeExtract},
     rewrite_fixpoint,
     rule1::{UnnestExists, UnnestNotExists},
@@ -138,7 +153,13 @@ impl Optimizer {
             }
         }
 
-        // Phase 4 — whatever is left runs as nested loops.
+        // Phase 4 — selection pushdown: right-only conjuncts of join and
+        // nestjoin predicates filter the right operand. It runs last, so it
+        // never competes with range extraction, which moves selections into
+        // predicates.
+        cur = self.run_phase(cur, &[&JoinOperandSelect], &ctx, &mut trace)?;
+
+        // Phase 5 — whatever is left runs as nested loops.
 
         if let Some(t0) = original_ty {
             let t1 = oodb_adl::infer_closed(&cur, catalog).map_err(RewriteError::Type)?;

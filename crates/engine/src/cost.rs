@@ -381,18 +381,9 @@ impl<'a> CostModel<'a> {
     /// Selectivity of one predicate conjunct over tuples of `input`.
     fn conjunct_selectivity(&self, c: &Expr, var: &Name, input: &NodeEst) -> f64 {
         match c {
-            Expr::Cmp(CmpOp::Eq, a, b) => {
-                // an equality against a value free of `var` keys on the
-                // var side's distinct count
-                for (side, other) in [(a, b), (b, a)] {
-                    if free_vars(other).iter().all(|n| n != var) {
-                        if let Some(ndv) = self.key_ndv(side, var, input) {
-                            return 1.0 / ndv.max(1.0);
-                        }
-                    }
-                }
-                EQ_SEL
-            }
+            Expr::Cmp(CmpOp::Eq, a, b) => self.eq_selectivity(a, b, var, input),
+            // an inequality keeps what the equality would drop
+            Expr::Cmp(CmpOp::Ne, a, b) => 1.0 - self.eq_selectivity(a, b, var, input),
             Expr::Cmp(_, _, _) => CMP_SEL,
             // single-element membership is an equality against any of
             // the set's elements; whole-set comparisons compound
@@ -401,6 +392,19 @@ impl<'a> CostModel<'a> {
             Expr::Not(inner) => 1.0 - self.conjunct_selectivity(inner, var, input),
             _ => CMP_SEL,
         }
+    }
+
+    /// Selectivity of `a = b`: an equality against a value free of `var`
+    /// keys on the var side's distinct count.
+    fn eq_selectivity(&self, a: &Expr, b: &Expr, var: &Name, input: &NodeEst) -> f64 {
+        for (side, other) in [(a, b), (b, a)] {
+            if free_vars(other).iter().all(|n| n != var) {
+                if let Some(ndv) = self.key_ndv(side, var, input) {
+                    return 1.0 / ndv.max(1.0);
+                }
+            }
+        }
+        EQ_SEL
     }
 
     fn pred_selectivity(&self, pred: &Expr, var: &Name, input: &NodeEst) -> f64 {

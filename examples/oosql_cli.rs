@@ -12,9 +12,11 @@
 //! Flags: `--scale N` uses a generated database with ~N objects instead of
 //! the §2 fixture; `--naive` also times the nested-loop execution.
 
+use oodb::catalog::Database;
 use oodb::datagen::{generate, GenConfig};
 use oodb::engine::Planner;
 use oodb::Pipeline;
+use std::io::{self, Write};
 use std::time::Instant;
 
 fn main() {
@@ -55,59 +57,72 @@ fn main() {
         }),
         None => oodb::catalog::fixtures::supplier_part_db(),
     };
-    println!(
+    match report(&mut io::stdout().lock(), &db, &src, run_naive) {
+        Ok(()) => {}
+        // the reader went away (`… | head`): nothing left to say
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(e) => die(&format!("error: {e}")),
+    }
+}
+
+/// Runs `src` and writes every pipeline stage to `w`.
+fn report(w: &mut impl Write, db: &Database, src: &str, run_naive: bool) -> io::Result<()> {
+    writeln!(
+        w,
         "database: {} suppliers, {} parts, {} deliveries",
         db.table("SUPPLIER").map(|t| t.len()).unwrap_or(0),
         db.table("PART").map(|t| t.len()).unwrap_or(0),
         db.table("DELIVERY").map(|t| t.len()).unwrap_or(0),
-    );
+    )?;
 
-    let pipeline = Pipeline::new(&db);
+    let pipeline = Pipeline::new(db);
     let t0 = Instant::now();
-    let out = match pipeline.run(&src) {
+    let out = match pipeline.run(src) {
         Ok(out) => out,
         Err(e) => die(&format!("error: {e}")),
     };
     let elapsed = t0.elapsed();
 
-    println!("\nnested ADL:\n  {}", out.nested);
+    writeln!(w, "\nnested ADL:\n  {}", out.nested)?;
     if out.rewrite.trace.is_empty() {
-        println!("\n(no rewrite applied — already set-oriented)");
+        writeln!(w, "\n(no rewrite applied — already set-oriented)")?;
     } else {
-        println!("\nrewrite trace:\n{}", out.rewrite.trace);
+        writeln!(w, "\nrewrite trace:\n{}", out.rewrite.trace)?;
     }
-    println!("optimized ADL:\n  {}", out.rewrite.expr);
+    writeln!(w, "optimized ADL:\n  {}", out.rewrite.expr)?;
 
-    let planner = Planner::new(&db);
+    let planner = Planner::new(db);
     if let Ok(plan) = planner.plan(&out.rewrite.expr) {
-        println!("\nphysical plan:\n{}", plan.explain());
+        writeln!(w, "\nphysical plan:\n{}", plan.explain())?;
     }
 
     let rows = out.result.as_set().map(|s| s.len()).unwrap_or(1);
-    println!("result ({rows} rows, {elapsed:.2?}, {}):", out.stats);
+    writeln!(w, "result ({rows} rows, {elapsed:.2?}, {}):", out.stats)?;
     match out.result.as_set() {
         Ok(s) => {
             for (i, row) in s.iter().enumerate() {
                 if i >= 20 {
-                    println!("  … ({} more)", s.len() - 20);
+                    writeln!(w, "  … ({} more)", s.len() - 20)?;
                     break;
                 }
-                println!("  {row}");
+                writeln!(w, "  {row}")?;
             }
         }
-        Err(_) => println!("  {}", out.result),
+        Err(_) => writeln!(w, "  {}", out.result)?,
     }
 
     if run_naive {
         let t1 = Instant::now();
-        let naive = pipeline.run_naive(&src).expect("naive evaluation");
+        let naive = pipeline.run_naive(src).expect("naive evaluation");
         let naive_elapsed = t1.elapsed();
         assert_eq!(naive, out.result, "nested-loop execution disagrees!");
-        println!(
+        writeln!(
+            w,
             "\nnested-loop execution: {naive_elapsed:.2?} ({}× slower)",
             (naive_elapsed.as_secs_f64() / elapsed.as_secs_f64().max(1e-9)) as u64
-        );
+        )?;
     }
+    Ok(())
 }
 
 fn die(msg: &str) -> ! {

@@ -39,6 +39,14 @@ fn paper_query_sources() -> Vec<&'static str> {
         // Example Query 6 — supplier portfolios (nestjoin)
         "select (sname := s.sname, partssuppl := select p from p in PART \
           where p.pid in s.parts) from s in SUPPLIER",
+        // the benchmark's q5 and q6: PART-only conjuncts pushed under the
+        // semijoin's and the nestjoin's build side
+        "select s.sname from s in SUPPLIER where exists x in s.parts : \
+          exists p in PART : x = p.pid and p.color = \"red\" and p.price < 510 \
+          and p.pname <> \"part-3\"",
+        "select (sname := s.sname, partssuppl := select p from p in PART \
+          where p.pid in s.parts and p.price < 510 and p.color <> \"red\" \
+          and p.pname <> \"part-3\") from s in SUPPLIER",
         // kitchen sink — with-binding, aggregate, set ops, quantifier
         "with expensive as (select p.pid from p in PART where p.price >= 30) \
          select (name := s.sname, n := count(s.parts), \
@@ -315,7 +323,79 @@ fn query_corpus() -> Vec<Expr> {
             ),
             project(&["eid", "sname"], table("SUPPLIER")),
         )),
+        // selection pushdown: right-only conjuncts (comparisons, ≠, ∨, ¬)
+        // leave the join and nestjoin predicates for the PART operand
+        map(
+            "s",
+            tuple(vec![
+                ("sname", var("s").field("sname")),
+                (
+                    "partssuppl",
+                    select(
+                        "p",
+                        and(
+                            and(
+                                member(var("p").field("pid"), var("s").field("parts")),
+                                lt(var("p").field("price"), int(500)),
+                            ),
+                            or(
+                                ne(var("p").field("color"), str_lit("red")),
+                                not(eq(var("p").field("pname"), str_lit("part-3"))),
+                            ),
+                        ),
+                        table("PART"),
+                    ),
+                ),
+            ]),
+            table("SUPPLIER"),
+        ),
+        // … into an antijoin's operand
+        select(
+            "s",
+            not(exists(
+                "p",
+                table("PART"),
+                and(
+                    member(var("p").field("pid"), var("s").field("parts")),
+                    ne(var("p").field("color"), str_lit("red")),
+                ),
+            )),
+            table("SUPPLIER"),
+        ),
+        // … into a Rule 2 join's operand, next to a residual that stays
+        flatten(map(
+            "s",
+            map(
+                "p",
+                concat(var("s"), var("p")),
+                select(
+                    "p",
+                    and(
+                        member(var("p").field("pid"), var("s").field("parts")),
+                        ge(var("p").field("price"), int(250)),
+                    ),
+                    table("PART"),
+                ),
+            ),
+            table("SUPPLIER"),
+        )),
     ]
+}
+
+/// The last three corpus shapes are there for `join-operand-select`; keep
+/// them reaching it.
+#[test]
+fn pushdown_shapes_in_the_corpus_reach_the_rule() {
+    let db = oodb::catalog::fixtures::supplier_part_db();
+    let corpus = query_corpus();
+    for q in &corpus[corpus.len() - 3..] {
+        let out = Optimizer::default().optimize(q, db.catalog()).unwrap();
+        assert!(
+            out.trace.fired("join-operand-select"),
+            "{q}\ntrace:\n{}",
+            out.trace
+        );
+    }
 }
 
 /// Random `AND`/`OR`/`NOT` trees over PART's primitive columns — the

@@ -4,7 +4,10 @@
 //! exact results on the §2 fixture database — and that the optimized plan
 //! agrees with the naive nested-loop execution.
 
+use oodb::adl::Expr;
 use oodb::catalog::fixtures::supplier_part_db;
+use oodb::datagen::{generate, GenConfig};
+use oodb::engine::{PhysPlan, Planner};
 use oodb::value::{Oid, Value};
 use oodb::{Pipeline, PipelineOutput};
 
@@ -252,4 +255,67 @@ fn two_variable_join_selecting_the_left_variable() {
     let mut names = snames(&out.result);
     names.sort();
     assert_eq!(names, ["s1", "s2"]);
+}
+
+/// The benchmark's q5 and q6 texts: the PART-only conjuncts next to the
+/// membership conjunct.
+const BENCH_Q5: &str = "select s.sname from s in SUPPLIER where exists x in s.parts : \
+     exists p in PART : x = p.pid and p.color = \"red\" and p.price < 510 \
+     and p.pname <> \"part-3\"";
+const BENCH_Q6: &str = "select (sname := s.sname, partssuppl := select p from p in PART \
+     where p.pid in s.parts and p.price < 510 and p.color <> \"red\" \
+     and p.pname <> \"part-3\") from s in SUPPLIER";
+
+/// Skips the exchanges the planner puts around operands at dop > 1.
+fn under_exchanges(p: &PhysPlan) -> &PhysPlan {
+    match p {
+        PhysPlan::Exchange { input, .. } => under_exchanges(input),
+        other => other,
+    }
+}
+
+/// The residual and build side of the first membership join in `p`.
+fn member_join(p: &PhysPlan) -> Option<(&Option<Expr>, &PhysPlan)> {
+    match p {
+        PhysPlan::HashMemberJoin {
+            residual, right, ..
+        }
+        | PhysPlan::MemberNestJoin {
+            residual, right, ..
+        } => Some((residual, right)),
+        other => other.children().into_iter().find_map(member_join),
+    }
+}
+
+/// `join-operand-select` moves q5's and q6's PART-only conjuncts out of
+/// the semijoin and nestjoin predicates: the join keeps no residual, and
+/// a `Filter` over PART feeds its build side, so each part is checked
+/// once instead of once per candidate pair.
+#[test]
+fn benchmark_q5_q6_filter_part_before_the_build() {
+    let db = generate(&GenConfig::scaled(800));
+    let pipeline = Pipeline::new(&db);
+    for src in [BENCH_Q5, BENCH_Q6] {
+        let out = pipeline.run(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        assert!(
+            out.rewrite.trace.fired("join-operand-select"),
+            "{src}\ntrace:\n{}",
+            out.rewrite.trace
+        );
+        assert_eq!(out.result, pipeline.run_naive(src).unwrap(), "{src}");
+        assert!(!out.result.as_set().unwrap().is_empty(), "{src}");
+
+        let plan = Planner::new(&db).plan(&out.rewrite.expr).unwrap();
+        let (residual, build) = member_join(&plan.phys)
+            .unwrap_or_else(|| panic!("no membership join:\n{}", plan.explain()));
+        assert!(residual.is_none(), "residual left:\n{}", plan.explain());
+        let PhysPlan::Filter { input, .. } = under_exchanges(build) else {
+            panic!("no Filter under the build side:\n{}", plan.explain())
+        };
+        assert!(
+            matches!(under_exchanges(input), PhysPlan::Scan(t) if t.as_ref() == "PART"),
+            "{}",
+            plan.explain()
+        );
+    }
 }

@@ -1,15 +1,17 @@
 //! The three worked derivations of §5.2.1 (Rewriting Examples 1–3),
 //! reproduced step by step through the rewrite trace, plus the Table 2
-//! row 4 derivation that falls out of the same machinery.
+//! row 4 derivation that falls out of the same machinery, and the
+//! selection pushdown into join operands that runs after them.
 
 use oodb::adl::dsl::*;
 use oodb::adl::expr::Expr;
 use oodb::adl::JoinKind;
-use oodb::catalog::fixtures::figure12_db;
+use oodb::catalog::fixtures::{figure12_db, supplier_part_db};
+use oodb::catalog::Database;
 use oodb::core::strategy::nested_table_score;
-use oodb::core::Optimizer;
-use oodb::engine::Evaluator;
-use oodb::value::SetCmpOp;
+use oodb::core::{Optimized, Optimizer};
+use oodb::engine::{Evaluator, Planner, Stats};
+use oodb::value::{ArithOp, SetCmpOp};
 
 /// Rewriting Example 1 — SET MEMBERSHIP:
 /// `σ[x : x.c ∈ σ[y : q](Y)](X)` ≡ … ≡ `X ⋉_{x,y : y = x.c ∧ q} Y`.
@@ -193,4 +195,134 @@ fn table2_row4_via_general_machinery() {
         oodb::adl::alpha_eq(&final_form, &expected),
         "got {final_form}, want {expected}"
     );
+}
+
+/// Runs the optimizer and checks the rewrite against the nested form,
+/// through the naive evaluator and through the planned, streamed plan.
+fn optimize_checked(db: &Database, e: &Expr) -> Optimized {
+    let out = Optimizer::default().optimize(e, db.catalog()).unwrap();
+    let ev = Evaluator::new(db);
+    let reference = ev.eval_closed(e).unwrap();
+    assert_eq!(ev.eval_closed(&out.expr).unwrap(), reference, "{e}");
+    let streamed = Planner::new(db)
+        .plan(&out.expr)
+        .unwrap()
+        .execute_streaming(&mut Stats::new())
+        .unwrap();
+    assert_eq!(streamed, reference, "{}", out.expr);
+    out
+}
+
+/// Selection pushdown into join operands:
+/// `X ⊕_{x,y : φ(x,y) ∧ ψ(y)} Y ≡ X ⊕_{x,y : φ(x,y)} σ[y : ψ(y)](Y)` for
+/// every join kind ⊕ ∈ {⋈, ⋉, ▷, ⟕} and the nestjoin ⊣.
+#[test]
+fn join_operand_select_for_every_join_kind() {
+    let db = supplier_part_db();
+    let supplies = member(var("p").field("pid"), var("s").field("parts"));
+    let red = eq(var("p").field("color"), str_lit("red"));
+    let pred = and(supplies.clone(), red.clone());
+    let (s, p) = (table("SUPPLIER"), table("PART"));
+    let red_parts = select("p", red.clone(), p.clone());
+    type JoinCtor = fn(&str, &str, Expr, Expr, Expr) -> Expr;
+    let kinds: [(&str, JoinCtor); 5] = [
+        ("⋈", join),
+        ("⋉", semijoin),
+        ("▷", antijoin),
+        ("⟕", outerjoin),
+        ("⊣", |l, r, pred, x, y| nestjoin(l, r, pred, "ps", x, y)),
+    ];
+    for (kind, mk) in kinds {
+        let e = mk("s", "p", pred.clone(), s.clone(), p.clone());
+        let out = optimize_checked(&db, &e);
+        assert_eq!(out.trace.rule_sequence(), ["join-operand-select"], "{kind}");
+        let pushed = mk("s", "p", supplies.clone(), s.clone(), red_parts.clone());
+        assert_eq!(out.expr, pushed, "{kind}");
+    }
+
+    // an existing selection over the operand absorbs the conjunct under
+    // its own variable
+    let cheap = lt(var("q").field("price"), int(20));
+    let e = semijoin(
+        "s",
+        "p",
+        pred,
+        s.clone(),
+        select("q", cheap.clone(), p.clone()),
+    );
+    let out = optimize_checked(&db, &e);
+    let merged = select(
+        "q",
+        and(cheap, eq(var("q").field("color"), str_lit("red"))),
+        p,
+    );
+    assert_eq!(out.expr, semijoin("s", "p", supplies, s, merged));
+}
+
+/// The pushed conjunct runs once per right tuple, where the nested form
+/// runs it only for pairs that reach it, so a conjunct that could fail is
+/// never pushed: not a pointer dereference, not arithmetic. Nor is a
+/// conjunct pushed into a right operand that is itself a join (an outer
+/// join there pads with `NULL`).
+#[test]
+fn join_operand_select_declines_unsafe_conjuncts_and_join_operands() {
+    let db = supplier_part_db();
+    let supplies = member(var("p").field("pid"), var("s").field("parts"));
+    let by_s1 = eq(
+        deref(var("d").field("supplier"), "Supplier").field("sname"),
+        str_lit("s1"),
+    );
+    let doubled = lt(
+        arith(ArithOp::Mul, var("p").field("price"), int(2)),
+        int(30),
+    );
+    let red = eq(var("p").field("color"), str_lit("red"));
+    let supplied_parts = semijoin(
+        "q",
+        "t",
+        member(var("q").field("pid"), var("t").field("parts")),
+        table("PART"),
+        table("SUPPLIER"),
+    );
+    let cases = [
+        (
+            "dereference",
+            semijoin(
+                "s",
+                "d",
+                and(eq(var("d").field("supplier"), var("s").field("eid")), by_s1),
+                table("SUPPLIER"),
+                table("DELIVERY"),
+            ),
+        ),
+        (
+            "arithmetic",
+            semijoin(
+                "s",
+                "p",
+                and(supplies.clone(), doubled),
+                table("SUPPLIER"),
+                table("PART"),
+            ),
+        ),
+        (
+            "join operand",
+            semijoin(
+                "s",
+                "p",
+                and(supplies, red),
+                table("SUPPLIER"),
+                supplied_parts,
+            ),
+        ),
+    ];
+    for (what, e) in cases {
+        let out = optimize_checked(&db, &e);
+        assert!(
+            !out.trace.fired("join-operand-select"),
+            "{what}: {}",
+            out.trace
+        );
+        assert_eq!(out.expr, e, "{what}");
+    }
 }

@@ -225,9 +225,10 @@ fn global_budget_cap_is_never_exceeded_and_nobody_starves() {
             ..ServerConfig::default()
         },
     );
-    // Query 0 builds per-supplier part sets; at a 4 KiB budget its hash
-    // state spills (the spilling suite pins this).
-    let q = QUERIES[0];
+    // q5 without a PART-only conjunct builds all of PART; at a 4 KiB
+    // budget its hash state spills (the spilling suite pins this).
+    let q = "select s.sname from s in SUPPLIER \
+             where exists x in s.parts : exists p in PART : x = p.pid";
     let (expect, _) = library_run(&db, &cfg, q);
     let expect = expect.to_string();
     std::thread::scope(|scope| {
