@@ -372,7 +372,7 @@ fn perf_pnhl() {
     );
     for budget in [8_000usize, 2_000, 500, 125] {
         let cfg = PlannerConfig {
-            cost_based: false,
+            join_algo: JoinAlgo::Hash,
             pnhl_budget: budget,
             prefer_assembly: false,
             ..Default::default()
@@ -420,7 +420,6 @@ fn perf_join_algorithms() {
         ("hash join", JoinAlgo::Hash),
     ] {
         let cfg = PlannerConfig {
-            cost_based: false,
             join_algo: algo,
             use_indexes: false,
             ..Default::default()

@@ -405,7 +405,7 @@ pub mod streaming_report {
         /// as its own column so regressions against the forced
         /// algorithms below stay visible).
         pub cost_based_work: u64,
-        /// Streaming work with `join_algo` forced to hash (rule-based).
+        /// Streaming work with `join_algo` forced to hash.
         pub forced_hash_work: u64,
         /// Streaming work with `join_algo` forced to sort-merge.
         pub forced_sort_merge_work: u64,
@@ -538,11 +538,10 @@ pub mod streaming_report {
                     m_stats.work(),
                 );
             }
-            // every rule-based forced algorithm, for the cost-based row
-            // to be measured against
+            // every forced algorithm, for the cost-based row to be
+            // measured against
             let forced = |algo: JoinAlgo| {
                 let cfg = PlannerConfig {
-                    cost_based: false,
                     join_algo: algo,
                     ..base.clone()
                 };
@@ -555,7 +554,6 @@ pub mod streaming_report {
             // the keyed external merge: sort-merge forced under the
             // budget, its runs deduplicated at set boundaries
             let smj_64k = PlannerConfig {
-                cost_based: false,
                 join_algo: JoinAlgo::SortMerge,
                 ..budget_64k.clone()
             };

@@ -35,7 +35,7 @@
 
 use crate::cost::CostModel;
 use crate::physical::PhysPlan;
-use crate::plan::{build_residual, split_pred, PlanError, Planner, SplitPred};
+use crate::plan::{build_residual, PlanError, Planner};
 use oodb_adl::expr::{conjuncts, Expr, JoinKind};
 use oodb_adl::vars::free_vars;
 use oodb_value::fxhash::FxHashMap;
@@ -49,9 +49,6 @@ pub const DP_RELATION_LIMIT: usize = 10;
 /// One relation of the join graph: an opaque ADL operand with its
 /// lowered plan and output schema.
 struct Leaf {
-    /// The original ADL subexpression (needed for index-NL candidates,
-    /// which must see a bare `Table`).
-    expr: Expr,
     /// Lowered physical plan, single-leaf filter conjuncts pushed.
     plan: PhysPlan,
     /// Marker variable the rewritten predicates reference this leaf by.
@@ -126,15 +123,13 @@ pub(crate) fn try_reorder(
     left: &Expr,
     right: &Expr,
 ) -> Result<Option<PhysPlan>, PlanError> {
-    let Some(model) = planner.cost.as_ref() else {
-        return Ok(None);
-    };
+    let model = &planner.cost;
     let Some(graph) = JoinGraph::extract(planner, lvar, rvar, pred, left, right)? else {
         return Ok(None);
     };
     if graph.leaves.len() < 3 {
         // Two-way joins already get both build orientations from the
-        // ordinary cost-based path; nothing to enumerate.
+        // rewrite-order path; nothing to enumerate.
         return Ok(None);
     }
     if !graph.connected((1u64 << graph.leaves.len()) - 1) {
@@ -223,7 +218,6 @@ impl JoinGraph {
                 _ => plan.op_label(),
             };
             leaves.push(Leaf {
-                expr: e.clone(),
                 plan,
                 marker: marker(i),
                 label,
@@ -355,99 +349,18 @@ impl JoinGraph {
         let rv = Name::from(JOIN_RVAR);
         // Orientation A ⋈ B and B ⋈ A both matter (build side, probe
         // order, index side); generate candidates for each.
-        for &(sa, sb, ea, eb) in &[(s1, s2, e1, e2), (s2, s1, e2, e1)] {
+        for &(sa, ea, eb) in &[(s1, e1, e2), (s2, e2, e1)] {
             let parts: Vec<Expr> = preds
                 .iter()
                 .map(|p| anchor_sides(&p.expr, sa, &lv, &rv))
                 .collect();
             let pred = oodb_adl::expr::conjoin(parts);
-            let split = split_pred(&pred, &lv, &rv);
-            for cand in self.physical_candidates(planner, &lv, &rv, &split, &pred, sb, ea, eb) {
+            let candidates =
+                planner.join_candidates(JoinKind::Inner, &lv, &rv, &pred, &ea.plan, &eb.plan, &[]);
+            for (_, cand) in candidates {
                 push_entry(out, self.price(model, cand, ea, eb));
             }
         }
-    }
-
-    /// The physical implementations of one oriented join, mirroring the
-    /// rewrite-order cost-based path.
-    #[allow(clippy::too_many_arguments)]
-    fn physical_candidates(
-        &self,
-        planner: &Planner<'_>,
-        lv: &Name,
-        rv: &Name,
-        split: &SplitPred,
-        pred: &Expr,
-        sb: u64,
-        ea: &Entry,
-        eb: &Entry,
-    ) -> Vec<PhysPlan> {
-        let mut cands: Vec<PhysPlan> = Vec::new();
-        if !split.equi.is_empty() {
-            let (lkeys, rkeys): (Vec<Expr>, Vec<Expr>) = split.equi.iter().cloned().unzip();
-            let residual = build_residual(split.residual.clone());
-            cands.push(PhysPlan::HashJoin {
-                kind: JoinKind::Inner,
-                lvar: lv.clone(),
-                rvar: rv.clone(),
-                lkeys: lkeys.clone(),
-                rkeys: rkeys.clone(),
-                residual: residual.clone(),
-                right_attrs: Vec::new(),
-                left: Box::new(ea.plan.clone()),
-                right: Box::new(eb.plan.clone()),
-            });
-            cands.push(PhysPlan::SortMergeJoin {
-                lvar: lv.clone(),
-                rvar: rv.clone(),
-                lkeys,
-                rkeys,
-                residual,
-                left: Box::new(ea.plan.clone()),
-                right: Box::new(eb.plan.clone()),
-            });
-            // Index nested loop: the inner side must be a bare indexed
-            // extent, i.e. an unfiltered single-leaf subset.
-            if planner.config.use_indexes && sb.count_ones() == 1 {
-                let leaf = &self.leaves[sb.trailing_zeros() as usize];
-                if matches!(leaf.plan, PhysPlan::Scan(_)) {
-                    if let Some(plan) = planner.index_nl_candidate(
-                        JoinKind::Inner,
-                        lv,
-                        rv,
-                        &split.equi,
-                        &split.residual,
-                        &leaf.expr,
-                        ea.plan.clone(),
-                        Vec::new(),
-                    ) {
-                        cands.push(plan);
-                    }
-                }
-            }
-        }
-        if let Some(shape) = &split.member {
-            cands.push(PhysPlan::HashMemberJoin {
-                kind: JoinKind::Inner,
-                lvar: lv.clone(),
-                rvar: rv.clone(),
-                shape: shape.clone(),
-                residual: build_residual(split.residual.clone()),
-                right_attrs: Vec::new(),
-                left: Box::new(ea.plan.clone()),
-                right: Box::new(eb.plan.clone()),
-            });
-        }
-        cands.push(PhysPlan::NLJoin {
-            kind: JoinKind::Inner,
-            lvar: lv.clone(),
-            rvar: rv.clone(),
-            pred: pred.clone(),
-            right_attrs: Vec::new(),
-            left: Box::new(ea.plan.clone()),
-            right: Box::new(eb.plan.clone()),
-        });
-        cands
     }
 
     /// Prices one candidate whose children are `ea` (left) and `eb`
@@ -901,9 +814,8 @@ mod tests {
     fn dp_flips_join_order_on_skewed_stats() {
         let db = supplier_part_db();
         let e = chain_query();
-        // Pin the axis explicitly: the default reads OODB_JOIN_ORDER, and
-        // this test must assert enumeration behavior even under the CI
-        // kill-switch pass.
+        // Both positions of the axis, spelled out: `Dp` reorders the
+        // chain, `Off` keeps the rewrite's association.
         let dp = Planner::with_stats(
             &db,
             PlannerConfig {
@@ -960,7 +872,7 @@ mod tests {
         let db = supplier_part_db();
         let e = chain_query();
         let planner = Planner::with_stats(&db, PlannerConfig::default(), skewed_stats());
-        let model = planner.cost.as_ref().unwrap();
+        let model = &planner.cost;
         let Expr::Join {
             lvar,
             rvar,

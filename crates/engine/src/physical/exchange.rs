@@ -549,11 +549,10 @@ mod tests {
         db
     }
 
-    /// [`config`] with the hash join family pinned: rule-based planning
+    /// [`config`] with the hash join family pinned: a forced algorithm
     /// never trades it for sort-merge, even under a tight budget.
     fn hash_config(dop: usize) -> PlannerConfig {
         PlannerConfig {
-            cost_based: false,
             join_algo: JoinAlgo::Hash,
             ..config(dop)
         }

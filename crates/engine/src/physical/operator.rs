@@ -2002,8 +2002,8 @@ mod tests {
         let pnhl_planner = Planner::with_config(
             &db,
             PlannerConfig {
-                // rule-based so `prefer_assembly: false` really forces PNHL
-                cost_based: false,
+                // forced so `prefer_assembly: false` really forces PNHL
+                join_algo: JoinAlgo::Hash,
                 prefer_assembly: false,
                 pnhl_budget: 2,
                 // the assertion below counts the *row*-budget segments;

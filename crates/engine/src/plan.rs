@@ -5,14 +5,21 @@
 //! processing strategies" (§5.1). This planner is that chooser:
 //!
 //! * join predicates are split into **equi-key conjuncts**, **membership
-//!   conjuncts** (`p.pid ∈ s.parts`) and a residual; hash, sort-merge or
-//!   membership-hash implementations are picked accordingly, falling back
-//!   to nested loops for arbitrary predicates;
+//!   conjuncts** (`p.pid ∈ s.parts`) and a residual, and every
+//!   implementation the split allows becomes a candidate — hash (both
+//!   build sides of an inner join), sort-merge, index nested-loop,
+//!   membership hash — with nested loops always among them;
 //! * the materialization patterns of §6.2 are recognized:
-//!   `α[x : x except (a = σ[y : key(y) ∈ x.a](T))](X)` runs as **PNHL**
-//!   (or as pointer-based **assembly** when the key is the class identity),
-//!   and `α[x : x except (a = deref(x.a)))](X)` runs as single-reference
+//!   `α[x : x except (a = σ[y : key(y) ∈ x.a](T))](X)` has **PNHL**, the
+//!   **unnest–join** and (when the key is the class identity)
+//!   pointer-based **assembly** as candidates, and
+//!   `α[x : x except (a = deref(x.a)))](X)` runs as single-reference
 //!   assembly;
+//! * one pick per operator keeps a candidate: the cheapest under the
+//!   [`CostModel`] ([`JoinAlgo::Cheapest`], the default), or the first a
+//!   forced [`JoinAlgo`] ranks (how benchmarks price one algorithm
+//!   against the others); inner equi-join chains are re-ordered on top
+//!   (see [`crate::joinorder`]) under `Cheapest` only;
 //! * iterator parameter bodies that remain nested (set-valued attribute
 //!   iteration the paper deliberately leaves in place) are evaluated by
 //!   the reference evaluator inside the enclosing operator.
@@ -30,26 +37,78 @@ use oodb_spill::MemoryBudget;
 use oodb_value::{BatchKind, CmpOp, Name, SetCmpOp, Value};
 use std::fmt;
 
-/// Which join implementation the rule-based planner prefers when keys
-/// allow it (ignored when [`PlannerConfig::cost_based`] is on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How the planner picks among the candidates it enumerates for every
+/// join, nestjoin and §6.2 materialization. Every variant picks from the
+/// same candidate list: [`JoinAlgo::Cheapest`] by estimated cost, the
+/// forced variants by a fixed preference rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinAlgo {
-    /// Hash join (default).
+    /// The candidate with the lowest estimated cost (see [`CostModel`]),
+    /// with join-order enumeration on top (default). This is the §7
+    /// argument: join queries win *because* the optimizer can choose.
+    #[default]
+    Cheapest,
+    /// Forced hash joins: an index nested-loop join when the right
+    /// operand is an extent indexed on an equi-key, else a hash join
+    /// building on the right operand, else a membership hash join, else
+    /// nested loops.
     Hash,
-    /// Sort-merge join (regular joins only; others fall back to hash).
+    /// Forced sort-merge joins: as [`JoinAlgo::Hash`], with a sort-merge
+    /// join ahead of the hash join for inner equi-joins (the other join
+    /// kinds keep hash).
     SortMerge,
-    /// Force nested loops everywhere — the paper's baseline, useful for
+    /// Forced nested loops everywhere — the paper's baseline, useful for
     /// benchmarking the benefit of set-oriented execution.
     NestedLoop,
 }
 
+impl JoinAlgo {
+    /// Where a forced algorithm ranks a candidate (lower wins); `None`
+    /// when it never picks it. Swapped build sides and the unnest–join
+    /// are cost-based choices only; materializations go to pointer-based
+    /// assembly when `prefer_assembly` allows it, to PNHL otherwise.
+    /// (`Cheapest` picks by cost and ranks no join.)
+    fn rank(self, cand: Cand, prefer_assembly: bool) -> Option<usize> {
+        use Cand::*;
+        let joins: &[Cand] = match self {
+            JoinAlgo::Cheapest => &[],
+            JoinAlgo::Hash => &[Index, Hash, Member, NestedLoop],
+            JoinAlgo::SortMerge => &[Index, SortMerge, Hash, Member, NestedLoop],
+            JoinAlgo::NestedLoop => &[NestedLoop],
+        };
+        match cand {
+            Assemble => prefer_assembly.then_some(0),
+            Pnhl => Some(1),
+            UnnestJoin => None,
+            join => joins.iter().position(|&j| j == join),
+        }
+    }
+}
+
+/// The kind of one planning candidate: what a forced [`JoinAlgo`] ranks.
+/// The join kinds are declared in the order [`Planner::plan_join`] lists
+/// them, which decides cost ties (the earlier candidate wins).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Cand {
+    Hash,
+    SwappedHash,
+    SortMerge,
+    Index,
+    SwappedIndex,
+    Member,
+    NestedLoop,
+    Assemble,
+    Pnhl,
+    UnnestJoin,
+}
+
 /// Join-order search strategy for inner equi-join chains (see
-/// [`crate::joinorder`]). Orthogonal to [`PlannerConfig::cost_based`]:
-/// enumeration needs the cost model, so it only activates when both are
-/// on.
+/// [`crate::joinorder`]). Enumeration prices orders with the cost model,
+/// so it runs only under [`JoinAlgo::Cheapest`]; forced algorithms keep
+/// the rewrite's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinOrder {
-    /// Keep exactly the join order the rewrite produced (kill switch).
+    /// Keep exactly the join order the rewrite produced.
     Off,
     /// DPsize enumeration over connected subsets of the extracted join
     /// graph, with interesting orders and a greedy fallback above
@@ -57,38 +116,19 @@ pub enum JoinOrder {
     Dp,
 }
 
-impl JoinOrder {
-    /// The process default: `OODB_JOIN_ORDER=off` disables enumeration
-    /// (how CI pins a rewrite-order pass); anything else — including
-    /// unset — selects DP enumeration.
-    pub fn from_env() -> JoinOrder {
-        match std::env::var("OODB_JOIN_ORDER") {
-            Ok(v) if v.eq_ignore_ascii_case("off") => JoinOrder::Off,
-            _ => JoinOrder::Dp,
-        }
-    }
-}
-
 /// Planner tuning knobs.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Pick join implementations and §6.2 materialization strategies per
-    /// operator by estimated cost (see [`CostModel`]) instead of by the
-    /// global `join_algo` rule. On by default — this is the §7 argument:
-    /// join queries win *because* the optimizer can choose.
-    pub cost_based: bool,
-    /// Preferred join algorithm of the rule-based planner; ignored when
-    /// `cost_based` is on.
+    /// How join implementations and §6.2 materialization strategies are
+    /// picked: by estimated cost ([`JoinAlgo::Cheapest`], the default)
+    /// or by a forced algorithm's preference rank.
     pub join_algo: JoinAlgo,
     /// PNHL memory budget (build rows per segment).
     pub pnhl_budget: usize,
-    /// Recognize the §6.2 materialization patterns (PNHL / assembly /
-    /// unnest-join).
-    pub detect_materialize: bool,
-    /// Rule-based mode: prefer pointer-based assembly over PNHL when the
-    /// materialization key is the class identity. (Cost-based mode
-    /// always *considers* assembly for identity keys and lets the cost
-    /// decide.)
+    /// Forced algorithms only: take pointer-based assembly over PNHL when
+    /// the materialization key is the class identity.
+    /// [`JoinAlgo::Cheapest`] always *considers* assembly for identity
+    /// keys and lets the cost decide.
     pub prefer_assembly: bool,
     /// Use secondary indexes (index nested-loop join) when the right
     /// operand is an indexed extent.
@@ -102,8 +142,7 @@ pub struct PlannerConfig {
     pub parallelism: usize,
     /// Minimum estimated input rows before an operator is worth an
     /// exchange — thread startup costs real time, so tiny inputs stay
-    /// serial. Estimated through [`CatalogStats`] under cost-based
-    /// planning, live table sizes otherwise.
+    /// serial. Estimated through the cost model's [`CatalogStats`].
     pub parallel_threshold: usize,
     /// Memory budget in **bytes** for pipeline state (hash-join build
     /// tables, sort runs, PNHL segments, canonical-set boundaries),
@@ -140,9 +179,8 @@ pub struct PlannerConfig {
     /// order the rewrite produced). [`JoinOrder::Dp`] (the default)
     /// extracts a join graph and runs DPsize enumeration with
     /// interesting orders; [`JoinOrder::Off`] keeps the rewrite order.
-    /// The `OODB_JOIN_ORDER` environment variable supplies the process
-    /// default (`off` = kill switch); results are identical either way
-    /// — only the order joins execute in changes.
+    /// Results are identical either way — only the order joins execute
+    /// in changes.
     pub join_order: JoinOrder,
     /// Whether the streaming pipeline's instrumentation shim captures
     /// per-operator wall-clock timings (`OpStats::timing`, the numbers
@@ -183,10 +221,8 @@ fn default_parallelism() -> usize {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            cost_based: true,
-            join_algo: JoinAlgo::Hash,
+            join_algo: JoinAlgo::Cheapest,
             pnhl_budget: 1 << 14,
-            detect_materialize: true,
             prefer_assembly: true,
             use_indexes: true,
             parallelism: default_parallelism(),
@@ -194,7 +230,7 @@ impl Default for PlannerConfig {
             memory_budget: default_memory_budget(),
             batch_kind: BatchKind::from_env(),
             vectorize: crate::physical::columnar::vectorize_from_env(),
-            join_order: JoinOrder::from_env(),
+            join_order: JoinOrder::Dp,
             timing: true,
         }
     }
@@ -228,8 +264,8 @@ pub struct Plan<'a> {
     /// The operator tree.
     pub phys: PhysPlan,
     db: &'a Database,
-    /// Cost model the plan was built with (cost-based planning only).
-    cost: Option<CostModel<'a>>,
+    /// Cost model the plan was built with.
+    cost: CostModel<'a>,
     /// What streaming execution runs under (from
     /// [`PlannerConfig::exec_options`]).
     opts: ExecOptions,
@@ -258,13 +294,10 @@ impl Plan<'_> {
         self.phys.execute_on(self.db, stats)
     }
 
-    /// EXPLAIN-style rendering. Under cost-based planning every operator
-    /// line is annotated with `est_rows`/`est_cost`.
+    /// EXPLAIN-style rendering: every operator line is annotated with
+    /// `est_rows`/`est_cost`.
     pub fn explain(&self) -> String {
-        let tree = match &self.cost {
-            Some(m) => m.explain(&self.phys),
-            None => self.phys.explain(),
-        };
+        let tree = self.cost.explain(&self.phys);
         if self.order_notes.is_empty() {
             tree
         } else {
@@ -284,10 +317,9 @@ impl Plan<'_> {
         &self.order_notes
     }
 
-    /// Estimated output rows and total cost of the whole plan (`None`
-    /// when the plan was built without statistics).
-    pub fn estimate(&self) -> Option<Estimate> {
-        self.cost.as_ref().map(|m| m.estimate(&self.phys))
+    /// Estimated output rows and total cost of the whole plan.
+    pub fn estimate(&self) -> Estimate {
+        self.cost.estimate(&self.phys)
     }
 
     /// Microseconds join-order enumeration spent while this plan was
@@ -326,10 +358,7 @@ impl Plan<'_> {
             *rows += op.rows_out;
             timing.absorb(&op.timing);
         }
-        let lines = match &self.cost {
-            Some(m) => m.annotated_lines(&self.phys),
-            None => plain_lines(&self.phys),
-        };
+        let lines = self.cost.annotated_lines(&self.phys);
         // `AnalyzedOp`s carry `op_label`s, EXPLAIN lines `node_line`s;
         // both walks are pre-order, so a line's index is its ordinal.
         let labels = op_labels(&self.phys);
@@ -381,14 +410,14 @@ impl Plan<'_> {
 }
 
 /// One operator line of an [`AnalyzedPlan`]: the node label with its
-/// estimate (when the plan was cost-based) and measured actuals (when
+/// estimate and measured actuals (when
 /// the node's instrumentation reported — see
 /// [`Plan::explain_analyze`] for which nodes don't).
 #[derive(Debug, Clone)]
 pub struct AnalyzedOp {
     /// The `node_line` label (e.g. `HashJoin Inner`).
     pub label: String,
-    /// Estimated output rows, when cost-based.
+    /// Estimated output rows, as the EXPLAIN line prints them.
     pub est_rows: Option<f64>,
     /// Measured output rows, when instrumented.
     pub actual_rows: Option<u64>,
@@ -415,23 +444,9 @@ pub struct AnalyzedPlan {
     pub ops: Vec<AnalyzedOp>,
 }
 
-/// `(depth, node_line, "")` triples for a plan without a cost model —
-/// same shape [`CostModel::annotated_lines`] returns, minus estimates.
-fn plain_lines(plan: &PhysPlan) -> Vec<(usize, String, String)> {
-    fn walk(p: &PhysPlan, depth: usize, out: &mut Vec<(usize, String, String)>) {
-        out.push((depth, p.node_line(), String::new()));
-        for c in p.children() {
-            walk(c, depth + 1, out);
-        }
-    }
-    let mut out = Vec::new();
-    walk(plan, 0, &mut out);
-    out
-}
-
 /// Pre-order `op_label`s of the whole tree — the keys
 /// `Stats::operators` entries report under, aligned index-by-index with
-/// [`plain_lines`] / [`CostModel::annotated_lines`].
+/// [`CostModel::annotated_lines`].
 fn op_labels(plan: &PhysPlan) -> Vec<String> {
     fn walk(p: &PhysPlan, out: &mut Vec<String>) {
         out.push(p.op_label());
@@ -448,9 +463,9 @@ fn op_labels(plan: &PhysPlan) -> Vec<String> {
 pub struct Planner<'a> {
     pub(crate) db: &'a Database,
     pub(crate) config: PlannerConfig,
-    /// Cost model backing the cost-based decisions (present exactly when
-    /// `config.cost_based`).
-    pub(crate) cost: Option<CostModel<'a>>,
+    /// Cost model pricing the candidates (and, for the exchange gate,
+    /// the input rows).
+    pub(crate) cost: CostModel<'a>,
     /// `order=` annotations accumulated while lowering (one per
     /// join-order enumeration that fired); drained into the [`Plan`].
     /// Interior mutability because lowering takes `&self`.
@@ -467,27 +482,16 @@ impl<'a> Planner<'a> {
         Planner::with_config(db, PlannerConfig::default())
     }
 
-    /// A planner with explicit configuration. When `config.cost_based`
-    /// is set, statistics are collected by scanning `db`.
+    /// A planner with explicit configuration, its statistics collected by
+    /// scanning `db`.
     pub fn with_config(db: &'a Database, config: PlannerConfig) -> Self {
-        let cost = config
-            .cost_based
-            .then(|| CostModel::new(db).with_memory_budget(config.memory_budget));
-        Planner {
-            db,
-            config,
-            cost,
-            order_notes: Default::default(),
-            joinorder_micros: Default::default(),
-        }
+        Planner::with_stats(db, config, CatalogStats::from_database(db))
     }
 
-    /// A cost-based planner with externally supplied statistics (e.g.
-    /// synthesized from `oodb_datagen::GenConfig` without scanning).
+    /// A planner with externally supplied statistics (e.g. synthesized
+    /// from `oodb_datagen::GenConfig` without scanning).
     pub fn with_stats(db: &'a Database, config: PlannerConfig, stats: CatalogStats) -> Self {
-        let cost = config
-            .cost_based
-            .then(|| CostModel::with_stats(db, stats).with_memory_budget(config.memory_budget));
+        let cost = CostModel::with_stats(db, stats).with_memory_budget(config.memory_budget);
         Planner {
             db,
             config,
@@ -508,10 +512,8 @@ impl<'a> Planner<'a> {
         Ok(Plan {
             phys,
             db: self.db,
-            cost: self.cost.as_ref().map(|m| {
-                CostModel::with_stats(self.db, m.stats().clone())
-                    .with_memory_budget(self.config.memory_budget)
-            }),
+            cost: CostModel::with_stats(self.db, self.cost.stats().clone())
+                .with_memory_budget(self.config.memory_budget),
             opts: self.config.exec_options(),
             joinorder_micros: self.joinorder_micros.take(),
             order_notes: self.order_notes.take(),
@@ -523,31 +525,15 @@ impl<'a> Planner<'a> {
 
     /// Estimated rows an extent contributes, preferring statistics.
     fn extent_rows(&self, extent: &Name) -> f64 {
-        if let Some(m) = &self.cost {
-            if let Some(c) = m.stats().cardinality(extent) {
-                return c as f64;
-            }
+        if let Some(c) = self.cost.stats().cardinality(extent) {
+            return c as f64;
         }
         self.db.table(extent).map(|t| t.len() as f64).unwrap_or(0.0)
     }
 
-    /// A cheap input-cardinality bound for gating exchanges in
-    /// rule-based mode (no cost model): scans report their table size,
-    /// everything else sums its children.
-    fn approx_rows(&self, p: &PhysPlan) -> f64 {
-        match p {
-            PhysPlan::Scan(n) => self.extent_rows(n),
-            PhysPlan::Literal(v) => v.as_set().map(|s| s.len() as f64).unwrap_or(1.0),
-            other => other.children().iter().map(|c| self.approx_rows(c)).sum(),
-        }
-    }
-
     /// Estimated rows flowing into a join (both sides).
     fn join_input_rows(&self, left: &PhysPlan, right: &PhysPlan) -> f64 {
-        match &self.cost {
-            Some(m) => m.estimate(left).rows + m.estimate(right).rows,
-            None => self.approx_rows(left) + self.approx_rows(right),
-        }
+        self.cost.estimate(left).rows + self.cost.estimate(right).rows
     }
 
     /// The "picks serial when estimated rows are tiny" gate: thread
@@ -866,10 +852,8 @@ impl<'a> Planner<'a> {
                 input: Box::new(self.lower(input)?),
             },
             Expr::Map { var, body, input } => {
-                if self.config.detect_materialize {
-                    if let Some(plan) = self.detect_materialize(var, body, input)? {
-                        return Ok(plan);
-                    }
+                if let Some(plan) = self.detect_materialize(var, body, input)? {
+                    return Ok(plan);
                 }
                 PhysPlan::MapOp {
                     var: var.clone(),
@@ -965,7 +949,9 @@ impl<'a> Planner<'a> {
         // more relations is collapsed into a join graph and re-ordered
         // by DPsize (see `crate::joinorder`). Anything the extraction
         // cannot prove safe falls through to the rewrite-order path.
-        if kind == JoinKind::Inner && self.config.join_order == JoinOrder::Dp && self.cost.is_some()
+        if kind == JoinKind::Inner
+            && self.config.join_order == JoinOrder::Dp
+            && self.config.join_algo == JoinAlgo::Cheapest
         {
             let t0 = std::time::Instant::now();
             let reordered = crate::joinorder::try_reorder(self, lvar, rvar, pred, left, right)?;
@@ -975,122 +961,142 @@ impl<'a> Planner<'a> {
                 return Ok(plan);
             }
         }
-        let l = Box::new(self.lower(left)?);
-        let r = Box::new(self.lower(right)?);
+        let l = self.lower(left)?;
+        let r = self.lower(right)?;
         let right_attrs = if kind == JoinKind::LeftOuter {
             self.right_attrs(right)?
         } else {
             Vec::new()
         };
-        if let Some(model) = &self.cost {
-            return Ok(self.plan_join_cost_based(
-                model,
-                kind,
-                lvar,
-                rvar,
-                pred,
-                left,
-                right,
-                *l,
-                *r,
-                right_attrs,
+        let mut candidates = self.join_candidates(kind, lvar, rvar, pred, &l, &r, &right_attrs);
+        if kind == JoinKind::Inner {
+            // The inner join is commutative (tuples are canonically
+            // attribute-ordered), so the build side is a choice: the
+            // swapped hash join builds on the original left, the swapped
+            // index join probes the original left's index.
+            let swapped = self.join_candidates(kind, rvar, lvar, pred, &r, &l, &[]);
+            candidates.extend(swapped.into_iter().filter_map(|(cand, plan)| match cand {
+                Cand::Hash => Some((Cand::SwappedHash, plan)),
+                Cand::Index => Some((Cand::SwappedIndex, plan)),
+                _ => None,
+            }));
+            candidates.sort_by_key(|(cand, _)| *cand);
+        }
+        Ok(self.pick(candidates))
+    }
+
+    /// The physical candidates of one orientation of a join `l ⋈ r`, in
+    /// tie-break order: hash, sort-merge (inner joins), index nested-loop
+    /// (when `r` scans an extent indexed on an equi-key), membership hash,
+    /// nested loops. [`Planner::plan_join`] adds an inner join's swapped
+    /// build sides; join-order enumeration prices both orientations.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn join_candidates(
+        &self,
+        kind: JoinKind,
+        lvar: &Name,
+        rvar: &Name,
+        pred: &Expr,
+        l: &PhysPlan,
+        r: &PhysPlan,
+        right_attrs: &[Name],
+    ) -> Vec<(Cand, PhysPlan)> {
+        let split = split_pred(pred, lvar, rvar);
+        let mut candidates = Vec::new();
+        if !split.equi.is_empty() {
+            let (lkeys, rkeys): (Vec<Expr>, Vec<Expr>) = split.equi.iter().cloned().unzip();
+            let residual = build_residual(split.residual.clone());
+            candidates.push((
+                Cand::Hash,
+                PhysPlan::HashJoin {
+                    kind,
+                    lvar: lvar.clone(),
+                    rvar: rvar.clone(),
+                    lkeys: lkeys.clone(),
+                    rkeys: rkeys.clone(),
+                    residual: residual.clone(),
+                    right_attrs: right_attrs.to_vec(),
+                    left: Box::new(l.clone()),
+                    right: Box::new(r.clone()),
+                },
+            ));
+            if kind == JoinKind::Inner {
+                candidates.push((
+                    Cand::SortMerge,
+                    PhysPlan::SortMergeJoin {
+                        lvar: lvar.clone(),
+                        rvar: rvar.clone(),
+                        lkeys,
+                        rkeys,
+                        residual,
+                        left: Box::new(l.clone()),
+                        right: Box::new(r.clone()),
+                    },
+                ));
+            }
+            if self.config.use_indexes {
+                if let Some(plan) = self.index_nl_candidate(
+                    kind,
+                    lvar,
+                    rvar,
+                    &split.equi,
+                    &split.residual,
+                    l,
+                    r,
+                    right_attrs,
+                ) {
+                    candidates.push((Cand::Index, plan));
+                }
+            }
+        }
+        if let Some(shape) = split.member {
+            candidates.push((
+                Cand::Member,
+                PhysPlan::HashMemberJoin {
+                    kind,
+                    lvar: lvar.clone(),
+                    rvar: rvar.clone(),
+                    shape,
+                    residual: build_residual(split.residual),
+                    right_attrs: right_attrs.to_vec(),
+                    left: Box::new(l.clone()),
+                    right: Box::new(r.clone()),
+                },
             ));
         }
-        if self.config.join_algo == JoinAlgo::NestedLoop {
-            return Ok(PhysPlan::NLJoin {
+        candidates.push((
+            Cand::NestedLoop,
+            PhysPlan::NLJoin {
                 kind,
                 lvar: lvar.clone(),
                 rvar: rvar.clone(),
                 pred: pred.clone(),
-                right_attrs,
-                left: l,
-                right: r,
-            });
-        }
-        let split = split_pred(pred, lvar, rvar);
-        // Index nested-loop join: right side is an indexed extent and one
-        // equi-key is a plain attribute of it.
-        if self.config.use_indexes && !split.equi.is_empty() {
-            if let Some(plan) = self.index_nl_candidate(
-                kind,
-                lvar,
-                rvar,
-                &split.equi,
-                &split.residual,
-                right,
-                (*l).clone(),
-                right_attrs.clone(),
-            ) {
-                return Ok(plan);
-            }
-        }
-        if !split.equi.is_empty() {
-            let (lkeys, rkeys): (Vec<Expr>, Vec<Expr>) = split.equi.into_iter().unzip();
-            let residual = build_residual(split.residual);
-            if self.config.join_algo == JoinAlgo::SortMerge && kind == JoinKind::Inner {
-                return Ok(PhysPlan::SortMergeJoin {
-                    lvar: lvar.clone(),
-                    rvar: rvar.clone(),
-                    lkeys,
-                    rkeys,
-                    residual,
-                    left: l,
-                    right: r,
-                });
-            }
-            return Ok(PhysPlan::HashJoin {
-                kind,
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                lkeys,
-                rkeys,
-                residual,
-                right_attrs,
-                left: l,
-                right: r,
-            });
-        }
-        if let Some(shape) = split.member {
-            return Ok(PhysPlan::HashMemberJoin {
-                kind,
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                shape,
-                residual: build_residual(split.residual),
-                right_attrs,
-                left: l,
-                right: r,
-            });
-        }
-        Ok(PhysPlan::NLJoin {
-            kind,
-            lvar: lvar.clone(),
-            rvar: rvar.clone(),
-            pred: pred.clone(),
-            right_attrs,
-            left: l,
-            right: r,
-        })
+                right_attrs: right_attrs.to_vec(),
+                left: Box::new(l.clone()),
+                right: Box::new(r.clone()),
+            },
+        ));
+        candidates
     }
 
-    /// Builds an index nested-loop join if `right` is an extent with a
+    /// Builds an index nested-loop join if `right` scans an extent with a
     /// secondary index on one of the equi-key attributes. The `has_index`
     /// check *is* the planner-level guard: execution refuses to probe a
     /// missing index (`EvalError::MissingIndex`), so no path may
     /// construct an [`PhysPlan::IndexNLJoin`] without it.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn index_nl_candidate(
+    fn index_nl_candidate(
         &self,
         kind: JoinKind,
         lvar: &Name,
         rvar: &Name,
         equi: &[(Expr, Expr)],
         residual: &[Expr],
-        right: &Expr,
-        left_plan: PhysPlan,
-        right_attrs: Vec<Name>,
+        left: &PhysPlan,
+        right: &PhysPlan,
+        right_attrs: &[Name],
     ) -> Option<PhysPlan> {
-        let Expr::Table(extent) = right else {
+        let PhysPlan::Scan(extent) = right else {
             return None;
         };
         let t = self.db.table(extent)?;
@@ -1120,130 +1126,15 @@ impl<'a> Planner<'a> {
             attr,
             extent: extent.clone(),
             residual: build_residual(residual_parts),
-            right_attrs,
-            left: Box::new(left_plan),
+            right_attrs: right_attrs.to_vec(),
+            left: Box::new(left.clone()),
         })
     }
 
-    /// Cost-based join planning: enumerate every applicable physical
-    /// implementation — hash (both build sides for commutative inner
-    /// joins), sort-merge, index nested-loop (right or, for inner joins,
-    /// swapped), membership hash, plain nested loops — and keep the one
-    /// with the lowest estimated cost.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_join_cost_based(
-        &self,
-        model: &CostModel<'_>,
-        kind: JoinKind,
-        lvar: &Name,
-        rvar: &Name,
-        pred: &Expr,
-        left: &Expr,
-        right: &Expr,
-        l: PhysPlan,
-        r: PhysPlan,
-        right_attrs: Vec<Name>,
-    ) -> PhysPlan {
-        let split = split_pred(pred, lvar, rvar);
-        let mut candidates: Vec<PhysPlan> = Vec::new();
-        if !split.equi.is_empty() {
-            let (lkeys, rkeys): (Vec<Expr>, Vec<Expr>) = split.equi.iter().cloned().unzip();
-            let residual = build_residual(split.residual.clone());
-            candidates.push(PhysPlan::HashJoin {
-                kind,
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                lkeys: lkeys.clone(),
-                rkeys: rkeys.clone(),
-                residual: residual.clone(),
-                right_attrs: right_attrs.clone(),
-                left: Box::new(l.clone()),
-                right: Box::new(r.clone()),
-            });
-            if kind == JoinKind::Inner {
-                // The inner join is commutative (tuples are canonically
-                // attribute-ordered), so the build side is a choice:
-                // swapping the operands builds the hash table on the
-                // original left.
-                candidates.push(PhysPlan::HashJoin {
-                    kind,
-                    lvar: rvar.clone(),
-                    rvar: lvar.clone(),
-                    lkeys: rkeys.clone(),
-                    rkeys: lkeys.clone(),
-                    residual: residual.clone(),
-                    right_attrs: Vec::new(),
-                    left: Box::new(r.clone()),
-                    right: Box::new(l.clone()),
-                });
-                candidates.push(PhysPlan::SortMergeJoin {
-                    lvar: lvar.clone(),
-                    rvar: rvar.clone(),
-                    lkeys,
-                    rkeys,
-                    residual,
-                    left: Box::new(l.clone()),
-                    right: Box::new(r.clone()),
-                });
-            }
-            if self.config.use_indexes {
-                if let Some(plan) = self.index_nl_candidate(
-                    kind,
-                    lvar,
-                    rvar,
-                    &split.equi,
-                    &split.residual,
-                    right,
-                    l.clone(),
-                    right_attrs.clone(),
-                ) {
-                    candidates.push(plan);
-                }
-                if kind == JoinKind::Inner {
-                    let swapped: Vec<(Expr, Expr)> = split
-                        .equi
-                        .iter()
-                        .map(|(lk, rk)| (rk.clone(), lk.clone()))
-                        .collect();
-                    if let Some(plan) = self.index_nl_candidate(
-                        kind,
-                        rvar,
-                        lvar,
-                        &swapped,
-                        &split.residual,
-                        left,
-                        r.clone(),
-                        Vec::new(),
-                    ) {
-                        candidates.push(plan);
-                    }
-                }
-            }
-        }
-        if let Some(shape) = split.member {
-            candidates.push(PhysPlan::HashMemberJoin {
-                kind,
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                shape,
-                residual: build_residual(split.residual.clone()),
-                right_attrs: right_attrs.clone(),
-                left: Box::new(l.clone()),
-                right: Box::new(r.clone()),
-            });
-        }
-        candidates.push(PhysPlan::NLJoin {
-            kind,
-            lvar: lvar.clone(),
-            rvar: rvar.clone(),
-            pred: pred.clone(),
-            right_attrs,
-            left: Box::new(l),
-            right: Box::new(r),
-        });
-        pick_cheapest(model, candidates)
-    }
-
+    /// Nestjoin planning. The nestjoin is not commutative (the left side
+    /// keeps its dangling tuples with empty groups), so only the
+    /// implementation — hash, membership hash or nested loops — is a
+    /// choice, not the build side.
     #[allow(clippy::too_many_arguments)]
     fn plan_nestjoin(
         &self,
@@ -1255,116 +1146,75 @@ impl<'a> Planner<'a> {
         left: &Expr,
         right: &Expr,
     ) -> Result<PhysPlan, PlanError> {
-        let l = Box::new(self.lower(left)?);
-        let r = Box::new(self.lower(right)?);
-        if let Some(model) = &self.cost {
-            return Ok(
-                self.plan_nestjoin_cost_based(model, lvar, rvar, pred, rfunc, as_attr, *l, *r)
-            );
+        let l = self.lower(left)?;
+        let r = self.lower(right)?;
+        let split = split_pred(pred, lvar, rvar);
+        let mut candidates = Vec::new();
+        if !split.equi.is_empty() {
+            let (lkeys, rkeys): (Vec<Expr>, Vec<Expr>) = split.equi.iter().cloned().unzip();
+            candidates.push((
+                Cand::Hash,
+                PhysPlan::HashNestJoin {
+                    lvar: lvar.clone(),
+                    rvar: rvar.clone(),
+                    lkeys,
+                    rkeys,
+                    residual: build_residual(split.residual.clone()),
+                    rfunc: rfunc.cloned(),
+                    as_attr: as_attr.clone(),
+                    left: Box::new(l.clone()),
+                    right: Box::new(r.clone()),
+                },
+            ));
         }
-        if self.config.join_algo == JoinAlgo::NestedLoop {
-            return Ok(PhysPlan::NLNestJoin {
+        if let Some(shape) = split.member {
+            candidates.push((
+                Cand::Member,
+                PhysPlan::MemberNestJoin {
+                    lvar: lvar.clone(),
+                    rvar: rvar.clone(),
+                    shape,
+                    residual: build_residual(split.residual),
+                    rfunc: rfunc.cloned(),
+                    as_attr: as_attr.clone(),
+                    left: Box::new(l.clone()),
+                    right: Box::new(r.clone()),
+                },
+            ));
+        }
+        candidates.push((
+            Cand::NestedLoop,
+            PhysPlan::NLNestJoin {
                 lvar: lvar.clone(),
                 rvar: rvar.clone(),
                 pred: pred.clone(),
                 rfunc: rfunc.cloned(),
                 as_attr: as_attr.clone(),
-                left: l,
-                right: r,
-            });
-        }
-        let split = split_pred(pred, lvar, rvar);
-        if !split.equi.is_empty() {
-            let (lkeys, rkeys): (Vec<Expr>, Vec<Expr>) = split.equi.into_iter().unzip();
-            return Ok(PhysPlan::HashNestJoin {
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                lkeys,
-                rkeys,
-                residual: build_residual(split.residual),
-                rfunc: rfunc.cloned(),
-                as_attr: as_attr.clone(),
-                left: l,
-                right: r,
-            });
-        }
-        if let Some(shape) = split.member {
-            return Ok(PhysPlan::MemberNestJoin {
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                shape,
-                residual: build_residual(split.residual),
-                rfunc: rfunc.cloned(),
-                as_attr: as_attr.clone(),
-                left: l,
-                right: r,
-            });
-        }
-        Ok(PhysPlan::NLNestJoin {
-            lvar: lvar.clone(),
-            rvar: rvar.clone(),
-            pred: pred.clone(),
-            rfunc: rfunc.cloned(),
-            as_attr: as_attr.clone(),
-            left: l,
-            right: r,
-        })
+                left: Box::new(l),
+                right: Box::new(r),
+            },
+        ));
+        Ok(self.pick(candidates))
     }
 
-    /// Cost-based nestjoin planning. The nestjoin is not commutative
-    /// (the left side keeps its dangling tuples with empty groups), so
-    /// only the implementation — hash, membership hash or nested loops —
-    /// is a choice, not the build side.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_nestjoin_cost_based(
-        &self,
-        model: &CostModel<'_>,
-        lvar: &Name,
-        rvar: &Name,
-        pred: &Expr,
-        rfunc: Option<&Expr>,
-        as_attr: &Name,
-        l: PhysPlan,
-        r: PhysPlan,
-    ) -> PhysPlan {
-        let split = split_pred(pred, lvar, rvar);
-        let mut candidates: Vec<PhysPlan> = Vec::new();
-        if !split.equi.is_empty() {
-            let (lkeys, rkeys): (Vec<Expr>, Vec<Expr>) = split.equi.iter().cloned().unzip();
-            candidates.push(PhysPlan::HashNestJoin {
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                lkeys,
-                rkeys,
-                residual: build_residual(split.residual.clone()),
-                rfunc: rfunc.cloned(),
-                as_attr: as_attr.clone(),
-                left: Box::new(l.clone()),
-                right: Box::new(r.clone()),
-            });
-        }
-        if let Some(shape) = split.member {
-            candidates.push(PhysPlan::MemberNestJoin {
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                shape,
-                residual: build_residual(split.residual.clone()),
-                rfunc: rfunc.cloned(),
-                as_attr: as_attr.clone(),
-                left: Box::new(l.clone()),
-                right: Box::new(r.clone()),
-            });
-        }
-        candidates.push(PhysPlan::NLNestJoin {
-            lvar: lvar.clone(),
-            rvar: rvar.clone(),
-            pred: pred.clone(),
-            rfunc: rfunc.cloned(),
-            as_attr: as_attr.clone(),
-            left: Box::new(l),
-            right: Box::new(r),
-        });
-        pick_cheapest(model, candidates)
+    /// Keeps one candidate: under [`JoinAlgo::Cheapest`] the one with the
+    /// lowest estimated cost, earlier candidates winning ties (so callers
+    /// list their preferred implementation first); under a forced
+    /// algorithm the one it ranks first.
+    fn pick(&self, candidates: Vec<(Cand, PhysPlan)>) -> PhysPlan {
+        let algo = self.config.join_algo;
+        candidates
+            .into_iter()
+            .filter_map(|(cand, plan)| {
+                let score = match algo {
+                    JoinAlgo::Cheapest => self.cost.estimate(&plan).cost,
+                    forced => forced.rank(cand, self.config.prefer_assembly)? as f64,
+                };
+                Some((score, plan))
+            })
+            .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(_, plan)| plan)
+            .expect("nested loops and PNHL are candidates every algorithm accepts")
     }
 
     /// Recognizes the §6.2 materialization patterns (see module docs).
@@ -1446,75 +1296,54 @@ impl<'a> Planner<'a> {
             inner_var: y.clone(),
             inner_key: (**key_y).clone(),
         };
-        let pnhl = PhysPlan::Pnhl {
-            outer: Box::new(outer.clone()),
-            set_attr: attr.clone(),
-            inner: Box::new(PhysPlan::Scan(extent.clone())),
-            keys: keys.clone(),
-            budget: self.config.pnhl_budget,
-        };
-
-        // Cost-based: weigh assembly (when applicable) against PNHL under
-        // the memory budget and against the budget-free unnest–join —
-        // a tight budget forces PNHL through many probe passes, which is
-        // exactly when the unnest–join wins despite duplicating tuples.
-        if let Some(model) = &self.cost {
-            let mut candidates = Vec::new();
-            if let Some(class) = identity_class {
-                candidates.push(PhysPlan::Assemble {
+        // Assembly (when applicable) against PNHL under the memory budget
+        // and against the budget-free unnest–join: a tight budget forces
+        // PNHL through many probe passes, which is exactly when the
+        // unnest–join wins despite duplicating tuples.
+        let mut candidates = Vec::new();
+        if let Some(class) = identity_class {
+            candidates.push((
+                Cand::Assemble,
+                PhysPlan::Assemble {
                     input: Box::new(outer.clone()),
                     attr: attr.clone(),
                     class,
                     set_valued: true,
-                });
-            }
-            candidates.push(pnhl);
-            candidates.push(PhysPlan::UnnestJoin {
+                },
+            ));
+        }
+        candidates.push((
+            Cand::Pnhl,
+            PhysPlan::Pnhl {
+                outer: Box::new(outer.clone()),
+                set_attr: attr.clone(),
+                inner: Box::new(PhysPlan::Scan(extent.clone())),
+                keys: keys.clone(),
+                budget: self.config.pnhl_budget,
+            },
+        ));
+        candidates.push((
+            Cand::UnnestJoin,
+            PhysPlan::UnnestJoin {
                 outer: Box::new(outer),
                 set_attr: attr.clone(),
                 inner: Box::new(PhysPlan::Scan(extent.clone())),
                 keys,
-            });
-            return Ok(Some(pick_cheapest(model, candidates)));
-        }
-
-        // Rule-based: assembly for identity keys (when preferred), PNHL
-        // otherwise.
-        if self.config.prefer_assembly {
-            if let Some(class) = identity_class {
-                return Ok(Some(PhysPlan::Assemble {
-                    input: Box::new(outer),
-                    attr: attr.clone(),
-                    class,
-                    set_valued: true,
-                }));
-            }
-        }
-        Ok(Some(pnhl))
+            },
+        ));
+        Ok(Some(self.pick(candidates)))
     }
 }
 
-/// The candidate with the lowest estimated cost; earlier candidates win
-/// ties, so callers list their preferred implementation first.
-pub(crate) fn pick_cheapest(model: &CostModel<'_>, candidates: Vec<PhysPlan>) -> PhysPlan {
-    debug_assert!(!candidates.is_empty(), "at least one candidate");
-    candidates
-        .into_iter()
-        .map(|c| (model.estimate(&c).cost, c))
-        .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(_, c)| c)
-        .expect("non-empty candidate list")
-}
-
-pub(crate) struct SplitPred {
-    pub(crate) equi: Vec<(Expr, Expr)>,
-    pub(crate) member: Option<MemberShape>,
-    pub(crate) residual: Vec<Expr>,
+struct SplitPred {
+    equi: Vec<(Expr, Expr)>,
+    member: Option<MemberShape>,
+    residual: Vec<Expr>,
 }
 
 /// Splits a join predicate into equi-key pairs, at most one membership
 /// shape, and residual conjuncts.
-pub(crate) fn split_pred(pred: &Expr, lvar: &Name, rvar: &Name) -> SplitPred {
+fn split_pred(pred: &Expr, lvar: &Name, rvar: &Name) -> SplitPred {
     let mut equi = Vec::new();
     let mut member: Option<MemberShape> = None;
     let mut residual = Vec::new();
@@ -1669,7 +1498,6 @@ mod tests {
         let planner = Planner::with_config(
             &db,
             PlannerConfig {
-                cost_based: false,
                 join_algo: JoinAlgo::NestedLoop,
                 ..Default::default()
             },
@@ -1691,7 +1519,6 @@ mod tests {
         let planner = Planner::with_config(
             &db,
             PlannerConfig {
-                cost_based: false,
                 join_algo: JoinAlgo::SortMerge,
                 ..Default::default()
             },
@@ -1971,23 +1798,26 @@ mod tests {
             table("Y"),
         );
         let plan = Planner::new(&db).plan(&e).unwrap();
-        let est = plan.estimate().expect("cost-based plans carry estimates");
+        let est = plan.estimate();
         assert!(est.rows > 0.0 && est.cost > 0.0);
         let text = plan.explain();
         assert!(text.contains("est_rows="), "{text}");
         assert!(text.contains("est_cost="), "{text}");
-        // rule-based plans have no estimates and a bare explain
-        let bare = Planner::with_config(
+        // a forced plan is priced by the same model
+        let forced = Planner::with_config(
             &db,
             PlannerConfig {
-                cost_based: false,
+                join_algo: JoinAlgo::NestedLoop,
                 ..Default::default()
             },
         )
         .plan(&e)
         .unwrap();
-        assert!(bare.estimate().is_none());
-        assert!(!bare.explain().contains("est_rows="));
+        assert!(
+            forced.explain().contains("est_cost="),
+            "{}",
+            forced.explain()
+        );
     }
 
     #[test]
@@ -2088,8 +1918,8 @@ mod index_tests {
 
     #[test]
     fn cost_based_never_emits_index_nl_without_an_index() {
-        // the cost-based path must respect the same planner-level guard
-        // as the rule-based one: no index, no index nested-loop join
+        // the cost-based pick must respect the same planner-level guard
+        // as the forced ones: no index, no index nested-loop join
         let db = supplier_part_db();
         let e = join(
             "s",

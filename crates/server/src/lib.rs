@@ -366,10 +366,9 @@ pub struct QueryServer<'db> {
     /// plan-cache keys: two sessions share a plan only when every
     /// planning knob matches.
     fingerprint: String,
-    /// Catalog statistics, collected once per server (cost-based
-    /// configurations only) — the serving loop must not re-scan the
-    /// database per query.
-    stats: Option<CatalogStats>,
+    /// Catalog statistics, collected once per server — the serving loop
+    /// must not re-scan the database per query.
+    stats: CatalogStats,
     shared: Arc<ServerShared>,
 }
 
@@ -389,10 +388,7 @@ impl<'db> QueryServer<'db> {
     /// how caches survive database writes between server instances, and
     /// how every TCP connection thread shares one cache.
     pub fn with_shared(db: &'db Database, config: ServerConfig, shared: Arc<ServerShared>) -> Self {
-        let stats = config
-            .planner
-            .cost_based
-            .then(|| CatalogStats::from_database(db));
+        let stats = CatalogStats::from_database(db);
         let fingerprint = format!("{:?}", config.planner);
         QueryServer {
             db,
@@ -426,11 +422,8 @@ impl<'db> QueryServer<'db> {
         self.planner_with(self.stats.clone())
     }
 
-    fn planner_with(&self, stats: Option<CatalogStats>) -> Planner<'db> {
-        match stats {
-            Some(s) => Planner::with_stats(self.db, self.config.planner.clone(), s),
-            None => Planner::with_config(self.db, self.config.planner.clone()),
-        }
+    fn planner_with(&self, stats: CatalogStats) -> Planner<'db> {
+        Planner::with_stats(self.db, self.config.planner.clone(), stats)
     }
 }
 
@@ -551,7 +544,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                 } else {
                     None
                 };
-                let planner = server.planner_with(absorbed.or_else(|| server.stats.clone()));
+                let planner = server.planner_with(absorbed.unwrap_or_else(|| server.stats.clone()));
                 let plan_start = rec.elapsed_us();
                 let plan = planner.plan(&rewrite.expr).map_err(ServerError::Plan)?;
                 rec.push("plan", 0, plan_start, rec.elapsed_us() - plan_start);
@@ -1080,15 +1073,13 @@ impl<'srv, 'db> ResultCursor<'srv, 'db> {
                     self.stats.output_rows += self.rows_streamed;
                 }
                 if server.config.adaptive_stats {
-                    if let Some(baseline) = &server.stats {
-                        let profile = self.stats.operator_rows_by_label();
-                        let mut guard = shared.adaptive.lock().unwrap();
-                        let acc = guard.get_or_insert_with(|| baseline.clone());
-                        let material =
-                            acc.absorb_observed(profile.iter().map(|(l, r)| (l.as_str(), *r)));
-                        if material {
-                            shared.stats_epoch.fetch_add(1, Ordering::Relaxed);
-                        }
+                    let profile = self.stats.operator_rows_by_label();
+                    let mut guard = shared.adaptive.lock().unwrap();
+                    let acc = guard.get_or_insert_with(|| server.stats.clone());
+                    let material =
+                        acc.absorb_observed(profile.iter().map(|(l, r)| (l.as_str(), *r)));
+                    if material {
+                        shared.stats_epoch.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }

@@ -586,6 +586,22 @@ mod tests {
         assert!(matches!(decode_chunk(&hostile), Err(ValueError::Codec(_))));
     }
 
+    /// A row nested 100 000 sets deep is refused by the decoder's depth
+    /// cap instead of overflowing the client's stack.
+    #[test]
+    fn deeply_nested_chunk_rows_are_codec_errors() {
+        // `{null}` encodes as a one-element SET header plus the null
+        let set_of_null = codec::encode(&Value::set([Value::Null]));
+        let (header, null) = set_of_null.split_at(set_of_null.len() - 1);
+        let mut hostile = vec![layout::ROWS];
+        hostile.extend_from_slice(&1u32.to_le_bytes()); // rows
+        for _ in 0..100_000 {
+            hostile.extend_from_slice(header);
+        }
+        hostile.extend_from_slice(null);
+        assert!(matches!(decode_chunk(&hostile), Err(ValueError::Codec(_))));
+    }
+
     #[test]
     fn end_and_error_bodies_round_trip() {
         assert_eq!(decode_end(&encode_end(42, 7)).unwrap(), (42, 7));

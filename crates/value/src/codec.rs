@@ -135,7 +135,7 @@ pub fn decode_rows(bytes: &[u8]) -> Result<Vec<Value>, ValueError> {
     let mut rows = Vec::with_capacity(n.min(bytes.len() / 2 + 1));
     let mut decoder = Decoder::default();
     for _ in 0..n {
-        rows.push(decoder.value(bytes, &mut pos)?);
+        rows.push(decoder.value(bytes, &mut pos, 0)?);
     }
     if pos != bytes.len() {
         return Err(codec_err(format!(
@@ -204,6 +204,12 @@ pub(crate) fn push_len(out: &mut Vec<u8>, len: usize) {
 /// lookup quadratic.
 const MAX_INTERNED_NAMES: usize = 64;
 
+/// Deepest nesting of sets and tuples one decoded value may have. The
+/// decoder recurses once per level, so without a cap a run of nested
+/// SET headers from a socket could overflow the reader's stack; values
+/// the engine builds nest a handful of levels deep.
+pub const MAX_DEPTH: usize = 256;
+
 /// Scratch state of one decode call: a row block, a column block's
 /// value dictionary, or one value.
 ///
@@ -232,12 +238,19 @@ impl Decoder {
     /// number of bytes consumed.
     pub(crate) fn prefix(&mut self, bytes: &[u8]) -> Result<(Value, usize), ValueError> {
         let mut pos = 0usize;
-        let v = self.value(bytes, &mut pos)?;
+        let v = self.value(bytes, &mut pos, 0)?;
         Ok((v, pos))
     }
 
-    fn value(&mut self, bytes: &[u8], pos: &mut usize) -> Result<Value, ValueError> {
+    /// Decodes the value at `*pos`, which sits `depth` sets or tuples
+    /// deep in the value being decoded.
+    fn value(&mut self, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ValueError> {
         let t = take(bytes, pos, 1)?[0];
+        if matches!(t, tag::TUPLE | tag::SET) && depth == MAX_DEPTH {
+            return Err(codec_err(format!(
+                "value nests deeper than {MAX_DEPTH} sets or tuples"
+            )));
+        }
         Ok(match t {
             tag::NULL => Value::Null,
             tag::FALSE => Value::Bool(false),
@@ -264,7 +277,7 @@ impl Decoder {
                 for _ in 0..n {
                     let nl = take_u32(bytes, pos)?;
                     let name = self.name(take(bytes, pos, nl)?)?;
-                    let field = self.value(bytes, pos)?;
+                    let field = self.value(bytes, pos, depth + 1)?;
                     self.fields.push((name, field));
                 }
                 let canonical = self.fields[base..].windows(2).all(|w| w[0].0 < w[1].0);
@@ -279,7 +292,7 @@ impl Decoder {
                 let n = take_u32(bytes, pos)?;
                 let base = self.elems.len();
                 for _ in 0..n {
-                    let elem = self.value(bytes, pos)?;
+                    let elem = self.value(bytes, pos, depth + 1)?;
                     self.elems.push(elem);
                 }
                 let canonical = self.elems[base..].windows(2).all(|w| w[0] < w[1]);
@@ -549,5 +562,32 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(decode(&extended).is_err());
+    }
+
+    /// `levels` one-element SET headers around the integer 7.
+    fn nested_sets(levels: usize) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(levels * 5 + 9);
+        for _ in 0..levels {
+            bytes.push(tag::SET);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+        }
+        bytes.extend_from_slice(&int_bytes(7));
+        bytes
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_a_codec_error() {
+        // deep enough to overflow the stack without the cap
+        for levels in [MAX_DEPTH + 1, 100_000] {
+            let err = decode(&nested_sets(levels)).unwrap_err();
+            assert!(matches!(err, ValueError::Codec(_)), "{err}");
+        }
+        // a value nested exactly to the cap still round-trips
+        let mut v = Value::Int(7);
+        for _ in 0..MAX_DEPTH {
+            v = Value::set([v]);
+        }
+        assert_eq!(encode(&v), nested_sets(MAX_DEPTH));
+        roundtrip(&v);
     }
 }

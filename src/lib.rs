@@ -54,9 +54,8 @@ pub struct PipelineOutput {
     pub rewrite: Optimized,
     /// The query result (always a set value).
     pub result: Value,
-    /// EXPLAIN rendering of the executed physical plan; under cost-based
-    /// planning (the default) each operator line carries
-    /// `est_rows`/`est_cost` annotations.
+    /// EXPLAIN rendering of the executed physical plan; each operator
+    /// line carries `est_rows`/`est_cost` annotations.
     pub explain: String,
     /// Operator statistics from executing the **optimized** plan —
     /// including per-operator rows/batches from the streaming pipeline

@@ -10,7 +10,7 @@
 use oodb::catalog::Database;
 use oodb::core::strategy::Optimizer;
 use oodb::datagen::{generate, GenConfig};
-use oodb::engine::{Planner, PlannerConfig, Stats};
+use oodb::engine::{JoinAlgo, Planner, PlannerConfig, Stats};
 use oodb::Pipeline;
 use oodb_bench::{
     join_supplier_delivery_query, materialize_query, multi_join_chain_query, nu_group_query,
@@ -85,7 +85,7 @@ fn root_estimate_tracks_result_cardinality() {
             .optimize(&q, db.catalog())
             .expect("optimize");
         let plan = Planner::new(&db).plan(&optimized.expr).expect("plan");
-        let est = plan.estimate().expect("cost-based").rows.max(1.0);
+        let est = plan.estimate().rows.max(1.0);
         let mut stats = Stats::new();
         let v = plan.execute_streaming(&mut stats).expect("execute");
         let actual = v.as_set().map(|s| s.len() as f64).unwrap_or(1.0).max(1.0);
@@ -199,10 +199,10 @@ fn cost_based_planning_flips_the_build_side_with_scale() {
         plan_b.explain()
     );
 
-    // rule-based planning has no such flip: build side is always the
+    // forced hash joins have no such flip: build side is always the
     // syntactic right operand
     let rule = PlannerConfig {
-        cost_based: false,
+        join_algo: JoinAlgo::Hash,
         ..Default::default()
     };
     let plan_c = Planner::with_config(&small_suppliers, rule)

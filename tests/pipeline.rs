@@ -94,7 +94,6 @@ fn repeated_runs_hit_the_pipelines_own_caches() {
     // no cross-config sharing: another configuration plans and executes
     // for itself, and arrives at the same answer by another plan
     let nested_loops = PlannerConfig {
-        cost_based: false,
         join_algo: JoinAlgo::NestedLoop,
         ..PlannerConfig::default()
     };

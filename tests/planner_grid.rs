@@ -3,9 +3,8 @@
 //! Every paper query (the OOSQL texts of `tests/paper_queries.rs`,
 //! re-anchored to a `GenConfig::scaled` database, plus the §7 ADL
 //! workloads shared with the benchmarks) runs under the **full**
-//! [`PlannerConfig`] grid — every `JoinAlgo` × indexes on/off ×
-//! materialize detection on/off × cost-based on/off × tight and roomy
-//! PNHL budgets — and every configuration must produce exactly the
+//! [`PlannerConfig`] grid — every `JoinAlgo` × indexes on/off × tight
+//! and roomy PNHL budgets — and every configuration must produce exactly the
 //! canonical result of the naive nested-loop evaluator. A plan picked by
 //! cost is allowed to be *faster*; it is never allowed to be *different*.
 
@@ -21,11 +20,13 @@ use oodb_bench::{
 };
 use proptest::prelude::*;
 
-/// The full configuration grid: 3 × 2 × 2 × 2 × 2 × 3 dop × 3 budgets
-/// × 2 batch layouts × 2 vectorize × 2 join-order = 3456
-/// configurations. The `join_order` axis runs every point with
+/// The full configuration grid: 5 planner picks × 2 indexes × 2 PNHL
+/// budgets × 3 dop × 3 budgets × 2 batch layouts × 2 vectorize = 720
+/// configurations. The five picks are [`JoinAlgo::Cheapest`] with
 /// DP-over-subsets join-order enumeration on and off — reordering may
-/// change which association executes, never the answer. The
+/// change which association executes, never the answer — and the three
+/// forced algorithms, which keep the rewrite's join order and so have
+/// no `join_order` axis. The
 /// `parallelism` axis runs every configuration serially (`1`, today's
 /// exact pipeline) and through the exchange operators at dop 2 and 4;
 /// `parallel_threshold: 0` forces exchanges to appear even at this
@@ -41,35 +42,34 @@ use proptest::prelude::*;
 /// on and off — the strategy may change throughput, never the answer
 /// nor the classic work counters.
 fn full_grid() -> Vec<PlannerConfig> {
+    let picks = [
+        (JoinAlgo::Cheapest, JoinOrder::Dp),
+        (JoinAlgo::Cheapest, JoinOrder::Off),
+        (JoinAlgo::Hash, JoinOrder::Dp),
+        (JoinAlgo::SortMerge, JoinOrder::Dp),
+        (JoinAlgo::NestedLoop, JoinOrder::Dp),
+    ];
     let mut grid = Vec::new();
-    for join_algo in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::NestedLoop] {
+    for (join_algo, join_order) in picks {
         for use_indexes in [true, false] {
-            for detect_materialize in [true, false] {
-                for cost_based in [true, false] {
-                    for pnhl_budget in [4usize, 1 << 14] {
-                        for parallelism in [1usize, 2, 4] {
-                            for memory_budget in [0usize, 64 << 10, 4 << 10] {
-                                for batch_kind in [BatchKind::Columnar, BatchKind::Row] {
-                                    for vectorize in [true, false] {
-                                        for join_order in [JoinOrder::Dp, JoinOrder::Off] {
-                                            grid.push(PlannerConfig {
-                                                cost_based,
-                                                join_algo,
-                                                pnhl_budget,
-                                                detect_materialize,
-                                                prefer_assembly: true,
-                                                use_indexes,
-                                                parallelism,
-                                                parallel_threshold: 0,
-                                                memory_budget,
-                                                batch_kind,
-                                                vectorize,
-                                                join_order,
-                                                timing: true,
-                                            });
-                                        }
-                                    }
-                                }
+            for pnhl_budget in [4usize, 1 << 14] {
+                for parallelism in [1usize, 2, 4] {
+                    for memory_budget in [0usize, 64 << 10, 4 << 10] {
+                        for batch_kind in [BatchKind::Columnar, BatchKind::Row] {
+                            for vectorize in [true, false] {
+                                grid.push(PlannerConfig {
+                                    join_algo,
+                                    pnhl_budget,
+                                    prefer_assembly: true,
+                                    use_indexes,
+                                    parallelism,
+                                    parallel_threshold: 0,
+                                    memory_budget,
+                                    batch_kind,
+                                    vectorize,
+                                    join_order,
+                                    timing: true,
+                                });
                             }
                         }
                     }
@@ -298,27 +298,20 @@ fn dp_reorders_the_join_chain_without_changing_answers() {
 fn join_order_axis_is_transparent_when_dp_declines() {
     let db = grid_db(120);
     for q in OOSQL_QUERIES {
-        for cost_based in [true, false] {
-            let mk = |join_order| PlannerConfig {
-                cost_based,
-                join_order,
-                ..Default::default()
-            };
-            let off = Pipeline::with_config(&db, mk(JoinOrder::Off))
-                .run(q)
-                .unwrap_or_else(|e| panic!("{q}: {e}"));
-            let dp = Pipeline::with_config(&db, mk(JoinOrder::Dp))
-                .run(q)
-                .unwrap_or_else(|e| panic!("{q}: {e}"));
-            assert_eq!(dp.result, off.result, "{q} (cost_based={cost_based})");
-            if !dp.explain.contains("order=") {
-                assert_eq!(dp.explain, off.explain, "{q} (cost_based={cost_based})");
-                assert_eq!(
-                    op_rows(&dp.stats),
-                    op_rows(&off.stats),
-                    "{q} (cost_based={cost_based})"
-                );
-            }
+        let mk = |join_order| PlannerConfig {
+            join_order,
+            ..Default::default()
+        };
+        let off = Pipeline::with_config(&db, mk(JoinOrder::Off))
+            .run(q)
+            .unwrap_or_else(|e| panic!("{q}: {e}"));
+        let dp = Pipeline::with_config(&db, mk(JoinOrder::Dp))
+            .run(q)
+            .unwrap_or_else(|e| panic!("{q}: {e}"));
+        assert_eq!(dp.result, off.result, "{q}");
+        if !dp.explain.contains("order=") {
+            assert_eq!(dp.explain, off.explain, "{q}");
+            assert_eq!(op_rows(&dp.stats), op_rows(&off.stats), "{q}");
         }
     }
 }
@@ -390,23 +383,115 @@ proptest! {
 }
 
 /// Tight budgets force the cost-based planner through all three §6.2
-/// materialization strategies on the same query — each must agree.
+/// materialization strategies on the same query, and a forced algorithm
+/// takes assembly or PNHL as `prefer_assembly` says — each must agree.
+/// (`prefer_assembly` only steers forced algorithms.)
 #[test]
 fn materialization_strategies_agree_under_any_budget() {
     let db = grid_db(80);
     let q = materialize_query();
     let (reference, _) = run_naive(&db, &q);
+    let picks = [
+        (JoinAlgo::Cheapest, true),
+        (JoinAlgo::Hash, true),
+        (JoinAlgo::Hash, false),
+    ];
     for budget in [1usize, 2, 7, 64, 1 << 14] {
-        for cost_based in [true, false] {
-            for prefer_assembly in [true, false] {
-                let cfg = PlannerConfig {
-                    cost_based,
-                    pnhl_budget: budget,
-                    prefer_assembly,
-                    ..Default::default()
-                };
-                let (v, _, _) = run_optimized_with(&db, &q, cfg.clone());
-                assert_eq!(v, reference, "budget {budget}, config {cfg:?}");
+        for (join_algo, prefer_assembly) in picks {
+            let cfg = PlannerConfig {
+                join_algo,
+                pnhl_budget: budget,
+                prefer_assembly,
+                ..Default::default()
+            };
+            let (v, _, _) = run_optimized_with(&db, &q, cfg.clone());
+            assert_eq!(v, reference, "budget {budget}, config {cfg:?}");
+        }
+    }
+}
+
+/// The operator names of an EXPLAIN text, one per operator line (the
+/// `order=` notes above the tree are not operators).
+fn operator_names(explain: &str) -> Vec<&str> {
+    explain
+        .lines()
+        .filter(|l| !l.starts_with("order="))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect()
+}
+
+/// A forced algorithm picks from the same candidate list the cost-based
+/// planner prices, so its plans carry estimates — but the pick stays
+/// forced: no join-order enumeration, no hash, sort-merge or index join
+/// under forced nested loops, and never the unnest–join (a cost-based
+/// choice only), with or without indexes.
+#[test]
+fn forced_algorithms_stay_forced() {
+    use oodb::engine::Planner;
+    let db = grid_db(120);
+    let workloads = [
+        query5_nested(),
+        query4_nested(),
+        query6_nested(),
+        query31_nested("supplier-0"),
+        materialize_query(),
+        nu_group_query(),
+        join_supplier_delivery_query(),
+        multi_join_chain_query(),
+    ];
+    // The `order=` check below is live: the cost-based planner reorders
+    // the join chain on this database.
+    let chain = Optimizer::default()
+        .optimize(&multi_join_chain_query(), db.catalog())
+        .expect("optimize");
+    let cheapest = Planner::new(&db).plan(&chain.expr).expect("plan");
+    assert_eq!(cheapest.order_notes().len(), 1, "{}", cheapest.explain());
+    for join_algo in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::NestedLoop] {
+        for use_indexes in [true, false] {
+            let cfg = PlannerConfig {
+                join_algo,
+                use_indexes,
+                ..Default::default()
+            };
+            let mut explains: Vec<String> = OOSQL_QUERIES
+                .iter()
+                .map(|q| {
+                    Pipeline::with_config(&db, cfg.clone())
+                        .run(q)
+                        .unwrap_or_else(|e| panic!("{q}: {e}"))
+                        .explain
+                })
+                .collect();
+            for q in &workloads {
+                let optimized = Optimizer::default()
+                    .optimize(q, db.catalog())
+                    .expect("optimize");
+                let plan = Planner::with_config(&db, cfg.clone())
+                    .plan(&optimized.expr)
+                    .expect("plan");
+                explains.push(plan.explain());
+            }
+            for explain in &explains {
+                let context = format!("{join_algo:?}, use_indexes={use_indexes}:\n{explain}");
+                assert!(explain.contains("est_cost="), "{context}");
+                assert!(
+                    !explain.lines().any(|l| l.starts_with("order=")),
+                    "{context}"
+                );
+                let ops = operator_names(explain);
+                assert!(!ops.contains(&"UnnestJoin"), "{context}");
+                if join_algo == JoinAlgo::NestedLoop {
+                    for set_oriented in [
+                        "HashJoin",
+                        "HashMemberJoin",
+                        "HashNestJoin",
+                        "MemberNestJoin",
+                        "SortMergeJoin",
+                        "IndexNLJoin",
+                    ] {
+                        assert!(!ops.contains(&set_oriented), "{context}");
+                    }
+                }
             }
         }
     }

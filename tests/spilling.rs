@@ -172,7 +172,6 @@ fn hash_join_and_sort_spill_under_4k() {
         oodb::adl::dsl::table("DELIVERY"),
     );
     let smj_cfg = PlannerConfig {
-        cost_based: false,
         join_algo: JoinAlgo::SortMerge,
         ..config(4 << 10, 1)
     };
@@ -286,7 +285,7 @@ fn pnhl_spills_probe_partitions() {
     let db = scaled_db(400);
     let q = materialize_query();
     let pnhl_cfg = |budget: usize| PlannerConfig {
-        cost_based: false,
+        join_algo: JoinAlgo::Hash,
         prefer_assembly: false,
         ..config(budget, 1)
     };
@@ -376,7 +375,6 @@ fn unwritable_spill_dir_reports_io_error() {
         oodb::adl::dsl::table("DELIVERY"),
     );
     let smj_cfg = PlannerConfig {
-        cost_based: false,
         join_algo: JoinAlgo::SortMerge,
         ..config(256, 1)
     };
