@@ -16,7 +16,7 @@
 //! expressions fall back to textbook default selectivities.
 
 use crate::physical::hashjoin::MemberShape;
-use crate::physical::PhysPlan;
+use crate::physical::{JoinFamily, JoinMode, JoinSpec, PhysPlan};
 use oodb_adl::expr::{conjuncts, Expr, JoinKind, SetOp};
 use oodb_adl::vars::free_vars;
 use oodb_catalog::{CatalogStats, Database};
@@ -250,19 +250,23 @@ impl<'a> CostModel<'a> {
             | PhysPlan::NestOp { input, .. }
             | PhysPlan::Assemble { input, .. }
             | PhysPlan::Exchange { input, .. } => self.row_bytes(input),
-            PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::HashMemberJoin { left, right, .. }
-            | PhysPlan::NLJoin { left, right, .. }
-            | PhysPlan::SortMergeJoin { left, right, .. }
-            | PhysPlan::ProductOp { left, right } => self.row_bytes(left) + self.row_bytes(right),
-            // nestjoins emit the left row plus a grouped set of right
-            // rows; PNHL/unnest-join keep the outer row's width with
-            // its set re-materialized to inner rows
-            PhysPlan::HashNestJoin { left, right, .. }
-            | PhysPlan::MemberNestJoin { left, right, .. }
-            | PhysPlan::NLNestJoin { left, right, .. } => {
-                self.row_bytes(left) + DEFAULT_SET_LEN * self.row_bytes(right)
+            PhysPlan::SortMergeJoin { left, right, .. } => {
+                self.row_bytes(left) + self.row_bytes(right)
             }
+            // nestjoins emit the left row plus a grouped set of right
+            // rows (an index join has no right plan to measure)
+            PhysPlan::Join {
+                spec,
+                left,
+                right: Some(right),
+            } => match spec.mode {
+                JoinMode::Join { .. } => self.row_bytes(left) + self.row_bytes(right),
+                JoinMode::Nest { .. } => {
+                    self.row_bytes(left) + DEFAULT_SET_LEN * self.row_bytes(right)
+                }
+            },
+            // PNHL/unnest-join keep the outer row's width with its set
+            // re-materialized to inner rows
             PhysPlan::Pnhl {
                 outer,
                 set_attr,
@@ -315,13 +319,8 @@ impl<'a> CostModel<'a> {
     /// under the configured budget — the `est_spill` EXPLAIN column.
     fn est_spill(&self, plan: &PhysPlan) -> f64 {
         match plan {
-            PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::HashNestJoin { left, right, .. }
-            | PhysPlan::HashMemberJoin { left, right, .. }
-            | PhysPlan::MemberNestJoin { left, right, .. } => {
-                let build = self.est(right).rows * self.row_bytes(right);
-                let probe = self.est(left).rows * self.row_bytes(left);
-                self.grace_io(build, probe).1
+            PhysPlan::Join { spec, left, right } if spec.family.hashed() => {
+                self.est_join(spec, left, right.as_deref()).1
             }
             PhysPlan::SortMergeJoin { left, right, .. } => {
                 let l = self.est(left).rows * self.row_bytes(left);
@@ -568,119 +567,7 @@ impl<'a> CostModel<'a> {
                     source: b.source,
                 }
             }
-            PhysPlan::ProductOp { left, right } => {
-                let l = self.est(left);
-                let r = self.est(right);
-                NodeEst {
-                    rows: l.rows * r.rows,
-                    cost: l.cost + r.cost + l.rows * r.rows,
-                    source: None,
-                }
-            }
-            PhysPlan::HashJoin {
-                kind,
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                left,
-                right,
-                ..
-            } => {
-                let l = self.est(left);
-                let r = self.est(right);
-                let ndv_l = composite_ndv(lkeys.iter().map(|k| self.key_ndv(k, lvar, &l)));
-                let ndv_r = composite_ndv(rkeys.iter().map(|k| self.key_ndv(k, rvar, &r)));
-                let pairs = l.rows * r.rows
-                    / ndv_l
-                        .unwrap_or(l.rows)
-                        .max(ndv_r.unwrap_or(r.rows))
-                        .max(1.0);
-                let p_match = self.containment(ndv_l, ndv_r, r.rows);
-                let matches = pairs.max(0.0);
-                let residual_evals = if residual.is_some() { matches } else { 0.0 };
-                let (io, _) = self.grace_io(
-                    r.rows * self.row_bytes(right),
-                    l.rows * self.row_bytes(left),
-                );
-                NodeEst {
-                    rows: Self::join_rows(*kind, l.rows, pairs, p_match).max(0.0),
-                    // build the right side, probe with the left
-                    cost: l.cost + r.cost + BUILD_WEIGHT * r.rows + l.rows + residual_evals + io,
-                    source: None,
-                }
-            }
-            PhysPlan::HashMemberJoin {
-                kind,
-                lvar,
-                rvar,
-                shape,
-                residual,
-                left,
-                right,
-                ..
-            } => {
-                let l = self.est(left);
-                let r = self.est(right);
-                let (build, probes, pairs, p_match) =
-                    self.member_shape_est(shape, lvar, rvar, &l, &r);
-                let residual_evals = if residual.is_some() { pairs } else { 0.0 };
-                let (io, _) = self.grace_io(
-                    r.rows * self.row_bytes(right),
-                    l.rows * self.row_bytes(left),
-                );
-                NodeEst {
-                    rows: Self::join_rows(*kind, l.rows, pairs, p_match).max(0.0),
-                    cost: l.cost + r.cost + BUILD_WEIGHT * build + probes + residual_evals + io,
-                    source: None,
-                }
-            }
-            PhysPlan::IndexNLJoin {
-                kind,
-                lvar,
-                lkey,
-                attr,
-                extent,
-                residual,
-                left,
-                ..
-            } => {
-                let l = self.est(left);
-                let r_rows = self.extent_rows(extent);
-                let ndv_r = self
-                    .stats
-                    .distinct(extent, attr)
-                    .map(|d| d as f64)
-                    .unwrap_or(r_rows);
-                let ndv_l = self.key_ndv(lkey, lvar, &l);
-                let pairs = l.rows * r_rows / ndv_l.unwrap_or(l.rows).max(ndv_r).max(1.0);
-                let p_match = self.containment(ndv_l, Some(ndv_r), r_rows);
-                let residual_evals = if residual.is_some() { pairs } else { 0.0 };
-                NodeEst {
-                    rows: Self::join_rows(*kind, l.rows, pairs, p_match).max(0.0),
-                    // no scan and no build of the right side: one index
-                    // probe per left row plus candidate inspection
-                    cost: l.cost + l.rows + pairs + residual_evals,
-                    source: None,
-                }
-            }
-            PhysPlan::NLJoin {
-                kind, left, right, ..
-            } => {
-                let l = self.est(left);
-                let r = self.est(right);
-                let pairs = l.rows * r.rows * NL_JOIN_SEL;
-                // draining the right side to a canonical set spills runs
-                // under a bounded budget, so NL is no spill-free haven
-                let (io, _) = self.sort_io(r.rows * self.row_bytes(right));
-                NodeEst {
-                    rows: Self::join_rows(*kind, l.rows, pairs, 0.5).max(0.0),
-                    // every pair is iterated and the predicate evaluated
-                    cost: l.cost + r.cost + 2.0 * l.rows * r.rows + io,
-                    source: None,
-                }
-            }
+            PhysPlan::Join { spec, left, right } => self.est_join(spec, left, right.as_deref()).0,
             PhysPlan::SortMergeJoin {
                 lvar,
                 rvar,
@@ -692,13 +579,9 @@ impl<'a> CostModel<'a> {
             } => {
                 let l = self.est(left);
                 let r = self.est(right);
-                let ndv_l = composite_ndv(lkeys.iter().map(|k| self.key_ndv(k, lvar, &l)));
-                let ndv_r = composite_ndv(rkeys.iter().map(|k| self.key_ndv(k, rvar, &r)));
-                let pairs = l.rows * r.rows
-                    / ndv_l
-                        .unwrap_or(l.rows)
-                        .max(ndv_r.unwrap_or(r.rows))
-                        .max(1.0);
+                let ndv_l = self.keys_ndv(lkeys, lvar, &l);
+                let (pairs, _) =
+                    self.equi_pairs(l.rows, r.rows, ndv_l, self.keys_ndv(rkeys, rvar, &r));
                 let sort = l.rows * l.rows.max(2.0).log2() + r.rows * r.rows.max(2.0).log2();
                 let residual_evals = if residual.is_some() { pairs } else { 0.0 };
                 let (lio, _) = self.sort_io(l.rows * self.row_bytes(left));
@@ -706,66 +589,6 @@ impl<'a> CostModel<'a> {
                 NodeEst {
                     rows: pairs.max(0.0),
                     cost: l.cost + r.cost + sort + pairs + residual_evals + lio + rio,
-                    source: None,
-                }
-            }
-            PhysPlan::HashNestJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                left,
-                right,
-                ..
-            } => {
-                let l = self.est(left);
-                let r = self.est(right);
-                let ndv_l = composite_ndv(lkeys.iter().map(|k| self.key_ndv(k, lvar, &l)));
-                let ndv_r = composite_ndv(rkeys.iter().map(|k| self.key_ndv(k, rvar, &r)));
-                let pairs = l.rows * r.rows
-                    / ndv_l
-                        .unwrap_or(l.rows)
-                        .max(ndv_r.unwrap_or(r.rows))
-                        .max(1.0);
-                let (io, _) = self.grace_io(
-                    r.rows * self.row_bytes(right),
-                    l.rows * self.row_bytes(left),
-                );
-                NodeEst {
-                    // the nestjoin emits exactly one row per left tuple
-                    rows: l.rows,
-                    cost: l.cost + r.cost + BUILD_WEIGHT * r.rows + l.rows + pairs + io,
-                    source: None,
-                }
-            }
-            PhysPlan::MemberNestJoin {
-                lvar,
-                rvar,
-                shape,
-                left,
-                right,
-                ..
-            } => {
-                let l = self.est(left);
-                let r = self.est(right);
-                let (build, probes, pairs, _) = self.member_shape_est(shape, lvar, rvar, &l, &r);
-                let (io, _) = self.grace_io(
-                    r.rows * self.row_bytes(right),
-                    l.rows * self.row_bytes(left),
-                );
-                NodeEst {
-                    rows: l.rows,
-                    cost: l.cost + r.cost + BUILD_WEIGHT * build + probes + pairs + io,
-                    source: None,
-                }
-            }
-            PhysPlan::NLNestJoin { left, right, .. } => {
-                let l = self.est(left);
-                let r = self.est(right);
-                let (io, _) = self.sort_io(r.rows * self.row_bytes(right));
-                NodeEst {
-                    rows: l.rows,
-                    cost: l.cost + r.cost + 2.0 * l.rows * r.rows + io,
                     source: None,
                 }
             }
@@ -846,6 +669,157 @@ impl<'a> CostModel<'a> {
         }
     }
 
+    /// One [`PhysPlan::Join`], and the bytes it would spill under the
+    /// budget. The family prices how candidates are found — the build,
+    /// the probes, the candidates read, the matched pairs, the match
+    /// probability and the spill I/O; the mode prices what comes out —
+    /// the output rows and the residual evaluations.
+    fn est_join(
+        &self,
+        spec: &JoinSpec,
+        left: &PhysPlan,
+        right: Option<&PhysPlan>,
+    ) -> (NodeEst, f64) {
+        let (lvar, rvar) = (&spec.lvar, &spec.rvar);
+        let l = self.est(left);
+        // the right operand and the bytes its build or drain holds (an
+        // index join has neither: it probes the extent's index)
+        let (r, r_bytes) = match right {
+            Some(right) => {
+                let r = self.est(right);
+                let bytes = r.rows * self.row_bytes(right);
+                (r, bytes)
+            }
+            None => (
+                NodeEst {
+                    rows: 0.0,
+                    cost: 0.0,
+                    source: None,
+                },
+                0.0,
+            ),
+        };
+        let f = match &spec.family {
+            JoinFamily::Equi { lkeys, rkeys } => {
+                let ndv_l = self.keys_ndv(lkeys, lvar, &l);
+                let (pairs, p_match) =
+                    self.equi_pairs(l.rows, r.rows, ndv_l, self.keys_ndv(rkeys, rvar, &r));
+                FamilyEst {
+                    // build the right side, probe with the left
+                    build: r.rows,
+                    probes: l.rows,
+                    candidates: 0.0,
+                    pairs,
+                    p_match,
+                    checked: pairs,
+                    io: self.grace_io(r_bytes, l.rows * self.row_bytes(left)),
+                }
+            }
+            JoinFamily::Member { shape } => {
+                let (build, probes, pairs, p_match) =
+                    self.member_shape_est(shape, lvar, rvar, &l, &r);
+                FamilyEst {
+                    build,
+                    probes,
+                    candidates: 0.0,
+                    pairs,
+                    p_match,
+                    checked: pairs,
+                    io: self.grace_io(r_bytes, l.rows * self.row_bytes(left)),
+                }
+            }
+            JoinFamily::Index { lkey, attr, extent } => {
+                let r_rows = self.extent_rows(extent);
+                let ndv_r = self
+                    .stats
+                    .distinct(extent, attr)
+                    .map(|d| d as f64)
+                    .unwrap_or(r_rows);
+                let ndv_l = self.key_ndv(lkey, lvar, &l);
+                let (pairs, p_match) = self.equi_pairs(l.rows, r_rows, ndv_l, Some(ndv_r));
+                FamilyEst {
+                    // no scan and no build of the right side: one index
+                    // probe per left row plus candidate inspection
+                    build: 0.0,
+                    probes: l.rows,
+                    candidates: pairs,
+                    pairs,
+                    p_match,
+                    checked: pairs,
+                    io: (0.0, 0.0),
+                }
+            }
+            JoinFamily::Loop => {
+                let all = l.rows * r.rows;
+                let product = spec.residual.is_none();
+                FamilyEst {
+                    build: 0.0,
+                    // every pair is iterated and the predicate evaluated
+                    probes: if product { all } else { all + all },
+                    candidates: 0.0,
+                    pairs: if product { all } else { all * NL_JOIN_SEL },
+                    p_match: 0.5,
+                    // the probes already evaluated the predicate
+                    checked: 0.0,
+                    // draining the right side to a canonical set spills
+                    // runs under a bounded budget, so NL is no spill-free
+                    // haven
+                    io: if product {
+                        (0.0, 0.0)
+                    } else {
+                        self.sort_io(r_bytes)
+                    },
+                }
+            }
+        };
+        let (rows, checks) = match &spec.mode {
+            JoinMode::Join { kind, .. } => {
+                let rows = Self::join_rows(*kind, l.rows, f.pairs, f.p_match).max(0.0);
+                (
+                    rows,
+                    if spec.residual.is_some() {
+                        f.checked
+                    } else {
+                        0.0
+                    },
+                )
+            }
+            // the nestjoin emits exactly one row per left tuple and
+            // collects every match into its group
+            JoinMode::Nest { .. } => (l.rows, f.checked),
+        };
+        let (io, spill) = f.io;
+        let est = NodeEst {
+            rows,
+            cost: l.cost + r.cost + BUILD_WEIGHT * f.build + f.probes + f.candidates + checks + io,
+            source: None,
+        };
+        (est, spill)
+    }
+
+    /// Matched pairs of an equi join of `l_rows` with `r_rows` given the
+    /// key distinct counts, and the per-left-tuple match probability.
+    fn equi_pairs(
+        &self,
+        l_rows: f64,
+        r_rows: f64,
+        ndv_l: Option<f64>,
+        ndv_r: Option<f64>,
+    ) -> (f64, f64) {
+        let pairs = l_rows * r_rows
+            / ndv_l
+                .unwrap_or(l_rows)
+                .max(ndv_r.unwrap_or(r_rows))
+                .max(1.0);
+        (pairs, self.containment(ndv_l, ndv_r, r_rows))
+    }
+
+    /// Distinct count of a composite key over `var` (see
+    /// [`composite_ndv`]).
+    fn keys_ndv(&self, keys: &[Expr], var: &Name, input: &NodeEst) -> Option<f64> {
+        composite_ndv(keys.iter().map(|k| self.key_ndv(k, var, input)))
+    }
+
     /// Mean set size of `node.attr`, with the default fallback.
     fn attr_set_len(&self, node: &NodeEst, attr: &Name) -> f64 {
         node.source
@@ -891,6 +865,25 @@ impl<'a> CostModel<'a> {
             }
         }
     }
+}
+
+/// What a join family costs before its mode is applied (see
+/// [`CostModel::est_join`]).
+struct FamilyEst {
+    /// Rows inserted into the build (each charged `BUILD_WEIGHT`).
+    build: f64,
+    /// Probe work: hash or index probes, or a loop's pair iterations.
+    probes: f64,
+    /// Candidate rows read beyond the probes.
+    candidates: f64,
+    /// Expected matched pairs.
+    pairs: f64,
+    /// Probability that one left row finds a match.
+    p_match: f64,
+    /// Pairs a residual is checked on (and a nestjoin collects).
+    checked: f64,
+    /// `(io_cost, spill_bytes)` under the budget.
+    io: (f64, f64),
 }
 
 /// `e` as a plain attribute access `var.attr`, if it is one.
@@ -951,26 +944,27 @@ mod tests {
     fn hash_join_cheaper_than_nl_join() {
         let db = supplier_part_db();
         let m = CostModel::new(&db);
-        let hash = PhysPlan::HashJoin {
-            kind: JoinKind::Inner,
-            lvar: "s".into(),
-            rvar: "d".into(),
+        let join = |family, residual| PhysPlan::Join {
+            spec: JoinSpec {
+                family,
+                mode: JoinMode::Join {
+                    kind: JoinKind::Inner,
+                    right_attrs: vec![],
+                },
+                lvar: "s".into(),
+                rvar: "d".into(),
+                residual,
+            },
+            left: scan("SUPPLIER"),
+            right: Some(scan("DELIVERY")),
+        };
+        let keys = JoinFamily::Equi {
             lkeys: vec![var("s").field("eid")],
             rkeys: vec![var("d").field("supplier")],
-            residual: None,
-            right_attrs: vec![],
-            left: scan("SUPPLIER"),
-            right: scan("DELIVERY"),
         };
-        let nl = PhysPlan::NLJoin {
-            kind: JoinKind::Inner,
-            lvar: "s".into(),
-            rvar: "d".into(),
-            pred: eq(var("s").field("eid"), var("d").field("supplier")),
-            right_attrs: vec![],
-            left: scan("SUPPLIER"),
-            right: scan("DELIVERY"),
-        };
+        let hash = join(keys, None);
+        let pred = eq(var("s").field("eid"), var("d").field("supplier"));
+        let nl = join(JoinFamily::Loop, Some(pred));
         assert!(m.estimate(&hash).cost < m.estimate(&nl).cost);
     }
 

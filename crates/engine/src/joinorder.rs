@@ -34,7 +34,7 @@
 //!   return a higher-estimated-cost plan than the rewrite order.
 
 use crate::cost::CostModel;
-use crate::physical::PhysPlan;
+use crate::physical::{JoinMode, PhysPlan};
 use crate::plan::{build_residual, PlanError, Planner};
 use oodb_adl::expr::{conjuncts, Expr, JoinKind};
 use oodb_adl::vars::free_vars;
@@ -355,8 +355,11 @@ impl JoinGraph {
                 .map(|p| anchor_sides(&p.expr, sa, &lv, &rv))
                 .collect();
             let pred = oodb_adl::expr::conjoin(parts);
-            let candidates =
-                planner.join_candidates(JoinKind::Inner, &lv, &rv, &pred, &ea.plan, &eb.plan, &[]);
+            let inner = JoinMode::Join {
+                kind: JoinKind::Inner,
+                right_attrs: Vec::new(),
+            };
+            let candidates = planner.join_candidates(inner, &lv, &rv, &pred, &ea.plan, &eb.plan);
             for (_, cand) in candidates {
                 push_entry(out, self.price(model, cand, ea, eb));
             }

@@ -413,9 +413,10 @@ mod tests {
         };
         assert_eq!(segment_scan(&seg).map(|n| n.as_ref()), Some("PART"));
         // a join is not a segment
-        let join = PhysPlan::ProductOp {
+        let join = PhysPlan::Join {
+            spec: crate::physical::JoinSpec::product(),
             left: Box::new(PhysPlan::Scan("PART".into())),
-            right: Box::new(PhysPlan::Scan("SUPPLIER".into())),
+            right: Some(Box::new(PhysPlan::Scan("SUPPLIER".into()))),
         };
         assert!(segment_scan(&join).is_none());
     }

@@ -9,15 +9,16 @@
 //! implementation serves the join, semijoin, antijoin, outerjoin and
 //! nestjoin alike, and only the way candidates are found differs:
 //!
-//! * **One description.** A `JoinSpec` — key family, output mode (join
-//!   rows or nestjoin groups), the two variables and the residual — is
-//!   read off a `HashJoin`, `HashNestJoin`, `HashMemberJoin`,
-//!   `MemberNestJoin`, `NLJoin`, `NLNestJoin`, `ProductOp` or
-//!   `IndexNLJoin` node, and nothing else in execution reads those
-//!   nodes. The family is equi keys or a [`MemberShape`] (hash tables),
-//!   `Loop` (no keys: every row of the drained right set is a
+//! * **One description.** A [`JoinSpec`] — key family, output mode
+//!   (join rows or nestjoin groups), the two variables and the residual —
+//!   is the payload of the one join node, [`PhysPlan::Join`], so the
+//!   planner, the cost model, EXPLAIN and the executor read the same
+//!   value. The [`JoinFamily`] is equi keys or a [`MemberShape`] (hash
+//!   tables), `Loop` (no keys: every row of the drained right set is a
 //!   candidate) or `Index` (no right child: candidates come from the
-//!   extent's secondary index).
+//!   extent's secondary index); the [`JoinMode`] is join rows or
+//!   nestjoin groups. Family and mode also name the operator
+//!   ([`JoinSpec::node_line`], [`JoinSpec::op_label`]).
 //! * **One build.** A hash family evaluates every build row's keys once
 //!   and hashes the keyed rows into `JoinHashTable`s or
 //!   `MemberHashTable`s: one table, or one per [`key_hash`] partition of
@@ -165,20 +166,34 @@ pub(crate) fn null_pad(x: &Value, right_attrs: &[Name]) -> Result<Value, EvalErr
 // The description.
 
 /// How a join finds a probe row's candidates.
-pub(crate) enum JoinFamily {
-    /// Equi-keyed (`HashJoin` / `HashNestJoin`): `lkeys(x) = rkeys(y)`.
-    Equi { lkeys: Vec<Expr>, rkeys: Vec<Expr> },
-    /// Membership-keyed (`HashMemberJoin` / `MemberNestJoin`).
-    Member { shape: MemberShape },
-    /// No keys (`NLJoin` / `NLNestJoin` / `ProductOp`): every row of the
-    /// drained right set is a candidate, counted in `loop_iterations`.
+#[derive(Debug, Clone)]
+pub enum JoinFamily {
+    /// Equi-keyed hash join: `lkeys(x) = rkeys(y)`, build on the right.
+    Equi {
+        /// Key expressions over the left variable (conjunctive equi-keys).
+        lkeys: Vec<Expr>,
+        /// Key expressions over the right variable, pairwise with `lkeys`.
+        rkeys: Vec<Expr>,
+    },
+    /// Membership-keyed hash join (e.g. `p.pid ∈ s.parts`).
+    Member {
+        /// The membership predicate's shape.
+        shape: MemberShape,
+    },
+    /// No keys: every row of the drained right set is a candidate,
+    /// counted in `loop_iterations` — a nested loop, or the Cartesian
+    /// product when the join has no predicate.
     Loop,
-    /// `IndexNLJoin`: no build and no right child; the candidates are
-    /// the rows the secondary index on `extent.attr` holds under
-    /// `lkey(x)`, each probe counted in `index_probes`.
+    /// Index nested loop: no build and no right child; the candidates
+    /// are the rows the secondary index on `extent.attr` holds under
+    /// `lkey(x)`, each probe counted in `index_probes` (§6's "index
+    /// nested-loop join").
     Index {
+        /// Key expression over the left variable.
         lkey: Expr,
+        /// Indexed attribute of the right extent.
         attr: Name,
+        /// The right extent.
         extent: Name,
     },
 }
@@ -192,14 +207,23 @@ impl JoinFamily {
 }
 
 /// Whether a join emits join rows or nestjoin groups.
-pub(crate) enum JoinMode {
+#[derive(Debug, Clone)]
+pub enum JoinMode {
     /// `⋈ ⋉ ▷ ⟕`; an outer join pads `right_attrs` with `Null`.
     Join {
+        /// Join kind.
         kind: JoinKind,
+        /// Right-hand attribute names (the outer join's padding schema).
         right_attrs: Vec<Name>,
     },
-    /// `⊣` — one output row per probe row, carrying its group.
-    Nest { rfunc: Option<Expr>, as_attr: Name },
+    /// `⊣` — one output row per probe row, carrying its group (paper
+    /// §6.1); dangling left rows keep an empty group.
+    Nest {
+        /// Function over matching right rows (`None` = identity).
+        rfunc: Option<Expr>,
+        /// The new set-valued attribute.
+        as_attr: Name,
+    },
 }
 
 /// One build row with its index keys: the composite key of an equi
@@ -208,13 +232,22 @@ pub(crate) type Keyed<V = Value> = (Vec<Value>, V);
 
 /// What a join computes: build on the right (`rvar`), probe with the
 /// left (`lvar`), finding candidates per `family`, emitting per `mode`,
-/// with `residual` checked on every candidate.
-pub(crate) struct JoinSpec {
-    pub(crate) family: JoinFamily,
-    pub(crate) mode: JoinMode,
-    pub(crate) lvar: Name,
-    pub(crate) rvar: Name,
-    pub(crate) residual: Option<Expr>,
+/// with `residual` checked on every candidate. The payload of
+/// [`PhysPlan::Join`]: the planner, the cost model, EXPLAIN and the
+/// executor all read this one description.
+#[derive(Debug, Clone)]
+pub struct JoinSpec {
+    /// How candidates are found.
+    pub family: JoinFamily,
+    /// What a probe row emits.
+    pub mode: JoinMode,
+    /// Left (probe) variable.
+    pub lvar: Name,
+    /// Right (build) variable.
+    pub rvar: Name,
+    /// Predicate checked on every candidate pair after its keys match
+    /// (a nested loop's whole predicate); `None` accepts every candidate.
+    pub residual: Option<Expr>,
 }
 
 /// The output a probe row has accumulated from its matches so far.
@@ -226,171 +259,75 @@ struct RowMatches {
 }
 
 impl JoinSpec {
-    /// The spec of a join node with its probe child and, unless it is an
-    /// index join, its build child; `None` for any other node — the one
-    /// place execution reads the eight non-sort-merge join variants.
-    pub(crate) fn from_plan(plan: &PhysPlan) -> Option<(JoinSpec, &PhysPlan, Option<&PhysPlan>)> {
-        let equi = |lkeys: &[Expr], rkeys: &[Expr]| JoinFamily::Equi {
-            lkeys: lkeys.to_vec(),
-            rkeys: rkeys.to_vec(),
-        };
-        let join = |kind: &JoinKind, right_attrs: &[Name]| JoinMode::Join {
-            kind: *kind,
-            right_attrs: right_attrs.to_vec(),
-        };
-        let nest = |rfunc: &Option<Expr>, as_attr: &Name| JoinMode::Nest {
-            rfunc: rfunc.clone(),
-            as_attr: as_attr.clone(),
-        };
-        let member = |shape: &MemberShape| JoinFamily::Member {
-            shape: shape.clone(),
-        };
-        // A product binds no variables: with no residual and an inner
-        // join, its spec never evaluates anything under them.
+    /// The Cartesian product: a loop inner join with no predicate. It
+    /// binds no variables, so its spec never evaluates anything under
+    /// them.
+    pub fn product() -> JoinSpec {
         let unbound = Name::from("");
-        let (family, mode, (lvar, rvar), residual, left, right) = match plan {
-            PhysPlan::HashJoin {
-                kind,
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                right_attrs,
-                left,
-                right,
-            } => (
-                equi(lkeys, rkeys),
-                join(kind, right_attrs),
-                (lvar, rvar),
-                residual.clone(),
-                left,
-                Some(right),
-            ),
-            PhysPlan::HashNestJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => (
-                equi(lkeys, rkeys),
-                nest(rfunc, as_attr),
-                (lvar, rvar),
-                residual.clone(),
-                left,
-                Some(right),
-            ),
-            PhysPlan::HashMemberJoin {
-                kind,
-                lvar,
-                rvar,
-                shape,
-                residual,
-                right_attrs,
-                left,
-                right,
-            } => (
-                member(shape),
-                join(kind, right_attrs),
-                (lvar, rvar),
-                residual.clone(),
-                left,
-                Some(right),
-            ),
-            PhysPlan::MemberNestJoin {
-                lvar,
-                rvar,
-                shape,
-                residual,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => (
-                member(shape),
-                nest(rfunc, as_attr),
-                (lvar, rvar),
-                residual.clone(),
-                left,
-                Some(right),
-            ),
-            PhysPlan::NLJoin {
-                kind,
-                lvar,
-                rvar,
-                pred,
-                right_attrs,
-                left,
-                right,
-            } => (
-                JoinFamily::Loop,
-                join(kind, right_attrs),
-                (lvar, rvar),
-                Some(pred.clone()),
-                left,
-                Some(right),
-            ),
-            PhysPlan::NLNestJoin {
-                lvar,
-                rvar,
-                pred,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => (
-                JoinFamily::Loop,
-                nest(rfunc, as_attr),
-                (lvar, rvar),
-                Some(pred.clone()),
-                left,
-                Some(right),
-            ),
-            PhysPlan::ProductOp { left, right } => (
-                JoinFamily::Loop,
-                join(&JoinKind::Inner, &[]),
-                (&unbound, &unbound),
-                None,
-                left,
-                Some(right),
-            ),
-            PhysPlan::IndexNLJoin {
-                kind,
-                lvar,
-                rvar,
-                lkey,
-                attr,
-                extent,
-                residual,
-                right_attrs,
-                left,
-            } => (
-                JoinFamily::Index {
-                    lkey: lkey.clone(),
-                    attr: attr.clone(),
-                    extent: extent.clone(),
-                },
-                join(kind, right_attrs),
-                (lvar, rvar),
-                residual.clone(),
-                left,
-                None,
-            ),
-            _ => return None,
-        };
-        let spec = JoinSpec {
-            family,
-            mode,
-            lvar: lvar.clone(),
-            rvar: rvar.clone(),
-            residual,
-        };
-        Some((spec, left, right.map(|r| &**r)))
+        JoinSpec {
+            family: JoinFamily::Loop,
+            mode: JoinMode::Join {
+                kind: JoinKind::Inner,
+                right_attrs: Vec::new(),
+            },
+            lvar: unbound.clone(),
+            rvar: unbound,
+            residual: None,
+        }
+    }
+
+    /// Whether this is the Cartesian product: a loop inner join with no
+    /// predicate.
+    pub(crate) fn is_product(&self) -> bool {
+        let inner = matches!(
+            self.mode,
+            JoinMode::Join {
+                kind: JoinKind::Inner,
+                ..
+            }
+        );
+        inner && matches!(self.family, JoinFamily::Loop) && self.residual.is_none()
+    }
+
+    /// The operator's name, from its family and mode — the one place a
+    /// join is named.
+    fn name(&self) -> &'static str {
+        let nest = matches!(self.mode, JoinMode::Nest { .. });
+        match &self.family {
+            _ if self.is_product() => "Product",
+            JoinFamily::Equi { .. } if nest => "HashNestJoin",
+            JoinFamily::Equi { .. } => "HashJoin",
+            JoinFamily::Member { .. } if nest => "MemberNestJoin",
+            JoinFamily::Member { .. } => "HashMemberJoin",
+            JoinFamily::Loop if nest => "NLNestJoin",
+            JoinFamily::Loop => "NLJoin",
+            JoinFamily::Index { .. } => "IndexNLJoin",
+        }
+    }
+
+    /// The EXPLAIN line: `HashJoin Semi`, `MemberNestJoin ⊣→ys`,
+    /// `IndexNLJoin Inner on PART.pid`, `Product`.
+    pub fn node_line(&self) -> String {
+        let name = self.name();
+        match (&self.mode, &self.family) {
+            _ if self.is_product() => name.into(),
+            (JoinMode::Join { kind, .. }, JoinFamily::Index { attr, extent, .. }) => {
+                format!("{name} {kind:?} on {extent}.{attr}")
+            }
+            (JoinMode::Join { kind, .. }, _) => format!("{name} {kind:?}"),
+            (JoinMode::Nest { as_attr, .. }, _) => format!("{name} ⊣→{as_attr}"),
+        }
+    }
+
+    /// The operator label `Stats::operators` reports:
+    /// `HashJoin(Semi)`, `MemberNestJoin(ys)`, `Product`.
+    pub fn op_label(&self) -> String {
+        let name = self.name();
+        match &self.mode {
+            _ if self.is_product() => name.into(),
+            JoinMode::Join { kind, .. } => format!("{name}({kind:?})"),
+            JoinMode::Nest { as_attr, .. } => format!("{name}({as_attr})"),
+        }
     }
 
     /// A build row's index keys: its composite key for an equi join;
@@ -1274,8 +1211,8 @@ impl JoinInput {
     }
 }
 
-/// The join family's streaming operator: every join node
-/// [`JoinSpec::from_plan`] reads compiles to it at dop 1, and a hash
+/// The join family's streaming operator: every [`PhysPlan::Join`]
+/// compiles to it at dop 1, and a hash
 /// `Exchange` over a hash-family join compiles to it at the exchange's
 /// dop (any other family is clamped to dop 1).
 ///
@@ -1339,17 +1276,21 @@ enum Built {
 }
 
 impl JoinOp {
-    /// The operator for a join node at pre-order ordinal `ord`; `None`
-    /// for any plan shape [`JoinSpec::from_plan`] does not read.
+    /// The operator for a [`PhysPlan::Join`] at pre-order ordinal
+    /// `ord`; `None` for any other node.
     pub(crate) fn from_plan(plan: &PhysPlan, ord: usize, dop: usize) -> Option<Self> {
-        let (spec, left, right) = JoinSpec::from_plan(plan)?;
+        let PhysPlan::Join { spec, left, right } = plan else {
+            return None;
+        };
         let dop = if spec.family.hashed() { dop } else { 1 };
         let kids = plan.child_ordinals(ord);
         Some(JoinOp {
-            spec,
+            spec: spec.clone(),
             dop,
             left: JoinInput::new(left, kids[0], false, dop),
-            right: right.map(|r| JoinInput::new(r, kids[1], true, dop)),
+            right: right
+                .as_deref()
+                .map(|r| JoinInput::new(r, kids[1], true, dop)),
             state: JoinState::Pending,
             spill: SpillMetrics::default(),
         })
@@ -1903,66 +1844,47 @@ mod tests {
             .map(|k| Value::tuple([("k", Value::Int(k as i64))]))
             .collect();
         let build = Box::new(PhysPlan::Literal(Value::Set(Set::from_values(build))));
-        let semijoin = PhysPlan::HashJoin {
-            kind: JoinKind::Semi,
-            lvar: "x".into(),
-            rvar: "y".into(),
-            lkeys: vec![var("x").field("k")],
-            rkeys: vec![var("y").field("k")],
-            residual: None,
-            right_attrs: Vec::new(),
+        let join = |family, mode, residual, right| PhysPlan::Join {
+            spec: spec("x", "y", family, mode, residual),
             left: Box::new(failing_tail_probe(rows)),
-            right: build.clone(),
+            right,
         };
-        let nestjoin = PhysPlan::MemberNestJoin {
-            lvar: "x".into(),
-            rvar: "y".into(),
-            shape: MemberShape::RightInLeftSet {
-                lset: var("x").field("elems"),
-                rkey: var("y").field("k"),
-            },
-            residual: None,
+        let semijoin = join(
+            equi(vec![var("x").field("k")], vec![var("y").field("k")]),
+            joining(JoinKind::Semi),
+            None,
+            Some(build.clone()),
+        );
+        let grouping = || JoinMode::Nest {
             rfunc: None,
             as_attr: "ys".into(),
-            left: Box::new(failing_tail_probe(rows)),
-            right: build,
         };
+        let shape = MemberShape::RightInLeftSet {
+            lset: var("x").field("elems"),
+            rkey: var("y").field("k"),
+        };
+        let nestjoin = join(JoinFamily::Member { shape }, grouping(), None, Some(build));
         // The nested loops get a small build side: every probe row scans
         // all of it.
         let small = (0..17)
             .map(|k| Value::tuple([("k", Value::Int(k))]))
             .collect();
         let small = Box::new(PhysPlan::Literal(Value::Set(Set::from_values(small))));
-        let nl_join = PhysPlan::NLJoin {
-            kind: JoinKind::Semi,
-            lvar: "x".into(),
-            rvar: "y".into(),
-            pred: eq(var("x").field("k"), var("y").field("k")),
-            right_attrs: Vec::new(),
-            left: Box::new(failing_tail_probe(rows)),
-            right: small.clone(),
-        };
-        let nl_nestjoin = PhysPlan::NLNestJoin {
-            lvar: "x".into(),
-            rvar: "y".into(),
-            pred: eq(var("x").field("k"), var("y").field("k")),
-            rfunc: None,
-            as_attr: "ys".into(),
-            left: Box::new(failing_tail_probe(rows)),
-            right: small,
-        };
+        let pred = eq(var("x").field("k"), var("y").field("k"));
+        let nl_join = join(
+            JoinFamily::Loop,
+            joining(JoinKind::Semi),
+            Some(pred.clone()),
+            Some(small.clone()),
+        );
+        let nl_nestjoin = join(JoinFamily::Loop, grouping(), Some(pred), Some(small));
         // PART's prices are few and small: nearly every probe row misses.
-        let index_join = PhysPlan::IndexNLJoin {
-            kind: JoinKind::Anti,
-            lvar: "x".into(),
-            rvar: "p".into(),
+        let index = JoinFamily::Index {
             lkey: var("x").field("k"),
             attr: "price".into(),
             extent: "PART".into(),
-            residual: None,
-            right_attrs: Vec::new(),
-            left: Box::new(failing_tail_probe(rows)),
         };
+        let index_join = join(index, joining(JoinKind::Anti), None, None);
         let mut db = supplier_part_db();
         db.create_index("PART", "price").unwrap();
         for plan in [semijoin, nestjoin, nl_join, nl_nestjoin, index_join] {

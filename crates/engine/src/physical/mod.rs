@@ -4,7 +4,8 @@
 //! join queries can be implemented in many different ways (set-oriented
 //! query processing)" — paper §7. This module provides those many ways:
 //!
-//! * [`hashjoin`] — one join operator for `⋈`, `⋉`, `▷`, `⟕` and the
+//! * [`hashjoin`] — one join node ([`PhysPlan::Join`], described by a
+//!   [`JoinSpec`]) and one operator for `⋈`, `⋉`, `▷`, `⟕` and the
 //!   nestjoin `⊣`, implemented as a hash join (equi keys, or membership
 //!   keys for predicates like `p.pid ∈ s.parts`), an index nested-loop
 //!   join, or a nested loop (the fallback for arbitrary predicates, and
@@ -28,7 +29,8 @@ pub(crate) mod spill_exec;
 
 use crate::eval::{aggregate, nest_set, unnest_set, Env, EvalError, Evaluator};
 use crate::stats::Stats;
-use oodb_adl::expr::{AggOp, Expr, JoinKind, SetOp};
+pub use hashjoin::{JoinFamily, JoinMode, JoinSpec};
+use oodb_adl::expr::{AggOp, Expr, SetOp};
 use oodb_catalog::Database;
 use oodb_value::{Name, Set, Value};
 
@@ -45,8 +47,8 @@ pub enum Partitioning {
     /// family: build rows are routed by join-key hash to per-worker
     /// partition tables (built concurrently), and probe rows are split
     /// across workers, each probe key consulting exactly its owning
-    /// partition. The exchange's input must be a
-    /// `HashJoin`/`HashNestJoin`/`HashMemberJoin`/`MemberNestJoin` node.
+    /// partition. The exchange's input must be a [`PhysPlan::Join`] of a
+    /// hash family (equi or membership keys).
     Hash,
 }
 
@@ -155,93 +157,20 @@ pub enum PhysPlan {
         /// Body plan (may reference `var`).
         body: Box<PhysPlan>,
     },
-    /// Extended Cartesian product (block nested loop).
-    ProductOp {
-        /// Left plan.
+    /// Every join but sort-merge — `⋈ ⋉ ▷ ⟕`, the nestjoin `⊣` (paper
+    /// §6.1) and the Cartesian product — as one [`JoinSpec`]: its
+    /// [`JoinFamily`] says how candidates are found (hash on equi keys,
+    /// hash on a membership predicate, nested loop, or a secondary
+    /// index), its [`JoinMode`] whether join rows or nestjoin groups come
+    /// out.
+    Join {
+        /// What the join computes.
+        spec: JoinSpec,
+        /// Left (probe) plan.
         left: Box<PhysPlan>,
-        /// Right plan.
-        right: Box<PhysPlan>,
-    },
-    /// Hash join on extracted equi-keys.
-    HashJoin {
-        /// Join kind (`⋈`, `⋉`, `▷`, `⟕`).
-        kind: JoinKind,
-        /// Left variable.
-        lvar: Name,
-        /// Right variable.
-        rvar: Name,
-        /// Left key expressions (conjunctive equi-keys).
-        lkeys: Vec<Expr>,
-        /// Right key expressions.
-        rkeys: Vec<Expr>,
-        /// Residual predicate checked after key match.
-        residual: Option<Expr>,
-        /// Right-hand attribute names (outer-join padding schema).
-        right_attrs: Vec<Name>,
-        /// Left plan.
-        left: Box<PhysPlan>,
-        /// Right plan.
-        right: Box<PhysPlan>,
-    },
-    /// Hash join for membership predicates `rkey(y) ∈ lset(x)` (e.g.
-    /// `p.pid ∈ s.parts` of Example Query 5) or `lkey(x) ∈ rset(y)`.
-    HashMemberJoin {
-        /// Join kind.
-        kind: JoinKind,
-        /// Left variable.
-        lvar: Name,
-        /// Right variable.
-        rvar: Name,
-        /// The membership shape.
-        shape: hashjoin::MemberShape,
-        /// Residual predicate.
-        residual: Option<Expr>,
-        /// Right-hand attribute names (outer-join padding schema).
-        right_attrs: Vec<Name>,
-        /// Left plan.
-        left: Box<PhysPlan>,
-        /// Right plan.
-        right: Box<PhysPlan>,
-    },
-    /// Index nested-loop join: the right operand is an indexed extent;
-    /// each left tuple probes the secondary hash index (§6's "index
-    /// nested-loop join").
-    IndexNLJoin {
-        /// Join kind.
-        kind: JoinKind,
-        /// Left variable.
-        lvar: Name,
-        /// Right variable.
-        rvar: Name,
-        /// Key expression over the left variable.
-        lkey: Expr,
-        /// Indexed attribute of the right extent.
-        attr: Name,
-        /// The right extent name.
-        extent: Name,
-        /// Residual predicate.
-        residual: Option<Expr>,
-        /// Right-hand attribute names (outer-join padding schema).
-        right_attrs: Vec<Name>,
-        /// Left plan.
-        left: Box<PhysPlan>,
-    },
-    /// Nested-loop join (fallback for arbitrary predicates).
-    NLJoin {
-        /// Join kind.
-        kind: JoinKind,
-        /// Left variable.
-        lvar: Name,
-        /// Right variable.
-        rvar: Name,
-        /// Full predicate.
-        pred: Expr,
-        /// Right-hand attribute names (outer-join padding schema).
-        right_attrs: Vec<Name>,
-        /// Left plan.
-        left: Box<PhysPlan>,
-        /// Right plan.
-        right: Box<PhysPlan>,
+        /// Right (build) plan; `None` exactly for the index family, which
+        /// probes its extent's index instead.
+        right: Option<Box<PhysPlan>>,
     },
     /// Sort-merge implementation of the regular equi-join.
     SortMergeJoin {
@@ -255,65 +184,6 @@ pub enum PhysPlan {
         rkeys: Vec<Expr>,
         /// Residual predicate.
         residual: Option<Expr>,
-        /// Left plan.
-        left: Box<PhysPlan>,
-        /// Right plan.
-        right: Box<PhysPlan>,
-    },
-    /// Hash nestjoin `⊣` — grouping during join (paper §6.1); dangling
-    /// left tuples keep an empty group.
-    HashNestJoin {
-        /// Left variable.
-        lvar: Name,
-        /// Right variable.
-        rvar: Name,
-        /// Left keys.
-        lkeys: Vec<Expr>,
-        /// Right keys.
-        rkeys: Vec<Expr>,
-        /// Residual predicate.
-        residual: Option<Expr>,
-        /// Function over matching right tuples (`None` = identity).
-        rfunc: Option<Expr>,
-        /// New set-valued attribute.
-        as_attr: Name,
-        /// Left plan.
-        left: Box<PhysPlan>,
-        /// Right plan.
-        right: Box<PhysPlan>,
-    },
-    /// Membership-keyed nestjoin (e.g. Example Query 6's
-    /// `p.pid ∈ s.parts`).
-    MemberNestJoin {
-        /// Left variable.
-        lvar: Name,
-        /// Right variable.
-        rvar: Name,
-        /// The membership shape.
-        shape: hashjoin::MemberShape,
-        /// Residual predicate.
-        residual: Option<Expr>,
-        /// Function over matching right tuples.
-        rfunc: Option<Expr>,
-        /// New set-valued attribute.
-        as_attr: Name,
-        /// Left plan.
-        left: Box<PhysPlan>,
-        /// Right plan.
-        right: Box<PhysPlan>,
-    },
-    /// Nested-loop nestjoin (fallback).
-    NLNestJoin {
-        /// Left variable.
-        lvar: Name,
-        /// Right variable.
-        rvar: Name,
-        /// Predicate.
-        pred: Expr,
-        /// Function over matching right tuples.
-        rfunc: Option<Expr>,
-        /// New set-valued attribute.
-        as_attr: Name,
         /// Left plan.
         left: Box<PhysPlan>,
         /// Right plan.
@@ -519,15 +389,7 @@ impl PhysPlan {
                 env.pop();
                 r
             }
-            PhysPlan::HashJoin { .. }
-            | PhysPlan::HashNestJoin { .. }
-            | PhysPlan::HashMemberJoin { .. }
-            | PhysPlan::MemberNestJoin { .. }
-            | PhysPlan::NLJoin { .. }
-            | PhysPlan::NLNestJoin { .. }
-            | PhysPlan::ProductOp { .. }
-            | PhysPlan::IndexNLJoin { .. } => {
-                let (spec, left, right) = hashjoin::JoinSpec::from_plan(self).expect("a join node");
+            PhysPlan::Join { spec, left, right } => {
                 let l = left.exec(ev, env, stats)?.into_set()?;
                 let r = match right {
                     Some(right) => Some(right.exec(ev, env, stats)?.into_set()?),
@@ -649,25 +511,8 @@ impl PhysPlan {
             PhysPlan::SetOpNode { op, .. } => format!("SetOp {}", op.symbol()),
             PhysPlan::AggNode { op, .. } => format!("Agg {}", op.name()),
             PhysPlan::LetOp { var, .. } => format!("Let {var}"),
-            PhysPlan::ProductOp { .. } => "Product".into(),
-            PhysPlan::HashJoin { kind, .. } => format!("HashJoin {kind:?}"),
-            PhysPlan::HashMemberJoin { kind, .. } => {
-                format!("HashMemberJoin {kind:?}")
-            }
-            PhysPlan::IndexNLJoin {
-                kind, extent, attr, ..
-            } => {
-                format!("IndexNLJoin {kind:?} on {extent}.{attr}")
-            }
-            PhysPlan::NLJoin { kind, .. } => format!("NLJoin {kind:?}"),
+            PhysPlan::Join { spec, .. } => spec.node_line(),
             PhysPlan::SortMergeJoin { .. } => "SortMergeJoin".into(),
-            PhysPlan::HashNestJoin { as_attr, .. } => {
-                format!("HashNestJoin ⊣→{as_attr}")
-            }
-            PhysPlan::MemberNestJoin { as_attr, .. } => {
-                format!("MemberNestJoin ⊣→{as_attr}")
-            }
-            PhysPlan::NLNestJoin { as_attr, .. } => format!("NLNestJoin ⊣→{as_attr}"),
             PhysPlan::Pnhl {
                 set_attr, budget, ..
             } => {
@@ -699,7 +544,9 @@ impl PhysPlan {
         }
     }
 
-    /// The operator's direct children, in explain order.
+    /// The operator's direct children, in explain order. With
+    /// [`PhysPlan::children_mut`], the only place that lists which fields
+    /// of a node are children.
     pub fn children(&self) -> Vec<&PhysPlan> {
         match self {
             PhysPlan::Scan(_) | PhysPlan::Literal(_) | PhysPlan::Eval(_) => vec![],
@@ -712,17 +559,43 @@ impl PhysPlan {
             | PhysPlan::FlattenOp { input }
             | PhysPlan::AggNode { input, .. }
             | PhysPlan::Assemble { input, .. }
-            | PhysPlan::Exchange { input, .. }
-            | PhysPlan::IndexNLJoin { left: input, .. } => vec![input],
+            | PhysPlan::Exchange { input, .. } => vec![input],
             PhysPlan::SetOpNode { left, right, .. }
-            | PhysPlan::ProductOp { left, right }
-            | PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::HashMemberJoin { left, right, .. }
-            | PhysPlan::NLJoin { left, right, .. }
-            | PhysPlan::SortMergeJoin { left, right, .. }
-            | PhysPlan::HashNestJoin { left, right, .. }
-            | PhysPlan::MemberNestJoin { left, right, .. }
-            | PhysPlan::NLNestJoin { left, right, .. } => vec![left, right],
+            | PhysPlan::SortMergeJoin { left, right, .. } => {
+                vec![left, right]
+            }
+            PhysPlan::Join { left, right, .. } => {
+                std::iter::once(&**left).chain(right.as_deref()).collect()
+            }
+            PhysPlan::LetOp { value, body, .. } => vec![value, body],
+            PhysPlan::Pnhl { outer, inner, .. } | PhysPlan::UnnestJoin { outer, inner, .. } => {
+                vec![outer, inner]
+            }
+        }
+    }
+
+    /// The operator's direct children, mutably, in the order of
+    /// [`PhysPlan::children`].
+    pub fn children_mut(&mut self) -> Vec<&mut PhysPlan> {
+        match self {
+            PhysPlan::Scan(_) | PhysPlan::Literal(_) | PhysPlan::Eval(_) => vec![],
+            PhysPlan::Filter { input, .. }
+            | PhysPlan::MapOp { input, .. }
+            | PhysPlan::ProjectOp { input, .. }
+            | PhysPlan::RenameOp { input, .. }
+            | PhysPlan::UnnestOp { input, .. }
+            | PhysPlan::NestOp { input, .. }
+            | PhysPlan::FlattenOp { input }
+            | PhysPlan::AggNode { input, .. }
+            | PhysPlan::Assemble { input, .. }
+            | PhysPlan::Exchange { input, .. } => vec![input],
+            PhysPlan::SetOpNode { left, right, .. }
+            | PhysPlan::SortMergeJoin { left, right, .. } => {
+                vec![left, right]
+            }
+            PhysPlan::Join { left, right, .. } => std::iter::once(&mut **left)
+                .chain(right.as_deref_mut())
+                .collect(),
             PhysPlan::LetOp { value, body, .. } => vec![value, body],
             PhysPlan::Pnhl { outer, inner, .. } | PhysPlan::UnnestJoin { outer, inner, .. } => {
                 vec![outer, inner]
@@ -868,15 +741,16 @@ mod plan_node_tests {
             ))),
         };
         assert_eq!(run(&let_node).0, Value::Int(8));
-        let prod = PhysPlan::ProductOp {
+        let prod = PhysPlan::Join {
+            spec: JoinSpec::product(),
             left: Box::new(PhysPlan::ProjectOp {
                 attrs: vec!["eid".into()],
                 input: scan("SUPPLIER"),
             }),
-            right: Box::new(PhysPlan::ProjectOp {
+            right: Some(Box::new(PhysPlan::ProjectOp {
                 attrs: vec!["pid".into()],
                 input: scan("PART"),
-            }),
+            })),
         };
         assert_eq!(run(&prod).0.as_set().unwrap().len(), 35);
     }

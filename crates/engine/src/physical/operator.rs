@@ -1430,14 +1430,7 @@ impl PhysPlan {
                 body: body.compile_stride(kids[1], 0, 1),
                 bound: None,
             }),
-            PhysPlan::HashJoin { .. }
-            | PhysPlan::HashNestJoin { .. }
-            | PhysPlan::HashMemberJoin { .. }
-            | PhysPlan::MemberNestJoin { .. }
-            | PhysPlan::NLJoin { .. }
-            | PhysPlan::NLNestJoin { .. }
-            | PhysPlan::ProductOp { .. }
-            | PhysPlan::IndexNLJoin { .. } => {
+            PhysPlan::Join { .. } => {
                 Box::new(JoinOp::from_plan(self, ord, 1).expect("a join node"))
             }
             PhysPlan::SortMergeJoin {
@@ -1495,15 +1488,8 @@ impl PhysPlan {
             PhysPlan::SetOpNode { op, .. } => format!("SetOp({})", op.symbol()),
             PhysPlan::AggNode { op, .. } => format!("Agg({})", op.name()),
             PhysPlan::LetOp { var, .. } => format!("Let({var})"),
-            PhysPlan::ProductOp { .. } => "Product".into(),
-            PhysPlan::HashJoin { kind, .. } => format!("HashJoin({kind:?})"),
-            PhysPlan::HashMemberJoin { kind, .. } => format!("HashMemberJoin({kind:?})"),
-            PhysPlan::IndexNLJoin { kind, .. } => format!("IndexNLJoin({kind:?})"),
-            PhysPlan::NLJoin { kind, .. } => format!("NLJoin({kind:?})"),
+            PhysPlan::Join { spec, .. } => spec.op_label(),
             PhysPlan::SortMergeJoin { .. } => "SortMergeJoin".into(),
-            PhysPlan::HashNestJoin { as_attr, .. } => format!("HashNestJoin({as_attr})"),
-            PhysPlan::MemberNestJoin { as_attr, .. } => format!("MemberNestJoin({as_attr})"),
-            PhysPlan::NLNestJoin { as_attr, .. } => format!("NLNestJoin({as_attr})"),
             PhysPlan::Pnhl { set_attr, .. } => format!("PNHL({set_attr})"),
             PhysPlan::UnnestJoin { set_attr, .. } => format!("UnnestJoin({set_attr})"),
             PhysPlan::Assemble { attr, class, .. } => format!("Assemble({attr}->{class})"),
@@ -1710,7 +1696,7 @@ impl Drop for ResultStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::Partitioning;
+    use crate::physical::{JoinFamily, JoinMode, JoinSpec, Partitioning};
     use crate::plan::{JoinAlgo, Planner, PlannerConfig};
     use oodb_adl::dsl::*;
     use oodb_adl::expr::JoinKind;
@@ -1824,26 +1810,36 @@ mod tests {
         let mut cases: Vec<(&Database, PhysPlan, Expr)> = Vec::new();
         let pred = lt(var("x").field("a"), var("y").field("c"));
         for kind in kinds {
-            let plan = PhysPlan::NLJoin {
-                kind,
-                lvar: "x".into(),
-                rvar: "y".into(),
-                pred: pred.clone(),
-                right_attrs: padding(kind, &["c", "d", "yid"]),
+            let plan = PhysPlan::Join {
+                spec: JoinSpec {
+                    family: JoinFamily::Loop,
+                    mode: JoinMode::Join {
+                        kind,
+                        right_attrs: padding(kind, &["c", "d", "yid"]),
+                    },
+                    lvar: "x".into(),
+                    rvar: "y".into(),
+                    residual: Some(pred.clone()),
+                },
                 left: scan("X"),
-                right: scan("Y"),
+                right: Some(scan("Y")),
             };
             cases.push((&db, plan, adl_join(kind, "x", "y", pred.clone(), "X", "Y")));
         }
         for rfunc in [None, Some(var("y").field("c"))] {
-            let plan = PhysPlan::NLNestJoin {
-                lvar: "x".into(),
-                rvar: "y".into(),
-                pred: pred.clone(),
-                rfunc: rfunc.clone(),
-                as_attr: "ys".into(),
+            let plan = PhysPlan::Join {
+                spec: JoinSpec {
+                    family: JoinFamily::Loop,
+                    mode: JoinMode::Nest {
+                        rfunc: rfunc.clone(),
+                        as_attr: "ys".into(),
+                    },
+                    lvar: "x".into(),
+                    rvar: "y".into(),
+                    residual: Some(pred.clone()),
+                },
                 left: scan("X"),
-                right: scan("Y"),
+                right: Some(scan("Y")),
             };
             let e = Expr::NestJoin {
                 lvar: "x".into(),
@@ -1856,9 +1852,10 @@ mod tests {
             };
             cases.push((&db, plan, e));
         }
-        let plan = PhysPlan::ProductOp {
+        let plan = PhysPlan::Join {
+            spec: JoinSpec::product(),
             left: scan("X"),
-            right: scan("Y"),
+            right: Some(scan("Y")),
         };
         cases.push((&db, plan, product(table("X"), table("Y"))));
         let mut indexed = supplier_part_db();
@@ -1867,16 +1864,23 @@ mod tests {
         let early = eq(var("d").field("date"), lit(Value::Date(940101)));
         for kind in kinds {
             for residual in [None, Some(early.clone())] {
-                let plan = PhysPlan::IndexNLJoin {
-                    kind,
-                    lvar: "s".into(),
-                    rvar: "d".into(),
-                    lkey: var("s").field("eid"),
-                    attr: "supplier".into(),
-                    extent: "DELIVERY".into(),
-                    residual: residual.clone(),
-                    right_attrs: padding(kind, &["did", "supplier", "supply", "date"]),
+                let plan = PhysPlan::Join {
+                    spec: JoinSpec {
+                        family: JoinFamily::Index {
+                            lkey: var("s").field("eid"),
+                            attr: "supplier".into(),
+                            extent: "DELIVERY".into(),
+                        },
+                        mode: JoinMode::Join {
+                            kind,
+                            right_attrs: padding(kind, &["did", "supplier", "supply", "date"]),
+                        },
+                        lvar: "s".into(),
+                        rvar: "d".into(),
+                        residual: residual.clone(),
+                    },
                     left: scan("SUPPLIER"),
+                    right: None,
                 };
                 let pred = residual.map_or(key.clone(), |r| and(key.clone(), r));
                 let e = adl_join(kind, "s", "d", pred, "SUPPLIER", "DELIVERY");
@@ -2107,15 +2111,16 @@ mod tests {
     #[test]
     fn product_and_setop_stream_correctly() {
         let db = supplier_part_db();
-        let prod = PhysPlan::ProductOp {
+        let prod = PhysPlan::Join {
+            spec: JoinSpec::product(),
             left: Box::new(PhysPlan::ProjectOp {
                 attrs: vec!["eid".into()],
                 input: Box::new(PhysPlan::Scan("SUPPLIER".into())),
             }),
-            right: Box::new(PhysPlan::ProjectOp {
+            right: Some(Box::new(PhysPlan::ProjectOp {
                 attrs: vec!["pid".into()],
                 input: Box::new(PhysPlan::Scan("PART".into())),
-            }),
+            })),
         };
         let mut ss = Stats::new();
         let v = prod
@@ -2156,7 +2161,18 @@ mod tests {
             table("DELIVERY"),
         );
         let plan = Planner::new(&db).plan(&e).unwrap();
-        assert!(matches!(plan.phys, PhysPlan::IndexNLJoin { .. }));
+        assert!(matches!(
+            plan.phys,
+            PhysPlan::Join {
+                spec: JoinSpec {
+                    family: JoinFamily::Index { .. },
+                    mode: JoinMode::Join { .. },
+                    ..
+                },
+                right: None,
+                ..
+            }
+        ));
         let mut ss = Stats::new();
         let s = plan.execute_streaming(&mut ss).unwrap();
         assert!(ss.index_probes > 0);

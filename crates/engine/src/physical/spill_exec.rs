@@ -170,8 +170,8 @@ pub(crate) fn grace_join(
     }
 }
 
-/// [`grace_join`] for the equi-keyed family (`HashJoin` /
-/// `HashNestJoin`).
+/// [`grace_join`] for the equi-keyed family ([`JoinFamily::Equi`]:
+/// `HashJoin` / `HashNestJoin`).
 fn grace_equi_join(
     spec: &JoinSpec,
     lkeys: &[Expr],
@@ -249,8 +249,8 @@ fn grace_equi_join(
     Ok(out)
 }
 
-/// [`grace_join`] for the membership family (`HashMemberJoin` /
-/// `MemberNestJoin`). Build rows are replicated per partition with only
+/// [`grace_join`] for the membership family ([`JoinFamily::Member`]:
+/// `HashMemberJoin` / `MemberNestJoin`). Build rows are replicated per partition with only
 /// that partition's index keys (mirroring the parallel exchange's
 /// routing); probe rows may probe several partitions, so each carries
 /// its ordinal and matches are folded across partitions: semi/anti and

@@ -27,7 +27,9 @@
 use crate::cost::{CostModel, Estimate};
 use crate::physical::hashjoin::MemberShape;
 use crate::physical::operator::ExecOptions;
-use crate::physical::{exchange, MatchKeys, Partitioning, PhysPlan};
+use crate::physical::{
+    exchange, JoinFamily, JoinMode, JoinSpec, MatchKeys, Partitioning, PhysPlan,
+};
 use crate::stats::{OpTiming, Stats};
 use oodb_adl::expr::{conjuncts, Expr, JoinKind};
 use oodb_adl::vars::free_vars;
@@ -507,7 +509,7 @@ impl<'a> Planner<'a> {
         self.joinorder_micros.set(0);
         let mut phys = self.lower(e)?;
         if self.config.parallelism > 1 {
-            phys = self.parallelize(phys);
+            self.parallelize(&mut phys);
         }
         Ok(Plan {
             phys,
@@ -551,294 +553,32 @@ impl<'a> Planner<'a> {
     /// hash-family joins get hash-partitioned parallel build + probe.
     /// Only called with `parallelism > 1`; `1` preserves the serial
     /// plan exactly.
-    fn parallelize(&self, plan: PhysPlan) -> PhysPlan {
-        let dop = self.config.parallelism;
+    fn parallelize(&self, plan: &mut PhysPlan) {
         // A maximal per-row segment: wrap it whole (nothing inside a
         // segment can parallelize on its own).
-        if let Some(extent) = exchange::segment_scan(&plan).cloned() {
-            if self.worth_exchange(self.extent_rows(&extent)) {
-                return PhysPlan::Exchange {
-                    partitioning: Partitioning::RoundRobin,
-                    dop,
-                    input: Box::new(plan),
-                };
+        if let Some(extent) = exchange::segment_scan(plan) {
+            if self.worth_exchange(self.extent_rows(extent)) {
+                exchanged(plan, Partitioning::RoundRobin, self.config.parallelism);
             }
-            return plan;
+            return;
         }
-        let plan = self.parallelize_children(plan);
+        if matches!(plan, PhysPlan::Exchange { .. }) {
+            return;
+        }
+        for child in plan.children_mut() {
+            self.parallelize(child);
+        }
         // Hash-family joins additionally parallelize their own build +
         // probe when enough rows flow through them.
-        let is_hash_family = matches!(
-            plan,
-            PhysPlan::HashJoin { .. }
-                | PhysPlan::HashNestJoin { .. }
-                | PhysPlan::HashMemberJoin { .. }
-                | PhysPlan::MemberNestJoin { .. }
-        );
-        if is_hash_family {
-            let (l, r) = match &plan {
-                PhysPlan::HashJoin { left, right, .. }
-                | PhysPlan::HashNestJoin { left, right, .. }
-                | PhysPlan::HashMemberJoin { left, right, .. }
-                | PhysPlan::MemberNestJoin { left, right, .. } => (left, right),
-                _ => unreachable!("matched above"),
-            };
-            if self.worth_exchange(self.join_input_rows(l, r)) {
-                return PhysPlan::Exchange {
-                    partitioning: Partitioning::Hash,
-                    dop,
-                    input: Box::new(plan),
-                };
+        if let PhysPlan::Join {
+            spec,
+            left,
+            right: Some(right),
+        } = plan
+        {
+            if spec.family.hashed() && self.worth_exchange(self.join_input_rows(left, right)) {
+                exchanged(plan, Partitioning::Hash, self.config.parallelism);
             }
-        }
-        plan
-    }
-
-    /// Rebuilds a node with every child parallelized.
-    fn parallelize_children(&self, plan: PhysPlan) -> PhysPlan {
-        let p = |b: Box<PhysPlan>| Box::new(self.parallelize(*b));
-        match plan {
-            leaf @ (PhysPlan::Scan(_)
-            | PhysPlan::Literal(_)
-            | PhysPlan::Eval(_)
-            | PhysPlan::Exchange { .. }) => leaf,
-            PhysPlan::Filter { var, pred, input } => PhysPlan::Filter {
-                var,
-                pred,
-                input: p(input),
-            },
-            PhysPlan::MapOp { var, body, input } => PhysPlan::MapOp {
-                var,
-                body,
-                input: p(input),
-            },
-            PhysPlan::ProjectOp { attrs, input } => PhysPlan::ProjectOp {
-                attrs,
-                input: p(input),
-            },
-            PhysPlan::RenameOp { pairs, input } => PhysPlan::RenameOp {
-                pairs,
-                input: p(input),
-            },
-            PhysPlan::UnnestOp { attr, input } => PhysPlan::UnnestOp {
-                attr,
-                input: p(input),
-            },
-            PhysPlan::NestOp {
-                attrs,
-                as_attr,
-                input,
-            } => PhysPlan::NestOp {
-                attrs,
-                as_attr,
-                input: p(input),
-            },
-            PhysPlan::FlattenOp { input } => PhysPlan::FlattenOp { input: p(input) },
-            PhysPlan::SetOpNode { op, left, right } => PhysPlan::SetOpNode {
-                op,
-                left: p(left),
-                right: p(right),
-            },
-            PhysPlan::AggNode { op, input } => PhysPlan::AggNode {
-                op,
-                input: p(input),
-            },
-            PhysPlan::LetOp { var, value, body } => PhysPlan::LetOp {
-                var,
-                value: p(value),
-                body: p(body),
-            },
-            PhysPlan::ProductOp { left, right } => PhysPlan::ProductOp {
-                left: p(left),
-                right: p(right),
-            },
-            PhysPlan::HashJoin {
-                kind,
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                right_attrs,
-                left,
-                right,
-            } => PhysPlan::HashJoin {
-                kind,
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                right_attrs,
-                left: p(left),
-                right: p(right),
-            },
-            PhysPlan::HashMemberJoin {
-                kind,
-                lvar,
-                rvar,
-                shape,
-                residual,
-                right_attrs,
-                left,
-                right,
-            } => PhysPlan::HashMemberJoin {
-                kind,
-                lvar,
-                rvar,
-                shape,
-                residual,
-                right_attrs,
-                left: p(left),
-                right: p(right),
-            },
-            PhysPlan::IndexNLJoin {
-                kind,
-                lvar,
-                rvar,
-                lkey,
-                attr,
-                extent,
-                residual,
-                right_attrs,
-                left,
-            } => PhysPlan::IndexNLJoin {
-                kind,
-                lvar,
-                rvar,
-                lkey,
-                attr,
-                extent,
-                residual,
-                right_attrs,
-                left: p(left),
-            },
-            PhysPlan::NLJoin {
-                kind,
-                lvar,
-                rvar,
-                pred,
-                right_attrs,
-                left,
-                right,
-            } => PhysPlan::NLJoin {
-                kind,
-                lvar,
-                rvar,
-                pred,
-                right_attrs,
-                left: p(left),
-                right: p(right),
-            },
-            PhysPlan::SortMergeJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                left,
-                right,
-            } => PhysPlan::SortMergeJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                left: p(left),
-                right: p(right),
-            },
-            PhysPlan::HashNestJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => PhysPlan::HashNestJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                rfunc,
-                as_attr,
-                left: p(left),
-                right: p(right),
-            },
-            PhysPlan::MemberNestJoin {
-                lvar,
-                rvar,
-                shape,
-                residual,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => PhysPlan::MemberNestJoin {
-                lvar,
-                rvar,
-                shape,
-                residual,
-                rfunc,
-                as_attr,
-                left: p(left),
-                right: p(right),
-            },
-            PhysPlan::NLNestJoin {
-                lvar,
-                rvar,
-                pred,
-                rfunc,
-                as_attr,
-                left,
-                right,
-            } => PhysPlan::NLNestJoin {
-                lvar,
-                rvar,
-                pred,
-                rfunc,
-                as_attr,
-                left: p(left),
-                right: p(right),
-            },
-            PhysPlan::Pnhl {
-                outer,
-                set_attr,
-                inner,
-                keys,
-                budget,
-            } => PhysPlan::Pnhl {
-                outer: p(outer),
-                set_attr,
-                inner: p(inner),
-                keys,
-                budget,
-            },
-            PhysPlan::UnnestJoin {
-                outer,
-                set_attr,
-                inner,
-                keys,
-            } => PhysPlan::UnnestJoin {
-                outer: p(outer),
-                set_attr,
-                inner: p(inner),
-                keys,
-            },
-            PhysPlan::Assemble {
-                input,
-                attr,
-                class,
-                set_valued,
-            } => PhysPlan::Assemble {
-                input: p(input),
-                attr,
-                class,
-                set_valued,
-            },
         }
     }
 
@@ -899,9 +639,10 @@ impl<'a> Planner<'a> {
                 value: Box::new(self.lower(value)?),
                 body: Box::new(self.lower(body)?),
             },
-            Expr::Product(l, r) => PhysPlan::ProductOp {
+            Expr::Product(l, r) => PhysPlan::Join {
+                spec: JoinSpec::product(),
                 left: Box::new(self.lower(l)?),
-                right: Box::new(self.lower(r)?),
+                right: Some(Box::new(self.lower(r)?)),
             },
             Expr::Join {
                 kind,
@@ -919,7 +660,17 @@ impl<'a> Planner<'a> {
                 as_attr,
                 left,
                 right,
-            } => self.plan_nestjoin(lvar, rvar, pred, rfunc.as_deref(), as_attr, left, right)?,
+            } => {
+                // The nestjoin is not commutative (the left side keeps its
+                // dangling tuples with empty groups), so only the
+                // implementation is a choice, not the build side.
+                let mode = JoinMode::Nest {
+                    rfunc: rfunc.as_deref().cloned(),
+                    as_attr: as_attr.clone(),
+                };
+                let (l, r) = (self.lower(left)?, self.lower(right)?);
+                self.pick(self.join_candidates(mode, lvar, rvar, pred, &l, &r))
+            }
             // Scalar or irreducible expressions: reference evaluator.
             other => PhysPlan::Eval(other.clone()),
         })
@@ -968,13 +719,14 @@ impl<'a> Planner<'a> {
         } else {
             Vec::new()
         };
-        let mut candidates = self.join_candidates(kind, lvar, rvar, pred, &l, &r, &right_attrs);
+        let mode = JoinMode::Join { kind, right_attrs };
+        let mut candidates = self.join_candidates(mode.clone(), lvar, rvar, pred, &l, &r);
         if kind == JoinKind::Inner {
             // The inner join is commutative (tuples are canonically
             // attribute-ordered), so the build side is a choice: the
             // swapped hash join builds on the original left, the swapped
             // index join probes the original left's index.
-            let swapped = self.join_candidates(kind, rvar, lvar, pred, &r, &l, &[]);
+            let swapped = self.join_candidates(mode, rvar, lvar, pred, &r, &l);
             candidates.extend(swapped.into_iter().filter_map(|(cand, plan)| match cand {
                 Cand::Hash => Some((Cand::SwappedHash, plan)),
                 Cand::Index => Some((Cand::SwappedIndex, plan)),
@@ -985,42 +737,47 @@ impl<'a> Planner<'a> {
         Ok(self.pick(candidates))
     }
 
-    /// The physical candidates of one orientation of a join `l ⋈ r`, in
-    /// tie-break order: hash, sort-merge (inner joins), index nested-loop
-    /// (when `r` scans an extent indexed on an equi-key), membership hash,
-    /// nested loops. [`Planner::plan_join`] adds an inner join's swapped
-    /// build sides; join-order enumeration prices both orientations.
-    #[allow(clippy::too_many_arguments)]
+    /// The physical candidates of one orientation of a join `l ⋈ r` or
+    /// nestjoin `l ⊣ r`, in tie-break order: hash, sort-merge (inner
+    /// joins), index nested-loop (joins whose `r` scans an extent indexed
+    /// on an equi-key), membership hash, nested loops. [`Planner::plan_join`]
+    /// adds an inner join's swapped build sides; join-order enumeration
+    /// prices both orientations.
     pub(crate) fn join_candidates(
         &self,
-        kind: JoinKind,
+        mode: JoinMode,
         lvar: &Name,
         rvar: &Name,
         pred: &Expr,
         l: &PhysPlan,
         r: &PhysPlan,
-        right_attrs: &[Name],
     ) -> Vec<(Cand, PhysPlan)> {
         let split = split_pred(pred, lvar, rvar);
+        let join = |family, residual| PhysPlan::Join {
+            spec: JoinSpec {
+                family,
+                mode: mode.clone(),
+                lvar: lvar.clone(),
+                rvar: rvar.clone(),
+                residual,
+            },
+            left: Box::new(l.clone()),
+            right: Some(Box::new(r.clone())),
+        };
+        let joining = match mode {
+            JoinMode::Join { kind, .. } => Some(kind),
+            JoinMode::Nest { .. } => None,
+        };
         let mut candidates = Vec::new();
         if !split.equi.is_empty() {
             let (lkeys, rkeys): (Vec<Expr>, Vec<Expr>) = split.equi.iter().cloned().unzip();
             let residual = build_residual(split.residual.clone());
-            candidates.push((
-                Cand::Hash,
-                PhysPlan::HashJoin {
-                    kind,
-                    lvar: lvar.clone(),
-                    rvar: rvar.clone(),
-                    lkeys: lkeys.clone(),
-                    rkeys: rkeys.clone(),
-                    residual: residual.clone(),
-                    right_attrs: right_attrs.to_vec(),
-                    left: Box::new(l.clone()),
-                    right: Box::new(r.clone()),
-                },
-            ));
-            if kind == JoinKind::Inner {
+            let keys = JoinFamily::Equi {
+                lkeys: lkeys.clone(),
+                rkeys: rkeys.clone(),
+            };
+            candidates.push((Cand::Hash, join(keys, residual.clone())));
+            if joining == Some(JoinKind::Inner) {
                 candidates.push((
                     Cand::SortMerge,
                     PhysPlan::SortMergeJoin {
@@ -1034,48 +791,16 @@ impl<'a> Planner<'a> {
                     },
                 ));
             }
-            if self.config.use_indexes {
-                if let Some(plan) = self.index_nl_candidate(
-                    kind,
-                    lvar,
-                    rvar,
-                    &split.equi,
-                    &split.residual,
-                    l,
-                    r,
-                    right_attrs,
-                ) {
-                    candidates.push((Cand::Index, plan));
-                }
+            if joining.is_some() && self.config.use_indexes {
+                let index = self.index_nl_candidate(&mode, lvar, rvar, &split, l, r);
+                candidates.extend(index.map(|plan| (Cand::Index, plan)));
             }
         }
         if let Some(shape) = split.member {
-            candidates.push((
-                Cand::Member,
-                PhysPlan::HashMemberJoin {
-                    kind,
-                    lvar: lvar.clone(),
-                    rvar: rvar.clone(),
-                    shape,
-                    residual: build_residual(split.residual),
-                    right_attrs: right_attrs.to_vec(),
-                    left: Box::new(l.clone()),
-                    right: Box::new(r.clone()),
-                },
-            ));
+            let residual = build_residual(split.residual);
+            candidates.push((Cand::Member, join(JoinFamily::Member { shape }, residual)));
         }
-        candidates.push((
-            Cand::NestedLoop,
-            PhysPlan::NLJoin {
-                kind,
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                pred: pred.clone(),
-                right_attrs: right_attrs.to_vec(),
-                left: Box::new(l.clone()),
-                right: Box::new(r.clone()),
-            },
-        ));
+        candidates.push((Cand::NestedLoop, join(JoinFamily::Loop, Some(pred.clone()))));
         candidates
     }
 
@@ -1083,24 +808,21 @@ impl<'a> Planner<'a> {
     /// secondary index on one of the equi-key attributes. The `has_index`
     /// check *is* the planner-level guard: execution refuses to probe a
     /// missing index (`EvalError::MissingIndex`), so no path may
-    /// construct an [`PhysPlan::IndexNLJoin`] without it.
-    #[allow(clippy::too_many_arguments)]
+    /// construct an index-family [`PhysPlan::Join`] without it.
     fn index_nl_candidate(
         &self,
-        kind: JoinKind,
+        mode: &JoinMode,
         lvar: &Name,
         rvar: &Name,
-        equi: &[(Expr, Expr)],
-        residual: &[Expr],
+        split: &SplitPred,
         left: &PhysPlan,
         right: &PhysPlan,
-        right_attrs: &[Name],
     ) -> Option<PhysPlan> {
         let PhysPlan::Scan(extent) = right else {
             return None;
         };
         let t = self.db.table(extent)?;
-        let indexed = equi.iter().position(|(_, rk)| {
+        let indexed = split.equi.iter().position(|(_, rk)| {
             matches!(
                 rk,
                 Expr::Field(b, a)
@@ -1108,93 +830,31 @@ impl<'a> Planner<'a> {
                         && t.has_index(a)
             )
         })?;
-        let mut equi = equi.to_vec();
+        let mut equi = split.equi.clone();
         let (lkey, rkey) = equi.remove(indexed);
         let attr = match rkey {
             Expr::Field(_, a) => a,
             _ => unreachable!("shape checked above"),
         };
-        let mut residual_parts = residual.to_vec();
+        let mut residual_parts = split.residual.clone();
         for (lk, rk) in equi {
             residual_parts.push(Expr::Cmp(CmpOp::Eq, Box::new(lk), Box::new(rk)));
         }
-        Some(PhysPlan::IndexNLJoin {
-            kind,
-            lvar: lvar.clone(),
-            rvar: rvar.clone(),
-            lkey,
-            attr,
-            extent: extent.clone(),
-            residual: build_residual(residual_parts),
-            right_attrs: right_attrs.to_vec(),
-            left: Box::new(left.clone()),
-        })
-    }
-
-    /// Nestjoin planning. The nestjoin is not commutative (the left side
-    /// keeps its dangling tuples with empty groups), so only the
-    /// implementation — hash, membership hash or nested loops — is a
-    /// choice, not the build side.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_nestjoin(
-        &self,
-        lvar: &Name,
-        rvar: &Name,
-        pred: &Expr,
-        rfunc: Option<&Expr>,
-        as_attr: &Name,
-        left: &Expr,
-        right: &Expr,
-    ) -> Result<PhysPlan, PlanError> {
-        let l = self.lower(left)?;
-        let r = self.lower(right)?;
-        let split = split_pred(pred, lvar, rvar);
-        let mut candidates = Vec::new();
-        if !split.equi.is_empty() {
-            let (lkeys, rkeys): (Vec<Expr>, Vec<Expr>) = split.equi.iter().cloned().unzip();
-            candidates.push((
-                Cand::Hash,
-                PhysPlan::HashNestJoin {
-                    lvar: lvar.clone(),
-                    rvar: rvar.clone(),
-                    lkeys,
-                    rkeys,
-                    residual: build_residual(split.residual.clone()),
-                    rfunc: rfunc.cloned(),
-                    as_attr: as_attr.clone(),
-                    left: Box::new(l.clone()),
-                    right: Box::new(r.clone()),
+        Some(PhysPlan::Join {
+            spec: JoinSpec {
+                family: JoinFamily::Index {
+                    lkey,
+                    attr,
+                    extent: extent.clone(),
                 },
-            ));
-        }
-        if let Some(shape) = split.member {
-            candidates.push((
-                Cand::Member,
-                PhysPlan::MemberNestJoin {
-                    lvar: lvar.clone(),
-                    rvar: rvar.clone(),
-                    shape,
-                    residual: build_residual(split.residual),
-                    rfunc: rfunc.cloned(),
-                    as_attr: as_attr.clone(),
-                    left: Box::new(l.clone()),
-                    right: Box::new(r.clone()),
-                },
-            ));
-        }
-        candidates.push((
-            Cand::NestedLoop,
-            PhysPlan::NLNestJoin {
+                mode: mode.clone(),
                 lvar: lvar.clone(),
                 rvar: rvar.clone(),
-                pred: pred.clone(),
-                rfunc: rfunc.cloned(),
-                as_attr: as_attr.clone(),
-                left: Box::new(l),
-                right: Box::new(r),
+                residual: build_residual(residual_parts),
             },
-        ));
-        Ok(self.pick(candidates))
+            left: Box::new(left.clone()),
+            right: None,
+        })
     }
 
     /// Keeps one candidate: under [`JoinAlgo::Cheapest`] the one with the
@@ -1335,6 +995,16 @@ impl<'a> Planner<'a> {
     }
 }
 
+/// Wraps `plan` in an exchange of `dop` workers, in place.
+fn exchanged(plan: &mut PhysPlan, partitioning: Partitioning, dop: usize) {
+    let input = std::mem::replace(plan, PhysPlan::Scan(Name::from("")));
+    *plan = PhysPlan::Exchange {
+        partitioning,
+        dop,
+        input: Box::new(input),
+    };
+}
+
 struct SplitPred {
     equi: Vec<(Expr, Expr)>,
     member: Option<MemberShape>,
@@ -1407,6 +1077,14 @@ mod tests {
     use oodb_adl::dsl::*;
     use oodb_catalog::fixtures::{figure3_db, supplier_part_db};
 
+    /// The family and mode of a join node, for shape assertions.
+    pub(super) fn join_shape(p: &PhysPlan) -> Option<(&JoinFamily, &JoinMode)> {
+        match p {
+            PhysPlan::Join { spec, .. } => Some((&spec.family, &spec.mode)),
+            _ => None,
+        }
+    }
+
     fn plan_and_run(db: &Database, e: &Expr) -> (PhysPlan, Value, Stats) {
         let planner = Planner::new(db);
         let plan = planner.plan(e).unwrap();
@@ -1427,7 +1105,10 @@ mod tests {
         );
         let (phys, v, stats) = plan_and_run(&db, &e);
         assert!(
-            matches!(phys, PhysPlan::HashJoin { .. }),
+            matches!(
+                join_shape(&phys),
+                Some((JoinFamily::Equi { .. }, JoinMode::Join { .. }))
+            ),
             "{}",
             phys.explain()
         );
@@ -1455,8 +1136,13 @@ mod tests {
         assert!(
             matches!(
                 phys,
-                PhysPlan::HashMemberJoin {
-                    residual: Some(_),
+                PhysPlan::Join {
+                    spec: JoinSpec {
+                        family: JoinFamily::Member { .. },
+                        mode: JoinMode::Join { .. },
+                        residual: Some(_),
+                        ..
+                    },
                     ..
                 }
             ),
@@ -1479,7 +1165,10 @@ mod tests {
             table("Y"),
         );
         let (phys, v, stats) = plan_and_run(&db, &e);
-        assert!(matches!(phys, PhysPlan::NLJoin { .. }));
+        assert!(matches!(
+            join_shape(&phys),
+            Some((JoinFamily::Loop, JoinMode::Join { .. }))
+        ));
         assert!(stats.loop_iterations > 0);
         let ev = Evaluator::new(&db);
         assert_eq!(v, ev.eval_closed(&e).unwrap());
@@ -1503,7 +1192,10 @@ mod tests {
             },
         );
         let plan = planner.plan(&e).unwrap();
-        assert!(matches!(plan.phys, PhysPlan::NLJoin { .. }));
+        assert!(matches!(
+            join_shape(&plan.phys),
+            Some((JoinFamily::Loop, JoinMode::Join { .. }))
+        ));
     }
 
     #[test]
@@ -1538,8 +1230,8 @@ mod tests {
             table("Y"),
         );
         assert!(matches!(
-            planner.plan(&sj).unwrap().phys,
-            PhysPlan::HashJoin { .. }
+            join_shape(&planner.plan(&sj).unwrap().phys),
+            Some((JoinFamily::Equi { .. }, JoinMode::Join { .. }))
         ));
     }
 
@@ -1556,7 +1248,10 @@ mod tests {
             table("PART"),
         );
         let (phys, v, _) = plan_and_run(&db, &e);
-        assert!(matches!(phys, PhysPlan::MemberNestJoin { .. }));
+        assert!(matches!(
+            join_shape(&phys),
+            Some((JoinFamily::Member { .. }, JoinMode::Nest { .. }))
+        ));
         let ev = Evaluator::new(&db);
         assert_eq!(v, ev.eval_closed(&e).unwrap());
     }
@@ -1656,11 +1351,11 @@ mod tests {
             table("Y"),
         );
         let (phys, v, _) = plan_and_run(&db, &e);
-        match &phys {
-            PhysPlan::HashJoin { right_attrs, .. } => {
+        match join_shape(&phys) {
+            Some((JoinFamily::Equi { .. }, JoinMode::Join { right_attrs, .. })) => {
                 assert_eq!(right_attrs.len(), 3); // c, d, yid
             }
-            other => panic!("expected hash join, got {}", other.explain()),
+            _ => panic!("expected hash join, got {}", phys.explain()),
         }
         let ev = Evaluator::new(&db);
         assert_eq!(v, ev.eval_closed(&e).unwrap());
@@ -1707,7 +1402,16 @@ mod tests {
         );
         let (phys, v, _) = plan_and_run(&db, &e);
         match &phys {
-            PhysPlan::HashJoin { left, right, .. } => {
+            PhysPlan::Join {
+                spec:
+                    JoinSpec {
+                        family: JoinFamily::Equi { .. },
+                        mode: JoinMode::Join { .. },
+                        ..
+                    },
+                left,
+                right: Some(right),
+            } => {
                 assert!(
                     matches!(left.as_ref(), PhysPlan::Scan(n) if n.as_ref() == "SUPPLIER"),
                     "expected probe side SUPPLIER:\n{}",
@@ -1730,7 +1434,16 @@ mod tests {
         );
         let planner = Planner::new(&db);
         match planner.plan(&e2).unwrap().phys {
-            PhysPlan::HashJoin { right, .. } => {
+            PhysPlan::Join {
+                spec:
+                    JoinSpec {
+                        family: JoinFamily::Equi { .. },
+                        mode: JoinMode::Join { .. },
+                        ..
+                    },
+                right: Some(right),
+                ..
+            } => {
                 assert!(matches!(right.as_ref(), PhysPlan::Scan(n) if n.as_ref() == "DELIVERY"));
             }
             other => panic!("expected hash join, got {}", other.explain()),
@@ -1839,6 +1552,7 @@ mod tests {
 
 #[cfg(test)]
 mod index_tests {
+    use super::tests::join_shape;
     use super::*;
     use crate::eval::Evaluator;
     use oodb_adl::dsl::*;
@@ -1867,7 +1581,10 @@ mod index_tests {
         let planner = Planner::new(&db);
         let plan = planner.plan(&e).unwrap();
         assert!(
-            matches!(plan.phys, PhysPlan::IndexNLJoin { .. }),
+            matches!(
+                join_shape(&plan.phys),
+                Some((JoinFamily::Index { .. }, JoinMode::Join { .. }))
+            ),
             "{}",
             plan.explain()
         );
@@ -1892,8 +1609,8 @@ mod index_tests {
         );
         let planner = Planner::new(&db);
         assert!(matches!(
-            planner.plan(&e).unwrap().phys,
-            PhysPlan::HashJoin { .. }
+            join_shape(&planner.plan(&e).unwrap().phys),
+            Some((JoinFamily::Equi { .. }, JoinMode::Join { .. }))
         ));
         // disabled by config even when present
         let mut db2 = supplier_part_db();
@@ -1906,13 +1623,13 @@ mod index_tests {
             },
         );
         assert!(matches!(
-            planner2.plan(&e).unwrap().phys,
-            PhysPlan::HashJoin { .. }
+            join_shape(&planner2.plan(&e).unwrap().phys),
+            Some((JoinFamily::Equi { .. }, JoinMode::Join { .. }))
         ));
         let planner3 = Planner::new(&db2);
         assert!(matches!(
-            planner3.plan(&e).unwrap().phys,
-            PhysPlan::IndexNLJoin { .. }
+            join_shape(&planner3.plan(&e).unwrap().phys),
+            Some((JoinFamily::Index { .. }, JoinMode::Join { .. }))
         ));
     }
 
@@ -1931,7 +1648,7 @@ mod index_tests {
         let plan = Planner::new(&db).plan(&e).unwrap();
         fn no_index_nl(p: &PhysPlan) {
             assert!(
-                !matches!(p, PhysPlan::IndexNLJoin { .. }),
+                !matches!(join_shape(p), Some((JoinFamily::Index { .. }, _))),
                 "{}",
                 p.explain()
             );
@@ -1955,16 +1672,23 @@ mod index_tests {
             input: Box::new(suppliers.clone()),
         };
         for left in [suppliers, no_suppliers] {
-            let bad = PhysPlan::IndexNLJoin {
-                kind: JoinKind::Inner,
-                lvar: "s".into(),
-                rvar: "d".into(),
-                lkey: var("s").field("eid"),
-                attr: "supplier".into(),
-                extent: "DELIVERY".into(),
-                residual: None,
-                right_attrs: vec![],
+            let bad = PhysPlan::Join {
+                spec: JoinSpec {
+                    family: JoinFamily::Index {
+                        lkey: var("s").field("eid"),
+                        attr: "supplier".into(),
+                        extent: "DELIVERY".into(),
+                    },
+                    mode: JoinMode::Join {
+                        kind: JoinKind::Inner,
+                        right_attrs: vec![],
+                    },
+                    lvar: "s".into(),
+                    rvar: "d".into(),
+                    residual: None,
+                },
                 left: Box::new(left),
+                right: None,
             };
             let mut stats = Stats::new();
             let err = bad.execute_on(&db, &mut stats).unwrap_err();
@@ -2002,7 +1726,10 @@ mod index_tests {
             };
             let planner = Planner::new(&db);
             let plan = planner.plan(&e).unwrap();
-            assert!(matches!(plan.phys, PhysPlan::IndexNLJoin { .. }));
+            assert!(matches!(
+                join_shape(&plan.phys),
+                Some((JoinFamily::Index { .. }, JoinMode::Join { .. }))
+            ));
             let mut stats = Stats::new();
             assert_eq!(
                 plan.execute(&mut stats).unwrap(),

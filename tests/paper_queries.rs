@@ -7,6 +7,7 @@
 use oodb::adl::Expr;
 use oodb::catalog::fixtures::supplier_part_db;
 use oodb::datagen::{generate, GenConfig};
+use oodb::engine::physical::{JoinFamily, JoinSpec};
 use oodb::engine::{PhysPlan, Planner};
 use oodb::value::{Oid, Value};
 use oodb::{Pipeline, PipelineOutput};
@@ -277,11 +278,15 @@ fn under_exchanges(p: &PhysPlan) -> &PhysPlan {
 /// The residual and build side of the first membership join in `p`.
 fn member_join(p: &PhysPlan) -> Option<(&Option<Expr>, &PhysPlan)> {
     match p {
-        PhysPlan::HashMemberJoin {
-            residual, right, ..
-        }
-        | PhysPlan::MemberNestJoin {
-            residual, right, ..
+        PhysPlan::Join {
+            spec:
+                JoinSpec {
+                    family: JoinFamily::Member { .. },
+                    residual,
+                    ..
+                },
+            right: Some(right),
+            ..
         } => Some((residual, right)),
         other => other.children().into_iter().find_map(member_join),
     }
