@@ -319,9 +319,7 @@ impl<'a> CostModel<'a> {
     /// under the configured budget — the `est_spill` EXPLAIN column.
     fn est_spill(&self, plan: &PhysPlan) -> f64 {
         match plan {
-            PhysPlan::Join { spec, left, right } if spec.family.hashed() => {
-                self.est_join(spec, left, right.as_deref()).1
-            }
+            PhysPlan::Join { spec, left, right } => self.est_join(spec, left, right.as_deref()).1,
             PhysPlan::SortMergeJoin { left, right, .. } => {
                 let l = self.est(left).rows * self.row_bytes(left);
                 let r = self.est(right).rows * self.row_bytes(right);
@@ -764,11 +762,7 @@ impl<'a> CostModel<'a> {
                     // draining the right side to a canonical set spills
                     // runs under a bounded budget, so NL is no spill-free
                     // haven
-                    io: if product {
-                        (0.0, 0.0)
-                    } else {
-                        self.sort_io(r_bytes)
-                    },
+                    io: self.sort_io(r_bytes),
                 }
             }
         };

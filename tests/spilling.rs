@@ -328,6 +328,26 @@ fn explain_surfaces_estimated_spill() {
         "unbounded plan priced spill:\n{}",
         unbounded.explain
     );
+    // A nested-loop join drains its right side through the spilling
+    // canonical-set breaker: EXPLAIN estimates the spill it then does.
+    let forced = PlannerConfig {
+        join_algo: JoinAlgo::NestedLoop,
+        ..config(1 << 10, 1)
+    };
+    let nl = Pipeline::with_config(&db, forced).run(q).unwrap();
+    let line = nl
+        .explain
+        .lines()
+        .find(|l| l.trim_start().starts_with("NLJoin"))
+        .unwrap_or_else(|| panic!("no NLJoin in:\n{}", nl.explain));
+    assert!(line.contains("est_spill="), "{line}");
+    let op = nl
+        .stats
+        .operators
+        .iter()
+        .find(|op| op.op.starts_with("NLJoin"))
+        .expect("an NLJoin operator");
+    assert!(op.spill_bytes > 0, "{op:?}");
 }
 
 /// Spill-file I/O failures surface as `EvalError::Io` — no panic, no
