@@ -748,14 +748,18 @@ impl<'a> CostModel<'a> {
                 }
             }
             JoinFamily::Loop => {
+                // every pair is iterated and the predicate evaluated;
+                // without one (the product) every pair matches
                 let all = l.rows * r.rows;
-                let product = spec.residual.is_none();
+                let (probes, pairs) = match spec.residual {
+                    Some(_) => (all + all, all * NL_JOIN_SEL),
+                    None => (all, all),
+                };
                 FamilyEst {
                     build: 0.0,
-                    // every pair is iterated and the predicate evaluated
-                    probes: if product { all } else { all + all },
+                    probes,
                     candidates: 0.0,
-                    pairs: if product { all } else { all * NL_JOIN_SEL },
+                    pairs,
                     p_match: 0.5,
                     // the probes already evaluated the predicate
                     checked: 0.0,

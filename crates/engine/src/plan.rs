@@ -562,9 +562,6 @@ impl<'a> Planner<'a> {
             }
             return;
         }
-        if matches!(plan, PhysPlan::Exchange { .. }) {
-            return;
-        }
         for child in plan.children_mut() {
             self.parallelize(child);
         }
