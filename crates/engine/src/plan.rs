@@ -765,10 +765,15 @@ impl<'a> Planner<'a> {
             JoinMode::Join { kind, .. } => Some(kind),
             JoinMode::Nest { .. } => None,
         };
+        // A keyed candidate checks every conjunct it does not key on: the
+        // equi-keyed ones the membership conjunct, the membership-keyed one
+        // the equi conjuncts.
         let mut candidates = Vec::new();
         if !split.equi.is_empty() {
             let (lkeys, rkeys): (Vec<Expr>, Vec<Expr>) = split.equi.iter().cloned().unzip();
-            let residual = build_residual(split.residual.clone());
+            let member = split.member.as_ref().map(|(_, conjunct)| conjunct.clone());
+            let rest: Vec<Expr> = split.residual.iter().cloned().chain(member).collect();
+            let residual = build_residual(rest.clone());
             let keys = JoinFamily::Equi {
                 lkeys: lkeys.clone(),
                 rkeys: rkeys.clone(),
@@ -789,12 +794,14 @@ impl<'a> Planner<'a> {
                 ));
             }
             if joining.is_some() && self.config.use_indexes {
-                let index = self.index_nl_candidate(&mode, lvar, rvar, &split, l, r);
+                let index = self.index_nl_candidate(&mode, lvar, rvar, &split.equi, &rest, l, r);
                 candidates.extend(index.map(|plan| (Cand::Index, plan)));
             }
         }
-        if let Some(shape) = split.member {
-            let residual = build_residual(split.residual);
+        if let Some((shape, _)) = split.member {
+            let equi = split.equi.into_iter();
+            let equi = equi.map(|(lk, rk)| Expr::Cmp(CmpOp::Eq, lk.into(), rk.into()));
+            let residual = build_residual(split.residual.into_iter().chain(equi).collect());
             candidates.push((Cand::Member, join(JoinFamily::Member { shape }, residual)));
         }
         candidates.push((Cand::NestedLoop, join(JoinFamily::Loop, Some(pred.clone()))));
@@ -806,12 +813,14 @@ impl<'a> Planner<'a> {
     /// check *is* the planner-level guard: execution refuses to probe a
     /// missing index (`EvalError::MissingIndex`), so no path may
     /// construct an index-family [`PhysPlan::Join`] without it.
+    #[allow(clippy::too_many_arguments)]
     fn index_nl_candidate(
         &self,
         mode: &JoinMode,
         lvar: &Name,
         rvar: &Name,
-        split: &SplitPred,
+        equi: &[(Expr, Expr)],
+        residual: &[Expr],
         left: &PhysPlan,
         right: &PhysPlan,
     ) -> Option<PhysPlan> {
@@ -819,7 +828,7 @@ impl<'a> Planner<'a> {
             return None;
         };
         let t = self.db.table(extent)?;
-        let indexed = split.equi.iter().position(|(_, rk)| {
+        let indexed = equi.iter().position(|(_, rk)| {
             matches!(
                 rk,
                 Expr::Field(b, a)
@@ -827,13 +836,13 @@ impl<'a> Planner<'a> {
                         && t.has_index(a)
             )
         })?;
-        let mut equi = split.equi.clone();
+        let mut equi = equi.to_vec();
         let (lkey, rkey) = equi.remove(indexed);
         let attr = match rkey {
             Expr::Field(_, a) => a,
             _ => unreachable!("shape checked above"),
         };
-        let mut residual_parts = split.residual.clone();
+        let mut residual_parts = residual.to_vec();
         for (lk, rk) in equi {
             residual_parts.push(Expr::Cmp(CmpOp::Eq, Box::new(lk), Box::new(rk)));
         }
@@ -1004,7 +1013,8 @@ fn exchanged(plan: &mut PhysPlan, partitioning: Partitioning, dop: usize) {
 
 struct SplitPred {
     equi: Vec<(Expr, Expr)>,
-    member: Option<MemberShape>,
+    /// The membership shape with the conjunct it came from.
+    member: Option<(MemberShape, Expr)>,
     residual: Vec<Expr>,
 }
 
@@ -1012,7 +1022,7 @@ struct SplitPred {
 /// shape, and residual conjuncts.
 fn split_pred(pred: &Expr, lvar: &Name, rvar: &Name) -> SplitPred {
     let mut equi = Vec::new();
-    let mut member: Option<MemberShape> = None;
+    let mut member: Option<(MemberShape, Expr)> = None;
     let mut residual = Vec::new();
 
     let only_over =
@@ -1034,20 +1044,22 @@ fn split_pred(pred: &Expr, lvar: &Name, rvar: &Name) -> SplitPred {
                 }
                 residual.push(c.clone());
             }
-            Expr::SetCmp(SetCmpOp::In, k, s) if member.is_none() => {
-                if only_over(k, rvar) && only_over(s, lvar) && !free_vars(s).is_empty() {
-                    member = Some(MemberShape::RightInLeftSet {
+            Expr::SetCmp(SetCmpOp::In, k, s) if member.is_none() && !free_vars(s).is_empty() => {
+                let shape = if only_over(k, rvar) && only_over(s, lvar) {
+                    MemberShape::RightInLeftSet {
                         lset: (**s).clone(),
                         rkey: (**k).clone(),
-                    });
-                } else if only_over(k, lvar) && only_over(s, rvar) && !free_vars(s).is_empty() {
-                    member = Some(MemberShape::LeftInRightSet {
+                    }
+                } else if only_over(k, lvar) && only_over(s, rvar) {
+                    MemberShape::LeftInRightSet {
                         lkey: (**k).clone(),
                         rset: (**s).clone(),
-                    });
+                    }
                 } else {
                     residual.push(c.clone());
-                }
+                    continue;
+                };
+                member = Some((shape, c.clone()));
             }
             other => residual.push(other.clone()),
         }
@@ -1149,6 +1161,73 @@ mod tests {
         let ev = Evaluator::new(&db);
         assert_eq!(v, ev.eval_closed(&e).unwrap());
         assert_eq!(v.as_set().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn every_candidate_checks_the_conjuncts_it_does_not_key_on() {
+        // x.k = y.j ∧ y.v ∈ x.ks: the hash, sort-merge and index joins
+        // key on the equality and must still check the membership, the
+        // membership join the other way round. Only ⟨k = 1⟩ satisfies
+        // both; ⟨k = 2⟩ matches on the key alone.
+        let mut db = supplier_part_db();
+        db.create_index("PART", "price").unwrap();
+        let left = Expr::Lit(Value::set([
+            Value::tuple([("k", Value::Int(1)), ("ks", Value::set([Value::Int(10)]))]),
+            Value::tuple([("k", Value::Int(2)), ("ks", Value::set([Value::Int(20)]))]),
+        ]));
+        let both = |r: &str| {
+            and(
+                eq(var("x").field("k"), var("y").field(r)),
+                member(var("y").field("pid"), var("x").field("ks")),
+            )
+        };
+        let ev = Evaluator::new(&db);
+        let planner = Planner::new(&db);
+        let l = planner.lower(&left).unwrap();
+        let right = project(&["j", "pid"], rename(&[("price", "j")], table("PART")));
+        let cases = [
+            (both("j"), planner.lower(&right).unwrap(), right),
+            // an extent scan, so the index candidate is live
+            (both("price"), PhysPlan::Scan("PART".into()), table("PART")),
+        ];
+        for (pred, r, right) in cases {
+            let modes = [
+                JoinMode::Join {
+                    kind: JoinKind::Inner,
+                    right_attrs: vec![],
+                },
+                JoinMode::Join {
+                    kind: JoinKind::Semi,
+                    right_attrs: vec![],
+                },
+                JoinMode::Nest {
+                    rfunc: None,
+                    as_attr: "ys".into(),
+                },
+            ];
+            for mode in modes {
+                let e = match &mode {
+                    JoinMode::Join { kind, .. } => Expr::Join {
+                        kind: *kind,
+                        lvar: "x".into(),
+                        rvar: "y".into(),
+                        pred: Box::new(pred.clone()),
+                        left: Box::new(left.clone()),
+                        right: Box::new(right.clone()),
+                    },
+                    JoinMode::Nest { .. } => {
+                        nestjoin("x", "y", pred.clone(), "ys", left.clone(), right.clone())
+                    }
+                };
+                let want = ev.eval_closed(&e).unwrap();
+                let candidates =
+                    planner.join_candidates(mode, &"x".into(), &"y".into(), &pred, &l, &r);
+                for (cand, plan) in candidates {
+                    let got = plan.execute_on(&db, &mut Stats::new()).unwrap();
+                    assert_eq!(got, want, "{cand:?}:\n{}", plan.explain());
+                }
+            }
+        }
     }
 
     #[test]
