@@ -761,7 +761,7 @@ impl<'a> Planner<'a> {
             left: Box::new(l.clone()),
             right: Some(Box::new(r.clone())),
         };
-        let joining = match mode {
+        let join_kind = match mode {
             JoinMode::Join { kind, .. } => Some(kind),
             JoinMode::Nest { .. } => None,
         };
@@ -779,7 +779,7 @@ impl<'a> Planner<'a> {
                 rkeys: rkeys.clone(),
             };
             candidates.push((Cand::Hash, join(keys, residual.clone())));
-            if joining == Some(JoinKind::Inner) {
+            if join_kind == Some(JoinKind::Inner) {
                 candidates.push((
                     Cand::SortMerge,
                     PhysPlan::SortMergeJoin {
@@ -793,7 +793,7 @@ impl<'a> Planner<'a> {
                     },
                 ));
             }
-            if joining.is_some() && self.config.use_indexes {
+            if join_kind.is_some() && self.config.use_indexes {
                 let index = self.index_nl_candidate(&mode, lvar, rvar, &split.equi, &rest, l, r);
                 candidates.extend(index.map(|plan| (Cand::Index, plan)));
             }
