@@ -189,8 +189,8 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// The sort term a [`PhysPlan::SortMergeJoin`] would charge for
-    /// sorting `input` (comparisons plus external-sort I/O under the
+    /// The sort term a sort-merge join ([`JoinFamily::Sorted`]) charges
+    /// for sorting `input` (comparisons plus external-sort I/O under the
     /// configured budget). Join-order enumeration subtracts it when an
     /// input already carries a matching **interesting order** — a prior
     /// sort-merge output sorted on the same keys feeds the merge for
@@ -250,9 +250,6 @@ impl<'a> CostModel<'a> {
             | PhysPlan::NestOp { input, .. }
             | PhysPlan::Assemble { input, .. }
             | PhysPlan::Exchange { input, .. } => self.row_bytes(input),
-            PhysPlan::SortMergeJoin { left, right, .. } => {
-                self.row_bytes(left) + self.row_bytes(right)
-            }
             // nestjoins emit the left row plus a grouped set of right
             // rows (an index join has no right plan to measure)
             PhysPlan::Join {
@@ -320,11 +317,6 @@ impl<'a> CostModel<'a> {
     fn est_spill(&self, plan: &PhysPlan) -> f64 {
         match plan {
             PhysPlan::Join { spec, left, right } => self.est_join(spec, left, right.as_deref()).1,
-            PhysPlan::SortMergeJoin { left, right, .. } => {
-                let l = self.est(left).rows * self.row_bytes(left);
-                let r = self.est(right).rows * self.row_bytes(right);
-                self.sort_io(l).1 + self.sort_io(r).1
-            }
             PhysPlan::Pnhl {
                 outer,
                 set_attr,
@@ -566,30 +558,6 @@ impl<'a> CostModel<'a> {
                 }
             }
             PhysPlan::Join { spec, left, right } => self.est_join(spec, left, right.as_deref()).0,
-            PhysPlan::SortMergeJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                left,
-                right,
-            } => {
-                let l = self.est(left);
-                let r = self.est(right);
-                let ndv_l = self.keys_ndv(lkeys, lvar, &l);
-                let (pairs, _) =
-                    self.equi_pairs(l.rows, r.rows, ndv_l, self.keys_ndv(rkeys, rvar, &r));
-                let sort = l.rows * l.rows.max(2.0).log2() + r.rows * r.rows.max(2.0).log2();
-                let residual_evals = if residual.is_some() { pairs } else { 0.0 };
-                let (lio, _) = self.sort_io(l.rows * self.row_bytes(left));
-                let (rio, _) = self.sort_io(r.rows * self.row_bytes(right));
-                NodeEst {
-                    rows: pairs.max(0.0),
-                    cost: l.cost + r.cost + sort + pairs + residual_evals + lio + rio,
-                    source: None,
-                }
-            }
             PhysPlan::Pnhl {
                 outer,
                 set_attr,
@@ -710,7 +678,7 @@ impl<'a> CostModel<'a> {
                     pairs,
                     p_match,
                     checked: pairs,
-                    io: self.grace_io(r_bytes, l.rows * self.row_bytes(left)),
+                    io: [self.grace_io(r_bytes, l.rows * self.row_bytes(left)), NO_IO],
                 }
             }
             JoinFamily::Member { shape } => {
@@ -723,7 +691,26 @@ impl<'a> CostModel<'a> {
                     pairs,
                     p_match,
                     checked: pairs,
-                    io: self.grace_io(r_bytes, l.rows * self.row_bytes(left)),
+                    io: [self.grace_io(r_bytes, l.rows * self.row_bytes(left)), NO_IO],
+                }
+            }
+            JoinFamily::Sorted { lkeys, rkeys } => {
+                let ndv_l = self.keys_ndv(lkeys, lvar, &l);
+                let (pairs, p_match) =
+                    self.equi_pairs(l.rows, r.rows, ndv_l, self.keys_ndv(rkeys, rvar, &r));
+                FamilyEst {
+                    // sort both sides (n log n comparisons each, plus the
+                    // external sort's I/O), then merge the matched pairs
+                    build: 0.0,
+                    probes: l.rows * l.rows.max(2.0).log2() + r.rows * r.rows.max(2.0).log2(),
+                    candidates: pairs,
+                    pairs,
+                    p_match,
+                    checked: pairs,
+                    io: [
+                        self.sort_io(l.rows * self.row_bytes(left)),
+                        self.sort_io(r_bytes),
+                    ],
                 }
             }
             JoinFamily::Index { lkey, attr, extent } => {
@@ -744,7 +731,7 @@ impl<'a> CostModel<'a> {
                     pairs,
                     p_match,
                     checked: pairs,
-                    io: (0.0, 0.0),
+                    io: [NO_IO; 2],
                 }
             }
             JoinFamily::Loop => {
@@ -766,7 +753,7 @@ impl<'a> CostModel<'a> {
                     // draining the right side to a canonical set spills
                     // runs under a bounded budget, so NL is no spill-free
                     // haven
-                    io: self.sort_io(r_bytes),
+                    io: [self.sort_io(r_bytes), NO_IO],
                 }
             }
         };
@@ -786,13 +773,14 @@ impl<'a> CostModel<'a> {
             // collects every match into its group
             JoinMode::Nest { .. } => (l.rows, f.checked),
         };
-        let (io, spill) = f.io;
+        let [(lio, lspill), (rio, rspill)] = f.io;
+        let cost = l.cost + r.cost + BUILD_WEIGHT * f.build + f.probes + f.candidates + checks;
         let est = NodeEst {
             rows,
-            cost: l.cost + r.cost + BUILD_WEIGHT * f.build + f.probes + f.candidates + checks + io,
+            cost: cost + lio + rio,
             source: None,
         };
-        (est, spill)
+        (est, lspill + rspill)
     }
 
     /// Matched pairs of an equi join of `l_rows` with `r_rows` given the
@@ -870,9 +858,10 @@ impl<'a> CostModel<'a> {
 struct FamilyEst {
     /// Rows inserted into the build (each charged `BUILD_WEIGHT`).
     build: f64,
-    /// Probe work: hash or index probes, or a loop's pair iterations.
+    /// Probe work: hash or index probes, a loop's pair iterations, or a
+    /// sort-merge join's sort comparisons.
     probes: f64,
-    /// Candidate rows read beyond the probes.
+    /// Candidate rows read beyond the probes (index rows, merged pairs).
     candidates: f64,
     /// Expected matched pairs.
     pairs: f64,
@@ -880,9 +869,14 @@ struct FamilyEst {
     p_match: f64,
     /// Pairs a residual is checked on (and a nestjoin collects).
     checked: f64,
-    /// `(io_cost, spill_bytes)` under the budget.
-    io: (f64, f64),
+    /// `(io_cost, spill_bytes)` under the budget, of the left and the
+    /// right spill: a sort-merge join sorts both sides, every other
+    /// family spills at most one pass (and leaves the right [`NO_IO`]).
+    io: [(f64, f64); 2],
 }
+
+/// The `io` of a spill that does not happen.
+const NO_IO: (f64, f64) = (0.0, 0.0);
 
 /// `e` as a plain attribute access `var.attr`, if it is one.
 fn plain_attr<'e>(e: &'e Expr, var: &Name) -> Option<&'e Name> {

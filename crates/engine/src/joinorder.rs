@@ -34,7 +34,7 @@
 //!   return a higher-estimated-cost plan than the rewrite order.
 
 use crate::cost::CostModel;
-use crate::physical::{JoinMode, PhysPlan};
+use crate::physical::{JoinFamily, JoinMode, JoinSpec, PhysPlan};
 use crate::plan::{build_residual, PlanError, Planner};
 use oodb_adl::expr::{conjuncts, Expr, JoinKind};
 use oodb_adl::vars::free_vars;
@@ -375,11 +375,14 @@ impl JoinGraph {
         let raw = est.cost;
         let mut cost = ea.cost + eb.cost + (raw - ea.raw - eb.raw);
         let mut order = None;
-        if let PhysPlan::SortMergeJoin {
-            lvar,
-            rvar,
-            lkeys,
-            rkeys,
+        if let PhysPlan::Join {
+            spec:
+                JoinSpec {
+                    family: JoinFamily::Sorted { lkeys, rkeys },
+                    lvar,
+                    rvar,
+                    ..
+                },
             ..
         } = &cand
         {

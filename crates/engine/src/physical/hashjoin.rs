@@ -1,6 +1,6 @@
 //! The join family: one `JoinSpec` and one operator for every join the
-//! planner emits except sort-merge — hash, membership, nested-loop,
-//! product and index joins.
+//! planner emits — hash, membership, sort-merge, nested-loop, product
+//! and index joins.
 //!
 //! "For example, the join can be implemented as an index nested-loop
 //! join, a sort-merge join, a hash join, etc." (paper §6), and "to
@@ -14,25 +14,29 @@
 //!   is the payload of the one join node, [`PhysPlan::Join`], so the
 //!   planner, the cost model, EXPLAIN and the executor read the same
 //!   value. The [`JoinFamily`] is equi keys or a [`MemberShape`] (hash
-//!   tables), `Loop` (no keys: every row of the drained right set is a
-//!   candidate) or `Index` (no right child: candidates come from the
-//!   extent's secondary index); the [`JoinMode`] is join rows or
-//!   nestjoin groups. Family and mode also name the operator
-//!   ([`JoinSpec::node_line`], [`JoinSpec::op_label`]).
+//!   tables), `Sorted` (both sides sorted on equi keys and merged),
+//!   `Loop` (no keys: every row of the drained right set is a candidate)
+//!   or `Index` (no right child: candidates come from the extent's
+//!   secondary index); the [`JoinMode`] is join rows or nestjoin groups.
+//!   Family and mode also name the operator ([`JoinSpec::node_line`],
+//!   [`JoinSpec::op_label`]).
 //! * **One build.** A hash family evaluates every build row's keys once
 //!   and hashes the keyed rows into `JoinHashTable`s or
 //!   `MemberHashTable`s: one table, or one per [`key_hash`] partition of
 //!   a parallel build. A loop build keeps the drained rows; an index
-//!   build only checks that the extent and its index exist.
+//!   build only checks that the extent and its index exist. A sort-merge
+//!   join builds nothing: it keys and sorts both sides into the runs of
+//!   one merge cursor (`spill_exec::MergeCursor`).
 //! * **One probe.** Every probe row turns its residual-checked
 //!   candidates into output the same way, whether it came from a
-//!   streaming batch, a materialized set or a grace-join spill
-//!   partition.
+//!   streaming batch, a materialized set, a grace-join spill partition
+//!   or a sort-merge key group.
 //! * **One streaming operator.** At dop 1 it runs on the calling thread
-//!   and streams its probe side batch by batch; a hash family at dop > 1
-//!   (under a hash `Exchange`) runs build and probe on the worker pool.
-//!   Under a bounded memory budget an oversized hash build falls back to
-//!   the grace hash join at every dop.
+//!   and streams its probe side batch by batch (a sort-merge join streams
+//!   its merge instead); a hash family at dop > 1 (under a hash
+//!   `Exchange`) runs build and probe on the worker pool. Under a bounded
+//!   memory budget an oversized hash build falls back to the grace hash
+//!   join at every dop, and a sort-merge join sorts in spilled runs.
 //!
 //! Keys are arbitrary ADL expressions over one side's variable; the
 //! residual predicate (non-equi conjuncts, or a nested-loop join's whole
@@ -40,13 +44,17 @@
 
 use super::columnar::{take_row, ProbeInput};
 use super::exchange::{duplicate_free, run_workers, segment_scan, Segment, Share};
-use super::operator::{drain_rows, drain_to_set, BoxOp, Buffered, ExecCtx, ExecOptions, Operator};
-use super::{spill_exec, Partitioning, PhysPlan};
+use super::operator::{
+    drain_raw, drain_rows, drain_to_set, BoxOp, Buffered, ExecCtx, ExecOptions, Operator,
+    BATCH_SIZE,
+};
+use super::spill_exec::{self, MergeCursor};
+use super::{Partitioning, PhysPlan};
 use crate::eval::{Env, EvalError, Evaluator};
 use crate::stats::Stats;
 use oodb_adl::expr::{Expr, JoinKind};
 use oodb_catalog::{Database, Table};
-use oodb_spill::SpillMetrics;
+use oodb_spill::{MemoryBudget, SpillMetrics};
 use oodb_value::fxhash::FxHashMap;
 use oodb_value::{Batch, BatchKind, ColumnarBatch, Name, Set, Tuple, Value};
 use std::borrow::{Borrow, Cow};
@@ -180,6 +188,15 @@ pub enum JoinFamily {
         /// The membership predicate's shape.
         shape: MemberShape,
     },
+    /// Sort-merge join on `lkeys(x) = rkeys(y)`: both sides are sorted on
+    /// their keys and merged, and every pair of an equal-key group is a
+    /// candidate, counted in `loop_iterations`.
+    Sorted {
+        /// Key expressions over the left variable.
+        lkeys: Vec<Expr>,
+        /// Key expressions over the right variable, pairwise with `lkeys`.
+        rkeys: Vec<Expr>,
+    },
     /// No keys: every row of the drained right set is a candidate,
     /// counted in `loop_iterations` — a nested loop, or the Cartesian
     /// product when the join has no predicate.
@@ -279,6 +296,12 @@ impl JoinSpec {
     /// Whether this is the Cartesian product: a loop inner join with no
     /// predicate.
     pub(crate) fn is_product(&self) -> bool {
+        self.bare() && matches!(self.family, JoinFamily::Loop)
+    }
+
+    /// Whether the operator's name alone labels it: the product, and the
+    /// sort-merge inner join (the only sort-merge join the planner emits).
+    fn bare(&self) -> bool {
         let inner = matches!(
             self.mode,
             JoinMode::Join {
@@ -286,7 +309,12 @@ impl JoinSpec {
                 ..
             }
         );
-        inner && matches!(self.family, JoinFamily::Loop) && self.residual.is_none()
+        inner
+            && match self.family {
+                JoinFamily::Loop => self.residual.is_none(),
+                JoinFamily::Sorted { .. } => true,
+                _ => false,
+            }
     }
 
     /// The operator's name, from its family and mode — the one place a
@@ -299,6 +327,8 @@ impl JoinSpec {
             JoinFamily::Equi { .. } => "HashJoin",
             JoinFamily::Member { .. } if nest => "MemberNestJoin",
             JoinFamily::Member { .. } => "HashMemberJoin",
+            JoinFamily::Sorted { .. } if nest => "SortMergeNestJoin",
+            JoinFamily::Sorted { .. } => "SortMergeJoin",
             JoinFamily::Loop if nest => "NLNestJoin",
             JoinFamily::Loop => "NLJoin",
             JoinFamily::Index { .. } => "IndexNLJoin",
@@ -306,11 +336,11 @@ impl JoinSpec {
     }
 
     /// The EXPLAIN line: `HashJoin Semi`, `MemberNestJoin ⊣→ys`,
-    /// `IndexNLJoin Inner on PART.pid`, `Product`.
+    /// `IndexNLJoin Inner on PART.pid`, `Product`, `SortMergeJoin`.
     pub fn node_line(&self) -> String {
         let name = self.name();
         match (&self.mode, &self.family) {
-            _ if self.is_product() => name.into(),
+            _ if self.bare() => name.into(),
             (JoinMode::Join { kind, .. }, JoinFamily::Index { attr, extent, .. }) => {
                 format!("{name} {kind:?} on {extent}.{attr}")
             }
@@ -320,11 +350,11 @@ impl JoinSpec {
     }
 
     /// The operator label `Stats::operators` reports:
-    /// `HashJoin(Semi)`, `MemberNestJoin(ys)`, `Product`.
+    /// `HashJoin(Semi)`, `MemberNestJoin(ys)`, `Product`, `SortMergeJoin`.
     pub fn op_label(&self) -> String {
         let name = self.name();
         match &self.mode {
-            _ if self.is_product() => name.into(),
+            _ if self.bare() => name.into(),
             JoinMode::Join { kind, .. } => format!("{name}({kind:?})"),
             JoinMode::Nest { as_attr, .. } => format!("{name}({as_attr})"),
         }
@@ -353,7 +383,7 @@ impl JoinSpec {
                 let s = eval_under(rset, rvar, y, ev, env, stats)?;
                 s.as_set()?.iter().cloned().collect()
             }
-            JoinFamily::Loop | JoinFamily::Index { .. } => not_hashed(),
+            JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => not_hashed(),
         })
     }
 
@@ -371,7 +401,7 @@ impl JoinSpec {
             JoinFamily::Member { .. } => {
                 BuildSide::Member(vec![MemberHashTable::from_keyed(entries, inserted)])
             }
-            JoinFamily::Loop | JoinFamily::Index { .. } => not_hashed(),
+            JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => not_hashed(),
         }
     }
 
@@ -396,6 +426,7 @@ impl JoinSpec {
                 index_table(ev.db(), extent, attr)?;
                 return Ok(BuildSide::Index);
             }
+            JoinFamily::Sorted { .. } => not_hashed(),
             JoinFamily::Equi { .. } | JoinFamily::Member { .. } => {}
         }
         let mut err = None;
@@ -452,7 +483,7 @@ impl JoinSpec {
                     buckets[p].push((ks, r));
                 }
             }
-            JoinFamily::Loop | JoinFamily::Index { .. } => not_hashed(),
+            JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => not_hashed(),
         }
     }
 
@@ -486,7 +517,7 @@ impl JoinSpec {
                     Ok(t)
                 })?)
             }
-            JoinFamily::Loop | JoinFamily::Index { .. } => not_hashed(),
+            JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => not_hashed(),
         })
     }
 
@@ -520,9 +551,10 @@ impl JoinSpec {
         }
     }
 
-    /// The loop probe: every drained right row is a candidate of every
-    /// probe row.
-    fn probe_loop<V: Borrow<Value>>(
+    /// The loop probe: every row of `rows` is a candidate of every probe
+    /// row — a nested loop's drained right set, or the equal-key group a
+    /// sort-merge join merges a left key group with.
+    pub(crate) fn probe_loop<V: Borrow<Value>>(
         &self,
         rows: &[V],
         probe: ProbeInput<'_>,
@@ -591,7 +623,8 @@ impl JoinSpec {
     }
 
     /// The materialized join: builds over `right` (absent for an index
-    /// join) and probes with `left`, both borrowed.
+    /// join) and probes with `left`, both borrowed; a sort-merge join
+    /// runs its merge cursor to the end instead.
     pub(crate) fn join_sets(
         &self,
         left: &Set,
@@ -601,8 +634,16 @@ impl JoinSpec {
         stats: &mut Stats,
     ) -> Result<Value, EvalError> {
         let rows = right.into_iter().flat_map(|r| r.iter());
-        let build = self.build(rows, ev, env, stats)?;
-        let out = self.probe(&build, left.as_slice().into(), ev, env, stats)?;
+        let out = if let JoinFamily::Sorted { .. } = self.family {
+            let (l, r) = (left.iter().cloned().collect(), rows.cloned().collect());
+            let (budget, local) = (MemoryBudget::unbounded(), &mut SpillMetrics::default());
+            let mut merge = MergeCursor::new(self, l, r, &budget, local, ev, env, stats)?;
+            let out = merge.next_chunk(self, usize::MAX, ev, env, stats)?;
+            out.unwrap_or_default()
+        } else {
+            let build = self.build(rows, ev, env, stats)?;
+            self.probe(&build, left.as_slice().into(), ev, env, stats)?
+        };
         Ok(Value::Set(Set::from_values(out)))
     }
 
@@ -1222,7 +1263,10 @@ impl JoinInput {
 /// build side and only checks its extent and index); then the probe
 /// side streams, one left batch per `next_batch` (residual-free equi
 /// inner/semi/anti joins probe columnar batches in columnar form under
-/// `vectorize`).
+/// `vectorize`). A sort-merge join drains both sides instead, sorts them
+/// into the runs of one [`MergeCursor`] (spilled runs under a bounded
+/// budget), and streams the merge, one chunk of key groups per
+/// `next_batch`.
 ///
 /// **dop > 1** (hash families only) runs build and probe on the worker
 /// pool. `dop` build workers each take a share of the build side,
@@ -1262,6 +1306,9 @@ enum JoinState {
         /// applies (see [`JoinSpec::indexed`]).
         indexed: Option<IndexedBuild>,
     },
+    /// A sort-merge join: the merge cursor over both sides' sorted runs
+    /// emits output a chunk at a time.
+    Merging(Box<MergeCursor>),
     /// The whole output, buffered: the grace join's, or the parallel
     /// probe's.
     Done(Buffered),
@@ -1297,8 +1344,11 @@ impl JoinOp {
     }
 
     /// Runs the build — and at dop > 1 the whole probe — on the first
-    /// pull.
+    /// pull; a sort-merge join sorts both sides instead.
     fn start(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<JoinState, EvalError> {
+        if let JoinFamily::Sorted { .. } = self.spec.family {
+            return Ok(JoinState::Merging(Box::new(self.sort(ctx)?)));
+        }
         let built = if self.dop == 1 {
             self.build_serial(ctx)?
         } else {
@@ -1312,6 +1362,27 @@ impl JoinOp {
             },
             Built::Side(build) => JoinState::Done(Buffered::new(self.probe_parallel(&build, ctx)?)),
         })
+    }
+
+    /// The sort phase of a sort-merge join: both sides drain, left
+    /// first. Unbounded, each canonical set becomes one in-memory run.
+    /// Bounded, the sides drain raw into budget-sized spilled runs, which
+    /// deduplicate as they merge, so no side pays a separate
+    /// canonicalize-and-spill pass first.
+    fn sort(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<MergeCursor, EvalError> {
+        let Some(right) = &mut self.right else {
+            unreachable!("a sort-merge join has a right side");
+        };
+        let (left, right, spill) = (&mut self.left.op, &mut right.op, &mut self.spill);
+        let budget = ctx.opts.budget.clone();
+        let (l, r) = if budget.is_bounded() {
+            (drain_raw(left, ctx)?, drain_raw(right, ctx)?)
+        } else {
+            let l = drain_to_set(left, spill, ctx)?.into_values();
+            (l, drain_to_set(right, spill, ctx)?.into_values())
+        };
+        let (ev, env, stats) = (&ctx.ev, &mut ctx.env, &mut *ctx.stats);
+        MergeCursor::new(&self.spec, l, r, &budget, spill, ev, env, stats)
     }
 
     /// The dop 1 build, on the calling thread. Only a hash build is
@@ -1446,6 +1517,11 @@ impl Operator for JoinOp {
         }
         let (build, indexed) = match &mut self.state {
             JoinState::Done(buf) => return Ok(buf.next_chunk(BatchKind::Row)),
+            JoinState::Merging(merge) => {
+                let (ev, env, stats) = (&ctx.ev, &mut ctx.env, &mut *ctx.stats);
+                let out = merge.next_chunk(&self.spec, BATCH_SIZE, ev, env, stats)?;
+                return Ok(out.map(Batch::from_rows));
+            }
             JoinState::Probing { build, indexed } => (&*build, indexed.as_ref()),
             JoinState::Pending => unreachable!("started above"),
         };
@@ -1808,6 +1884,47 @@ mod tests {
             .any(|r| r.as_tuple().unwrap().get("c") == Some(&Value::Null)));
     }
 
+    #[test]
+    fn sort_merge_agrees_with_hash_join() {
+        let db = figure3_db();
+        let x = set_of(&db, "X");
+        let y = set_of(&db, "Y");
+        let (lkeys, rkeys) = (vec![var("x").field("b")], vec![var("y").field("d")]);
+        let inner = || joining(JoinKind::Inner);
+        let sorted = JoinFamily::Sorted {
+            lkeys: lkeys.clone(),
+            rkeys: rkeys.clone(),
+        };
+        let merge = spec("x", "y", sorted, inner(), None);
+        let (smj, _) = run(&db, |ev, env, st| {
+            merge.join_sets(&x, Some(&y), ev, env, st)
+        });
+        let hash = spec("x", "y", equi(lkeys, rkeys), inner(), None);
+        let (hj, _) = run(&db, |ev, env, st| hash.join_sets(&x, Some(&y), ev, env, st));
+        assert_eq!(smj, hj);
+        assert_eq!(smj.as_set().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn sort_merge_residual_applies_within_groups() {
+        let db = figure3_db();
+        let x = set_of(&db, "X");
+        let y = set_of(&db, "Y");
+        let sorted = JoinFamily::Sorted {
+            lkeys: vec![var("x").field("b")],
+            rkeys: vec![var("y").field("d")],
+        };
+        let residual = Some(lt(var("x").field("a"), var("y").field("c")));
+        let merge = spec("x", "y", sorted, joining(JoinKind::Inner), residual);
+        let (v, _) = run(&db, |ev, env, st| {
+            merge.join_sets(&x, Some(&y), ev, env, st)
+        });
+        // matches on b=d=1: pairs (x1,y1),(x1,y2),(x2,y1),(x2,y2) — keep a<c:
+        // (1,2) only... x1=(a=1) with y(c=2): 1<2 ✓; x1 with y(c=1): ✗;
+        // x2=(a=2): 2<1 ✗, 2<2 ✗ → exactly 1 row
+        assert_eq!(v.as_set().unwrap().len(), 1);
+    }
+
     /// `σ[x : x.price < 1000](L)` over a literal `L` of `rows` tuples
     /// `⟨k, price, elems⟩`, canonically ordered by `k`. The rows of the
     /// last batch carry a `Null` price, so the filter fails only there.
@@ -1921,6 +2038,67 @@ mod tests {
                     plan.op_label()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn sort_merge_streams_its_output() {
+        // A merge over 3+ batches of key groups whose residual fails only
+        // in the last groups (a `Null` price): a streaming merge hands out
+        // output before it reaches the failure, in memory and with both
+        // sides sorted in spilled runs; a buffering one would fail on the
+        // first pull.
+        let rows = 3 * BATCH_SIZE + 17;
+        let first_bad = rows - BATCH_SIZE / 2;
+        let left = (0..rows)
+            .map(|k| {
+                let price = if k >= first_bad {
+                    Value::Null
+                } else {
+                    Value::Int(k as i64 % 100)
+                };
+                Value::tuple([("k", Value::Int(k as i64)), ("price", price)])
+            })
+            .collect();
+        let right = (0..rows)
+            .map(|k| Value::tuple([("j", Value::Int(k as i64))]))
+            .collect();
+        let literal = |rows| Box::new(PhysPlan::Literal(Value::Set(Set::from_values(rows))));
+        let sorted = JoinFamily::Sorted {
+            lkeys: vec![var("x").field("k")],
+            rkeys: vec![var("y").field("j")],
+        };
+        let residual = Some(lt(var("x").field("price"), int(1000)));
+        let plan = PhysPlan::Join {
+            spec: spec("x", "y", sorted, joining(JoinKind::Inner), residual),
+            left: literal(left),
+            right: Some(literal(right)),
+        };
+        let db = supplier_part_db();
+        for budget in [MemoryBudget::unbounded(), MemoryBudget::bytes(16 * 1024)] {
+            let opts = ExecOptions {
+                budget: budget.clone(),
+                ..PlannerConfig::default().exec_options()
+            };
+            let mut stream = ResultStream::with_options(&plan, &db, opts);
+            let first = stream.next_chunk();
+            assert!(
+                matches!(first, Ok(Some(_))),
+                "{budget:?}: first pull {first:?}"
+            );
+            let err = loop {
+                match stream.next_chunk() {
+                    Ok(Some(_)) => continue,
+                    Ok(None) => panic!("{budget:?}: the failing tail never surfaced"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(
+                matches!(err, EvalError::NullNotAllowed(_)),
+                "{budget:?}: {err}"
+            );
+            // the bounded merge really read spilled runs
+            assert_eq!(stream.stats().spill_bytes > 0, budget.is_bounded());
         }
     }
 

@@ -7,10 +7,9 @@
 //! * [`hashjoin`] — one join node ([`PhysPlan::Join`], described by a
 //!   [`JoinSpec`]) and one operator for `⋈`, `⋉`, `▷`, `⟕` and the
 //!   nestjoin `⊣`, implemented as a hash join (equi keys, or membership
-//!   keys for predicates like `p.pid ∈ s.parts`), an index nested-loop
-//!   join, or a nested loop (the fallback for arbitrary predicates, and
-//!   the Cartesian product);
-//! * [`sortmerge`] — sort-merge join;
+//!   keys for predicates like `p.pid ∈ s.parts`), a sort-merge join, an
+//!   index nested-loop join, or a nested loop (the fallback for
+//!   arbitrary predicates, and the Cartesian product);
 //! * [`pnhl`] — the Partitioned Nested-Hashed-Loops algorithm of \[DeLa92\]
 //!   for materializing set-valued attributes under a memory budget (§6.2);
 //! * [`assembly`] — the pointer-based materialize operator of \[BlMG93\]
@@ -24,7 +23,6 @@ pub mod exchange;
 pub mod hashjoin;
 pub mod operator;
 pub mod pnhl;
-pub mod sortmerge;
 pub(crate) mod spill_exec;
 
 use crate::eval::{aggregate, nest_set, unnest_set, Env, EvalError, Evaluator};
@@ -157,10 +155,10 @@ pub enum PhysPlan {
         /// Body plan (may reference `var`).
         body: Box<PhysPlan>,
     },
-    /// Every join but sort-merge — `⋈ ⋉ ▷ ⟕`, the nestjoin `⊣` (paper
-    /// §6.1) and the Cartesian product — as one [`JoinSpec`]: its
-    /// [`JoinFamily`] says how candidates are found (hash on equi keys,
-    /// hash on a membership predicate, nested loop, or a secondary
+    /// Every join — `⋈ ⋉ ▷ ⟕`, the nestjoin `⊣` (paper §6.1) and the
+    /// Cartesian product — as one [`JoinSpec`]: its [`JoinFamily`] says
+    /// how candidates are found (hash on equi keys, hash on a membership
+    /// predicate, sort-merge on equi keys, nested loop, or a secondary
     /// index), its [`JoinMode`] whether join rows or nestjoin groups come
     /// out.
     Join {
@@ -171,23 +169,6 @@ pub enum PhysPlan {
         /// Right (build) plan; `None` exactly for the index family, which
         /// probes its extent's index instead.
         right: Option<Box<PhysPlan>>,
-    },
-    /// Sort-merge implementation of the regular equi-join.
-    SortMergeJoin {
-        /// Left variable.
-        lvar: Name,
-        /// Right variable.
-        rvar: Name,
-        /// Left key.
-        lkeys: Vec<Expr>,
-        /// Right key.
-        rkeys: Vec<Expr>,
-        /// Residual predicate.
-        residual: Option<Expr>,
-        /// Left plan.
-        left: Box<PhysPlan>,
-        /// Right plan.
-        right: Box<PhysPlan>,
     },
     /// PNHL (\[DeLa92\]): materialize a set-valued attribute by joining its
     /// elements with a flat build table under a memory budget.
@@ -397,36 +378,6 @@ impl PhysPlan {
                 };
                 spec.join_sets(&l, r.as_ref(), ev, env, stats)
             }
-            PhysPlan::SortMergeJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                left,
-                right,
-            } => {
-                let l = left.exec(ev, env, stats)?.into_set()?;
-                let r = right.exec(ev, env, stats)?.into_set()?;
-                let mut state = sortmerge::SortMergeState::build(
-                    lvar,
-                    rvar,
-                    lkeys,
-                    rkeys,
-                    l.iter(),
-                    r.iter(),
-                    ev,
-                    env,
-                    stats,
-                )?;
-                let mut out = Vec::new();
-                while let Some(chunk) =
-                    state.next_chunk(lvar, rvar, residual.as_ref(), usize::MAX, ev, env, stats)?
-                {
-                    out.extend(chunk);
-                }
-                Ok(Value::Set(Set::from_values(out)))
-            }
             PhysPlan::Pnhl {
                 outer,
                 set_attr,
@@ -512,7 +463,6 @@ impl PhysPlan {
             PhysPlan::AggNode { op, .. } => format!("Agg {}", op.name()),
             PhysPlan::LetOp { var, .. } => format!("Let {var}"),
             PhysPlan::Join { spec, .. } => spec.node_line(),
-            PhysPlan::SortMergeJoin { .. } => "SortMergeJoin".into(),
             PhysPlan::Pnhl {
                 set_attr, budget, ..
             } => {
@@ -560,10 +510,7 @@ impl PhysPlan {
             | PhysPlan::AggNode { input, .. }
             | PhysPlan::Assemble { input, .. }
             | PhysPlan::Exchange { input, .. } => vec![input],
-            PhysPlan::SetOpNode { left, right, .. }
-            | PhysPlan::SortMergeJoin { left, right, .. } => {
-                vec![left, right]
-            }
+            PhysPlan::SetOpNode { left, right, .. } => vec![left, right],
             PhysPlan::Join { left, right, .. } => {
                 std::iter::once(&**left).chain(right.as_deref()).collect()
             }
@@ -589,10 +536,7 @@ impl PhysPlan {
             | PhysPlan::AggNode { input, .. }
             | PhysPlan::Assemble { input, .. }
             | PhysPlan::Exchange { input, .. } => vec![input],
-            PhysPlan::SetOpNode { left, right, .. }
-            | PhysPlan::SortMergeJoin { left, right, .. } => {
-                vec![left, right]
-            }
+            PhysPlan::SetOpNode { left, right, .. } => vec![left, right],
             PhysPlan::Join { left, right, .. } => std::iter::once(&mut **left)
                 .chain(right.as_deref_mut())
                 .collect(),

@@ -26,7 +26,6 @@
 
 use super::columnar::{simple_attr, MaskExpr};
 use super::hashjoin::JoinOp;
-use super::sortmerge::SortMergeState;
 use super::{pnhl, spill_exec, MatchKeys, PhysPlan};
 use crate::eval::{aggregate, nest_set, unnest_value, Env, EvalError, Evaluator};
 use crate::stats::{OpStats, OpTiming, PlanOrdinal, Stats};
@@ -189,7 +188,10 @@ pub(crate) fn drain_to_set(
 /// consumer that performs its own set dedupe — the keyed external merge
 /// sort. Scalar children keep the set/error contract of
 /// [`drain_to_set`]; their single set value is already canonical.
-fn drain_raw(op: &mut BoxOp, ctx: &mut ExecCtx<'_, '_>) -> Result<Vec<Value>, EvalError> {
+pub(crate) fn drain_raw(
+    op: &mut BoxOp,
+    ctx: &mut ExecCtx<'_, '_>,
+) -> Result<Vec<Value>, EvalError> {
     if op.scalar() {
         Ok(drain_scalar(op, ctx)?.into_set()?.into_values())
     } else {
@@ -1125,112 +1127,6 @@ impl Operator for LetOp {
 }
 
 // ---------------------------------------------------------------------
-// Sort-merge join. Every other join compiles to `hashjoin::JoinOp`.
-
-/// How a sort-merge join holds its sorted inputs.
-enum SmjState {
-    /// Inputs not yet drained.
-    Pending,
-    /// Fully in-memory sorted runs with an incremental merge cursor
-    /// (the unbounded path).
-    InMem(SortMergeState),
-    /// External merge sort ran under the budget; output buffered.
-    External(Buffered),
-}
-
-/// Sort-merge join: both runs sorted up front (the blocking phase), then
-/// match groups are emitted chunk by chunk from the merge cursor. Under
-/// a bounded memory budget each side sorts in budget-sized spilled runs
-/// that are k-way merged (see [`spill_exec::external_sort_merge_join`]).
-struct SortMergeJoinOp {
-    lvar: Name,
-    rvar: Name,
-    lkeys: Vec<Expr>,
-    rkeys: Vec<Expr>,
-    residual: Option<Expr>,
-    left: BoxOp,
-    right: BoxOp,
-    state: SmjState,
-    spill: SpillMetrics,
-}
-
-impl Operator for SortMergeJoinOp {
-    fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
-        self.state = SmjState::Pending;
-        self.left.open(ctx)?;
-        self.right.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
-        if matches!(self.state, SmjState::Pending) {
-            self.state = if ctx.opts.budget.is_bounded() {
-                // raw drains: the canonical-set dedupe is folded into
-                // the keyed external merge (runs deduplicate before
-                // each spill, the group cursor drops cross-run
-                // duplicates), so each side spills once instead of
-                // paying a separate canonicalize-and-spill pass first
-                let l = drain_raw(&mut self.left, ctx)?;
-                let r = drain_raw(&mut self.right, ctx)?;
-                let budget = ctx.opts.budget.clone();
-                let rows = spill_exec::external_sort_merge_join(
-                    &self.lvar,
-                    &self.rvar,
-                    &self.lkeys,
-                    &self.rkeys,
-                    self.residual.as_ref(),
-                    l,
-                    r,
-                    &budget,
-                    &mut self.spill,
-                    ctx,
-                )?;
-                SmjState::External(Buffered::new(rows))
-            } else {
-                let l = drain_to_set(&mut self.left, &mut self.spill, ctx)?;
-                let r = drain_to_set(&mut self.right, &mut self.spill, ctx)?;
-                SmjState::InMem(SortMergeState::build(
-                    &self.lvar,
-                    &self.rvar,
-                    &self.lkeys,
-                    &self.rkeys,
-                    l.into_values(),
-                    r.into_values(),
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?)
-            };
-        }
-        match &mut self.state {
-            SmjState::External(buf) => Ok(buf.next_chunk(BatchKind::Row)),
-            SmjState::InMem(state) => {
-                let rows = state.next_chunk(
-                    &self.lvar,
-                    &self.rvar,
-                    self.residual.as_ref(),
-                    BATCH_SIZE,
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?;
-                Ok(rows.map(Batch::from_rows))
-            }
-            SmjState::Pending => unreachable!("resolved above"),
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
-        self.state = SmjState::Pending;
-        self.left.close(ctx);
-        self.right.close(ctx);
-    }
-
-    fn spill_metrics(&self) -> SpillMetrics {
-        self.spill
-    }
-}
-
-// ---------------------------------------------------------------------
 // Compilation.
 
 impl PhysPlan {
@@ -1433,25 +1329,6 @@ impl PhysPlan {
             PhysPlan::Join { .. } => {
                 Box::new(JoinOp::from_plan(self, ord, 1).expect("a join node"))
             }
-            PhysPlan::SortMergeJoin {
-                lvar,
-                rvar,
-                lkeys,
-                rkeys,
-                residual,
-                left,
-                right,
-            } => Box::new(SortMergeJoinOp {
-                lvar: lvar.clone(),
-                rvar: rvar.clone(),
-                lkeys: lkeys.clone(),
-                rkeys: rkeys.clone(),
-                residual: residual.clone(),
-                left: left.compile_rows(kids[0], 0, 1),
-                right: right.compile_rows(kids[1], 0, 1),
-                state: SmjState::Pending,
-                spill: SpillMetrics::default(),
-            }),
             PhysPlan::Assemble {
                 input,
                 attr,
@@ -1489,7 +1366,6 @@ impl PhysPlan {
             PhysPlan::AggNode { op, .. } => format!("Agg({})", op.name()),
             PhysPlan::LetOp { var, .. } => format!("Let({var})"),
             PhysPlan::Join { spec, .. } => spec.op_label(),
-            PhysPlan::SortMergeJoin { .. } => "SortMergeJoin".into(),
             PhysPlan::Pnhl { set_attr, .. } => format!("PNHL({set_attr})"),
             PhysPlan::UnnestJoin { set_attr, .. } => format!("UnnestJoin({set_attr})"),
             PhysPlan::Assemble { attr, class, .. } => format!("Assemble({attr}->{class})"),
@@ -1787,7 +1663,9 @@ mod tests {
         }
 
         // Every node the one join operator runs besides the hash joins,
-        // hand-built next to its ADL expression.
+        // hand-built next to its ADL expression: the nested loops and the
+        // sort-merge joins (keyed on `x.b = y.d`) in every mode, the
+        // product and the index joins.
         let scan = |t: &str| Box::new(PhysPlan::Scan(t.into()));
         let kinds = [
             JoinKind::Inner,
@@ -1809,48 +1687,56 @@ mod tests {
         };
         let mut cases: Vec<(&Database, PhysPlan, Expr)> = Vec::new();
         let pred = lt(var("x").field("a"), var("y").field("c"));
-        for kind in kinds {
-            let plan = PhysPlan::Join {
-                spec: JoinSpec {
-                    family: JoinFamily::Loop,
-                    mode: JoinMode::Join {
-                        kind,
-                        right_attrs: padding(kind, &["c", "d", "yid"]),
+        let sorted = JoinFamily::Sorted {
+            lkeys: vec![var("x").field("b")],
+            rkeys: vec![var("y").field("d")],
+        };
+        let keyed = and(eq(var("x").field("b"), var("y").field("d")), pred.clone());
+        for (family, adl_pred) in [(JoinFamily::Loop, pred.clone()), (sorted, keyed)] {
+            for kind in kinds {
+                let plan = PhysPlan::Join {
+                    spec: JoinSpec {
+                        family: family.clone(),
+                        mode: JoinMode::Join {
+                            kind,
+                            right_attrs: padding(kind, &["c", "d", "yid"]),
+                        },
+                        lvar: "x".into(),
+                        rvar: "y".into(),
+                        residual: Some(pred.clone()),
                     },
+                    left: scan("X"),
+                    right: Some(scan("Y")),
+                };
+                let e = adl_join(kind, "x", "y", adl_pred.clone(), "X", "Y");
+                cases.push((&db, plan, e));
+            }
+            for rfunc in [None, Some(var("y").field("c"))] {
+                let plan = PhysPlan::Join {
+                    spec: JoinSpec {
+                        family: family.clone(),
+                        mode: JoinMode::Nest {
+                            rfunc: rfunc.clone(),
+                            as_attr: "ys".into(),
+                        },
+                        lvar: "x".into(),
+                        rvar: "y".into(),
+                        residual: Some(pred.clone()),
+                    },
+                    left: scan("X"),
+                    right: Some(scan("Y")),
+                };
+                let e = Expr::NestJoin {
                     lvar: "x".into(),
                     rvar: "y".into(),
-                    residual: Some(pred.clone()),
-                },
-                left: scan("X"),
-                right: Some(scan("Y")),
-            };
-            cases.push((&db, plan, adl_join(kind, "x", "y", pred.clone(), "X", "Y")));
-        }
-        for rfunc in [None, Some(var("y").field("c"))] {
-            let plan = PhysPlan::Join {
-                spec: JoinSpec {
-                    family: JoinFamily::Loop,
-                    mode: JoinMode::Nest {
-                        rfunc: rfunc.clone(),
-                        as_attr: "ys".into(),
-                    },
-                    lvar: "x".into(),
-                    rvar: "y".into(),
-                    residual: Some(pred.clone()),
-                },
-                left: scan("X"),
-                right: Some(scan("Y")),
-            };
-            let e = Expr::NestJoin {
-                lvar: "x".into(),
-                rvar: "y".into(),
-                pred: Box::new(pred.clone()),
-                rfunc: rfunc.map(Box::new),
-                as_attr: "ys".into(),
-                left: Box::new(table("X")),
-                right: Box::new(table("Y")),
-            };
-            cases.push((&db, plan, e));
+                    pred: Box::new(adl_pred.clone()),
+                    rfunc: rfunc.map(Box::new),
+                    as_attr: "ys".into(),
+                    left: Box::new(table("X")),
+                    right: Box::new(table("Y")),
+                };
+                cases.push((&db, plan, e));
+            }
         }
         let plan = PhysPlan::Join {
             spec: JoinSpec::product(),
@@ -1904,6 +1790,22 @@ mod tests {
                 materialized_rows_by_label(&plan, db),
                 "{label}"
             );
+            if let PhysPlan::Join { spec, .. } = &plan {
+                if let JoinFamily::Sorted { .. } = spec.family {
+                    // At one byte every row is a sorted run of its own,
+                    // on both sides.
+                    let tiny = ExecOptions {
+                        budget: MemoryBudget::bytes(1),
+                        ..default_opts()
+                    };
+                    let mut ts = Stats::new();
+                    let t = plan.execute_streaming(db, &mut ts, &tiny).unwrap();
+                    assert_eq!(t, s, "{label} from spilled runs");
+                    assert_eq!(work(&ts), work(&ss), "{label} from spilled runs");
+                    let op = ts.operator(&label).unwrap();
+                    assert!(op.spill_bytes > 0, "{label} did not spill: {op:?}");
+                }
+            }
             // Under a hash exchange a non-hash join still runs at dop 1.
             let exchanged = PhysPlan::Exchange {
                 partitioning: Partitioning::Hash,

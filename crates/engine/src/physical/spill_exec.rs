@@ -1,9 +1,10 @@
 //! Out-of-core execution: grace hash join, external merge sort, and the
 //! spill-backed PNHL — the engine half of the `oodb-spill` subsystem.
 //!
-//! Under an unbounded [`MemoryBudget`] (the default) none of this code
-//! runs and every operator keeps its legacy in-memory behavior. Under a
-//! bounded budget:
+//! Under an unbounded [`MemoryBudget`] (the default) every operator keeps
+//! its state in memory, and of this code only a sort-merge join's
+//! [`MergeCursor`] runs, over one in-memory run per side. Under a bounded
+//! budget:
 //!
 //! * **Grace hash join** ([`grace_join`]):
 //!   when a build side's keyed rows exceed the budget, both build *and*
@@ -13,11 +14,13 @@
 //!   to exactly one partition, so semi/anti/outer handling stays local;
 //!   membership probes may span partitions, so matches are tracked by
 //!   probe-row ordinal and resolved in a final pass over a pending file.
-//! * **External merge sort** ([`external_sort_merge_join`] /
-//!   [`budgeted_canonical_set`]): sort-merge runs and canonical-set
+//! * **External merge sort** ([`MergeCursor`] /
+//!   [`budgeted_canonical_set`]): sort-merge join sides and canonical-set
 //!   boundaries accumulate at most a budget's worth of rows, sort and
 //!   spill them as a run, and k-way merge the runs back (deduplicating
-//!   at set boundaries, exactly like `Set::from_values`).
+//!   at set boundaries, exactly like `Set::from_values`). A sort-merge
+//!   join merges its two sides' runs into output a chunk at a time, so
+//!   its output streams under a budget too.
 //! * **PNHL** ([`pnhl_spill_rows`]): instead of re-probing every outer
 //!   element once per build segment, inner rows and probe elements are
 //!   hash-partitioned through the [`SpillManager`] and each element is
@@ -34,7 +37,7 @@ use super::hashjoin::{
 };
 use super::operator::{BoxOp, ExecCtx};
 use super::MatchKeys;
-use crate::eval::EvalError;
+use crate::eval::{Env, EvalError, Evaluator};
 use crate::stats::Stats;
 use oodb_adl::expr::{Expr, JoinKind};
 use oodb_spill::{MemoryBudget, SpillManager, SpillMetrics, SpillReader};
@@ -166,7 +169,9 @@ pub(crate) fn grace_join(
         JoinFamily::Member { shape } => {
             grace_member_join(spec, shape, keyed_build, probe, &budget, local, ctx)
         }
-        JoinFamily::Loop | JoinFamily::Index { .. } => hashjoin::not_hashed(),
+        JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => {
+            hashjoin::not_hashed()
+        }
     }
 }
 
@@ -706,25 +711,29 @@ impl KeyedRuns {
 }
 
 /// Evaluates keys and builds bounded sorted runs for one join side,
-/// spilling each full run through `mgr`. Each run is deduplicated
-/// before it is spilled (equal rows have equal keys, so they sort
-/// adjacent), and [`KeyedRuns::next_group`] drops the cross-run
-/// duplicates the per-run pass cannot see — together they reproduce the
-/// canonical-set semantics without the separate canonicalize-and-spill
-/// pass the inputs used to pay.
+/// spilling each full run through `mgr` (under an unbounded budget the
+/// rows stay one in-memory run). Each run is deduplicated before it is
+/// spilled (equal rows have equal keys, so they sort adjacent), and
+/// [`KeyedRuns::next_group`] drops the cross-run duplicates the per-run
+/// pass cannot see — together they reproduce the canonical-set semantics
+/// without the separate canonicalize-and-spill pass the inputs used to
+/// pay.
+#[allow(clippy::too_many_arguments)]
 fn build_keyed_runs(
     rows: Vec<Value>,
     keys: &[Expr],
     var: &Name,
     budget: &MemoryBudget,
     mgr: &mut SpillManager,
-    ctx: &mut ExecCtx<'_, '_>,
+    ev: &Evaluator<'_>,
+    env: &mut Env,
+    stats: &mut Stats,
 ) -> Result<KeyedRuns, EvalError> {
     let mut buf: Vec<(Vec<Value>, Value)> = Vec::new();
     let mut bytes = 0usize;
     let mut writers = Vec::new();
     for v in rows {
-        let key = eval_keys(keys, var, &v, &ctx.ev, &mut ctx.env, ctx.stats)?;
+        let key = eval_keys(keys, var, &v, ev, env, stats)?;
         bytes += entry_bytes(&key, &v);
         buf.push((key, v));
         if budget.exceeded_by(bytes) {
@@ -746,60 +755,81 @@ fn build_keyed_runs(
     KeyedRuns::new(buf, mgr, writers)
 }
 
-/// Sort-merge join over externally sorted runs: both sides generate
-/// budget-bounded sorted runs, spill them, and the merge joins the two
-/// k-way-merged streams group by group. Inputs arrive **raw** (not
-/// canonicalized): set dedupe is folded into the keyed merge itself —
-/// per-run dedupe before each spill plus adjacent-duplicate elimination
-/// in the group cursor — so each side is spilled once instead of twice.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn external_sort_merge_join(
-    lvar: &Name,
-    rvar: &Name,
-    lkeys: &[Expr],
-    rkeys: &[Expr],
-    residual: Option<&Expr>,
-    left_rows: Vec<Value>,
-    right_rows: Vec<Value>,
-    budget: &MemoryBudget,
-    local: &mut SpillMetrics,
-    ctx: &mut ExecCtx<'_, '_>,
-) -> Result<Vec<Value>, EvalError> {
-    let mut mgr = SpillManager::new(budget);
-    let mut l = build_keyed_runs(left_rows, lkeys, lvar, budget, &mut mgr, ctx)?;
-    let mut r = build_keyed_runs(right_rows, rkeys, rvar, budget, &mut mgr, ctx)?;
-    let mut out = Vec::new();
-    let mut lg = l.next_group()?;
-    let mut rg = r.next_group()?;
-    while let (Some((lk, lrows)), Some((rk, rrows))) = (&lg, &rg) {
-        match lk.cmp(rk) {
-            std::cmp::Ordering::Less => lg = l.next_group()?,
-            std::cmp::Ordering::Greater => rg = r.next_group()?,
-            std::cmp::Ordering::Equal => {
-                for x in lrows {
-                    for y in rrows {
-                        ctx.stats.loop_iterations += 1;
-                        if hashjoin::residual_holds(
-                            residual,
-                            lvar,
-                            x,
-                            rvar,
-                            y,
-                            &ctx.ev,
-                            &mut ctx.env,
-                            ctx.stats,
-                        )? {
-                            out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?));
-                        }
-                    }
-                }
-                lg = l.next_group()?;
-                rg = r.next_group()?;
+/// A sort-merge join's merge cursor: both sides' keyed runs, merged
+/// group by group into join output a chunk at a time. It owns the runs
+/// and the [`SpillManager`] their files live under (deleted when the
+/// cursor drops), so one merge serves the in-memory and the external
+/// sort alike.
+pub(crate) struct MergeCursor {
+    left: KeyedRuns,
+    right: KeyedRuns,
+    /// The right side's current key group: the least key not below any
+    /// left key merged so far.
+    right_group: Option<KeyGroup>,
+    _mgr: SpillManager,
+}
+
+impl MergeCursor {
+    /// The sort phase: keys both sides' rows (left first) and sorts them
+    /// into runs, spilled under `budget` with the volume charged to
+    /// `local`. The rows are a canonical set or a raw drain; either way
+    /// the merge sees each side as a set.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        spec: &JoinSpec,
+        left: Vec<Value>,
+        right: Vec<Value>,
+        budget: &MemoryBudget,
+        local: &mut SpillMetrics,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Result<Self, EvalError> {
+        let JoinFamily::Sorted { lkeys, rkeys } = &spec.family else {
+            unreachable!("only a sort-merge join merges");
+        };
+        let mut mgr = SpillManager::new(budget);
+        let (lvar, rvar) = (&spec.lvar, &spec.rvar);
+        let left = build_keyed_runs(left, lkeys, lvar, budget, &mut mgr, ev, env, stats)?;
+        let mut right = build_keyed_runs(right, rkeys, rvar, budget, &mut mgr, ev, env, stats)?;
+        account(local, stats, &mgr);
+        Ok(MergeCursor {
+            right_group: right.next_group()?,
+            left,
+            right,
+            _mgr: mgr,
+        })
+    }
+
+    /// Merges left key groups until at least `min_rows` output rows exist
+    /// (or the left side is exhausted); `None` once fully drained. Each
+    /// left group is emitted whole, so a chunk can exceed `min_rows`.
+    /// Every left row is finished, so an antijoin, outer join or
+    /// nestjoin emits its unmatched rows too.
+    pub(crate) fn next_chunk(
+        &mut self,
+        spec: &JoinSpec,
+        min_rows: usize,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Result<Option<Vec<Value>>, EvalError> {
+        let mut out = Vec::new();
+        while let Some((key, xs)) = self.left.next_group()? {
+            while self.right_group.as_ref().is_some_and(|(k, _)| *k < key) {
+                self.right_group = self.right.next_group()?;
+            }
+            let ys = match &self.right_group {
+                Some((k, ys)) if *k == key => ys.as_slice(),
+                _ => &[],
+            };
+            out.extend(spec.probe_loop(ys, xs.as_slice().into(), ev, env, stats)?);
+            if out.len() >= min_rows {
+                break;
             }
         }
+        Ok((!out.is_empty()).then_some(out))
     }
-    account(local, ctx.stats, &mgr);
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------

@@ -780,18 +780,8 @@ impl<'a> Planner<'a> {
             };
             candidates.push((Cand::Hash, join(keys, residual.clone())));
             if join_kind == Some(JoinKind::Inner) {
-                candidates.push((
-                    Cand::SortMerge,
-                    PhysPlan::SortMergeJoin {
-                        lvar: lvar.clone(),
-                        rvar: rvar.clone(),
-                        lkeys,
-                        rkeys,
-                        residual,
-                        left: Box::new(l.clone()),
-                        right: Box::new(r.clone()),
-                    },
-                ));
+                let sorted = JoinFamily::Sorted { lkeys, rkeys };
+                candidates.push((Cand::SortMerge, join(sorted, residual)));
             }
             if join_kind.is_some() && self.config.use_indexes {
                 let index = self.index_nl_candidate(&mode, lvar, rvar, &split.equi, &rest, l, r);
@@ -1292,7 +1282,16 @@ mod tests {
             },
         );
         let plan = planner.plan(&e).unwrap();
-        assert!(matches!(plan.phys, PhysPlan::SortMergeJoin { .. }));
+        assert!(matches!(
+            join_shape(&plan.phys),
+            Some((
+                JoinFamily::Sorted { .. },
+                JoinMode::Join {
+                    kind: JoinKind::Inner,
+                    ..
+                }
+            ))
+        ));
         let mut stats = Stats::new();
         let v = plan.execute(&mut stats).unwrap();
         let ev = Evaluator::new(&db);
