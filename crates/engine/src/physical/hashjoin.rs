@@ -1597,7 +1597,6 @@ mod tests {
     use crate::plan::PlannerConfig;
     use oodb_adl::dsl::*;
     use oodb_catalog::fixtures::{figure3_db, supplier_part_db};
-    use oodb_spill::MemoryBudget;
 
     fn run(
         db: &oodb_catalog::Database,

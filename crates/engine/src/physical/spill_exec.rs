@@ -687,7 +687,8 @@ impl KeyedRuns {
     /// non-decreasing and equal rows from different runs arrive
     /// adjacent — comparing against the group's last row suffices.
     /// This is where the canonical-set semantics live for sort-merge
-    /// inputs (the join sides arrive raw, not pre-canonicalized).
+    /// inputs (under a budget the join sides arrive raw, not
+    /// pre-canonicalized).
     fn next_group(&mut self) -> Result<Option<KeyGroup>, EvalError> {
         let Some((key, row)) = self.next_entry()? else {
             return Ok(None);
