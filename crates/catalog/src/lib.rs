@@ -27,5 +27,5 @@ pub mod table;
 pub use class::ClassDef;
 pub use database::{Catalog, Database};
 pub use error::CatalogError;
-pub use stats::{AttrStats, CatalogStats, TableStats};
+pub use stats::{AttrStats, CatalogStats, StatsCollector, TableStats};
 pub use table::Table;

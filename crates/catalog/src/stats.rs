@@ -9,9 +9,9 @@
 //! either collected from a populated [`Database`] or synthesized from
 //! generator parameters (see `oodb_datagen`).
 
-use crate::Database;
+use crate::{ClassDef, Database, Table};
 use oodb_value::fxhash::{FxHashMap, FxHashSet};
-use oodb_value::{Name, Value};
+use oodb_value::{Name, Tuple, Value};
 
 /// Statistics for one attribute of one extent.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,43 +77,12 @@ impl CatalogStats {
     /// Collects exact statistics by scanning every extent of `db`.
     pub fn from_database(db: &Database) -> Self {
         let mut stats = CatalogStats::new();
-        for class in db.catalog().classes() {
-            let Some(table) = db.table(&class.extent) else {
-                continue;
-            };
-            let total_bytes: usize = table.rows().map(oodb_value::codec::encoded_row_size).sum();
-            let mut ts = TableStats {
-                rows: table.len() as u64,
-                attrs: FxHashMap::default(),
-                avg_row_bytes: (!table.is_empty()).then(|| total_bytes as f64 / table.len() as f64),
-            };
-            for (attr, _) in class.attrs.iter() {
-                let mut distinct: FxHashSet<&Value> = FxHashSet::default();
-                let mut set_lens: Option<(u64, u64)> = None; // (sets, total elems)
-                for row in table.rows() {
-                    match row.get(attr) {
-                        Some(Value::Set(s)) => {
-                            let (n, total) = set_lens.unwrap_or((0, 0));
-                            set_lens = Some((n + 1, total + s.len() as u64));
-                            for elem in s.iter() {
-                                distinct.insert(elem);
-                            }
-                        }
-                        Some(v) => {
-                            distinct.insert(v);
-                        }
-                        None => {}
-                    }
-                }
-                ts.attrs.insert(
-                    attr.clone(),
-                    AttrStats {
-                        distinct: distinct.len() as u64,
-                        avg_set_len: set_lens.map(|(n, total)| total as f64 / (n as f64).max(1.0)),
-                    },
-                );
-            }
-            stats.tables.insert(class.extent.clone(), ts);
+        for (class, table) in extents(db) {
+            let mut sums = ExtentSums::<FxHashSet<&Value>>::new(class);
+            sums.fold(table.rows_since(0));
+            stats
+                .tables
+                .insert(class.extent.clone(), sums.finish(&class.identity));
         }
         stats
     }
@@ -209,6 +178,248 @@ impl CatalogStats {
     /// Whether any execution feedback has been absorbed.
     pub fn has_observations(&self) -> bool {
         !self.observed.is_empty()
+    }
+}
+
+/// Every extent of `db` with its class, in catalog order.
+fn extents(db: &Database) -> impl Iterator<Item = (&ClassDef, &Table)> {
+    db.catalog()
+        .classes()
+        .filter_map(|class| Some((class, db.table(&class.extent)?)))
+}
+
+/// A set of distinct attribute values: borrowed from the table for a
+/// one-off scan, owned when the sums outlive the scan.
+trait Distinct<'a>: Default {
+    fn add(&mut self, value: &'a Value);
+    fn count(&self) -> usize;
+}
+
+impl<'a> Distinct<'a> for FxHashSet<&'a Value> {
+    fn add(&mut self, value: &'a Value) {
+        self.insert(value);
+    }
+    fn count(&self) -> usize {
+        self.len()
+    }
+}
+
+/// Clones only values not seen yet; a string, tuple or set clone is a
+/// reference-count bump, so the table's data is not copied.
+impl Distinct<'_> for FxHashSet<Value> {
+    fn add(&mut self, value: &Value) {
+        if !self.contains(value) {
+            self.insert(value.clone());
+        }
+    }
+    fn count(&self) -> usize {
+        self.len()
+    }
+}
+
+/// Running sums for one attribute.
+struct AttrSums<D> {
+    attr: Name,
+    distinct: D,
+    /// `(sets, elements)` when the attribute is set-valued.
+    sets: Option<(u64, u64)>,
+}
+
+/// Running sums over a prefix of one extent's rows, from which
+/// [`TableStats`] follow exactly.
+struct ExtentSums<D> {
+    rows: u64,
+    bytes: usize,
+    /// Every attribute but the identity, whose distinct count is the
+    /// row count because [`Table::insert`] rejects duplicate oids.
+    attrs: Vec<AttrSums<D>>,
+}
+
+impl<D: Default> ExtentSums<D> {
+    fn new(class: &ClassDef) -> Self {
+        ExtentSums {
+            rows: 0,
+            bytes: 0,
+            attrs: class
+                .attrs
+                .iter()
+                .filter(|(attr, _)| **attr != class.identity)
+                .map(|(attr, _)| AttrSums {
+                    attr: attr.clone(),
+                    distinct: D::default(),
+                    sets: None,
+                })
+                .collect(),
+        }
+    }
+
+    /// The row walk: folds `rows` into the sums.
+    fn fold<'a>(&mut self, rows: &'a [Tuple])
+    where
+        D: Distinct<'a>,
+    {
+        self.rows += rows.len() as u64;
+        self.bytes += rows
+            .iter()
+            .map(oodb_value::codec::encoded_row_size)
+            .sum::<usize>();
+        for sums in &mut self.attrs {
+            for row in rows {
+                match row.get(&sums.attr) {
+                    Some(Value::Set(s)) => {
+                        let (n, total) = sums.sets.unwrap_or((0, 0));
+                        sums.sets = Some((n + 1, total + s.len() as u64));
+                        for elem in s.iter() {
+                            sums.distinct.add(elem);
+                        }
+                    }
+                    Some(v) => sums.distinct.add(v),
+                    None => {}
+                }
+            }
+        }
+    }
+
+    fn finish<'a>(&self, identity: &Name) -> TableStats
+    where
+        D: Distinct<'a>,
+    {
+        let mut attrs: FxHashMap<Name, AttrStats> = self
+            .attrs
+            .iter()
+            .map(|sums| {
+                let stats = AttrStats {
+                    distinct: sums.distinct.count() as u64,
+                    avg_set_len: sums
+                        .sets
+                        .map(|(n, total)| total as f64 / (n as f64).max(1.0)),
+                };
+                (sums.attr.clone(), stats)
+            })
+            .collect();
+        attrs.insert(
+            identity.clone(),
+            AttrStats {
+                distinct: self.rows,
+                avg_set_len: None,
+            },
+        );
+        TableStats {
+            rows: self.rows,
+            attrs,
+            avg_row_bytes: (self.rows > 0).then(|| self.bytes as f64 / self.rows as f64),
+        }
+    }
+}
+
+/// [`CatalogStats::from_database`] kept current across writes: each
+/// extent is walked once per version at most, and an extent that only
+/// grew since the last [`StatsCollector::collect`] has just its
+/// appended rows walked.
+///
+/// Per extent the collector keeps the last [`TableStats`] with the
+/// extent's version and row count. While both are unchanged — or only
+/// the version moved, as [`Database::create_index`] does, because tables
+/// are append-only — the stats are reused. On an extent's first change
+/// the collector walks it once more, this time keeping owned running
+/// sums; from then on each collect folds in only the rows appended
+/// since. Extents never written keep no sums, so a read-only server
+/// holds no more than its [`TableStats`].
+///
+/// A collector follows one database *lineage*: one [`Database`] and
+/// the writes applied to it. An extent whose version or row count went
+/// down is taken for another database and walked afresh, but another
+/// database that happens to look like a later version of this one would
+/// be folded as if it were.
+#[derive(Default)]
+pub struct StatsCollector {
+    extents: FxHashMap<Name, Kept>,
+    /// Extents whose version moved in the last collect.
+    moved: Vec<Name>,
+    /// Rows walked over the collector's lifetime.
+    rows_scanned: u64,
+}
+
+/// What [`StatsCollector`] keeps of one extent.
+struct Kept {
+    version: u64,
+    rows: usize,
+    stats: TableStats,
+    /// Owned running sums, from the extent's first change on.
+    sums: Option<ExtentSums<FxHashSet<Value>>>,
+}
+
+impl Kept {
+    /// Whether an extent at `version` holding `rows` can be this one
+    /// after appends and index builds. Rows only arrive with a version
+    /// bump, so anything else is another database.
+    fn precedes(&self, version: u64, rows: usize) -> bool {
+        version >= self.version
+            && rows >= self.rows
+            && (version > self.version || rows == self.rows)
+    }
+}
+
+impl StatsCollector {
+    /// A collector that has seen no database yet.
+    pub fn new() -> Self {
+        StatsCollector::default()
+    }
+
+    /// Statistics of `db`, equal to [`CatalogStats::from_database`]`(db)`.
+    pub fn collect(&mut self, db: &Database) -> CatalogStats {
+        let mut kept = FxHashMap::default();
+        let mut stats = CatalogStats::new();
+        self.moved.clear();
+        for (class, table) in extents(db) {
+            let (version, rows) = (table.version(), table.len());
+            let mut ext = match self.extents.remove(&class.extent) {
+                Some(k) if k.precedes(version, rows) => k,
+                _ => {
+                    let mut sums = ExtentSums::<FxHashSet<&Value>>::new(class);
+                    sums.fold(table.rows_since(0));
+                    self.rows_scanned += rows as u64;
+                    self.moved.push(class.extent.clone());
+                    Kept {
+                        version,
+                        rows,
+                        stats: sums.finish(&class.identity),
+                        sums: None,
+                    }
+                }
+            };
+            if ext.version != version {
+                self.moved.push(class.extent.clone());
+            }
+            if ext.rows != rows {
+                // The first change walks the whole extent into owned
+                // sums; later ones walk only what was appended.
+                let from = if ext.sums.is_some() { ext.rows } else { 0 };
+                let appended = table.rows_since(from);
+                let sums = ext.sums.get_or_insert_with(|| ExtentSums::new(class));
+                sums.fold(appended);
+                self.rows_scanned += appended.len() as u64;
+                ext.stats = sums.finish(&class.identity);
+                ext.rows = rows;
+            }
+            ext.version = version;
+            stats.tables.insert(class.extent.clone(), ext.stats.clone());
+            kept.insert(class.extent.clone(), ext);
+        }
+        self.extents = kept;
+        stats
+    }
+
+    /// The extents whose version moved in the last
+    /// [`StatsCollector::collect`], including those seen for the first
+    /// time.
+    pub fn moved(&self) -> &[Name] {
+        &self.moved
+    }
+
+    /// Rows walked by every [`StatsCollector::collect`] so far.
+    pub fn rows_scanned(&self) -> u64 {
+        self.rows_scanned
     }
 }
 

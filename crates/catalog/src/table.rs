@@ -171,6 +171,12 @@ impl Table {
         self.rows.iter()
     }
 
+    /// The rows after the first `start`, in insertion order: what was
+    /// appended since the extent held `start` rows.
+    pub fn rows_since(&self, start: usize) -> &[Tuple] {
+        &self.rows[start.min(self.rows.len())..]
+    }
+
     /// Row access by position (used by generators).
     pub fn row(&self, i: usize) -> Option<&Tuple> {
         self.rows.get(i)

@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use oodb_adl::expr::Expr;
-use oodb_catalog::{CatalogStats, Database};
+use oodb_catalog::{CatalogStats, Database, StatsCollector};
 use oodb_core::strategy::{Optimized, Optimizer};
 use oodb_engine::eval::EvalError;
 use oodb_engine::{ExecOptions, PhysPlan, Planner, PlannerConfig, ResultStream, Stats};
@@ -169,6 +169,8 @@ struct ServerMetrics {
     budget_high_water: Gauge,
     /// Refreshed from the [`ResultCache`] at render time.
     result_cache_encoded_bytes: Gauge,
+    /// Rows walked to collect catalog statistics.
+    stats_rows_scanned: Counter,
 }
 
 impl ServerMetrics {
@@ -248,6 +250,10 @@ impl ServerMetrics {
                 "oodb_result_cache_encoded_bytes",
                 "Encoded CHUNK bytes held by result-cache entries",
             ),
+            stats_rows_scanned: registry.counter(
+                "oodb_stats_rows_scanned_total",
+                "Rows walked to collect catalog statistics",
+            ),
             registry,
         }
     }
@@ -258,7 +264,14 @@ impl ServerMetrics {
 /// [`QueryServer`] borrows the database immutably, interleaving writes
 /// means dropping the server, mutating, and rebuilding it; detaching the
 /// shared state lets the caches (and their version stamps) survive that
-/// round trip so invalidation is actually exercised.
+/// round trip so invalidation is actually exercised. The catalog
+/// statistics survive it too: each rebuild walks only the rows written
+/// since the last one.
+///
+/// A `ServerShared` serves one database *lineage*: one [`Database`] and
+/// the writes applied to it. Its caches are stamped with extent versions
+/// and its statistics are kept per extent version, so servers over an
+/// unrelated database must not share it.
 pub struct ServerShared {
     plan_cache: PlanCache,
     result_cache: ResultCache,
@@ -279,8 +292,13 @@ pub struct ServerShared {
     /// [`CatalogStats`] plus every observation absorbed so far. `None`
     /// until the first executed query under `adaptive_stats`. Lives in
     /// the shared state so feedback survives server rebuilds around
-    /// database writes.
+    /// database writes; a rebuild after a write replaces the written
+    /// extents' statistics with the fresh ones and keeps the
+    /// observations.
     adaptive: std::sync::Mutex<Option<CatalogStats>>,
+    /// Catalog statistics of the database lineage, kept current by each
+    /// [`QueryServer::with_shared`].
+    collector: std::sync::Mutex<StatsCollector>,
 }
 
 impl ServerShared {
@@ -295,6 +313,7 @@ impl ServerShared {
             slow_query_ms: config.slow_query_ms,
             stats_epoch: AtomicU64::new(0),
             adaptive: std::sync::Mutex::new(None),
+            collector: std::sync::Mutex::new(StatsCollector::new()),
         })
     }
 
@@ -366,8 +385,10 @@ pub struct QueryServer<'db> {
     /// plan-cache keys: two sessions share a plan only when every
     /// planning knob matches.
     fingerprint: String,
-    /// Catalog statistics, collected once per server — the serving loop
-    /// must not re-scan the database per query.
+    /// Catalog statistics as of construction, taken from the shared
+    /// [`StatsCollector`]: an extent is walked once per version at most,
+    /// and after a write only its appended rows are — the serving loop
+    /// never re-scans the database per query.
     stats: CatalogStats,
     shared: Arc<ServerShared>,
 }
@@ -384,11 +405,33 @@ impl<'db> QueryServer<'db> {
         QueryServer::with_shared(db, config, shared)
     }
 
-    /// A server reusing existing shared state (caches + budget pool) —
-    /// how caches survive database writes between server instances, and
-    /// how every TCP connection thread shares one cache.
+    /// A server reusing existing shared state (caches, budget pool and
+    /// catalog statistics) — how caches survive database writes between
+    /// server instances, and how every TCP connection thread shares one
+    /// cache. `db` must be of the lineage `shared` already serves (see
+    /// [`ServerShared`]). The statistics come from the shared collector:
+    /// reused while no extent changed, and after a write only the
+    /// appended rows are walked. Under [`ServerConfig::adaptive_stats`],
+    /// every extent whose version moved also replaces its statistics in
+    /// the adaptive accumulator, which keeps its observations.
     pub fn with_shared(db: &'db Database, config: ServerConfig, shared: Arc<ServerShared>) -> Self {
-        let stats = CatalogStats::from_database(db);
+        let stats = {
+            let mut collector = shared.collector.lock().unwrap();
+            let scanned = collector.rows_scanned();
+            let stats = collector.collect(db);
+            shared
+                .metrics
+                .stats_rows_scanned
+                .add(collector.rows_scanned() - scanned);
+            if let Some(acc) = shared.adaptive.lock().unwrap().as_mut() {
+                for extent in collector.moved() {
+                    if let Some(fresh) = stats.table(extent) {
+                        acc.set_table(extent.clone(), fresh.clone());
+                    }
+                }
+            }
+            stats
+        };
         let fingerprint = format!("{:?}", config.planner);
         QueryServer {
             db,

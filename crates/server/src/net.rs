@@ -102,7 +102,10 @@ impl Drop for ServeHandle {
 /// Binds `addr` (e.g. `"127.0.0.1:0"`) and serves `db` until the
 /// returned handle is shut down. The database is shared immutably —
 /// this protocol is read-only by design (writes go through whoever owns
-/// the `Database`, between server lifetimes).
+/// the `Database`, between server lifetimes). Every connection builds
+/// its own [`QueryServer`] over one [`ServerShared`], whose caches and
+/// catalog statistics all connections share: the first connection
+/// walks the database to collect statistics, and later ones reuse them.
 pub fn serve(db: Arc<Database>, config: ServerConfig, addr: &str) -> std::io::Result<ServeHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;

@@ -20,6 +20,7 @@ use oodb::core::strategy::Optimizer;
 use oodb::datagen::{generate, GenConfig};
 use oodb::engine::{Planner, PlannerConfig};
 use oodb::server::{QueryServer, ServerConfig};
+use oodb::value::{Oid, Value};
 
 fn db() -> Database {
     generate(&GenConfig::scaled(240))
@@ -170,4 +171,68 @@ fn feedback_is_inert_when_disabled() {
     assert_eq!(first.stats.plan_cache_hits, 0);
     assert_eq!(second.stats.plan_cache_hits, 1);
     assert_eq!(second.result, first.result);
+}
+
+/// A write between two servers reaches the adaptive statistics: the
+/// rebuild replaces the written extent's statistics in the accumulator
+/// (keeping its observations), so the next plan is priced on the
+/// post-write distinct count, not on the count seeded before the write.
+#[test]
+fn adaptive_stats_follow_a_write_between_servers() {
+    let mut db = db();
+    let config = ServerConfig {
+        adaptive_stats: true,
+        ..Default::default()
+    };
+    let shared = {
+        let server = QueryServer::with_config(&db, config.clone());
+        // Seeds the accumulator; observes SUPPLIER, never PART.
+        server
+            .session()
+            .run("select s.sname from s in SUPPLIER")
+            .unwrap();
+        server.shared()
+    };
+    let before = CatalogStats::from_database(&db);
+    let proto = db.table("PART").unwrap().rows().next().unwrap().clone();
+    for i in 0..40u64 {
+        let row = proto
+            .except(&[
+                ("pid".into(), Value::Oid(Oid(7_000_000 + i))),
+                ("color".into(), Value::str(&format!("color-{i}"))),
+            ])
+            .unwrap();
+        db.insert("PART", row).unwrap();
+    }
+    let after = CatalogStats::from_database(&db);
+    let (old, new) = (
+        before.distinct("PART", "color").unwrap(),
+        after.distinct("PART", "color").unwrap(),
+    );
+    assert!(
+        new > 2 * old,
+        "the write must move the distinct count >2x: {old} -> {new}"
+    );
+
+    let server = QueryServer::with_shared(&db, config, shared);
+    let q = "select p.pname from p in PART where p.color = \"red\"";
+    let explain = server.session().run(q).unwrap().explain;
+    let fresh = plan_explain(&db, after, q);
+    let stale = plan_explain(&db, before, q);
+    let filter = |text: &str| {
+        text.lines()
+            .find(|l| l.trim_start().starts_with("Filter"))
+            .unwrap_or_else(|| panic!("no Filter in:\n{text}"))
+            .to_string()
+    };
+    assert_ne!(
+        filter(&fresh),
+        filter(&stale),
+        "the estimate must depend on the count"
+    );
+    assert_eq!(
+        filter(&explain),
+        filter(&fresh),
+        "priced on the post-write distinct count ({new}), not {old}:\n{explain}"
+    );
 }

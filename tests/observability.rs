@@ -19,7 +19,8 @@ use oodb::core::strategy::Optimizer;
 use oodb::datagen::{generate, GenConfig};
 use oodb::engine::{BatchKind, Planner, PlannerConfig, Stats};
 use oodb::server::wire::{verb, WireClient};
-use oodb::server::{net, QueryServer, ServerConfig};
+use oodb::server::{net, QueryServer, ServerConfig, ServerShared};
+use oodb::value::{Oid, Value};
 use oodb_bench::{join_supplier_delivery_query, multi_join_chain_query, query5_nested};
 
 fn scaled_db(scale: usize) -> Database {
@@ -559,4 +560,77 @@ fn slow_query_log_keeps_explain_and_the_ring_drops_it() {
         recent[1].error,
         "failed query must be marked error in the trace"
     );
+}
+
+// --------------------------------------------------------------------
+// Statistics collection.
+
+/// The current value of one unlabelled metric family.
+fn metric(shared: &ServerShared, family: &str) -> u64 {
+    shared
+        .render_metrics()
+        .lines()
+        .find_map(|l| l.strip_prefix(family)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{family} missing from METRICS"))
+}
+
+/// Inserts `k` fresh PART objects, each a copy of the first with a new
+/// oid.
+fn insert_parts(db: &mut Database, first_oid: u64, k: u64) {
+    let proto = db.table("PART").unwrap().rows().next().unwrap().clone();
+    for oid in first_oid..first_oid + k {
+        let row = proto
+            .except(&[("pid".into(), Value::Oid(Oid(oid)))])
+            .unwrap();
+        db.insert("PART", row).unwrap();
+    }
+}
+
+/// `oodb_stats_rows_scanned_total` counts the rows walked to collect
+/// catalog statistics: the whole database once, nothing on a rebuild
+/// with no write, the written extent on its first write, and after
+/// that exactly the rows a write appended.
+#[test]
+fn stats_rows_scanned_counts_only_appended_rows() {
+    const FAMILY: &str = "oodb_stats_rows_scanned_total";
+    let mut db = scaled_db(120);
+    let config = ServerConfig::default();
+    let shared = ServerShared::new(&config);
+    assert_eq!(metric(&shared, FAMILY), 0);
+    let rebuild = |db: &Database| {
+        let before = metric(&shared, FAMILY);
+        let server = QueryServer::with_shared(db, config.clone(), Arc::clone(&shared));
+        server
+            .session()
+            .run("select p.pname from p in PART")
+            .unwrap();
+        metric(&shared, FAMILY) - before
+    };
+    assert_eq!(rebuild(&db), db.object_count() as u64);
+    assert_eq!(rebuild(&db), 0, "no write, no walk");
+
+    insert_parts(&mut db, 9_000_000, 1);
+    let parts = db.table("PART").unwrap().len() as u64;
+    assert_eq!(rebuild(&db), parts, "first write walks PART once");
+    for k in [3, 1, 5] {
+        let first = 9_100_000 + 10 * k;
+        insert_parts(&mut db, first, k);
+        assert_eq!(rebuild(&db), k, "a {k}-object write walks {k} rows");
+    }
+    assert_eq!(rebuild(&db), 0);
+
+    // Two connections to an unchanged database scan once between them.
+    let served = Arc::new(scaled_db(120));
+    let objects = served.object_count() as u64;
+    let handle = net::serve(served, config.clone(), "127.0.0.1:0").expect("serve");
+    let mut clients = [connect(&handle), connect(&handle)];
+    for (tag, client) in clients.iter_mut().enumerate() {
+        // An answered request proves the connection's server exists.
+        ask(client, tag as u32, verb::STATS);
+    }
+    assert_eq!(metric(&handle.shared(), FAMILY), objects);
+    for client in &mut clients {
+        client.send(99, verb::QUIT, &[]).expect("send QUIT");
+    }
+    handle.shutdown();
 }
