@@ -1,6 +1,6 @@
 //! The catalog (schema) and the database (populated extents).
 
-use crate::{CatalogError, ClassDef, Table};
+use crate::{CatalogError, ClassDef, SnapshotWork, Table};
 use oodb_value::fxhash::FxHashMap;
 use oodb_value::{Name, Oid, Tuple, Type, Value};
 
@@ -160,6 +160,12 @@ impl Database {
     pub fn deref(&self, class: &str, oid: Oid) -> Option<&Tuple> {
         let c = self.catalog.class(class)?;
         self.tables.get(&c.extent)?.by_oid(oid)
+    }
+
+    /// What building every extent's snapshots has cost so far (see
+    /// [`Table::snapshot_work`]).
+    pub fn snapshot_work(&self) -> SnapshotWork {
+        self.tables.values().map(Table::snapshot_work).sum()
     }
 
     /// Total number of stored objects (all extents).

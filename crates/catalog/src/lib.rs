@@ -28,4 +28,4 @@ pub use class::ClassDef;
 pub use database::{Catalog, Database};
 pub use error::CatalogError;
 pub use stats::{AttrStats, CatalogStats, StatsCollector, TableStats};
-pub use table::Table;
+pub use table::{SnapshotWork, Table};

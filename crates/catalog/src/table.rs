@@ -4,7 +4,8 @@ use crate::CatalogError;
 use oodb_value::batch::BATCH_SIZE;
 use oodb_value::fxhash::FxHashMap;
 use oodb_value::{Batch, BatchKind, Name, Oid, Set, Tuple, Value};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// A populated class extension: a table of complex objects.
 ///
@@ -18,11 +19,14 @@ use std::sync::OnceLock;
 /// Readers see the extent as a canonical [`Set`] (the *snapshot*, see
 /// [`Table::as_set`]) cut into [`BATCH_SIZE`]-row scan chunks (see
 /// [`Table::chunk`]). Both are built lazily — the snapshot on the first
-/// read, each columnar chunk the first time a scan reads it — and kept
-/// until the extent changes: [`Table::insert`] and [`Table::create_index`],
-/// the only writers, drop them together with the version bump. A scan
-/// therefore sorts and transposes the extent once per version, not once
-/// per query and worker.
+/// read, each columnar chunk the first time a scan reads it — and shared
+/// by every reader until the rows change. [`Table::insert`] sets the
+/// snapshot aside, and the first read after it merges only the appended
+/// rows into it: they are sorted alone and placed by binary search, and
+/// every chunk wholly before the first placed row is kept, transposed or
+/// not. [`Table::create_index`] keeps the snapshot, since no row changed.
+/// A scan therefore sorts each row once and transposes a chunk again only
+/// when a write shifted it.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
     /// Identity attribute name within each row tuple.
@@ -38,19 +42,128 @@ pub struct Table {
     /// server's plan/result caches) stamp entries with the versions of the
     /// extents they read and treat any bump as invalidation.
     version: u64,
-    /// The snapshot and its scan chunks for the current version; empty
-    /// until first read, emptied by every write.
+    /// The snapshot and its scan chunks for the current rows; empty
+    /// until the first read after an insert.
     scan: OnceLock<Snapshot>,
+    /// The snapshot an insert retired, until the next read merges the
+    /// appended rows into it.
+    set_aside: SetAside,
+    /// What building the snapshots has cost so far.
+    work: WorkCounters,
 }
 
-/// What readers of one version of a [`Table`] share.
-#[derive(Clone, Debug)]
+/// What readers of one set of rows of a [`Table`] share. The default is
+/// the snapshot of no rows, which every build merges into.
+#[derive(Clone, Debug, Default)]
 struct Snapshot {
-    /// The rows as a canonical set.
+    /// The rows as a canonical set. Rows are unique by oid, so its length
+    /// is the number of rows it covers: the first `set.len()` of the table.
     set: Set,
     /// Cell `i` holds `Batch::of(Columnar, set[i·BATCH_SIZE ..][..BATCH_SIZE])`,
     /// built by the first scan that reads it.
     columnar: Box<[OnceLock<Batch>]>,
+}
+
+impl Snapshot {
+    /// This snapshot with `added` merged in. The added rows are sorted
+    /// alone and placed by binary search ([`Set::union_small`]); the
+    /// cells of the chunks that lie wholly before the first placed row
+    /// move over as they are, and the cells after it start empty. From
+    /// the empty snapshot this is the whole build.
+    fn merge(self, added: &[Tuple], work: &WorkCounters) -> Snapshot {
+        let added = Set::from_values(added.iter().cloned().map(Value::Tuple).collect());
+        work.rows_sorted
+            .fetch_add(added.len() as u64, Ordering::Relaxed);
+        let Some(first) = added.iter().next() else {
+            return self;
+        };
+        let kept = self.set.as_slice().partition_point(|v| v < first) / BATCH_SIZE;
+        let set = self.set.union_small(&added);
+        let mut columnar = self.columnar.into_vec();
+        columnar.truncate(kept);
+        columnar.resize_with(set.len().div_ceil(BATCH_SIZE), OnceLock::new);
+        Snapshot {
+            set,
+            columnar: columnar.into(),
+        }
+    }
+}
+
+/// At most one retired [`Snapshot`], kept from the insert that retired it
+/// until the next read takes it. A clone of the table starts without one
+/// (its first read builds from scratch), so nothing but the table itself
+/// ever holds an old snapshot. Each update replaces the whole `Option`,
+/// so a poisoned lock still holds a valid value and is used as is.
+#[derive(Debug, Default)]
+struct SetAside(Mutex<Option<Snapshot>>);
+
+impl Clone for SetAside {
+    fn clone(&self) -> Self {
+        SetAside::default()
+    }
+}
+
+impl SetAside {
+    fn put(&mut self, snap: Snapshot) {
+        *self.0.get_mut().unwrap_or_else(PoisonError::into_inner) = Some(snap);
+    }
+
+    /// The retired snapshot, or the empty one.
+    fn take(&self) -> Snapshot {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .unwrap_or_default()
+    }
+}
+
+/// Running totals behind [`Table::snapshot_work`]. A clone of the table
+/// starts from the totals of the original.
+#[derive(Debug, Default)]
+struct WorkCounters {
+    rows_sorted: AtomicU64,
+    chunks_transposed: AtomicU64,
+}
+
+impl Clone for WorkCounters {
+    fn clone(&self) -> Self {
+        let work = self.get();
+        WorkCounters {
+            rows_sorted: AtomicU64::new(work.rows_sorted),
+            chunks_transposed: AtomicU64::new(work.chunks_transposed),
+        }
+    }
+}
+
+impl WorkCounters {
+    fn get(&self) -> SnapshotWork {
+        SnapshotWork {
+            rows_sorted: self.rows_sorted.load(Ordering::Relaxed),
+            chunks_transposed: self.chunks_transposed.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// What building a table's snapshots has cost so far (see
+/// [`Table::snapshot_work`]); [`crate::Database::snapshot_work`] sums it
+/// over the extents.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SnapshotWork {
+    /// Rows sorted into a snapshot. A row is sorted by the first read
+    /// after the insert that added it, and never again.
+    pub rows_sorted: u64,
+    /// Columnar scan chunks transposed from the snapshot's rows.
+    pub chunks_transposed: u64,
+}
+
+impl std::iter::Sum for SnapshotWork {
+    fn sum<I: Iterator<Item = SnapshotWork>>(iter: I) -> SnapshotWork {
+        iter.fold(SnapshotWork::default(), |a, b| SnapshotWork {
+            rows_sorted: a.rows_sorted + b.rows_sorted,
+            chunks_transposed: a.chunks_transposed + b.chunks_transposed,
+        })
+    }
 }
 
 impl Table {
@@ -63,6 +176,8 @@ impl Table {
             secondary: FxHashMap::default(),
             version: 0,
             scan: OnceLock::new(),
+            set_aside: SetAside::default(),
+            work: WorkCounters::default(),
         }
     }
 
@@ -72,7 +187,7 @@ impl Table {
     }
 
     /// Builds (or rebuilds) a secondary hash index on `attr`. Rows lacking
-    /// the attribute are rejected.
+    /// the attribute are rejected. The snapshot stays: no row changed.
     pub fn create_index(&mut self, attr: &Name) -> Result<(), CatalogError> {
         let mut idx: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
         for (i, row) in self.rows.iter().enumerate() {
@@ -121,7 +236,8 @@ impl Table {
     /// Inserts an object; maintains the oid index. The caller (the
     /// [`crate::Database`]) has already schema-checked the tuple. Every
     /// check runs before anything changes, so a rejected insert leaves
-    /// the table as it was.
+    /// the table as it was, snapshot included. An accepted one sets the
+    /// current snapshot aside for the next read to merge into.
     pub fn insert(&mut self, extent: &Name, row: Tuple) -> Result<(), CatalogError> {
         let oid = row
             .get(&self.identity)
@@ -149,15 +265,18 @@ impl Table {
         }
         self.oid_index.insert(oid, pos);
         self.rows.push(row);
+        if let Some(snap) = self.scan.take() {
+            self.set_aside.put(snap);
+        }
         self.bump_version();
         Ok(())
     }
 
-    /// A write happened: new version, and the snapshot of the old one
-    /// goes.
+    /// A write happened: new version. The snapshot is the writer's
+    /// business: [`Table::insert`] sets it aside, [`Table::create_index`]
+    /// keeps it.
     fn bump_version(&mut self) {
         self.version += 1;
-        self.scan = OnceLock::new();
     }
 
     /// Row lookup by oid — the pointer dereference behind the materialize
@@ -190,19 +309,25 @@ impl Table {
             .filter_map(move |r| r.get(&id).and_then(|v| v.as_oid().ok()))
     }
 
-    /// The current version's snapshot, built on first use.
+    /// The snapshot of the current rows. The first read after an insert
+    /// takes the set-aside snapshot (or the empty one) and merges the rows
+    /// appended since into it; concurrent first readers wait for that one
+    /// merge.
     fn snapshot(&self) -> &Snapshot {
         self.scan.get_or_init(|| {
-            let set = Set::from_values(self.rows.iter().cloned().map(Value::Tuple).collect());
-            let columnar = (0..set.len().div_ceil(BATCH_SIZE))
-                .map(|_| OnceLock::new())
-                .collect();
-            Snapshot { set, columnar }
+            let old = self.set_aside.take();
+            let covered = old.set.len();
+            old.merge(self.rows_since(covered), &self.work)
         })
     }
 
-    /// The extent as a canonical set. Sorted once per version and shared
-    /// by every reader until the next write.
+    /// What building this table's snapshots has cost so far.
+    pub fn snapshot_work(&self) -> SnapshotWork {
+        self.work.get()
+    }
+
+    /// The extent as a canonical set, shared by every reader until the
+    /// next insert.
     pub fn as_set(&self) -> &Set {
         &self.snapshot().set
     }
@@ -217,7 +342,8 @@ impl Table {
     /// Scan chunk `i` in layout `kind`: rows `i·BATCH_SIZE ..` of
     /// [`Table::as_set`], at most [`BATCH_SIZE`] of them; `None` past the
     /// last chunk. A columnar chunk is transposed by the first call that
-    /// asks for it and cloned from then on; a row chunk is a slice copy.
+    /// asks for it and cloned from then on, also across an insert that
+    /// did not shift it; a row chunk is a slice copy.
     pub fn chunk(&self, i: usize, kind: BatchKind) -> Option<Batch> {
         let snap = self.snapshot();
         let cell = snap.columnar.get(i)?;
@@ -227,7 +353,12 @@ impl Table {
         };
         Some(match kind {
             BatchKind::Row => Batch::Rows(rows()),
-            BatchKind::Columnar => cell.get_or_init(|| Batch::of(kind, rows())).clone(),
+            BatchKind::Columnar => cell
+                .get_or_init(|| {
+                    self.work.chunks_transposed.fetch_add(1, Ordering::Relaxed);
+                    Batch::of(kind, rows())
+                })
+                .clone(),
         })
     }
 }
@@ -364,6 +495,72 @@ mod snapshot_tests {
         assert_current(&t);
         read_all(&t);
         t.insert(&name("PART"), row(5001)).unwrap();
+        assert_current(&t);
+    }
+
+    /// Which columnar cells of the current snapshot are filled.
+    fn filled(t: &Table) -> Vec<bool> {
+        t.snapshot()
+            .columnar
+            .iter()
+            .map(|c| c.get().is_some())
+            .collect()
+    }
+
+    #[test]
+    fn an_append_that_sorts_last_keeps_the_old_chunks() {
+        let mut t = table(2 * BATCH_SIZE as u64 + 5);
+        read_all(&t);
+        let before = t.snapshot_work();
+        // "yellow" sorts after every colour `row` gives
+        for oid in [1 << 20, 1 << 21] {
+            let late = row(oid).except(&[(name("color"), Value::str("yellow"))]);
+            t.insert(&name("PART"), late.unwrap()).unwrap();
+        }
+        // the two full chunks stay transposed; the partial last one
+        // starts over
+        assert_eq!(filled(&t), [true, true, false]);
+        let work = t.snapshot_work();
+        assert_eq!(work.rows_sorted - before.rows_sorted, 2);
+        assert_current(&t);
+        assert_eq!(
+            t.snapshot_work().chunks_transposed - work.chunks_transposed,
+            1
+        );
+    }
+
+    #[test]
+    fn create_index_keeps_the_snapshot() {
+        let mut t = table(BATCH_SIZE as u64 + 3);
+        read_all(&t);
+        let set = t.as_set().as_slice() as *const [Value];
+        let work = t.snapshot_work();
+        t.create_index(&name("color")).unwrap();
+        assert!(std::ptr::eq(t.as_set().as_slice(), set));
+        assert_eq!(filled(&t), [true, true]);
+        assert_eq!(t.snapshot_work(), work);
+        assert_current(&t);
+    }
+
+    #[test]
+    fn first_readers_after_a_write_share_one_merge() {
+        let mut t = table(BATCH_SIZE as u64 + 3);
+        read_all(&t);
+        for oid in 5000..5004 {
+            t.insert(&name("PART"), row(oid)).unwrap();
+        }
+        let before = t.snapshot_work().rows_sorted;
+        let start = std::sync::Barrier::new(2);
+        let sets: Vec<Set> = std::thread::scope(|scope| {
+            let read = || {
+                start.wait();
+                t.as_set().clone()
+            };
+            let readers: Vec<_> = (0..2).map(|_| scope.spawn(read)).collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(std::ptr::eq(sets[0].as_slice(), sets[1].as_slice()));
+        assert_eq!(t.snapshot_work().rows_sorted - before, 4);
         assert_current(&t);
     }
 

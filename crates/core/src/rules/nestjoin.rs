@@ -225,12 +225,12 @@ impl Rule for NestJoinMap {
         else {
             return None;
         };
-        // don't touch maps whose input still carries an unnested selection
-        // with base-table subqueries: the select-side rules go first
-        if let Expr::Select { pred, .. } = input.as_ref() {
-            if is_free_in(x, pred) {
-                // (cannot actually happen — x is not in scope — but keep
-                // planning deterministic when shadowing names collide)
+        // an input σ over another variable whose predicate mentions `x`
+        // would capture the map's `x` once the nestjoin binds it: decline.
+        // A σ over `x` itself (an outer `where` on the mapped range) binds
+        // its own `x` and is safe to join.
+        if let Expr::Select { var, pred, .. } = input.as_ref() {
+            if var != x && is_free_in(x, pred) {
                 return None;
             }
         }

@@ -53,6 +53,13 @@ impl Counter {
         self.add(1);
     }
 
+    /// Raises the counter to `total` if it is below: how a counter
+    /// mirrors a monotonic total kept elsewhere. A lower `total` is
+    /// ignored, so the counter never goes down.
+    pub fn raise_to(&self, total: u64) {
+        self.cell.fetch_max(total, Ordering::Relaxed);
+    }
+
     /// The current value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
@@ -552,6 +559,7 @@ mod tests {
         let g = r.gauge("oodb_pool_in_use_bytes", "Live grant bytes.");
         let h = r.histogram("oodb_query_latency_ms", "Per-query latency.");
         c.add(3);
+        c.raise_to(2);
         g.set(42);
         h.observe_us(1500);
         let text = r.render();

@@ -171,6 +171,11 @@ struct ServerMetrics {
     result_cache_encoded_bytes: Gauge,
     /// Rows walked to collect catalog statistics.
     stats_rows_scanned: Counter,
+    /// Raised to the database's
+    /// [`SnapshotWork`](oodb_catalog::SnapshotWork) totals by
+    /// [`QueryServer::render_metrics`].
+    snapshot_rows_sorted: Counter,
+    scan_chunks_transposed: Counter,
 }
 
 impl ServerMetrics {
@@ -253,6 +258,14 @@ impl ServerMetrics {
             stats_rows_scanned: registry.counter(
                 "oodb_stats_rows_scanned_total",
                 "Rows walked to collect catalog statistics",
+            ),
+            snapshot_rows_sorted: registry.counter(
+                "oodb_snapshot_rows_sorted_total",
+                "Rows sorted into extent snapshots by the first read after a write",
+            ),
+            scan_chunks_transposed: registry.counter(
+                "oodb_scan_chunks_transposed_total",
+                "Extent scan chunks transposed into the columnar layout",
             ),
             registry,
         }
@@ -341,10 +354,11 @@ impl ServerShared {
     }
 
     /// The whole metrics registry rendered in Prometheus text exposition
-    /// format (the `METRICS` protocol payload). Pool and result-cache
-    /// gauges are refreshed from the [`BudgetPool`] and the
-    /// [`ResultCache`] first, so point-in-time values are current as of
-    /// this call.
+    /// format. Pool and result-cache gauges are refreshed from the
+    /// [`BudgetPool`] and the [`ResultCache`] first, so point-in-time
+    /// values are current as of this call. The snapshot families live in
+    /// the database and are current only through
+    /// [`QueryServer::render_metrics`], the `METRICS` protocol payload.
     pub fn render_metrics(&self) -> String {
         self.metrics.pool_in_use.set(self.pool.in_use() as u64);
         self.metrics.pool_queue_depth.set(self.pool.waiting());
@@ -446,6 +460,20 @@ impl<'db> QueryServer<'db> {
     /// [`QueryServer::with_shared`].
     pub fn shared(&self) -> Arc<ServerShared> {
         Arc::clone(&self.shared)
+    }
+
+    /// [`ServerShared::render_metrics`] with the snapshot families
+    /// brought up to the database's
+    /// [`SnapshotWork`](oodb_catalog::SnapshotWork) totals first: the
+    /// `METRICS` protocol payload.
+    pub fn render_metrics(&self) -> String {
+        let work = self.db.snapshot_work();
+        let metrics = &self.shared.metrics;
+        metrics.snapshot_rows_sorted.raise_to(work.rows_sorted);
+        metrics
+            .scan_chunks_transposed
+            .raise_to(work.chunks_transposed);
+        self.shared.render_metrics()
     }
 
     /// The server's configuration.

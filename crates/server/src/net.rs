@@ -378,9 +378,7 @@ fn handle_connection(stream: TcpStream, server: &QueryServer<'_>) -> std::io::Re
                 Err(e) => out.send_error(tag, e.code().as_u16(), &e.to_string())?,
             },
             verb::STATS => out.send(tag, kind::TEXT, render_stats(server, &acc).as_bytes())?,
-            verb::METRICS => {
-                out.send(tag, kind::TEXT, server.shared().render_metrics().as_bytes())?
-            }
+            verb::METRICS => out.send(tag, kind::TEXT, server.render_metrics().as_bytes())?,
             verb::TRACE => out.send(tag, kind::TEXT, render_traces(server).as_bytes())?,
             other => out.send_error(
                 tag,

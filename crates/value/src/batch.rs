@@ -30,6 +30,7 @@
 //! layouts are observationally equivalent (the row/columnar differential
 //! tests depend on this).
 
+use crate::fxhash::FxHashMap;
 use crate::{codec, Name, Oid, Tuple, Value, ValueError, F64};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -233,13 +234,17 @@ enum ColumnBuilder {
     Oid(Vec<u64>),
     /// `map` is the only store while building (no value is held twice);
     /// [`ColumnBuilder::finish`] rebuilds the id-ordered dictionary.
+    /// Strings keep the std hasher: FxHash leaves the low bits of short,
+    /// similar strings (`part-0` … `part-1023`) clustered, and hashbrown
+    /// picks buckets by those bits. Nested values, hashed whole, take
+    /// FxHash.
     Str {
         ids: Vec<u32>,
         map: HashMap<Name, u32>,
     },
     Interned {
         ids: Vec<u32>,
-        map: HashMap<Value, u32>,
+        map: FxHashMap<Value, u32>,
     },
 }
 
@@ -257,7 +262,7 @@ impl ColumnBuilder {
             },
             _ => ColumnBuilder::Interned {
                 ids: Vec::with_capacity(capacity),
-                map: HashMap::new(),
+                map: FxHashMap::default(),
             },
         }
     }
@@ -269,7 +274,7 @@ impl ColumnBuilder {
         let n = built.len();
         let mut up = ColumnBuilder::Interned {
             ids: Vec::with_capacity(n),
-            map: HashMap::new(),
+            map: FxHashMap::default(),
         };
         for i in 0..n {
             up.push(built.value_at(i));
@@ -306,7 +311,7 @@ impl ColumnBuilder {
 
     fn finish(self) -> Column {
         /// Lays the interning map out as the id-ordered dictionary.
-        fn dict_of<T>(map: HashMap<T, u32>) -> Vec<T> {
+        fn dict_of<T, S>(map: HashMap<T, u32, S>) -> Vec<T> {
             let mut pairs: Vec<(u32, T)> = map.into_iter().map(|(v, id)| (id, v)).collect();
             pairs.sort_unstable_by_key(|(id, _)| *id);
             pairs.into_iter().map(|(_, v)| v).collect()

@@ -114,6 +114,29 @@ impl Set {
         Set { elems: out.into() }
     }
 
+    /// Set union `self ∪ other` for an `other` much smaller than `self`:
+    /// each element of `other` is placed by binary search in what is left
+    /// of `self`, and the runs of `self` between them are copied as
+    /// slices — O(k log n) comparisons instead of [`Set::union`]'s n + k.
+    pub fn union_small(&self, other: &Set) -> Set {
+        if self.is_empty() {
+            return other.clone();
+        }
+        let mut out = Vec::with_capacity(self.len() + other.len());
+        let mut rest: &[Value] = &self.elems;
+        for v in other.iter() {
+            let (copy, skip) = match rest.binary_search(v) {
+                Ok(i) => (i, 1),
+                Err(i) => (i, 0),
+            };
+            out.extend_from_slice(&rest[..copy]);
+            out.push(v.clone());
+            rest = &rest[copy + skip..];
+        }
+        out.extend_from_slice(rest);
+        Set::from_sorted_unchecked(out.into())
+    }
+
     /// Set intersection `self ∩ other`.
     pub fn intersect(&self, other: &Set) -> Set {
         let (small, large) = if self.len() <= other.len() {
@@ -250,6 +273,21 @@ mod tests {
         assert_eq!(a.intersect(&b), ints(&[2, 3]));
         assert_eq!(a.difference(&b), ints(&[1]));
         assert_eq!(b.difference(&a), ints(&[4]));
+    }
+
+    #[test]
+    fn union_small_equals_union() {
+        let big = ints(&(0..40).map(|i| 3 * i).collect::<Vec<_>>());
+        for small in [
+            ints(&[]),
+            ints(&[-1]),
+            ints(&[200]),
+            ints(&[-5, 4, 9, 61, 62, 500]),
+            ints(&[0, 3, 117]),
+        ] {
+            assert_eq!(big.union_small(&small), big.union(&small), "{small:?}");
+            assert_eq!(small.union_small(&big), big.union(&small), "{small:?}");
+        }
     }
 
     #[test]

@@ -634,3 +634,70 @@ fn stats_rows_scanned_counts_only_appended_rows() {
     }
     handle.shutdown();
 }
+
+// --------------------------------------------------------------------
+// Snapshot work.
+
+/// `oodb_snapshot_rows_sorted_total` and
+/// `oodb_scan_chunks_transposed_total` count the work behind the extent
+/// snapshots scans read. A write keeps PART's snapshot: the next full
+/// read sorts only the written rows and, when they sort last, transposes
+/// only the chunks from the old last one on. A second read, and a read
+/// after `create_index`, do no work at all.
+#[test]
+fn snapshot_work_follows_only_the_written_rows() {
+    use oodb::engine::BATCH_SIZE;
+    const SORTED: &str = "oodb_snapshot_rows_sorted_total";
+    const TRANSPOSED: &str = "oodb_scan_chunks_transposed_total";
+    let mut db = scaled_db(5000);
+    let config = ServerConfig {
+        planner: config(false, 1, 0, BatchKind::Columnar),
+        ..ServerConfig::default()
+    };
+    let shared = ServerShared::new(&config);
+    // Runs `text` on a server rebuilt over `db` and returns the rows
+    // sorted and chunks transposed meanwhile, as METRICS reports them.
+    let read = |db: &Database, text: &str| {
+        let server = QueryServer::with_shared(db, config.clone(), Arc::clone(&shared));
+        let family = |name: &str| {
+            server
+                .render_metrics()
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("{name} missing from METRICS"))
+        };
+        let before: (u64, u64) = (family(SORTED), family(TRANSPOSED));
+        server.session().run(text).unwrap();
+        (family(SORTED) - before.0, family(TRANSPOSED) - before.1)
+    };
+    let parts = db.table("PART").unwrap().len();
+    let chunks = |rows: usize| rows.div_ceil(BATCH_SIZE) as u64;
+    assert!(!parts.is_multiple_of(BATCH_SIZE) && parts > 2 * BATCH_SIZE);
+    assert_eq!(
+        read(&db, "select p.pname from p in PART"),
+        (parts as u64, chunks(parts))
+    );
+
+    // "yellow" sorts after every generated colour, and PART's canonical
+    // order is colour first: the new rows land after the old ones.
+    let k = BATCH_SIZE / 2 + 100;
+    let proto = db.table("PART").unwrap().rows().next().unwrap().clone();
+    for oid in 0..k as u64 {
+        let row = proto
+            .except(&[
+                ("pid".into(), Value::Oid(Oid(9_000_000 + oid))),
+                ("color".into(), Value::str("yellow")),
+            ])
+            .unwrap();
+        db.insert("PART", row).unwrap();
+    }
+    let old_last = (parts / BATCH_SIZE) as u64;
+    assert_eq!(
+        read(&db, "select p.pname from p in PART"),
+        (k as u64, chunks(parts + k) - old_last)
+    );
+    assert_eq!(read(&db, "select p.pid from p in PART"), (0, 0));
+
+    db.create_index("PART", "color").unwrap();
+    assert_eq!(read(&db, "select p.pname from p in PART"), (0, 0));
+}

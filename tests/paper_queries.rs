@@ -324,3 +324,34 @@ fn benchmark_q5_q6_filter_part_before_the_build() {
         );
     }
 }
+
+/// Example Query 6 with an outer selection. The map's input is
+/// `σ[s : s.sname ≠ …](SUPPLIER)`, a σ over the map's own variable.
+/// `nestjoin-map` used to read that `s` as a collision with the map's
+/// `s` and decline, which left a nested loop that rescanned PART per
+/// supplier. The nestjoin must fire, no base table may stay nested, and
+/// the answer must be the nested loop's.
+#[test]
+fn example_query_6_with_an_outer_selection() {
+    use oodb::core::strategy::nested_table_score;
+    let src = "select (sname := s.sname, partssuppl := select p from p in PART \
+         where p.pid in s.parts) from s in SUPPLIER where s.sname <> \"supplier-3\"";
+    let db = generate(&GenConfig::scaled(200));
+    let pipeline = Pipeline::new(&db);
+    let out = pipeline.run(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    assert!(
+        out.rewrite.trace.fired("nestjoin-map"),
+        "trace:\n{}",
+        out.rewrite.trace
+    );
+    assert_eq!(
+        nested_table_score(&out.rewrite.expr),
+        0,
+        "still nested: {}",
+        out.rewrite.expr
+    );
+    assert_eq!(out.result, pipeline.run_naive(src).unwrap());
+    let names = snames(&out.result);
+    assert_eq!(names.len(), db.table("SUPPLIER").unwrap().len() - 1);
+    assert!(!names.iter().any(|n| n == "supplier-3"));
+}
