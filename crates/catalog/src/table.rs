@@ -20,13 +20,14 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// [`Table::as_set`]) cut into [`BATCH_SIZE`]-row scan chunks (see
 /// [`Table::chunk`]). Both are built lazily — the snapshot on the first
 /// read, each columnar chunk the first time a scan reads it — and shared
-/// by every reader until the rows change. [`Table::insert`] sets the
-/// snapshot aside, and the first read after it merges only the appended
-/// rows into it: they are sorted alone and placed by binary search, and
-/// every chunk wholly before the first placed row is kept, transposed or
-/// not. [`Table::create_index`] keeps the snapshot, since no row changed.
-/// A scan therefore sorts each row once and transposes a chunk again only
-/// when a write shifted it.
+/// by every reader until the rows change: a scan gets the cached chunk
+/// itself (a reference-count bump), and its row view is the snapshot's
+/// own tuples. [`Table::insert`] sets the snapshot aside, and the first
+/// read after it merges only the appended rows into it: they are sorted
+/// alone and placed by binary search, and every chunk wholly before the
+/// first placed row is kept, transposed or not. [`Table::create_index`]
+/// keeps the snapshot, since no row changed. A scan therefore sorts each
+/// row once and transposes a chunk again only when a write shifted it.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
     /// Identity attribute name within each row tuple.
@@ -59,8 +60,9 @@ struct Snapshot {
     /// The rows as a canonical set. Rows are unique by oid, so its length
     /// is the number of rows it covers: the first `set.len()` of the table.
     set: Set,
-    /// Cell `i` holds `Batch::of(Columnar, set[i·BATCH_SIZE ..][..BATCH_SIZE])`,
-    /// built by the first scan that reads it.
+    /// Cell `i` holds `Batch::shared(Columnar, set, i·BATCH_SIZE ..)`, at
+    /// most [`BATCH_SIZE`] rows, built by the first scan that reads it.
+    /// Its origin is `set`, never a retired snapshot's.
     columnar: Box<[OnceLock<Batch>]>,
 }
 
@@ -68,8 +70,9 @@ impl Snapshot {
     /// This snapshot with `added` merged in. The added rows are sorted
     /// alone and placed by binary search ([`Set::union_small`]); the
     /// cells of the chunks that lie wholly before the first placed row
-    /// move over as they are, and the cells after it start empty. From
-    /// the empty snapshot this is the whole build.
+    /// move over, their origin pointed at the merged set (whose prefix
+    /// is the same rows), and the cells after it start empty. From the
+    /// empty snapshot this is the whole build.
     fn merge(self, added: &[Tuple], work: &WorkCounters) -> Snapshot {
         let added = Set::from_values(added.iter().cloned().map(Value::Tuple).collect());
         work.rows_sorted
@@ -81,6 +84,9 @@ impl Snapshot {
         let set = self.set.union_small(&added);
         let mut columnar = self.columnar.into_vec();
         columnar.truncate(kept);
+        for chunk in columnar.iter_mut().filter_map(OnceLock::get_mut) {
+            chunk.move_origin(&set);
+        }
         columnar.resize_with(set.len().div_ceil(BATCH_SIZE), OnceLock::new);
         Snapshot {
             set,
@@ -340,23 +346,22 @@ impl Table {
     }
 
     /// Scan chunk `i` in layout `kind`: rows `i·BATCH_SIZE ..` of
-    /// [`Table::as_set`], at most [`BATCH_SIZE`] of them; `None` past the
-    /// last chunk. A columnar chunk is transposed by the first call that
-    /// asks for it and cloned from then on, also across an insert that
-    /// did not shift it; a row chunk is a slice copy.
+    /// [`Table::as_set`], at most [`BATCH_SIZE`] of them, cut by
+    /// [`Batch::shared`]; `None` past the last chunk. A columnar chunk is
+    /// transposed by the first call that asks for it, kept across an
+    /// insert that did not shift it, and shared with every caller: a
+    /// clone of it is a reference-count bump, and its row view is the
+    /// snapshot's tuples. A row chunk is a slice copy.
     pub fn chunk(&self, i: usize, kind: BatchKind) -> Option<Batch> {
         let snap = self.snapshot();
         let cell = snap.columnar.get(i)?;
-        let rows = || {
-            let all = snap.set.as_slice();
-            all[i * BATCH_SIZE..all.len().min((i + 1) * BATCH_SIZE)].to_vec()
-        };
+        let rows = i * BATCH_SIZE..snap.set.len().min((i + 1) * BATCH_SIZE);
         Some(match kind {
-            BatchKind::Row => Batch::Rows(rows()),
+            BatchKind::Row => Batch::shared(kind, &snap.set, rows),
             BatchKind::Columnar => cell
                 .get_or_init(|| {
                     self.work.chunks_transposed.fetch_add(1, Ordering::Relaxed);
-                    Batch::of(kind, rows())
+                    Batch::shared(kind, &snap.set, rows)
                 })
                 .clone(),
         })

@@ -2,6 +2,10 @@
 //! and reads, `Table::as_set` and every scan chunk equal what is built
 //! from scratch out of the table's rows.
 //!
+//! Each columnar chunk also keeps the rows it was cut from: its row view
+//! must be those rows, and its origin the current snapshot, never one a
+//! write retired.
+//!
 //! Rows are inserted out of canonical order (canonical order is colour
 //! first, then oid), and the steps cover inserts that land before,
 //! inside and after the last read snapshot, bulk inserts that cross
@@ -67,18 +71,36 @@ fn read(t: &Table, kind: BatchKind, mask: u64) {
 }
 
 /// The snapshot and every chunk, in both layouts, equal a from-scratch
-/// build from the table's rows.
-fn assert_exact(t: &Table, context: &str) {
+/// build from the table's rows: their columns, and (since `==` looks at
+/// columns only) their row view too. Every columnar chunk's origin is
+/// the current snapshot at the chunk's offset, never `retired`, the
+/// snapshot a write since the last check set aside.
+fn assert_exact(t: &Table, retired: Option<&Set>, context: &str) {
     let rebuilt = Set::from_values(t.rows().cloned().map(Value::Tuple).collect());
-    assert_eq!(t.as_set(), &rebuilt, "{context}");
+    let current = t.as_set();
+    assert_eq!(current, &rebuilt, "{context}");
     let chunks: Vec<&[Value]> = rebuilt.as_slice().chunks(BATCH_SIZE).collect();
     for kind in [BatchKind::Columnar, BatchKind::Row] {
         for (i, rows) in chunks.iter().enumerate() {
+            let chunk = t.chunk(i, kind);
             assert_eq!(
-                t.chunk(i, kind),
+                chunk,
                 Some(Batch::of(kind, rows.to_vec())),
                 "{context}: chunk {i} ({kind:?})"
             );
+            let chunk = chunk.unwrap();
+            if let Batch::Columnar(cb) = &chunk {
+                let (origin, start) = cb.origin().expect("a scan chunk keeps its rows");
+                assert!(
+                    std::ptr::eq(origin.as_slice(), current.as_slice()),
+                    "{context}: chunk {i} is cut from another set"
+                );
+                assert_eq!(start, i * BATCH_SIZE, "{context}: chunk {i}");
+                if let Some(old) = retired.filter(|old| old.as_slice() != current.as_slice()) {
+                    assert!(!std::ptr::eq(origin.as_slice(), old.as_slice()));
+                }
+            }
+            assert_eq!(chunk.into_values(), rows.to_vec(), "{context}: chunk {i}");
         }
         assert_eq!(t.chunk(chunks.len(), kind), None, "{context}");
     }
@@ -147,12 +169,15 @@ fn check_steps(n: u64, steps: &[Step]) {
     if n.is_multiple_of(2) {
         read(&t, BatchKind::Columnar, u64::MAX);
     }
+    // the snapshot the last check saw, retired by any write since
+    let mut seen: Option<Set> = None;
     for (i, &s) in steps.iter().enumerate() {
         if apply(&mut t, s, &mut next_oid) {
-            assert_exact(&t.clone(), &format!("after step {i}: {s:?}"));
+            assert_exact(&t.clone(), seen.as_ref(), &format!("after step {i}: {s:?}"));
+            seen = Some(t.as_set().clone());
         }
     }
-    assert_exact(&t, "at the end");
+    assert_exact(&t, seen.as_ref(), "at the end");
 }
 
 proptest! {

@@ -436,14 +436,14 @@ impl<'a> ProbeInput<'a> {
         self.len() == 0
     }
 
-    /// Row `i`: borrowed where the input owns rows, materialized from
-    /// columns otherwise. Probe loops call this lazily — only when the
-    /// full row is actually needed (residuals, output construction).
+    /// Row `i`: borrowed where the input owns rows or a columnar batch
+    /// keeps its origin ([`Batch::row_at`]), materialized from columns
+    /// otherwise. Probe loops call this lazily — only when the full row
+    /// is actually needed (residuals, output construction).
     pub fn row_at(&self, i: usize) -> Cow<'a, Value> {
         match self {
             ProbeInput::Rows(r) => Cow::Borrowed(&r[i]),
-            ProbeInput::Batch(Batch::Rows(r)) => Cow::Borrowed(&r[i]),
-            ProbeInput::Batch(Batch::Columnar(cb)) => Cow::Owned(cb.row(i)),
+            ProbeInput::Batch(b) => b.row_at(i),
         }
     }
 

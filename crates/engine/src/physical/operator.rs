@@ -210,7 +210,8 @@ fn drain_value(op: &mut BoxOp, ctx: &mut ExecCtx<'_, '_>) -> Result<Value, EvalE
 
 /// Buffered rows emitted in [`BATCH_SIZE`] chunks (blocking operators'
 /// output side). Owned rows are moved out chunk by chunk; a shared set
-/// is cut into chunks in place, so buffering it copies nothing.
+/// is cut into chunks in place by [`Batch::shared`], so buffering it
+/// copies nothing and a columnar chunk's row view is the set's tuples.
 #[derive(Debug)]
 pub(crate) struct Buffered {
     rows: Rows,
@@ -248,17 +249,19 @@ impl Buffered {
             return None;
         }
         let end = (self.pos + BATCH_SIZE).min(total);
-        let chunk: Vec<Value> = match &mut self.rows {
+        let start = std::mem::replace(&mut self.pos, end);
+        Some(match &mut self.rows {
             // Move rows out (leaving cheap `Null`s) — each buffered row
             // is emitted exactly once.
-            Rows::Owned(v) => v[self.pos..end]
-                .iter_mut()
-                .map(|v| std::mem::replace(v, Value::Null))
-                .collect(),
-            Rows::Shared(s) => s.as_slice()[self.pos..end].to_vec(),
-        };
-        self.pos = end;
-        Some(Batch::of(kind, chunk))
+            Rows::Owned(v) => Batch::of(
+                kind,
+                v[start..end]
+                    .iter_mut()
+                    .map(|v| std::mem::replace(v, Value::Null))
+                    .collect(),
+            ),
+            Rows::Shared(s) => Batch::shared(kind, s, start..end),
+        })
     }
 }
 

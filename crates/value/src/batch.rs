@@ -18,10 +18,16 @@
 //! * [`Column`] — one attribute's values. Primitive kinds are unboxed;
 //!   [`Column::Str`] and [`Column::Interned`] store `u32` dictionary ids
 //!   next to a per-batch pool, so equal nested values are stored once.
-//! * Row view: [`Batch::row_at`] / [`ColumnarBatch::row`] materialize a
-//!   single row on demand; operators whose expression is not a simple
-//!   attribute access fall back to this view and keep exact reference
-//!   semantics (including error messages).
+//! * Row view: [`Batch::row_at`] / [`ColumnarBatch::row`] give a single
+//!   row on demand; operators whose expression is not a simple attribute
+//!   access fall back to this view and keep exact reference semantics
+//!   (including error messages). A scan chunk cut from a shared [`Set`]
+//!   by [`Batch::shared`] keeps that set as its *origin*, so its row view
+//!   hands out the stored tuples (a borrow or an `Arc` clone); any other
+//!   batch materializes the row from its columns.
+//! * Sharing: the column list and each column sit behind an `Arc`, so
+//!   cloning a batch is a reference-count bump, and projection, renaming
+//!   and concatenation copy names and pointers, never column data.
 //! * Spill codec: [`ColumnarBatch::encode_into`] / [`ColumnarBatch::decode`]
 //!   serialize whole column blocks (length-prefixed per column) instead
 //!   of row-by-row values — the on-disk mirror of the in-memory layout.
@@ -31,9 +37,12 @@
 //! tests depend on this).
 
 use crate::fxhash::FxHashMap;
-use crate::{codec, Name, Oid, Tuple, Value, ValueError, F64};
+use crate::{codec, Name, Oid, Set, Tuple, Value, ValueError, F64};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Rows per batch. Batches are soft-bounded: operators that expand rows
 /// (unnest, inner joins) may exceed it rather than split mid-tuple-group.
@@ -337,21 +346,66 @@ impl ColumnBuilder {
 /// A batch of same-schema tuples stored column-wise. Columns are kept in
 /// the tuples' canonical (name-sorted) attribute order, so materialized
 /// rows are canonical without re-sorting.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The column list and every column are shared (`Arc`), so a clone is a
+/// reference-count bump. A batch built by [`Batch::shared`] also keeps
+/// the rows it was transposed from (its *origin*); equality and the
+/// codec look at the columns only, so such a batch equals, and encodes
+/// like, the same rows built by [`Batch::of`].
+#[derive(Debug, Clone)]
 pub struct ColumnarBatch {
     len: usize,
-    cols: Vec<(Name, Column)>,
+    cols: Arc<[(Name, Arc<Column>)]>,
+    origin: Option<Origin>,
+}
+
+/// The shared set a scan chunk was cut from and the chunk's first row in
+/// it: rows `start .. start + len` of `set` are the batch's rows.
+#[derive(Clone)]
+struct Origin {
+    set: Set,
+    start: usize,
+}
+
+impl fmt::Debug for Origin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Origin")
+            .field("start", &self.start)
+            .field("of", &self.set.len())
+            .finish()
+    }
+}
+
+impl PartialEq for ColumnarBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.cols == other.cols
+    }
 }
 
 impl ColumnarBatch {
+    /// A batch with no origin over `cols`.
+    fn of_cols(len: usize, cols: Vec<(Name, Arc<Column>)>) -> ColumnarBatch {
+        ColumnarBatch {
+            len,
+            cols: cols.into(),
+            origin: None,
+        }
+    }
+
     /// Flattens `rows` into columns. Every row must be a tuple with the
     /// same attribute names; otherwise the rows are handed back so the
     /// caller can keep the row layout (`Batch::of` does exactly that).
     /// The empty batch has no schema and also stays row-shaped.
     #[allow(clippy::result_large_err)]
     pub fn try_new(rows: Vec<Value>) -> Result<ColumnarBatch, Vec<Value>> {
+        ColumnarBatch::transpose(&rows).ok_or(rows)
+    }
+
+    /// The columns of `rows`, when they are a non-empty block of tuples
+    /// with one schema.
+    fn transpose(rows: &[Value]) -> Option<ColumnarBatch> {
         let Some(Value::Tuple(first)) = rows.first() else {
-            return Err(rows);
+            return None;
         };
         let names = first.attr_names();
         let uniform = rows.iter().all(|r| match r {
@@ -361,14 +415,14 @@ impl ColumnarBatch {
             _ => false,
         });
         if !uniform {
-            return Err(rows);
+            return None;
         }
         let len = rows.len();
         let mut builders: Vec<ColumnBuilder> = first
             .iter()
             .map(|(_, v)| ColumnBuilder::for_value(v, len))
             .collect();
-        for row in &rows {
+        for row in rows {
             let Value::Tuple(t) = row else {
                 unreachable!("uniformity checked above")
             };
@@ -376,13 +430,25 @@ impl ColumnarBatch {
                 b.push(v.clone());
             }
         }
-        Ok(ColumnarBatch {
+        Some(ColumnarBatch::of_cols(
             len,
-            cols: names
+            names
                 .into_iter()
-                .zip(builders.into_iter().map(ColumnBuilder::finish))
+                .zip(builders.into_iter().map(|b| Arc::new(b.finish())))
                 .collect(),
-        })
+        ))
+    }
+
+    /// The stored rows this batch was cut from, when it has an origin.
+    fn origin_rows(&self) -> Option<&[Value]> {
+        let o = self.origin.as_ref()?;
+        Some(&o.set.as_slice()[o.start..o.start + self.len])
+    }
+
+    /// The set this batch was cut from by [`Batch::shared`] and the
+    /// position of its first row in it; `None` for every other batch.
+    pub fn origin(&self) -> Option<(&Set, usize)> {
+        self.origin.as_ref().map(|o| (&o.set, o.start))
     }
 
     /// Rows in the batch.
@@ -395,21 +461,30 @@ impl ColumnarBatch {
         self.len == 0
     }
 
-    /// The column for `name`, if the schema has it.
-    pub fn column(&self, name: &str) -> Option<&Column> {
+    /// The shared column for `name`, if the schema has it.
+    fn shared_column(&self, name: &str) -> Option<&Arc<Column>> {
         self.cols
             .binary_search_by(|(n, _)| n.as_ref().cmp(name))
             .ok()
             .map(|i| &self.cols[i].1)
     }
 
+    /// The column for `name`, if the schema has it.
+    pub fn column(&self, name: &str) -> Option<&Column> {
+        self.shared_column(name).map(|c| &**c)
+    }
+
     /// The schema's columns in canonical order.
-    pub fn columns(&self) -> &[(Name, Column)] {
+    pub fn columns(&self) -> &[(Name, Arc<Column>)] {
         &self.cols
     }
 
-    /// Materializes row `i` as a canonical tuple value.
+    /// Row `i` as a canonical tuple value: the stored tuple for a batch
+    /// with an origin, materialized from the columns otherwise.
     pub fn row(&self, i: usize) -> Value {
+        if let Some(rows) = self.origin_rows() {
+            return rows[i].clone();
+        }
         let fields = self
             .cols
             .iter()
@@ -419,37 +494,38 @@ impl ColumnarBatch {
         Value::Tuple(Tuple::from_sorted_unchecked(fields))
     }
 
-    /// Materializes every row, in order.
+    /// Every row, in order (see [`ColumnarBatch::row`]).
     pub fn to_rows(&self) -> Vec<Value> {
-        (0..self.len).map(|i| self.row(i)).collect()
+        match self.origin_rows() {
+            Some(rows) => rows.to_vec(),
+            None => (0..self.len).map(|i| self.row(i)).collect(),
+        }
     }
 
     /// The rows where `keep[i]` holds — the column-at-a-time filter.
     pub fn filter(&self, keep: &[bool]) -> ColumnarBatch {
         debug_assert_eq!(keep.len(), self.len);
         let len = keep.iter().filter(|k| **k).count();
-        ColumnarBatch {
+        ColumnarBatch::of_cols(
             len,
-            cols: self
-                .cols
+            self.cols
                 .iter()
-                .map(|(n, c)| (n.clone(), c.filter(keep)))
+                .map(|(n, c)| (n.clone(), Arc::new(c.filter(keep))))
                 .collect(),
-        }
+        )
     }
 
     /// The rows at `idx`, in `idx` order — the column-at-a-time gather
     /// a columnar join output materializes through. Indices may repeat
     /// and need not be sorted.
     pub fn gather(&self, idx: &[usize]) -> ColumnarBatch {
-        ColumnarBatch {
-            len: idx.len(),
-            cols: self
-                .cols
+        ColumnarBatch::of_cols(
+            idx.len(),
+            self.cols
                 .iter()
-                .map(|(n, c)| (n.clone(), c.gather(idx)))
+                .map(|(n, c)| (n.clone(), Arc::new(c.gather(idx))))
                 .collect(),
-        }
+        )
     }
 
     /// Column-wise concatenation of two same-length batches — the
@@ -460,7 +536,8 @@ impl ColumnarBatch {
         if self.len != other.len {
             return None;
         }
-        let mut cols: Vec<(Name, Column)> = Vec::with_capacity(self.cols.len() + other.cols.len());
+        let mut cols: Vec<(Name, Arc<Column>)> =
+            Vec::with_capacity(self.cols.len() + other.cols.len());
         let (mut a, mut b) = (self.cols.iter().peekable(), other.cols.iter().peekable());
         loop {
             match (a.peek(), b.peek()) {
@@ -474,28 +551,22 @@ impl ColumnarBatch {
                 (None, None) => break,
             }
         }
-        Some(ColumnarBatch {
-            len: self.len,
-            cols,
-        })
+        Some(ColumnarBatch::of_cols(self.len, cols))
     }
 
     /// Tuple subscription `π[attrs]` as a column selection. `None` when
     /// an attribute is missing or duplicated — the caller falls back to
     /// the row view, which reports the exact reference error.
     pub fn project(&self, attrs: &[Name]) -> Option<ColumnarBatch> {
-        let mut cols: Vec<(Name, Column)> = Vec::with_capacity(attrs.len());
+        let mut cols: Vec<(Name, Arc<Column>)> = Vec::with_capacity(attrs.len());
         for a in attrs {
-            cols.push((a.clone(), self.column(a)?.clone()));
+            cols.push((a.clone(), Arc::clone(self.shared_column(a)?)));
         }
         cols.sort_by(|a, b| a.0.cmp(&b.0));
         if cols.windows(2).any(|w| w[0].0 == w[1].0) {
             return None;
         }
-        Some(ColumnarBatch {
-            len: self.len,
-            cols,
-        })
+        Some(ColumnarBatch::of_cols(self.len, cols))
     }
 
     /// Attribute renaming `ρ` as a column relabeling. `None` when an old
@@ -506,7 +577,7 @@ impl ColumnarBatch {
     /// falls back and reports exactly the reference error instead of
     /// silently relabeling through the transient duplicate.
     pub fn rename(&self, pairs: &[(Name, Name)]) -> Option<ColumnarBatch> {
-        let mut cols = self.cols.clone();
+        let mut cols = self.cols.to_vec();
         for (old, new) in pairs {
             let i = cols.iter().position(|(n, _)| n == old)?;
             cols[i].0 = new.clone();
@@ -517,10 +588,7 @@ impl ColumnarBatch {
             }
         }
         cols.sort_by(|a, b| a.0.cmp(&b.0));
-        Some(ColumnarBatch {
-            len: self.len,
-            cols,
-        })
+        Some(ColumnarBatch::of_cols(self.len, cols))
     }
 
     // -----------------------------------------------------------------
@@ -532,10 +600,10 @@ impl ColumnarBatch {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         push_u32(out, self.len as u32);
         push_u32(out, self.cols.len() as u32);
-        for (name, col) in &self.cols {
+        for (name, col) in self.cols.iter() {
             push_u32(out, name.len() as u32);
             out.extend_from_slice(name.as_bytes());
-            match col {
+            match &**col {
                 Column::Int(v) => {
                     out.push(col_tag::INT);
                     for x in v {
@@ -660,14 +728,14 @@ impl ColumnarBatch {
                     return Err(ValueError::Codec(format!("unknown column tag {other}")));
                 }
             };
-            cols.push((name, col));
+            cols.push((name, Arc::new(col)));
         }
         if pos != bytes.len() {
             return Err(ValueError::Codec(
                 "trailing bytes after column block".into(),
             ));
         }
-        Ok(ColumnarBatch { len, cols })
+        Ok(ColumnarBatch::of_cols(len, cols))
     }
 }
 
@@ -769,6 +837,44 @@ impl Batch {
         Batch::Rows(rows)
     }
 
+    /// Rows `rows` of the shared `set` in the layout `kind` asks for, as
+    /// [`Batch::of`] lays them out. A columnar batch keeps `set` as its
+    /// origin, so its row view hands out the stored tuples instead of
+    /// materializing them from the columns. This is how scan chunks are
+    /// cut, by the catalog and by the engine's buffered operators alike.
+    pub fn shared(kind: BatchKind, set: &Set, rows: Range<usize>) -> Batch {
+        let slice = &set.as_slice()[rows.clone()];
+        if kind == BatchKind::Columnar {
+            if let Some(mut cb) = ColumnarBatch::transpose(slice) {
+                cb.origin = Some(Origin {
+                    set: set.clone(),
+                    start: rows.start,
+                });
+                return Batch::Columnar(cb);
+            }
+        }
+        Batch::Rows(slice.to_vec())
+    }
+
+    /// Points the origin of a batch built by [`Batch::shared`] at `set`,
+    /// which must hold the same rows at the same positions (a set merged
+    /// from the origin that kept this batch's prefix). Other batches are
+    /// left as they are.
+    pub fn move_origin(&mut self, set: &Set) {
+        if let Batch::Columnar(ColumnarBatch {
+            len,
+            origin: Some(o),
+            ..
+        }) = self
+        {
+            debug_assert_eq!(
+                set.as_slice().get(o.start..o.start + *len),
+                Some(&o.set.as_slice()[o.start..o.start + *len])
+            );
+            o.set = set.clone();
+        }
+    }
+
     /// Rows in the batch.
     pub fn len(&self) -> usize {
         match self {
@@ -790,11 +896,15 @@ impl Batch {
         }
     }
 
-    /// Row `i`: borrowed from a row batch, materialized from columns.
+    /// Row `i`: borrowed from a row batch or a columnar batch's origin,
+    /// materialized from columns otherwise.
     pub fn row_at(&self, i: usize) -> Cow<'_, Value> {
         match self {
             Batch::Rows(v) => Cow::Borrowed(&v[i]),
-            Batch::Columnar(cb) => Cow::Owned(cb.row(i)),
+            Batch::Columnar(cb) => match cb.origin_rows() {
+                Some(rows) => Cow::Borrowed(&rows[i]),
+                None => Cow::Owned(cb.row(i)),
+            },
         }
     }
 
@@ -1091,6 +1201,120 @@ mod tests {
         let b = Batch::of(BatchKind::Columnar, rows.clone());
         assert_eq!(b.into_values(), rows);
         let _ = Set::from_values(rows); // still canonicalizable downstream
+    }
+
+    /// A columnar batch cut from a shared set, with its origin.
+    fn shared(rows: &[Value], start: usize, end: usize) -> (Set, Batch) {
+        let set = Set::from_values(rows.to_vec());
+        let b = Batch::shared(BatchKind::Columnar, &set, start..end);
+        assert!(matches!(&b, Batch::Columnar(cb) if cb.origin().is_some()));
+        (set, b)
+    }
+
+    #[test]
+    fn clone_shares_column_storage() {
+        let Batch::Columnar(cb) = Batch::of(BatchKind::Columnar, (0..8).map(row).collect()) else {
+            panic!("columnar")
+        };
+        let copy = cb.clone();
+        assert!(Arc::ptr_eq(&cb.cols, &copy.cols));
+        // projection, renaming and concatenation share the columns too
+        let p = cb.project(&[name("n"), name("refs")]).unwrap();
+        let r = cb.rename(&[(name("n"), name("zz"))]).unwrap();
+        let c = cb
+            .project(&[name("id")])
+            .unwrap()
+            .concat(&cb.project(&[name("name")]).unwrap())
+            .unwrap();
+        for (out, attr, from) in [(&p, "n", "n"), (&p, "refs", "refs"), (&r, "zz", "n")] {
+            assert!(Arc::ptr_eq(
+                out.shared_column(attr).unwrap(),
+                cb.shared_column(from).unwrap()
+            ));
+        }
+        for attr in ["id", "name"] {
+            assert!(Arc::ptr_eq(
+                c.shared_column(attr).unwrap(),
+                cb.shared_column(attr).unwrap()
+            ));
+        }
+    }
+
+    #[test]
+    fn a_shared_chunk_hands_out_the_stored_tuples() {
+        let rows: Vec<Value> = (0..20).map(row).collect();
+        let (set, b) = shared(&rows, 4, 12);
+        let stored = &set.as_slice()[4..12];
+        // one tuple storage: the first fields sit at the same address
+        let same = |a: &Value, b: &Value| match (a, b) {
+            (Value::Tuple(x), Value::Tuple(y)) => {
+                std::ptr::eq(x.iter().next().unwrap().1, y.iter().next().unwrap().1)
+            }
+            _ => false,
+        };
+        let Batch::Columnar(cb) = &b else {
+            unreachable!("checked by `shared`")
+        };
+        for (i, want) in stored.iter().enumerate() {
+            let Cow::Borrowed(got) = b.row_at(i) else {
+                panic!("row {i} was materialized")
+            };
+            assert!(std::ptr::eq(got, want));
+            assert!(same(&cb.row(i), want));
+        }
+        let values = b.into_values();
+        assert_eq!(values.len(), stored.len());
+        assert!(values.iter().zip(stored).all(|(a, b)| same(a, b)));
+    }
+
+    #[test]
+    fn the_origin_is_invisible_to_equality_and_the_codec() {
+        let rows: Vec<Value> = (0..20).map(row).collect();
+        let (set, b) = shared(&rows, 3, 17);
+        let plain = Batch::of(BatchKind::Columnar, set.as_slice()[3..17].to_vec());
+        assert_eq!(b, plain);
+        let (Batch::Columnar(cb), Batch::Columnar(pb)) = (&b, &plain) else {
+            panic!("columnar")
+        };
+        assert!(pb.origin().is_none());
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        cb.encode_into(&mut x);
+        pb.encode_into(&mut y);
+        assert_eq!(x, y);
+        // the row layout of a shared cut is a plain slice copy
+        assert_eq!(
+            Batch::shared(BatchKind::Row, &set, 3..17),
+            Batch::of(BatchKind::Row, set.as_slice()[3..17].to_vec())
+        );
+    }
+
+    #[test]
+    fn derived_batches_drop_the_origin() {
+        let rows: Vec<Value> = (0..20).map(row).collect();
+        let (_, b) = shared(&rows, 0, 20);
+        let Batch::Columnar(cb) = b else {
+            panic!("columnar")
+        };
+        let keep: Vec<bool> = (0..20).map(|i| i % 2 == 0).collect();
+        let mut bytes = Vec::new();
+        cb.encode_into(&mut bytes);
+        let derived = [
+            cb.filter(&keep),
+            cb.gather(&[1, 0, 5]),
+            cb.project(&[name("n")]).unwrap(),
+            cb.rename(&[(name("n"), name("zz"))]).unwrap(),
+            cb.project(&[name("n")])
+                .unwrap()
+                .concat(&cb.project(&[name("id")]).unwrap())
+                .unwrap(),
+            ColumnarBatch::decode(&bytes).unwrap(),
+        ];
+        for d in &derived {
+            assert!(d.origin().is_none(), "{d:?}");
+        }
+        // with no origin the rows come from the columns, unchanged
+        assert_eq!(derived[5].to_rows(), cb.to_rows());
+        assert_eq!(derived[0].to_rows().len(), 10);
     }
 
     #[test]
