@@ -1,5 +1,5 @@
 //! Regenerates every table and figure of the paper, plus the §7-style
-//! experiments A–E in work units, probes, segments and rows — counts,
+//! experiments A–E in work units, probes, partitions and rows — counts,
 //! never wall times (those are the repo benchmark's, `benchmark/`).
 //!
 //! ```sh
@@ -62,7 +62,7 @@ fn main() {
     figure3();
     perf_queries();
     perf_grouping();
-    perf_pnhl();
+    perf_materialize();
     perf_join_algorithms();
     perf_streaming();
 }
@@ -353,9 +353,11 @@ fn perf_grouping() {
     assert_eq!(nest_v, naive_v);
 }
 
-/// PNHL (§6.2): memory-budget sweep vs assembly.
-fn perf_pnhl() {
-    headline("Experiment C — Materializing set-valued attributes (PNHL, §6.2)");
+/// §6.2 materialization: the rewritten membership nestjoin under a
+/// memory-budget sweep, against pointer-based assembly of the
+/// unrewritten pattern.
+fn perf_materialize() {
+    headline("Experiment C — Materializing set-valued attributes (§6.2)");
     let db = generate(&GenConfig {
         parts: 8_000,
         suppliers: 2_000,
@@ -370,26 +372,34 @@ fn perf_pnhl() {
         "  |SUPPLIER| = 2000 (fanout ≈ 10), |PART| = 8000; naive nested loop: work {}",
         naive_s.work()
     );
-    for budget in [8_000usize, 2_000, 500, 125] {
+    // the rewriter's form: SUPPLIER ⊣ PART on p.pid ∈ s.parts
+    let rewritten = oodb_core::Optimizer::default()
+        .optimize(&q, db.catalog())
+        .expect("optimize")
+        .expr;
+    for budget in [0usize, 256 << 10, 64 << 10, 16 << 10] {
         let cfg = PlannerConfig {
-            join_algo: JoinAlgo::Hash,
-            pnhl_budget: budget,
-            prefer_assembly: false,
+            memory_budget: budget,
+            parallelism: 1,
             ..Default::default()
         };
-        let (v, s) = run_planned(&db, &q, cfg);
+        let (v, s) = run_planned_streaming(&db, &rewritten, cfg);
         assert_eq!(v, naive_v);
+        let budget = match budget {
+            0 => "unbounded".to_string(),
+            b => format!("{} KiB", b >> 10),
+        };
         println!(
-            "  PNHL budget {budget:>5}: work {:>8}  ({} segments, {} probes)",
+            "  nestjoin ⊣, budget {budget:>9}: work {:>8}  ({} partitions, {} spill bytes)",
             s.work(),
-            s.partitions,
-            s.hash_probes
+            s.spill_partitions,
+            s.spill_bytes
         );
     }
     let (v, s) = run_planned(&db, &q, PlannerConfig::default());
     assert_eq!(v, naive_v);
     println!(
-        "  assembly (ptr) : work {:>8}  ({} oid-index lookups)",
+        "  assembly (ptr)                : work {:>8}  ({} oid-index lookups)",
         s.work(),
         s.oid_lookups
     );

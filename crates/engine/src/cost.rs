@@ -262,23 +262,6 @@ impl<'a> CostModel<'a> {
                     self.row_bytes(left) + DEFAULT_SET_LEN * self.row_bytes(right)
                 }
             },
-            // PNHL/unnest-join keep the outer row's width with its set
-            // re-materialized to inner rows
-            PhysPlan::Pnhl {
-                outer,
-                set_attr,
-                inner,
-                ..
-            }
-            | PhysPlan::UnnestJoin {
-                outer,
-                set_attr,
-                inner,
-                ..
-            } => {
-                let o = self.est(outer);
-                self.row_bytes(outer) + self.attr_set_len(&o, set_attr) * self.row_bytes(inner)
-            }
             _ => DEFAULT_ROW_BYTES,
         }
     }
@@ -317,18 +300,6 @@ impl<'a> CostModel<'a> {
     fn est_spill(&self, plan: &PhysPlan) -> f64 {
         match plan {
             PhysPlan::Join { spec, left, right } => self.est_join(spec, left, right.as_deref()).1,
-            PhysPlan::Pnhl {
-                outer,
-                set_attr,
-                inner,
-                ..
-            } => {
-                let o = self.est(outer);
-                let i = self.est(inner);
-                let build = i.rows * self.row_bytes(inner);
-                let elems = o.rows * self.attr_set_len(&o, set_attr) * 16.0;
-                self.grace_io(build, elems).1
-            }
             // streaming ν grace-partitions grouped state beyond the
             // budget, like a hash build with no separate probe side
             PhysPlan::NestOp { input, .. } => {
@@ -558,49 +529,6 @@ impl<'a> CostModel<'a> {
                 }
             }
             PhysPlan::Join { spec, left, right } => self.est_join(spec, left, right.as_deref()).0,
-            PhysPlan::Pnhl {
-                outer,
-                set_attr,
-                inner,
-                budget,
-                ..
-            } => {
-                let o = self.est(outer);
-                let i = self.est(inner);
-                let elems = o.rows * self.attr_set_len(&o, set_attr);
-                let (io, segments) = if self.memory_budget > 0 {
-                    // spill-backed PNHL: probe partitions persist, so
-                    // every element probes once; the cost moves to I/O
-                    let (io, _) = self.grace_io(i.rows * self.row_bytes(inner), elems * 16.0);
-                    (io, 1.0)
-                } else {
-                    (0.0, (i.rows / (*budget).max(1) as f64).ceil().max(1.0))
-                };
-                NodeEst {
-                    rows: o.rows,
-                    // the flat table is built once; every segment incurs
-                    // a full probe pass over the outer elements
-                    cost: o.cost + i.cost + BUILD_WEIGHT * i.rows + segments * elems + io,
-                    source: o.source,
-                }
-            }
-            PhysPlan::UnnestJoin {
-                outer,
-                set_attr,
-                inner,
-                ..
-            } => {
-                let o = self.est(outer);
-                let i = self.est(inner);
-                let elems = o.rows * self.attr_set_len(&o, set_attr);
-                NodeEst {
-                    rows: o.rows,
-                    // one build, one probe pass — but the unnest
-                    // duplicates the outer tuple per element
-                    cost: o.cost + i.cost + BUILD_WEIGHT * i.rows + 2.0 * elems,
-                    source: o.source,
-                }
-            }
             PhysPlan::Assemble {
                 input,
                 attr,
@@ -937,7 +865,7 @@ mod tests {
         let db = supplier_part_db();
         let m = CostModel::new(&db);
         let join = |family, residual| PhysPlan::Join {
-            spec: JoinSpec {
+            spec: Box::new(JoinSpec {
                 family,
                 mode: JoinMode::Join {
                     kind: JoinKind::Inner,
@@ -946,7 +874,7 @@ mod tests {
                 lvar: "s".into(),
                 rvar: "d".into(),
                 residual,
-            },
+            }),
             left: scan("SUPPLIER"),
             right: Some(scan("DELIVERY")),
         };
@@ -969,26 +897,5 @@ mod tests {
             text.contains("Scan PART (est_rows=7, est_cost=7)"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn tight_budget_inflates_pnhl_cost() {
-        let db = supplier_part_db();
-        let m = CostModel::new(&db);
-        let mk = |budget: usize| PhysPlan::Pnhl {
-            outer: scan("SUPPLIER"),
-            set_attr: "parts".into(),
-            inner: scan("PART"),
-            keys: crate::physical::MatchKeys {
-                elem_var: "e".into(),
-                elem_key: var("e"),
-                inner_var: "p".into(),
-                inner_key: var("p").field("pid"),
-            },
-            budget,
-        };
-        let wide = m.estimate(&mk(1 << 14)).cost;
-        let tight = m.estimate(&mk(2)).cost;
-        assert!(tight > wide, "tight {tight} wide {wide}");
     }
 }

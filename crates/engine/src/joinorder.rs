@@ -10,7 +10,7 @@
 //!
 //! * **Extraction** (`JoinGraph::extract`): a chain of `Inner`
 //!   [`Expr::Join`] nodes is flattened into *leaves* (the non-join
-//!   operands, left opaque — nest/assembly/PNHL subtrees stay exactly
+//!   operands, left opaque — nest and assembly subtrees stay exactly
 //!   the composite vertices the §6.2 materialization detection built)
 //!   and *predicates*, each conjunct re-anchored onto the leaves whose
 //!   attributes it touches. Anything the extraction cannot prove safe —
@@ -375,16 +375,16 @@ impl JoinGraph {
         let raw = est.cost;
         let mut cost = ea.cost + eb.cost + (raw - ea.raw - eb.raw);
         let mut order = None;
-        if let PhysPlan::Join {
-            spec:
-                JoinSpec {
-                    family: JoinFamily::Sorted { lkeys, rkeys },
-                    lvar,
-                    rvar,
-                    ..
-                },
+        let spec = match &cand {
+            PhysPlan::Join { spec, .. } => Some(spec.as_ref()),
+            _ => None,
+        };
+        if let Some(JoinSpec {
+            family: JoinFamily::Sorted { lkeys, rkeys },
+            lvar,
+            rvar,
             ..
-        } = &cand
+        }) = spec
         {
             let lattrs = plain_attrs(lkeys, lvar);
             let rattrs = plain_attrs(rkeys, rvar);

@@ -28,7 +28,7 @@ use oodb_value::{Name, Set, Value};
 /// * `set_valued = true`: `attr` holds a set of oids → it is replaced by
 ///   the set of referenced tuples; dangling pointers are silently dropped
 ///   (matching the semijoin semantics of element materialization, and the
-///   behaviour of PNHL on the same input).
+///   membership nestjoin the rewriter makes of the same query).
 pub fn assemble_batch(
     batch: &[Value],
     attr: &Name,

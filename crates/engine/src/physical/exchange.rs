@@ -4,9 +4,9 @@
 //! single thread. This module adds the morsel-driven parallel execution
 //! the ROADMAP calls for, in the shape practical engines use (cf.
 //! risinglight's exchange executors): plans are split at **pipeline
-//! breaker boundaries** — hash/member build sides, sort runs, PNHL
-//! operands, aggregate drains — and the per-row segments between them
-//! fan out to a fixed worker pool.
+//! breaker boundaries** — hash/member build sides, sort runs, aggregate
+//! drains — and the per-row segments between them fan out to a fixed
+//! worker pool.
 //!
 //! Two partitioning strategies (see [`Partitioning`]):
 //!
@@ -414,7 +414,7 @@ mod tests {
         assert_eq!(segment_scan(&seg).map(|n| n.as_ref()), Some("PART"));
         // a join is not a segment
         let join = PhysPlan::Join {
-            spec: crate::physical::JoinSpec::product(),
+            spec: Box::new(crate::physical::JoinSpec::product()),
             left: Box::new(PhysPlan::Scan("PART".into())),
             right: Some(Box::new(PhysPlan::Scan("SUPPLIER".into()))),
         };

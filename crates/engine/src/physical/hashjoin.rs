@@ -1332,7 +1332,7 @@ impl JoinOp {
         let dop = if spec.family.hashed() { dop } else { 1 };
         let kids = plan.child_ordinals(ord);
         Some(JoinOp {
-            spec: spec.clone(),
+            spec: (**spec).clone(),
             dop,
             left: JoinInput::new(left, kids[0], false, dop),
             right: right
@@ -1961,7 +1961,7 @@ mod tests {
             .collect();
         let build = Box::new(PhysPlan::Literal(Value::Set(Set::from_values(build))));
         let join = |family, mode, residual, right| PhysPlan::Join {
-            spec: spec("x", "y", family, mode, residual),
+            spec: Box::new(spec("x", "y", family, mode, residual)),
             left: Box::new(failing_tail_probe(rows)),
             right,
         };
@@ -2069,7 +2069,7 @@ mod tests {
         };
         let residual = Some(lt(var("x").field("price"), int(1000)));
         let plan = PhysPlan::Join {
-            spec: spec("x", "y", sorted, joining(JoinKind::Inner), residual),
+            spec: Box::new(spec("x", "y", sorted, joining(JoinKind::Inner), residual)),
             left: literal(left),
             right: Some(literal(right)),
         };

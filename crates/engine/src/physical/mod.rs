@@ -10,8 +10,6 @@
 //!   keys for predicates like `p.pid ∈ s.parts`), a sort-merge join, an
 //!   index nested-loop join, or a nested loop (the fallback for
 //!   arbitrary predicates, and the Cartesian product);
-//! * [`pnhl`] — the Partitioned Nested-Hashed-Loops algorithm of \[DeLa92\]
-//!   for materializing set-valued attributes under a memory budget (§6.2);
 //! * [`assembly`] — the pointer-based materialize operator of \[BlMG93\]
 //!   (§6.2), using the catalog's oid indexes.
 //!
@@ -22,7 +20,6 @@ pub mod columnar;
 pub mod exchange;
 pub mod hashjoin;
 pub mod operator;
-pub mod pnhl;
 pub(crate) mod spill_exec;
 
 use crate::eval::{aggregate, nest_set, unnest_set, Env, EvalError, Evaluator};
@@ -48,19 +45,6 @@ pub enum Partitioning {
     /// partition. The exchange's input must be a [`PhysPlan::Join`] of a
     /// hash family (equi or membership keys).
     Hash,
-}
-
-/// How a materialization operator matches set elements to inner tuples.
-#[derive(Debug, Clone)]
-pub struct MatchKeys {
-    /// Variable bound to one element of the set-valued attribute.
-    pub elem_var: Name,
-    /// Key over the element (`ekey(e)`).
-    pub elem_key: Expr,
-    /// Variable bound to an inner (build) tuple.
-    pub inner_var: Name,
-    /// Key over the inner tuple (`ikey(y)`).
-    pub inner_key: Expr,
 }
 
 /// A physical operator tree.
@@ -162,43 +146,14 @@ pub enum PhysPlan {
     /// index), its [`JoinMode`] whether join rows or nestjoin groups come
     /// out.
     Join {
-        /// What the join computes.
-        spec: JoinSpec,
+        /// What the join computes (boxed: the spec is several times
+        /// the size of any other variant).
+        spec: Box<JoinSpec>,
         /// Left (probe) plan.
         left: Box<PhysPlan>,
         /// Right (build) plan; `None` exactly for the index family, which
         /// probes its extent's index instead.
         right: Option<Box<PhysPlan>>,
-    },
-    /// PNHL (\[DeLa92\]): materialize a set-valued attribute by joining its
-    /// elements with a flat build table under a memory budget.
-    Pnhl {
-        /// Outer plan (complex tuples with the set-valued attribute).
-        outer: Box<PhysPlan>,
-        /// The set-valued attribute being materialized.
-        set_attr: Name,
-        /// Inner (flat, build-side) plan.
-        inner: Box<PhysPlan>,
-        /// Element/inner key pair.
-        keys: MatchKeys,
-        /// Maximum build-table rows per segment — "segments of the operand
-        /// that fit into main memory".
-        budget: usize,
-    },
-    /// Unnest–join–nest materialization (§6.2's third strategy): builds
-    /// the whole flat table once and probes every set element against it,
-    /// paying tuple duplication instead of PNHL's per-segment passes.
-    /// The cost-based planner picks it when the memory budget would force
-    /// PNHL through many probe passes.
-    UnnestJoin {
-        /// Outer plan (complex tuples with the set-valued attribute).
-        outer: Box<PhysPlan>,
-        /// The set-valued attribute being materialized.
-        set_attr: Name,
-        /// Inner (flat, build-side) plan.
-        inner: Box<PhysPlan>,
-        /// Element/inner key pair.
-        keys: MatchKeys,
     },
     /// Assembly (\[BlMG93\]): pointer-based materialization of oid-valued
     /// (or set-of-oid-valued) attributes through the extent's oid index.
@@ -378,29 +333,6 @@ impl PhysPlan {
                 };
                 spec.join_sets(&l, r.as_ref(), ev, env, stats)
             }
-            PhysPlan::Pnhl {
-                outer,
-                set_attr,
-                inner,
-                keys,
-                budget,
-            } => {
-                let o = outer.exec(ev, env, stats)?.into_set()?;
-                let i = inner.exec(ev, env, stats)?.into_set()?;
-                let rows = pnhl::pnhl_rows(&o, set_attr, &i, keys, *budget, ev, env, stats)?;
-                Ok(Value::Set(Set::from_values(rows)))
-            }
-            PhysPlan::UnnestJoin {
-                outer,
-                set_attr,
-                inner,
-                keys,
-            } => {
-                let o = outer.exec(ev, env, stats)?.into_set()?;
-                let i = inner.exec(ev, env, stats)?.into_set()?;
-                let rows = pnhl::unnest_join_rows(&o, set_attr, &i, keys, ev, env, stats)?;
-                Ok(Value::Set(Set::from_values(rows)))
-            }
             PhysPlan::Assemble {
                 input,
                 attr,
@@ -463,14 +395,6 @@ impl PhysPlan {
             PhysPlan::AggNode { op, .. } => format!("Agg {}", op.name()),
             PhysPlan::LetOp { var, .. } => format!("Let {var}"),
             PhysPlan::Join { spec, .. } => spec.node_line(),
-            PhysPlan::Pnhl {
-                set_attr, budget, ..
-            } => {
-                format!("PNHL μ⋈ {set_attr} (budget {budget})")
-            }
-            PhysPlan::UnnestJoin { set_attr, .. } => {
-                format!("UnnestJoin μ⋈ν {set_attr}")
-            }
             PhysPlan::Assemble {
                 attr,
                 class,
@@ -515,9 +439,6 @@ impl PhysPlan {
                 std::iter::once(&**left).chain(right.as_deref()).collect()
             }
             PhysPlan::LetOp { value, body, .. } => vec![value, body],
-            PhysPlan::Pnhl { outer, inner, .. } | PhysPlan::UnnestJoin { outer, inner, .. } => {
-                vec![outer, inner]
-            }
         }
     }
 
@@ -541,9 +462,6 @@ impl PhysPlan {
                 .chain(right.as_deref_mut())
                 .collect(),
             PhysPlan::LetOp { value, body, .. } => vec![value, body],
-            PhysPlan::Pnhl { outer, inner, .. } | PhysPlan::UnnestJoin { outer, inner, .. } => {
-                vec![outer, inner]
-            }
         }
     }
 
@@ -686,7 +604,7 @@ mod plan_node_tests {
         };
         assert_eq!(run(&let_node).0, Value::Int(8));
         let prod = PhysPlan::Join {
-            spec: JoinSpec::product(),
+            spec: Box::new(JoinSpec::product()),
             left: Box::new(PhysPlan::ProjectOp {
                 attrs: vec!["eid".into()],
                 input: scan("SUPPLIER"),

@@ -11,9 +11,9 @@
 //!   children, `next_batch` yields up to [`BATCH_SIZE`] rows, `close`
 //!   flushes per-operator statistics;
 //! * **pipeline breakers are explicit**: hash-join build sides, sort
-//!   runs, `ν`/aggregate/set-operation inputs and PNHL operands are
-//!   drained into canonical [`Set`]s (preserving the algebra's
-//!   deduplicating semantics), while selections, maps, projections,
+//!   runs and `ν`/aggregate/set-operation inputs are drained into
+//!   canonical [`Set`]s (preserving the algebra's deduplicating
+//!   semantics), while selections, maps, projections,
 //!   unnests, assembly and every join **probe side stream** batch by
 //!   batch;
 //! * each operator is wrapped in an `Instrument` shim recording
@@ -26,7 +26,7 @@
 
 use super::columnar::{simple_attr, MaskExpr};
 use super::hashjoin::JoinOp;
-use super::{pnhl, spill_exec, MatchKeys, PhysPlan};
+use super::{spill_exec, PhysPlan};
 use crate::eval::{aggregate, nest_set, unnest_value, Env, EvalError, Evaluator};
 use crate::stats::{OpStats, OpTiming, PlanOrdinal, Stats};
 use oodb_adl::expr::{AggOp, Expr, SetOp};
@@ -56,9 +56,9 @@ pub type BoxOp = Box<dyn Operator>;
 /// residency, layout and machinery.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// The memory budget pipeline state (hash tables, sort runs, PNHL
-    /// segments) is held to; shared across the pipeline, divided into
-    /// per-worker shares by the exchanges.
+    /// The memory budget pipeline state (hash tables, sort runs,
+    /// grouping state) is held to; shared across the pipeline, divided
+    /// into per-worker shares by the exchanges.
     pub budget: MemoryBudget,
     /// Which layout batch *sources* (scans, scalar-set streams,
     /// round-robin exchange gathers, spilled canonical-set runs) build
@@ -889,22 +889,6 @@ enum BlockingKind {
         left: BoxOp,
         right: BoxOp,
     },
-    /// PNHL — both operands drained, output emitted in batches.
-    Pnhl {
-        outer: BoxOp,
-        set_attr: Name,
-        inner: BoxOp,
-        keys: Box<MatchKeys>,
-        budget: usize,
-    },
-    /// Unnest–join–nest materialization — both operands drained, output
-    /// emitted in batches.
-    UnnestJoin {
-        outer: BoxOp,
-        set_attr: Name,
-        inner: BoxOp,
-        keys: Box<MatchKeys>,
-    },
 }
 
 /// Drains its input(s), computes, then emits the result in batches.
@@ -924,11 +908,6 @@ impl Operator for BlockingOp {
             BlockingKind::SetOp { left, right, .. } => {
                 left.open(ctx)?;
                 right.open(ctx)
-            }
-            BlockingKind::Pnhl { outer, inner, .. }
-            | BlockingKind::UnnestJoin { outer, inner, .. } => {
-                outer.open(ctx)?;
-                inner.open(ctx)
             }
         }
     }
@@ -973,54 +952,6 @@ impl Operator for BlockingOp {
                     };
                     Buffered::shared(out)
                 }
-                BlockingKind::Pnhl {
-                    outer,
-                    set_attr,
-                    inner,
-                    keys,
-                    budget,
-                } => {
-                    let o = drain_to_set(outer, spill, ctx)?;
-                    let i = drain_to_set(inner, spill, ctx)?;
-                    if ctx.opts.budget.is_bounded() {
-                        // spill-backed PNHL: probe partitions persist
-                        // through the SpillManager instead of
-                        // re-scanning every outer element per segment
-                        let budget = ctx.opts.budget.clone();
-                        Buffered::new(spill_exec::pnhl_spill_rows(
-                            &o, set_attr, &i, keys, &budget, spill, ctx,
-                        )?)
-                    } else {
-                        Buffered::new(pnhl::pnhl_rows(
-                            &o,
-                            set_attr,
-                            &i,
-                            keys,
-                            *budget,
-                            &ctx.ev,
-                            &mut ctx.env,
-                            ctx.stats,
-                        )?)
-                    }
-                }
-                BlockingKind::UnnestJoin {
-                    outer,
-                    set_attr,
-                    inner,
-                    keys,
-                } => {
-                    let o = drain_to_set(outer, spill, ctx)?;
-                    let i = drain_to_set(inner, spill, ctx)?;
-                    Buffered::new(pnhl::unnest_join_rows(
-                        &o,
-                        set_attr,
-                        &i,
-                        keys,
-                        &ctx.ev,
-                        &mut ctx.env,
-                        ctx.stats,
-                    )?)
-                }
             };
             self.buf = Some(buf);
         }
@@ -1038,11 +969,6 @@ impl Operator for BlockingOp {
             BlockingKind::SetOp { left, right, .. } => {
                 left.close(ctx);
                 right.close(ctx);
-            }
-            BlockingKind::Pnhl { outer, inner, .. }
-            | BlockingKind::UnnestJoin { outer, inner, .. } => {
-                outer.close(ctx);
-                inner.close(ctx);
             }
         }
     }
@@ -1289,40 +1215,6 @@ impl PhysPlan {
                 spill: SpillMetrics::default(),
                 in_batches: 0,
             }),
-            PhysPlan::Pnhl {
-                outer,
-                set_attr,
-                inner,
-                keys,
-                budget,
-            } => Box::new(BlockingOp {
-                kind: BlockingKind::Pnhl {
-                    outer: outer.compile_rows(kids[0], 0, 1),
-                    set_attr: set_attr.clone(),
-                    inner: inner.compile_rows(kids[1], 0, 1),
-                    keys: Box::new(keys.clone()),
-                    budget: *budget,
-                },
-                buf: None,
-                spill: SpillMetrics::default(),
-                in_batches: 0,
-            }),
-            PhysPlan::UnnestJoin {
-                outer,
-                set_attr,
-                inner,
-                keys,
-            } => Box::new(BlockingOp {
-                kind: BlockingKind::UnnestJoin {
-                    outer: outer.compile_rows(kids[0], 0, 1),
-                    set_attr: set_attr.clone(),
-                    inner: inner.compile_rows(kids[1], 0, 1),
-                    keys: Box::new(keys.clone()),
-                },
-                buf: None,
-                spill: SpillMetrics::default(),
-                in_batches: 0,
-            }),
             PhysPlan::LetOp { var, value, body } => Box::new(LetOp {
                 var: var.clone(),
                 value: value.compile_stride(kids[0], 0, 1),
@@ -1369,8 +1261,6 @@ impl PhysPlan {
             PhysPlan::AggNode { op, .. } => format!("Agg({})", op.name()),
             PhysPlan::LetOp { var, .. } => format!("Let({var})"),
             PhysPlan::Join { spec, .. } => spec.op_label(),
-            PhysPlan::Pnhl { set_attr, .. } => format!("PNHL({set_attr})"),
-            PhysPlan::UnnestJoin { set_attr, .. } => format!("UnnestJoin({set_attr})"),
             PhysPlan::Assemble { attr, class, .. } => format!("Assemble({attr}->{class})"),
             PhysPlan::Exchange {
                 partitioning, dop, ..
@@ -1698,7 +1588,7 @@ mod tests {
         for (family, adl_pred) in [(JoinFamily::Loop, pred.clone()), (sorted, keyed)] {
             for kind in kinds {
                 let plan = PhysPlan::Join {
-                    spec: JoinSpec {
+                    spec: Box::new(JoinSpec {
                         family: family.clone(),
                         mode: JoinMode::Join {
                             kind,
@@ -1707,7 +1597,7 @@ mod tests {
                         lvar: "x".into(),
                         rvar: "y".into(),
                         residual: Some(pred.clone()),
-                    },
+                    }),
                     left: scan("X"),
                     right: Some(scan("Y")),
                 };
@@ -1716,7 +1606,7 @@ mod tests {
             }
             for rfunc in [None, Some(var("y").field("c"))] {
                 let plan = PhysPlan::Join {
-                    spec: JoinSpec {
+                    spec: Box::new(JoinSpec {
                         family: family.clone(),
                         mode: JoinMode::Nest {
                             rfunc: rfunc.clone(),
@@ -1725,7 +1615,7 @@ mod tests {
                         lvar: "x".into(),
                         rvar: "y".into(),
                         residual: Some(pred.clone()),
-                    },
+                    }),
                     left: scan("X"),
                     right: Some(scan("Y")),
                 };
@@ -1742,7 +1632,7 @@ mod tests {
             }
         }
         let plan = PhysPlan::Join {
-            spec: JoinSpec::product(),
+            spec: Box::new(JoinSpec::product()),
             left: scan("X"),
             right: Some(scan("Y")),
         };
@@ -1754,7 +1644,7 @@ mod tests {
         for kind in kinds {
             for residual in [None, Some(early.clone())] {
                 let plan = PhysPlan::Join {
-                    spec: JoinSpec {
+                    spec: Box::new(JoinSpec {
                         family: JoinFamily::Index {
                             lkey: var("s").field("eid"),
                             attr: "supplier".into(),
@@ -1767,7 +1657,7 @@ mod tests {
                         lvar: "s".into(),
                         rvar: "d".into(),
                         residual: residual.clone(),
-                    },
+                    }),
                     left: scan("SUPPLIER"),
                     right: None,
                 };
@@ -1872,7 +1762,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_agrees_on_nestjoin_pnhl_and_assembly() {
+    fn streaming_agrees_on_nestjoin_and_assembly() {
         let db = supplier_part_db();
         // membership nestjoin (Example Query 6 shape)
         let nj = nestjoin_with(
@@ -1888,7 +1778,7 @@ mod tests {
         assert_eq!(m, s);
         assert_eq!(ss.operator("MemberNestJoin").unwrap().rows_out, 5);
 
-        // §6.2 materialization: assembly (identity key) and PNHL
+        // §6.2 materialization with the identity key: assembly
         let mat = map(
             "s",
             except(
@@ -1907,27 +1797,6 @@ mod tests {
         let (m2, _, s2, ss2) = both_paths(&db, &mat);
         assert_eq!(m2, s2);
         assert!(ss2.operator("Assemble").is_some(), "{:?}", ss2.operators);
-
-        let pnhl_planner = Planner::with_config(
-            &db,
-            PlannerConfig {
-                // forced so `prefer_assembly: false` really forces PNHL
-                join_algo: JoinAlgo::Hash,
-                prefer_assembly: false,
-                pnhl_budget: 2,
-                // the assertion below counts the *row*-budget segments;
-                // a byte budget (e.g. CI's OODB_MEMORY_BUDGET pass)
-                // would switch to the spill-backed PNHL instead
-                memory_budget: 0,
-                ..Default::default()
-            },
-        );
-        let plan = pnhl_planner.plan(&mat).unwrap();
-        let mut ss3 = Stats::new();
-        let s3 = plan.execute_streaming(&mut ss3).unwrap();
-        assert_eq!(m2, s3);
-        assert!(ss3.operator("PNHL").is_some(), "{:?}", ss3.operators);
-        assert_eq!(ss3.partitions, 4); // ⌈7 / 2⌉ segments
     }
 
     #[test]
@@ -2017,7 +1886,7 @@ mod tests {
     fn product_and_setop_stream_correctly() {
         let db = supplier_part_db();
         let prod = PhysPlan::Join {
-            spec: JoinSpec::product(),
+            spec: Box::new(JoinSpec::product()),
             left: Box::new(PhysPlan::ProjectOp {
                 attrs: vec!["eid".into()],
                 input: Box::new(PhysPlan::Scan("SUPPLIER".into())),
@@ -2067,16 +1936,12 @@ mod tests {
         );
         let plan = Planner::new(&db).plan(&e).unwrap();
         assert!(matches!(
-            plan.phys,
-            PhysPlan::Join {
-                spec: JoinSpec {
-                    family: JoinFamily::Index { .. },
-                    mode: JoinMode::Join { .. },
-                    ..
-                },
-                right: None,
-                ..
-            }
+            &plan.phys,
+            PhysPlan::Join { spec, right: None, .. }
+                if matches!(
+                    (&spec.family, &spec.mode),
+                    (JoinFamily::Index { .. }, JoinMode::Join { .. })
+                )
         ));
         let mut ss = Stats::new();
         let s = plan.execute_streaming(&mut ss).unwrap();

@@ -1,5 +1,5 @@
-//! Out-of-core execution: grace hash join, external merge sort, and the
-//! spill-backed PNHL — the engine half of the `oodb-spill` subsystem.
+//! Out-of-core execution: grace hash join and external merge sort — the
+//! engine half of the `oodb-spill` subsystem.
 //!
 //! Under an unbounded [`MemoryBudget`] (the default) every operator keeps
 //! its state in memory, and of this code only a sort-merge join's
@@ -21,10 +21,11 @@
 //!   at set boundaries, exactly like `Set::from_values`). A sort-merge
 //!   join merges its two sides' runs into output a chunk at a time, so
 //!   its output streams under a budget too.
-//! * **PNHL** ([`pnhl_spill_rows`]): instead of re-probing every outer
-//!   element once per build segment, inner rows and probe elements are
-//!   hash-partitioned through the [`SpillManager`] and each element is
-//!   probed exactly once, against the one partition that can match it.
+//!
+//! §6.2's set materialization has no spill path of its own: the
+//! `nestjoin-map` rewrite turns it into a membership nestjoin, whose
+//! build side spills through the grace hash join above like any other
+//! member join.
 //!
 //! All partition routing hashes the canonical key values with a
 //! per-recursion-level remix, so equal keys always meet in the same
@@ -32,11 +33,10 @@
 
 use super::columnar::ProbeInput;
 use super::hashjoin::{
-    self, eval_keys, eval_under, JoinFamily, JoinHashTable, JoinMode, JoinSpec, Keyed,
-    MemberHashTable, MemberShape,
+    self, eval_keys, JoinFamily, JoinHashTable, JoinMode, JoinSpec, Keyed, MemberHashTable,
+    MemberShape,
 };
 use super::operator::{BoxOp, ExecCtx};
-use super::MatchKeys;
 use crate::eval::{Env, EvalError, Evaluator};
 use crate::stats::Stats;
 use oodb_adl::expr::{Expr, JoinKind};
@@ -907,162 +907,4 @@ pub(crate) fn budgeted_canonical_set(
     // already sorted and unique, but go through the canonical
     // constructor so the invariant is enforced in one place
     Ok(Set::from_values(out))
-}
-
-// ---------------------------------------------------------------------
-// Spill-backed PNHL.
-
-/// PNHL under a byte budget: the inner (flat, build) operand is
-/// hash-partitioned by its key through the [`SpillManager`], and the
-/// probe elements — `(outer ordinal, element key)` pairs — are
-/// partitioned the same way and **persisted**, so each element is
-/// probed exactly once against the single partition that can match it,
-/// instead of the legacy re-scan of every outer element per segment.
-/// Partial results still merge per outer tuple (phase 2 of \[DeLa92\]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pnhl_spill_rows(
-    outer: &Set,
-    set_attr: &Name,
-    inner: &Set,
-    keys: &MatchKeys,
-    budget: &MemoryBudget,
-    local: &mut SpillMetrics,
-    ctx: &mut ExecCtx<'_, '_>,
-) -> Result<Vec<Value>, EvalError> {
-    // Key the build side; a fitting build degenerates to the single
-    // in-memory segment of the legacy algorithm.
-    let mut keyed: Vec<(Value, Value)> = Vec::new();
-    let mut bytes = 0usize;
-    for y in inner.iter() {
-        let k = eval_under(
-            &keys.inner_key,
-            &keys.inner_var,
-            y,
-            &ctx.ev,
-            &mut ctx.env,
-            ctx.stats,
-        )?;
-        bytes += encoded_size(&k) + encoded_size(y);
-        keyed.push((k, y.clone()));
-    }
-
-    let mut partial: Vec<Vec<Value>> = vec![Vec::new(); outer.len()];
-    if !budget.exceeded_by(bytes) {
-        ctx.stats.partitions += 1;
-        let mut table: FxHashMap<Value, Vec<Value>> = FxHashMap::default();
-        for (k, y) in keyed {
-            ctx.stats.hash_build_rows += 1;
-            table.entry(k).or_default().push(y);
-        }
-        probe_pnhl_elements(outer, set_attr, keys, &table, &mut partial, ctx)?;
-    } else {
-        let mut mgr = SpillManager::new(budget);
-        mgr.metrics.passes += 1;
-        let mut bw = mgr.partition_writers(GRACE_FANOUT)?;
-        for (k, y) in keyed {
-            let p = partition_of(hashjoin::value_hash(&k), 0);
-            write_keyed(&mut bw[p], std::slice::from_ref(&k), &y)?;
-        }
-        // Persist the probe partitions: (ordinal, element key) pairs.
-        let mut pw = mgr.partition_writers(GRACE_FANOUT)?;
-        for (xi, x) in outer.iter().enumerate() {
-            let elems = x.as_tuple()?.field(set_attr)?.as_set()?.clone();
-            for e in elems.iter() {
-                let k = eval_under(
-                    &keys.elem_key,
-                    &keys.elem_var,
-                    e,
-                    &ctx.ev,
-                    &mut ctx.env,
-                    ctx.stats,
-                )?;
-                let p = partition_of(hashjoin::value_hash(&k), 0);
-                pw[p].write_record(&[Value::Int(xi as i64), k])?;
-            }
-        }
-        let mut work: Vec<(Option<SpillReader>, Option<SpillReader>, u32)> = bw
-            .into_iter()
-            .zip(pw)
-            .map(|(b, p)| Ok((mgr.seal(b)?, mgr.seal(p)?, 0)))
-            .collect::<Result<_, EvalError>>()?;
-        while let Some((build, probe_r, level)) = work.pop() {
-            let Some(mut probe_r) = probe_r else { continue };
-            let (entries, part_bytes) = read_keyed(build)?;
-            if budget.exceeded_by(part_bytes) && level < MAX_GRACE_DEPTH && entries.len() > 1 {
-                mgr.metrics.passes += 1;
-                let mut bw = mgr.partition_writers(GRACE_FANOUT)?;
-                for (k, y) in entries {
-                    let p = partition_of(hashjoin::value_hash(&k[0]), level + 1);
-                    write_keyed(&mut bw[p], &k, &y)?;
-                }
-                let mut pw = mgr.partition_writers(GRACE_FANOUT)?;
-                while let Some(rec) = probe_r.next_record()? {
-                    let p = partition_of(hashjoin::value_hash(&rec[1]), level + 1);
-                    pw[p].write_record(&rec)?;
-                }
-                for (b, p) in bw.into_iter().zip(pw) {
-                    work.push((mgr.seal(b)?, mgr.seal(p)?, level + 1));
-                }
-                continue;
-            }
-            ctx.stats.partitions += 1;
-            let mut table: FxHashMap<Value, Vec<Value>> = FxHashMap::default();
-            for (mut k, y) in entries {
-                ctx.stats.hash_build_rows += 1;
-                table
-                    .entry(k.pop().expect("single key"))
-                    .or_default()
-                    .push(y);
-            }
-            while let Some(rec) = probe_r.next_record()? {
-                let xi = rec[0].as_int()? as usize;
-                ctx.stats.hash_probes += 1;
-                if let Some(matches) = table.get(&rec[1]) {
-                    partial[xi].extend(matches.iter().cloned());
-                }
-            }
-        }
-        account(local, ctx.stats, &mgr);
-    }
-
-    // Phase 2: merge partial results per outer tuple.
-    let mut out = Vec::with_capacity(outer.len());
-    for (xi, x) in outer.iter().enumerate() {
-        let merged = Set::from_values(std::mem::take(&mut partial[xi]));
-        let t = x
-            .as_tuple()?
-            .except(&[(set_attr.clone(), Value::Set(merged))])
-            .map_err(EvalError::Value)?;
-        out.push(Value::Tuple(t));
-    }
-    Ok(out)
-}
-
-/// Probes every outer element against one in-memory PNHL table.
-fn probe_pnhl_elements(
-    outer: &Set,
-    set_attr: &Name,
-    keys: &MatchKeys,
-    table: &FxHashMap<Value, Vec<Value>>,
-    partial: &mut [Vec<Value>],
-    ctx: &mut ExecCtx<'_, '_>,
-) -> Result<(), EvalError> {
-    for (xi, x) in outer.iter().enumerate() {
-        let elems = x.as_tuple()?.field(set_attr)?.as_set()?.clone();
-        for e in elems.iter() {
-            let k = eval_under(
-                &keys.elem_key,
-                &keys.elem_var,
-                e,
-                &ctx.ev,
-                &mut ctx.env,
-                ctx.stats,
-            )?;
-            ctx.stats.hash_probes += 1;
-            if let Some(matches) = table.get(&k) {
-                partial[xi].extend(matches.iter().cloned());
-            }
-        }
-    }
-    Ok(())
 }

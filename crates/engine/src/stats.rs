@@ -2,8 +2,8 @@
 //!
 //! Wall-clock alone does not show *why* a plan wins; these counters expose
 //! the work profile the paper reasons about — nested-loop iterations
-//! versus hash build/probe work, partitioning passes of the PNHL
-//! algorithm, and pointer dereferences of the assembly operator.
+//! versus hash build/probe work, spill partitions under a memory budget,
+//! and pointer dereferences of the assembly operator.
 
 use std::fmt;
 
@@ -21,8 +21,6 @@ pub struct Stats {
     pub hash_build_rows: u64,
     /// Hash table probes.
     pub hash_probes: u64,
-    /// Partitions/segments created (PNHL memory-budget passes).
-    pub partitions: u64,
     /// Pointer dereferences through an oid index (materialize/assembly).
     pub oid_lookups: u64,
     /// Secondary-index probes (index nested-loop join).
@@ -34,8 +32,8 @@ pub struct Stats {
     /// as the row path, so [`Stats::work`] excludes this.
     pub mask_batches: u64,
     /// Bytes written to spill files by the external-memory subsystem
-    /// (grace hash partitions, sort runs, PNHL probe partitions). Zero
-    /// under an unbounded memory budget.
+    /// (grace hash partitions, sort runs). Zero under an unbounded
+    /// memory budget.
     pub spill_bytes: u64,
     /// Spill partition files created.
     pub spill_partitions: u64,
@@ -185,7 +183,6 @@ impl Stats {
         self.predicate_evals += other.predicate_evals;
         self.hash_build_rows += other.hash_build_rows;
         self.hash_probes += other.hash_probes;
-        self.partitions += other.partitions;
         self.oid_lookups += other.oid_lookups;
         self.index_probes += other.index_probes;
         self.mask_batches += other.mask_batches;
@@ -213,7 +210,6 @@ impl Stats {
         self.predicate_evals += other.predicate_evals;
         self.hash_build_rows += other.hash_build_rows;
         self.hash_probes += other.hash_probes;
-        self.partitions += other.partitions;
         self.oid_lookups += other.oid_lookups;
         self.index_probes += other.index_probes;
         self.mask_batches += other.mask_batches;
@@ -284,13 +280,12 @@ impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "scan={} loop={} pred={} build={} probe={} parts={} deref={} idx={} out={}",
+            "scan={} loop={} pred={} build={} probe={} deref={} idx={} out={}",
             self.rows_scanned,
             self.loop_iterations,
             self.predicate_evals,
             self.hash_build_rows,
             self.hash_probes,
-            self.partitions,
             self.oid_lookups,
             self.index_probes,
             self.output_rows

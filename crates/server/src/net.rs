@@ -36,9 +36,9 @@
 //!    result_misses= budget_high_water= pool_in_use= pool_waiting=`;
 //! 2. **this connection's** accumulated execution counters across its
 //!    successful `QUERY`s — `work= rows_scanned= loop_iterations=
-//!    predicate_evals= hash_build_rows= hash_probes= partitions=
-//!    oid_lookups= index_probes= mask_batches= spill_bytes=
-//!    output_rows= plan_cache_hits= result_cache_hits=`.
+//!    predicate_evals= hash_build_rows= hash_probes= oid_lookups=
+//!    index_probes= mask_batches= spill_bytes= output_rows=
+//!    plan_cache_hits= result_cache_hits=`.
 //!
 //! `METRICS` answers the metrics registry in Prometheus text exposition
 //! format; `TRACE` the recent + slow query-phase span trees (indented
@@ -167,7 +167,7 @@ fn render_stats(server: &QueryServer<'_>, acc: &Stats) -> String {
          result_hits={} result_misses={} budget_high_water={} \
          pool_in_use={} pool_waiting={}\n\
          work={} rows_scanned={} loop_iterations={} predicate_evals={} \
-         hash_build_rows={} hash_probes={} partitions={} oid_lookups={} \
+         hash_build_rows={} hash_probes={} oid_lookups={} \
          index_probes={} mask_batches={} spill_bytes={} output_rows={} \
          plan_cache_hits={} result_cache_hits={}",
         m.plan_hits,
@@ -184,7 +184,6 @@ fn render_stats(server: &QueryServer<'_>, acc: &Stats) -> String {
         acc.predicate_evals,
         acc.hash_build_rows,
         acc.hash_probes,
-        acc.partitions,
         acc.oid_lookups,
         acc.index_probes,
         acc.mask_batches,

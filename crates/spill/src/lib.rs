@@ -1,9 +1,8 @@
 //! # External-memory subsystem: memory budgets and spill files
 //!
 //! The paper's §6.2 materialization trade-off exists because join state
-//! may not fit in main memory — PNHL's whole reason to be is a *memory
-//! budget*. This crate makes that budget real for the rest of the
-//! engine:
+//! may not fit in main memory — it is priced against a *memory budget*.
+//! This crate makes that budget real for the rest of the engine:
 //!
 //! * [`MemoryBudget`] — a byte-denominated accounting handle shared
 //!   across a pipeline. `0` bytes means **unbounded** (the legacy
@@ -22,7 +21,8 @@
 //!
 //! On top of these the engine builds grace hash join (partition build
 //! *and* probe to spill files, recurse on skewed partitions), external
-//! merge sort (bounded runs, k-way merge) and the spill-backed PNHL.
+//! merge sort (bounded runs, k-way merge) and the out-of-core grouping
+//! of streaming `ν`.
 
 use oodb_value::codec;
 use oodb_value::{Batch, ColumnarBatch, Value};
@@ -76,7 +76,7 @@ impl std::error::Error for SpillError {}
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A byte-denominated memory budget for pipeline state (hash tables,
-/// sort runs, PNHL segments). Cheap to clone; carried by the execution
+/// sort runs, grouping state). Cheap to clone; carried by the execution
 /// context and shared by every operator of a pipeline.
 ///
 /// The unit of account is [`codec::encoded_size`] of the buffered rows —

@@ -6,7 +6,7 @@
 //! unnesting/rewrite strategy that turns nested (tuple-oriented) queries
 //! into join (set-oriented) queries, and an execution engine with the
 //! physical operators the paper discusses (hash join, semijoin, antijoin,
-//! nestjoin, PNHL, pointer-based assembly).
+//! nestjoin, pointer-based assembly).
 //!
 //! This facade crate re-exports the member crates and offers [`Pipeline`],
 //! a one-call parse → typecheck → translate → optimize → execute API.
@@ -92,10 +92,10 @@ impl<'db> Pipeline<'db> {
     /// canonical-set-identical results (see the README's threading
     /// model section). `PlannerConfig::memory_budget` bounds pipeline
     /// state in bytes (`OODB_MEMORY_BUDGET` supplies the default, `0`
-    /// = unbounded): oversized hash builds run as grace hash joins,
-    /// sorts go external, PNHL spills its probe partitions — same
-    /// results, different residency (see the README's memory-budget
-    /// section).
+    /// = unbounded): oversized hash and member builds run as grace
+    /// hash joins (§6.2's materialization among them, as a membership
+    /// nestjoin) and sorts go external — same results, different
+    /// residency (see the README's memory-budget section).
     pub fn with_config(db: &'db Database, config: PlannerConfig) -> Self {
         let config = ServerConfig {
             planner: config,

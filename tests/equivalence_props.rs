@@ -696,10 +696,12 @@ proptest! {
         }
     }
 
-    /// PNHL answers are invariant under the memory budget, and agree with
-    /// both assembly and the naive evaluation of the materialize pattern.
+    /// §6.2's materialization is invariant under a random byte budget:
+    /// the rewritten plan (a membership nestjoin, spilling when the
+    /// budget is tight) and pointer-based assembly of the unrewritten
+    /// pattern both agree with the naive evaluation.
     #[test]
-    fn pnhl_budget_invariance(config in db_config(), budget in 1usize..64) {
+    fn materialization_byte_budget_invariance(config in db_config(), budget in 0usize..2048) {
         let db = generate(&config);
         let ev = Evaluator::new(&db);
         // α[s : s except (parts = σ[p : p.pid ∈ s.parts](PART))](SUPPLIER)
@@ -719,24 +721,32 @@ proptest! {
             table("SUPPLIER"),
         );
         let reference = ev.eval_closed(&q).expect("reference");
-        // PNHL under the random budget
-        let pnhl_planner = Planner::with_config(
+        let planner = Planner::with_config(
             &db,
             PlannerConfig {
-                pnhl_budget: budget,
-                prefer_assembly: false,
+                memory_budget: budget,
                 ..Default::default()
             },
         );
+        // the rewritten (nestjoin) plan under the random budget
+        let rewritten = Optimizer::default()
+            .optimize(&q, db.catalog())
+            .expect("optimize")
+            .expr;
         let mut s1 = Stats::new();
-        let via_pnhl =
-            pnhl_planner.plan(&q).expect("plan").execute(&mut s1).expect("pnhl");
-        prop_assert_eq!(&via_pnhl, &reference);
-        // pointer-based assembly
-        let asm_planner = Planner::new(&db);
+        let via_nestjoin = planner
+            .plan(&rewritten)
+            .expect("plan")
+            .execute_streaming(&mut s1)
+            .expect("nestjoin");
+        prop_assert_eq!(&via_nestjoin, &reference);
+        // pointer-based assembly of the unrewritten pattern
         let mut s2 = Stats::new();
-        let via_asm =
-            asm_planner.plan(&q).expect("plan").execute(&mut s2).expect("assembly");
+        let via_asm = planner
+            .plan(&q)
+            .expect("plan")
+            .execute_streaming(&mut s2)
+            .expect("assembly");
         prop_assert_eq!(&via_asm, &reference);
         // assembly dereferences exactly one pointer per stored part ref
         let total_refs: u64 = db

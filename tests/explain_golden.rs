@@ -86,8 +86,6 @@ fn grid() -> Vec<PlannerConfig> {
                 for parallelism in [1usize, 2] {
                     grid.push(PlannerConfig {
                         join_algo,
-                        pnhl_budget: 1 << 14,
-                        prefer_assembly: true,
                         use_indexes,
                         parallelism,
                         parallel_threshold: 0,

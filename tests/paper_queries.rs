@@ -7,7 +7,7 @@
 use oodb::adl::Expr;
 use oodb::catalog::fixtures::supplier_part_db;
 use oodb::datagen::{generate, GenConfig};
-use oodb::engine::physical::{JoinFamily, JoinSpec};
+use oodb::engine::physical::JoinFamily;
 use oodb::engine::{PhysPlan, Planner};
 use oodb::value::{Oid, Value};
 use oodb::{Pipeline, PipelineOutput};
@@ -279,15 +279,10 @@ fn under_exchanges(p: &PhysPlan) -> &PhysPlan {
 fn member_join(p: &PhysPlan) -> Option<(&Option<Expr>, &PhysPlan)> {
     match p {
         PhysPlan::Join {
-            spec:
-                JoinSpec {
-                    family: JoinFamily::Member { .. },
-                    residual,
-                    ..
-                },
+            spec,
             right: Some(right),
             ..
-        } => Some((residual, right)),
+        } if matches!(spec.family, JoinFamily::Member { .. }) => Some((&spec.residual, right)),
         other => other.children().into_iter().find_map(member_join),
     }
 }

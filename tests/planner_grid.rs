@@ -3,9 +3,10 @@
 //! Every paper query (the OOSQL texts of `tests/paper_queries.rs`,
 //! re-anchored to a `GenConfig::scaled` database, plus the §7 ADL
 //! workloads shared with the benchmarks) runs under the **full**
-//! [`PlannerConfig`] grid — every `JoinAlgo` × indexes on/off × tight
-//! and roomy PNHL budgets — and every configuration must produce exactly the
-//! canonical result of the naive nested-loop evaluator. A plan picked by
+//! [`PlannerConfig`] grid — every `JoinAlgo` × indexes on/off × dop ×
+//! memory budget × batch layout × vectorization — and every configuration
+//! must produce exactly the canonical result of the naive nested-loop
+//! evaluator. A plan picked by
 //! cost is allowed to be *faster*; it is never allowed to be *different*.
 
 use oodb::catalog::{AttrStats, CatalogStats, Database, TableStats};
@@ -20,9 +21,8 @@ use oodb_bench::{
 };
 use proptest::prelude::*;
 
-/// The full configuration grid: 5 planner picks × 2 indexes × 2 PNHL
-/// budgets × 3 dop × 3 budgets × 2 batch layouts × 2 vectorize = 720
-/// configurations. The five picks are [`JoinAlgo::Cheapest`] with
+/// The full configuration grid: 5 planner picks × 2 indexes × 3 dop ×
+/// 3 budgets × 2 batch layouts × 2 vectorize = 360 configurations. The five picks are [`JoinAlgo::Cheapest`] with
 /// DP-over-subsets join-order enumeration on and off — reordering may
 /// change which association executes, never the answer — and the three
 /// forced algorithms, which keep the rewrite's join order and so have
@@ -52,25 +52,21 @@ fn full_grid() -> Vec<PlannerConfig> {
     let mut grid = Vec::new();
     for (join_algo, join_order) in picks {
         for use_indexes in [true, false] {
-            for pnhl_budget in [4usize, 1 << 14] {
-                for parallelism in [1usize, 2, 4] {
-                    for memory_budget in [0usize, 64 << 10, 4 << 10] {
-                        for batch_kind in [BatchKind::Columnar, BatchKind::Row] {
-                            for vectorize in [true, false] {
-                                grid.push(PlannerConfig {
-                                    join_algo,
-                                    pnhl_budget,
-                                    prefer_assembly: true,
-                                    use_indexes,
-                                    parallelism,
-                                    parallel_threshold: 0,
-                                    memory_budget,
-                                    batch_kind,
-                                    vectorize,
-                                    join_order,
-                                    timing: true,
-                                });
-                            }
+            for parallelism in [1usize, 2, 4] {
+                for memory_budget in [0usize, 64 << 10, 4 << 10] {
+                    for batch_kind in [BatchKind::Columnar, BatchKind::Row] {
+                        for vectorize in [true, false] {
+                            grid.push(PlannerConfig {
+                                join_algo,
+                                use_indexes,
+                                parallelism,
+                                parallel_threshold: 0,
+                                memory_budget,
+                                batch_kind,
+                                vectorize,
+                                join_order,
+                                timing: true,
+                            });
                         }
                     }
                 }
@@ -152,8 +148,11 @@ fn oosql_paper_queries_agree_across_the_full_grid() {
 /// Example Query 6 is grid-tested through its ADL translation below;
 /// here all eight §7 ADL workloads `BENCH_streaming.json` counts
 /// (including the §6.2 materialization map, which OOSQL cannot express
-/// directly) cover the PNHL / assembly / unnest-join, grouping and
-/// plain equi-join arms of the grid. The bench report runs them at
+/// directly) cover the nestjoin, grouping and plain equi-join arms of
+/// the grid. Each runs rewritten, as the benchmark runs it, so the
+/// materialization is a membership nestjoin here; its unrewritten,
+/// assembled form is covered by
+/// `materialization_strategies_agree_under_any_budget`. The bench report runs them at
 /// dop 1 only; every other point of every axis is checked here.
 #[test]
 fn adl_section7_workloads_agree_across_the_full_grid() {
@@ -382,30 +381,43 @@ proptest! {
     }
 }
 
-/// Tight budgets force the cost-based planner through all three §6.2
-/// materialization strategies on the same query, and a forced algorithm
-/// takes assembly or PNHL as `prefer_assembly` says — each must agree.
-/// (`prefer_assembly` only steers forced algorithms.)
+/// §6.2's materialization runs two ways on the same query. Unrewritten,
+/// its key is PART's identity, so the planner assembles it through the
+/// oid index; rewritten, `nestjoin-map` has made it a membership
+/// nestjoin, which a tight byte budget spills through the grace hash
+/// join. Each runs under every memory budget of the grid at dop 1 and 2,
+/// must show its operator in EXPLAIN (so the check cannot go vacuous),
+/// and must stream exactly the naive result.
 #[test]
 fn materialization_strategies_agree_under_any_budget() {
+    use oodb::engine::{Planner, Stats};
     let db = grid_db(80);
     let q = materialize_query();
     let (reference, _) = run_naive(&db, &q);
-    let picks = [
-        (JoinAlgo::Cheapest, true),
-        (JoinAlgo::Hash, true),
-        (JoinAlgo::Hash, false),
-    ];
-    for budget in [1usize, 2, 7, 64, 1 << 14] {
-        for (join_algo, prefer_assembly) in picks {
-            let cfg = PlannerConfig {
-                join_algo,
-                pnhl_budget: budget,
-                prefer_assembly,
-                ..Default::default()
-            };
-            let (v, _, _) = run_optimized_with(&db, &q, cfg.clone());
-            assert_eq!(v, reference, "budget {budget}, config {cfg:?}");
+    let rewritten = Optimizer::default()
+        .optimize(&q, db.catalog())
+        .expect("optimize")
+        .expr;
+    for (expr, op) in [(&q, "Assemble"), (&rewritten, "MemberNestJoin")] {
+        for memory_budget in [0usize, 64 << 10, 4 << 10] {
+            for parallelism in [1usize, 2] {
+                let cfg = PlannerConfig {
+                    memory_budget,
+                    parallelism,
+                    parallel_threshold: 0,
+                    ..Default::default()
+                };
+                let plan = Planner::with_config(&db, cfg.clone())
+                    .plan(expr)
+                    .expect("plan");
+                let explain = plan.explain();
+                let context = format!("{op}, {cfg:?}:\n{explain}");
+                assert!(operator_names(&explain).contains(&op), "{context}");
+                let streamed = plan
+                    .execute_streaming(&mut Stats::new())
+                    .expect("streaming");
+                assert_eq!(streamed, reference, "{context}");
+            }
         }
     }
 }
@@ -422,9 +434,8 @@ fn operator_names(explain: &str) -> Vec<&str> {
 
 /// A forced algorithm picks from the same candidate list the cost-based
 /// planner prices, so its plans carry estimates — but the pick stays
-/// forced: no join-order enumeration, no hash, sort-merge or index join
-/// under forced nested loops, and never the unnest–join (a cost-based
-/// choice only), with or without indexes.
+/// forced: no join-order enumeration and no hash, sort-merge or index
+/// join under forced nested loops, with or without indexes.
 #[test]
 fn forced_algorithms_stay_forced() {
     use oodb::engine::Planner;
@@ -479,7 +490,6 @@ fn forced_algorithms_stay_forced() {
                     "{context}"
                 );
                 let ops = operator_names(explain);
-                assert!(!ops.contains(&"UnnestJoin"), "{context}");
                 if join_algo == JoinAlgo::NestedLoop {
                     for set_oriented in [
                         "HashJoin",

@@ -278,33 +278,30 @@ fn tiny_budgets_force_grace_recursion() {
     );
 }
 
-/// The spill-backed PNHL agrees with the in-memory algorithm and
-/// reports its partitions.
+/// §6.2's materialization, rewritten into a membership nestjoin, spills
+/// through that join's grace partitions under a 4 KiB budget and
+/// returns exactly the unbounded run's answer.
 #[test]
-fn pnhl_spills_probe_partitions() {
+fn materialization_spills_through_member_nestjoin() {
     let db = scaled_db(400);
-    let q = materialize_query();
-    let pnhl_cfg = |budget: usize| PlannerConfig {
-        join_algo: JoinAlgo::Hash,
-        prefer_assembly: false,
-        ..config(budget, 1)
+    let q = Optimizer::default()
+        .optimize(&materialize_query(), db.catalog())
+        .expect("optimize")
+        .expr;
+    let run = |budget: usize, stats: &mut Stats| {
+        Planner::with_config(&db, config(budget, 1))
+            .plan(&q)
+            .expect("plan")
+            .execute_streaming(stats)
+            .expect("execute")
     };
-    let mut ref_stats = Stats::new();
-    let reference = Planner::with_config(&db, pnhl_cfg(0))
-        .plan(&q)
-        .expect("plan")
-        .execute_streaming(&mut ref_stats)
-        .expect("unbounded PNHL");
+    let reference = run(0, &mut Stats::new());
     let mut stats = Stats::new();
-    let got = Planner::with_config(&db, pnhl_cfg(4 << 10))
-        .plan(&q)
-        .expect("plan")
-        .execute_streaming(&mut stats)
-        .expect("spilled PNHL");
+    let got = run(4 << 10, &mut stats);
     assert_eq!(got, reference);
-    let op = stats.operator("PNHL").expect("PNHL op");
-    assert!(op.spill_bytes > 0, "PNHL did not spill: {op:?}");
-    assert!(stats.partitions > 1, "one partition only: {stats}");
+    let op = stats.operator("MemberNestJoin").expect("MemberNestJoin op");
+    assert!(op.spill_bytes > 0, "the nestjoin did not spill: {op:?}");
+    assert!(op.spill_partitions > 1, "one partition only: {op:?}");
 }
 
 /// EXPLAIN carries the estimated spill volume under a bounded budget.
