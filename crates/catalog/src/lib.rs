@@ -12,7 +12,7 @@
 //! * [`Catalog`] — the schema: classes indexed by class name and by extent
 //!   name;
 //! * [`Table`] — an extent: tuples plus an oid → row index (the *physical
-//!   pointer* map that the materialize/assembly operator of §6.2 exploits);
+//!   pointer* map every `deref` of §6.2's materialization goes through);
 //! * [`Database`] — catalog plus populated extents;
 //! * [`fixtures`] — the paper's supplier–part database (§2) and the exact
 //!   example tables of Figures 1–3.

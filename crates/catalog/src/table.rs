@@ -11,8 +11,8 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 ///
 /// Rows are stored in insertion order (scans are cheap and deterministic);
 /// the `oid → row` index makes object identifiers behave like *physical*
-/// pointers, which is the property pointer-based joins (assembly, §6.2)
-/// rely on. Set-valued attributes are stored inline with their tuple —
+/// pointers: dereferencing one (§6.2's `deref`) is one hash lookup, not a
+/// scan of the extent. Set-valued attributes are stored inline with their tuple —
 /// the paper's "assuming set-valued attributes are stored clustered" (§3),
 /// which is why unnesting them is undesirable.
 ///

@@ -248,7 +248,6 @@ impl<'a> CostModel<'a> {
             | PhysPlan::RenameOp { input, .. }
             | PhysPlan::UnnestOp { input, .. }
             | PhysPlan::NestOp { input, .. }
-            | PhysPlan::Assemble { input, .. }
             | PhysPlan::Exchange { input, .. } => self.row_bytes(input),
             // nestjoins emit the left row plus a grouped set of right
             // rows (an index join has no right plan to measure)
@@ -529,24 +528,6 @@ impl<'a> CostModel<'a> {
                 }
             }
             PhysPlan::Join { spec, left, right } => self.est_join(spec, left, right.as_deref()).0,
-            PhysPlan::Assemble {
-                input,
-                attr,
-                set_valued,
-                ..
-            } => {
-                let i = self.est(input);
-                let lookups = if *set_valued {
-                    i.rows * self.attr_set_len(&i, attr)
-                } else {
-                    i.rows
-                };
-                NodeEst {
-                    rows: i.rows,
-                    cost: i.cost + lookups,
-                    source: i.source,
-                }
-            }
             PhysPlan::Exchange { dop, input, .. } => {
                 let i = self.est(input);
                 let dop = (*dop).max(1) as f64;
@@ -732,14 +713,6 @@ impl<'a> CostModel<'a> {
     /// [`composite_ndv`]).
     fn keys_ndv(&self, keys: &[Expr], var: &Name, input: &NodeEst) -> Option<f64> {
         composite_ndv(keys.iter().map(|k| self.key_ndv(k, var, input)))
-    }
-
-    /// Mean set size of `node.attr`, with the default fallback.
-    fn attr_set_len(&self, node: &NodeEst, attr: &Name) -> f64 {
-        node.source
-            .as_ref()
-            .and_then(|s| self.stats.avg_set_len(s, attr))
-            .unwrap_or(DEFAULT_SET_LEN)
     }
 
     /// Build cost, probe cost, matched pair count and per-left-tuple

@@ -10,8 +10,8 @@
 //!
 //! * **Extraction** (`JoinGraph::extract`): a chain of `Inner`
 //!   [`Expr::Join`] nodes is flattened into *leaves* (the non-join
-//!   operands, left opaque — nest and assembly subtrees stay exactly
-//!   the composite vertices the §6.2 materialization detection built)
+//!   operands, left opaque — nestjoin and map subtrees, §6.2's
+//!   materializations among them, stay whole composite vertices)
 //!   and *predicates*, each conjunct re-anchored onto the leaves whose
 //!   attributes it touches. Anything the extraction cannot prove safe —
 //!   a bare tuple reference, an attribute owned by no unique leaf, a

@@ -9,10 +9,9 @@
 //!   baseline the paper argues against.
 //! * [`plan::Planner`] + [`physical::PhysPlan`] — **set-oriented
 //!   execution**: hash / sort-merge / membership-hash joins, semijoins,
-//!   antijoins, the nestjoin `⊣` (§6.1, which also runs §6.2's
-//!   materialization once the rewriter has unnested it) and pointer-based
-//!   assembly (§6.2, \[BlMG93\]), with statistics that expose the work
-//!   profile ([`stats::Stats`]).
+//!   antijoins, index nested-loop joins and the nestjoin `⊣` (§6.1, which
+//!   also runs §6.2's materialization once the rewriter has unnested it),
+//!   with statistics that expose the work profile ([`stats::Stats`]).
 //!
 //! Physical operators are property-tested to agree with the reference
 //! evaluator on arbitrary inputs — same answers, different asymptotics.

@@ -11,8 +11,8 @@
 //! Two partitioning strategies (see [`Partitioning`]):
 //!
 //! * **Round-robin** (`ExchangeOp`): each worker executes a clone of the
-//!   same per-row segment (filters, maps, projections, unnests, assembly
-//!   over one base scan), with the scan strided so each
+//!   same per-row segment (filters, maps, projections, unnests over one
+//!   base scan), with the scan strided so each
 //!   [`BATCH_SIZE`](super::operator::BATCH_SIZE)-aligned morsel belongs
 //!   to exactly one worker. The exchange gathers worker outputs in
 //!   worker order — a blocking boundary, like the breaker it feeds.
@@ -86,8 +86,8 @@ pub(crate) fn compile_exchange(
 }
 
 /// The base scan a round-robin segment strides over, if `plan` is a
-/// valid segment: a chain of per-row operators (`σ α π ρ μ ⋃`,
-/// assembly) over exactly one [`PhysPlan::Scan`] leaf. The planner and
+/// valid segment: a chain of per-row operators (`σ α π ρ μ ⋃`) over
+/// exactly one [`PhysPlan::Scan`] leaf. The planner and
 /// [`compile_exchange`] share this definition, so an exchange can never
 /// stride a plan whose semantics depend on seeing all rows.
 pub(crate) fn segment_scan(plan: &PhysPlan) -> Option<&Name> {
@@ -98,15 +98,14 @@ pub(crate) fn segment_scan(plan: &PhysPlan) -> Option<&Name> {
         | PhysPlan::ProjectOp { input, .. }
         | PhysPlan::RenameOp { input, .. }
         | PhysPlan::UnnestOp { input, .. }
-        | PhysPlan::FlattenOp { input }
-        | PhysPlan::Assemble { input, .. } => segment_scan(input),
+        | PhysPlan::FlattenOp { input } => segment_scan(input),
         _ => None,
     }
 }
 
 /// Whether a segment can never emit the same row twice: a scan of an
-/// extent (a set) under any number of filters. Maps, projections,
-/// unnests and assembly can collapse distinct rows into equal ones, so
+/// extent (a set) under any number of filters. Maps, projections and
+/// unnests can collapse distinct rows into equal ones, so
 /// a build side made of them still goes through the canonical-set
 /// breaker.
 pub(crate) fn duplicate_free(plan: &PhysPlan) -> bool {

@@ -9,13 +9,10 @@
 //!   nestjoin `⊣`, implemented as a hash join (equi keys, or membership
 //!   keys for predicates like `p.pid ∈ s.parts`), a sort-merge join, an
 //!   index nested-loop join, or a nested loop (the fallback for
-//!   arbitrary predicates, and the Cartesian product);
-//! * [`assembly`] — the pointer-based materialize operator of \[BlMG93\]
-//!   (§6.2), using the catalog's oid indexes.
+//!   arbitrary predicates, and the Cartesian product).
 //!
 //! [`PhysPlan`] is the operator tree; [`PhysPlan::execute_on`] runs it.
 
-pub mod assembly;
 pub mod columnar;
 pub mod exchange;
 pub mod hashjoin;
@@ -35,8 +32,7 @@ pub enum Partitioning {
     /// Each worker executes a clone of the input segment with every base
     /// scan strided round-robin over batch boundaries; each input batch
     /// is processed by exactly one worker (morsel-driven parallelism for
-    /// per-row pipelines: filters, maps, projections, unnests,
-    /// assembly).
+    /// per-row pipelines: filters, maps, projections, unnests).
     RoundRobin,
     /// Hash-partitioned parallel build **and** probe for the hash join
     /// family: build rows are routed by join-key hash to per-worker
@@ -154,18 +150,6 @@ pub enum PhysPlan {
         /// Right (build) plan; `None` exactly for the index family, which
         /// probes its extent's index instead.
         right: Option<Box<PhysPlan>>,
-    },
-    /// Assembly (\[BlMG93\]): pointer-based materialization of oid-valued
-    /// (or set-of-oid-valued) attributes through the extent's oid index.
-    Assemble {
-        /// Input plan.
-        input: Box<PhysPlan>,
-        /// The oid-carrying attribute.
-        attr: Name,
-        /// Referenced class.
-        class: Name,
-        /// Whether `attr` is a single oid or a set of oids.
-        set_valued: bool,
     },
     /// Exchange: evaluates `input` with `dop` workers under the given
     /// [`Partitioning`] (see [`exchange`]). Semantically the identity —
@@ -333,21 +317,6 @@ impl PhysPlan {
                 };
                 spec.join_sets(&l, r.as_ref(), ev, env, stats)
             }
-            PhysPlan::Assemble {
-                input,
-                attr,
-                class,
-                set_valued,
-            } => {
-                let s = input.exec(ev, env, stats)?.into_set()?;
-                let db = ev.db();
-                db.catalog()
-                    .class(class)
-                    .ok_or_else(|| EvalError::UnknownClass(class.clone()))?;
-                let rows =
-                    assembly::assemble_batch(s.as_slice(), attr, class, *set_valued, db, stats)?;
-                Ok(Value::Set(Set::from_values(rows)))
-            }
             // The exchange is semantically the identity; the materialized
             // reference path evaluates its input serially.
             PhysPlan::Exchange { input, .. } => input.exec(ev, env, stats),
@@ -395,17 +364,6 @@ impl PhysPlan {
             PhysPlan::AggNode { op, .. } => format!("Agg {}", op.name()),
             PhysPlan::LetOp { var, .. } => format!("Let {var}"),
             PhysPlan::Join { spec, .. } => spec.node_line(),
-            PhysPlan::Assemble {
-                attr,
-                class,
-                set_valued,
-                ..
-            } => {
-                format!(
-                    "Assemble {attr}→{class}{}",
-                    if *set_valued { " (set)" } else { "" }
-                )
-            }
             PhysPlan::Exchange {
                 partitioning, dop, ..
             } => {
@@ -432,7 +390,6 @@ impl PhysPlan {
             | PhysPlan::NestOp { input, .. }
             | PhysPlan::FlattenOp { input }
             | PhysPlan::AggNode { input, .. }
-            | PhysPlan::Assemble { input, .. }
             | PhysPlan::Exchange { input, .. } => vec![input],
             PhysPlan::SetOpNode { left, right, .. } => vec![left, right],
             PhysPlan::Join { left, right, .. } => {
@@ -455,7 +412,6 @@ impl PhysPlan {
             | PhysPlan::NestOp { input, .. }
             | PhysPlan::FlattenOp { input }
             | PhysPlan::AggNode { input, .. }
-            | PhysPlan::Assemble { input, .. }
             | PhysPlan::Exchange { input, .. } => vec![input],
             PhysPlan::SetOpNode { left, right, .. } => vec![left, right],
             PhysPlan::Join { left, right, .. } => std::iter::once(&mut **left)

@@ -14,8 +14,7 @@
 //!   runs and `ν`/aggregate/set-operation inputs are drained into
 //!   canonical [`Set`]s (preserving the algebra's deduplicating
 //!   semantics), while selections, maps, projections,
-//!   unnests, assembly and every join **probe side stream** batch by
-//!   batch;
+//!   unnests and every join **probe side stream** batch by batch;
 //! * each operator is wrapped in an `Instrument` shim recording
 //!   rows/batches emitted into [`Stats::operators`].
 //!
@@ -822,56 +821,6 @@ impl Operator for TransformOp {
     }
 }
 
-/// Assembly (\[BlMG93\]): pointer dereferencing is per-tuple work, so the
-/// operator streams its input through [`hashjoin`]-independent
-/// [`super::assembly::assemble_batch`] calls.
-struct AssembleOp {
-    attr: Name,
-    class: Name,
-    set_valued: bool,
-    checked: bool,
-    child: BoxOp,
-}
-
-impl Operator for AssembleOp {
-    fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
-        self.checked = false;
-        self.child.open(ctx)
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
-        if !self.checked {
-            ctx.ev
-                .db()
-                .catalog()
-                .class(&self.class)
-                .ok_or_else(|| EvalError::UnknownClass(self.class.clone()))?;
-            self.checked = true;
-        }
-        loop {
-            let Some(batch) = self.child.next_batch(ctx)? else {
-                return Ok(None);
-            };
-            let rows = batch.into_values();
-            let out = super::assembly::assemble_batch(
-                &rows,
-                &self.attr,
-                &self.class,
-                self.set_valued,
-                ctx.ev.db(),
-                ctx.stats,
-            )?;
-            if !out.is_empty() {
-                return Ok(Some(Batch::from_rows(out)));
-            }
-        }
-    }
-
-    fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
-        self.child.close(ctx);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Blocking one/two-child operators.
 
@@ -1121,8 +1070,8 @@ impl PhysPlan {
     }
 
     /// Compiles one node. The stride propagates only through the
-    /// operators a round-robin segment may contain (per-row transforms,
-    /// assembly, scans); everything else — joins, blocking operators,
+    /// operators a round-robin segment may contain (per-row transforms
+    /// and scans); everything else — joins, blocking operators,
     /// `let`, scalars — compiles its children serially, so a stride can
     /// never split the two sides of a join inconsistently.
     fn compile_node(&self, ord: usize, part: usize, parts: usize) -> BoxOp {
@@ -1224,18 +1173,6 @@ impl PhysPlan {
             PhysPlan::Join { .. } => {
                 Box::new(JoinOp::from_plan(self, ord, 1).expect("a join node"))
             }
-            PhysPlan::Assemble {
-                input,
-                attr,
-                class,
-                set_valued,
-            } => Box::new(AssembleOp {
-                attr: attr.clone(),
-                class: class.clone(),
-                set_valued: *set_valued,
-                checked: false,
-                child: input.compile_rows(kids[0], part, parts),
-            }),
             PhysPlan::Exchange {
                 partitioning,
                 dop,
@@ -1261,7 +1198,6 @@ impl PhysPlan {
             PhysPlan::AggNode { op, .. } => format!("Agg({})", op.name()),
             PhysPlan::LetOp { var, .. } => format!("Let({var})"),
             PhysPlan::Join { spec, .. } => spec.op_label(),
-            PhysPlan::Assemble { attr, class, .. } => format!("Assemble({attr}->{class})"),
             PhysPlan::Exchange {
                 partitioning, dop, ..
             } => format!("Exchange({partitioning:?},{dop})"),
@@ -1762,7 +1698,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_agrees_on_nestjoin_and_assembly() {
+    fn streaming_agrees_on_member_nestjoin() {
         let db = supplier_part_db();
         // membership nestjoin (Example Query 6 shape)
         let nj = nestjoin_with(
@@ -1777,26 +1713,6 @@ mod tests {
         let (m, _, s, ss) = both_paths(&db, &nj);
         assert_eq!(m, s);
         assert_eq!(ss.operator("MemberNestJoin").unwrap().rows_out, 5);
-
-        // §6.2 materialization with the identity key: assembly
-        let mat = map(
-            "s",
-            except(
-                var("s"),
-                vec![(
-                    "parts",
-                    select(
-                        "p",
-                        member(var("p").field("pid"), var("s").field("parts")),
-                        table("PART"),
-                    ),
-                )],
-            ),
-            table("SUPPLIER"),
-        );
-        let (m2, _, s2, ss2) = both_paths(&db, &mat);
-        assert_eq!(m2, s2);
-        assert!(ss2.operator("Assemble").is_some(), "{:?}", ss2.operators);
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //!   implementation the split allows becomes a candidate — hash (both
 //!   build sides of an inner join), sort-merge, index nested-loop,
 //!   membership hash — with nested loops always among them;
-//! * the materialization patterns of §6.2 run as pointer-based
-//!   **assembly** through the oid index: the set pattern
-//!   `α[x : x except (a = σ[y : key(y) ∈ x.a](T))](X)` when the key is
-//!   the class identity, and `α[x : x except (a = deref(x.a)))](X)` as
-//!   single-reference assembly. Any other key is an ordinary correlated
-//!   map here; the `nestjoin-map` rewrite turns it into a membership
-//!   nestjoin, which the join node below plans and spills like any join;
+//! * lowering is otherwise structural: every ADL operator becomes its
+//!   physical counterpart, so a join-shaped plan is chosen nowhere but
+//!   in that one candidate list. The materialization patterns of §6.2
+//!   (`α[x : x except (a = σ[y : key(y) ∈ x.a](T))](X)` and
+//!   `α[x : x except (a = deref(x.a))](X)`) are ordinary correlated maps
+//!   here; the `nestjoin-map` rewrite turns the set pattern into a
+//!   membership nestjoin, which the join node plans and spills like any
+//!   join;
 //! * one pick per operator keeps a candidate: the cheapest under the
 //!   [`CostModel`] ([`JoinAlgo::Cheapest`], the default), or the first a
 //!   forced [`JoinAlgo`] ranks (how benchmarks price one algorithm
@@ -114,9 +115,6 @@ pub struct PlannerConfig {
     /// ([`JoinAlgo::Cheapest`], the default) or by a forced algorithm's
     /// preference rank.
     pub join_algo: JoinAlgo,
-    /// Use secondary indexes (index nested-loop join) when the right
-    /// operand is an indexed extent.
-    pub use_indexes: bool,
     /// Degree of intra-query parallelism: worker count for the
     /// [`PhysPlan::Exchange`] operators the planner inserts at pipeline
     /// breaker boundaries. `1` (always honored) preserves exactly the
@@ -216,7 +214,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             join_algo: JoinAlgo::Cheapest,
-            use_indexes: true,
             parallelism: default_parallelism(),
             parallel_threshold: 2 * crate::physical::operator::BATCH_SIZE,
             memory_budget: default_memory_budget(),
@@ -229,7 +226,8 @@ impl Default for PlannerConfig {
 }
 
 /// Default memory budget: the `OODB_MEMORY_BUDGET` environment variable
-/// (bytes) if set and parseable, unbounded (`0`) otherwise.
+/// (bytes) if set, unbounded (`0`) if unset. A malformed value panics
+/// (see [`MemoryBudget::from_env`]).
 fn default_memory_budget() -> usize {
     MemoryBudget::from_env().limit().unwrap_or(0)
 }
@@ -407,7 +405,8 @@ impl Plan<'_> {
 /// [`Plan::explain_analyze`] for which nodes don't).
 #[derive(Debug, Clone)]
 pub struct AnalyzedOp {
-    /// The `node_line` label (e.g. `HashJoin Inner`).
+    /// The operator's `op_label`, the key its `Stats::operators` entry
+    /// reports under (e.g. `HashJoin(Inner)`).
     pub label: String,
     /// Estimated output rows, as the EXPLAIN line prints them.
     pub est_rows: Option<f64>,
@@ -578,16 +577,11 @@ impl<'a> Planner<'a> {
                 pred: (**pred).clone(),
                 input: Box::new(self.lower(input)?),
             },
-            Expr::Map { var, body, input } => {
-                if let Some(plan) = self.detect_materialize(var, body, input)? {
-                    return Ok(plan);
-                }
-                PhysPlan::MapOp {
-                    var: var.clone(),
-                    body: (**body).clone(),
-                    input: Box::new(self.lower(input)?),
-                }
-            }
+            Expr::Map { var, body, input } => PhysPlan::MapOp {
+                var: var.clone(),
+                body: (**body).clone(),
+                input: Box::new(self.lower(input)?),
+            },
             Expr::Project { attrs, input } => PhysPlan::ProjectOp {
                 attrs: attrs.clone(),
                 input: Box::new(self.lower(input)?),
@@ -773,7 +767,7 @@ impl<'a> Planner<'a> {
                 let sorted = JoinFamily::Sorted { lkeys, rkeys };
                 candidates.push((Cand::SortMerge, join(sorted, residual)));
             }
-            if join_kind.is_some() && self.config.use_indexes {
+            if join_kind.is_some() {
                 let index = self.index_nl_candidate(&mode, lvar, rvar, &split.equi, &rest, l, r);
                 candidates.extend(index.map(|plan| (Cand::Index, plan)));
             }
@@ -862,84 +856,6 @@ impl<'a> Planner<'a> {
             .map(|(_, plan)| plan)
             .expect("nested loops is a candidate every algorithm accepts")
     }
-
-    /// Recognizes the §6.2 materialization patterns (see module docs).
-    fn detect_materialize(
-        &self,
-        var: &Name,
-        body: &Expr,
-        input: &Expr,
-    ) -> Result<Option<PhysPlan>, PlanError> {
-        let Expr::Except(base, updates) = body else {
-            return Ok(None);
-        };
-        if !matches!(base.as_ref(), Expr::Var(v) if v == var) || updates.len() != 1 {
-            return Ok(None);
-        }
-        let (attr, update) = &updates[0];
-
-        // Pattern B: single-reference assembly
-        // α[x : x except (a = deref⟨C⟩(x.a))](X)
-        if let Expr::Deref(oid_expr, class) = update {
-            if matches!(
-                oid_expr.as_ref(),
-                Expr::Field(b, a) if a == attr && matches!(b.as_ref(), Expr::Var(v) if v == var)
-            ) {
-                return Ok(Some(PhysPlan::Assemble {
-                    input: Box::new(self.lower(input)?),
-                    attr: attr.clone(),
-                    class: class.clone(),
-                    set_valued: false,
-                }));
-            }
-        }
-
-        // Pattern A: set materialization
-        // α[x : x except (a = σ[y : key(y) ∈ x.a](T))](X)
-        let Expr::Select {
-            var: y,
-            pred,
-            input: sel_input,
-        } = update
-        else {
-            return Ok(None);
-        };
-        let Expr::Table(extent) = sel_input.as_ref() else {
-            return Ok(None);
-        };
-        let Expr::SetCmp(SetCmpOp::In, key_y, set_expr) = pred.as_ref() else {
-            return Ok(None);
-        };
-        // set side must be exactly x.attr
-        let set_matches = matches!(
-            set_expr.as_ref(),
-            Expr::Field(b, a) if a == attr && matches!(b.as_ref(), Expr::Var(v) if v == var)
-        );
-        if !set_matches {
-            return Ok(None);
-        }
-        // A pointer-based assembly applies exactly when the key is the
-        // class identity (oids behave as physical pointers). Any other
-        // key stays a correlated map: unnesting it into a membership
-        // nestjoin is the rewriter's job (`nestjoin-map`).
-        let Some(class) = self.db.catalog().class_by_extent(extent) else {
-            return Ok(None);
-        };
-        let is_identity_key = matches!(
-            key_y.as_ref(),
-            Expr::Field(b, a) if *a == class.identity
-                && matches!(b.as_ref(), Expr::Var(v) if v == y)
-        );
-        if !is_identity_key {
-            return Ok(None);
-        }
-        Ok(Some(PhysPlan::Assemble {
-            input: Box::new(self.lower(input)?),
-            attr: attr.clone(),
-            class: class.name.clone(),
-            set_valued: true,
-        }))
-    }
 }
 
 /// Wraps `plan` in an exchange of `dop` workers, in place.
@@ -1023,7 +939,7 @@ pub(crate) fn build_residual(parts: Vec<Expr>) -> Option<Expr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Evaluator;
+    use crate::eval::{EvalError, Evaluator};
     use oodb_adl::dsl::*;
     use oodb_catalog::fixtures::{figure3_db, supplier_part_db};
 
@@ -1278,36 +1194,92 @@ mod tests {
     }
 
     #[test]
-    fn detects_identity_materialization_as_assembly() {
+    fn materializations_plan_as_correlated_maps() {
+        // §6.2's patterns lower structurally, as the maps they are; the
+        // reference evaluator answers each body, pointer chasing included
         let db = supplier_part_db();
-        // α[s : s except (parts = σ[p : p.pid ∈ s.parts](PART))](SUPPLIER)
-        let e = map(
-            "s",
-            except(
-                var("s"),
-                vec![(
-                    "parts",
-                    select(
-                        "p",
-                        member(var("p").field("pid"), var("s").field("parts")),
-                        table("PART"),
-                    ),
-                )],
-            ),
-            table("SUPPLIER"),
-        );
-        let (phys, v, stats) = plan_and_run(&db, &e);
-        assert!(matches!(
-            phys,
-            PhysPlan::Assemble {
-                set_valued: true,
-                ..
-            }
-        ));
-        assert!(stats.oid_lookups > 0);
-        // identical to the naive evaluation
+        // α[s : s except (parts = σ[p : key(p) ∈ s.parts](PART))](SUPPLIER)
+        let set_pattern = |key: &str| {
+            map(
+                "s",
+                except(
+                    var("s"),
+                    vec![(
+                        "parts",
+                        select(
+                            "p",
+                            member(var("p").field(key), var("s").field("parts")),
+                            table("PART"),
+                        ),
+                    )],
+                ),
+                table("SUPPLIER"),
+            )
+        };
+        // α[d : d except (supplier = deref⟨class⟩(d.supplier))](input)
+        let single = |class: &str, input: Expr| {
+            map(
+                "d",
+                except(
+                    var("d"),
+                    vec![("supplier", deref(var("d").field("supplier"), class))],
+                ),
+                input,
+            )
+        };
         let ev = Evaluator::new(&db);
-        assert_eq!(v, ev.eval_closed(&e).unwrap());
+        let planner = Planner::new(&db);
+        let run = |e: &Expr| {
+            let plan = planner.plan(e).unwrap();
+            assert!(
+                matches!(plan.phys, PhysPlan::MapOp { .. }),
+                "{}",
+                plan.explain()
+            );
+            let mut stats = Stats::new();
+            let v = plan.execute_streaming(&mut stats).unwrap();
+            assert_eq!(v, ev.eval_closed(e).unwrap());
+            (v, stats)
+        };
+        // identity key: s5's dangling @999 is dropped, its @17 kept
+        let (v, _) = run(&set_pattern("pid"));
+        let s5 = v
+            .as_set()
+            .unwrap()
+            .iter()
+            .find(|r| r.as_tuple().unwrap().get("sname") == Some(&Value::str("s5")))
+            .unwrap();
+        let parts = s5.as_tuple().unwrap().get("parts").unwrap();
+        assert_eq!(parts.as_set().unwrap().len(), 1);
+        // a non-identity key is the same correlated map
+        run(&set_pattern("pname"));
+        // single references: one oid lookup per delivery
+        let (v, stats) = run(&single("Supplier", table("DELIVERY")));
+        for row in v.as_set().unwrap().iter() {
+            let sup = row.as_tuple().unwrap().get("supplier").unwrap();
+            assert!(sup.as_tuple().unwrap().get("sname").is_some());
+        }
+        assert_eq!(stats.oid_lookups, 3);
+
+        // a dangling single reference and an unknown class fail loudly
+        // on both execution paths
+        let dangling = Expr::Lit(Value::set([Value::tuple([
+            ("supplier", Value::Oid(oodb_value::Oid(4040))),
+            ("k", Value::Int(1)),
+        ])]));
+        let errors = |e: &Expr| {
+            let plan = planner.plan(e).unwrap();
+            [
+                plan.execute_streaming(&mut Stats::new()).unwrap_err(),
+                plan.execute(&mut Stats::new()).unwrap_err(),
+            ]
+        };
+        for err in errors(&single("Supplier", dangling)) {
+            assert!(matches!(err, EvalError::DanglingPointer { .. }), "{err}");
+        }
+        for err in errors(&single("Nope", table("DELIVERY"))) {
+            assert!(matches!(err, EvalError::UnknownClass(_)), "{err}");
+        }
     }
 
     #[test]
@@ -1322,56 +1294,6 @@ mod tests {
     #[should_panic(expected = "OODB_PARALLELISM must be a worker count")]
     fn malformed_parallelism_panics() {
         parallelism_from(Some("4x"));
-    }
-
-    #[test]
-    fn non_identity_key_materialization_is_a_correlated_map() {
-        let db = supplier_part_db();
-        // same shape, but keyed on pname (not the identity)
-        let e = map(
-            "s",
-            except(
-                var("s"),
-                vec![(
-                    "parts",
-                    select(
-                        "p",
-                        member(var("p").field("pname"), var("s").field("parts")),
-                        table("PART"),
-                    ),
-                )],
-            ),
-            table("SUPPLIER"),
-        );
-        // no pointer to follow: the planner leaves the map correlated
-        // (the rewriter unnests it into a membership nestjoin)
-        let (phys, v, _) = plan_and_run(&db, &e);
-        assert!(matches!(phys, PhysPlan::MapOp { .. }), "{phys:?}");
-        let ev = Evaluator::new(&db);
-        assert_eq!(v, ev.eval_closed(&e).unwrap());
-    }
-
-    #[test]
-    fn single_deref_detected_as_assembly() {
-        let db = supplier_part_db();
-        let e = map(
-            "d",
-            except(
-                var("d"),
-                vec![("supplier", deref(var("d").field("supplier"), "Supplier"))],
-            ),
-            table("DELIVERY"),
-        );
-        let (phys, v, _) = plan_and_run(&db, &e);
-        assert!(matches!(
-            phys,
-            PhysPlan::Assemble {
-                set_valued: false,
-                ..
-            }
-        ));
-        let ev = Evaluator::new(&db);
-        assert_eq!(v, ev.eval_closed(&e).unwrap());
     }
 
     #[test]
@@ -1594,23 +1516,12 @@ mod index_tests {
             join_shape(&planner.plan(&e).unwrap().phys),
             Some((JoinFamily::Equi { .. }, JoinMode::Join { .. }))
         ));
-        // disabled by config even when present
+        // with the index present, the index join is offered and wins
         let mut db2 = supplier_part_db();
         db2.create_index("DELIVERY", "supplier").unwrap();
-        let planner2 = Planner::with_config(
-            &db2,
-            PlannerConfig {
-                use_indexes: false,
-                ..Default::default()
-            },
-        );
+        let planner2 = Planner::new(&db2);
         assert!(matches!(
             join_shape(&planner2.plan(&e).unwrap().phys),
-            Some((JoinFamily::Equi { .. }, JoinMode::Join { .. }))
-        ));
-        let planner3 = Planner::new(&db2);
-        assert!(matches!(
-            join_shape(&planner3.plan(&e).unwrap().phys),
             Some((JoinFamily::Index { .. }, JoinMode::Join { .. }))
         ));
     }

@@ -3,7 +3,7 @@
 //! Wall-clock alone does not show *why* a plan wins; these counters expose
 //! the work profile the paper reasons about — nested-loop iterations
 //! versus hash build/probe work, spill partitions under a memory budget,
-//! and pointer dereferences of the assembly operator.
+//! and pointer dereferences through the oid index.
 
 use std::fmt;
 
@@ -21,7 +21,7 @@ pub struct Stats {
     pub hash_build_rows: u64,
     /// Hash table probes.
     pub hash_probes: u64,
-    /// Pointer dereferences through an oid index (materialize/assembly).
+    /// Pointer dereferences through an oid index (`deref`).
     pub oid_lookups: u64,
     /// Secondary-index probes (index nested-loop join).
     pub index_probes: u64,

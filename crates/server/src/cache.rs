@@ -15,8 +15,8 @@
 //! the extents of every class it dereferences pointers into
 //! ([`oodb_adl::referenced_classes`] mapped through the catalog). The
 //! planner never introduces a table the expression does not mention —
-//! index nested-loop joins and assembly both target extents/classes
-//! already present as `Table`/`Deref` nodes — so the expression-level
+//! index nested-loop joins probe extents already present as `Table`
+//! nodes, and every dereference is a `Deref` node — so the expression-level
 //! footprint bounds the plan's reads.
 //!
 //! Eviction differs per cache. The **plan cache** evicts by

@@ -7,9 +7,8 @@
 //! of type `oid`.
 //!
 //! Oids here are plain 64-bit integers: the catalog maintains the
-//! oid → row index maps that make them *physical* pointers, which is what
-//! enables pointer-based joins (assembly, \[BlMG93\]; see
-//! `oodb-engine::physical::assembly`).
+//! oid → row index maps that make them *physical* pointers, so a
+//! dereference is one hash lookup (`oodb_catalog::Database::deref`).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

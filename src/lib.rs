@@ -6,7 +6,7 @@
 //! unnesting/rewrite strategy that turns nested (tuple-oriented) queries
 //! into join (set-oriented) queries, and an execution engine with the
 //! physical operators the paper discusses (hash join, semijoin, antijoin,
-//! nestjoin, pointer-based assembly).
+//! nestjoin, index nested-loop join).
 //!
 //! This facade crate re-exports the member crates and offers [`Pipeline`],
 //! a one-call parse → typecheck → translate → optimize → execute API.

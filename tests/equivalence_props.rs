@@ -698,8 +698,9 @@ proptest! {
 
     /// §6.2's materialization is invariant under a random byte budget:
     /// the rewritten plan (a membership nestjoin, spilling when the
-    /// budget is tight) and pointer-based assembly of the unrewritten
-    /// pattern both agree with the naive evaluation.
+    /// budget is tight) and the unrewritten pattern (a correlated map)
+    /// both agree with the naive evaluation, and the single-reference
+    /// pattern dereferences exactly one pointer per row.
     #[test]
     fn materialization_byte_budget_invariance(config in db_config(), budget in 0usize..2048) {
         let db = generate(&config);
@@ -740,22 +741,31 @@ proptest! {
             .execute_streaming(&mut s1)
             .expect("nestjoin");
         prop_assert_eq!(&via_nestjoin, &reference);
-        // pointer-based assembly of the unrewritten pattern
-        let mut s2 = Stats::new();
-        let via_asm = planner
+        // the unrewritten pattern: a correlated map
+        let via_map = planner
             .plan(&q)
             .expect("plan")
+            .execute_streaming(&mut Stats::new())
+            .expect("map");
+        prop_assert_eq!(&via_map, &reference);
+        // α[d : d except (supplier = deref⟨Supplier⟩(d.supplier))](DELIVERY):
+        // one oid lookup per delivery
+        let single = map(
+            "d",
+            except(
+                var("d"),
+                vec![("supplier", deref(var("d").field("supplier"), "Supplier"))],
+            ),
+            table("DELIVERY"),
+        );
+        let mut s2 = Stats::new();
+        let via_deref = planner
+            .plan(&single)
+            .expect("plan")
             .execute_streaming(&mut s2)
-            .expect("assembly");
-        prop_assert_eq!(&via_asm, &reference);
-        // assembly dereferences exactly one pointer per stored part ref
-        let total_refs: u64 = db
-            .table("SUPPLIER")
-            .unwrap()
-            .rows()
-            .map(|r| r.get("parts").unwrap().as_set().unwrap().len() as u64)
-            .sum();
-        prop_assert_eq!(s2.oid_lookups, total_refs);
+            .expect("deref");
+        prop_assert_eq!(&via_deref, &ev.eval_closed(&single).expect("reference"));
+        prop_assert_eq!(s2.oid_lookups, db.table("DELIVERY").unwrap().len() as u64);
     }
 
     /// §4 option 1's caveat: `ν ∘ μ` is the identity exactly when no

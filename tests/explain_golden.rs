@@ -1,9 +1,9 @@
 //! Golden EXPLAIN and operator-label file.
 //!
 //! Every paper OOSQL text and every §7 ADL workload the planner grid
-//! checks is planned on one scale-400 database under each join pick
-//! (`Cheapest` and the three forced algorithms) × indexes on/off ×
-//! memory budget {unbounded, 4 KiB} × dop {1, 2}. For each plan the
+//! checks is planned on one scale-400 database (with its secondary
+//! indexes) under each join pick (`Cheapest` and the three forced
+//! algorithms) × memory budget {unbounded, 4 KiB} × dop {1, 2}. For each plan the
 //! test records the annotated `Plan::explain()` text (node lines,
 //! `est_rows`/`est_cost`/`est_spill` and join-order notes) and the
 //! `Stats::operators` labels of its streamed run, and compares the
@@ -71,7 +71,7 @@ const OOSQL_QUERIES: [(&str, &str); 6] = [
     ),
 ];
 
-/// The grid: 4 join picks × indexes × 2 budgets × 2 dop. Every field
+/// The grid: 4 join picks × 2 budgets × 2 dop. Every field
 /// is spelled out — none may fall back to an environment default.
 fn grid() -> Vec<PlannerConfig> {
     let mut grid = Vec::new();
@@ -81,21 +81,18 @@ fn grid() -> Vec<PlannerConfig> {
         JoinAlgo::SortMerge,
         JoinAlgo::NestedLoop,
     ] {
-        for use_indexes in [true, false] {
-            for memory_budget in [0usize, 4096] {
-                for parallelism in [1usize, 2] {
-                    grid.push(PlannerConfig {
-                        join_algo,
-                        use_indexes,
-                        parallelism,
-                        parallel_threshold: 0,
-                        memory_budget,
-                        batch_kind: BatchKind::Columnar,
-                        vectorize: true,
-                        join_order: JoinOrder::Dp,
-                        timing: false,
-                    });
-                }
+        for memory_budget in [0usize, 4096] {
+            for parallelism in [1usize, 2] {
+                grid.push(PlannerConfig {
+                    join_algo,
+                    parallelism,
+                    parallel_threshold: 0,
+                    memory_budget,
+                    batch_kind: BatchKind::Columnar,
+                    vectorize: true,
+                    join_order: JoinOrder::Dp,
+                    timing: false,
+                });
             }
         }
     }
@@ -104,8 +101,8 @@ fn grid() -> Vec<PlannerConfig> {
 
 fn header(label: &str, cfg: &PlannerConfig) -> String {
     format!(
-        "== {label} | {:?} indexes={} budget={} dop={}\n",
-        cfg.join_algo, cfg.use_indexes, cfg.memory_budget, cfg.parallelism
+        "== {label} | {:?} budget={} dop={}\n",
+        cfg.join_algo, cfg.memory_budget, cfg.parallelism
     )
 }
 

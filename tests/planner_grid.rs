@@ -3,8 +3,8 @@
 //! Every paper query (the OOSQL texts of `tests/paper_queries.rs`,
 //! re-anchored to a `GenConfig::scaled` database, plus the §7 ADL
 //! workloads shared with the benchmarks) runs under the **full**
-//! [`PlannerConfig`] grid — every `JoinAlgo` × indexes on/off × dop ×
-//! memory budget × batch layout × vectorization — and every configuration
+//! [`PlannerConfig`] grid — every `JoinAlgo` × dop × memory budget ×
+//! batch layout × vectorization — and every configuration
 //! must produce exactly the canonical result of the naive nested-loop
 //! evaluator. A plan picked by
 //! cost is allowed to be *faster*; it is never allowed to be *different*.
@@ -21,8 +21,8 @@ use oodb_bench::{
 };
 use proptest::prelude::*;
 
-/// The full configuration grid: 5 planner picks × 2 indexes × 3 dop ×
-/// 3 budgets × 2 batch layouts × 2 vectorize = 360 configurations. The five picks are [`JoinAlgo::Cheapest`] with
+/// The full configuration grid: 5 planner picks × 3 dop × 3 budgets ×
+/// 2 batch layouts × 2 vectorize = 180 configurations. The five picks are [`JoinAlgo::Cheapest`] with
 /// DP-over-subsets join-order enumeration on and off — reordering may
 /// change which association executes, never the answer — and the three
 /// forced algorithms, which keep the rewrite's join order and so have
@@ -51,23 +51,20 @@ fn full_grid() -> Vec<PlannerConfig> {
     ];
     let mut grid = Vec::new();
     for (join_algo, join_order) in picks {
-        for use_indexes in [true, false] {
-            for parallelism in [1usize, 2, 4] {
-                for memory_budget in [0usize, 64 << 10, 4 << 10] {
-                    for batch_kind in [BatchKind::Columnar, BatchKind::Row] {
-                        for vectorize in [true, false] {
-                            grid.push(PlannerConfig {
-                                join_algo,
-                                use_indexes,
-                                parallelism,
-                                parallel_threshold: 0,
-                                memory_budget,
-                                batch_kind,
-                                vectorize,
-                                join_order,
-                                timing: true,
-                            });
-                        }
+        for parallelism in [1usize, 2, 4] {
+            for memory_budget in [0usize, 64 << 10, 4 << 10] {
+                for batch_kind in [BatchKind::Columnar, BatchKind::Row] {
+                    for vectorize in [true, false] {
+                        grid.push(PlannerConfig {
+                            join_algo,
+                            parallelism,
+                            parallel_threshold: 0,
+                            memory_budget,
+                            batch_kind,
+                            vectorize,
+                            join_order,
+                            timing: true,
+                        });
                     }
                 }
             }
@@ -150,8 +147,8 @@ fn oosql_paper_queries_agree_across_the_full_grid() {
 /// (including the §6.2 materialization map, which OOSQL cannot express
 /// directly) cover the nestjoin, grouping and plain equi-join arms of
 /// the grid. Each runs rewritten, as the benchmark runs it, so the
-/// materialization is a membership nestjoin here; its unrewritten,
-/// assembled form is covered by
+/// materialization is a membership nestjoin here; its unrewritten form,
+/// a correlated map, is covered by
 /// `materialization_strategies_agree_under_any_budget`. The bench report runs them at
 /// dop 1 only; every other point of every axis is checked here.
 #[test]
@@ -382,8 +379,8 @@ proptest! {
 }
 
 /// §6.2's materialization runs two ways on the same query. Unrewritten,
-/// its key is PART's identity, so the planner assembles it through the
-/// oid index; rewritten, `nestjoin-map` has made it a membership
+/// it is a correlated map, whose body the reference evaluator answers
+/// per supplier; rewritten, `nestjoin-map` has made it a membership
 /// nestjoin, which a tight byte budget spills through the grace hash
 /// join. Each runs under every memory budget of the grid at dop 1 and 2,
 /// must show its operator in EXPLAIN (so the check cannot go vacuous),
@@ -398,7 +395,7 @@ fn materialization_strategies_agree_under_any_budget() {
         .optimize(&q, db.catalog())
         .expect("optimize")
         .expr;
-    for (expr, op) in [(&q, "Assemble"), (&rewritten, "MemberNestJoin")] {
+    for (expr, op) in [(&q, "Map"), (&rewritten, "MemberNestJoin")] {
         for memory_budget in [0usize, 64 << 10, 4 << 10] {
             for parallelism in [1usize, 2] {
                 let cfg = PlannerConfig {
@@ -435,7 +432,7 @@ fn operator_names(explain: &str) -> Vec<&str> {
 /// A forced algorithm picks from the same candidate list the cost-based
 /// planner prices, so its plans carry estimates — but the pick stays
 /// forced: no join-order enumeration and no hash, sort-merge or index
-/// join under forced nested loops, with or without indexes.
+/// join under forced nested loops, although the database is indexed.
 #[test]
 fn forced_algorithms_stay_forced() {
     use oodb::engine::Planner;
@@ -458,49 +455,46 @@ fn forced_algorithms_stay_forced() {
     let cheapest = Planner::new(&db).plan(&chain.expr).expect("plan");
     assert_eq!(cheapest.order_notes().len(), 1, "{}", cheapest.explain());
     for join_algo in [JoinAlgo::Hash, JoinAlgo::SortMerge, JoinAlgo::NestedLoop] {
-        for use_indexes in [true, false] {
-            let cfg = PlannerConfig {
-                join_algo,
-                use_indexes,
-                ..Default::default()
-            };
-            let mut explains: Vec<String> = OOSQL_QUERIES
-                .iter()
-                .map(|q| {
-                    Pipeline::with_config(&db, cfg.clone())
-                        .run(q)
-                        .unwrap_or_else(|e| panic!("{q}: {e}"))
-                        .explain
-                })
-                .collect();
-            for q in &workloads {
-                let optimized = Optimizer::default()
-                    .optimize(q, db.catalog())
-                    .expect("optimize");
-                let plan = Planner::with_config(&db, cfg.clone())
-                    .plan(&optimized.expr)
-                    .expect("plan");
-                explains.push(plan.explain());
-            }
-            for explain in &explains {
-                let context = format!("{join_algo:?}, use_indexes={use_indexes}:\n{explain}");
-                assert!(explain.contains("est_cost="), "{context}");
-                assert!(
-                    !explain.lines().any(|l| l.starts_with("order=")),
-                    "{context}"
-                );
-                let ops = operator_names(explain);
-                if join_algo == JoinAlgo::NestedLoop {
-                    for set_oriented in [
-                        "HashJoin",
-                        "HashMemberJoin",
-                        "HashNestJoin",
-                        "MemberNestJoin",
-                        "SortMergeJoin",
-                        "IndexNLJoin",
-                    ] {
-                        assert!(!ops.contains(&set_oriented), "{context}");
-                    }
+        let cfg = PlannerConfig {
+            join_algo,
+            ..Default::default()
+        };
+        let mut explains: Vec<String> = OOSQL_QUERIES
+            .iter()
+            .map(|q| {
+                Pipeline::with_config(&db, cfg.clone())
+                    .run(q)
+                    .unwrap_or_else(|e| panic!("{q}: {e}"))
+                    .explain
+            })
+            .collect();
+        for q in &workloads {
+            let optimized = Optimizer::default()
+                .optimize(q, db.catalog())
+                .expect("optimize");
+            let plan = Planner::with_config(&db, cfg.clone())
+                .plan(&optimized.expr)
+                .expect("plan");
+            explains.push(plan.explain());
+        }
+        for explain in &explains {
+            let context = format!("{join_algo:?}:\n{explain}");
+            assert!(explain.contains("est_cost="), "{context}");
+            assert!(
+                !explain.lines().any(|l| l.starts_with("order=")),
+                "{context}"
+            );
+            let ops = operator_names(explain);
+            if join_algo == JoinAlgo::NestedLoop {
+                for set_oriented in [
+                    "HashJoin",
+                    "HashMemberJoin",
+                    "HashNestJoin",
+                    "MemberNestJoin",
+                    "SortMergeJoin",
+                    "IndexNLJoin",
+                ] {
+                    assert!(!ops.contains(&set_oriented), "{context}");
                 }
             }
         }
