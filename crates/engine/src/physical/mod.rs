@@ -627,3 +627,126 @@ mod plan_node_tests {
         }
     }
 }
+
+/// Object assembly — the paper's materialize (§6.2) — through the
+/// physical executors.
+///
+/// "path expressions are represented by the operator materialize […]
+/// implemented by an access algorithm called assembly". There is no
+/// assembly operator: the planner lowers each materialization as the
+/// correlated [`PhysPlan::MapOp`] it is, and the reference evaluator
+/// answers its body (a `deref` charges one oid lookup and raises
+/// [`crate::eval::EvalError::DanglingPointer`]; the correlated σ drops
+/// dangling members). These tests hold both executors to that.
+#[cfg(test)]
+mod assembly {
+    mod tests {
+        use crate::eval::{EvalError, Evaluator};
+        use crate::physical::PhysPlan;
+        use crate::plan::Planner;
+        use crate::stats::Stats;
+        use oodb_adl::dsl::*;
+        use oodb_adl::expr::Expr;
+        use oodb_catalog::fixtures::supplier_part_db;
+        use oodb_catalog::Database;
+        use oodb_value::{Oid, Value};
+
+        /// α[d : d except (supplier = deref⟨class⟩(d.supplier))](input)
+        fn single(class: &str, input: Expr) -> Expr {
+            map(
+                "d",
+                except(
+                    var("d"),
+                    vec![("supplier", deref(var("d").field("supplier"), class))],
+                ),
+                input,
+            )
+        }
+
+        /// Plans `e` as a map, streams it, and checks the evaluator's answer.
+        fn assemble(db: &Database, e: &Expr) -> (Value, Stats) {
+            let plan = Planner::new(db).plan(e).unwrap();
+            assert!(
+                matches!(plan.phys, PhysPlan::MapOp { .. }),
+                "{}",
+                plan.explain()
+            );
+            let mut stats = Stats::new();
+            let v = plan.execute_streaming(&mut stats).unwrap();
+            assert_eq!(v, Evaluator::new(db).eval_closed(e).unwrap());
+            (v, stats)
+        }
+
+        /// The errors of `e` on the streaming and the materializing executor.
+        fn errors(db: &Database, e: &Expr) -> [EvalError; 2] {
+            let plan = Planner::new(db).plan(e).unwrap();
+            [
+                plan.execute_streaming(&mut Stats::new()).unwrap_err(),
+                plan.execute(&mut Stats::new()).unwrap_err(),
+            ]
+        }
+
+        #[test]
+        fn assembles_single_references() {
+            let db = supplier_part_db();
+            let (v, stats) = assemble(&db, &single("Supplier", table("DELIVERY")));
+            for row in v.as_set().unwrap().iter() {
+                let sup = row.as_tuple().unwrap().get("supplier").unwrap();
+                assert!(sup.as_tuple().unwrap().get("sname").is_some());
+            }
+            // one oid lookup per delivery
+            assert_eq!(stats.oid_lookups, 3);
+        }
+
+        #[test]
+        fn assembles_set_references_dropping_dangling() {
+            let db = supplier_part_db();
+            // α[s : s except (parts = σ[p : p.pid ∈ s.parts](PART))](SUPPLIER)
+            let e = map(
+                "s",
+                except(
+                    var("s"),
+                    vec![(
+                        "parts",
+                        select(
+                            "p",
+                            member(var("p").field("pid"), var("s").field("parts")),
+                            table("PART"),
+                        ),
+                    )],
+                ),
+                table("SUPPLIER"),
+            );
+            let (v, _) = assemble(&db, &e);
+            let s5 = v
+                .as_set()
+                .unwrap()
+                .iter()
+                .find(|r| r.as_tuple().unwrap().get("sname") == Some(&Value::str("s5")))
+                .unwrap();
+            // s5 referenced {@17, @999}: the dangling @999 is dropped
+            let parts = s5.as_tuple().unwrap().get("parts").unwrap();
+            assert_eq!(parts.as_set().unwrap().len(), 1);
+        }
+
+        #[test]
+        fn dangling_single_reference_errors() {
+            let db = supplier_part_db();
+            let fake = Expr::Lit(Value::set([Value::tuple([
+                ("supplier", Value::Oid(Oid(4040))),
+                ("k", Value::Int(1)),
+            ])]));
+            for err in errors(&db, &single("Supplier", fake)) {
+                assert!(matches!(err, EvalError::DanglingPointer { .. }), "{err}");
+            }
+        }
+
+        #[test]
+        fn unknown_class_errors() {
+            let db = supplier_part_db();
+            for err in errors(&db, &single("Nope", table("DELIVERY"))) {
+                assert!(matches!(err, EvalError::UnknownClass(_)), "{err}");
+            }
+        }
+    }
+}

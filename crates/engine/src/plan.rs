@@ -939,7 +939,7 @@ pub(crate) fn build_residual(parts: Vec<Expr>) -> Option<Expr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{EvalError, Evaluator};
+    use crate::eval::Evaluator;
     use oodb_adl::dsl::*;
     use oodb_catalog::fixtures::{figure3_db, supplier_part_db};
 
@@ -1193,93 +1193,65 @@ mod tests {
         assert_eq!(v, ev.eval_closed(&e).unwrap());
     }
 
-    #[test]
-    fn materializations_plan_as_correlated_maps() {
-        // §6.2's patterns lower structurally, as the maps they are; the
-        // reference evaluator answers each body, pointer chasing included
-        let db = supplier_part_db();
-        // α[s : s except (parts = σ[p : key(p) ∈ s.parts](PART))](SUPPLIER)
-        let set_pattern = |key: &str| {
-            map(
-                "s",
-                except(
-                    var("s"),
-                    vec![(
-                        "parts",
-                        select(
-                            "p",
-                            member(var("p").field(key), var("s").field("parts")),
-                            table("PART"),
-                        ),
-                    )],
-                ),
-                table("SUPPLIER"),
-            )
-        };
-        // α[d : d except (supplier = deref⟨class⟩(d.supplier))](input)
-        let single = |class: &str, input: Expr| {
-            map(
-                "d",
-                except(
-                    var("d"),
-                    vec![("supplier", deref(var("d").field("supplier"), class))],
-                ),
-                input,
-            )
-        };
-        let ev = Evaluator::new(&db);
-        let planner = Planner::new(&db);
-        let run = |e: &Expr| {
-            let plan = planner.plan(e).unwrap();
-            assert!(
-                matches!(plan.phys, PhysPlan::MapOp { .. }),
-                "{}",
-                plan.explain()
-            );
-            let mut stats = Stats::new();
-            let v = plan.execute_streaming(&mut stats).unwrap();
-            assert_eq!(v, ev.eval_closed(e).unwrap());
-            (v, stats)
-        };
-        // identity key: s5's dangling @999 is dropped, its @17 kept
-        let (v, _) = run(&set_pattern("pid"));
-        let s5 = v
-            .as_set()
-            .unwrap()
-            .iter()
-            .find(|r| r.as_tuple().unwrap().get("sname") == Some(&Value::str("s5")))
-            .unwrap();
-        let parts = s5.as_tuple().unwrap().get("parts").unwrap();
-        assert_eq!(parts.as_set().unwrap().len(), 1);
-        // a non-identity key is the same correlated map
-        run(&set_pattern("pname"));
-        // single references: one oid lookup per delivery
-        let (v, stats) = run(&single("Supplier", table("DELIVERY")));
-        for row in v.as_set().unwrap().iter() {
-            let sup = row.as_tuple().unwrap().get("supplier").unwrap();
-            assert!(sup.as_tuple().unwrap().get("sname").is_some());
-        }
-        assert_eq!(stats.oid_lookups, 3);
+    /// α[s : s except (parts = σ[p : key(p) ∈ s.parts](PART))](SUPPLIER)
+    fn set_materialization(key: &str) -> Expr {
+        map(
+            "s",
+            except(
+                var("s"),
+                vec![(
+                    "parts",
+                    select(
+                        "p",
+                        member(var("p").field(key), var("s").field("parts")),
+                        table("PART"),
+                    ),
+                )],
+            ),
+            table("SUPPLIER"),
+        )
+    }
 
-        // a dangling single reference and an unknown class fail loudly
-        // on both execution paths
-        let dangling = Expr::Lit(Value::set([Value::tuple([
-            ("supplier", Value::Oid(oodb_value::Oid(4040))),
-            ("k", Value::Int(1)),
-        ])]));
-        let errors = |e: &Expr| {
-            let plan = planner.plan(e).unwrap();
-            [
-                plan.execute_streaming(&mut Stats::new()).unwrap_err(),
-                plan.execute(&mut Stats::new()).unwrap_err(),
-            ]
-        };
-        for err in errors(&single("Supplier", dangling)) {
-            assert!(matches!(err, EvalError::DanglingPointer { .. }), "{err}");
-        }
-        for err in errors(&single("Nope", table("DELIVERY"))) {
-            assert!(matches!(err, EvalError::UnknownClass(_)), "{err}");
-        }
+    // §6.2's patterns lower structurally, as the maps they are; the
+    // executors' answers are checked in `physical::assembly`
+
+    #[test]
+    fn identity_key_materialization_is_a_correlated_map() {
+        let db = supplier_part_db();
+        let e = set_materialization("pid");
+        let (phys, v, _) = plan_and_run(&db, &e);
+        assert!(matches!(phys, PhysPlan::MapOp { .. }), "{phys:?}");
+        let ev = Evaluator::new(&db);
+        assert_eq!(v, ev.eval_closed(&e).unwrap());
+    }
+
+    #[test]
+    fn non_identity_key_materialization_is_a_correlated_map() {
+        let db = supplier_part_db();
+        // same shape, but keyed on pname (not the identity)
+        let e = set_materialization("pname");
+        let (phys, v, _) = plan_and_run(&db, &e);
+        assert!(matches!(phys, PhysPlan::MapOp { .. }), "{phys:?}");
+        let ev = Evaluator::new(&db);
+        assert_eq!(v, ev.eval_closed(&e).unwrap());
+    }
+
+    #[test]
+    fn single_deref_materialization_is_a_correlated_map() {
+        let db = supplier_part_db();
+        let e = map(
+            "d",
+            except(
+                var("d"),
+                vec![("supplier", deref(var("d").field("supplier"), "Supplier"))],
+            ),
+            table("DELIVERY"),
+        );
+        let (phys, v, stats) = plan_and_run(&db, &e);
+        assert!(matches!(phys, PhysPlan::MapOp { .. }), "{phys:?}");
+        assert_eq!(stats.oid_lookups, 3);
+        let ev = Evaluator::new(&db);
+        assert_eq!(v, ev.eval_closed(&e).unwrap());
     }
 
     #[test]
