@@ -23,9 +23,21 @@
 //! cost×frequency weight — the entry whose loss is cheapest to repair
 //! (few hits, fast to re-plan) goes first, so one burst of throwaway
 //! queries cannot flush a hot, expensive-to-optimize plan. The **result
-//! cache** stays FIFO: result values have no comparable "cost to
+//! cache** evicts FIFO: result values have no comparable "cost to
 //! recompute" signal at insert time, and FIFO keeps the concurrency
-//! tests deterministic.
+//! tests deterministic. Instead it has a doorkeeper (TinyLFU's, Einziger
+//! et al., ACM TOS 2017) that decides, when a miss starts executing,
+//! whether its result is kept at all ([`ResultCache::lookup`]). A
+//! newcomer is admitted while the cache has a free slot, and a key that
+//! already has an entry (current or stale) always is. Once the cache is
+//! full, a newcomer is only admitted on its second sighting among the
+//! last `capacity` declined keys. A declined result streams without
+//! being accumulated, sorted or inserted, so one-off queries cost the
+//! cache nothing and evict nothing.
+//!
+//! Neither cache frees what it evicts or replaces while its lock is
+//! held: the map hands the victims back, and they are dropped after
+//! the guard.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -199,18 +211,26 @@ impl<V> FifoMap<V> {
         self.map.get(key)
     }
 
-    fn insert(&mut self, key: String, value: V) {
-        if self.map.insert(key.clone(), value).is_none() {
-            self.order.push_back(key);
+    fn is_full(&self) -> bool {
+        self.map.len() >= self.capacity
+    }
+
+    /// Inserts `value` under `key` and returns what the map let go: the
+    /// value it replaced, or the oldest entries it evicted. The caller
+    /// drops them, after any lock it holds.
+    fn insert(&mut self, key: String, value: V) -> Vec<V> {
+        let mut victims = Vec::new();
+        match self.map.insert(key.clone(), value) {
+            Some(replaced) => victims.push(replaced),
+            None => self.order.push_back(key),
         }
         while self.map.len() > self.capacity {
             match self.order.pop_front() {
-                Some(oldest) => {
-                    self.map.remove(&oldest);
-                }
+                Some(oldest) => victims.extend(self.map.remove(&oldest)),
                 None => break,
             }
         }
+        victims
     }
 }
 
@@ -254,18 +274,22 @@ impl<V> WeightedMap<V> {
         })
     }
 
-    fn insert(&mut self, key: String, value: V, cost: u64) {
+    /// Inserts `value` under `key` and returns what the map let go: the
+    /// value it replaced, or the entries it evicted. The caller drops
+    /// them, after any lock it holds.
+    fn insert(&mut self, key: String, value: V, cost: u64) -> Vec<V> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.map.insert(
-            key.clone(),
-            Weighted {
-                value,
-                hits: 0,
-                cost,
-                seq,
-            },
-        );
+        let mut victims = Vec::new();
+        let weighted = Weighted {
+            value,
+            hits: 0,
+            cost,
+            seq,
+        };
+        if let Some(replaced) = self.map.insert(key.clone(), weighted) {
+            victims.push(replaced.value);
+        }
         while self.map.len() > self.capacity {
             let victim = self
                 .map
@@ -274,12 +298,11 @@ impl<V> WeightedMap<V> {
                 .min_by_key(|(_, w)| ((1 + w.hits).saturating_mul(w.cost.max(1)), w.seq))
                 .map(|(k, _)| k.clone());
             match victim {
-                Some(k) => {
-                    self.map.remove(&k);
-                }
+                Some(k) => victims.extend(self.map.remove(&k).map(|w| w.value)),
                 None => break,
             }
         }
+        victims
     }
 }
 
@@ -313,10 +336,13 @@ impl PlanCache {
     /// Caches a plan; `planning_micros` (how long rewrite + costing
     /// took) becomes its eviction cost weight.
     pub fn insert(&self, key: String, entry: Arc<CachedPlan>, planning_micros: u64) {
-        self.inner
+        let victims = self
+            .inner
             .lock()
-            .unwrap()
+            .expect("a plan-cache holder panicked")
             .insert(key, entry, planning_micros);
+        // The guard is gone: freeing the victims keeps no lookup waiting.
+        drop(victims);
     }
 }
 
@@ -324,33 +350,82 @@ impl PlanCache {
 /// `let` values under `let␟…` keys — the session layer prefixes).
 /// Entries sit behind `Arc`, as in [`PlanCache`], so a hit holds the lock
 /// only for a pointer copy and replays the shared value without cloning
-/// it.
+/// it. A miss is admitted or declined by [`ResultCache::lookup`].
 pub struct ResultCache {
-    inner: Mutex<FifoMap<Arc<CachedResult>>>,
+    inner: Mutex<ResultSlots>,
+}
+
+/// What the result cache's one lock guards.
+struct ResultSlots {
+    entries: FifoMap<Arc<CachedResult>>,
+    /// The doorkeeper: keys of the last `capacity` declined misses. A
+    /// key found here is admitted; it then ages out like any other.
+    ghosts: FifoMap<()>,
+}
+
+/// Outcome of a [`ResultCache::lookup`].
+pub enum ResultLookup {
+    /// A current entry: replay it.
+    Hit(Arc<CachedResult>),
+    /// A miss whose result is to be kept: accumulate it and
+    /// [`ResultCache::insert`] it when it is complete.
+    Admit,
+    /// A miss whose result is not to be kept: stream it and drop it.
+    Decline,
 }
 
 impl ResultCache {
     pub fn new(capacity: usize) -> Self {
         ResultCache {
-            inner: Mutex::new(FifoMap::new(capacity)),
+            inner: Mutex::new(ResultSlots {
+                entries: FifoMap::new(capacity),
+                ghosts: FifoMap::new(capacity),
+            }),
         }
     }
 
-    /// The cached entry (value + recorded execution profile) under
-    /// `key` if its stamp is still current.
-    pub fn get_current(&self, key: &str, db: &Database) -> Option<Arc<CachedResult>> {
-        let entry = self.inner.lock().unwrap().get(key).cloned()?;
-        stamp_is_current(&entry.stamp, db).then_some(entry)
+    /// The entry under `key` if its stamp is current, else the admission
+    /// decision for the miss, taken under the one lock. A miss is
+    /// admitted if `key` already has an entry, current or stale (so the
+    /// first miss after a write refreshes it), if the cache has a free
+    /// slot, or if `key` is among the last `capacity` declined keys (its
+    /// second sighting). Otherwise it is declined, and `key` joins those.
+    pub fn lookup(&self, key: &str, db: &Database) -> ResultLookup {
+        let mut slots = self.inner.lock().expect("a result-cache holder panicked");
+        if let Some(entry) = slots.entries.get(key).cloned() {
+            drop(slots);
+            return if stamp_is_current(&entry.stamp, db) {
+                ResultLookup::Hit(entry)
+            } else {
+                ResultLookup::Admit
+            };
+        }
+        if !slots.entries.is_full() || slots.ghosts.get(key).is_some() {
+            return ResultLookup::Admit;
+        }
+        slots.ghosts.insert(key.to_string(), ());
+        ResultLookup::Decline
     }
 
+    /// Caches `entry` under `key`, evicting the oldest entry when the
+    /// cache is full.
     pub fn insert(&self, key: String, entry: CachedResult) {
-        self.inner.lock().unwrap().insert(key, Arc::new(entry));
+        let entry = Arc::new(entry);
+        let victims = self
+            .inner
+            .lock()
+            .expect("a result-cache holder panicked")
+            .entries
+            .insert(key, entry);
+        // The guard is gone: freeing an evicted value (possibly a large
+        // set) keeps no lookup waiting.
+        drop(victims);
     }
 
     /// Bytes held by the filled chunk slots of every cached entry.
     pub fn encoded_bytes(&self) -> usize {
-        let inner = self.inner.lock().unwrap();
-        inner.map.values().map(|e| e.encoded_bytes()).sum()
+        let slots = self.inner.lock().expect("a result-cache holder panicked");
+        slots.entries.map.values().map(|e| e.encoded_bytes()).sum()
     }
 }
 
@@ -371,13 +446,18 @@ mod tests {
     #[test]
     fn fifo_map_evicts_oldest() {
         let mut m: FifoMap<u32> = FifoMap::new(2);
-        m.insert("a".into(), 1);
-        m.insert("b".into(), 2);
-        m.insert("a".into(), 10); // re-insert must not double-count
-        m.insert("c".into(), 3);
-        assert!(m.get("a").is_none(), "oldest key evicted");
+        assert!(m.insert("a".into(), 1).is_empty());
+        assert!(m.insert("b".into(), 2).is_empty());
+        // A re-insert must not double-count; it hands back what it
+        // replaced.
+        assert_eq!(m.insert("a".into(), 10), vec![1]);
+        assert_eq!(m.insert("c".into(), 3), vec![10], "oldest key evicted");
+        assert!(m.get("a").is_none());
         assert_eq!(m.get("b"), Some(&2));
         assert_eq!(m.get("c"), Some(&3));
+        assert_eq!(m.insert("d".into(), 4), vec![2], "then the next oldest");
+        assert_eq!(m.map.len(), 2);
+        assert_eq!(m.order.len(), 2);
     }
 
     #[test]
@@ -387,7 +467,7 @@ mod tests {
         m.insert("cheap".into(), 2, 10);
         // Overflow: the cheap, never-hit entry goes, not the expensive
         // one (FIFO would have evicted "expensive").
-        m.insert("new".into(), 3, 10);
+        assert_eq!(m.insert("new".into(), 3, 10), vec![2]);
         assert!(m.get("cheap").is_none());
         assert_eq!(m.get("expensive"), Some(&1));
         assert_eq!(m.get("new"), Some(&3));
@@ -402,7 +482,7 @@ mod tests {
         for _ in 0..3 {
             assert!(m.get("a").is_some());
         }
-        m.insert("c".into(), 3, 10);
+        assert_eq!(m.insert("c".into(), 3, 10), vec![2]);
         assert!(m.get("b").is_none());
         assert_eq!(m.get("a"), Some(&1));
         assert_eq!(m.get("c"), Some(&3));
@@ -411,14 +491,100 @@ mod tests {
     #[test]
     fn weighted_map_reinsert_does_not_grow_and_newcomer_survives() {
         let mut m: WeightedMap<u32> = WeightedMap::new(2);
-        m.insert("a".into(), 1, 10);
-        m.insert("a".into(), 11, 10); // replace in place
+        assert!(m.insert("a".into(), 1, 10).is_empty());
+        // Replace in place, handing back the old value.
+        assert_eq!(m.insert("a".into(), 11, 10), vec![1]);
         assert_eq!(m.get("a"), Some(&11));
-        m.insert("b".into(), 2, 1_000_000);
+        assert!(m.insert("b".into(), 2, 1_000_000).is_empty());
         // The newcomer is never its own victim, even at minimal weight.
-        m.insert("c".into(), 3, 1);
+        assert_eq!(m.insert("c".into(), 3, 1), vec![11]);
         assert_eq!(m.get("c"), Some(&3));
         assert_eq!(m.map.len(), 2);
+    }
+
+    /// A result entry over `db`'s SUPPLIER extent, current as of now.
+    fn supplier_entry(db: &Database) -> CachedResult {
+        let extents = [Name::from("SUPPLIER")];
+        CachedResult::new(Value::Int(1), stamp(&extents, db), Stats::default())
+    }
+
+    fn admits(cache: &ResultCache, key: &str, db: &Database) -> bool {
+        match cache.lookup(key, db) {
+            ResultLookup::Hit(_) => panic!("{key}: unexpected hit"),
+            ResultLookup::Admit => true,
+            ResultLookup::Decline => false,
+        }
+    }
+
+    fn ghost_count(cache: &ResultCache) -> usize {
+        cache.inner.lock().unwrap().ghosts.map.len()
+    }
+
+    #[test]
+    fn result_cache_admits_while_a_slot_is_free() {
+        let db = supplier_part_db();
+        let cache = ResultCache::new(2);
+        assert!(admits(&cache, "a", &db), "rule (b): empty cache");
+        cache.insert("a".into(), supplier_entry(&db));
+        assert!(admits(&cache, "b", &db), "rule (b): one slot left");
+        cache.insert("b".into(), supplier_entry(&db));
+        assert!(!admits(&cache, "c", &db), "full, first sighting");
+        assert_eq!(ghost_count(&cache), 1, "the declined key is remembered");
+        assert!(matches!(cache.lookup("a", &db), ResultLookup::Hit(_)));
+    }
+
+    #[test]
+    fn result_cache_readmits_a_stale_key() {
+        let mut db = supplier_part_db();
+        let cache = ResultCache::new(2);
+        cache.insert("a".into(), supplier_entry(&db));
+        cache.insert("b".into(), supplier_entry(&db));
+        let identity = db
+            .catalog()
+            .class_by_extent("SUPPLIER")
+            .expect("fixture class")
+            .identity
+            .clone();
+        db.create_index("SUPPLIER", identity.as_ref())
+            .expect("create index");
+        // Rule (a): full cache, never declined, but "a" has an entry.
+        assert!(admits(&cache, "a", &db));
+        assert_eq!(ghost_count(&cache), 0, "an admitted key is not a ghost");
+        cache.insert("a".into(), supplier_entry(&db));
+        assert!(matches!(cache.lookup("a", &db), ResultLookup::Hit(_)));
+    }
+
+    #[test]
+    fn result_cache_admits_on_second_sighting() {
+        let db = supplier_part_db();
+        let cache = ResultCache::new(2);
+        cache.insert("a".into(), supplier_entry(&db));
+        cache.insert("b".into(), supplier_entry(&db));
+        assert!(!admits(&cache, "c", &db));
+        // Rule (c): the ghost list remembers "c".
+        assert!(admits(&cache, "c", &db));
+        cache.insert("c".into(), supplier_entry(&db));
+        assert!(matches!(cache.lookup("c", &db), ResultLookup::Hit(_)));
+        assert!(
+            matches!(cache.lookup("a", &db), ResultLookup::Decline),
+            "the admitted newcomer evicted the oldest entry"
+        );
+    }
+
+    #[test]
+    fn result_cache_ghost_list_holds_at_most_capacity_keys() {
+        let db = supplier_part_db();
+        let cache = ResultCache::new(2);
+        cache.insert("a".into(), supplier_entry(&db));
+        cache.insert("b".into(), supplier_entry(&db));
+        for key in ["g0", "g1", "g2", "g3", "g4"] {
+            assert!(!admits(&cache, key, &db));
+            assert!(ghost_count(&cache) <= 2);
+        }
+        assert_eq!(ghost_count(&cache), 2);
+        // Only the last two declined keys are remembered.
+        assert!(!admits(&cache, "g0", &db), "g0 aged out of the ghosts");
+        assert!(admits(&cache, "g4", &db));
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //!   execution profile recorded when the value was computed, so
 //!   `Stats::operators` reports the same per-operator work either way —
 //!   the differential suites can assert identical profiles whether or
-//!   not a value came from the cache.
+//!   not a value came from the cache. Once the cache is full, a result
+//!   seen for the first time is streamed without being kept (see
+//!   [`ResultCache::lookup`]), so one-off queries evict nothing.
 //! * **Adaptive re-optimization** (opt-in,
 //!   [`ServerConfig::adaptive_stats`]). After each executed query the
 //!   measured per-operator cardinalities are folded into a shared
@@ -60,7 +62,7 @@ use oodb_obs::{Counter, Gauge, Histogram, Registry, SpanRecorder, TraceLog};
 use oodb_spill::{BudgetGrant, BudgetPool};
 use oodb_value::{Batch, Set, Value};
 
-use cache::{CachedPlan, CachedResult, Lookup, PlanCache, ResultCache};
+use cache::{CachedPlan, CachedResult, Lookup, PlanCache, ResultCache, ResultLookup};
 
 /// Server-level configuration: the per-query planner configuration plus
 /// the serving-layer knobs layered on top of it.
@@ -78,11 +80,17 @@ pub struct ServerConfig {
     /// Plan cache capacity (entries; cost×frequency-weighted eviction).
     pub plan_cache_capacity: usize,
     /// Result / `let`-subquery cache capacity (entries; FIFO eviction).
+    /// It also sizes the admission doorkeeper: once every slot is taken,
+    /// a new key is cached only when it is among the last this many
+    /// declined keys, that is on its second sighting.
     pub result_cache_capacity: usize,
     /// Serve memoized whole-query results and hoisted-`let` values when
     /// their extent stamps are current. On by default: a hit skips
     /// execution but replays the recorded execution profile, so
-    /// `Stats::operators` is indistinguishable from a real run.
+    /// `Stats::operators` is indistinguishable from a real run. A miss
+    /// is cached if its key already has an entry (current or stale), if
+    /// the cache has a free slot, or on the key's second sighting;
+    /// otherwise it streams as it would with this off.
     pub cache_results: bool,
     /// Fold measured per-operator cardinalities back into the planning
     /// statistics after every executed query, re-planning (via a
@@ -144,6 +152,8 @@ struct ServerMetrics {
     plan_invalidations: Counter,
     result_hits: Counter,
     result_misses: Counter,
+    /// Result/`let`-cache misses the doorkeeper declined to cache.
+    result_declined: Counter,
     /// End-to-end query latency (parse through execute), log-bucketed.
     latency: Arc<Histogram>,
     /// Time from admission to the first result chunk leaving the
@@ -206,6 +216,10 @@ impl ServerMetrics {
             result_misses: registry.counter(
                 "oodb_result_cache_misses_total",
                 "Result/let-cache misses (counted only when result caching is enabled)",
+            ),
+            result_declined: registry.counter(
+                "oodb_result_cache_declined_total",
+                "Result/let-cache misses streamed without being cached (first sighting, cache full)",
             ),
             latency: registry.histogram(
                 "oodb_query_latency_ms",
@@ -681,11 +695,12 @@ impl<'srv, 'db> Session<'srv, 'db> {
         }
 
         let result_key = format!("q\u{1f}{}", key.text);
+        let mut admitted = false;
         if server.config.cache_results {
-            let cached = rec.span("result_cache_lookup", || {
-                shared.result_cache.get_current(&result_key, db)
+            let lookup = rec.span("result_cache_lookup", || {
+                shared.result_cache.lookup(&result_key, db)
             });
-            if let Some(cached) = cached {
+            if let ResultLookup::Hit(cached) = lookup {
                 shared.metrics.result_hits.inc();
                 // Replay the profile recorded when the value was
                 // computed: a served result reports the same counters
@@ -705,6 +720,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                     source: CursorSource::Replay { cached, next: 0 },
                     grant: None,
                     result_key,
+                    admitted: false,
                     accumulate: None,
                     scalar,
                     exec_start_us,
@@ -714,6 +730,10 @@ impl<'srv, 'db> Session<'srv, 'db> {
                     finished: false,
                     final_value,
                 });
+            }
+            admitted = matches!(lookup, ResultLookup::Admit);
+            if !admitted {
+                shared.metrics.result_declined.inc();
             }
             shared.metrics.result_misses.inc();
         }
@@ -757,7 +777,8 @@ impl<'srv, 'db> Session<'srv, 'db> {
             source: CursorSource::Live(Box::new(stream)),
             grant: Some(grant),
             result_key,
-            accumulate: server.config.cache_results.then(Vec::new),
+            admitted,
+            accumulate: admitted.then(Vec::new),
             scalar,
             exec_start_us,
             ttfb_us: None,
@@ -808,12 +829,12 @@ impl<'srv, 'db> Session<'srv, 'db> {
 
     /// Walks the chain of root-level `let` bindings that hoisting
     /// produces, substituting a memoized value (or executing the value
-    /// subplan once and memoizing it) for every **closed** binding. The
-    /// physical and algebraic spines are walked in lockstep — closedness
-    /// and cache keys come from the expression, the substitution happens
-    /// in the plan — and the walk stops at the first node where they
-    /// disagree, so any plan shape the planner produces stays correct
-    /// (it just caches fewer bindings).
+    /// subplan once, and memoizing it if the result cache admits it) for
+    /// every **closed** binding. The physical and algebraic spines are
+    /// walked in lockstep — closedness and cache keys come from the
+    /// expression, the substitution happens in the plan — and the walk
+    /// stops at the first node where they disagree, so any plan shape the
+    /// planner produces stays correct (it just caches fewer bindings).
     fn resolve_let_spine(
         &self,
         plan: &PhysPlan,
@@ -835,27 +856,38 @@ impl<'srv, 'db> Session<'srv, 'db> {
         {
             if var == evar && oodb_adl::free_vars(evalue).is_empty() {
                 let key = format!("let\u{1f}{}", oodb_adl::normal_key(evalue));
-                let memoized = if let Some(cached) = shared.result_cache.get_current(&key, db) {
-                    shared.metrics.result_hits.inc();
-                    // Replay the binding's recorded execution profile,
-                    // exactly as if the value subplan had run here.
-                    stats.merge(&cached.profile);
-                    stats.result_cache_hits += 1;
-                    cached.value.clone()
-                } else {
-                    shared.metrics.result_misses.inc();
-                    // Execute under a local `Stats` so the binding's own
-                    // profile can be snapshotted for replay, then fold
-                    // it into the query's counters as before.
-                    let mut local = Stats::default();
-                    let v = value.execute_streaming(db, &mut local, opts)?;
-                    let extents = cache::footprint(&[evalue], db);
-                    shared.result_cache.insert(
-                        key,
-                        CachedResult::new(v.clone(), cache::stamp(&extents, db), local.clone()),
-                    );
-                    stats.merge(&local);
-                    v
+                let memoized = match shared.result_cache.lookup(&key, db) {
+                    ResultLookup::Hit(cached) => {
+                        shared.metrics.result_hits.inc();
+                        // Replay the binding's recorded execution profile,
+                        // exactly as if the value subplan had run here.
+                        stats.merge(&cached.profile);
+                        stats.result_cache_hits += 1;
+                        cached.value.clone()
+                    }
+                    miss => {
+                        shared.metrics.result_misses.inc();
+                        // Execute under a local `Stats` so the binding's
+                        // own profile can be snapshotted for replay, then
+                        // fold it into the query's counters as before.
+                        let mut local = Stats::default();
+                        let v = value.execute_streaming(db, &mut local, opts)?;
+                        if matches!(miss, ResultLookup::Admit) {
+                            let extents = cache::footprint(&[evalue], db);
+                            shared.result_cache.insert(
+                                key,
+                                CachedResult::new(
+                                    v.clone(),
+                                    cache::stamp(&extents, db),
+                                    local.clone(),
+                                ),
+                            );
+                        } else {
+                            shared.metrics.result_declined.inc();
+                        }
+                        stats.merge(&local);
+                        v
+                    }
                 };
                 let body = self.resolve_let_spine(body, ebody, stats, opts)?;
                 return Ok(PhysPlan::LetOp {
@@ -893,9 +925,9 @@ enum CursorSource<'db> {
 /// so no pool slot leaks.
 ///
 /// The cursor owns the whole post-planning query state: the span
-/// recorder, the statistics, the admission grant, and (when result
-/// caching is on) the accumulating row buffer that becomes the cached
-/// value. [`ResultCursor::into_output`] drains to completion and
+/// recorder, the statistics, the admission grant, and (when the result
+/// cache admitted the result) the accumulating row buffer that becomes
+/// the cached value. [`ResultCursor::into_output`] drains to completion and
 /// assembles the canonical [`ServerOutput`] — that is all the collect-all
 /// [`Session::run`] wrapper does.
 pub struct ResultCursor<'srv, 'db> {
@@ -908,7 +940,10 @@ pub struct ResultCursor<'srv, 'db> {
     source: CursorSource<'db>,
     grant: Option<BudgetGrant>,
     result_key: String,
-    /// `Some` while rows must be retained (result caching, or a
+    /// Whether the result cache admitted this result: it is then
+    /// accumulated and inserted at the end of the stream.
+    admitted: bool,
+    /// `Some` while rows must be retained (an admitted result, or a
     /// collect-all consumer); `None` on the pure streaming path — the
     /// server then never holds a whole `Vec<Value>` result.
     accumulate: Option<Vec<Value>>,
@@ -972,7 +1007,8 @@ impl<'srv, 'db> ResultCursor<'srv, 'db> {
     /// Pulls the next non-empty result chunk. `Ok(None)` marks the end
     /// of the stream — the cursor then finalizes: merges execution
     /// statistics, releases the admission grant, inserts into the result
-    /// cache (when enabled), and records the query's trace and metrics.
+    /// cache (when it admitted the result), and records the query's
+    /// trace and metrics.
     /// An `Err` finalizes likewise (as an error trace) and the cursor
     /// yields nothing further.
     pub fn next_chunk(&mut self) -> Result<Option<Batch>, ServerError> {
@@ -1070,7 +1106,8 @@ impl<'srv, 'db> ResultCursor<'srv, 'db> {
 
     /// Drains the remaining chunks and assembles the canonical
     /// collect-all output (the result value, deduplicated exactly as
-    /// the library pipeline would).
+    /// the library pipeline would). A result the cache declined is
+    /// assembled all the same, but not inserted.
     pub fn into_output(mut self) -> Result<ServerOutput, ServerError> {
         if self.final_value.is_none() && !self.finished && self.accumulate.is_none() {
             self.accumulate = Some(Vec::new());
@@ -1119,7 +1156,7 @@ impl<'srv, 'db> ResultCursor<'srv, 'db> {
                     if let Value::Set(s) = &value {
                         self.stats.output_rows += s.len() as u64;
                     }
-                    if server.config.cache_results {
+                    if self.admitted {
                         // Snapshot the profile with the cache-hit
                         // counters zeroed: a future hit adds its own,
                         // and replay must report exactly what executing

@@ -367,6 +367,7 @@ fn metrics_endpoint_exposes_consistent_prometheus_text() {
         "# TYPE oodb_plan_cache_misses_total counter",
         "# TYPE oodb_result_cache_hits_total counter",
         "# TYPE oodb_result_cache_misses_total counter",
+        "# TYPE oodb_result_cache_declined_total counter",
         "# TYPE oodb_query_latency_ms histogram",
         "# TYPE oodb_rows_out_total counter",
         "# TYPE oodb_spill_bytes_total counter",
@@ -430,6 +431,46 @@ fn metrics_endpoint_exposes_consistent_prometheus_text() {
         &live[..finite.len()],
         "rendered buckets diverge from the live histogram"
     );
+
+    client.send(99, verb::QUIT, &[]).expect("send QUIT");
+    handle.shutdown();
+}
+
+/// `oodb_result_cache_declined_total` counts the misses the result
+/// cache's doorkeeper streamed without caching: over a one-slot cache,
+/// a second text is declined on its first sighting, admitted on its
+/// second and served on its third.
+#[test]
+fn metrics_count_declined_result_cache_admissions() {
+    let db = Arc::new(scaled_db(60));
+    let config = ServerConfig {
+        result_cache_capacity: 1,
+        ..ServerConfig::default()
+    };
+    let handle = net::serve(db, config, "127.0.0.1:0").expect("serve");
+    let mut client = connect(&handle);
+    let first = "select p.pname from p in PART where p.color = \"red\"";
+    let second = "select d from d in DELIVERY where exists x in d.supply : x.part.color = \"red\"";
+    let mut answers = Vec::new();
+    for (tag, q) in (1..).zip([first, second, second, second]) {
+        let (_, rows) = client
+            .query(tag, q)
+            .expect("query round trip")
+            .unwrap_or_else(|(code, msg)| panic!("{q} failed: {code} {msg}"));
+        answers.push(Value::Set(oodb::value::Set::from_values(rows)));
+    }
+    assert!(answers[1..].windows(2).all(|w| w[0] == w[1]));
+
+    let metrics = ask(&mut client, 9, verb::METRICS);
+    let value_of = |family: &str| -> u64 {
+        metrics
+            .iter()
+            .find_map(|l| l.strip_prefix(family)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample for {family}"))
+    };
+    assert_eq!(value_of("oodb_result_cache_declined_total"), 1);
+    assert_eq!(value_of("oodb_result_cache_misses_total"), 3);
+    assert_eq!(value_of("oodb_result_cache_hits_total"), 1);
 
     client.send(99, verb::QUIT, &[]).expect("send QUIT");
     handle.shutdown();

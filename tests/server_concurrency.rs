@@ -26,7 +26,7 @@ use std::sync::Arc;
 use oodb::catalog::{CatalogStats, Database};
 use oodb::core::strategy::Optimizer;
 use oodb::datagen::{generate, GenConfig};
-use oodb::engine::{Planner, PlannerConfig, Stats};
+use oodb::engine::{Evaluator, Planner, PlannerConfig, Stats};
 use oodb::server::{net, QueryServer, ServerConfig};
 use oodb::value::{Oid, Value};
 use proptest::prelude::*;
@@ -329,6 +329,170 @@ fn result_cache_serves_then_invalidates_on_write() {
     assert_eq!(out.stats.plan_cache_hits, 0, "plan entry stamped too");
     let (fresh, _) = library_run(&db, &cfg.planner, q);
     assert_eq!(out.result.to_string(), fresh.to_string());
+}
+
+/// Three distinct texts for a two-slot result cache: the first two take
+/// the free slots, the third meets a full cache.
+const DOORKEEPER_TEXTS: [&str; 3] = [
+    "select p.pname from p in PART where p.color = \"red\"",
+    "select s.sname from s in SUPPLIER where exists x in s.parts : \
+     exists p in PART : x = p.pid and p.color = \"red\"",
+    "select d from d in DELIVERY where exists x in d.supply : x.part.color = \"red\"",
+];
+
+fn doorkeeper_config() -> ServerConfig {
+    ServerConfig {
+        planner: config(1, 0),
+        result_cache_capacity: 2,
+        ..ServerConfig::default()
+    }
+}
+
+/// The reference answer: the nested-loop `Evaluator` over the
+/// translated (unrewritten) query.
+fn evaluator_answer(db: &Database, q: &str) -> Value {
+    let query = oodb::oosql::parse(q).unwrap();
+    oodb::oosql::typecheck(&query, db.catalog()).unwrap();
+    let nested = oodb::translate::translate(&query, db.catalog()).unwrap();
+    Evaluator::new(db).eval_closed(&nested).unwrap()
+}
+
+/// `oodb_result_cache_declined_total` of `server`.
+fn declined(server: &QueryServer<'_>) -> u64 {
+    const FAMILY: &str = "oodb_result_cache_declined_total ";
+    server
+        .render_metrics()
+        .lines()
+        .find_map(|l| l.strip_prefix(FAMILY)?.parse().ok())
+        .expect("declined counter rendered")
+}
+
+/// Runs `q` and reports whether any of its values came from the result
+/// cache, checking the answer against the `Evaluator` on the way.
+fn served_from_cache(server: &QueryServer<'_>, db: &Database, q: &str) -> bool {
+    let out = server.session().run(q).unwrap();
+    assert_eq!(
+        out.result.to_string(),
+        evaluator_answer(db, q).to_string(),
+        "{q}"
+    );
+    out.stats.result_cache_hits > 0
+}
+
+/// The result cache's doorkeeper: once both slots are taken, a new text
+/// is streamed uncached on its first run, cached on its second, and
+/// served on its third.
+#[test]
+fn result_cache_admits_a_newcomer_on_its_second_sighting() {
+    let db = scaled_db(60);
+    let server = QueryServer::with_config(&db, doorkeeper_config());
+    let [a, b, c] = DOORKEEPER_TEXTS;
+    for q in [a, b] {
+        assert!(!served_from_cache(&server, &db, q));
+        assert!(
+            served_from_cache(&server, &db, q),
+            "{q}: cached on its first run"
+        );
+    }
+    assert!(!served_from_cache(&server, &db, c));
+    assert!(
+        !served_from_cache(&server, &db, c),
+        "a declined result must not be cached"
+    );
+    assert!(
+        served_from_cache(&server, &db, c),
+        "cached on its second run"
+    );
+    assert!(
+        !served_from_cache(&server, &db, a),
+        "admitting the newcomer evicted the oldest entry"
+    );
+    // `c` on its first run, and `a` just now.
+    assert_eq!(declined(&server), 2);
+}
+
+/// A write makes a cached result stale; in a full cache its first miss
+/// after the write is still admitted (its key has an entry), so the
+/// second read hits again.
+#[test]
+fn result_cache_readmits_a_stale_key_on_its_first_miss() {
+    let mut db = scaled_db(60);
+    let cfg = doorkeeper_config();
+    let [a, b, _] = DOORKEEPER_TEXTS;
+    let shared = {
+        let server = QueryServer::with_config(&db, cfg.clone());
+        for q in [a, b] {
+            assert!(!served_from_cache(&server, &db, q));
+        }
+        assert!(served_from_cache(&server, &db, a));
+        server.shared()
+    };
+    insert_fresh_row(&mut db, "PART", 7_710_000);
+    let server = QueryServer::with_shared(&db, cfg, shared);
+    assert!(!served_from_cache(&server, &db, a), "the write invalidates");
+    assert!(
+        served_from_cache(&server, &db, a),
+        "re-admitted on its first miss"
+    );
+    assert_eq!(declined(&server), 0);
+}
+
+/// A closed hoisted `let` value passes the same doorkeeper as a whole
+/// result. Three texts share one `let` binding over a full cache: the
+/// binding is declined with the first, admitted with the second and
+/// replayed into the third.
+#[test]
+fn hoisted_let_values_pass_the_same_doorkeeper() {
+    let db = scaled_db(60);
+    let server = QueryServer::with_config(&db, doorkeeper_config());
+    let [a, b, _] = DOORKEEPER_TEXTS;
+    for q in [a, b] {
+        assert!(!served_from_cache(&server, &db, q));
+    }
+    let sharing_a_let = |i: usize| {
+        format!(
+            "select s from s in SUPPLIER where s.sname <> \"supplier-{i}\" and \
+             s.parts supseteq flatten(select t.parts from t in SUPPLIER \
+                                      where t.sname = \"supplier-0\")"
+        )
+    };
+    let first = sharing_a_let(1);
+    let explain = server.session().run(&first).unwrap().explain;
+    assert!(
+        explain.starts_with("Let "),
+        "the binding is hoisted:\n{explain}"
+    );
+    assert_eq!(declined(&server), 2, "the text's result and its binding");
+    assert!(
+        !served_from_cache(&server, &db, &sharing_a_let(2)),
+        "a declined binding must not be cached"
+    );
+    assert_eq!(declined(&server), 3, "only the second text's result");
+    assert!(
+        served_from_cache(&server, &db, &sharing_a_let(3)),
+        "the binding was cached on its second sighting"
+    );
+    assert_eq!(declined(&server), 4);
+}
+
+/// `into_output` of a declined text still assembles its whole value,
+/// which equals the `Evaluator`'s, and leaves the cache as it was.
+#[test]
+fn a_declined_result_is_assembled_but_not_cached() {
+    let db = scaled_db(60);
+    let server = QueryServer::with_config(&db, doorkeeper_config());
+    let [a, b, c] = DOORKEEPER_TEXTS;
+    for q in [a, b] {
+        assert!(!served_from_cache(&server, &db, q));
+    }
+    let cursor = server.session().open_stream(c).unwrap();
+    assert!(!cursor.result_hit());
+    let out = cursor.into_output().unwrap();
+    assert_eq!(out.result.to_string(), evaluator_answer(&db, c).to_string());
+    for q in [a, b] {
+        assert!(served_from_cache(&server, &db, q), "{q}: still cached");
+    }
+    assert_eq!(declined(&server), 1);
 }
 
 /// Clones an existing row of `extent` with a fresh identity oid and
