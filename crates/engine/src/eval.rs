@@ -505,10 +505,9 @@ impl<'a> Evaluator<'a> {
                             group.push(c?);
                         }
                     }
-                    let with_group = x.as_tuple()?.concat(&Tuple::from_pairs([(
-                        as_attr.as_ref(),
-                        Value::Set(Set::from_values(group)),
-                    )]))?;
+                    let with_group = x
+                        .as_tuple()?
+                        .insert(as_attr, Value::Set(Set::from_values(group)))?;
                     out.push(Value::Tuple(with_group));
                 }
                 Ok(Value::Set(Set::from_values(out)))
@@ -656,11 +655,9 @@ pub fn unnest_value(x: &Value, attr: &Name, out: &mut Vec<Value>) -> Result<(), 
         match x_prime {
             // paper def. 7: tuple elements are concatenated with the rest
             Value::Tuple(tp) => out.push(Value::Tuple(tp.concat(&rest)?)),
-            // generalized μ: an atomic element replaces the attribute
-            atom => {
-                let wrapped = Tuple::from_pairs([(attr.as_ref(), atom.clone())]);
-                out.push(Value::Tuple(wrapped.concat(&rest)?));
-            }
+            // generalized μ: an atomic element replaces the attribute,
+            // inserted at its sorted slot in one allocation
+            atom => out.push(Value::Tuple(rest.insert(attr, atom.clone())?)),
         }
     }
     Ok(())
@@ -690,10 +687,7 @@ pub fn nest_set(s: &Set, attrs: &[Name], as_attr: &Name) -> Result<Value, EvalEr
     let mut out = Vec::with_capacity(order.len());
     for key in order {
         let vals = groups.remove(&key).expect("group exists");
-        let with_set = key.concat(&Tuple::from_pairs([(
-            as_attr.as_ref(),
-            Value::Set(Set::from_values(vals)),
-        )]))?;
+        let with_set = key.insert(as_attr, Value::Set(Set::from_values(vals)))?;
         out.push(Value::Tuple(with_set));
     }
     Ok(Value::Set(Set::from_values(out)))

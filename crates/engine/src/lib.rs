@@ -16,6 +16,7 @@
 //! Physical operators are property-tested to agree with the reference
 //! evaluator on arbitrary inputs — same answers, different asymptotics.
 
+pub mod bound;
 pub mod cost;
 pub mod eval;
 pub mod joinorder;

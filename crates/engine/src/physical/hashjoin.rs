@@ -40,7 +40,12 @@
 //!
 //! Keys are arbitrary ADL expressions over one side's variable; the
 //! residual predicate (non-equi conjuncts, or a nested-loop join's whole
-//! predicate) is checked on every candidate.
+//! predicate) is checked on every candidate. The operator executes a
+//! `BoundJoin`: the spec with its keys, residual and nestjoin function
+//! [bound](crate::bound) once when the operator is compiled (`lvar` and
+//! `rvar` become row slots over the borrowed probe and build rows), and
+//! evaluated through one [`Cx`] per batch. Only the materialized
+//! [`PhysPlan::exec`] binds a spec per call (`JoinSpec::join_sets`).
 
 use super::columnar::{take_row, ProbeInput};
 use super::exchange::{duplicate_free, run_workers, segment_scan, Segment, Share};
@@ -50,13 +55,14 @@ use super::operator::{
 };
 use super::spill_exec::{self, MergeCursor};
 use super::{Partitioning, PhysPlan};
+use crate::bound::{Binder, BoundExpr, Cx, Outer};
 use crate::eval::{Env, EvalError, Evaluator};
 use crate::stats::Stats;
 use oodb_adl::expr::{Expr, JoinKind};
 use oodb_catalog::{Database, Table};
 use oodb_spill::{MemoryBudget, SpillMetrics};
 use oodb_value::fxhash::FxHashMap;
-use oodb_value::{Batch, BatchKind, ColumnarBatch, Name, Set, Tuple, Value};
+use oodb_value::{Batch, BatchKind, ColumnarBatch, Name, Set, Value};
 use std::borrow::{Borrow, Cow};
 
 /// The two supported membership predicate shapes.
@@ -95,69 +101,6 @@ pub fn key_hash(key: &[Value]) -> u64 {
 /// [`key_hash`] of a single membership key.
 pub fn value_hash(v: &Value) -> u64 {
     key_hash(std::slice::from_ref(v))
-}
-
-/// Evaluates an expression under a single variable binding.
-pub(crate) fn eval_under(
-    e: &Expr,
-    var: &Name,
-    val: &Value,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    env.push(var, val.clone());
-    let r = ev.eval(e, env, stats);
-    env.pop();
-    r
-}
-
-/// Evaluates the composite key `keys` under `var = val`.
-pub(crate) fn eval_keys(
-    keys: &[Expr],
-    var: &Name,
-    val: &Value,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Vec<Value>, EvalError> {
-    env.push(var, val.clone());
-    let mut out = Vec::with_capacity(keys.len());
-    for k in keys {
-        match ev.eval(k, env, stats) {
-            Ok(v) => out.push(v),
-            Err(e) => {
-                env.pop();
-                return Err(e);
-            }
-        }
-    }
-    env.pop();
-    Ok(out)
-}
-
-/// Evaluates the residual predicate under both join variables.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn residual_holds(
-    residual: Option<&Expr>,
-    lvar: &Name,
-    x: &Value,
-    rvar: &Name,
-    y: &Value,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<bool, EvalError> {
-    let Some(pred) = residual else {
-        return Ok(true);
-    };
-    stats.predicate_evals += 1;
-    env.push(lvar, x.clone());
-    env.push(rvar, y.clone());
-    let r = ev.eval(pred, env, stats);
-    env.pop();
-    env.pop();
-    r?.as_bool().map_err(EvalError::Value)
 }
 
 pub(crate) fn null_pad(x: &Value, right_attrs: &[Name]) -> Result<Value, EvalError> {
@@ -349,6 +292,19 @@ impl JoinSpec {
         }
     }
 
+    /// The materialized join of [`PhysPlan::exec`]: binds this spec for
+    /// the one call (see [`BoundJoin::join_sets`]).
+    pub(crate) fn join_sets(
+        &self,
+        left: &Set,
+        right: Option<&Set>,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Result<Value, EvalError> {
+        BoundJoin::new(self).join_sets(left, right, ev, env, stats)
+    }
+
     /// The operator label `Stats::operators` reports:
     /// `HashJoin(Semi)`, `MemberNestJoin(ys)`, `Product`, `SortMergeJoin`.
     pub fn op_label(&self) -> String {
@@ -358,33 +314,6 @@ impl JoinSpec {
             JoinMode::Join { kind, .. } => format!("{name}({kind:?})"),
             JoinMode::Nest { as_attr, .. } => format!("{name}({as_attr})"),
         }
-    }
-
-    /// A build row's index keys: its composite key for an equi join;
-    /// `rkey(y)` (`RightInLeftSet`) or every element of `rset(y)`
-    /// (`LeftInRightSet`) for a membership join. Every build evaluates
-    /// them here, once per row.
-    fn build_keys(
-        &self,
-        y: &Value,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<Vec<Value>, EvalError> {
-        let rvar = &self.rvar;
-        Ok(match &self.family {
-            JoinFamily::Equi { rkeys, .. } => eval_keys(rkeys, rvar, y, ev, env, stats)?,
-            JoinFamily::Member {
-                shape: MemberShape::RightInLeftSet { rkey, .. },
-            } => vec![eval_under(rkey, rvar, y, ev, env, stats)?],
-            JoinFamily::Member {
-                shape: MemberShape::LeftInRightSet { rset, .. },
-            } => {
-                let s = eval_under(rset, rvar, y, ev, env, stats)?;
-                s.as_set()?.iter().cloned().collect()
-            }
-            JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => not_hashed(),
-        })
     }
 
     /// One table over pre-keyed build entries; each index insertion is
@@ -403,46 +332,6 @@ impl JoinSpec {
             }
             JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => not_hashed(),
         }
-    }
-
-    /// The build of every join that needs neither partitions nor a
-    /// budget check: a hash family keys `rows` and hashes them into one
-    /// table as they stream past, a loop keeps them, and an index join
-    /// (whose `rows` are empty) checks its extent and index. Generic over
-    /// row ownership: the streaming operator moves owned rows in
-    /// (`V = Value`, so the build outlives any one probe batch), the
-    /// materialized join borrows its input set (`V = &Value`, zero
-    /// copies).
-    fn build<V: Borrow<Value>>(
-        &self,
-        rows: impl IntoIterator<Item = V>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<BuildSide<V>, EvalError> {
-        match &self.family {
-            JoinFamily::Loop => return Ok(BuildSide::Loop(rows.into_iter().collect())),
-            JoinFamily::Index { attr, extent, .. } => {
-                index_table(ev.db(), extent, attr)?;
-                return Ok(BuildSide::Index);
-            }
-            JoinFamily::Sorted { .. } => not_hashed(),
-            JoinFamily::Equi { .. } | JoinFamily::Member { .. } => {}
-        }
-        let mut err = None;
-        let mut inserted = 0;
-        let keyed =
-            rows.into_iter()
-                .map_while(|y| match self.build_keys(y.borrow(), ev, env, stats) {
-                    Ok(keys) => Some((keys, y)),
-                    Err(e) => {
-                        err = Some(e);
-                        None
-                    }
-                });
-        let tables = self.table(keyed, &mut inserted);
-        stats.hash_build_rows += inserted;
-        err.map_or(Ok(tables), Err)
     }
 
     /// Routes one keyed build row into `buckets` (one per partition).
@@ -521,184 +410,6 @@ impl JoinSpec {
         })
     }
 
-    /// Probes one batch of left rows against `build`, producing output
-    /// rows. Each hash probe key consults exactly the partition
-    /// [`key_hash`] (equi) or [`value_hash`] (membership) assigns it, so
-    /// a partitioned probe does the same lookups as a one-table probe.
-    fn probe<V: Borrow<Value>>(
-        &self,
-        build: &BuildSide<V>,
-        probe: ProbeInput<'_>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<Vec<Value>, EvalError> {
-        match (&self.family, build) {
-            (JoinFamily::Equi { lkeys, .. }, BuildSide::Equi(t)) => {
-                JoinHashTable::probe_batch(t, self, lkeys, probe, ev, env, stats)
-            }
-            (JoinFamily::Member { shape }, BuildSide::Member(t)) => {
-                MemberHashTable::probe_batch(t, self, shape, probe, ev, env, stats)
-            }
-            (JoinFamily::Loop, BuildSide::Loop(rows)) => {
-                self.probe_loop(rows, probe, ev, env, stats)
-            }
-            (JoinFamily::Index { lkey, attr, extent }, BuildSide::Index) => {
-                let table = index_table(ev.db(), extent, attr)?;
-                self.probe_index(table, lkey, attr, probe, ev, env, stats)
-            }
-            _ => unreachable!("a spec only probes the side it built"),
-        }
-    }
-
-    /// The loop probe: every row of `rows` is a candidate of every probe
-    /// row — a nested loop's drained right set, or the equal-key group a
-    /// sort-merge join merges a left key group with.
-    pub(crate) fn probe_loop<V: Borrow<Value>>(
-        &self,
-        rows: &[V],
-        probe: ProbeInput<'_>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<Vec<Value>, EvalError> {
-        let mut out = Vec::new();
-        for i in 0..probe.len() {
-            let mut xc = None;
-            let mut row = RowMatches::default();
-            if !rows.is_empty() {
-                let x = xc.get_or_insert_with(|| probe.row_at(i));
-                for y in rows {
-                    stats.loop_iterations += 1;
-                    if !self.candidate(x, y.borrow(), &mut row, &mut out, ev, env, stats)? {
-                        break;
-                    }
-                }
-            }
-            self.finish_row(row, &mut xc, &probe, i, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// The index probe: each probe row's candidates are the rows of
-    /// `table`'s index on `attr` under `lkey(x)`. A simple key over a
-    /// columnar batch reads the key column without materializing the row.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_index(
-        &self,
-        table: &Table,
-        lkey: &Expr,
-        attr: &Name,
-        probe: ProbeInput<'_>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<Vec<Value>, EvalError> {
-        let key_col = probe.key_column(lkey, &self.lvar);
-        let mut out = Vec::new();
-        for i in 0..probe.len() {
-            let mut xc = None;
-            let key = match key_col {
-                Some(col) => col.value_at(i),
-                None => {
-                    let x = xc.get_or_insert_with(|| probe.row_at(i));
-                    eval_under(lkey, &self.lvar, x, ev, env, stats)?
-                }
-            };
-            stats.index_probes += 1;
-            let mut row = RowMatches::default();
-            let candidates = table.index_probe(attr, &key).unwrap_or_default();
-            if !candidates.is_empty() {
-                let x = xc.get_or_insert_with(|| probe.row_at(i));
-                for t in candidates {
-                    let y = Value::Tuple(t.clone());
-                    if !self.candidate(x, &y, &mut row, &mut out, ev, env, stats)? {
-                        break;
-                    }
-                }
-            }
-            self.finish_row(row, &mut xc, &probe, i, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// The materialized join: builds over `right` (absent for an index
-    /// join) and probes with `left`, both borrowed; a sort-merge join
-    /// runs its merge cursor to the end instead.
-    pub(crate) fn join_sets(
-        &self,
-        left: &Set,
-        right: Option<&Set>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<Value, EvalError> {
-        let rows = right.into_iter().flat_map(|r| r.iter());
-        let out = if let JoinFamily::Sorted { .. } = self.family {
-            let (l, r) = (left.iter().cloned().collect(), rows.cloned().collect());
-            let (budget, local) = (MemoryBudget::unbounded(), &mut SpillMetrics::default());
-            let mut merge = MergeCursor::new(self, l, r, &budget, local, ev, env, stats)?;
-            let out = merge.next_chunk(self, usize::MAX, ev, env, stats)?;
-            out.unwrap_or_default()
-        } else {
-            let build = self.build(rows, ev, env, stats)?;
-            self.probe(&build, left.as_slice().into(), ev, env, stats)?
-        };
-        Ok(Value::Set(Set::from_values(out)))
-    }
-
-    /// Checks candidate `y` of probe row `x` against the residual and
-    /// records it as a match if it holds. Returns whether the row wants
-    /// further candidates.
-    #[allow(clippy::too_many_arguments)]
-    fn candidate(
-        &self,
-        x: &Value,
-        y: &Value,
-        row: &mut RowMatches,
-        out: &mut Vec<Value>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<bool, EvalError> {
-        let (lvar, rvar, residual) = (&self.lvar, &self.rvar, self.residual.as_ref());
-        Ok(!residual_holds(residual, lvar, x, rvar, y, ev, env, stats)?
-            || self.matched(x, y, row, out, ev, env, stats)?)
-    }
-
-    /// Records one residual-checked `(x, y)` match of the current probe
-    /// row: inner and outer joins emit the pair, nestjoins add `y`'s
-    /// contribution to the group. Returns whether the row wants further
-    /// matches (semi- and antijoins stop at the first).
-    #[allow(clippy::too_many_arguments)]
-    fn matched(
-        &self,
-        x: &Value,
-        y: &Value,
-        row: &mut RowMatches,
-        out: &mut Vec<Value>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<bool, EvalError> {
-        row.matched = true;
-        match &self.mode {
-            JoinMode::Join {
-                kind: JoinKind::Inner | JoinKind::LeftOuter,
-                ..
-            } => {
-                out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?));
-                Ok(true)
-            }
-            JoinMode::Join { .. } => Ok(false),
-            JoinMode::Nest { rfunc, .. } => {
-                let v = collect_right(rfunc.as_ref(), &self.rvar, y, ev, env, stats)?;
-                row.group.push(v);
-                Ok(true)
-            }
-        }
-    }
-
     /// What probe row `i` emits once its matches are in: a semijoin
     /// keeps a matched row, an antijoin an unmatched one, an outer join
     /// pads an unmatched one, a nestjoin attaches the (possibly empty)
@@ -765,6 +476,346 @@ impl JoinSpec {
                 },
             ) if opts.vectorize && self.residual.is_none() && t.len() == 1 => t[0].indexed(),
             _ => None,
+        }
+    }
+}
+
+/// A [`JoinSpec`] with its expressions [bound](crate::bound): what the
+/// join operator, the grace join and the merge cursor execute. The probe
+/// side's keys, the build side's keys, the residual and the nestjoin
+/// function are lowered once, when the operator is compiled (the
+/// materialized [`PhysPlan::exec`] binds per call), by one binder, so
+/// one [`Cx`] per batch evaluates all of them.
+pub(crate) struct BoundJoin {
+    /// The join executed.
+    pub(crate) spec: JoinSpec,
+    outer: Outer,
+    /// Over `lvar`: an equi or sort-merge join's `lkeys`, an index join's
+    /// `lkey`, a membership join's `lset` or `lkey`.
+    left: Vec<BoundExpr>,
+    /// Over `rvar`: an equi or sort-merge join's `rkeys`, a membership
+    /// join's `rkey` or `rset`.
+    right: Vec<BoundExpr>,
+    /// Over `lvar` and `rvar`.
+    residual: Option<BoundExpr>,
+    /// The nestjoin's function, over `rvar`.
+    rfunc: Option<BoundExpr>,
+}
+
+impl BoundJoin {
+    /// Binds `spec`'s expressions.
+    pub(crate) fn new(spec: &JoinSpec) -> Self {
+        let (lvar, rvar) = (&spec.lvar, &spec.rvar);
+        let (left, right): (Vec<&Expr>, Vec<&Expr>) = match &spec.family {
+            JoinFamily::Equi { lkeys, rkeys } | JoinFamily::Sorted { lkeys, rkeys } => {
+                (lkeys.iter().collect(), rkeys.iter().collect())
+            }
+            JoinFamily::Member {
+                shape: MemberShape::RightInLeftSet { lset, rkey },
+            } => (vec![lset], vec![rkey]),
+            JoinFamily::Member {
+                shape: MemberShape::LeftInRightSet { lkey, rset },
+            } => (vec![lkey], vec![rset]),
+            JoinFamily::Index { lkey, .. } => (vec![lkey], Vec::new()),
+            JoinFamily::Loop => (Vec::new(), Vec::new()),
+        };
+        let mut b = Binder::new();
+        let left = left.into_iter().map(|e| b.bind(e, &[lvar])).collect();
+        let right = right.into_iter().map(|e| b.bind(e, &[rvar])).collect();
+        let residual = spec.residual.as_ref().map(|p| b.bind(p, &[lvar, rvar]));
+        let rfunc = match &spec.mode {
+            JoinMode::Nest { rfunc: Some(g), .. } => Some(b.bind(g, &[rvar])),
+            _ => None,
+        };
+        BoundJoin {
+            spec: spec.clone(),
+            outer: b.finish(),
+            left,
+            right,
+            residual,
+            rfunc,
+        }
+    }
+
+    /// The evaluation context of one batch (see [`Cx::new`]).
+    pub(crate) fn cx<'r, 'db>(
+        &self,
+        ev: &'r Evaluator<'db>,
+        env: &'r mut Env,
+        stats: &'r mut Stats,
+    ) -> Cx<'r, 'db> {
+        Cx::new(ev, env, stats, &self.outer)
+    }
+
+    /// The probe row's composite key: an equi, sort-merge or index
+    /// join's left keys, in order.
+    pub(crate) fn left_keys(
+        &self,
+        x: &Value,
+        cx: &mut Cx<'_, '_>,
+    ) -> Result<Vec<Value>, EvalError> {
+        self.left.iter().map(|k| cx.value(k, &[x])).collect()
+    }
+
+    /// A sort-merge build row's composite key.
+    pub(crate) fn right_keys(
+        &self,
+        y: &Value,
+        cx: &mut Cx<'_, '_>,
+    ) -> Result<Vec<Value>, EvalError> {
+        self.right.iter().map(|k| cx.value(k, &[y])).collect()
+    }
+
+    /// The probe keys a membership join's left row contributes: every
+    /// element of `lset(x)` (`RightInLeftSet`), or `lkey(x)`.
+    pub(crate) fn probe_keys(
+        &self,
+        shape: &MemberShape,
+        x: &Value,
+        cx: &mut Cx<'_, '_>,
+    ) -> Result<Vec<Value>, EvalError> {
+        match shape {
+            MemberShape::RightInLeftSet { .. } => {
+                cx.with(&self.left[0], &[x], |s| Ok(s.as_set()?.as_slice().to_vec()))
+            }
+            MemberShape::LeftInRightSet { .. } => Ok(vec![cx.value(&self.left[0], &[x])?]),
+        }
+    }
+
+    /// Whether the residual holds on `(x, y)`; each check is one
+    /// predicate evaluation.
+    fn residual_holds(&self, x: &Value, y: &Value, cx: &mut Cx<'_, '_>) -> Result<bool, EvalError> {
+        let Some(pred) = &self.residual else {
+            return Ok(true);
+        };
+        cx.stats.predicate_evals += 1;
+        cx.truth(pred, &[x, y])
+    }
+
+    /// What a nestjoin collects from matching right row `y`: the
+    /// extended nestjoin's function of it, or `y` itself.
+    pub(crate) fn collect_right(&self, y: &Value, cx: &mut Cx<'_, '_>) -> Result<Value, EvalError> {
+        match &self.rfunc {
+            Some(g) => cx.value(g, &[y]),
+            None => Ok(y.clone()),
+        }
+    }
+
+    /// A build row's index keys: its composite key for an equi join;
+    /// `rkey(y)` (`RightInLeftSet`) or every element of `rset(y)`
+    /// (`LeftInRightSet`) for a membership join. Every build evaluates
+    /// them here, once per row.
+    fn build_keys(&self, y: &Value, cx: &mut Cx<'_, '_>) -> Result<Vec<Value>, EvalError> {
+        match &self.spec.family {
+            JoinFamily::Equi { .. } => self.right_keys(y, cx),
+            JoinFamily::Member {
+                shape: MemberShape::RightInLeftSet { .. },
+            } => Ok(vec![cx.value(&self.right[0], &[y])?]),
+            JoinFamily::Member {
+                shape: MemberShape::LeftInRightSet { .. },
+            } => cx.with(&self.right[0], &[y], |s| {
+                Ok(s.as_set()?.as_slice().to_vec())
+            }),
+            JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => not_hashed(),
+        }
+    }
+
+    /// The build of every join that needs neither partitions nor a
+    /// budget check: a hash family keys `rows` and hashes them into one
+    /// table as they stream past, a loop keeps them, and an index join
+    /// (whose `rows` are empty) checks its extent and index. Generic over
+    /// row ownership: the streaming operator moves owned rows in
+    /// (`V = Value`, so the build outlives any one probe batch), the
+    /// materialized join borrows its input set (`V = &Value`, zero
+    /// copies).
+    fn build<V: Borrow<Value>>(
+        &self,
+        rows: impl IntoIterator<Item = V>,
+        cx: &mut Cx<'_, '_>,
+    ) -> Result<BuildSide<V>, EvalError> {
+        match &self.spec.family {
+            JoinFamily::Loop => return Ok(BuildSide::Loop(rows.into_iter().collect())),
+            JoinFamily::Index { attr, extent, .. } => {
+                index_table(cx.db(), extent, attr)?;
+                return Ok(BuildSide::Index);
+            }
+            JoinFamily::Sorted { .. } => not_hashed(),
+            JoinFamily::Equi { .. } | JoinFamily::Member { .. } => {}
+        }
+        let mut err = None;
+        let mut inserted = 0;
+        let keyed = rows
+            .into_iter()
+            .map_while(|y| match self.build_keys(y.borrow(), cx) {
+                Ok(keys) => Some((keys, y)),
+                Err(e) => {
+                    err = Some(e);
+                    None
+                }
+            });
+        let tables = self.spec.table(keyed, &mut inserted);
+        cx.stats.hash_build_rows += inserted;
+        err.map_or(Ok(tables), Err)
+    }
+
+    /// Probes one batch of left rows against `build`, producing output
+    /// rows. Each hash probe key consults exactly the partition
+    /// [`key_hash`] (equi) or [`value_hash`] (membership) assigns it, so
+    /// a partitioned probe does the same lookups as a one-table probe.
+    fn probe<V: Borrow<Value>>(
+        &self,
+        build: &BuildSide<V>,
+        probe: ProbeInput<'_>,
+        cx: &mut Cx<'_, '_>,
+    ) -> Result<Vec<Value>, EvalError> {
+        match (&self.spec.family, build) {
+            (JoinFamily::Equi { lkeys, .. }, BuildSide::Equi(t)) => {
+                JoinHashTable::probe_batch(t, self, lkeys, probe, cx)
+            }
+            (JoinFamily::Member { shape }, BuildSide::Member(t)) => {
+                MemberHashTable::probe_batch(t, self, shape, probe, cx)
+            }
+            (JoinFamily::Loop, BuildSide::Loop(rows)) => self.probe_loop(rows, probe, cx),
+            (JoinFamily::Index { lkey, attr, extent }, BuildSide::Index) => {
+                let table = index_table(cx.db(), extent, attr)?;
+                self.probe_index(table, lkey, attr, probe, cx)
+            }
+            _ => unreachable!("a spec only probes the side it built"),
+        }
+    }
+
+    /// The loop probe: every row of `rows` is a candidate of every probe
+    /// row — a nested loop's drained right set, or the equal-key group a
+    /// sort-merge join merges a left key group with.
+    pub(crate) fn probe_loop<V: Borrow<Value>>(
+        &self,
+        rows: &[V],
+        probe: ProbeInput<'_>,
+        cx: &mut Cx<'_, '_>,
+    ) -> Result<Vec<Value>, EvalError> {
+        let mut out = Vec::new();
+        for i in 0..probe.len() {
+            let mut xc = None;
+            let mut row = RowMatches::default();
+            if !rows.is_empty() {
+                let x = xc.get_or_insert_with(|| probe.row_at(i));
+                for y in rows {
+                    cx.stats.loop_iterations += 1;
+                    if !self.candidate(x, y.borrow(), &mut row, &mut out, cx)? {
+                        break;
+                    }
+                }
+            }
+            self.spec.finish_row(row, &mut xc, &probe, i, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// The index probe: each probe row's candidates are the rows of
+    /// `table`'s index on `attr` under `lkey(x)`. A simple key over a
+    /// columnar batch reads the key column without materializing the row.
+    fn probe_index(
+        &self,
+        table: &Table,
+        lkey: &Expr,
+        attr: &Name,
+        probe: ProbeInput<'_>,
+        cx: &mut Cx<'_, '_>,
+    ) -> Result<Vec<Value>, EvalError> {
+        let key_col = probe.key_column(lkey, &self.spec.lvar);
+        let mut out = Vec::new();
+        for i in 0..probe.len() {
+            let mut xc = None;
+            let key = match key_col {
+                Some(col) => col.value_at(i),
+                None => {
+                    let x = xc.get_or_insert_with(|| probe.row_at(i));
+                    cx.value(&self.left[0], &[x])?
+                }
+            };
+            cx.stats.index_probes += 1;
+            let mut row = RowMatches::default();
+            let candidates = table.index_probe(attr, &key).unwrap_or_default();
+            if !candidates.is_empty() {
+                let x = xc.get_or_insert_with(|| probe.row_at(i));
+                for t in candidates {
+                    let y = Value::Tuple(t.clone());
+                    if !self.candidate(x, &y, &mut row, &mut out, cx)? {
+                        break;
+                    }
+                }
+            }
+            self.spec.finish_row(row, &mut xc, &probe, i, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// The materialized join: builds over `right` (absent for an index
+    /// join) and probes with `left`, both borrowed; a sort-merge join
+    /// runs its merge cursor to the end instead.
+    pub(crate) fn join_sets(
+        &self,
+        left: &Set,
+        right: Option<&Set>,
+        ev: &Evaluator<'_>,
+        env: &mut Env,
+        stats: &mut Stats,
+    ) -> Result<Value, EvalError> {
+        let rows = right.into_iter().flat_map(|r| r.iter());
+        let mut cx = self.cx(ev, env, stats);
+        let out = if let JoinFamily::Sorted { .. } = self.spec.family {
+            let (l, r) = (left.iter().cloned().collect(), rows.cloned().collect());
+            let (budget, local) = (MemoryBudget::unbounded(), &mut SpillMetrics::default());
+            let mut merge = MergeCursor::new(self, l, r, &budget, local, &mut cx)?;
+            let out = merge.next_chunk(self, usize::MAX, &mut cx)?;
+            out.unwrap_or_default()
+        } else {
+            let build = self.build(rows, &mut cx)?;
+            self.probe(&build, left.as_slice().into(), &mut cx)?
+        };
+        Ok(Value::Set(Set::from_values(out)))
+    }
+
+    /// Checks candidate `y` of probe row `x` against the residual and
+    /// records it as a match if it holds. Returns whether the row wants
+    /// further candidates.
+    fn candidate(
+        &self,
+        x: &Value,
+        y: &Value,
+        row: &mut RowMatches,
+        out: &mut Vec<Value>,
+        cx: &mut Cx<'_, '_>,
+    ) -> Result<bool, EvalError> {
+        Ok(!self.residual_holds(x, y, cx)? || self.matched(x, y, row, out, cx)?)
+    }
+
+    /// Records one residual-checked `(x, y)` match of the current probe
+    /// row: inner and outer joins emit the pair, nestjoins add `y`'s
+    /// contribution to the group. Returns whether the row wants further
+    /// matches (semi- and antijoins stop at the first).
+    fn matched(
+        &self,
+        x: &Value,
+        y: &Value,
+        row: &mut RowMatches,
+        out: &mut Vec<Value>,
+        cx: &mut Cx<'_, '_>,
+    ) -> Result<bool, EvalError> {
+        row.matched = true;
+        match &self.spec.mode {
+            JoinMode::Join {
+                kind: JoinKind::Inner | JoinKind::LeftOuter,
+                ..
+            } => {
+                out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?));
+                Ok(true)
+            }
+            JoinMode::Join { .. } => Ok(false),
+            JoinMode::Nest { .. } => {
+                row.group.push(self.collect_right(y, cx)?);
+                Ok(true)
+            }
         }
     }
 }
@@ -857,14 +908,12 @@ impl<V: Borrow<Value>> JoinHashTable<V> {
     /// never touch it.
     fn probe_batch(
         tables: &[Self],
-        spec: &JoinSpec,
+        join: &BoundJoin,
         lkeys: &[Expr],
         probe: ProbeInput<'_>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
+        cx: &mut Cx<'_, '_>,
     ) -> Result<Vec<Value>, EvalError> {
-        let key_cols = probe.key_columns(lkeys, &spec.lvar);
+        let key_cols = probe.key_columns(lkeys, &join.spec.lvar);
         let mut out = Vec::new();
         for i in 0..probe.len() {
             let mut xc = None;
@@ -872,12 +921,10 @@ impl<V: Borrow<Value>> JoinHashTable<V> {
                 Some(cols) => cols.iter().map(|c| c.value_at(i)).collect::<Vec<_>>(),
                 None => {
                     let x = xc.get_or_insert_with(|| probe.row_at(i));
-                    eval_keys(lkeys, &spec.lvar, x, ev, env, stats)?
+                    join.left_keys(x, cx)?
                 }
             };
-            Self::probe_row(
-                tables, spec, &key, &probe, i, &mut xc, &mut out, ev, env, stats,
-            )?;
+            Self::probe_row(tables, join, &key, &probe, i, &mut xc, &mut out, cx)?;
         }
         Ok(out)
     }
@@ -890,17 +937,15 @@ impl<V: Borrow<Value>> JoinHashTable<V> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn probe_row<'p>(
         tables: &[Self],
-        spec: &JoinSpec,
+        join: &BoundJoin,
         key: &[Value],
         probe: &ProbeInput<'p>,
         i: usize,
         xc: &mut Option<Cow<'p, Value>>,
         out: &mut Vec<Value>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
+        cx: &mut Cx<'_, '_>,
     ) -> Result<(), EvalError> {
-        stats.hash_probes += 1;
+        cx.stats.hash_probes += 1;
         let mut row = RowMatches::default();
         let table = if tables.len() == 1 {
             &tables[0]
@@ -910,12 +955,12 @@ impl<V: Borrow<Value>> JoinHashTable<V> {
         if let Some(candidates) = table.map.get(key) {
             let x = xc.get_or_insert_with(|| probe.row_at(i));
             for y in candidates {
-                if !spec.candidate(x, y.borrow(), &mut row, out, ev, env, stats)? {
+                if !join.candidate(x, y.borrow(), &mut row, out, cx)? {
                     break;
                 }
             }
         }
-        spec.finish_row(row, xc, probe, i, out)
+        join.spec.finish_row(row, xc, probe, i, out)
     }
 }
 
@@ -1067,29 +1112,25 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
     /// Cross-partition dedupe is unnecessary: equal key values always
     /// land in the same partition, so one `(x, y)` pair can match in at
     /// most one partition.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn keyed_matches(
         &self,
-        spec: &JoinSpec,
+        join: &BoundJoin,
         keys: &[Value],
         x: &Value,
         first_only: bool,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
+        cx: &mut Cx<'_, '_>,
     ) -> Result<Vec<&Value>, EvalError> {
         let mut seen: Vec<usize> = Vec::new();
         let mut out = Vec::new();
-        let (lvar, rvar, residual) = (&spec.lvar, &spec.rvar, spec.residual.as_ref());
         for k in keys {
-            stats.hash_probes += 1;
+            cx.stats.hash_probes += 1;
             if let Some(candidates) = self.index.get(k) {
                 for &yi in candidates {
                     if seen.contains(&yi) {
                         continue;
                     }
                     let y = self.rows[yi].borrow();
-                    if residual_holds(residual, lvar, x, rvar, y, ev, env, stats)? {
+                    if join.residual_holds(x, y, cx)? {
                         seen.push(yi);
                         out.push(y);
                         if first_only {
@@ -1102,26 +1143,6 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
         Ok(out)
     }
 
-    /// The probe keys one left tuple contributes.
-    pub(crate) fn probe_keys(
-        shape: &MemberShape,
-        lvar: &Name,
-        x: &Value,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
-    ) -> Result<Vec<Value>, EvalError> {
-        Ok(match shape {
-            MemberShape::RightInLeftSet { lset, .. } => {
-                let s = eval_under(lset, lvar, x, ev, env, stats)?;
-                s.as_set()?.iter().cloned().collect()
-            }
-            MemberShape::LeftInRightSet { lkey, .. } => {
-                vec![eval_under(lkey, lvar, x, ev, env, stats)?]
-            }
-        })
-    }
-
     /// The expression the probe side evaluates over the left variable —
     /// what a columnar probe batch may hold as a plain column.
     fn probe_left_expr(shape: &MemberShape) -> &Expr {
@@ -1131,22 +1152,20 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
         }
     }
 
-    /// [`MemberHashTable::probe_keys`] for probe row `i` of a batch,
+    /// [`BoundJoin::probe_keys`] for probe row `i` of a batch,
     /// reading the set/key column directly when the probe side is
     /// columnar and the expression is a simple attribute — the row is
     /// not materialized. `cache` receives the row only when the slow
     /// path had to build it.
     #[allow(clippy::too_many_arguments)]
     fn probe_keys_at<'p>(
+        join: &BoundJoin,
         shape: &MemberShape,
-        lvar: &Name,
         probe: &ProbeInput<'p>,
         left_col: Option<&oodb_value::Column>,
         i: usize,
         cache: &mut Option<Cow<'p, Value>>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
+        cx: &mut Cx<'_, '_>,
     ) -> Result<Vec<Value>, EvalError> {
         match (left_col, shape) {
             (Some(col), MemberShape::RightInLeftSet { .. }) => Ok(col
@@ -1157,7 +1176,7 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
             (Some(col), MemberShape::LeftInRightSet { .. }) => Ok(vec![col.value_at(i)]),
             (None, _) => {
                 let x = cache.get_or_insert_with(|| probe.row_at(i));
-                Self::probe_keys(shape, lvar, x, ev, env, stats)
+                join.probe_keys(shape, x, cx)
             }
         }
     }
@@ -1168,24 +1187,20 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
     /// elements still joins once.
     fn probe_batch(
         tables: &[Self],
-        spec: &JoinSpec,
+        join: &BoundJoin,
         shape: &MemberShape,
         probe: ProbeInput<'_>,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
+        cx: &mut Cx<'_, '_>,
     ) -> Result<Vec<Value>, EvalError> {
-        let (lvar, rvar, residual) = (&spec.lvar, &spec.rvar, spec.residual.as_ref());
-        let left_col = probe.key_column(Self::probe_left_expr(shape), lvar);
+        let left_col = probe.key_column(Self::probe_left_expr(shape), &join.spec.lvar);
         let mut out = Vec::new();
         for i in 0..probe.len() {
             let mut xc = None;
-            let probes =
-                Self::probe_keys_at(shape, lvar, &probe, left_col, i, &mut xc, ev, env, stats)?;
+            let probes = Self::probe_keys_at(join, shape, &probe, left_col, i, &mut xc, cx)?;
             let mut row = RowMatches::default();
             let mut seen: Vec<(usize, usize)> = Vec::new();
             'probe: for p in &probes {
-                stats.hash_probes += 1;
+                cx.stats.hash_probes += 1;
                 let (ti, table) = Self::pick(tables, p);
                 if let Some(candidates) = table.index.get(p) {
                     let x = xc.get_or_insert_with(|| probe.row_at(i));
@@ -1196,16 +1211,16 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
                             continue;
                         }
                         let y = table.rows[yi].borrow();
-                        if residual_holds(residual, lvar, x, rvar, y, ev, env, stats)? {
+                        if join.residual_holds(x, y, cx)? {
                             seen.push((ti, yi));
-                            if !spec.matched(x, y, &mut row, &mut out, ev, env, stats)? {
+                            if !join.matched(x, y, &mut row, &mut out, cx)? {
                                 break 'probe;
                             }
                         }
                     }
                 }
             }
-            spec.finish_row(row, &mut xc, &probe, i, &mut out)?;
+            join.spec.finish_row(row, &mut xc, &probe, i, &mut out)?;
         }
         Ok(out)
     }
@@ -1286,7 +1301,7 @@ impl JoinInput {
 /// falls back to the grace hash join (see `spill_exec::grace_join`) at
 /// every dop.
 pub(crate) struct JoinOp {
-    spec: JoinSpec,
+    join: BoundJoin,
     dop: usize,
     left: JoinInput,
     /// The build side; `None` for an index join.
@@ -1332,7 +1347,7 @@ impl JoinOp {
         let dop = if spec.family.hashed() { dop } else { 1 };
         let kids = plan.child_ordinals(ord);
         Some(JoinOp {
-            spec: (**spec).clone(),
+            join: BoundJoin::new(spec),
             dop,
             left: JoinInput::new(left, kids[0], false, dop),
             right: right
@@ -1346,7 +1361,7 @@ impl JoinOp {
     /// Runs the build — and at dop > 1 the whole probe — on the first
     /// pull; a sort-merge join sorts both sides instead.
     fn start(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<JoinState, EvalError> {
-        if let JoinFamily::Sorted { .. } = self.spec.family {
+        if let JoinFamily::Sorted { .. } = self.join.spec.family {
             return Ok(JoinState::Merging(Box::new(self.sort(ctx)?)));
         }
         let built = if self.dop == 1 {
@@ -1357,7 +1372,7 @@ impl JoinOp {
         Ok(match built {
             Built::Spilled(rows) => JoinState::Done(Buffered::new(rows)),
             Built::Side(build) if self.dop == 1 => JoinState::Probing {
-                indexed: self.spec.indexed(&build, &ctx.opts),
+                indexed: self.join.spec.indexed(&build, &ctx.opts),
                 build,
             },
             Built::Side(build) => JoinState::Done(Buffered::new(self.probe_parallel(&build, ctx)?)),
@@ -1381,8 +1396,8 @@ impl JoinOp {
             let l = drain_to_set(left, spill, ctx)?.into_values();
             (l, drain_to_set(right, spill, ctx)?.into_values())
         };
-        let (ev, env, stats) = (&ctx.ev, &mut ctx.env, &mut *ctx.stats);
-        MergeCursor::new(&self.spec, l, r, &budget, spill, ev, env, stats)
+        let mut cx = self.join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
+        MergeCursor::new(&self.join, l, r, &budget, spill, &mut cx)
     }
 
     /// The dop 1 build, on the calling thread. Only a hash build is
@@ -1392,16 +1407,13 @@ impl JoinOp {
             Some(right) => drain_to_set(&mut right.op, &mut self.spill, ctx)?.into_values(),
             None => Vec::new(),
         };
-        if !self.spec.family.hashed() || !ctx.opts.budget.is_bounded() {
-            let build = self.spec.build(rows, &ctx.ev, &mut ctx.env, ctx.stats)?;
-            return Ok(Built::Side(build));
+        let mut cx = self.join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
+        if !self.join.spec.family.hashed() || !ctx.opts.budget.is_bounded() {
+            return Ok(Built::Side(self.join.build(rows, &mut cx)?));
         }
         let keyed = rows
             .into_iter()
-            .map(|y| {
-                let keys = self.spec.build_keys(&y, &ctx.ev, &mut ctx.env, ctx.stats)?;
-                Ok((keys, y))
-            })
+            .map(|y| Ok((self.join.build_keys(&y, &mut cx)?, y)))
             .collect::<Result<Vec<_>, EvalError>>()?;
         self.build_bounded(keyed, ctx)
     }
@@ -1410,7 +1422,7 @@ impl JoinOp {
     /// strided share skips the breaker (a duplicate-free segment is
     /// already a set); anything else drains through it first.
     fn build_parallel(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Built, EvalError> {
-        let (dop, spec) = (self.dop, &self.spec);
+        let (dop, join) = (self.dop, &self.join);
         let right = self.right.as_mut().expect("a hash join has a build side");
         let bounded = ctx.opts.budget.is_bounded();
         let build_stride = right.stride.as_ref().filter(|_| !bounded);
@@ -1425,9 +1437,10 @@ impl JoinOp {
         let routed = run_workers(shares, ctx, |share, wctx| {
             let mut buckets: Vec<Vec<Keyed>> = (0..parts).map(|_| Vec::new()).collect();
             share.for_each_batch(wctx, |batch, c| {
+                let mut cx = join.cx(&c.ev, &mut c.env, c.stats);
                 for y in batch.into_values() {
-                    let keys = spec.build_keys(&y, &c.ev, &mut c.env, c.stats)?;
-                    spec.route(keys, y, &mut buckets);
+                    let keys = join.build_keys(&y, &mut cx)?;
+                    join.spec.route(keys, y, &mut buckets);
                 }
                 Ok(())
             })?;
@@ -1447,9 +1460,9 @@ impl JoinOp {
         // Strided buckets hold each key's candidates in worker order; a
         // residual can observe that order, so those tables restore the
         // canonical order a one-table build has.
-        let canonical = build_stride.is_some() && spec.residual.is_some();
+        let canonical = build_stride.is_some() && join.spec.residual.is_some();
         Ok(Built::Side(
-            spec.partition_tables(partitions, canonical, ctx)?,
+            join.spec.partition_tables(partitions, canonical, ctx)?,
         ))
     }
 
@@ -1469,10 +1482,10 @@ impl JoinOp {
             .sum();
         if ctx.opts.budget.exceeded_by(bytes) {
             let rows =
-                spill_exec::grace_join(&self.spec, keyed, &mut self.left.op, &mut self.spill, ctx)?;
+                spill_exec::grace_join(&self.join, keyed, &mut self.left.op, &mut self.spill, ctx)?;
             return Ok(Built::Spilled(rows));
         }
-        let tables = self.spec.table(keyed, &mut ctx.stats.hash_build_rows);
+        let tables = self.join.spec.table(keyed, &mut ctx.stats.hash_build_rows);
         Ok(Built::Side(tables))
     }
 
@@ -1488,11 +1501,12 @@ impl JoinOp {
             Some(seg) => Share::strides(seg, self.dop),
             None => Share::chunks(drain_rows(&mut self.left.op, ctx)?, self.dop),
         };
-        let spec = &self.spec;
+        let join = &self.join;
         let outs = run_workers(shares, ctx, |share, wctx| {
             let mut out = Vec::new();
             share.for_each_batch(wctx, |batch, c| {
-                out.extend(spec.probe(tables, (&batch).into(), &c.ev, &mut c.env, c.stats)?);
+                let mut cx = join.cx(&c.ev, &mut c.env, c.stats);
+                out.extend(join.probe(tables, (&batch).into(), &mut cx)?);
                 Ok(())
             })?;
             Ok(out)
@@ -1518,8 +1532,8 @@ impl Operator for JoinOp {
         let (build, indexed) = match &mut self.state {
             JoinState::Done(buf) => return Ok(buf.next_chunk(BatchKind::Row)),
             JoinState::Merging(merge) => {
-                let (ev, env, stats) = (&ctx.ev, &mut ctx.env, &mut *ctx.stats);
-                let out = merge.next_chunk(&self.spec, BATCH_SIZE, ev, env, stats)?;
+                let mut cx = self.join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
+                let out = merge.next_chunk(&self.join, BATCH_SIZE, &mut cx)?;
                 return Ok(out.map(Batch::from_rows));
             }
             JoinState::Probing { build, indexed } => (&*build, indexed.as_ref()),
@@ -1533,16 +1547,15 @@ impl Operator for JoinOp {
             // rows. `None` falls through to the row probe, which reports
             // the reference error and charges the counters itself.
             if let Some(out) =
-                indexed.and_then(|ib| ib.probe_columnar(&self.spec, &batch, ctx.stats))
+                indexed.and_then(|ib| ib.probe_columnar(&self.join.spec, &batch, ctx.stats))
             {
                 if out.is_empty() {
                     continue;
                 }
                 return Ok(Some(out));
             }
-            let out = self
-                .spec
-                .probe(build, (&batch).into(), &ctx.ev, &mut ctx.env, ctx.stats)?;
+            let mut cx = self.join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
+            let out = self.join.probe(build, (&batch).into(), &mut cx)?;
             if !out.is_empty() {
                 return Ok(Some(Batch::from_rows(out)));
             }
@@ -1565,28 +1578,14 @@ impl Operator for JoinOp {
 // ---------------------------------------------------------------------
 // Output helpers.
 
-/// Appends the collected group to a left tuple.
+/// Appends the collected group to a left tuple, inserting the plan's
+/// `as_attr` at its sorted slot in one allocation (a left tuple that
+/// already has it fails with `concat`'s `DuplicateField`).
 pub(crate) fn with_group(x: &Value, as_attr: &Name, group: Vec<Value>) -> Result<Value, EvalError> {
-    let t = x.as_tuple()?.concat(&Tuple::from_pairs([(
-        as_attr.as_ref(),
-        Value::Set(Set::from_values(group)),
-    )]))?;
+    let t = x
+        .as_tuple()?
+        .insert(as_attr, Value::Set(Set::from_values(group)))?;
     Ok(Value::Tuple(t))
-}
-
-/// Applies the optional right-tuple function of the extended nestjoin.
-pub(crate) fn collect_right(
-    rfunc: Option<&Expr>,
-    rvar: &Name,
-    y: &Value,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
-) -> Result<Value, EvalError> {
-    match rfunc {
-        Some(g) => eval_under(g, rvar, y, ev, env, stats),
-        None => Ok(y.clone()),
-    }
 }
 
 #[cfg(test)]

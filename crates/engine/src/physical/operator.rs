@@ -16,7 +16,14 @@
 //!   semantics), while selections, maps, projections,
 //!   unnests and every join **probe side stream** batch by batch;
 //! * each operator is wrapped in an `Instrument` shim recording
-//!   rows/batches emitted into [`Stats::operators`].
+//!   rows/batches emitted into [`Stats::operators`];
+//! * per-row expressions are [bound](crate::bound) when the operator is
+//!   compiled: a `Filter` predicate, a `Map` body and a scalar `Eval`
+//!   are lowered once into a [`Bound`] expression and evaluated against
+//!   each borrowed row of the batch, with the outer variables read once
+//!   per batch — no environment push, no by-name variable lookup and no
+//!   operand clone per row. A filter over a columnar batch emits its
+//!   selection of the columns.
 //!
 //! Entry point: [`PhysPlan::execute_streaming`], which
 //! [`crate::plan::Plan::execute_streaming`] calls with the planner
@@ -26,9 +33,10 @@
 use super::columnar::{simple_attr, MaskExpr};
 use super::hashjoin::JoinOp;
 use super::{spill_exec, PhysPlan};
+use crate::bound::Bound;
 use crate::eval::{aggregate, nest_set, unnest_value, Env, EvalError, Evaluator};
 use crate::stats::{OpStats, OpTiming, PlanOrdinal, Stats};
-use oodb_adl::expr::{AggOp, Expr, SetOp};
+use oodb_adl::expr::{AggOp, SetOp};
 use oodb_catalog::Database;
 use oodb_spill::{MemoryBudget, SpillMetrics};
 use oodb_value::fxhash::FxHashSet;
@@ -489,8 +497,8 @@ impl Operator for ScanOp {
 enum ScalarKind {
     /// A constant.
     Literal(Value),
-    /// An arbitrary expression handed to the reference evaluator.
-    Eval(Expr),
+    /// An arbitrary expression, bound with no row variables.
+    Eval(Bound),
     /// An aggregate over a drained child.
     Agg { op: AggOp, child: BoxOp },
 }
@@ -520,7 +528,7 @@ impl Operator for ScalarOp {
         self.done = true;
         let v = match &mut self.kind {
             ScalarKind::Literal(v) => v.clone(),
-            ScalarKind::Eval(e) => ctx.ev.eval(e, &mut ctx.env, ctx.stats)?,
+            ScalarKind::Eval(e) => e.eval(&[], &ctx.ev, &mut ctx.env, ctx.stats)?,
             ScalarKind::Agg { op, child } => {
                 if ctx.opts.vectorize {
                     streaming_aggregate(*op, child, &mut self.in_batches, &mut self.spill, ctx)?
@@ -656,21 +664,15 @@ impl Operator for ScalarRows {
 
 /// The per-row transforms that never block the pipeline.
 enum RowTransform {
-    /// `σ` — predicate filter. `mask` is the compiled selection-mask
-    /// tree when the predicate is an `AND`/`OR`/`NOT` composition of
-    /// simple conjuncts (`var.attr ⟨cmp⟩ literal`, `var.a ⟨cmp⟩ var.b`).
-    Filter {
-        var: Name,
-        pred: Expr,
-        mask: Option<MaskExpr>,
-    },
-    /// `α` — function application. `simple` names the attribute when the
-    /// body is exactly `var.attr` (a column extraction).
-    Map {
-        var: Name,
-        body: Expr,
-        simple: Option<Name>,
-    },
+    /// `σ` — predicate filter, its predicate bound over the variable.
+    /// `mask` is the compiled selection-mask tree when the predicate is
+    /// an `AND`/`OR`/`NOT` composition of simple conjuncts
+    /// (`var.attr ⟨cmp⟩ literal`, `var.a ⟨cmp⟩ var.b`).
+    Filter { pred: Bound, mask: Option<MaskExpr> },
+    /// `α` — function application, its body bound over the variable.
+    /// `simple` names the attribute when the body is exactly `var.attr`
+    /// (a column extraction).
+    Map { body: Bound, simple: Option<Name> },
     /// `π`.
     Project { attrs: Vec<Name> },
     /// `ρ`.
@@ -688,7 +690,11 @@ enum RowTransform {
 /// project, rename); anything else — or any irregularity the column
 /// fast path cannot express (missing attributes, name collisions) —
 /// falls back to the row view, which reproduces the reference
-/// semantics and error messages exactly.
+/// semantics and error messages exactly. On the row view a filter or
+/// map evaluates its [bound](crate::bound) expression against each
+/// borrowed row ([`Batch::row_at`]); a filter hands a columnar batch
+/// on as its selection ([`ColumnarBatch::filter`](oodb_value::ColumnarBatch::filter)),
+/// or whole when every row passes.
 struct TransformOp {
     t: RowTransform,
     child: BoxOp,
@@ -733,36 +739,56 @@ impl TransformOp {
         }
     }
 
-    fn apply_rows(&self, batch: Vec<Value>, ctx: &mut ExecCtx<'_, '_>) -> Result<Batch, EvalError> {
+    /// The bound filter over one batch's row view.
+    fn filter(pred: &Bound, batch: Batch, ctx: &mut ExecCtx<'_, '_>) -> Result<Batch, EvalError> {
+        let mut cx = pred.cx(&ctx.ev, &mut ctx.env, ctx.stats);
+        let keep = (0..batch.len())
+            .map(|i| {
+                cx.stats.predicate_evals += 1;
+                cx.truth(pred.expr(), &[&batch.row_at(i)])
+            })
+            .collect::<Result<Vec<bool>, EvalError>>()?;
+        if keep.iter().all(|k| *k) {
+            return Ok(batch);
+        }
+        Ok(match batch {
+            Batch::Columnar(cb) => Batch::Columnar(cb.filter(&keep)),
+            Batch::Rows(rows) => Batch::Rows(
+                rows.into_iter()
+                    .zip(keep)
+                    .filter_map(|(row, k)| k.then_some(row))
+                    .collect(),
+            ),
+        })
+    }
+
+    /// The bound map over one batch's row view.
+    fn map(body: &Bound, batch: &Batch, ctx: &mut ExecCtx<'_, '_>) -> Result<Batch, EvalError> {
+        let mut cx = body.cx(&ctx.ev, &mut ctx.env, ctx.stats);
+        let out = (0..batch.len())
+            .map(|i| {
+                cx.stats.predicate_evals += 1;
+                cx.value(body.expr(), &[&batch.row_at(i)])
+            })
+            .collect::<Result<Vec<Value>, EvalError>>()?;
+        Ok(Batch::from_rows(out))
+    }
+
+    fn apply(&self, batch: Batch, ctx: &mut ExecCtx<'_, '_>) -> Result<Batch, EvalError> {
+        if let Some(out) = self.apply_columns(&batch, ctx)? {
+            return Ok(out);
+        }
         let mut out = Vec::with_capacity(batch.len());
         match &self.t {
-            RowTransform::Filter { var, pred, .. } => {
-                for elem in batch {
-                    ctx.stats.predicate_evals += 1;
-                    ctx.env.push(var, elem.clone());
-                    let keep = ctx.ev.eval(pred, &mut ctx.env, ctx.stats);
-                    ctx.env.pop();
-                    if keep?.as_bool()? {
-                        out.push(elem);
-                    }
-                }
-            }
-            RowTransform::Map { var, body, .. } => {
-                for elem in batch {
-                    ctx.stats.predicate_evals += 1;
-                    ctx.env.push(var, elem);
-                    let r = ctx.ev.eval(body, &mut ctx.env, ctx.stats);
-                    ctx.env.pop();
-                    out.push(r?);
-                }
-            }
+            RowTransform::Filter { pred, .. } => return Self::filter(pred, batch, ctx),
+            RowTransform::Map { body, .. } => return Self::map(body, &batch, ctx),
             RowTransform::Project { attrs } => {
-                for elem in &batch {
+                for elem in &batch.into_values() {
                     out.push(Value::Tuple(elem.as_tuple()?.subscript(attrs)?));
                 }
             }
             RowTransform::Rename { pairs } => {
-                for elem in &batch {
+                for elem in &batch.into_values() {
                     let mut t = elem.as_tuple()?.clone();
                     for (old, new) in pairs {
                         t = t.rename(old, new)?;
@@ -771,12 +797,12 @@ impl TransformOp {
                 }
             }
             RowTransform::Unnest { attr } => {
-                for elem in &batch {
+                for elem in &batch.into_values() {
                     unnest_value(elem, attr, &mut out)?;
                 }
             }
             RowTransform::Flatten => {
-                for elem in batch {
+                for elem in batch.into_values() {
                     match elem {
                         Value::Set(s) => out.extend_from_slice(s.as_slice()),
                         other => {
@@ -789,13 +815,6 @@ impl TransformOp {
             }
         }
         Ok(Batch::from_rows(out))
-    }
-
-    fn apply(&self, batch: Batch, ctx: &mut ExecCtx<'_, '_>) -> Result<Batch, EvalError> {
-        if let Some(out) = self.apply_columns(&batch, ctx)? {
-            return Ok(out);
-        }
-        self.apply_rows(batch.into_values(), ctx)
     }
 }
 
@@ -1090,7 +1109,7 @@ impl PhysPlan {
                 in_batches: 0,
             }),
             PhysPlan::Eval(e) => Box::new(ScalarOp {
-                kind: ScalarKind::Eval(e.clone()),
+                kind: ScalarKind::Eval(Bound::new(e, &[])),
                 done: false,
                 spill: SpillMetrics::default(),
                 in_batches: 0,
@@ -1106,16 +1125,14 @@ impl PhysPlan {
             }),
             PhysPlan::Filter { var, pred, input } => Box::new(TransformOp {
                 t: RowTransform::Filter {
-                    var: var.clone(),
-                    pred: pred.clone(),
+                    pred: Bound::new(pred, &[var]),
                     mask: MaskExpr::compile(var, pred),
                 },
                 child: input.compile_rows(kids[0], part, parts),
             }),
             PhysPlan::MapOp { var, body, input } => Box::new(TransformOp {
                 t: RowTransform::Map {
-                    var: var.clone(),
-                    body: body.clone(),
+                    body: Bound::new(body, &[var]),
                     simple: simple_attr(body, var).cloned(),
                 },
                 child: input.compile_rows(kids[0], part, parts),
@@ -1404,7 +1421,7 @@ mod tests {
     use crate::physical::{JoinFamily, JoinMode, JoinSpec, Partitioning};
     use crate::plan::{JoinAlgo, Planner, PlannerConfig};
     use oodb_adl::dsl::*;
-    use oodb_adl::expr::JoinKind;
+    use oodb_adl::expr::{Expr, JoinKind};
     use oodb_catalog::fixtures::{figure3_db, supplier_part_db};
 
     /// The process-default options — whatever layout / budget /

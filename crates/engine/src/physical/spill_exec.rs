@@ -33,17 +33,17 @@
 
 use super::columnar::ProbeInput;
 use super::hashjoin::{
-    self, eval_keys, JoinFamily, JoinHashTable, JoinMode, JoinSpec, Keyed, MemberHashTable,
-    MemberShape,
+    self, BoundJoin, JoinFamily, JoinHashTable, JoinMode, Keyed, MemberHashTable, MemberShape,
 };
 use super::operator::{BoxOp, ExecCtx};
-use crate::eval::{Env, EvalError, Evaluator};
+use crate::bound::Cx;
+use crate::eval::EvalError;
 use crate::stats::Stats;
-use oodb_adl::expr::{Expr, JoinKind};
+use oodb_adl::expr::JoinKind;
 use oodb_spill::{MemoryBudget, SpillManager, SpillMetrics, SpillReader};
 use oodb_value::codec::encoded_size;
 use oodb_value::fxhash::{FxHashMap, FxHashSet};
-use oodb_value::{Name, Set, Tuple, Value};
+use oodb_value::{Name, Set, Value};
 
 /// An equal-key group from a merged run stream: the key and its rows.
 type KeyGroup = (Vec<Value>, Vec<Value>);
@@ -149,25 +149,23 @@ fn read_keyed(reader: Option<SpillReader>) -> Result<(Vec<Keyed>, usize), EvalEr
 // ---------------------------------------------------------------------
 // Grace hash join.
 
-/// Grace hash join for the hash join family `spec` describes, within
+/// Grace hash join for the hash join family `join` executes, within
 /// the context's budget. `keyed_build` is the fully drained,
 /// key-evaluated build side that was found to exceed the budget; `probe`
 /// is the still-streaming probe child, drained batch by batch straight
 /// into partition files (it is never materialized whole).
 pub(crate) fn grace_join(
-    spec: &JoinSpec,
+    join: &BoundJoin,
     keyed_build: Vec<Keyed>,
     probe: &mut BoxOp,
     local: &mut SpillMetrics,
     ctx: &mut ExecCtx<'_, '_>,
 ) -> Result<Vec<Value>, EvalError> {
     let budget = ctx.opts.budget.clone();
-    match &spec.family {
-        JoinFamily::Equi { lkeys, .. } => {
-            grace_equi_join(spec, lkeys, keyed_build, probe, &budget, local, ctx)
-        }
+    match &join.spec.family {
+        JoinFamily::Equi { .. } => grace_equi_join(join, keyed_build, probe, &budget, local, ctx),
         JoinFamily::Member { shape } => {
-            grace_member_join(spec, shape, keyed_build, probe, &budget, local, ctx)
+            grace_member_join(join, shape, keyed_build, probe, &budget, local, ctx)
         }
         JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => {
             hashjoin::not_hashed()
@@ -178,8 +176,7 @@ pub(crate) fn grace_join(
 /// [`grace_join`] for the equi-keyed family ([`JoinFamily::Equi`]:
 /// `HashJoin` / `HashNestJoin`).
 fn grace_equi_join(
-    spec: &JoinSpec,
-    lkeys: &[Expr],
+    join: &BoundJoin,
     keyed_build: Vec<Keyed>,
     probe: &mut BoxOp,
     budget: &MemoryBudget,
@@ -199,8 +196,9 @@ fn grace_equi_join(
     // Partition the probe side as it streams past.
     let mut pw = mgr.partition_writers(GRACE_FANOUT)?;
     while let Some(batch) = probe.next_batch(ctx)? {
+        let mut cx = join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
         for x in batch.into_values() {
-            let keys = eval_keys(lkeys, &spec.lvar, &x, &ctx.ev, &mut ctx.env, ctx.stats)?;
+            let keys = join.left_keys(&x, &mut cx)?;
             let p = partition_of(hashjoin::key_hash(&keys), 0);
             write_keyed(&mut pw[p], &keys, &x)?;
         }
@@ -240,14 +238,12 @@ fn grace_equi_join(
         }
         let table = JoinHashTable::from_keyed(entries, &mut ctx.stats.hash_build_rows);
         let tables = std::slice::from_ref(&table);
+        let mut cx = join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
         while let Some(rec) = probe_r.next_record()? {
             let (keys, x) = split_keyed(rec);
             let row = [x];
-            let (ev, env, stats) = (&ctx.ev, &mut ctx.env, &mut *ctx.stats);
             let probe = ProbeInput::Rows(&row);
-            JoinHashTable::probe_row(
-                tables, spec, &keys, &probe, 0, &mut None, &mut out, ev, env, stats,
-            )?;
+            JoinHashTable::probe_row(tables, join, &keys, &probe, 0, &mut None, &mut out, &mut cx)?;
         }
     }
     account(local, ctx.stats, &mgr);
@@ -262,7 +258,7 @@ fn grace_equi_join(
 /// outer padding resolve in a final pass over a once-written pending
 /// file, and nestjoin groups accumulate per ordinal.
 fn grace_member_join(
-    spec: &JoinSpec,
+    join: &BoundJoin,
     shape: &MemberShape,
     keyed_build: Vec<Keyed>,
     probe: &mut BoxOp,
@@ -270,7 +266,7 @@ fn grace_member_join(
     local: &mut SpillMetrics,
     ctx: &mut ExecCtx<'_, '_>,
 ) -> Result<Vec<Value>, EvalError> {
-    let mode = &spec.mode;
+    let (spec, mode) = (&join.spec, &join.spec.mode);
     let inner_join = matches!(
         mode,
         JoinMode::Join {
@@ -305,15 +301,9 @@ fn grace_member_join(
     let mut pending = (!inner_join).then(|| mgr.writer()).transpose()?;
     let mut ordinal: i64 = 0;
     while let Some(batch) = probe.next_batch(ctx)? {
+        let mut cx = join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
         for x in batch.into_values() {
-            let probes = MemberHashTable::<Value>::probe_keys(
-                shape,
-                &spec.lvar,
-                &x,
-                &ctx.ev,
-                &mut ctx.env,
-                ctx.stats,
-            )?;
+            let probes = join.probe_keys(shape, &x, &mut cx)?;
             if probes.is_empty() {
                 spec.finish_owned_row(x, false, Vec::new(), &mut out)?;
                 continue;
@@ -376,6 +366,7 @@ fn grace_member_join(
         }
         let table: MemberHashTable =
             MemberHashTable::from_keyed(entries, &mut ctx.stats.hash_build_rows);
+        let mut cx = join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
         while let Some(mut rec) = probe_r.next_record()? {
             let x = rec.pop().expect("probe record has a row");
             let id = rec.remove(0).as_int()?;
@@ -385,8 +376,7 @@ fn grace_member_join(
                 // No: a serial semi-join also stops at the first match.
                 continue;
             }
-            let ys =
-                table.keyed_matches(spec, &rec, &x, semi_like, &ctx.ev, &mut ctx.env, ctx.stats)?;
+            let ys = table.keyed_matches(join, &rec, &x, semi_like, &mut cx)?;
             if ys.is_empty() {
                 continue;
             }
@@ -400,17 +390,10 @@ fn grace_member_join(
                     }
                     JoinKind::Semi | JoinKind::Anti => {}
                 },
-                JoinMode::Nest { rfunc, as_attr: _ } => {
+                JoinMode::Nest { .. } => {
                     let group = groups.entry(id).or_default();
                     for y in ys {
-                        group.push(hashjoin::collect_right(
-                            rfunc.as_ref(),
-                            &spec.rvar,
-                            y,
-                            &ctx.ev,
-                            &mut ctx.env,
-                            ctx.stats,
-                        )?);
+                        group.push(join.collect_right(y, &mut cx)?);
                     }
                 }
             }
@@ -595,10 +578,9 @@ fn emit_group(
     as_attr: &Name,
     out: &mut Vec<Value>,
 ) -> Result<(), EvalError> {
-    let with_set = key.as_tuple()?.concat(&Tuple::from_pairs([(
-        as_attr.as_ref(),
-        Value::Set(Set::from_values(vals)),
-    )]))?;
+    let with_set = key
+        .as_tuple()?
+        .insert(as_attr, Value::Set(Set::from_values(vals)))?;
     out.push(Value::Tuple(with_set));
     Ok(())
 }
@@ -719,22 +701,17 @@ impl KeyedRuns {
 /// pass cannot see — together they reproduce the canonical-set semantics
 /// without the separate canonicalize-and-spill pass the inputs used to
 /// pay.
-#[allow(clippy::too_many_arguments)]
 fn build_keyed_runs(
     rows: Vec<Value>,
-    keys: &[Expr],
-    var: &Name,
+    mut key_of: impl FnMut(&Value) -> Result<Vec<Value>, EvalError>,
     budget: &MemoryBudget,
     mgr: &mut SpillManager,
-    ev: &Evaluator<'_>,
-    env: &mut Env,
-    stats: &mut Stats,
 ) -> Result<KeyedRuns, EvalError> {
     let mut buf: Vec<(Vec<Value>, Value)> = Vec::new();
     let mut bytes = 0usize;
     let mut writers = Vec::new();
     for v in rows {
-        let key = eval_keys(keys, var, &v, ev, env, stats)?;
+        let key = key_of(&v)?;
         bytes += entry_bytes(&key, &v);
         buf.push((key, v));
         if budget.exceeded_by(bytes) {
@@ -775,25 +752,22 @@ impl MergeCursor {
     /// into runs, spilled under `budget` with the volume charged to
     /// `local`. The rows are a canonical set or a raw drain; either way
     /// the merge sees each side as a set.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        spec: &JoinSpec,
+        join: &BoundJoin,
         left: Vec<Value>,
         right: Vec<Value>,
         budget: &MemoryBudget,
         local: &mut SpillMetrics,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
+        cx: &mut Cx<'_, '_>,
     ) -> Result<Self, EvalError> {
-        let JoinFamily::Sorted { lkeys, rkeys } = &spec.family else {
+        let JoinFamily::Sorted { .. } = &join.spec.family else {
             unreachable!("only a sort-merge join merges");
         };
         let mut mgr = SpillManager::new(budget);
-        let (lvar, rvar) = (&spec.lvar, &spec.rvar);
-        let left = build_keyed_runs(left, lkeys, lvar, budget, &mut mgr, ev, env, stats)?;
-        let mut right = build_keyed_runs(right, rkeys, rvar, budget, &mut mgr, ev, env, stats)?;
-        account(local, stats, &mgr);
+        let left = build_keyed_runs(left, |x| join.left_keys(x, cx), budget, &mut mgr)?;
+        let right = build_keyed_runs(right, |y| join.right_keys(y, cx), budget, &mut mgr);
+        let mut right = right?;
+        account(local, cx.stats, &mgr);
         Ok(MergeCursor {
             right_group: right.next_group()?,
             left,
@@ -809,11 +783,9 @@ impl MergeCursor {
     /// nestjoin emits its unmatched rows too.
     pub(crate) fn next_chunk(
         &mut self,
-        spec: &JoinSpec,
+        join: &BoundJoin,
         min_rows: usize,
-        ev: &Evaluator<'_>,
-        env: &mut Env,
-        stats: &mut Stats,
+        cx: &mut Cx<'_, '_>,
     ) -> Result<Option<Vec<Value>>, EvalError> {
         let mut out = Vec::new();
         while let Some((key, xs)) = self.left.next_group()? {
@@ -824,7 +796,7 @@ impl MergeCursor {
                 Some((k, ys)) if *k == key => ys.as_slice(),
                 _ => &[],
             };
-            out.extend(spec.probe_loop(ys, xs.as_slice().into(), ev, env, stats)?);
+            out.extend(join.probe_loop(ys, xs.as_slice().into(), cx)?);
             if out.len() >= min_rows {
                 break;
             }

@@ -46,9 +46,11 @@ impl Tuple {
 
     /// Builds a tuple from fields already in canonical (sorted, unique)
     /// order — the hot row-materialization paths of the columnar batch,
-    /// whose schema is canonical by construction, and of the codec, which
-    /// checks the order it reads. Debug builds verify the invariant.
-    pub(crate) fn from_sorted_unchecked(fields: Arc<[(Name, Value)]>) -> Self {
+    /// whose schema is canonical by construction, of the codec, which
+    /// checks the order it reads, and of the engine's bound tuple
+    /// constructors, whose names are sorted when the plan is bound. The
+    /// caller guarantees the order; debug builds verify it.
+    pub fn from_sorted_unchecked(fields: Arc<[(Name, Value)]>) -> Self {
         debug_assert!(
             fields.windows(2).all(|w| w[0].0 < w[1].0),
             "fields must be sorted and unique"
@@ -167,6 +169,25 @@ impl Tuple {
         })
     }
 
+    /// `self ∘ ⟨name = v⟩`, built in one allocation: `name` goes in at its
+    /// sorted position. Fails like [`Tuple::concat`] with
+    /// [`ValueError::DuplicateField`] when `self` already has `name`.
+    pub fn insert(&self, name: &Name, v: Value) -> Result<Tuple, ValueError> {
+        let at = match self.fields.binary_search_by(|(n, _)| n.cmp(name)) {
+            Ok(_) => return Err(ValueError::DuplicateField(name.clone())),
+            Err(at) => at,
+        };
+        let (before, after) = self.fields.split_at(at);
+        Ok(Tuple {
+            fields: before
+                .iter()
+                .cloned()
+                .chain(std::iter::once((name.clone(), v)))
+                .chain(after.iter().cloned())
+                .collect(),
+        })
+    }
+
     /// Removes the named attribute, returning the remaining tuple.
     pub fn without(&self, name: &str) -> Tuple {
         Tuple {
@@ -279,6 +300,19 @@ mod tests {
         assert_eq!(
             x.concat(&y).unwrap_err(),
             ValueError::DuplicateField(name("a"))
+        );
+    }
+
+    #[test]
+    fn insert_is_concat_with_a_one_field_tuple() {
+        let x = t(&[("a", 1), ("c", 3)]);
+        for (n, v) in [("0", 9), ("b", 2), ("d", 4)] {
+            let one = t(&[(n, v)]);
+            assert_eq!(x.insert(&name(n), Value::Int(v)), x.concat(&one));
+        }
+        assert_eq!(
+            x.insert(&name("c"), Value::Int(0)).unwrap_err(),
+            x.concat(&t(&[("c", 0)])).unwrap_err()
         );
     }
 
