@@ -434,7 +434,7 @@ pub mod streaming_report {
         /// the baseline DP is held against.
         pub rewrite_order_work: u64,
         /// Batches whose selection predicate was evaluated through a
-        /// compiled mask instead of the row interpreter
+        /// selection mask instead of row by row
         /// (`Stats::mask_batches`). Gated: a drop means batches silently
         /// fell back to row-at-a-time evaluation, which the gate
         /// tolerates, but growth beyond tolerance means the plan shape

@@ -1,31 +1,35 @@
 //! Column-at-a-time execution helpers.
 //!
 //! The streaming pipeline ships [`Batch`]es that are columnar by default
-//! (see `oodb_value::batch`). Operators stay expression-generic — any
-//! ADL sub-expression still works through the row view — but the hot
-//! shapes get a column fast path, gated by one question: *is this
-//! expression a simple attribute access over the operator's variable?*
+//! (see `oodb_value::batch`). Operators evaluate their
+//! [bound](crate::bound) expressions over the row view, but the hot
+//! shapes get a column fast path. Every fast path reads its shape from
+//! the operator's `BoundExpr`, so the binder is the one lowering that
+//! decides what runs column-at-a-time, and `row_column` is the one
+//! test: *is this a field of the operator's row, `Field(Row(0), a)`,
+//! with a live column?*
 //!
-//! * [`simple_attr`] answers it (`x.a` with `x` the bound variable);
-//! * [`SimplePred`] compiles `x.a ⟨cmp⟩ literal` filters so selections
-//!   scan one unboxed column instead of materializing rows and
-//!   re-entering the interpreter (semantics — including `NULL`
-//!   rejection and type-mismatch errors — mirror `Evaluator`'s `Cmp`
-//!   exactly);
+//! * `filter_mask` binds the leaves of a filter's `AND`/`OR`/`NOT`
+//!   tree of comparisons (a row field against a literal or another row
+//!   field) to the batch's columns and evaluates the predicate as a
+//!   selection mask, with the [`Evaluator`](crate::eval::Evaluator)'s
+//!   exact `Cmp` semantics (`NULL` rejection, type-mismatch errors and
+//!   their order);
+//! * a `Map` whose body is a row field copies that column;
 //! * [`ProbeInput`] lets the join family probe either a plain row slice
 //!   (the materialized path, exchange worker chunks) or a streaming
-//!   [`Batch`], evaluating simple join keys straight off key columns
-//!   without materializing probe rows.
+//!   [`Batch`], reading the join's bound left keys straight off key
+//!   columns without materializing probe rows.
 //!
 //! Every fast path preserves the reference work counters: the callers
-//! keep charging `predicate_evals` / `hash_probes` per row, and a simple
-//! expression evaluates no stats-bearing operator, so row and columnar
-//! layouts produce identical [`crate::stats::Stats`].
+//! keep charging `predicate_evals` / `hash_probes` per row, and a column
+//! read evaluates no stats-bearing operator, so row and columnar layouts
+//! produce identical [`crate::stats::Stats`].
 
+use crate::bound::BoundExpr;
 use crate::eval::EvalError;
 use crate::stats::Stats;
-use oodb_adl::expr::Expr;
-use oodb_value::{Batch, CmpOp, Column, ColumnarBatch, Name, Oid, Value};
+use oodb_value::{Batch, CmpOp, Column, ColumnarBatch, Name, Oid, Value, F64};
 use std::borrow::Cow;
 
 /// The process default for the vectorized fast paths: `OODB_VECTORIZE`
@@ -43,240 +47,73 @@ pub fn vectorize_from_env() -> bool {
     }
 }
 
-/// The attribute `e` reads, when `e` is exactly `var.attr`.
-pub fn simple_attr<'e>(e: &'e Expr, var: &Name) -> Option<&'e Name> {
+/// The column `e` reads from `cb`: `Some` when `e` is a field of the
+/// operator's (first) row variable, `Field(Row(0), a)`, and `cb` carries
+/// attribute `a`. The one shape test of every column fast path.
+pub(crate) fn row_column<'a>(e: &BoundExpr, cb: &'a ColumnarBatch) -> Option<&'a Column> {
     match e {
-        Expr::Field(base, attr) if matches!(base.as_ref(), Expr::Var(v) if v == var) => Some(attr),
+        BoundExpr::Field(base, attr) if matches!(**base, BoundExpr::Row(0)) => cb.column(attr),
         _ => None,
     }
 }
 
-/// A compiled `var.attr ⟨cmp⟩ literal` (or flipped) predicate — the
-/// filter shape that runs column-at-a-time.
-#[derive(Debug, Clone)]
-pub struct SimplePred {
-    /// The attribute the predicate reads.
-    pub attr: Name,
-    op: CmpOp,
-    rhs: Value,
-    /// True when the literal is the *left* operand (`lit ⟨cmp⟩ x.a`).
-    flipped: bool,
-}
-
-impl SimplePred {
-    /// Compiles `pred` if it has the simple shape; `None` otherwise
-    /// (the caller falls back to the row view + interpreter).
-    pub fn compile(var: &Name, pred: &Expr) -> Option<SimplePred> {
-        let Expr::Cmp(op, a, b) = pred else {
-            return None;
-        };
-        if let (Some(attr), Expr::Lit(c)) = (simple_attr(a, var), b.as_ref()) {
-            return Some(SimplePred {
-                attr: attr.clone(),
-                op: *op,
-                rhs: c.clone(),
-                flipped: false,
-            });
-        }
-        if let (Expr::Lit(c), Some(attr)) = (a.as_ref(), simple_attr(b, var)) {
-            return Some(SimplePred {
-                attr: attr.clone(),
-                op: *op,
-                rhs: c.clone(),
-                flipped: true,
-            });
-        }
-        None
-    }
-
-    /// Evaluates the predicate on one column value, with exactly the
-    /// reference `Cmp` semantics (`NULL` operands are rejected, ordering
-    /// across constructors is a type mismatch).
-    pub fn eval(&self, v: &Value) -> Result<bool, EvalError> {
-        if matches!(v, Value::Null) || matches!(self.rhs, Value::Null) {
-            return Err(EvalError::NullNotAllowed("comparison"));
-        }
-        let r = if self.flipped {
-            Value::compare(self.op, &self.rhs, v)
-        } else {
-            Value::compare(self.op, v, &self.rhs)
-        };
-        r.map_err(EvalError::Value)
-    }
-
-    /// Tier-1 mask kernel: evaluates the predicate over a whole column
-    /// in one chunk-friendly pass. Only sound after a witness
-    /// evaluation succeeded (see [`MaskExpr`]) — rows `expect` success.
-    fn eval_column(&self, col: &Column, len: usize) -> Vec<bool> {
-        match (col, &self.rhs) {
-            (Column::Int(xs), Value::Int(c)) => {
-                let (op, c, flipped) = (self.op, *c, self.flipped);
-                xs[..len]
-                    .iter()
-                    .map(|&x| {
-                        if flipped {
-                            cmp_scalar(op, c, x)
-                        } else {
-                            cmp_scalar(op, x, c)
-                        }
-                    })
-                    .collect()
-            }
-            (Column::Float(xs), Value::Float(c)) => {
-                let (op, c, flipped) = (self.op, *c, self.flipped);
-                xs[..len]
-                    .iter()
-                    .map(|&x| {
-                        if flipped {
-                            cmp_scalar(op, c, x)
-                        } else {
-                            cmp_scalar(op, x, c)
-                        }
-                    })
-                    .collect()
-            }
-            _ => (0..len)
-                .map(|i| self.eval(&col.value_at(i)).expect("classified infallible"))
-                .collect(),
-        }
-    }
-}
-
-/// One comparison leaf of a compiled mask tree.
-#[derive(Debug, Clone)]
-pub enum MaskLeaf {
-    /// `x.a ⟨cmp⟩ literal` (either orientation).
-    Lit(SimplePred),
-    /// `x.a ⟨cmp⟩ x.b`.
-    Cols { left: Name, op: CmpOp, right: Name },
-}
-
-/// A compiled `AND`/`OR`/`NOT` tree over simple comparison leaves
-/// (`x.a ⟨cmp⟩ lit`, `x.a ⟨cmp⟩ x.b`) — the compound-predicate shape
-/// that evaluates as fused selection masks over primitive columns.
+/// Evaluates a filter's bound predicate over one columnar batch as a
+/// selection mask, when its leaves bind to the batch's columns.
 ///
-/// Per batch, [`MaskExpr::eval_batch`] picks one of three tiers:
+/// The predicate must be an `AND`/`OR`/`NOT` tree whose leaves compare
+/// a row field with a literal (either side) or with another row field:
+/// `Cmp` over `Field(Row(0), a)` and `Lit` or `Field(Row(0), b)`. For
+/// each batch the leaves bind to its columns, and one of three tiers
+/// runs:
 ///
-/// 1. **Bitmask** — every leaf binds to a live column and provably
-///    cannot error on any row of it (primitive columns are
+/// 1. **Bitmask** — no leaf can error on any row (primitive columns are
 ///    constructor-uniform and never hold `NULL`, so one witness
 ///    comparison per leaf decides this). Leaves evaluate whole columns
 ///    in chunk-friendly loops (`i64`/`f64` specializations), `AND`
 ///    short-circuits when its left mask is all-false and `OR` when
 ///    all-true.
-/// 2. **Per-row tree walk** — every leaf binds but some could error
-///    (interned columns, `NULL` literals, uncomparable constructors).
-///    Rows evaluate in order with the interpreter's exact left-to-right
-///    short-circuit, so the first error surfaced is identical.
-/// 3. **Row fallback** — a leaf's column is missing from this batch:
-///    `eval_batch` returns `None` and the caller re-enters the row
-///    interpreter, which reports the exact reference error.
+/// 2. **Per-row tree walk** — some leaf could error (interned columns,
+///    `NULL` literals, uncomparable constructors). Rows evaluate in
+///    order with the interpreter's left-to-right short-circuit, so the
+///    first error surfaced is the reference one.
+/// 3. **Row fallback** — the predicate has another shape, or a leaf's
+///    column is missing from this batch: `None`, and the caller
+///    evaluates the bound predicate over the row view, which reports the
+///    reference error.
 ///
-/// All tiers preserve the reference counters: `predicate_evals` is
-/// charged once per row reached, exactly like the row path.
-#[derive(Debug, Clone)]
-pub enum MaskExpr {
-    /// A single comparison.
-    Leaf(MaskLeaf),
-    /// Logical conjunction, left-to-right short-circuit.
-    And(Box<MaskExpr>, Box<MaskExpr>),
-    /// Logical disjunction, left-to-right short-circuit.
-    Or(Box<MaskExpr>, Box<MaskExpr>),
-    /// Logical negation.
-    Not(Box<MaskExpr>),
+/// Charges `predicate_evals` once per row reached (all of them on
+/// success; up to and including the erroring row on failure) and
+/// `mask_batches` once, so row and mask paths keep identical reference
+/// counters.
+pub(crate) fn filter_mask(
+    pred: &BoundExpr,
+    cb: &ColumnarBatch,
+    stats: &mut Stats,
+) -> Option<Result<Vec<bool>, EvalError>> {
+    let mask = Mask::bind(pred, cb)?;
+    stats.mask_batches += 1;
+    if mask.infallible() {
+        stats.predicate_evals += cb.len() as u64;
+        return Some(Ok(mask.eval_mask(cb.len())));
+    }
+    let mut keep = Vec::with_capacity(cb.len());
+    for i in 0..cb.len() {
+        stats.predicate_evals += 1;
+        match mask.eval_row(i) {
+            Ok(k) => keep.push(k),
+            Err(e) => return Some(Err(e)),
+        }
+    }
+    Some(Ok(keep))
 }
 
-impl MaskExpr {
-    /// Compiles `pred` when every leaf has a simple shape over `var`;
-    /// `None` otherwise (the caller keeps the row interpreter).
-    pub fn compile(var: &Name, pred: &Expr) -> Option<MaskExpr> {
-        match pred {
-            Expr::And(a, b) => Some(MaskExpr::And(
-                Box::new(MaskExpr::compile(var, a)?),
-                Box::new(MaskExpr::compile(var, b)?),
-            )),
-            Expr::Or(a, b) => Some(MaskExpr::Or(
-                Box::new(MaskExpr::compile(var, a)?),
-                Box::new(MaskExpr::compile(var, b)?),
-            )),
-            Expr::Not(e) => Some(MaskExpr::Not(Box::new(MaskExpr::compile(var, e)?))),
-            Expr::Cmp(op, a, b) => {
-                if let (Some(l), Some(r)) = (simple_attr(a, var), simple_attr(b, var)) {
-                    return Some(MaskExpr::Leaf(MaskLeaf::Cols {
-                        left: l.clone(),
-                        op: *op,
-                        right: r.clone(),
-                    }));
-                }
-                SimplePred::compile(var, pred).map(|p| MaskExpr::Leaf(MaskLeaf::Lit(p)))
-            }
-            _ => None,
-        }
+/// The reference `Cmp`: `NULL` operands are rejected, and ordering
+/// across constructors is a type mismatch.
+fn compare(op: CmpOp, a: &Value, b: &Value) -> Result<bool, EvalError> {
+    if matches!(a, Value::Null) || matches!(b, Value::Null) {
+        return Err(EvalError::NullNotAllowed("comparison"));
     }
-
-    /// Binds every leaf to its column in `cb`; `None` when one is
-    /// missing (tier 3).
-    fn bind<'a>(&'a self, cb: &'a ColumnarBatch) -> Option<Bound<'a>> {
-        Some(match self {
-            MaskExpr::Leaf(MaskLeaf::Lit(pred)) => Bound::Lit {
-                pred,
-                col: cb.column(&pred.attr)?,
-            },
-            MaskExpr::Leaf(MaskLeaf::Cols { left, op, right }) => Bound::Cols {
-                op: *op,
-                left: cb.column(left)?,
-                right: cb.column(right)?,
-            },
-            MaskExpr::And(a, b) => Bound::And(Box::new(a.bind(cb)?), Box::new(b.bind(cb)?)),
-            MaskExpr::Or(a, b) => Bound::Or(Box::new(a.bind(cb)?), Box::new(b.bind(cb)?)),
-            MaskExpr::Not(e) => Bound::Not(Box::new(e.bind(cb)?)),
-        })
-    }
-
-    /// Evaluates the tree over one columnar batch: `Some(keep)` when
-    /// every leaf binds to a live column, `None` when one is missing —
-    /// the caller falls back to the row interpreter for this batch.
-    /// Charges `predicate_evals` once per row reached (all of them on
-    /// success; up to and including the erroring row on failure) and
-    /// `mask_batches` once, so row and mask paths keep identical
-    /// reference counters.
-    pub fn eval_batch(
-        &self,
-        cb: &ColumnarBatch,
-        stats: &mut Stats,
-    ) -> Option<Result<Vec<bool>, EvalError>> {
-        let bound = self.bind(cb)?;
-        stats.mask_batches += 1;
-        if bound.infallible() {
-            stats.predicate_evals += cb.len() as u64;
-            return Some(Ok(bound.eval_mask(cb.len())));
-        }
-        let mut keep = Vec::with_capacity(cb.len());
-        for i in 0..cb.len() {
-            stats.predicate_evals += 1;
-            match bound.eval_row(i) {
-                Ok(k) => keep.push(k),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        Some(Ok(keep))
-    }
-}
-
-/// A representative value of a primitive column's constructor, or
-/// `None` for interned columns (which can hold anything, including
-/// `NULL`). Primitive columns are constructor-uniform, so whether a
-/// comparison errors is decided by one witness evaluation.
-fn witness(col: &Column) -> Option<Value> {
-    Some(match col {
-        Column::Int(_) => Value::Int(0),
-        Column::Float(_) => Value::float(0.0),
-        Column::Bool(_) => Value::Bool(false),
-        Column::Date(_) => Value::Date(0),
-        Column::Oid(_) => Value::Oid(Oid(0)),
-        Column::Str { .. } => Value::Str(Name::from("")),
-        Column::Interned { .. } => return None,
-    })
+    Value::compare(op, a, b).map_err(EvalError::Value)
 }
 
 /// Scalar comparison on unboxed operands — the loop body of the
@@ -292,60 +129,151 @@ fn cmp_scalar<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
     }
 }
 
-/// A mask tree bound to one batch's columns.
-enum Bound<'a> {
-    Lit {
-        pred: &'a SimplePred,
-        col: &'a Column,
-    },
-    Cols {
-        op: CmpOp,
-        left: &'a Column,
-        right: &'a Column,
-    },
-    And(Box<Bound<'a>>, Box<Bound<'a>>),
-    Or(Box<Bound<'a>>, Box<Bound<'a>>),
-    Not(Box<Bound<'a>>),
+/// An operand's unboxed values: a primitive column, or one literal for
+/// every row.
+enum Lane<'a, T> {
+    Col(&'a [T]),
+    Const(T),
 }
 
-impl Bound<'_> {
+/// Tier-1 kernel over two unboxed lanes.
+fn cmp_lanes<T: Copy + PartialOrd>(
+    op: CmpOp,
+    l: Lane<'_, T>,
+    r: Lane<'_, T>,
+    len: usize,
+) -> Vec<bool> {
+    match (l, r) {
+        (Lane::Col(a), Lane::Const(c)) => a[..len].iter().map(|&x| cmp_scalar(op, x, c)).collect(),
+        (Lane::Const(c), Lane::Col(b)) => b[..len].iter().map(|&y| cmp_scalar(op, c, y)).collect(),
+        (Lane::Col(a), Lane::Col(b)) => a[..len]
+            .iter()
+            .zip(&b[..len])
+            .map(|(&x, &y)| cmp_scalar(op, x, y))
+            .collect(),
+        (Lane::Const(a), Lane::Const(b)) => vec![cmp_scalar(op, a, b); len],
+    }
+}
+
+/// One side of a mask comparison, bound to a batch.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    /// A row field's column.
+    Col(&'a Column),
+    /// A literal of the plan.
+    Lit(&'a Value),
+}
+
+impl<'a> Operand<'a> {
+    fn bind(e: &'a BoundExpr, cb: &'a ColumnarBatch) -> Option<Self> {
+        match e {
+            BoundExpr::Lit(v) => Some(Operand::Lit(v)),
+            _ => row_column(e, cb).map(Operand::Col),
+        }
+    }
+
+    /// Row `i`'s value.
+    fn at(self, i: usize) -> Cow<'a, Value> {
+        match self {
+            Operand::Col(c) => Cow::Owned(c.value_at(i)),
+            Operand::Lit(v) => Cow::Borrowed(v),
+        }
+    }
+
+    /// A value of the constructor every row holds: the literal, or a
+    /// representative of a primitive column's constructor. `None` for
+    /// interned columns, which can hold anything, including `NULL`.
+    /// Primitive columns are constructor-uniform, so whether a
+    /// comparison errors is decided by one witness evaluation.
+    fn witness(self) -> Option<Cow<'a, Value>> {
+        let col = match self {
+            Operand::Lit(v) => return Some(Cow::Borrowed(v)),
+            Operand::Col(col) => col,
+        };
+        Some(Cow::Owned(match col {
+            Column::Int(_) => Value::Int(0),
+            Column::Float(_) => Value::float(0.0),
+            Column::Bool(_) => Value::Bool(false),
+            Column::Date(_) => Value::Date(0),
+            Column::Oid(_) => Value::Oid(Oid(0)),
+            Column::Str { .. } => Value::Str(Name::from("")),
+            Column::Interned { .. } => return None,
+        }))
+    }
+
+    fn ints(self) -> Option<Lane<'a, i64>> {
+        match self {
+            Operand::Col(Column::Int(xs)) => Some(Lane::Col(xs)),
+            Operand::Lit(Value::Int(c)) => Some(Lane::Const(*c)),
+            _ => None,
+        }
+    }
+
+    fn floats(self) -> Option<Lane<'a, F64>> {
+        match self {
+            Operand::Col(Column::Float(xs)) => Some(Lane::Col(xs)),
+            Operand::Lit(Value::Float(c)) => Some(Lane::Const(*c)),
+            _ => None,
+        }
+    }
+}
+
+/// A filter predicate's leaves bound to one batch's columns.
+enum Mask<'a> {
+    /// A comparison with at least one column operand.
+    Cmp(CmpOp, Operand<'a>, Operand<'a>),
+    And(Box<Mask<'a>>, Box<Mask<'a>>),
+    Or(Box<Mask<'a>>, Box<Mask<'a>>),
+    Not(Box<Mask<'a>>),
+}
+
+impl<'a> Mask<'a> {
+    /// Binds `e`'s leaves to `cb`'s columns; `None` when `e` has another
+    /// shape or reads a column `cb` lacks (tier 3).
+    fn bind(e: &'a BoundExpr, cb: &'a ColumnarBatch) -> Option<Self> {
+        let sub = |e: &'a BoundExpr| Mask::bind(e, cb).map(Box::new);
+        Some(match e {
+            BoundExpr::And(a, b) => Mask::And(sub(a)?, sub(b)?),
+            BoundExpr::Or(a, b) => Mask::Or(sub(a)?, sub(b)?),
+            BoundExpr::Not(inner) => Mask::Not(sub(inner)?),
+            BoundExpr::Cmp(op, a, b) => match (Operand::bind(a, cb)?, Operand::bind(b, cb)?) {
+                (Operand::Lit(_), Operand::Lit(_)) => return None,
+                (l, r) => Mask::Cmp(*op, l, r),
+            },
+            _ => return None,
+        })
+    }
+
     /// True when no row of this batch can make the tree error: every
     /// leaf's witness comparison succeeds. (`NOT`/`AND`/`OR` over
     /// boolean leaves never error themselves.)
     fn infallible(&self) -> bool {
         match self {
-            Bound::Lit { pred, col } => {
-                matches!(witness(col), Some(w) if pred.eval(&w).is_ok())
-            }
-            Bound::Cols { op, left, right } => matches!(
-                (witness(left), witness(right)),
-                (Some(wl), Some(wr)) if Value::compare(*op, &wl, &wr).is_ok()
+            Mask::Cmp(op, l, r) => matches!(
+                (l.witness(), r.witness()),
+                (Some(a), Some(b)) if compare(*op, &a, &b).is_ok()
             ),
-            Bound::And(a, b) | Bound::Or(a, b) => a.infallible() && b.infallible(),
-            Bound::Not(e) => e.infallible(),
+            Mask::And(a, b) | Mask::Or(a, b) => a.infallible() && b.infallible(),
+            Mask::Not(e) => e.infallible(),
         }
     }
 
     /// Tier 1: whole-column evaluation. Only sound after
-    /// [`Bound::infallible`] holds — leaves `expect` success.
+    /// [`Mask::infallible`] holds — leaves `expect` success.
     fn eval_mask(&self, len: usize) -> Vec<bool> {
         match self {
-            Bound::Lit { pred, col } => pred.eval_column(col, len),
-            Bound::Cols { op, left, right } => match (left, right) {
-                (Column::Int(l), Column::Int(r)) => {
-                    (0..len).map(|i| cmp_scalar(*op, l[i], r[i])).collect()
+            Mask::Cmp(op, l, r) => {
+                if let (Some(a), Some(b)) = (l.ints(), r.ints()) {
+                    return cmp_lanes(*op, a, b, len);
                 }
-                (Column::Float(l), Column::Float(r)) => {
-                    (0..len).map(|i| cmp_scalar(*op, l[i], r[i])).collect()
+                if let (Some(a), Some(b)) = (l.floats(), r.floats()) {
+                    return cmp_lanes(*op, a, b, len);
                 }
-                _ => (0..len)
-                    .map(|i| {
-                        let (a, b) = (left.value_at(i), right.value_at(i));
-                        Value::compare(*op, &a, &b).expect("classified infallible")
-                    })
-                    .collect(),
-            },
-            Bound::And(a, b) => {
+                (0..len)
+                    .map(|i| compare(*op, &l.at(i), &r.at(i)).expect("classified infallible"))
+                    .collect()
+            }
+            Mask::And(a, b) => {
                 let mut m = a.eval_mask(len);
                 // short-circuit: an all-false left mask settles the AND
                 if m.iter().any(|&x| x) {
@@ -355,7 +283,7 @@ impl Bound<'_> {
                 }
                 m
             }
-            Bound::Or(a, b) => {
+            Mask::Or(a, b) => {
                 let mut m = a.eval_mask(len);
                 // short-circuit: an all-true left mask settles the OR
                 if m.iter().any(|&x| !x) {
@@ -365,7 +293,7 @@ impl Bound<'_> {
                 }
                 m
             }
-            Bound::Not(e) => {
+            Mask::Not(e) => {
                 let mut m = e.eval_mask(len);
                 for x in m.iter_mut() {
                     *x = !*x;
@@ -375,21 +303,14 @@ impl Bound<'_> {
         }
     }
 
-    /// Tier 2: one row, with the interpreter's exact left-to-right
+    /// Tier 2: one row, with the interpreter's left-to-right
     /// short-circuit and error order.
     fn eval_row(&self, i: usize) -> Result<bool, EvalError> {
         match self {
-            Bound::Lit { pred, col } => pred.eval(&col.value_at(i)),
-            Bound::Cols { op, left, right } => {
-                let (a, b) = (left.value_at(i), right.value_at(i));
-                if matches!(a, Value::Null) || matches!(b, Value::Null) {
-                    return Err(EvalError::NullNotAllowed("comparison"));
-                }
-                Value::compare(*op, &a, &b).map_err(EvalError::Value)
-            }
-            Bound::And(a, b) => Ok(a.eval_row(i)? && b.eval_row(i)?),
-            Bound::Or(a, b) => Ok(a.eval_row(i)? || b.eval_row(i)?),
-            Bound::Not(e) => Ok(!e.eval_row(i)?),
+            Mask::Cmp(op, l, r) => compare(*op, &l.at(i), &r.at(i)),
+            Mask::And(a, b) => Ok(a.eval_row(i)? && b.eval_row(i)?),
+            Mask::Or(a, b) => Ok(a.eval_row(i)? || b.eval_row(i)?),
+            Mask::Not(e) => Ok(!e.eval_row(i)?),
         }
     }
 }
@@ -447,20 +368,21 @@ impl<'a> ProbeInput<'a> {
         }
     }
 
-    /// The column `key` reads, when `key` is `var.attr` and the input is
-    /// a columnar batch carrying that attribute.
-    pub fn key_column(&self, key: &Expr, var: &Name) -> Option<&'a Column> {
+    /// The column `key` reads, when the input is a columnar batch and
+    /// `key` a field of the probe row with a live column (see
+    /// [`row_column`]).
+    pub(crate) fn key_column(&self, key: &BoundExpr) -> Option<&'a Column> {
         let ProbeInput::Batch(Batch::Columnar(cb)) = self else {
             return None;
         };
-        cb.column(simple_attr(key, var)?)
+        row_column(key, cb)
     }
 
     /// The columns a composite key reads — `Some` only when *every* key
-    /// is a simple attribute with a live column, so the whole key vector
-    /// evaluates without materializing the row.
-    pub fn key_columns(&self, keys: &[Expr], var: &Name) -> Option<Vec<&'a Column>> {
-        keys.iter().map(|k| self.key_column(k, var)).collect()
+    /// has one, so the whole key vector evaluates without materializing
+    /// the row.
+    pub(crate) fn key_columns(&self, keys: &[BoundExpr]) -> Option<Vec<&'a Column>> {
+        keys.iter().map(|k| self.key_column(k)).collect()
     }
 }
 
@@ -482,7 +404,6 @@ pub(crate) fn take_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oodb_adl::dsl::*;
     use oodb_value::batch::BatchKind;
 
     fn rows() -> Vec<Value> {
@@ -496,65 +417,30 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn simple_pred_compiles_both_orientations() {
-        let v: Name = "x".into();
-        let p = SimplePred::compile(&v, &lt(var("x").field("a"), int(3))).unwrap();
-        assert_eq!(p.attr.as_ref(), "a");
-        assert!(p.eval(&Value::Int(2)).unwrap());
-        assert!(!p.eval(&Value::Int(3)).unwrap());
-        // flipped: 3 < x.a
-        let p = SimplePred::compile(&v, &lt(int(3), var("x").field("a"))).unwrap();
-        assert!(p.eval(&Value::Int(4)).unwrap());
-        assert!(!p.eval(&Value::Int(3)).unwrap());
-        // non-simple shapes don't compile
-        assert!(SimplePred::compile(&v, &lt(var("y").field("a"), int(3))).is_none());
-        assert!(SimplePred::compile(
-            &v,
-            &and(
-                eq(var("x").field("a"), int(1)),
-                eq(var("x").field("a"), int(2))
-            )
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn simple_pred_matches_reference_error_semantics() {
-        let v: Name = "x".into();
-        let p = SimplePred::compile(&v, &lt(var("x").field("a"), int(3))).unwrap();
-        // ordering across constructors is a type mismatch, like Value::compare
-        assert!(matches!(
-            p.eval(&Value::str("oops")),
-            Err(EvalError::Value(_))
-        ));
-        // NULL operands are rejected, like the evaluator's Cmp
-        assert!(matches!(
-            p.eval(&Value::Null),
-            Err(EvalError::NullNotAllowed(_))
-        ));
+    /// `Field(Row(row), attr)`.
+    fn field(row: usize, attr: &str) -> BoundExpr {
+        BoundExpr::Field(Box::new(BoundExpr::Row(row)), attr.into())
     }
 
     #[test]
     fn probe_input_reads_keys_off_columns() {
-        let v: Name = "x".into();
         let batch = Batch::of(BatchKind::Columnar, rows());
         let probe: ProbeInput = (&batch).into();
         let cols = probe
-            .key_columns(&[var("x").field("a")], &v)
-            .expect("simple key over a live column");
+            .key_columns(&[field(0, "a")])
+            .expect("a row field over a live column");
         assert_eq!(cols[0].value_at(3), Value::Int(3));
-        // a non-simple key or a missing column defeats the fast path
+        // another shape, another row or a missing column defeats the
+        // fast path
+        assert!(probe.key_columns(&[field(0, "missing")]).is_none());
         assert!(probe
-            .key_columns(&[var("x").field("missing")], &v)
+            .key_columns(&[field(0, "a"), BoundExpr::Lit(Value::Int(1))])
             .is_none());
-        assert!(probe
-            .key_columns(&[var("x").field("a"), lit(Value::Int(1))], &v)
-            .is_none());
+        assert!(probe.key_columns(&[field(1, "a")]).is_none());
         // row batches have no columns
         let rb = Batch::of(BatchKind::Row, rows());
         let probe: ProbeInput = (&rb).into();
-        assert!(probe.key_columns(&[var("x").field("a")], &v).is_none());
+        assert!(probe.key_columns(&[field(0, "a")]).is_none());
         assert_eq!(probe.row_at(2).as_ref(), &rows()[2]);
     }
 }

@@ -44,7 +44,7 @@
 //! `BoundJoin`: the spec with its keys, residual and nestjoin function
 //! [bound](crate::bound) once when the operator is compiled (`lvar` and
 //! `rvar` become row slots over the borrowed probe and build rows), and
-//! evaluated through one [`Cx`] per batch. Only the materialized
+//! evaluated through one `Cx` per batch. Only the materialized
 //! [`PhysPlan::exec`] binds a spec per call (`JoinSpec::join_sets`).
 
 use super::columnar::{take_row, ProbeInput};
@@ -669,16 +669,16 @@ impl BoundJoin {
         cx: &mut Cx<'_, '_>,
     ) -> Result<Vec<Value>, EvalError> {
         match (&self.spec.family, build) {
-            (JoinFamily::Equi { lkeys, .. }, BuildSide::Equi(t)) => {
-                JoinHashTable::probe_batch(t, self, lkeys, probe, cx)
+            (JoinFamily::Equi { .. }, BuildSide::Equi(t)) => {
+                JoinHashTable::probe_batch(t, self, probe, cx)
             }
             (JoinFamily::Member { shape }, BuildSide::Member(t)) => {
                 MemberHashTable::probe_batch(t, self, shape, probe, cx)
             }
             (JoinFamily::Loop, BuildSide::Loop(rows)) => self.probe_loop(rows, probe, cx),
-            (JoinFamily::Index { lkey, attr, extent }, BuildSide::Index) => {
+            (JoinFamily::Index { attr, extent, .. }, BuildSide::Index) => {
                 let table = index_table(cx.db(), extent, attr)?;
-                self.probe_index(table, lkey, attr, probe, cx)
+                self.probe_index(table, attr, probe, cx)
             }
             _ => unreachable!("a spec only probes the side it built"),
         }
@@ -712,17 +712,17 @@ impl BoundJoin {
     }
 
     /// The index probe: each probe row's candidates are the rows of
-    /// `table`'s index on `attr` under `lkey(x)`. A simple key over a
-    /// columnar batch reads the key column without materializing the row.
+    /// `table`'s index on `attr` under `lkey(x)`. A key that is a field
+    /// of the probe row reads its column of a columnar batch without
+    /// materializing the row.
     fn probe_index(
         &self,
         table: &Table,
-        lkey: &Expr,
         attr: &Name,
         probe: ProbeInput<'_>,
         cx: &mut Cx<'_, '_>,
     ) -> Result<Vec<Value>, EvalError> {
-        let key_col = probe.key_column(lkey, &self.spec.lvar);
+        let key_col = probe.key_column(&self.left[0]);
         let mut out = Vec::new();
         for i in 0..probe.len() {
             let mut xc = None;
@@ -902,18 +902,17 @@ impl<V: Borrow<Value>> JoinHashTable<V> {
     }
 
     /// Probe phase over one batch. Columnar probe batches whose keys are
-    /// simple attributes read the whole key vector straight off the key
-    /// columns; the probe row itself is materialized only when actually
-    /// needed (residual checks, output construction) — semi/anti misses
-    /// never touch it.
+    /// fields of the probe row read the whole key vector straight off the
+    /// key columns; the probe row itself is materialized only when
+    /// actually needed (residual checks, output construction) — semi/anti
+    /// misses never touch it.
     fn probe_batch(
         tables: &[Self],
         join: &BoundJoin,
-        lkeys: &[Expr],
         probe: ProbeInput<'_>,
         cx: &mut Cx<'_, '_>,
     ) -> Result<Vec<Value>, EvalError> {
-        let key_cols = probe.key_columns(lkeys, &join.spec.lvar);
+        let key_cols = probe.key_columns(&join.left);
         let mut out = Vec::new();
         for i in 0..probe.len() {
             let mut xc = None;
@@ -996,23 +995,24 @@ impl JoinHashTable<Value> {
 
 impl IndexedBuild {
     /// Probes one batch entirely in columnar form, when it is columnar
-    /// and `spec`'s keys read straight off its key columns (the spec is
-    /// one [`JoinSpec::indexed`] accepted): inner joins gather matching
-    /// (probe, build) row pairs and concatenate them column-wise;
-    /// semi/anti joins reduce to a selection mask over the probe batch.
+    /// and `join`'s bound left keys read straight off its key columns
+    /// (the spec is one [`JoinSpec::indexed`] accepted): inner joins
+    /// gather matching (probe, build) row pairs and concatenate them
+    /// column-wise; semi/anti joins reduce to a selection mask over the
+    /// probe batch.
     ///
     /// Returns `None` for any other batch, or when the output schemas
     /// collide (`concat` fails); the caller then probes the same batch
     /// through the row path, which reports the exact reference error —
     /// so `hash_probes` is charged here only on success, and the
     /// counter totals stay identical to a pure row-probe run.
-    fn probe_columnar(&self, spec: &JoinSpec, batch: &Batch, stats: &mut Stats) -> Option<Batch> {
-        let (Batch::Columnar(probe), JoinFamily::Equi { lkeys, .. }, JoinMode::Join { kind, .. }) =
-            (batch, &spec.family, &spec.mode)
+    fn probe_columnar(&self, join: &BoundJoin, batch: &Batch, stats: &mut Stats) -> Option<Batch> {
+        let (Batch::Columnar(probe), JoinFamily::Equi { .. }, JoinMode::Join { kind, .. }) =
+            (batch, &join.spec.family, &join.spec.mode)
         else {
             return None;
         };
-        let key_cols = ProbeInput::from(batch).key_columns(lkeys, &spec.lvar)?;
+        let key_cols = ProbeInput::from(batch).key_columns(&join.left)?;
         let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
         let out = match kind {
             JoinKind::Semi | JoinKind::Anti => {
@@ -1143,20 +1143,11 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
         Ok(out)
     }
 
-    /// The expression the probe side evaluates over the left variable —
-    /// what a columnar probe batch may hold as a plain column.
-    fn probe_left_expr(shape: &MemberShape) -> &Expr {
-        match shape {
-            MemberShape::RightInLeftSet { lset, .. } => lset,
-            MemberShape::LeftInRightSet { lkey, .. } => lkey,
-        }
-    }
-
     /// [`BoundJoin::probe_keys`] for probe row `i` of a batch,
     /// reading the set/key column directly when the probe side is
-    /// columnar and the expression is a simple attribute — the row is
-    /// not materialized. `cache` receives the row only when the slow
-    /// path had to build it.
+    /// columnar and the bound `lset`/`lkey` is a field of the probe row
+    /// — the row is not materialized. `cache` receives the row only
+    /// when the slow path had to build it.
     #[allow(clippy::too_many_arguments)]
     fn probe_keys_at<'p>(
         join: &BoundJoin,
@@ -1192,7 +1183,7 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
         probe: ProbeInput<'_>,
         cx: &mut Cx<'_, '_>,
     ) -> Result<Vec<Value>, EvalError> {
-        let left_col = probe.key_column(Self::probe_left_expr(shape), &join.spec.lvar);
+        let left_col = probe.key_column(&join.left[0]);
         let mut out = Vec::new();
         for i in 0..probe.len() {
             let mut xc = None;
@@ -1547,7 +1538,7 @@ impl Operator for JoinOp {
             // rows. `None` falls through to the row probe, which reports
             // the reference error and charges the counters itself.
             if let Some(out) =
-                indexed.and_then(|ib| ib.probe_columnar(&self.join.spec, &batch, ctx.stats))
+                indexed.and_then(|ib| ib.probe_columnar(&self.join, &batch, ctx.stats))
             {
                 if out.is_empty() {
                     continue;

@@ -30,7 +30,7 @@
 //! configuration's [`ExecOptions`]; [`ResultStream`] is the same
 //! pipeline pulled chunk by chunk.
 
-use super::columnar::{simple_attr, MaskExpr};
+use super::columnar::{filter_mask, row_column};
 use super::hashjoin::JoinOp;
 use super::{spill_exec, PhysPlan};
 use crate::bound::Bound;
@@ -74,11 +74,12 @@ pub struct ExecOptions {
     /// columnar batches columnar; operators that construct fresh rows
     /// (join outputs, blocking drains) emit row batches.
     pub batch_kind: BatchKind,
-    /// Master switch for the vectorized fast paths: compiled selection
-    /// masks, column-at-a-time transforms, columnar hash-join outputs
-    /// and the streaming ν/`Agg` group tables. `false` forces every
-    /// operator onto the row-interpreter / drain-to-set reference paths
-    /// for differential testing.
+    /// Master switch for the vectorized fast paths: selection masks,
+    /// column-at-a-time transforms, columnar hash-join outputs
+    /// and the streaming ν/`Agg` group tables. `false` forces those
+    /// operators onto their row-at-a-time / drain-to-set reference
+    /// paths for differential testing. (Join probes read key columns
+    /// of a columnar batch either way; the row layout turns that off.)
     pub vectorize: bool,
     /// Capture per-operator wall-clock timings (`OpStats::timing`) in
     /// the instrumentation shim. `false` skips the monotonic-clock reads
@@ -665,14 +666,9 @@ impl Operator for ScalarRows {
 /// The per-row transforms that never block the pipeline.
 enum RowTransform {
     /// `σ` — predicate filter, its predicate bound over the variable.
-    /// `mask` is the compiled selection-mask tree when the predicate is
-    /// an `AND`/`OR`/`NOT` composition of simple conjuncts
-    /// (`var.attr ⟨cmp⟩ literal`, `var.a ⟨cmp⟩ var.b`).
-    Filter { pred: Bound, mask: Option<MaskExpr> },
+    Filter { pred: Bound },
     /// `α` — function application, its body bound over the variable.
-    /// `simple` names the attribute when the body is exactly `var.attr`
-    /// (a column extraction).
-    Map { body: Bound, simple: Option<Name> },
+    Map { body: Bound },
     /// `π`.
     Project { attrs: Vec<Name> },
     /// `ρ`.
@@ -685,9 +681,10 @@ enum RowTransform {
 
 /// Applies a [`RowTransform`] to each input batch as it streams past.
 ///
-/// Columnar batches run column-at-a-time where the expression is a
-/// simple attribute shape (filter on `x.a ⟨cmp⟩ lit`, map to `x.a`,
-/// project, rename); anything else — or any irregularity the column
+/// Columnar batches run column-at-a-time where the bound expression has
+/// a column shape (a filter's comparison tree over row fields and
+/// literals, a map to a row field; see [`super::columnar`]) and for
+/// project and rename; anything else — or any irregularity the column
 /// fast path cannot express (missing attributes, name collisions) —
 /// falls back to the row view, which reproduces the reference
 /// semantics and error messages exactly. On the row view a filter or
@@ -716,17 +713,14 @@ impl TransformOp {
             return Ok(None);
         };
         match &self.t {
-            RowTransform::Filter {
-                mask: Some(mask), ..
-            } => match mask.eval_batch(cb, ctx.stats) {
-                // unbound column: row view reports the NoSuchField
+            RowTransform::Filter { pred } => match filter_mask(pred.expr(), cb, ctx.stats) {
+                // another shape, or an unbound column: the row view
+                // reports the NoSuchField
                 None => Ok(None),
                 Some(keep) => Ok(Some(Batch::Columnar(cb.filter(&keep?)))),
             },
-            RowTransform::Map {
-                simple: Some(attr), ..
-            } => {
-                let Some(col) = cb.column(attr) else {
+            RowTransform::Map { body } => {
+                let Some(col) = row_column(body.expr(), cb) else {
                     return Ok(None);
                 };
                 ctx.stats.predicate_evals += cb.len() as u64;
@@ -780,8 +774,8 @@ impl TransformOp {
         }
         let mut out = Vec::with_capacity(batch.len());
         match &self.t {
-            RowTransform::Filter { pred, .. } => return Self::filter(pred, batch, ctx),
-            RowTransform::Map { body, .. } => return Self::map(body, &batch, ctx),
+            RowTransform::Filter { pred } => return Self::filter(pred, batch, ctx),
+            RowTransform::Map { body } => return Self::map(body, &batch, ctx),
             RowTransform::Project { attrs } => {
                 for elem in &batch.into_values() {
                     out.push(Value::Tuple(elem.as_tuple()?.subscript(attrs)?));
@@ -1126,14 +1120,12 @@ impl PhysPlan {
             PhysPlan::Filter { var, pred, input } => Box::new(TransformOp {
                 t: RowTransform::Filter {
                     pred: Bound::new(pred, &[var]),
-                    mask: MaskExpr::compile(var, pred),
                 },
                 child: input.compile_rows(kids[0], part, parts),
             }),
             PhysPlan::MapOp { var, body, input } => Box::new(TransformOp {
                 t: RowTransform::Map {
                     body: Bound::new(body, &[var]),
-                    simple: simple_attr(body, var).cloned(),
                 },
                 child: input.compile_rows(kids[0], part, parts),
             }),

@@ -148,9 +148,10 @@ pub struct PlannerConfig {
     /// identical under either — only the memory layout changes.
     pub batch_kind: BatchKind,
     /// Whether the streaming pipeline takes its vectorized fast paths
-    /// (compiled selection masks, columnar join outputs, streaming
-    /// ν/`Agg` group tables). `false` forces every operator onto the
-    /// row-interpreter / drain-to-set reference paths. The
+    /// (selection masks, column-at-a-time transforms, columnar join
+    /// outputs, streaming ν/`Agg` group tables). `false` forces those
+    /// operators onto their row-at-a-time / drain-to-set reference
+    /// paths. The
     /// `OODB_VECTORIZE` environment variable supplies the process
     /// default (`on` unless set to `off`); results, operator row totals
     /// and classic work counters are identical either way — only the

@@ -25,9 +25,9 @@ pub struct Stats {
     pub oid_lookups: u64,
     /// Secondary-index probes (index nested-loop join).
     pub index_probes: u64,
-    /// Batches whose filter predicate evaluated through the compiled
-    /// selection-mask layer (either mask tier) instead of the row
-    /// interpreter. A throughput indicator for the bench report, **not**
+    /// Batches whose filter predicate evaluated as a selection mask
+    /// over the batch's columns (either mask tier) instead of row by
+    /// row. A throughput indicator for the bench report, **not**
     /// a work term: the mask path charges the same `predicate_evals`
     /// as the row path, so [`Stats::work`] excludes this.
     pub mask_batches: u64,
@@ -149,14 +149,45 @@ impl OpTiming {
         self.first_ns as f64 / 1e6
     }
 
-    /// Adds another operator instance's timing (worker folds, label
-    /// merges). Phase totals add up; the first batch is the slowest
-    /// instance's, since the consumer waits for all of them.
+    /// Adds a sequential instance's timing (a re-opened operator).
+    /// Phase totals add up; the first batch is the slowest instance's.
     pub fn absorb(&mut self, other: &OpTiming) {
         self.open_ns += other.open_ns;
         self.next_ns += other.next_ns;
         self.close_ns += other.close_ns;
         self.first_ns = self.first_ns.max(other.first_ns);
+    }
+
+    /// Folds a parallel instance's timing: workers run side by side and
+    /// the consumer waits for all of them, so the node took as long as
+    /// its slowest worker (whose phases are kept), and its first batch
+    /// is the slowest worker's first batch.
+    pub fn absorb_parallel(&mut self, other: &OpTiming) {
+        let first_ns = self.first_ns.max(other.first_ns);
+        if other.total_ns() > self.total_ns() {
+            *self = *other;
+        }
+        self.first_ns = first_ns;
+    }
+}
+
+impl OpStats {
+    /// Adds `op` to the entry in `ops` for the same node (label and
+    /// ordinal), timing folded by `timing`, or appends it.
+    fn fold_into(ops: &mut Vec<OpStats>, op: &OpStats, timing: fn(&mut OpTiming, &OpTiming)) {
+        let same = |o: &&mut OpStats| o.op == op.op && o.ordinal.0 == op.ordinal.0;
+        match ops.iter_mut().find(same) {
+            Some(mine) => {
+                mine.rows_out += op.rows_out;
+                mine.batches += op.batches;
+                mine.in_batches += op.in_batches;
+                mine.spill_bytes += op.spill_bytes;
+                mine.spill_partitions += op.spill_partitions;
+                mine.spill_passes += op.spill_passes;
+                timing(&mut mine.timing, &op.timing);
+            }
+            None => ops.push(op.clone()),
+        }
     }
 }
 
@@ -203,7 +234,10 @@ impl Stats {
     /// shape to a serial run of the same plan. Entries fold when label
     /// and node ordinal both agree, so two same-label nodes in one
     /// segment stay apart; entry order follows the first worker that
-    /// reported each node.
+    /// reported each node. Counters add up; timing folds by the slowest
+    /// worker ([`OpTiming::absorb_parallel`]), after one worker's own
+    /// re-opens of a node add up ([`OpTiming::absorb`]). `self` holds
+    /// the workers of one parallel run only.
     pub fn absorb_worker(&mut self, other: &Stats) {
         self.rows_scanned += other.rows_scanned;
         self.loop_iterations += other.loop_iterations;
@@ -219,20 +253,12 @@ impl Stats {
         self.output_rows += other.output_rows;
         self.plan_cache_hits += other.plan_cache_hits;
         self.result_cache_hits += other.result_cache_hits;
+        let mut own: Vec<OpStats> = Vec::new();
         for op in &other.operators {
-            let same = |o: &&mut OpStats| o.op == op.op && o.ordinal.0 == op.ordinal.0;
-            match self.operators.iter_mut().find(same) {
-                Some(mine) => {
-                    mine.rows_out += op.rows_out;
-                    mine.batches += op.batches;
-                    mine.in_batches += op.in_batches;
-                    mine.spill_bytes += op.spill_bytes;
-                    mine.spill_partitions += op.spill_partitions;
-                    mine.spill_passes += op.spill_passes;
-                    mine.timing.absorb(&op.timing);
-                }
-                None => self.operators.push(op.clone()),
-            }
+            OpStats::fold_into(&mut own, op, OpTiming::absorb);
+        }
+        for op in &own {
+            OpStats::fold_into(&mut self.operators, op, OpTiming::absorb_parallel);
         }
     }
 
@@ -375,20 +401,40 @@ mod tests {
         // identical work at different speeds is the same profile
         assert_eq!(timed, untimed);
         assert_eq!(timed.timing.total_ns(), 6);
-        // absorb_worker folds timing alongside the counters
-        let mut a = Stats {
+        // absorb_worker adds the counters of parallel workers but takes
+        // the slowest worker's time: they ran side by side
+        let slower = OpStats {
+            timing: OpTiming {
+                open_ns: 0,
+                next_ns: 10,
+                close_ns: 0,
+                first_ns: 1,
+            },
+            ..timed.clone()
+        };
+        let mut a = Stats::default();
+        a.absorb_worker(&Stats {
             operators: vec![timed.clone()],
             ..Stats::default()
-        };
-        let b = Stats {
-            operators: vec![timed],
+        });
+        a.absorb_worker(&Stats {
+            operators: vec![slower],
             ..Stats::default()
-        };
-        a.absorb_worker(&b);
+        });
         assert_eq!(a.operators.len(), 1);
         assert_eq!(a.operators[0].rows_out, 10);
-        assert_eq!(a.operators[0].timing.total_ns(), 12);
-        // ...except the first batch, which folds by max
+        assert_eq!(a.operators[0].timing.total_ns(), 10);
+        assert_eq!(a.operators[0].timing.next_ns, 10);
+        // ...and the first batch is the latest of the workers' first batches
         assert_eq!(a.operators[0].timing.first_ns, 2);
+        // one worker's re-opens of a node ran one after the other: they add
+        let mut b = Stats::default();
+        b.absorb_worker(&Stats {
+            operators: vec![timed.clone(), timed],
+            ..Stats::default()
+        });
+        assert_eq!(b.operators.len(), 1);
+        assert_eq!(b.operators[0].rows_out, 10);
+        assert_eq!(b.operators[0].timing.total_ns(), 12);
     }
 }

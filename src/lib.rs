@@ -36,7 +36,7 @@ pub use oodb_value as value;
 
 use oodb_adl::expr::Expr;
 use oodb_catalog::Database;
-use oodb_core::strategy::{Optimized, Optimizer};
+use oodb_core::strategy::Optimized;
 use oodb_engine::eval::Evaluator;
 use oodb_engine::plan::PlannerConfig;
 use oodb_engine::stats::Stats;
@@ -124,45 +124,16 @@ impl<'db> Pipeline<'db> {
         })
     }
 
-    /// Like [`Pipeline::run`], but materializing a full set at every
-    /// operator boundary and bypassing the caches — the pre-streaming
-    /// execution path, kept as a reference for equivalence testing and
-    /// benchmarking.
-    pub fn run_materialized(&self, oosql_text: &str) -> Result<PipelineOutput, PipelineError> {
-        let nested = self.translate(oosql_text)?;
-        let rewrite = Optimizer::default()
-            .optimize(&nested, self.db.catalog())
-            .map_err(PipelineError::Rewrite)?;
-        let plan = self
-            .server
-            .planner()
-            .plan(&rewrite.expr)
-            .map_err(PipelineError::Plan)?;
-        let mut stats = Stats::default();
-        let result = plan.execute(&mut stats).map_err(PipelineError::Exec)?;
-        Ok(PipelineOutput {
-            nested,
-            rewrite,
-            result,
-            explain: plan.explain(),
-            stats,
-        })
-    }
-
     /// Executes the *unoptimized* nested translation with the reference
     /// nested-loop evaluator — the baseline the paper argues against.
     pub fn run_naive(&self, oosql_text: &str) -> Result<Value, PipelineError> {
-        let nested = self.translate(oosql_text)?;
-        let ev = Evaluator::new(self.db);
-        ev.eval_closed(&nested).map_err(PipelineError::Exec)
-    }
-
-    /// Parse → typecheck → translate: the front end the two reference
-    /// paths share.
-    fn translate(&self, oosql_text: &str) -> Result<Expr, PipelineError> {
         let query = oodb_oosql::parse(oosql_text).map_err(PipelineError::Parse)?;
         oodb_oosql::typecheck(&query, self.db.catalog()).map_err(PipelineError::Type)?;
-        oodb_translate::translate(&query, self.db.catalog()).map_err(PipelineError::Translate)
+        let nested = oodb_translate::translate(&query, self.db.catalog())
+            .map_err(PipelineError::Translate)?;
+        Evaluator::new(self.db)
+            .eval_closed(&nested)
+            .map_err(PipelineError::Exec)
     }
 }
 

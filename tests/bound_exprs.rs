@@ -13,15 +13,19 @@
 //! draws are kept on purpose: missing fields, unbound variables, type
 //! mismatches, comparisons with `NULL` and dangling pointers must fail
 //! identically too.
+//!
+//! The filter's column fast path (the selection-mask tier) reads the same
+//! bound predicate: the shapes it accepts, the ones it leaves to the row
+//! path, and its error parity are pinned at the end.
 
 use oodb::adl::dsl::*;
 use oodb::adl::expr::{AggOp, Expr, SetOp};
 use oodb::catalog::fixtures::supplier_part_db;
-use oodb::catalog::Database;
+use oodb::catalog::{Catalog, ClassDef, Database};
 use oodb::datagen::{generate, GenConfig};
 use oodb::engine::bound::Bound;
-use oodb::engine::{Env, EvalError, Evaluator, Stats};
-use oodb::value::{ArithOp, CmpOp, Name, Oid, SetCmpOp, Value, ValueError};
+use oodb::engine::{BatchKind, Env, EvalError, Evaluator, Planner, PlannerConfig, Stats};
+use oodb::value::{ArithOp, CmpOp, Name, Oid, SetCmpOp, Tuple, TupleType, Type, Value, ValueError};
 use proptest::prelude::*;
 use proptest::sample::select as pick;
 use std::rc::Rc;
@@ -394,5 +398,167 @@ fn every_error_class_agrees() {
         assert_eq!(got, want, "{e}");
         assert_eq!(stats, ref_stats, "{e}");
         assert!(class(got.as_ref().unwrap_err()), "{e}: {got:?}");
+    }
+}
+
+// --------------------------------------------------------------------
+// The selection-mask tier.
+
+/// `PT`: 40 rows over every column kind the mask tier meets: two `Int`
+/// columns, a `Float`, two strings and a tuple-valued attribute.
+fn mask_db() -> Database {
+    let mut cat = Catalog::new();
+    cat.add_class(
+        ClassDef::new(
+            Name::from("Point"),
+            Name::from("PT"),
+            Name::from("id"),
+            TupleType::from_pairs([
+                ("id", Type::Oid(Some(Name::from("Point")))),
+                ("n", Type::Int),
+                ("m", Type::Int),
+                ("f", Type::Float),
+                ("color", Type::Str),
+                ("name", Type::Str),
+                ("at", Type::tuple([("x", Type::Int)])),
+            ]),
+        )
+        .expect("valid class"),
+    )
+    .expect("fresh catalog");
+    let mut db = Database::new(cat).expect("closed catalog");
+    let colors = ["red", "green", "blue"];
+    for i in 0..40i64 {
+        let row = Tuple::from_pairs([
+            ("id", Value::Oid(Oid(1000 + i as u64))),
+            ("n", Value::Int(i)),
+            ("m", Value::Int(30 - i)),
+            ("f", Value::float(i as f64 * 0.5)),
+            ("color", Value::str(colors[i as usize % 3])),
+            ("name", Value::str(if i % 4 == 0 { "red" } else { "other" })),
+            ("at", Value::tuple([("x", Value::Int(i % 7))])),
+        ]);
+        db.insert("PT", row).expect("row conforms");
+    }
+    db
+}
+
+/// `σ[p : pred](PT)` run through the streaming pipeline, serially.
+fn filter_pt(
+    db: &Database,
+    q: &Expr,
+    vectorize: bool,
+    batch_kind: BatchKind,
+) -> (Result<Value, EvalError>, Stats) {
+    let config = PlannerConfig {
+        vectorize,
+        batch_kind,
+        parallelism: 1,
+        memory_budget: 0,
+        ..Default::default()
+    };
+    let mut stats = Stats::new();
+    let got = Planner::with_config(db, config)
+        .plan(q)
+        .expect("plan")
+        .execute_streaming(&mut stats);
+    (got, stats)
+}
+
+fn p(attr: &str) -> Expr {
+    var("p").field(attr)
+}
+
+/// Every shape the mask tier accepts — a row field compared with a
+/// literal on either side or with another row field, under `NOT`, `OR`
+/// and `AND` — runs as a mask and gives the `Evaluator`'s result.
+#[test]
+fn mask_tier_accepts_column_comparison_trees() {
+    let db = mask_db();
+    let ev = Evaluator::new(&db);
+    let preds = [
+        lt(p("n"), int(20)),
+        ge(int(20), p("n")),
+        le(p("n"), p("m")),
+        gt(p("f"), lit(Value::float(7.5))),
+        lt(p("n"), lit(Value::float(3.5))),
+        eq(p("color"), str_lit("red")),
+        ne(p("color"), p("name")),
+        not(lt(p("n"), int(10))),
+        or(lt(p("n"), int(5)), gt(p("m"), int(20))),
+        and(
+            ne(p("n"), p("m")),
+            not(or(eq(p("color"), str_lit("blue")), lt(int(30), p("n")))),
+        ),
+    ];
+    for pred in preds {
+        let q = select("p", pred, table("PT"));
+        let want = ev.eval_closed(&q);
+        let (got, stats) = filter_pt(&db, &q, true, BatchKind::Columnar);
+        assert_eq!(got, want, "{q}");
+        assert!(stats.mask_batches > 0, "{q} did not run as a mask");
+    }
+}
+
+/// Shapes the mask tier leaves to the row path, and the two switches
+/// that turn it off, give the same results with no mask batch.
+#[test]
+fn mask_tier_declines_other_shapes_and_layouts() {
+    let db = mask_db();
+    let ev = Evaluator::new(&db);
+    let simple = select("p", lt(p("n"), int(20)), table("PT"));
+    let cases = [
+        // an outer slot is not a literal of the plan
+        (
+            let_(
+                "sub",
+                int(20),
+                select("p", lt(p("n"), var("sub")), table("PT")),
+            ),
+            true,
+            BatchKind::Columnar,
+        ),
+        // a nested field reads no column
+        (
+            select("p", lt(p("at").field("x"), int(3)), table("PT")),
+            true,
+            BatchKind::Columnar,
+        ),
+        (simple.clone(), true, BatchKind::Row),
+        (simple, false, BatchKind::Columnar),
+    ];
+    for (q, vectorize, batch_kind) in cases {
+        let want = ev.eval_closed(&q);
+        assert!(want.is_ok(), "{q}: {want:?}");
+        let (got, stats) = filter_pt(&db, &q, vectorize, batch_kind);
+        assert_eq!(got, want, "{q} vectorize={vectorize} {batch_kind:?}");
+        assert_eq!(
+            stats.mask_batches, 0,
+            "{q} vectorize={vectorize} {batch_kind:?} ran as a mask"
+        );
+    }
+}
+
+/// A `NULL` literal and an ordered comparison across constructors fail
+/// on the mask tier with the `Evaluator`'s exact error — also when a
+/// short-circuit lets the first rows pass.
+#[test]
+fn mask_tier_errors_match_evaluator() {
+    let db = mask_db();
+    let ev = Evaluator::new(&db);
+    let preds = [
+        eq(p("n"), lit(Value::Null)),
+        lt(lit(Value::Null), p("f")),
+        lt(p("color"), int(3)),
+        or(lt(p("n"), int(10)), lt(p("color"), int(3))),
+        and(gt(p("m"), int(0)), lt(p("name"), p("n"))),
+    ];
+    for pred in preds {
+        let q = select("p", pred, table("PT"));
+        let want = ev.eval_closed(&q);
+        assert!(want.is_err(), "{q}: {want:?}");
+        let (got, stats) = filter_pt(&db, &q, true, BatchKind::Columnar);
+        assert_eq!(got, want, "{q}");
+        assert!(stats.mask_batches > 0, "{q} did not run as a mask");
     }
 }

@@ -57,42 +57,52 @@ fn paper_query_sources() -> Vec<&'static str> {
     ]
 }
 
-/// Streaming-vs-materialized equivalence on every paper query: the same
-/// optimized plan executed through both paths must agree **as a set**
-/// (results are compared through canonical `Set` values), and both must
-/// agree with the naive nested-loop evaluation.
+/// The optimized ADL of an OOSQL text: parse, type check, translate and
+/// rewrite, as `Pipeline::run` does before planning.
+fn optimized(db: &oodb::catalog::Database, src: &str) -> Expr {
+    let query = oodb::oosql::parse(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    oodb::oosql::typecheck(&query, db.catalog()).unwrap_or_else(|e| panic!("{src}: {e}"));
+    let nested =
+        oodb::translate::translate(&query, db.catalog()).unwrap_or_else(|e| panic!("{src}: {e}"));
+    Optimizer::default()
+        .optimize(&nested, db.catalog())
+        .unwrap_or_else(|e| panic!("{src}: {e}"))
+        .expr
+}
+
+/// Streaming-vs-materialized equivalence on every paper query: the
+/// pipeline's streaming run and the materialized executor
+/// (`Plan::execute`, the benchmark's reference) must both agree with the
+/// naive nested-loop evaluation, and the same plan must do the same
+/// classic work either way.
 #[test]
 fn paper_queries_agree_streaming_vs_materialized() {
     let db = oodb::catalog::fixtures::supplier_part_db();
     let pipeline = Pipeline::new(&db);
+    let planner = Planner::new(&db);
     for src in paper_query_sources() {
-        let streamed = pipeline.run(src).unwrap_or_else(|e| panic!("{src}: {e}"));
-        let materialized = pipeline
-            .run_materialized(src)
-            .unwrap_or_else(|e| panic!("{src}: {e}"));
         let naive = pipeline.run_naive(src).unwrap();
-        assert_eq!(
-            streamed.result.as_set().unwrap(),
-            materialized.result.as_set().unwrap(),
-            "streaming ≠ materialized for {src}"
-        );
+        let streamed = pipeline.run(src).unwrap_or_else(|e| panic!("{src}: {e}"));
         assert_eq!(streamed.result, naive, "streaming ≠ nested-loop for {src}");
+        let plan = planner.plan(&optimized(&db, src)).expect("plan");
+        let mut ms = Stats::new();
+        let materialized = plan
+            .execute(&mut ms)
+            .unwrap_or_else(|e| panic!("{src}: {e}"));
+        assert_eq!(materialized, naive, "materialized ≠ nested-loop for {src}");
+        let mut ss = Stats::new();
+        let plan_streamed = plan.execute_streaming(&mut ss).unwrap();
+        assert_eq!(
+            plan_streamed, naive,
+            "streaming plan ≠ nested-loop for {src}"
+        );
         // the streaming path carries a per-operator profile; the
         // materialized path does not
-        assert!(
-            !streamed.stats.operators.is_empty(),
-            "no operator stats for {src}"
-        );
-        assert!(materialized.stats.operators.is_empty());
+        assert!(!ss.operators.is_empty(), "no operator stats for {src}");
+        assert!(ms.operators.is_empty());
         // the classic work counters agree between the two physical paths
-        assert_eq!(
-            streamed.stats.rows_scanned, materialized.stats.rows_scanned,
-            "{src}"
-        );
-        assert_eq!(
-            streamed.stats.hash_build_rows, materialized.stats.hash_build_rows,
-            "{src}"
-        );
+        assert_eq!(ss.rows_scanned, ms.rows_scanned, "{src}");
+        assert_eq!(ss.hash_build_rows, ms.hash_build_rows, "{src}");
     }
 }
 
@@ -112,12 +122,8 @@ fn paper_queries_agree_on_generated_databases() {
             continue; // generated dates never equal the fixture constant
         }
         let streamed = pipeline.run(src).unwrap_or_else(|e| panic!("{src}: {e}"));
-        let materialized = pipeline.run_materialized(src).unwrap();
-        assert_eq!(
-            streamed.result.as_set().unwrap(),
-            materialized.result.as_set().unwrap(),
-            "streaming ≠ materialized for {src}"
-        );
+        let naive = pipeline.run_naive(src).unwrap();
+        assert_eq!(streamed.result, naive, "streaming ≠ nested-loop for {src}");
     }
 }
 
@@ -399,7 +405,7 @@ fn pushdown_shapes_in_the_corpus_reach_the_rule() {
 }
 
 /// Random `AND`/`OR`/`NOT` trees over PART's primitive columns — the
-/// compound shapes `MaskExpr::compile` accepts: `x.a ⟨cmp⟩ lit` in both
+/// compound shapes the mask tier binds to columns: `x.a ⟨cmp⟩ lit` in both
 /// orientations over `Int` and `Str` columns, plus the column-column
 /// leaf `x.a ⟨cmp⟩ x.b`, composed with every connective up to three
 /// levels deep.

@@ -21,7 +21,9 @@ use oodb::engine::{BatchKind, Planner, PlannerConfig, Stats};
 use oodb::server::wire::{verb, WireClient};
 use oodb::server::{net, QueryServer, ServerConfig, ServerShared};
 use oodb::value::{Oid, Value};
-use oodb_bench::{join_supplier_delivery_query, multi_join_chain_query, query5_nested};
+use oodb_bench::{
+    join_supplier_delivery_query, multi_join_chain_query, query31_nested, query5_nested,
+};
 
 fn scaled_db(scale: usize) -> Database {
     generate(&GenConfig {
@@ -212,6 +214,65 @@ fn explain_analyze_first_batch_time_is_part_of_the_total() {
             }
             assert!(scans > 0, "dop={dop}: no timed Scan line in\n{text}");
         }
+    }
+}
+
+/// An operator's `actual_ms` includes its subtree, so no child may
+/// read more than its parent. Under an exchange the workers of one
+/// node run side by side: their time folds by the slowest worker, not
+/// by the sum, or a child under a parallel segment would outgrow its
+/// parent (q31's `Filter` under its `Let`, say). Checked at dop 2 with
+/// every exchange live, each reported node against its nearest reported
+/// ancestor.
+#[test]
+fn explain_analyze_child_time_never_exceeds_its_parent() {
+    let db = scaled_db(4000);
+    let queries = [
+        ("q31", query31_nested("supplier-0")),
+        ("q5", query5_nested()),
+        ("chain", multi_join_chain_query()),
+        ("join_sd", join_supplier_delivery_query()),
+    ];
+    for (label, q) in &queries {
+        let optimized = Optimizer::default()
+            .optimize(q, db.catalog())
+            .expect("optimize");
+        let planner = Planner::with_stats(
+            &db,
+            config(true, 2, 0, BatchKind::Columnar),
+            CatalogStats::from_database(&db),
+        );
+        let plan = planner.plan(&optimized.expr).expect("plan");
+        let analyzed = plan.explain_analyze(&mut Stats::new()).expect("analyze");
+        let text = &analyzed.text;
+        // join-order notes precede the tree's one line per node
+        let lines: Vec<&str> = text.lines().collect();
+        let tree = &lines[lines.len() - analyzed.ops.len()..];
+        let depth = |l: &str| (l.len() - l.trim_start().len()) / 2;
+        // the reported ancestors of the current line: (depth, ns, index)
+        let mut path: Vec<(usize, u64, usize)> = Vec::new();
+        let mut checked = 0;
+        for (i, (op, line)) in analyzed.ops.iter().zip(tree).enumerate() {
+            let d = depth(line);
+            while path.last().is_some_and(|&(pd, _, _)| pd >= d) {
+                path.pop();
+            }
+            let Some(ns) = op.actual_ns else { continue };
+            if let Some(&(_, parent_ns, p)) = path.last() {
+                assert!(
+                    ns <= parent_ns,
+                    "{label}: {} ({ns} ns) reads more than its parent {} ({parent_ns} ns)\n{text}",
+                    op.label,
+                    analyzed.ops[p].label
+                );
+                checked += 1;
+            }
+            path.push((d, ns, i));
+        }
+        assert!(
+            checked > 0,
+            "{label}: no timed parent/child pair in\n{text}"
+        );
     }
 }
 

@@ -38,7 +38,7 @@ use proptest::prelude::*;
 /// point under both the columnar default and the legacy row layout —
 /// the layout may change cache behavior, never the answer. The
 /// `vectorize` axis runs every point with the vectorized fast paths
-/// (compiled selection masks, columnar join outputs, streaming ν/`Agg`)
+/// (selection masks, columnar join outputs, streaming ν/`Agg`)
 /// on and off — the strategy may change throughput, never the answer
 /// nor the classic work counters.
 fn full_grid() -> Vec<PlannerConfig> {
@@ -126,18 +126,6 @@ fn oosql_paper_queries_agree_across_the_full_grid() {
                 "streaming diverged\nquery: {q}\nconfig: {cfg:?}\nplan:\n{}",
                 streamed.explain
             );
-            // the materialized path never batches, so the batch_kind
-            // axis is a no-op for it — run it once per remaining point
-            if cfg.batch_kind == BatchKind::Columnar {
-                let materialized = pipeline
-                    .run_materialized(q)
-                    .unwrap_or_else(|e| panic!("{q}: {e}"));
-                assert_eq!(
-                    materialized.result, reference,
-                    "materialized diverged\nquery: {q}\nconfig: {cfg:?}\nplan:\n{}",
-                    materialized.explain
-                );
-            }
         }
     }
 }
