@@ -372,7 +372,7 @@ fn perf_materialize() {
         naive_s.work()
     );
     // the rewriter's form: SUPPLIER ⊣ PART on p.pid ∈ s.parts
-    let rewritten = oodb_core::Optimizer::default()
+    let rewritten = oodb_core::Optimizer
         .optimize(&q, db.catalog())
         .expect("optimize")
         .expr;

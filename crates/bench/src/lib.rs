@@ -37,9 +37,7 @@ pub fn run_optimized_with(
     e: &Expr,
     config: PlannerConfig,
 ) -> (Value, Stats, Optimized) {
-    let optimized = Optimizer::default()
-        .optimize(e, db.catalog())
-        .expect("optimize");
+    let optimized = Optimizer.optimize(e, db.catalog()).expect("optimize");
     let planner = Planner::with_config(db, config);
     let plan = planner.plan(&optimized.expr).expect("plan");
     let mut stats = Stats::new();
@@ -515,9 +513,7 @@ pub mod streaming_report {
         let mut rows = Vec::with_capacity(workloads.len());
         for (label, q) in workloads {
             let (nv, ns) = run_naive(&db, &q);
-            let optimized = Optimizer::default()
-                .optimize(&q, db.catalog())
-                .expect("optimize");
+            let optimized = Optimizer.optimize(&q, db.catalog()).expect("optimize");
             let (mv, m_stats) = run_planned(&db, &optimized.expr, base.clone());
             assert_eq!(nv, mv, "{label}: materialized diverged");
             // the same optimized plan, streamed under `cfg`
@@ -682,9 +678,7 @@ mod tests {
         let measure = |timing: bool| -> f64 {
             let mut total = 0.0;
             for q in &workloads {
-                let optimized = Optimizer::default()
-                    .optimize(q, db.catalog())
-                    .expect("optimize");
+                let optimized = Optimizer.optimize(q, db.catalog()).expect("optimize");
                 let cfg = PlannerConfig {
                     timing,
                     parallelism: 1,

@@ -191,7 +191,7 @@ mod tests {
             .any(|r| r.as_tuple().unwrap().get("sname") == Some(&oodb_value::Value::str("s4")));
         assert!(lost_s4);
         // the default strategy's antijoin is correct on the same query
-        let opt = crate::Optimizer::default().optimize(&q, &cat).unwrap();
+        let opt = crate::Optimizer.optimize(&q, &cat).unwrap();
         assert!(opt.trace.fired("rule1-not-exists"));
         assert_eq!(ev.eval_closed(&opt.expr).unwrap(), direct);
     }

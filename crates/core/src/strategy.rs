@@ -58,43 +58,21 @@ pub struct Optimized {
     pub trace: RewriteTrace,
 }
 
-/// Strategy driver. Construct via [`Optimizer::default`]; toggle
-/// [`Optimizer::verify_types`] to disable the post-rewrite type check
-/// (it is cheap and on by default).
-#[derive(Debug, Clone)]
-pub struct Optimizer {
-    /// Maximum fixpoint passes per phase.
-    pub max_passes: usize,
-    /// After rewriting, re-infer the type and compare with the input's.
-    pub verify_types: bool,
-    /// Enable phase 3 (nestjoin rewrites). Disabling stops after the
-    /// relational phases — what a flat-relational optimizer could do.
-    pub enable_nestjoin: bool,
-    /// Enable phase 2 (attribute unnesting).
-    pub enable_attr_unnest: bool,
-}
+/// Fixpoint passes each phase may take before the rewrite fails with
+/// [`RewriteError::PassLimit`].
+const MAX_PASSES: usize = 32;
 
-impl Default for Optimizer {
-    fn default() -> Self {
-        Optimizer {
-            max_passes: 32,
-            verify_types: true,
-            enable_nestjoin: true,
-            enable_attr_unnest: true,
-        }
-    }
-}
+/// Strategy driver: runs every phase, then re-infers the rewritten
+/// expression's type and checks it against the input's.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Optimizer;
 
 impl Optimizer {
     /// Runs the full §4 strategy on a closed ADL expression.
     pub fn optimize(&self, e: &Expr, catalog: &Catalog) -> Result<Optimized, RewriteError> {
         let ctx = RewriteCtx { catalog };
         let mut trace = RewriteTrace::new();
-        let original_ty = if self.verify_types {
-            Some(oodb_adl::infer_closed(e, catalog).map_err(RewriteError::Type)?)
-        } else {
-            None
-        };
+        let original_ty = oodb_adl::infer_closed(e, catalog).map_err(RewriteError::Type)?;
 
         let mut cur = e.clone();
 
@@ -132,25 +110,19 @@ impl Optimizer {
 
         // Phase 2 — unnesting of set-valued attributes (priority 2),
         // which can re-enable Rule 1; rerun the relational phase after.
-        if self.enable_attr_unnest {
-            let unnest: Vec<&dyn Rule> = vec![&AttrUnnest];
-            let before = cur.clone();
-            cur = self.run_phase(cur, &unnest, &ctx, &mut trace)?;
-            if cur != before {
-                cur = self.run_phase(cur, &relational, &ctx, &mut trace)?;
-            }
+        let before = cur.clone();
+        cur = self.run_phase(cur, &[&AttrUnnest], &ctx, &mut trace)?;
+        if cur != before {
+            cur = self.run_phase(cur, &relational, &ctx, &mut trace)?;
         }
 
         // Phase 3 — new operators (priority 3): the nestjoin.
-        if self.enable_nestjoin {
-            let nest: Vec<&dyn Rule> = vec![&NestJoinSelect, &NestJoinMap];
-            let before = cur.clone();
-            cur = self.run_phase(cur, &nest, &ctx, &mut trace)?;
-            if cur != before {
-                // nestjoin may expose further relational opportunities in
-                // what remains of the predicates
-                cur = self.run_phase(cur, &relational, &ctx, &mut trace)?;
-            }
+        let before = cur.clone();
+        cur = self.run_phase(cur, &[&NestJoinSelect, &NestJoinMap], &ctx, &mut trace)?;
+        if cur != before {
+            // nestjoin may expose further relational opportunities in what
+            // remains of the predicates
+            cur = self.run_phase(cur, &relational, &ctx, &mut trace)?;
         }
 
         // Phase 4 — selection pushdown: right-only conjuncts of join and
@@ -161,14 +133,12 @@ impl Optimizer {
 
         // Phase 5 — whatever is left runs as nested loops.
 
-        if let Some(t0) = original_ty {
-            let t1 = oodb_adl::infer_closed(&cur, catalog).map_err(RewriteError::Type)?;
-            if t0.unify(&t1).is_none() {
-                return Err(RewriteError::TypeChanged {
-                    before: t0.to_string(),
-                    after: t1.to_string(),
-                });
-            }
+        let rewritten_ty = oodb_adl::infer_closed(&cur, catalog).map_err(RewriteError::Type)?;
+        if original_ty.unify(&rewritten_ty).is_none() {
+            return Err(RewriteError::TypeChanged {
+                before: original_ty.to_string(),
+                after: rewritten_ty.to_string(),
+            });
         }
         Ok(Optimized { expr: cur, trace })
     }
@@ -180,8 +150,8 @@ impl Optimizer {
         ctx: &RewriteCtx<'_>,
         trace: &mut RewriteTrace,
     ) -> Result<Expr, RewriteError> {
-        rewrite_fixpoint(e, rules, ctx, trace, self.max_passes)
-            .ok_or(RewriteError::PassLimit(self.max_passes))
+        rewrite_fixpoint(e, rules, ctx, trace, MAX_PASSES)
+            .ok_or(RewriteError::PassLimit(MAX_PASSES))
     }
 }
 
@@ -254,9 +224,7 @@ mod tests {
     use oodb_value::SetCmpOp;
 
     fn optimize(e: &Expr) -> Optimized {
-        Optimizer::default()
-            .optimize(e, &supplier_part_catalog())
-            .unwrap()
+        Optimizer.optimize(e, &supplier_part_catalog()).unwrap()
     }
 
     /// Example Query 5's nested translation.
@@ -315,7 +283,7 @@ mod tests {
             table("X"),
         );
         let db = figure12_db();
-        let out = Optimizer::default().optimize(&e, db.catalog()).unwrap();
+        let out = Optimizer.optimize(&e, db.catalog()).unwrap();
         assert!(out.trace.fired("setcmp-to-quant"));
         assert!(out.trace.fired("range-extract"));
         assert!(out.trace.fired("rule1-exists"));
@@ -347,7 +315,7 @@ mod tests {
             table("X"),
         );
         let db = figure12_db();
-        let out = Optimizer::default().optimize(&e, db.catalog()).unwrap();
+        let out = Optimizer.optimize(&e, db.catalog()).unwrap();
         assert!(out.trace.fired("rule1-not-exists"));
         assert!(matches!(
             out.expr,
@@ -421,7 +389,7 @@ mod tests {
             table("X"),
         );
         let db = figure12_db();
-        let out = Optimizer::default().optimize(&e, db.catalog()).unwrap();
+        let out = Optimizer.optimize(&e, db.catalog()).unwrap();
         assert!(out.trace.fired("nestjoin-select"));
         assert_eq!(nested_table_score(&out.expr), 0);
         let ev = Evaluator::new(&db);

@@ -22,6 +22,20 @@ use oodb_adl::vars::free_vars;
 use oodb_catalog::{CatalogStats, Database};
 use oodb_value::{CmpOp, Name, SetCmpOp};
 
+/// One operator line of [`CostModel::annotated_lines`].
+#[derive(Debug, Clone)]
+pub struct AnnotatedLine {
+    /// The node's depth in the tree (its indentation level).
+    pub depth: usize,
+    /// The node's `node_line`.
+    pub node: String,
+    /// The `" (est_rows=…, est_cost=…)"` annotation, with `est_spill=`
+    /// when the node is expected to spill.
+    pub annot: String,
+    /// The estimated output rows, rounded as `annot` prints them.
+    pub est_rows: u64,
+}
+
 /// Estimated output cardinality and cumulative cost of a plan node.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
@@ -153,10 +167,10 @@ impl<'a> CostModel<'a> {
     /// EXPLAIN rendering with per-operator `est_rows`/`est_cost`.
     pub fn explain(&self, plan: &PhysPlan) -> String {
         let mut out = String::new();
-        for (depth, node, annot) in self.annotated_lines(plan) {
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(&node);
-            out.push_str(&annot);
+        for line in self.annotated_lines(plan) {
+            out.push_str(&"  ".repeat(line.depth));
+            out.push_str(&line.node);
+            out.push_str(&line.annot);
             out.push('\n');
         }
         out
@@ -201,12 +215,11 @@ impl<'a> CostModel<'a> {
         e.rows * e.rows.max(2.0).log2() + io
     }
 
-    /// The per-operator EXPLAIN annotations as structured
-    /// `(depth, node_line, " (est_…)")` triples in the same pre-order
-    /// `explain` renders — the cost-model half of
+    /// The per-operator EXPLAIN lines, in the same pre-order `explain`
+    /// renders — the cost-model half of
     /// [`crate::plan::Plan::explain_analyze`], which appends measured
     /// actuals to each line.
-    pub fn annotated_lines(&self, plan: &PhysPlan) -> Vec<(usize, String, String)> {
+    pub fn annotated_lines(&self, plan: &PhysPlan) -> Vec<AnnotatedLine> {
         self.prime_observed(plan);
         let mut out = Vec::new();
         self.annotate_into(plan, 0, &mut out);
@@ -214,19 +227,21 @@ impl<'a> CostModel<'a> {
         out
     }
 
-    fn annotate_into(&self, plan: &PhysPlan, depth: usize, out: &mut Vec<(usize, String, String)>) {
+    fn annotate_into(&self, plan: &PhysPlan, depth: usize, out: &mut Vec<AnnotatedLine>) {
         let e = self.est(plan);
         let spill = self.est_spill(plan);
-        let mut annot = format!(
-            " (est_rows={}, est_cost={}",
-            e.rows.round() as u64,
-            e.cost.round() as u64,
-        );
+        let est_rows = e.rows.round() as u64;
+        let mut annot = format!(" (est_rows={est_rows}, est_cost={}", e.cost.round() as u64);
         if spill > 0.0 {
             annot.push_str(&format!(", est_spill={}", spill.round() as u64));
         }
         annot.push(')');
-        out.push((depth, plan.node_line(), annot));
+        out.push(AnnotatedLine {
+            depth,
+            node: plan.node_line(),
+            annot,
+            est_rows,
+        });
         for child in plan.children() {
             self.annotate_into(child, depth + 1, out);
         }

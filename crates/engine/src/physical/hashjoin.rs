@@ -50,8 +50,7 @@
 use super::columnar::{take_row, ProbeInput};
 use super::exchange::{duplicate_free, run_workers, segment_scan, Segment, Share};
 use super::operator::{
-    drain_raw, drain_rows, drain_to_set, BoxOp, Buffered, ExecCtx, ExecOptions, Operator,
-    BATCH_SIZE,
+    drain_raw, drain_rows, drain_to_set, BoxOp, Buffered, ExecCtx, Operator, BATCH_SIZE,
 };
 use super::spill_exec::{self, MergeCursor};
 use super::{Partitioning, PhysPlan};
@@ -62,7 +61,7 @@ use oodb_adl::expr::{Expr, JoinKind};
 use oodb_catalog::{Database, Table};
 use oodb_spill::{MemoryBudget, SpillMetrics};
 use oodb_value::fxhash::FxHashMap;
-use oodb_value::{Batch, BatchKind, ColumnarBatch, Name, Set, Value};
+use oodb_value::{Batch, BatchKind, Name, Set, Value};
 use std::borrow::{Borrow, Cow};
 
 /// The two supported membership predicate shapes.
@@ -461,22 +460,6 @@ impl JoinSpec {
         let row = RowMatches { matched, group };
         let none = ProbeInput::Rows(&[]);
         self.finish_row(row, &mut Some(Cow::Owned(x)), &none, 0, out)
-    }
-
-    /// The columnar view of a one-table build, when the vectorized probe
-    /// applies: a residual-free equi inner/semi/anti join under
-    /// `vectorize`, over batchable build rows.
-    fn indexed(&self, tables: &BuildSide, opts: &ExecOptions) -> Option<IndexedBuild> {
-        match (tables, &self.mode) {
-            (
-                BuildSide::Equi(t),
-                JoinMode::Join {
-                    kind: JoinKind::Inner | JoinKind::Semi | JoinKind::Anti,
-                    ..
-                },
-            ) if opts.vectorize && self.residual.is_none() && t.len() == 1 => t[0].indexed(),
-            _ => None,
-        }
     }
 }
 
@@ -963,91 +946,6 @@ impl<V: Borrow<Value>> JoinHashTable<V> {
     }
 }
 
-/// A columnar re-materialization of an in-memory [`JoinHashTable`]:
-/// the build rows flattened into one [`ColumnarBatch`] plus a
-/// key → row-index multimap over it. Probing produces
-/// (probe-selection, build-gather-indices) pairs materialized
-/// column-at-a-time through [`ColumnarBatch::gather`] /
-/// [`ColumnarBatch::filter`] instead of boxed row concatenation, so
-/// residual-free equi-join output never leaves columnar form.
-struct IndexedBuild {
-    cb: ColumnarBatch,
-    map: FxHashMap<Vec<Value>, Vec<usize>>,
-}
-
-impl JoinHashTable<Value> {
-    /// The columnar view of this table's build rows, or `None` when
-    /// they do not form a uniform block of primitive-typed tuples. No
-    /// counters are charged — the build itself was already counted;
-    /// this only re-shapes it.
-    fn indexed(&self) -> Option<IndexedBuild> {
-        let mut rows = Vec::new();
-        let mut map: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
-        for (key, bucket) in &self.map {
-            let start = rows.len();
-            rows.extend(bucket.iter().cloned());
-            map.insert(key.clone(), (start..rows.len()).collect());
-        }
-        let cb = ColumnarBatch::try_new(rows).ok()?;
-        Some(IndexedBuild { cb, map })
-    }
-}
-
-impl IndexedBuild {
-    /// Probes one batch entirely in columnar form, when it is columnar
-    /// and `join`'s bound left keys read straight off its key columns
-    /// (the spec is one [`JoinSpec::indexed`] accepted): inner joins
-    /// gather matching (probe, build) row pairs and concatenate them
-    /// column-wise; semi/anti joins reduce to a selection mask over the
-    /// probe batch.
-    ///
-    /// Returns `None` for any other batch, or when the output schemas
-    /// collide (`concat` fails); the caller then probes the same batch
-    /// through the row path, which reports the exact reference error —
-    /// so `hash_probes` is charged here only on success, and the
-    /// counter totals stay identical to a pure row-probe run.
-    fn probe_columnar(&self, join: &BoundJoin, batch: &Batch, stats: &mut Stats) -> Option<Batch> {
-        let (Batch::Columnar(probe), JoinFamily::Equi { .. }, JoinMode::Join { kind, .. }) =
-            (batch, &join.spec.family, &join.spec.mode)
-        else {
-            return None;
-        };
-        let key_cols = ProbeInput::from(batch).key_columns(&join.left)?;
-        let mut key: Vec<Value> = Vec::with_capacity(key_cols.len());
-        let out = match kind {
-            JoinKind::Semi | JoinKind::Anti => {
-                let want = matches!(kind, JoinKind::Semi);
-                let keep: Vec<bool> = (0..probe.len())
-                    .map(|i| {
-                        key.clear();
-                        key.extend(key_cols.iter().map(|c| c.value_at(i)));
-                        self.map.contains_key(&key) == want
-                    })
-                    .collect();
-                Batch::Columnar(probe.filter(&keep))
-            }
-            JoinKind::Inner => {
-                let (mut pidx, mut bidx) = (Vec::new(), Vec::new());
-                for i in 0..probe.len() {
-                    key.clear();
-                    key.extend(key_cols.iter().map(|c| c.value_at(i)));
-                    if let Some(matches) = self.map.get(&key) {
-                        for &j in matches {
-                            pidx.push(i);
-                            bidx.push(j);
-                        }
-                    }
-                }
-                Batch::Columnar(probe.gather(&pidx).concat(&self.cb.gather(&bidx))?)
-            }
-            // outer padding introduces `Null`s no primitive column holds
-            JoinKind::LeftOuter => return None,
-        };
-        stats.hash_probes += probe.len() as u64;
-        Some(out)
-    }
-}
-
 /// A built hash table for membership joins: right rows are stored once
 /// and indexed by key (for `RightInLeftSet`, `rkey(y)`; for
 /// `LeftInRightSet`, every element of `rset(y)`). Row *indices* in the
@@ -1267,12 +1165,10 @@ impl JoinInput {
 /// build side drains through the canonical-set breaker and is hashed
 /// into one table (a loop keeps the drained rows; an index join has no
 /// build side and only checks its extent and index); then the probe
-/// side streams, one left batch per `next_batch` (residual-free equi
-/// inner/semi/anti joins probe columnar batches in columnar form under
-/// `vectorize`). A sort-merge join drains both sides instead, sorts them
-/// into the runs of one [`MergeCursor`] (spilled runs under a bounded
-/// budget), and streams the merge, one chunk of key groups per
-/// `next_batch`.
+/// side streams, one left batch per `next_batch`. A sort-merge join
+/// drains both sides instead, sorts them into the runs of one
+/// [`MergeCursor`] (spilled runs under a bounded budget), and streams
+/// the merge, one chunk of key groups per `next_batch`.
 ///
 /// **dop > 1** (hash families only) runs build and probe on the worker
 /// pool. `dop` build workers each take a share of the build side,
@@ -1306,12 +1202,7 @@ enum JoinState {
     /// Build side not yet drained.
     Pending,
     /// dop 1 with an in-memory build: probe batches stream against it.
-    Probing {
-        build: BuildSide,
-        /// The columnar view of the build, when the columnar probe
-        /// applies (see [`JoinSpec::indexed`]).
-        indexed: Option<IndexedBuild>,
-    },
+    Probing(BuildSide),
     /// A sort-merge join: the merge cursor over both sides' sorted runs
     /// emits output a chunk at a time.
     Merging(Box<MergeCursor>),
@@ -1362,10 +1253,7 @@ impl JoinOp {
         };
         Ok(match built {
             Built::Spilled(rows) => JoinState::Done(Buffered::new(rows)),
-            Built::Side(build) if self.dop == 1 => JoinState::Probing {
-                indexed: self.join.spec.indexed(&build, &ctx.opts),
-                build,
-            },
+            Built::Side(build) if self.dop == 1 => JoinState::Probing(build),
             Built::Side(build) => JoinState::Done(Buffered::new(self.probe_parallel(&build, ctx)?)),
         })
     }
@@ -1520,31 +1408,20 @@ impl Operator for JoinOp {
         if matches!(self.state, JoinState::Pending) {
             self.state = self.start(ctx)?;
         }
-        let (build, indexed) = match &mut self.state {
+        let build = match &mut self.state {
             JoinState::Done(buf) => return Ok(buf.next_chunk(BatchKind::Row)),
             JoinState::Merging(merge) => {
                 let mut cx = self.join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
                 let out = merge.next_chunk(&self.join, BATCH_SIZE, &mut cx)?;
                 return Ok(out.map(Batch::from_rows));
             }
-            JoinState::Probing { build, indexed } => (&*build, indexed.as_ref()),
+            JoinState::Probing(build) => &*build,
             JoinState::Pending => unreachable!("started above"),
         };
         loop {
             let Some(batch) = self.left.op.next_batch(ctx)? else {
                 return Ok(None);
             };
-            // Columnar fast path: output via gather, never building boxed
-            // rows. `None` falls through to the row probe, which reports
-            // the reference error and charges the counters itself.
-            if let Some(out) =
-                indexed.and_then(|ib| ib.probe_columnar(&self.join, &batch, ctx.stats))
-            {
-                if out.is_empty() {
-                    continue;
-                }
-                return Ok(Some(out));
-            }
             let mut cx = self.join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
             let out = self.join.probe(build, (&batch).into(), &mut cx)?;
             if !out.is_empty() {
@@ -1583,7 +1460,7 @@ pub(crate) fn with_group(x: &Value, as_attr: &Name, group: Vec<Value>) -> Result
 mod tests {
     use super::*;
     use crate::eval::Evaluator;
-    use crate::physical::operator::{ResultStream, BATCH_SIZE};
+    use crate::physical::operator::{ExecOptions, ResultStream, BATCH_SIZE};
     use crate::plan::PlannerConfig;
     use oodb_adl::dsl::*;
     use oodb_catalog::fixtures::{figure3_db, supplier_part_db};

@@ -68,18 +68,18 @@ pub struct ExecOptions {
     /// into per-worker shares by the exchanges.
     pub budget: MemoryBudget,
     /// Which layout batch *sources* (scans, scalar-set streams,
-    /// round-robin exchange gathers, spilled canonical-set runs) build
-    /// their batches in — [`BatchKind::Columnar`] or the legacy boxed
-    /// rows of [`BatchKind::Row`]. Layout-preserving transforms keep
-    /// columnar batches columnar; operators that construct fresh rows
-    /// (join outputs, blocking drains) emit row batches.
+    /// round-robin exchange gathers) build their batches in —
+    /// [`BatchKind::Columnar`] or the legacy boxed rows of
+    /// [`BatchKind::Row`]. Layout-preserving transforms keep columnar
+    /// batches columnar; operators that construct fresh rows (join
+    /// outputs, blocking drains) emit row batches.
     pub batch_kind: BatchKind,
     /// Master switch for the vectorized fast paths: selection masks,
-    /// column-at-a-time transforms, columnar hash-join outputs
-    /// and the streaming ν/`Agg` group tables. `false` forces those
-    /// operators onto their row-at-a-time / drain-to-set reference
-    /// paths for differential testing. (Join probes read key columns
-    /// of a columnar batch either way; the row layout turns that off.)
+    /// column-at-a-time transforms and the streaming ν/`Agg` group
+    /// tables. `false` forces those operators onto their row-at-a-time
+    /// / drain-to-set reference paths for differential testing. (Join
+    /// probes read key columns of a columnar batch either way; the row
+    /// layout turns that off.)
     pub vectorize: bool,
     /// Capture per-operator wall-clock timings (`OpStats::timing`) in
     /// the instrumentation shim. `false` skips the monotonic-clock reads

@@ -22,6 +22,10 @@
 //!   join merges its two sides' runs into output a chunk at a time, so
 //!   its output streams under a budget too.
 //!
+//! Every spill file holds row records of one shape, the keys followed by
+//! the row; a canonical-set run is a keyed run with empty keys. The
+//! pipeline's batch layout never reaches disk.
+//!
 //! §6.2's set materialization has no spill path of its own: the
 //! `nestjoin-map` rewrite turns it into a membership nestjoin, whose
 //! build side spills through the grace hash join above like any other
@@ -57,11 +61,6 @@ pub(crate) const GRACE_FANOUT: usize = 8;
 /// whole regardless of the budget (honest grace degrades, it never
 /// loops).
 pub(crate) const MAX_GRACE_DEPTH: u32 = 4;
-
-/// Rows per spilled column block. Bounds the k-way merge's residency:
-/// each run's reader holds at most one decoded block, so the merge
-/// keeps `runs × SPILL_BLOCK_ROWS` rows resident instead of whole runs.
-pub(crate) const SPILL_BLOCK_ROWS: usize = 128;
 
 /// The partition a hashed key routes to at a recursion level. Levels are
 /// remixed so recursion redistributes instead of re-creating the parent
@@ -820,7 +819,6 @@ pub(crate) fn budgeted_canonical_set(
     ctx: &mut ExecCtx<'_, '_>,
 ) -> Result<Set, EvalError> {
     let budget = ctx.opts.budget.clone();
-    let batch_kind = ctx.opts.batch_kind;
     let mut buf: Vec<Value> = Vec::new();
     let mut bytes = 0usize;
     let mut mgr: Option<SpillManager> = None;
@@ -830,26 +828,12 @@ pub(crate) fn budgeted_canonical_set(
             bytes += encoded_size(&v);
             buf.push(v);
             if budget.exceeded_by(bytes) {
-                let mut rows = std::mem::take(&mut buf);
-                rows.sort();
-                rows.dedup();
+                buf.sort();
+                buf.dedup();
                 let m = mgr.get_or_insert_with(|| SpillManager::new(&budget));
                 let mut w = m.writer()?;
-                // Runs persist in the pipeline's batch layout: columnar
-                // mode serializes each run as length-prefixed column
-                // blocks (dictionaries written once per block), row
-                // mode as the legacy row-by-row records. Readers are
-                // transparent to the difference, so the k-way merge
-                // below is unchanged. Blocks are **bounded** at
-                // SPILL_BLOCK_ROWS rows: a reader buffers one decoded
-                // block, and the merge holds one block per run — a
-                // whole-run block would re-materialize every run at
-                // merge time, exactly the residency the budget exists
-                // to prevent.
-                while !rows.is_empty() {
-                    let tail = rows.split_off(rows.len().min(SPILL_BLOCK_ROWS));
-                    w.write_batch(&oodb_value::Batch::of(batch_kind, rows))?;
-                    rows = tail;
+                for v in buf.drain(..) {
+                    write_keyed(&mut w, &[], &v)?;
                 }
                 writers.push(w);
                 bytes = 0;
@@ -879,4 +863,70 @@ pub(crate) fn budgeted_canonical_set(
     // already sorted and unique, but go through the canonical
     // constructor so the invariant is enforced in one place
     Ok(Set::from_values(out))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::eval::{Env, Evaluator};
+    use crate::physical::operator::{ExecOptions, Operator};
+    use oodb_catalog::fixtures::supplier_part_db;
+    use oodb_value::{Batch, BatchKind};
+
+    /// A source that hands out fixed batches in the context's layout.
+    struct Chunks(Vec<Vec<Value>>);
+
+    impl Operator for Chunks {
+        fn open(&mut self, _: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
+            Ok(())
+        }
+
+        fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
+            Ok((!self.0.is_empty()).then(|| Batch::of(ctx.opts.batch_kind, self.0.remove(0))))
+        }
+
+        fn close(&mut self, _: &mut ExecCtx<'_, '_>) {}
+    }
+
+    #[test]
+    fn canonical_set_runs_dedupe_across_runs() {
+        // two of three rows recur in several budget-sized runs (and
+        // within them); every third row occurs once, so a lost run shows
+        let rows: Vec<Value> = (0..120)
+            .map(|i| {
+                let k = if i % 3 == 0 { 1000 + i } else { i % 13 };
+                Value::tuple([("k", Value::Int(k)), ("s", Value::str(&format!("v-{k}")))])
+            })
+            .collect();
+        let db = supplier_part_db();
+        let root = std::env::temp_dir().join(format!("oodb-canonical-runs-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let mut spilled = Vec::new();
+        for batch_kind in [BatchKind::Columnar, BatchKind::Row] {
+            let mut stats = Stats::new();
+            let mut ctx = ExecCtx {
+                ev: Evaluator::new(&db),
+                env: Env::new(),
+                stats: &mut stats,
+                opts: ExecOptions {
+                    budget: MemoryBudget::bytes(256).with_spill_dir(&root),
+                    batch_kind,
+                    vectorize: true,
+                    timing: false,
+                },
+            };
+            let mut op: BoxOp = Box::new(Chunks(rows.chunks(16).map(<[_]>::to_vec).collect()));
+            let mut local = SpillMetrics::default();
+            let set = budgeted_canonical_set(&mut op, &mut local, &mut ctx).unwrap();
+            assert_eq!(set, Set::from_values(rows.clone()), "{batch_kind:?}");
+            assert!(local.partitions >= 3, "{batch_kind:?}: {local:?}");
+            assert!(stats.spill_bytes > 0, "{batch_kind:?}");
+            spilled.push(stats.spill_bytes);
+            let left: Vec<_> = std::fs::read_dir(&root).unwrap().collect();
+            assert!(left.is_empty(), "{batch_kind:?}: {left:?}");
+        }
+        // runs are row records whatever the pipeline's batch layout
+        assert_eq!(spilled[0], spilled[1]);
+        std::fs::remove_dir(&root).unwrap();
+    }
 }

@@ -148,14 +148,13 @@ pub struct PlannerConfig {
     /// identical under either — only the memory layout changes.
     pub batch_kind: BatchKind,
     /// Whether the streaming pipeline takes its vectorized fast paths
-    /// (selection masks, column-at-a-time transforms, columnar join
-    /// outputs, streaming ν/`Agg` group tables). `false` forces those
-    /// operators onto their row-at-a-time / drain-to-set reference
-    /// paths. The
-    /// `OODB_VECTORIZE` environment variable supplies the process
-    /// default (`on` unless set to `off`); results, operator row totals
-    /// and classic work counters are identical either way — only the
-    /// evaluation strategy changes.
+    /// (selection masks, column-at-a-time transforms, streaming
+    /// ν/`Agg` group tables). `false` forces those operators onto their
+    /// row-at-a-time / drain-to-set reference paths; join probes read
+    /// key columns either way. The `OODB_VECTORIZE` environment variable
+    /// supplies the process default (`on` unless set to `off`);
+    /// results, operator row totals and classic work counters are
+    /// identical either way — only the evaluation strategy changes.
     pub vectorize: bool,
     /// Join-*order* search over inner equi-join chains (the cost model
     /// alone only picks the best *algorithm* per join, in whatever
@@ -360,36 +359,30 @@ impl Plan<'_> {
             text.push('\n');
         }
         let mut ops = Vec::new();
-        for (ord, ((depth, node, est_annot), label)) in lines.iter().zip(&labels).enumerate() {
+        for (ord, (line, label)) in lines.iter().zip(&labels).enumerate() {
             let actual = by_node.get(&ord);
-            let est_rows = est_annot
-                .split("est_rows=")
-                .nth(1)
-                .and_then(|s| s.split([',', ')']).next())
-                .and_then(|s| s.trim().parse::<f64>().ok());
-            for _ in 0..*depth {
+            let est_rows = line.est_rows as f64;
+            for _ in 0..line.depth {
                 text.push_str("  ");
             }
-            text.push_str(node);
-            text.push_str(est_annot);
+            text.push_str(&line.node);
+            text.push_str(&line.annot);
             if let Some((rows, timing)) = actual {
                 text.push_str(&format!(
                     " (actual_rows={rows}, actual_ms={:.3}, first_ms={:.3}",
                     timing.total_ms(),
                     timing.first_ms()
                 ));
-                if let Some(est) = est_rows {
-                    // Symmetric over/under-estimate factor, 1-row floors
-                    // so empty streams don't divide by zero.
-                    let est = est.max(1.0);
-                    let act = (*rows as f64).max(1.0);
-                    text.push_str(&format!(", err={:.1}x", est.max(act) / est.min(act)));
-                }
+                // Symmetric over/under-estimate factor, 1-row floors so
+                // empty streams don't divide by zero.
+                let est = est_rows.max(1.0);
+                let act = (*rows as f64).max(1.0);
+                text.push_str(&format!(", err={:.1}x", est.max(act) / est.min(act)));
                 text.push(')');
             }
             ops.push(AnalyzedOp {
                 label: label.clone(),
-                est_rows,
+                est_rows: Some(est_rows),
                 actual_rows: actual.map(|(rows, _)| *rows),
                 actual_ns: actual.map(|(_, timing)| timing.total_ns()),
                 first_ns: actual.map(|(_, timing)| timing.first_ns),

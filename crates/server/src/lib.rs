@@ -617,7 +617,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                 shared.metrics.plan_misses.inc();
                 let started = std::time::Instant::now();
                 let rewrite = rec.span("rewrite", || {
-                    Optimizer::default()
+                    Optimizer
                         .optimize(nested, db.catalog())
                         .map_err(ServerError::Rewrite)
                 })?;
@@ -808,7 +808,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
         oodb_oosql::typecheck(&query, db.catalog()).map_err(ServerError::Type)?;
         let nested =
             oodb_translate::translate(&query, db.catalog()).map_err(ServerError::Translate)?;
-        let rewrite = Optimizer::default()
+        let rewrite = Optimizer
             .optimize(&nested, db.catalog())
             .map_err(ServerError::Rewrite)?;
         let plan = server

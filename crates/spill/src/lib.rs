@@ -13,7 +13,8 @@
 //!   hands out partition [`SpillWriter`]s/[`SpillReader`]s. Records are
 //!   fixed-arity rows of [`Value`]s, each value encoded with the
 //!   canonical binary [`oodb_value::codec`] and length-prefixed, so
-//!   files can be written append-only and read back streaming.
+//!   files can be written append-only and read back streaming. This is
+//!   the only on-disk format: a columnar batch is spilled as its rows.
 //!
 //! Everything I/O returns [`SpillError`] (context + `std::io::Error`);
 //! the engine maps it to its own `EvalError::Io` — no spill path may
@@ -25,23 +26,13 @@
 //! of streaming `ν`.
 
 use oodb_value::codec;
-use oodb_value::{Batch, ColumnarBatch, Value};
-use std::collections::VecDeque;
+use oodb_value::Value;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Record-header sentinel marking a **column block** instead of a row
-/// record: a row record's first `u32` is its value count, which can
-/// never be `u32::MAX` (a record that large cannot exist), so readers
-/// dispatch on it unambiguously. Inside a block, a whole columnar batch
-/// of single-value rows is serialized column-wise (one length-prefixed
-/// payload per column, dictionaries written once) — the on-disk mirror
-/// of the pipeline's columnar layout.
-const COLUMN_BLOCK_MARKER: u32 = u32::MAX;
 
 /// A spill-file I/O failure, carrying what the subsystem was doing.
 #[derive(Debug)]
@@ -463,43 +454,6 @@ impl SpillWriter {
         Ok(())
     }
 
-    /// Appends a whole batch of **single-value rows** (each batch row
-    /// becomes one arity-1 record). Columnar batches are written as one
-    /// column block — whole columns, length-prefixed, dictionaries once
-    /// — instead of row-by-row values; row batches fall back to plain
-    /// records. [`SpillReader::next_record`] is transparent to the
-    /// difference. A reader buffers one decoded block at a time, so
-    /// callers writing large runs should hand this bounded batches
-    /// (the engine chunks canonical-set runs at `SPILL_BLOCK_ROWS`);
-    /// one giant block would be re-materialized whole on first read.
-    pub fn write_batch(&mut self, batch: &Batch) -> Result<(), SpillError> {
-        match batch {
-            Batch::Columnar(cb) if !cb.is_empty() => {
-                self.buf.clear();
-                self.buf
-                    .extend_from_slice(&COLUMN_BLOCK_MARKER.to_le_bytes());
-                let start = self.buf.len();
-                self.buf.extend_from_slice(&[0, 0, 0, 0]);
-                cb.encode_into(&mut self.buf);
-                let len = (self.buf.len() - start - 4) as u32;
-                self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-                self.out
-                    .write_all(&self.buf)
-                    .map_err(|e| SpillError::io("write column block", e))?;
-                self.rows += cb.len() as u64;
-                self.bytes += self.buf.len() as u64;
-                Ok(())
-            }
-            Batch::Columnar(_) => Ok(()),
-            Batch::Rows(rows) => {
-                for v in rows {
-                    self.write_record(std::slice::from_ref(v))?;
-                }
-                Ok(())
-            }
-        }
-    }
-
     /// Records written so far.
     pub fn rows(&self) -> u64 {
         self.rows
@@ -525,21 +479,16 @@ impl SpillWriter {
             path,
             input: BufReader::new(file),
             remaining: rows,
-            pending: VecDeque::new(),
         })
     }
 }
 
 /// Streaming reader of row records; deletes its file when dropped.
-/// Column blocks (see [`SpillWriter::write_batch`]) are decoded whole
-/// and drained row by row, so callers see a uniform record stream.
 #[derive(Debug)]
 pub struct SpillReader {
     path: PathBuf,
     input: BufReader<File>,
     remaining: u64,
-    /// Rows decoded from the current column block, not yet handed out.
-    pending: VecDeque<Value>,
 }
 
 impl SpillReader {
@@ -553,31 +502,7 @@ impl SpillReader {
         if self.remaining == 0 {
             return Ok(None);
         }
-        if let Some(v) = self.pending.pop_front() {
-            self.remaining -= 1;
-            return Ok(Some(vec![v]));
-        }
         let n = self.read_u32()? as usize;
-        if n as u32 == COLUMN_BLOCK_MARKER {
-            let len = self.read_u32()? as usize;
-            let mut payload = vec![0u8; len];
-            self.input
-                .read_exact(&mut payload)
-                .map_err(|e| SpillError::io("read column block", e))?;
-            let cb = ColumnarBatch::decode(&payload).map_err(|e| SpillError {
-                context: "decode column block",
-                message: e.to_string(),
-            })?;
-            self.pending = cb.to_rows().into();
-            let Some(v) = self.pending.pop_front() else {
-                return Err(SpillError {
-                    context: "decode column block",
-                    message: "empty column block".into(),
-                });
-            };
-            self.remaining -= 1;
-            return Ok(Some(vec![v]));
-        }
         self.remaining -= 1;
         let mut row = Vec::with_capacity(n);
         let mut payload = Vec::new();

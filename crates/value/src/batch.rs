@@ -26,11 +26,11 @@
 //!   hands out the stored tuples (a borrow or an `Arc` clone); any other
 //!   batch materializes the row from its columns.
 //! * Sharing: the column list and each column sit behind an `Arc`, so
-//!   cloning a batch is a reference-count bump, and projection, renaming
-//!   and concatenation copy names and pointers, never column data.
-//! * Spill codec: [`ColumnarBatch::encode_into`] / [`ColumnarBatch::decode`]
+//!   cloning a batch is a reference-count bump, and projection and
+//!   renaming copy names and pointers, never column data.
+//! * Wire codec: [`ColumnarBatch::encode_into`] / [`ColumnarBatch::decode`]
 //!   serialize whole column blocks (length-prefixed per column) instead
-//!   of row-by-row values — the on-disk mirror of the in-memory layout.
+//!   of row-by-row values — the wire protocol's columnar CHUNK format.
 //!
 //! Row order is preserved exactly in every conversion, so the two
 //! layouts are observationally equivalent (the row/columnar differential
@@ -185,48 +185,6 @@ impl Column {
             }
             Column::Interned { ids, dict } => {
                 let (ids, dict) = sel_dict(ids, keep, dict);
-                Column::Interned { ids, dict }
-            }
-        }
-    }
-
-    /// The rows at `idx`, in `idx` order. Indices may repeat (an inner
-    /// join emits one output row per match) and need not be ordered.
-    /// Interned kinds re-map their dictionary to the entries the
-    /// gathered rows actually reference, like [`Column::filter`].
-    fn gather(&self, idx: &[usize]) -> Column {
-        fn pick<T: Copy>(v: &[T], idx: &[usize]) -> Vec<T> {
-            idx.iter().map(|&i| v[i]).collect()
-        }
-        /// Gathers ids and clones only the referenced dictionary
-        /// entries, renumbered in first-reference order.
-        fn pick_dict<T: Clone>(ids: &[u32], idx: &[usize], dict: &[T]) -> (Vec<u32>, Vec<T>) {
-            let mut remap: Vec<u32> = vec![u32::MAX; dict.len()];
-            let mut new_dict = Vec::new();
-            let mut new_ids = Vec::with_capacity(idx.len());
-            for &i in idx {
-                let id = ids[i];
-                let slot = &mut remap[id as usize];
-                if *slot == u32::MAX {
-                    *slot = new_dict.len() as u32;
-                    new_dict.push(dict[id as usize].clone());
-                }
-                new_ids.push(*slot);
-            }
-            (new_ids, new_dict)
-        }
-        match self {
-            Column::Int(v) => Column::Int(pick(v, idx)),
-            Column::Float(v) => Column::Float(pick(v, idx)),
-            Column::Bool(v) => Column::Bool(pick(v, idx)),
-            Column::Date(v) => Column::Date(pick(v, idx)),
-            Column::Oid(v) => Column::Oid(pick(v, idx)),
-            Column::Str { ids, dict } => {
-                let (ids, dict) = pick_dict(ids, idx, dict);
-                Column::Str { ids, dict }
-            }
-            Column::Interned { ids, dict } => {
-                let (ids, dict) = pick_dict(ids, idx, dict);
                 Column::Interned { ids, dict }
             }
         }
@@ -515,45 +473,6 @@ impl ColumnarBatch {
         )
     }
 
-    /// The rows at `idx`, in `idx` order — the column-at-a-time gather
-    /// a columnar join output materializes through. Indices may repeat
-    /// and need not be sorted.
-    pub fn gather(&self, idx: &[usize]) -> ColumnarBatch {
-        ColumnarBatch::of_cols(
-            idx.len(),
-            self.cols
-                .iter()
-                .map(|(n, c)| (n.clone(), Arc::new(c.gather(idx))))
-                .collect(),
-        )
-    }
-
-    /// Column-wise concatenation of two same-length batches — the
-    /// columnar mirror of per-row `Tuple::concat`. `None` on a name
-    /// collision or a length mismatch; callers fall back to the row
-    /// path, which reports the exact reference error.
-    pub fn concat(&self, other: &ColumnarBatch) -> Option<ColumnarBatch> {
-        if self.len != other.len {
-            return None;
-        }
-        let mut cols: Vec<(Name, Arc<Column>)> =
-            Vec::with_capacity(self.cols.len() + other.cols.len());
-        let (mut a, mut b) = (self.cols.iter().peekable(), other.cols.iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some((na, _)), Some((nb, _))) => match na.cmp(nb) {
-                    std::cmp::Ordering::Equal => return None,
-                    std::cmp::Ordering::Less => cols.push(a.next()?.clone()),
-                    std::cmp::Ordering::Greater => cols.push(b.next()?.clone()),
-                },
-                (Some(_), None) => cols.push(a.next()?.clone()),
-                (None, Some(_)) => cols.push(b.next()?.clone()),
-                (None, None) => break,
-            }
-        }
-        Some(ColumnarBatch::of_cols(self.len, cols))
-    }
-
     /// Tuple subscription `π[attrs]` as a column selection. `None` when
     /// an attribute is missing or duplicated — the caller falls back to
     /// the row view, which reports the exact reference error.
@@ -592,7 +511,7 @@ impl ColumnarBatch {
     }
 
     // -----------------------------------------------------------------
-    // Spill codec: length-prefixed column blocks.
+    // Wire codec: length-prefixed column blocks.
 
     /// Serializes the batch as a column block: row/column counts, then
     /// each column as a length-prefixed name, a kind tag, and the
@@ -739,7 +658,7 @@ impl ColumnarBatch {
     }
 }
 
-/// Column kind tags of the spill block format.
+/// Column kind tags of the column block format.
 mod col_tag {
     pub const INT: u8 = 0;
     pub const FLOAT: u8 = 1;
@@ -1061,41 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_concat_match_row_semantics() {
-        let rows: Vec<Value> = (0..10).map(row).collect();
-        let Batch::Columnar(cb) = Batch::of(BatchKind::Columnar, rows.clone()) else {
-            panic!("columnar")
-        };
-        // gather: repeated, unsorted indices
-        let idx = [3usize, 3, 0, 7, 3, 9];
-        let g = cb.gather(&idx);
-        let want: Vec<Value> = idx.iter().map(|&i| rows[i].clone()).collect();
-        assert_eq!(g.to_rows(), want);
-        // the gathered dictionary drops unreferenced pool entries
-        match g.column("name") {
-            Some(Column::Str { dict, .. }) => assert_eq!(dict.len(), 2),
-            other => panic!("expected interned strings, got {other:?}"),
-        }
-        // concat over disjoint schemas mirrors per-row Tuple::concat
-        let left = cb.project(&[name("n")]).unwrap();
-        let right = cb.project(&[name("id"), name("name")]).unwrap();
-        let c = left.concat(&right).unwrap();
-        let want: Vec<Value> = rows
-            .iter()
-            .map(|r| {
-                let t = r.as_tuple().unwrap();
-                let l = t.subscript(&[name("n")]).unwrap();
-                let r = t.subscript(&[name("id"), name("name")]).unwrap();
-                Value::Tuple(l.concat(&r).unwrap())
-            })
-            .collect();
-        assert_eq!(c.to_rows(), want);
-        // a name collision or length mismatch defeats the fast path
-        assert!(left.concat(&left).is_none());
-        assert!(left.concat(&right.gather(&[0])).is_none());
-    }
-
-    #[test]
     fn column_blocks_roundtrip_through_the_codec() {
         let rows: Vec<Value> = (0..33)
             .map(|i| {
@@ -1218,24 +1102,13 @@ mod tests {
         };
         let copy = cb.clone();
         assert!(Arc::ptr_eq(&cb.cols, &copy.cols));
-        // projection, renaming and concatenation share the columns too
+        // projection and renaming share the columns too
         let p = cb.project(&[name("n"), name("refs")]).unwrap();
         let r = cb.rename(&[(name("n"), name("zz"))]).unwrap();
-        let c = cb
-            .project(&[name("id")])
-            .unwrap()
-            .concat(&cb.project(&[name("name")]).unwrap())
-            .unwrap();
         for (out, attr, from) in [(&p, "n", "n"), (&p, "refs", "refs"), (&r, "zz", "n")] {
             assert!(Arc::ptr_eq(
                 out.shared_column(attr).unwrap(),
                 cb.shared_column(from).unwrap()
-            ));
-        }
-        for attr in ["id", "name"] {
-            assert!(Arc::ptr_eq(
-                c.shared_column(attr).unwrap(),
-                cb.shared_column(attr).unwrap()
             ));
         }
     }
@@ -1300,20 +1173,15 @@ mod tests {
         cb.encode_into(&mut bytes);
         let derived = [
             cb.filter(&keep),
-            cb.gather(&[1, 0, 5]),
             cb.project(&[name("n")]).unwrap(),
             cb.rename(&[(name("n"), name("zz"))]).unwrap(),
-            cb.project(&[name("n")])
-                .unwrap()
-                .concat(&cb.project(&[name("id")]).unwrap())
-                .unwrap(),
             ColumnarBatch::decode(&bytes).unwrap(),
         ];
         for d in &derived {
             assert!(d.origin().is_none(), "{d:?}");
         }
         // with no origin the rows come from the columns, unchanged
-        assert_eq!(derived[5].to_rows(), cb.to_rows());
+        assert_eq!(derived[3].to_rows(), cb.to_rows());
         assert_eq!(derived[0].to_rows().len(), 10);
     }
 

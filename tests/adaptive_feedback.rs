@@ -30,9 +30,7 @@ fn plan_explain(db: &Database, stats: CatalogStats, q: &str) -> String {
     let query = oodb::oosql::parse(q).unwrap();
     oodb::oosql::typecheck(&query, db.catalog()).unwrap();
     let nested = oodb::translate::translate(&query, db.catalog()).unwrap();
-    let rewrite = Optimizer::default()
-        .optimize(&nested, db.catalog())
-        .unwrap();
+    let rewrite = Optimizer.optimize(&nested, db.catalog()).unwrap();
     let planner = Planner::with_stats(db, PlannerConfig::default(), stats);
     planner.plan(&rewrite.expr).unwrap().explain()
 }

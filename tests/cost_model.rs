@@ -32,9 +32,7 @@ fn estimated_cardinalities_within_an_order_of_magnitude() {
         ("multi_join_chain", multi_join_chain_query()),
     ];
     for (label, q) in workloads {
-        let optimized = Optimizer::default()
-            .optimize(&q, db.catalog())
-            .expect("optimize");
+        let optimized = Optimizer.optimize(&q, db.catalog()).expect("optimize");
         let planner = Planner::new(&db);
         let plan = planner.plan(&optimized.expr).expect("plan");
 
@@ -81,9 +79,7 @@ fn estimated_cardinalities_within_an_order_of_magnitude() {
 fn root_estimate_tracks_result_cardinality() {
     let db = generate(&GenConfig::scaled(800));
     for q in [query5_nested(), query6_nested(), materialize_query()] {
-        let optimized = Optimizer::default()
-            .optimize(&q, db.catalog())
-            .expect("optimize");
+        let optimized = Optimizer.optimize(&q, db.catalog()).expect("optimize");
         let plan = Planner::new(&db).plan(&optimized.expr).expect("plan");
         let est = plan.estimate().rows.max(1.0);
         let mut stats = Stats::new();

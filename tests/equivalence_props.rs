@@ -64,7 +64,7 @@ fn optimized(db: &oodb::catalog::Database, src: &str) -> Expr {
     oodb::oosql::typecheck(&query, db.catalog()).unwrap_or_else(|e| panic!("{src}: {e}"));
     let nested =
         oodb::translate::translate(&query, db.catalog()).unwrap_or_else(|e| panic!("{src}: {e}"));
-    Optimizer::default()
+    Optimizer
         .optimize(&nested, db.catalog())
         .unwrap_or_else(|e| panic!("{src}: {e}"))
         .expr
@@ -395,7 +395,7 @@ fn pushdown_shapes_in_the_corpus_reach_the_rule() {
     let db = oodb::catalog::fixtures::supplier_part_db();
     let corpus = query_corpus();
     for q in &corpus[corpus.len() - 3..] {
-        let out = Optimizer::default().optimize(q, db.catalog()).unwrap();
+        let out = Optimizer.optimize(q, db.catalog()).unwrap();
         assert!(
             out.trace.fired("join-operand-select"),
             "{q}\ntrace:\n{}",
@@ -510,7 +510,7 @@ proptest! {
     fn optimizer_preserves_semantics(config in db_config()) {
         let db = generate(&config);
         let ev = Evaluator::new(&db);
-        let opt = Optimizer::default();
+        let opt = Optimizer;
         for q in query_corpus() {
             let naive = ev.eval_closed(&q).expect("naive evaluation succeeds");
             let rewritten = opt.optimize(&q, db.catalog()).expect("optimize succeeds");
@@ -584,7 +584,7 @@ proptest! {
     #[test]
     fn parallel_plans_preserve_semantics(config in db_config(), dop in 2usize..8) {
         let db = generate(&config);
-        let opt = Optimizer::default();
+        let opt = Optimizer;
         let mk = |parallelism: usize| PlannerConfig {
             parallelism,
             parallel_threshold: 0,
@@ -617,7 +617,7 @@ proptest! {
     #[test]
     fn spilling_preserves_semantics(config in db_config(), budget in 64usize..2048, dop in 2usize..6) {
         let db = generate(&config);
-        let opt = Optimizer::default();
+        let opt = Optimizer;
         let mk = |memory_budget: usize, parallelism: usize| PlannerConfig {
             memory_budget,
             parallelism,
@@ -660,7 +660,7 @@ proptest! {
     #[test]
     fn batch_layouts_agree(config in db_config()) {
         let db = generate(&config);
-        let opt = Optimizer::default();
+        let opt = Optimizer;
         let mk = |batch_kind: BatchKind, parallelism: usize, memory_budget: usize| PlannerConfig {
             batch_kind,
             parallelism,
@@ -736,7 +736,7 @@ proptest! {
             },
         );
         // the rewritten (nestjoin) plan under the random budget
-        let rewritten = Optimizer::default()
+        let rewritten = Optimizer
             .optimize(&q, db.catalog())
             .expect("optimize")
             .expr;

@@ -156,9 +156,7 @@ fn render(db: &Database) -> String {
         ("adl multi_join_chain", multi_join_chain_query()),
     ];
     for (label, q) in workloads {
-        let rewritten = Optimizer::default()
-            .optimize(&q, db.catalog())
-            .expect("optimize");
+        let rewritten = Optimizer.optimize(&q, db.catalog()).expect("optimize");
         for cfg in grid() {
             out.push_str(&header(label, &cfg));
             let plan = Planner::with_config(db, cfg)

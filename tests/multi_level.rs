@@ -17,7 +17,7 @@ use oodb::value::Value;
 
 fn check_equiv(e: &Expr) -> oodb::core::Optimized {
     let db = supplier_part_db();
-    let out = Optimizer::default().optimize(e, db.catalog()).unwrap();
+    let out = Optimizer.optimize(e, db.catalog()).unwrap();
     let ev = Evaluator::new(&db);
     assert_eq!(
         ev.eval_closed(&out.expr).unwrap(),
@@ -28,7 +28,7 @@ fn check_equiv(e: &Expr) -> oodb::core::Optimized {
     // also via the physical planner on a generated database
     let big = generate(&GenConfig::scaled(200));
     let ev2 = Evaluator::new(&big);
-    let out2 = Optimizer::default().optimize(e, big.catalog()).unwrap();
+    let out2 = Optimizer.optimize(e, big.catalog()).unwrap();
     let planner = Planner::new(&big);
     let mut stats = Stats::new();
     let planned = planner
@@ -275,7 +275,7 @@ fn empty_database_edge_cases() {
     ];
     for q in queries {
         let direct = ev.eval_closed(&q).unwrap();
-        let out = Optimizer::default().optimize(&q, db.catalog()).unwrap();
+        let out = Optimizer.optimize(&q, db.catalog()).unwrap();
         assert_eq!(ev.eval_closed(&out.expr).unwrap(), direct);
         let planner = Planner::new(&db);
         let mut stats = Stats::new();

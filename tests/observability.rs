@@ -47,9 +47,7 @@ fn config(timing: bool, dop: usize, budget: usize, batch_kind: BatchKind) -> Pla
 }
 
 fn run(db: &Database, cfg: PlannerConfig, q: &oodb::adl::Expr) -> (oodb::value::Value, Stats) {
-    let optimized = Optimizer::default()
-        .optimize(q, db.catalog())
-        .expect("optimize");
+    let optimized = Optimizer.optimize(q, db.catalog()).expect("optimize");
     let planner = Planner::with_stats(db, cfg, CatalogStats::from_database(db));
     let plan = planner.plan(&optimized.expr).expect("plan");
     let mut stats = Stats::new();
@@ -108,9 +106,7 @@ fn timing_flag_never_changes_results_or_counters() {
 fn explain_analyze_actuals_match_stats_exactly() {
     let db = scaled_db(400);
     let q = multi_join_chain_query();
-    let optimized = Optimizer::default()
-        .optimize(&q, db.catalog())
-        .expect("optimize");
+    let optimized = Optimizer.optimize(&q, db.catalog()).expect("optimize");
     for dop in [1usize, 4] {
         let planner = Planner::with_stats(
             &db,
@@ -180,9 +176,7 @@ fn explain_analyze_actuals_match_stats_exactly() {
 fn explain_analyze_first_batch_time_is_part_of_the_total() {
     let db = scaled_db(400);
     for q in [multi_join_chain_query(), query5_nested()] {
-        let optimized = Optimizer::default()
-            .optimize(&q, db.catalog())
-            .expect("optimize");
+        let optimized = Optimizer.optimize(&q, db.catalog()).expect("optimize");
         for dop in [1usize, 4] {
             let planner = Planner::with_stats(
                 &db,
@@ -234,9 +228,7 @@ fn explain_analyze_child_time_never_exceeds_its_parent() {
         ("join_sd", join_supplier_delivery_query()),
     ];
     for (label, q) in &queries {
-        let optimized = Optimizer::default()
-            .optimize(q, db.catalog())
-            .expect("optimize");
+        let optimized = Optimizer.optimize(q, db.catalog()).expect("optimize");
         let planner = Planner::with_stats(
             &db,
             config(true, 2, 0, BatchKind::Columnar),

@@ -38,7 +38,7 @@ use proptest::prelude::*;
 /// point under both the columnar default and the legacy row layout —
 /// the layout may change cache behavior, never the answer. The
 /// `vectorize` axis runs every point with the vectorized fast paths
-/// (selection masks, columnar join outputs, streaming ν/`Agg`)
+/// (selection masks, column-at-a-time transforms, streaming ν/`Agg`)
 /// on and off — the strategy may change throughput, never the answer
 /// nor the classic work counters.
 fn full_grid() -> Vec<PlannerConfig> {
@@ -154,9 +154,7 @@ fn adl_section7_workloads_agree_across_the_full_grid() {
     ];
     for (label, q) in workloads {
         let (reference, _) = run_naive(&db, &q);
-        let optimized = Optimizer::default()
-            .optimize(&q, db.catalog())
-            .expect("optimize");
+        let optimized = Optimizer.optimize(&q, db.catalog()).expect("optimize");
         for cfg in full_grid() {
             // materialized execution never batches; once per point
             if cfg.batch_kind == BatchKind::Columnar {
@@ -379,10 +377,7 @@ fn materialization_strategies_agree_under_any_budget() {
     let db = grid_db(80);
     let q = materialize_query();
     let (reference, _) = run_naive(&db, &q);
-    let rewritten = Optimizer::default()
-        .optimize(&q, db.catalog())
-        .expect("optimize")
-        .expr;
+    let rewritten = Optimizer.optimize(&q, db.catalog()).expect("optimize").expr;
     for (expr, op) in [(&q, "Map"), (&rewritten, "MemberNestJoin")] {
         for memory_budget in [0usize, 64 << 10, 4 << 10] {
             for parallelism in [1usize, 2] {
@@ -437,7 +432,7 @@ fn forced_algorithms_stay_forced() {
     ];
     // The `order=` check below is live: the cost-based planner reorders
     // the join chain on this database.
-    let chain = Optimizer::default()
+    let chain = Optimizer
         .optimize(&multi_join_chain_query(), db.catalog())
         .expect("optimize");
     let cheapest = Planner::new(&db).plan(&chain.expr).expect("plan");
@@ -457,9 +452,7 @@ fn forced_algorithms_stay_forced() {
             })
             .collect();
         for q in &workloads {
-            let optimized = Optimizer::default()
-                .optimize(q, db.catalog())
-                .expect("optimize");
+            let optimized = Optimizer.optimize(q, db.catalog()).expect("optimize");
             let plan = Planner::with_config(&db, cfg.clone())
                 .plan(&optimized.expr)
                 .expect("plan");

@@ -28,7 +28,7 @@ fn rewriting_example_1_set_membership() {
         table("X"),
     );
     let db = figure12_db();
-    let out = Optimizer::default().optimize(&e, db.catalog()).unwrap();
+    let out = Optimizer.optimize(&e, db.catalog()).unwrap();
 
     // the paper's three steps, in order:
     let rules = out.trace.rule_sequence();
@@ -71,7 +71,7 @@ fn rewriting_example_2_set_inclusion() {
         table("X"),
     );
     let db = figure12_db();
-    let out = Optimizer::default().optimize(&e, db.catalog()).unwrap();
+    let out = Optimizer.optimize(&e, db.catalog()).unwrap();
 
     let rules = out.trace.rule_sequence();
     let pos = |name: &str| rules.iter().position(|r| *r == name).unwrap_or(usize::MAX);
@@ -135,7 +135,7 @@ fn rewriting_example_3_exchanging_quantifiers() {
             ),
         ])])),
     );
-    let out = Optimizer::default().optimize(&e, db.catalog()).unwrap();
+    let out = Optimizer.optimize(&e, db.catalog()).unwrap();
     let rules = out.trace.rule_sequence();
     // the ⊇ row of Table 1 fires, ∀ normalizes to ¬∃, double negation
     // cancels, and the base-table quantifier is exchanged outward
@@ -200,7 +200,7 @@ fn table2_row4_via_general_machinery() {
 /// Runs the optimizer and checks the rewrite against the nested form,
 /// through the naive evaluator and through the planned, streamed plan.
 fn optimize_checked(db: &Database, e: &Expr) -> Optimized {
-    let out = Optimizer::default().optimize(e, db.catalog()).unwrap();
+    let out = Optimizer.optimize(e, db.catalog()).unwrap();
     let ev = Evaluator::new(db);
     let reference = ev.eval_closed(e).unwrap();
     assert_eq!(ev.eval_closed(&out.expr).unwrap(), reference, "{e}");

@@ -107,7 +107,7 @@ fn adl_workloads_identical_across_budgets_and_dop() {
         ("q31", query31_nested("supplier-0")),
         ("materialize", materialize_query()),
     ];
-    let opt = Optimizer::default();
+    let opt = Optimizer;
     for (label, q) in workloads {
         let (reference, _) = run_naive(&db, &q);
         let rewritten = opt.optimize(&q, db.catalog()).expect("optimize");
@@ -284,7 +284,7 @@ fn tiny_budgets_force_grace_recursion() {
 #[test]
 fn materialization_spills_through_member_nestjoin() {
     let db = scaled_db(400);
-    let q = Optimizer::default()
+    let q = Optimizer
         .optimize(&materialize_query(), db.catalog())
         .expect("optimize")
         .expr;
@@ -363,9 +363,7 @@ fn unwritable_spill_dir_reports_io_error() {
 
     // a hash-family join whose build side must spill…
     let q = query5_nested();
-    let rewritten = Optimizer::default()
-        .optimize(&q, db.catalog())
-        .expect("optimize");
+    let rewritten = Optimizer.optimize(&q, db.catalog()).expect("optimize");
     let plan = Planner::with_config(&db, config(256, 1))
         .plan(&rewritten.expr)
         .expect("plan");

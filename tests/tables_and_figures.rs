@@ -264,9 +264,7 @@ fn figure3_nestjoin_pinned_tuple_for_tuple() {
 fn strategy_routes_figure_query_to_nestjoin() {
     use oodb::core::Optimizer;
     let db = figure12_db();
-    let out = Optimizer::default()
-        .optimize(&figure_query(), db.catalog())
-        .unwrap();
+    let out = Optimizer.optimize(&figure_query(), db.catalog()).unwrap();
     assert!(out.trace.fired("nestjoin-select"), "{}", out.trace);
     assert!(!out.trace.fired("gawo87-grouping-unsafe"));
     let ev = Evaluator::new(&db);

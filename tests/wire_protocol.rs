@@ -61,9 +61,7 @@ fn library_run(db: &Database, config: &PlannerConfig, q: &str) -> Value {
     let query = oodb::oosql::parse(q).unwrap();
     oodb::oosql::typecheck(&query, db.catalog()).unwrap();
     let nested = oodb::translate::translate(&query, db.catalog()).unwrap();
-    let rewrite = Optimizer::default()
-        .optimize(&nested, db.catalog())
-        .unwrap();
+    let rewrite = Optimizer.optimize(&nested, db.catalog()).unwrap();
     let planner = Planner::with_stats(db, config.clone(), CatalogStats::from_database(db));
     let plan = planner.plan(&rewrite.expr).unwrap();
     let mut stats = Stats::default();
