@@ -85,7 +85,13 @@ impl Database {
         catalog.validate()?;
         let mut tables = FxHashMap::default();
         for c in catalog.classes() {
-            tables.insert(c.extent.clone(), Table::new(c.identity.clone()));
+            // every set-of-oid attribute gets a reverse-reference index
+            let ref_sets = c.attrs.iter().filter_map(|(a, t)| match t {
+                Type::Set(elem) if matches!(**elem, Type::Oid(_)) => Some(a.clone()),
+                _ => None,
+            });
+            let table = Table::with_owner_indexes(c.identity.clone(), ref_sets);
+            tables.insert(c.extent.clone(), table);
         }
         Ok(Database { catalog, tables })
     }
@@ -368,6 +374,22 @@ mod tests {
         let table = db.table("PART").unwrap();
         assert_eq!(table.by_oid(oid), Some(&first));
         assert_eq!(table.len(), len + 1);
+    }
+
+    #[test]
+    fn set_of_oid_attributes_get_reverse_reference_indexes() {
+        let db = crate::fixtures::supplier_part_db();
+        let suppliers = db.table("SUPPLIER").unwrap();
+        assert!(suppliers.has_owner_index("parts"));
+        assert!(!suppliers.has_owner_index("sname"));
+        // a set of tuples is no reference set
+        assert!(!db.table("DELIVERY").unwrap().has_owner_index("supply"));
+        let holders = suppliers.owners("parts", &Value::Oid(Oid(17))).unwrap();
+        assert!(!holders.is_empty());
+        for row in suppliers.rows_at(holders) {
+            let parts = row.get("parts").unwrap().as_set().unwrap();
+            assert!(parts.contains(&Value::Oid(Oid(17))));
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! * [`Catalog`] — the schema: classes indexed by class name and by extent
 //!   name;
 //! * [`Table`] — an extent: tuples plus an oid → row index (the *physical
-//!   pointer* map every `deref` of §6.2's materialization goes through);
+//!   pointer* map every `deref` of §6.2's materialization goes through),
+//!   secondary hash indexes, and an element → owners index on every
+//!   set-of-oid attribute;
 //! * [`Database`] — catalog plus populated extents;
 //! * [`fixtures`] — the paper's supplier–part database (§2) and the exact
 //!   example tables of Figures 1–3.

@@ -1,4 +1,5 @@
-//! Extents (base tables) with oid indexes.
+//! Extents (base tables) with their indexes: the oid index, secondary
+//! hash indexes, and reverse-reference indexes on set-of-oid attributes.
 
 use crate::CatalogError;
 use oodb_value::batch::BATCH_SIZE;
@@ -15,6 +16,22 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// scan of the extent. Set-valued attributes are stored inline with their tuple —
 /// the paper's "assuming set-valued attributes are stored clustered" (§3),
 /// which is why unnesting them is undesirable.
+///
+/// Three kinds of index sit next to the rows, and [`Table::insert`]
+/// maintains all of them:
+/// * the **oid index** (`oid → row`), always;
+/// * **secondary hash indexes** (`value → rows`), one per attribute
+///   named to [`Table::create_index`]; they back the index nested-loop
+///   join ([`Table::index_probe`]);
+/// * **reverse-reference indexes** (`element → owners`), one per
+///   set-of-oid attribute named to [`Table::with_owner_indexes`] — every
+///   such attribute of a [`crate::Database`] extent: the objects whose
+///   set holds a given oid ([`Table::owners`]). They answer `x.a ⊇ E`,
+///   `x.a = E` and `x.a ∋ e` by intersecting posting lists instead of
+///   reading the extent.
+///
+/// Both probes return ascending row positions, which
+/// [`Table::rows_at`] turns into rows without copying a list.
 ///
 /// Readers see the extent as a canonical [`Set`] (the *snapshot*, see
 /// [`Table::as_set`]) cut into [`BATCH_SIZE`]-row scan chunks (see
@@ -38,6 +55,9 @@ pub struct Table {
     /// back the *index nested-loop join* the paper lists among the join
     /// implementations unnesting makes available (§6).
     secondary: FxHashMap<Name, FxHashMap<Value, Vec<usize>>>,
+    /// Reverse-reference indexes: set-of-oid attribute → (element → the
+    /// ascending positions of the rows whose set holds it).
+    owners: FxHashMap<Name, FxHashMap<Oid, Vec<usize>>>,
     /// Monotonic write counter: bumped by every successful [`Table::insert`]
     /// and [`Table::create_index`]. Caches keyed on query results (the
     /// server's plan/result caches) stamp entries with the versions of the
@@ -175,11 +195,21 @@ impl std::iter::Sum for SnapshotWork {
 impl Table {
     /// An empty table whose rows carry their oid in attribute `identity`.
     pub fn new(identity: Name) -> Self {
+        Table::with_owner_indexes(identity, [])
+    }
+
+    /// An empty table that keeps a reverse-reference index on each of
+    /// `attrs`, set-of-oid attributes every row must carry.
+    pub fn with_owner_indexes(identity: Name, attrs: impl IntoIterator<Item = Name>) -> Self {
         Table {
             identity,
             rows: Vec::new(),
             oid_index: FxHashMap::default(),
             secondary: FxHashMap::default(),
+            owners: attrs
+                .into_iter()
+                .map(|a| (a, FxHashMap::default()))
+                .collect(),
             version: 0,
             scan: OnceLock::new(),
             set_aside: SetAside::default(),
@@ -213,15 +243,34 @@ impl Table {
         self.secondary.contains_key(attr)
     }
 
-    /// Probes the secondary index on `attr` for `key`, yielding the
-    /// matching rows. `None` when no such index exists.
-    pub fn index_probe(&self, attr: &str, key: &Value) -> Option<Vec<&Tuple>> {
+    /// Probes the secondary index on `attr` for `key`: the ascending
+    /// positions of the matching rows (see [`Table::rows_at`]). `None`
+    /// when no such index exists.
+    pub fn index_probe(&self, attr: &str, key: &Value) -> Option<&[usize]> {
         let idx = self.secondary.get(attr)?;
-        Some(
-            idx.get(key)
-                .map(|rows| rows.iter().map(|&i| &self.rows[i]).collect())
-                .unwrap_or_default(),
-        )
+        Some(idx.get(key).map_or(&[], Vec::as_slice))
+    }
+
+    /// True if a reverse-reference index exists on `attr`.
+    pub fn has_owner_index(&self, attr: &str) -> bool {
+        self.owners.contains_key(attr)
+    }
+
+    /// Probes the reverse-reference index on `attr` for `elem`: the
+    /// ascending positions of the rows whose `attr` set holds it (see
+    /// [`Table::rows_at`]). Empty for an element no row holds, a
+    /// non-oid one included; `None` when no such index exists.
+    pub fn owners(&self, attr: &str, elem: &Value) -> Option<&[usize]> {
+        let idx = self.owners.get(attr)?;
+        Some(match elem {
+            Value::Oid(oid) => idx.get(oid).map_or(&[], Vec::as_slice),
+            _ => &[],
+        })
+    }
+
+    /// The rows at `positions`, as an index probe returns them.
+    pub fn rows_at<'a>(&'a self, positions: &'a [usize]) -> impl Iterator<Item = &'a Tuple> {
+        positions.iter().map(|&i| &self.rows[i])
     }
 
     /// Name of the identity attribute.
@@ -264,10 +313,26 @@ impl Table {
                 detail: format!("indexed attribute `{attr}` missing"),
             });
         }
+        if let Some(attr) = self
+            .owners
+            .keys()
+            .find(|attr| oid_set(&row, attr).is_none())
+        {
+            return Err(CatalogError::SchemaViolation {
+                extent: extent.clone(),
+                detail: format!("reference-set attribute `{attr}` is not a set of oids"),
+            });
+        }
         let pos = self.rows.len();
         for (attr, idx) in self.secondary.iter_mut() {
             let v = row.get(attr).expect("checked above");
             idx.entry(v.clone()).or_default().push(pos);
+        }
+        for (attr, idx) in self.owners.iter_mut() {
+            for elem in oid_set(&row, attr).expect("checked above").iter() {
+                let oid = elem.as_oid().expect("checked above");
+                idx.entry(oid).or_default().push(pos);
+            }
         }
         self.oid_index.insert(oid, pos);
         self.rows.push(row);
@@ -366,6 +431,14 @@ impl Table {
                 .clone(),
         })
     }
+}
+
+/// `row`'s `attr`, when it is a set of oids.
+fn oid_set<'r>(row: &'r Tuple, attr: &str) -> Option<&'r Set> {
+    let set = row.get(attr)?.as_set().ok()?;
+    set.iter()
+        .all(|v| matches!(v, Value::Oid(_)))
+        .then_some(set)
 }
 
 #[cfg(test)]
@@ -597,7 +670,9 @@ mod index_tests {
         t.create_index(&name("color")).unwrap();
         assert!(t.has_index("color"));
         let reds = t.index_probe("color", &Value::str("red")).unwrap();
-        assert_eq!(reds.len(), 2);
+        assert_eq!(reds, [0, 2]);
+        let pids: Vec<_> = t.rows_at(reds).map(|r| r.get("pid").unwrap()).collect();
+        assert_eq!(pids, [&Value::Oid(Oid(1)), &Value::Oid(Oid(3))]);
         let none = t.index_probe("color", &Value::str("green")).unwrap();
         assert!(none.is_empty());
         assert!(t.index_probe("nope", &Value::str("red")).is_none());
@@ -611,5 +686,67 @@ mod index_tests {
         t.insert(&name("PART"), row(2, "red")).unwrap();
         let reds = t.index_probe("color", &Value::str("red")).unwrap();
         assert_eq!(reds.len(), 2);
+    }
+}
+
+#[cfg(test)]
+mod owner_index_tests {
+    use super::*;
+    use oodb_value::name;
+
+    fn supplier(eid: u64, parts: &[u64]) -> Tuple {
+        Tuple::from_pairs([
+            ("eid", Value::Oid(Oid(eid))),
+            (
+                "parts",
+                Value::set(parts.iter().map(|&p| Value::Oid(Oid(p)))),
+            ),
+        ])
+    }
+
+    fn table(rows: &[(u64, &[u64])]) -> Table {
+        let mut t = Table::with_owner_indexes(name("eid"), [name("parts")]);
+        for &(eid, parts) in rows {
+            t.insert(&name("SUPPLIER"), supplier(eid, parts)).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn owners_are_ascending_positions_kept_by_insert() {
+        let mut t = table(&[(1, &[10, 11]), (2, &[]), (3, &[11])]);
+        assert!(t.has_owner_index("parts"));
+        assert!(!t.has_owner_index("eid"));
+        let oid = |o: u64| Value::Oid(Oid(o));
+        assert_eq!(t.owners("parts", &oid(11)), Some(&[0, 2][..]));
+        assert_eq!(t.owners("parts", &oid(10)), Some(&[0][..]));
+        // an element no row holds, and one that is no oid at all
+        assert_eq!(t.owners("parts", &oid(99)), Some(&[][..]));
+        assert_eq!(t.owners("parts", &Value::Int(11)), Some(&[][..]));
+        assert_eq!(t.owners("eid", &oid(1)), None);
+        t.insert(&name("SUPPLIER"), supplier(4, &[11, 12])).unwrap();
+        assert_eq!(t.owners("parts", &oid(11)), Some(&[0, 2, 3][..]));
+        let eids: Vec<_> = t
+            .rows_at(t.owners("parts", &oid(12)).unwrap())
+            .map(|r| r.get("eid").unwrap().clone())
+            .collect();
+        assert_eq!(eids, [oid(4)]);
+    }
+
+    #[test]
+    fn a_row_whose_reference_set_is_not_oids_changes_nothing() {
+        let mut t = table(&[(1, &[10])]);
+        let version = t.version();
+        for parts in [Value::Int(3), Value::set([Value::Int(10)])] {
+            let bad = Tuple::from_pairs([("eid", Value::Oid(Oid(2))), ("parts", parts)]);
+            assert!(matches!(
+                t.insert(&name("SUPPLIER"), bad),
+                Err(CatalogError::SchemaViolation { .. })
+            ));
+        }
+        let missing = Tuple::from_pairs([("eid", Value::Oid(Oid(2)))]);
+        assert!(t.insert(&name("SUPPLIER"), missing).is_err());
+        assert_eq!((t.len(), t.version()), (1, version));
+        assert_eq!(t.owners("parts", &Value::Oid(Oid(10))), Some(&[0][..]));
     }
 }

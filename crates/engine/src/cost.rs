@@ -16,7 +16,7 @@
 //! expressions fall back to textbook default selectivities.
 
 use crate::physical::hashjoin::MemberShape;
-use crate::physical::{JoinFamily, JoinMode, JoinSpec, PhysPlan};
+use crate::physical::{JoinFamily, JoinMode, JoinSpec, PhysPlan, SetKey};
 use oodb_adl::expr::{conjuncts, Expr, JoinKind, SetOp};
 use oodb_adl::vars::free_vars;
 use oodb_catalog::{CatalogStats, Database};
@@ -257,7 +257,9 @@ impl<'a> CostModel<'a> {
     /// defaulted elsewhere.
     fn row_bytes(&self, plan: &PhysPlan) -> f64 {
         match plan {
-            PhysPlan::Scan(n) => self.stats.avg_row_bytes(n).unwrap_or(DEFAULT_ROW_BYTES),
+            PhysPlan::Scan(n) | PhysPlan::SetIndexScan { extent: n, .. } => {
+                self.stats.avg_row_bytes(n).unwrap_or(DEFAULT_ROW_BYTES)
+            }
             PhysPlan::Filter { input, .. }
             | PhysPlan::ProjectOp { input, .. }
             | PhysPlan::RenameOp { input, .. }
@@ -381,8 +383,9 @@ impl<'a> CostModel<'a> {
         EQ_SEL
     }
 
-    fn pred_selectivity(&self, pred: &Expr, var: &Name, input: &NodeEst) -> f64 {
-        conjuncts(pred)
+    /// Selectivity of `pred`'s conjuncts after the first `skip`.
+    fn pred_selectivity(&self, pred: &Expr, skip: usize, var: &Name, input: &NodeEst) -> f64 {
+        conjuncts(pred)[skip..]
             .iter()
             .map(|c| self.conjunct_selectivity(c, var, input))
             .product::<f64>()
@@ -434,6 +437,27 @@ impl<'a> CostModel<'a> {
                     source: Some(n.clone()),
                 }
             }
+            PhysPlan::SetIndexScan { extent, attr, key } => {
+                // One posting list holds n·avg_set_len/distinct rows; a
+                // key of several elements reads that many lists, and the
+                // intersection is at most the shortest of them.
+                let n = self.extent_rows(extent);
+                let len = self
+                    .stats
+                    .avg_set_len(extent, attr)
+                    .unwrap_or(DEFAULT_SET_LEN);
+                let ndv = self.stats.distinct(extent, attr).map_or(n, |d| d as f64);
+                let postings = (n * len / ndv.max(1.0)).min(n);
+                let probes = match key {
+                    SetKey::AllOf(_) => len,
+                    SetKey::Element(_) => 1.0,
+                };
+                NodeEst {
+                    rows: postings,
+                    cost: probes + postings,
+                    source: Some(extent.clone()),
+                }
+            }
             PhysPlan::Literal(v) => NodeEst {
                 rows: v.as_set().map(|s| s.len() as f64).unwrap_or(1.0),
                 cost: 0.0,
@@ -446,7 +470,10 @@ impl<'a> CostModel<'a> {
             },
             PhysPlan::Filter { var, pred, input } => {
                 let i = self.est(input);
-                let sel = self.pred_selectivity(pred, var, &i);
+                // a set-index scan's rows already satisfy the first
+                // conjunct, which it keyed on
+                let keyed = usize::from(matches!(**input, PhysPlan::SetIndexScan { .. }));
+                let sel = self.pred_selectivity(pred, keyed, var, &i);
                 NodeEst {
                     rows: (i.rows * sel).max(i.rows.min(1.0)),
                     cost: i.cost + i.rows,

@@ -40,8 +40,9 @@ pub enum EvalError {
     /// `NULL` reached an operator that is not null-aware (outerjoin
     /// padding escaping its intended scope).
     NullNotAllowed(&'static str),
-    /// An index nested-loop join reached an extent attribute that has no
-    /// secondary index — the planner must never emit such a plan.
+    /// An index nested-loop join or a set-index scan reached an extent
+    /// attribute that has no such index — the planner must never emit
+    /// such a plan.
     MissingIndex {
         /// The extent that was probed.
         extent: Name,
@@ -81,10 +82,7 @@ impl fmt::Display for EvalError {
                 write!(f, "NULL reached non-null-aware operator `{op}`")
             }
             EvalError::MissingIndex { extent, attr } => {
-                write!(
-                    f,
-                    "index nested-loop join over unindexed attribute `{extent}.{attr}`"
-                )
+                write!(f, "index probe of unindexed attribute `{extent}.{attr}`")
             }
             EvalError::OperatorProtocol(what) => {
                 write!(f, "streaming operator protocol violation: {what}")

@@ -721,7 +721,7 @@ impl BoundJoin {
             let candidates = table.index_probe(attr, &key).unwrap_or_default();
             if !candidates.is_empty() {
                 let x = xc.get_or_insert_with(|| probe.row_at(i));
-                for t in candidates {
+                for t in table.rows_at(candidates) {
                     let y = Value::Tuple(t.clone());
                     if !self.candidate(x, &y, &mut row, &mut out, cx)? {
                         break;

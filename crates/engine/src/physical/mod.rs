@@ -10,6 +10,9 @@
 //!   keys for predicates like `p.pid ∈ s.parts`), a sort-merge join, an
 //!   index nested-loop join, or a nested loop (the fallback for
 //!   arbitrary predicates, and the Cartesian product).
+//! * [`set_index`] — the set-index scan ([`PhysPlan::SetIndexScan`]):
+//!   a selection on `x.a ⊇ E`, `x.a = E` or `x.a ∋ e` reads the rows an
+//!   extent's reverse-reference index names instead of the extent.
 //!
 //! [`PhysPlan`] is the operator tree; [`PhysPlan::execute_on`] runs it.
 
@@ -17,6 +20,7 @@ pub mod columnar;
 pub mod exchange;
 pub mod hashjoin;
 pub mod operator;
+pub mod set_index;
 pub(crate) mod spill_exec;
 
 use crate::eval::{aggregate, nest_set, unnest_set, Env, EvalError, Evaluator};
@@ -25,6 +29,7 @@ pub use hashjoin::{JoinFamily, JoinMode, JoinSpec};
 use oodb_adl::expr::{AggOp, Expr, SetOp};
 use oodb_catalog::Database;
 use oodb_value::{Name, Set, Value};
+pub use set_index::SetKey;
 
 /// How an [`PhysPlan::Exchange`] distributes its input across workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +58,19 @@ pub enum Partitioning {
 pub enum PhysPlan {
     /// Base table scan.
     Scan(Name),
+    /// Set-index scan: the rows of `extent` whose set-of-oid attribute
+    /// `attr` can satisfy `key`, read off the extent's reverse-reference
+    /// index (see [`set_index`]). The planner puts one only under a
+    /// `Filter` whose first conjunct it answers; the filter re-checks
+    /// every row it emits.
+    SetIndexScan {
+        /// The extent read.
+        extent: Name,
+        /// The reverse-indexed attribute.
+        attr: Name,
+        /// What each row's set must hold.
+        key: SetKey,
+    },
     /// A constant.
     Literal(Value),
     /// Fallback: interpret an expression with the reference evaluator.
@@ -225,6 +243,9 @@ impl PhysPlan {
                 stats.rows_scanned += t.len() as u64;
                 Ok(t.as_set_value())
             }
+            PhysPlan::SetIndexScan { extent, attr, key } => {
+                set_index::exec(extent, attr, key, ev, env, stats)
+            }
             PhysPlan::Literal(v) => Ok(v.clone()),
             PhysPlan::Eval(e) => ev.eval(e, env, stats),
             PhysPlan::Filter { var, pred, input } => {
@@ -344,6 +365,9 @@ impl PhysPlan {
     pub fn node_line(&self) -> String {
         match self {
             PhysPlan::Scan(n) => format!("Scan {n}"),
+            PhysPlan::SetIndexScan { extent, attr, key } => {
+                format!("SetIndexScan {extent}.{attr} {key}")
+            }
             PhysPlan::Literal(_) => "Literal".into(),
             PhysPlan::Eval(e) => format!("Eval {e}"),
             PhysPlan::Filter { pred, .. } => format!("Filter [{pred}]"),
@@ -381,7 +405,10 @@ impl PhysPlan {
     /// of a node are children.
     pub fn children(&self) -> Vec<&PhysPlan> {
         match self {
-            PhysPlan::Scan(_) | PhysPlan::Literal(_) | PhysPlan::Eval(_) => vec![],
+            PhysPlan::Scan(_)
+            | PhysPlan::SetIndexScan { .. }
+            | PhysPlan::Literal(_)
+            | PhysPlan::Eval(_) => vec![],
             PhysPlan::Filter { input, .. }
             | PhysPlan::MapOp { input, .. }
             | PhysPlan::ProjectOp { input, .. }
@@ -403,7 +430,10 @@ impl PhysPlan {
     /// [`PhysPlan::children`].
     pub fn children_mut(&mut self) -> Vec<&mut PhysPlan> {
         match self {
-            PhysPlan::Scan(_) | PhysPlan::Literal(_) | PhysPlan::Eval(_) => vec![],
+            PhysPlan::Scan(_)
+            | PhysPlan::SetIndexScan { .. }
+            | PhysPlan::Literal(_)
+            | PhysPlan::Eval(_) => vec![],
             PhysPlan::Filter { input, .. }
             | PhysPlan::MapOp { input, .. }
             | PhysPlan::ProjectOp { input, .. }

@@ -1096,6 +1096,9 @@ impl PhysPlan {
                 parts,
                 next: None,
             }),
+            PhysPlan::SetIndexScan { extent, attr, key } => {
+                Box::new(super::set_index::SetIndexScanOp::new(extent, attr, key))
+            }
             PhysPlan::Literal(v) => Box::new(ScalarOp {
                 kind: ScalarKind::Literal(v.clone()),
                 done: false,
@@ -1194,6 +1197,7 @@ impl PhysPlan {
     pub fn op_label(&self) -> String {
         match self {
             PhysPlan::Scan(n) => format!("Scan({n})"),
+            PhysPlan::SetIndexScan { extent, attr, .. } => format!("SetIndexScan({extent}.{attr})"),
             PhysPlan::Literal(_) => "Literal".into(),
             PhysPlan::Eval(_) => "Eval".into(),
             PhysPlan::Filter { .. } => "Filter".into(),

@@ -860,9 +860,9 @@ pub(crate) fn budgeted_canonical_set(
         }
     }
     account(local, ctx.stats, &mgr);
-    // already sorted and unique, but go through the canonical
-    // constructor so the invariant is enforced in one place
-    Ok(Set::from_values(out))
+    Set::from_sorted(out).ok_or(EvalError::OperatorProtocol(
+        "spilled runs merged out of canonical order",
+    ))
 }
 
 #[cfg(test)]
@@ -891,7 +891,9 @@ mod tests {
     #[test]
     fn canonical_set_runs_dedupe_across_runs() {
         // two of three rows recur in several budget-sized runs (and
-        // within them); every third row occurs once, so a lost run shows
+        // within them); every third row occurs once, so a lost run shows.
+        // The merged rows go through `Set::from_sorted`, so a duplicate
+        // the merge lets through fails the drain.
         let rows: Vec<Value> = (0..120)
             .map(|i| {
                 let k = if i % 3 == 0 { 1000 + i } else { i % 13 };

@@ -11,7 +11,12 @@
 //!   membership hash — with nested loops always among them;
 //! * lowering is otherwise structural: every ADL operator becomes its
 //!   physical counterpart, so a join-shaped plan is chosen nowhere but
-//!   in that one candidate list. The materialization patterns of §6.2
+//!   in that one candidate list. The one access-path choice is a
+//!   selection over an extent whose first conjunct asks a
+//!   reverse-indexed set for what an expression free of the row gives
+//!   (`x.a ⊇ E`, `x.a = E`, `x.a ∋ e`, …): its input becomes a
+//!   [`PhysPlan::SetIndexScan`] (see [`crate::physical::set_index`]).
+//!   The materialization patterns of §6.2
 //!   (`α[x : x except (a = σ[y : key(y) ∈ x.a](T))](X)` and
 //!   `α[x : x except (a = deref(x.a))](X)`) are ordinary correlated maps
 //!   here; the `nestjoin-map` rewrite turns the set pattern into a
@@ -29,6 +34,7 @@
 use crate::cost::{CostModel, Estimate};
 use crate::physical::hashjoin::MemberShape;
 use crate::physical::operator::ExecOptions;
+use crate::physical::set_index::set_index_key;
 use crate::physical::{exchange, JoinFamily, JoinMode, JoinSpec, Partitioning, PhysPlan};
 use crate::stats::{OpTiming, Stats};
 use oodb_adl::expr::{conjuncts, Expr, JoinKind};
@@ -569,7 +575,7 @@ impl<'a> Planner<'a> {
             Expr::Select { var, pred, input } => PhysPlan::Filter {
                 var: var.clone(),
                 pred: (**pred).clone(),
-                input: Box::new(self.lower(input)?),
+                input: Box::new(self.select_input(var, pred, input)?),
             },
             Expr::Map { var, body, input } => PhysPlan::MapOp {
                 var: var.clone(),
@@ -649,6 +655,20 @@ impl<'a> Planner<'a> {
             // Scalar or irreducible expressions: reference evaluator.
             other => PhysPlan::Eval(other.clone()),
         })
+    }
+
+    /// The input of `σ[var : pred](input)`: a set-index scan when `input`
+    /// is an extent whose reverse-reference index answers `pred`'s first
+    /// conjunct (see [`crate::physical::set_index`]), else its lowering.
+    fn select_input(&self, var: &Name, pred: &Expr, input: &Expr) -> Result<PhysPlan, PlanError> {
+        if let Expr::Table(extent) = input {
+            let table = self.db.table(extent);
+            if let Some((attr, key)) = table.and_then(|t| set_index_key(pred, var, t)) {
+                let extent = extent.clone();
+                return Ok(PhysPlan::SetIndexScan { extent, attr, key });
+            }
+        }
+        self.lower(input)
     }
 
     /// The padding schema for a left outer join.

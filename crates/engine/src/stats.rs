@@ -23,7 +23,8 @@ pub struct Stats {
     pub hash_probes: u64,
     /// Pointer dereferences through an oid index (`deref`).
     pub oid_lookups: u64,
-    /// Secondary-index probes (index nested-loop join).
+    /// Index probes: a secondary-index probe of an index nested-loop
+    /// join, or a posting-list lookup of a set-index scan.
     pub index_probes: u64,
     /// Batches whose filter predicate evaluated as a selection mask
     /// over the batch's columns (either mask tier) instead of row by

@@ -38,6 +38,16 @@ impl Set {
         }
     }
 
+    /// Builds a set from elements in canonical (strictly increasing)
+    /// order, checked in one pass and never sorted; `None` when they are
+    /// out of order or repeat one. For producers that sort and dedupe on
+    /// their own, such as a merge of sorted runs.
+    pub fn from_sorted(elems: Vec<Value>) -> Option<Self> {
+        elems.windows(2).all(|w| w[0] < w[1]).then(|| Set {
+            elems: elems.into(),
+        })
+    }
+
     /// Builds a set from elements already in canonical (strictly
     /// increasing) order — the codec's path, which checks the order it
     /// reads. Debug builds verify the invariant.
@@ -250,6 +260,15 @@ mod tests {
     fn construction_sorts_and_dedups() {
         assert_eq!(ints(&[3, 1, 2, 1, 3]), ints(&[1, 2, 3]));
         assert_eq!(ints(&[3, 1, 2, 1]).len(), 3);
+    }
+
+    #[test]
+    fn from_sorted_checks_strict_order() {
+        let vals = |vs: &[i64]| vs.iter().map(|v| Value::Int(*v)).collect::<Vec<_>>();
+        assert_eq!(Set::from_sorted(vals(&[1, 2, 3])), Some(ints(&[1, 2, 3])));
+        assert_eq!(Set::from_sorted(Vec::new()), Some(Set::empty()));
+        assert_eq!(Set::from_sorted(vals(&[1, 2, 2])), None);
+        assert_eq!(Set::from_sorted(vals(&[2, 1])), None);
     }
 
     #[test]
