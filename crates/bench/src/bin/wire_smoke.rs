@@ -5,11 +5,13 @@
 //! send burst before reading anything — the protocol's core promises
 //! (tag-correct routing, streamed chunks that decode to exactly the
 //! library result, END totals that match what arrived) are all asserted
-//! on the way back. Two repeats of one query must be result-cache hits
-//! that send identical CHUNK bytes, counted by
-//! `oodb_wire_cached_chunks_total`. A deliberate error and a `METRICS`
-//! request at the end make the error-code and uniform-verb paths part of
-//! the smoke.
+//! on the way back. Every CHUNK body, live or cached, must be one row
+//! block of the value codec: `codec::decode_rows` must read from it the
+//! rows `wire::decode_chunk` returns, so a second chunk encoding fails
+//! here. Two repeats of one query must be result-cache hits that send
+//! identical CHUNK bytes, counted by `oodb_wire_cached_chunks_total`. A
+//! deliberate error and a `METRICS` request at the end make the
+//! error-code and uniform-verb paths part of the smoke.
 //! Exits non-zero if any step fails.
 
 use std::net::TcpStream;
@@ -18,7 +20,7 @@ use std::sync::Arc;
 use oodb_datagen::{generate, GenConfig};
 use oodb_server::wire::{self, verb, WireClient};
 use oodb_server::{net, ErrorCode, ServerConfig};
-use oodb_value::{Set, Value};
+use oodb_value::{codec, Set, Value};
 
 const QUERIES: [&str; 4] = [
     "select d from d in DELIVERY where exists x in d.supply : x.part.color = \"red\"",
@@ -29,12 +31,18 @@ const QUERIES: [&str; 4] = [
      where exists x in s.parts : not (exists p in PART : x = p.pid)",
 ];
 
-/// One QUERY, frame by frame: the HEADER flags and the raw CHUNK
-/// bodies, checked against the END totals.
-fn chunk_bodies(client: &mut WireClient<TcpStream>, tag: u32, text: &str) -> (u8, Vec<Vec<u8>>) {
-    client
-        .send(tag, verb::QUERY, text.as_bytes())
-        .expect("send QUERY");
+/// The rows of one CHUNK body, which must be exactly one row block of
+/// the value codec.
+fn chunk_rows(body: &[u8]) -> Vec<Value> {
+    let rows = wire::decode_chunk(body).expect("decode CHUNK");
+    let block = codec::decode_rows(body).expect("CHUNK body is not a row block");
+    assert_eq!(block, rows, "the row codec reads other rows from a CHUNK");
+    rows
+}
+
+/// One QUERY response, frame by frame: the HEADER flags and the raw
+/// CHUNK bodies, checked against the END totals.
+fn read_chunk_bodies(client: &mut WireClient<TcpStream>, tag: u32) -> (u8, Vec<Vec<u8>>) {
     let mut flags = None;
     let mut bodies = Vec::new();
     loop {
@@ -47,13 +55,27 @@ fn chunk_bodies(client: &mut WireClient<TcpStream>, tag: u32, text: &str) -> (u8
             wire::kind::HEADER => flags = Some(frame.body[0]),
             wire::kind::CHUNK => bodies.push(frame.body),
             wire::kind::END => {
-                let (_, chunks) = wire::decode_end(&frame.body).expect("decode END");
+                let (rows, chunks) = wire::decode_end(&frame.body).expect("decode END");
                 assert_eq!(chunks, bodies.len() as u64, "END chunk total");
+                let received: usize = bodies.iter().map(|b| chunk_rows(b).len()).sum();
+                assert_eq!(rows, received as u64, "END row total");
                 return (flags.expect("HEADER before END"), bodies);
             }
-            other => panic!("{text:?}: unexpected frame kind {other}"),
+            wire::kind::ERROR => {
+                let (code, msg) = wire::decode_error(&frame.body).expect("decode ERROR");
+                panic!("request {tag} failed: {code} {msg}");
+            }
+            other => panic!("request {tag}: unexpected frame kind {other}"),
         }
     }
+}
+
+/// Sends one QUERY and reads its response ([`read_chunk_bodies`]).
+fn chunk_bodies(client: &mut WireClient<TcpStream>, tag: u32, text: &str) -> (u8, Vec<Vec<u8>>) {
+    client
+        .send(tag, verb::QUERY, text.as_bytes())
+        .expect("send QUERY");
+    read_chunk_bodies(client, tag)
 }
 
 fn main() {
@@ -75,11 +97,9 @@ fn main() {
 
     // Responses come back in request order, each echoing its tag.
     let mut results = Vec::new();
-    for (i, q) in QUERIES.iter().enumerate() {
-        let (flags, rows) = client
-            .read_query_response(10 + i as u32)
-            .expect("read pipelined response")
-            .unwrap_or_else(|(code, msg)| panic!("query {q:?} failed: {code} {msg}"));
+    for i in 0..QUERIES.len() {
+        let (flags, bodies) = read_chunk_bodies(&mut client, 10 + i as u32);
+        let rows: Vec<Value> = bodies.iter().flat_map(|b| chunk_rows(b)).collect();
         assert_eq!(
             flags & wire::flags::SCALAR,
             0,
@@ -106,10 +126,7 @@ fn main() {
         0,
         "repeat missed result cache"
     );
-    let rows: Vec<Value> = first_hit
-        .iter()
-        .flat_map(|body| wire::decode_chunk(body).expect("decode cached chunk"))
-        .collect();
+    let rows: Vec<Value> = first_hit.iter().flat_map(|b| chunk_rows(b)).collect();
     assert_eq!(
         Value::Set(Set::from_values(rows)).to_string(),
         results[0],

@@ -66,13 +66,14 @@ pub(crate) fn row_column<'a>(e: &BoundExpr, cb: &'a ColumnarBatch) -> Option<&'a
 /// each batch the leaves bind to its columns, and one of three tiers
 /// runs:
 ///
-/// 1. **Bitmask** — no leaf can error on any row (primitive columns are
-///    constructor-uniform and never hold `NULL`, so one witness
-///    comparison per leaf decides this). Leaves evaluate whole columns
-///    in chunk-friendly loops (`i64`/`f64` specializations), `AND`
+/// 1. **Bitmask** — no leaf can error on any row (primitive and string
+///    columns are constructor-uniform and never hold `NULL`, so one
+///    witness comparison per leaf decides this). Leaves evaluate whole
+///    columns in chunk-friendly loops (`i64`/`f64`/string
+///    specializations that compare values in place), `AND`
 ///    short-circuits when its left mask is all-false and `OR` when
 ///    all-true.
-/// 2. **Per-row tree walk** — some leaf could error (interned columns,
+/// 2. **Per-row tree walk** — some leaf could error (value columns,
 ///    `NULL` literals, uncomparable constructors). Rows evaluate in
 ///    order with the interpreter's left-to-right short-circuit, so the
 ///    first error surfaced is the reference one.
@@ -129,27 +130,23 @@ fn cmp_scalar<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
     }
 }
 
-/// An operand's unboxed values: a primitive column, or one literal for
-/// every row.
+/// An operand's values of one kind, borrowed: a column, or one literal
+/// for every row.
 enum Lane<'a, T> {
     Col(&'a [T]),
-    Const(T),
+    Const(&'a T),
 }
 
-/// Tier-1 kernel over two unboxed lanes.
-fn cmp_lanes<T: Copy + PartialOrd>(
-    op: CmpOp,
-    l: Lane<'_, T>,
-    r: Lane<'_, T>,
-    len: usize,
-) -> Vec<bool> {
+/// Tier-1 kernel over two lanes. Values are compared in place, so a
+/// string lane clones no `Arc` per row.
+fn cmp_lanes<T: PartialOrd>(op: CmpOp, l: Lane<'_, T>, r: Lane<'_, T>, len: usize) -> Vec<bool> {
     match (l, r) {
-        (Lane::Col(a), Lane::Const(c)) => a[..len].iter().map(|&x| cmp_scalar(op, x, c)).collect(),
-        (Lane::Const(c), Lane::Col(b)) => b[..len].iter().map(|&y| cmp_scalar(op, c, y)).collect(),
+        (Lane::Col(a), Lane::Const(c)) => a[..len].iter().map(|x| cmp_scalar(op, x, c)).collect(),
+        (Lane::Const(c), Lane::Col(b)) => b[..len].iter().map(|y| cmp_scalar(op, c, y)).collect(),
         (Lane::Col(a), Lane::Col(b)) => a[..len]
             .iter()
             .zip(&b[..len])
-            .map(|(&x, &y)| cmp_scalar(op, x, y))
+            .map(|(x, y)| cmp_scalar(op, x, y))
             .collect(),
         (Lane::Const(a), Lane::Const(b)) => vec![cmp_scalar(op, a, b); len],
     }
@@ -181,9 +178,9 @@ impl<'a> Operand<'a> {
     }
 
     /// A value of the constructor every row holds: the literal, or a
-    /// representative of a primitive column's constructor. `None` for
-    /// interned columns, which can hold anything, including `NULL`.
-    /// Primitive columns are constructor-uniform, so whether a
+    /// representative of a primitive or string column's constructor.
+    /// `None` for [`Column::Values`], which can hold anything, including
+    /// `NULL`. The other kinds are constructor-uniform, so whether a
     /// comparison errors is decided by one witness evaluation.
     fn witness(self) -> Option<Cow<'a, Value>> {
         let col = match self {
@@ -196,15 +193,15 @@ impl<'a> Operand<'a> {
             Column::Bool(_) => Value::Bool(false),
             Column::Date(_) => Value::Date(0),
             Column::Oid(_) => Value::Oid(Oid(0)),
-            Column::Str { .. } => Value::Str(Name::from("")),
-            Column::Interned { .. } => return None,
+            Column::Str(_) => Value::Str(Name::from("")),
+            Column::Values(_) => return None,
         }))
     }
 
     fn ints(self) -> Option<Lane<'a, i64>> {
         match self {
             Operand::Col(Column::Int(xs)) => Some(Lane::Col(xs)),
-            Operand::Lit(Value::Int(c)) => Some(Lane::Const(*c)),
+            Operand::Lit(Value::Int(c)) => Some(Lane::Const(c)),
             _ => None,
         }
     }
@@ -212,7 +209,15 @@ impl<'a> Operand<'a> {
     fn floats(self) -> Option<Lane<'a, F64>> {
         match self {
             Operand::Col(Column::Float(xs)) => Some(Lane::Col(xs)),
-            Operand::Lit(Value::Float(c)) => Some(Lane::Const(*c)),
+            Operand::Lit(Value::Float(c)) => Some(Lane::Const(c)),
+            _ => None,
+        }
+    }
+
+    fn strs(self) -> Option<Lane<'a, Name>> {
+        match self {
+            Operand::Col(Column::Str(xs)) => Some(Lane::Col(xs)),
+            Operand::Lit(Value::Str(c)) => Some(Lane::Const(c)),
             _ => None,
         }
     }
@@ -267,6 +272,9 @@ impl<'a> Mask<'a> {
                     return cmp_lanes(*op, a, b, len);
                 }
                 if let (Some(a), Some(b)) = (l.floats(), r.floats()) {
+                    return cmp_lanes(*op, a, b, len);
+                }
+                if let (Some(a), Some(b)) = (l.strs(), r.strs()) {
                     return cmp_lanes(*op, a, b, len);
                 }
                 (0..len)
@@ -442,5 +450,35 @@ mod tests {
         let probe: ProbeInput = (&rb).into();
         assert!(probe.key_columns(&[field(0, "a")]).is_none());
         assert_eq!(probe.row_at(2).as_ref(), &rows()[2]);
+    }
+
+    /// A string column is constructor-uniform and so has a witness: a
+    /// comparison over it runs whole-column (tier 1). A value column can
+    /// hold any constructor and has none.
+    #[test]
+    fn string_columns_have_a_witness_value_columns_none() {
+        let mut mixed = rows();
+        mixed.push(Value::tuple([("a", Value::Int(9)), ("s", Value::Null)]));
+        let Batch::Columnar(uniform) = Batch::of(BatchKind::Columnar, rows()) else {
+            panic!("columnar")
+        };
+        let Batch::Columnar(padded) = Batch::of(BatchKind::Columnar, mixed) else {
+            panic!("columnar")
+        };
+        let s = field(0, "s");
+        let str_col = Operand::bind(&s, &uniform).unwrap();
+        assert!(matches!(str_col, Operand::Col(Column::Str(_))));
+        assert_eq!(str_col.witness().as_deref(), Some(&Value::str("")));
+        let values_col = Operand::bind(&s, &padded).unwrap();
+        assert!(matches!(values_col, Operand::Col(Column::Values(_))));
+        assert!(values_col.witness().is_none());
+        // so `s = "lo"` is infallible over the string column only
+        let eq = BoundExpr::Cmp(
+            CmpOp::Eq,
+            Box::new(s.clone()),
+            Box::new(BoundExpr::Lit(Value::str("lo"))),
+        );
+        assert!(Mask::bind(&eq, &uniform).unwrap().infallible());
+        assert!(!Mask::bind(&eq, &padded).unwrap().infallible());
     }
 }

@@ -146,7 +146,7 @@ pub struct PlannerConfig {
     pub memory_budget: usize,
     /// Which layout the streaming pipeline ships batches in. Columnar
     /// (the default) flattens uniform tuple batches into unboxed
-    /// columns with dictionary-interned strings and nested values (see
+    /// columns, with strings and nested values stored one per row (see
     /// `oodb_value::batch`); `Row` preserves the legacy boxed-row
     /// batches. The `OODB_BATCH_KIND` environment variable supplies the
     /// process default (how CI runs a whole pass under the row layout);

@@ -47,9 +47,7 @@ use oodb_adl::expr::Expr;
 use oodb_catalog::Database;
 use oodb_core::strategy::Optimized;
 use oodb_engine::{PhysPlan, Stats, BATCH_SIZE};
-use oodb_value::{Name, Value};
-
-use crate::wire;
+use oodb_value::{codec, Name, Value};
 
 /// Extent versions at the time a cache entry was built. An entry is
 /// *current* iff every listed extent still has its recorded version.
@@ -130,8 +128,8 @@ pub struct CachedResult {
     /// then assert identical profiles whether or not a value came from
     /// the cache.
     pub profile: Stats,
-    /// `chunks[i]` holds [`wire::encode_row_chunk`] of slice `i` once a
-    /// wire reader asked for it.
+    /// `chunks[i]` holds the CHUNK body of slice `i` once a wire reader
+    /// asked for it.
     chunks: Box<[OnceLock<Box<[u8]>>]>,
 }
 
@@ -157,15 +155,15 @@ impl CachedResult {
     }
 
     /// Slice `i`'s row count and CHUNK body — exactly what
-    /// [`wire::encode_chunk`] writes for the slice as a row batch. The
-    /// first caller encodes the body; concurrent first callers race
-    /// safely and all get the one stored copy. `None` past the last
-    /// slice.
+    /// [`crate::wire::encode_chunk`] writes for a batch of the slice's
+    /// rows, in either layout: the slice as one row block. The first
+    /// caller encodes the body; concurrent first callers race safely and
+    /// all get the one stored copy. `None` past the last slice.
     pub fn chunk_body(&self, i: usize) -> Option<(usize, &[u8])> {
         let rows = self.slice(i)?;
         let body = self.chunks[i].get_or_init(|| {
             let mut body = Vec::new();
-            wire::encode_row_chunk(rows, &mut body);
+            codec::encode_rows(rows, &mut body);
             body.into_boxed_slice()
         });
         Some((rows.len(), body))

@@ -26,17 +26,17 @@
 //! `END` frame carrying row/chunk totals. The server writes each frame whole
 //! and holds HEADER back until the first CHUNK (or END/ERROR) is ready,
 //! so both leave in one write; chunks are still flushed one by one as
-//! they are encoded. Chunk bodies reuse the engine's two
-//! canonical encodings (a layout byte selects): the self-delimiting
-//! [`Value`] codec for row batches and the column-block format shared
-//! with the spill subsystem for columnar batches. Errors are `ERROR`
-//! frames carrying a stable [`ErrorCode`](crate::ErrorCode) `u16` plus a
-//! rendered message.
+//! they are encoded. A chunk body is the batch's rows as one row block
+//! of the [`Value`] codec ([`codec::encode_rows`]), the format spill
+//! files use too, whatever layout the batch had in the pipeline: a live
+//! chunk and a cached slice of the same rows are the same bytes. Errors
+//! are `ERROR` frames carrying a stable [`ErrorCode`](crate::ErrorCode)
+//! `u16` plus a rendered message.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use oodb_value::{codec, Batch, ColumnarBatch, Value, ValueError};
+use oodb_value::{codec, Batch, Value, ValueError};
 
 /// Request verbs (the `kind` byte of a client→server frame). The body
 /// is the UTF-8 query text for `QUERY`/`EXPLAIN`/`ANALYZE` and empty for
@@ -63,7 +63,8 @@ pub mod kind {
     /// Start of a query result stream; body is one flags byte
     /// ([`super::flags`]).
     pub const HEADER: u8 = 1;
-    /// One result chunk; body is a layout byte then the batch payload.
+    /// One result chunk; body is the chunk's rows as one row block
+    /// ([`oodb_value::codec::encode_rows`]).
     pub const CHUNK: u8 = 2;
     /// A whole-text response (EXPLAIN/ANALYZE/STATS/METRICS/TRACE).
     pub const TEXT: u8 = 3;
@@ -83,14 +84,6 @@ pub mod flags {
     pub const PLAN_HIT: u8 = 1 << 1;
     /// The chunks replay a memoized result-cache value.
     pub const RESULT_HIT: u8 = 1 << 2;
-}
-
-/// CHUNK layout bytes — which canonical encoding the chunk body uses.
-pub mod layout {
-    /// Row batch: [`oodb_value::codec::encode_rows`].
-    pub const ROWS: u8 = 0;
-    /// Columnar batch: [`oodb_value::ColumnarBatch::encode_into`].
-    pub const COLUMNAR: u8 = 1;
 }
 
 /// Upper bound on an accepted request frame. Requests are query text;
@@ -192,55 +185,19 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Option<Frame>> 
     }))
 }
 
-/// Encodes one pipeline batch as a CHUNK body: a layout byte, then the
-/// batch in its native encoding — no transposition, no materialized
-/// intermediate. A columnar batch without columns (rows of empty
-/// tuples) goes in row layout, so every CHUNK spends at least one byte
-/// per row and [`decode_chunk`] can bound what it materializes by the
-/// body's size.
+/// Encodes one pipeline batch as a CHUNK body: its rows as one row
+/// block ([`codec::encode_rows`]). A row batch and a scan chunk with an
+/// origin are encoded from the rows they hold, without a copy; any
+/// other columnar batch materializes its rows first.
 pub fn encode_chunk(batch: &Batch, out: &mut Vec<u8>) {
-    match batch {
-        Batch::Columnar(cb) if !cb.columns().is_empty() => {
-            out.push(layout::COLUMNAR);
-            cb.encode_into(out);
-        }
-        Batch::Columnar(cb) => encode_row_chunk(&cb.to_rows(), out),
-        Batch::Rows(rows) => encode_row_chunk(rows, out),
-    }
+    codec::encode_rows(&batch.rows(), out);
 }
 
-/// Encodes `rows` as a row-layout CHUNK body: the bytes
-/// [`encode_chunk`] writes for `Batch::from_rows(rows.to_vec())`,
-/// without the copy.
-pub fn encode_row_chunk(rows: &[Value], out: &mut Vec<u8>) {
-    out.push(layout::ROWS);
-    codec::encode_rows(rows, out);
-}
-
-/// Decodes a CHUNK body back to rows (columnar chunks are transposed on
-/// the client side — the decode direction is allowed to materialize).
-/// Malformed input is an error, never a panic or an allocation larger
-/// than the body justifies: a columnar body may not claim more rows
-/// than it has bytes.
+/// Decodes a CHUNK body back to rows. Malformed input is an error, never
+/// a panic or an allocation larger than the body justifies (the row
+/// codec caps its preallocation by the body's size).
 pub fn decode_chunk(body: &[u8]) -> Result<Vec<Value>, ValueError> {
-    let (&layout_byte, rest) = body
-        .split_first()
-        .ok_or_else(|| ValueError::Codec("empty chunk body".into()))?;
-    match layout_byte {
-        layout::ROWS => codec::decode_rows(rest),
-        layout::COLUMNAR => {
-            let cb = ColumnarBatch::decode(rest)?;
-            if cb.len() > rest.len() {
-                return Err(ValueError::Codec(format!(
-                    "columnar chunk claims {} rows in {} bytes",
-                    cb.len(),
-                    rest.len()
-                )));
-            }
-            Ok(Batch::Columnar(cb).into_values())
-        }
-        other => Err(ValueError::Codec(format!("unknown chunk layout {other}"))),
-    }
+    codec::decode_rows(body)
 }
 
 /// Encodes an END body.
@@ -547,43 +504,104 @@ mod tests {
         );
     }
 
+    /// Every CHUNK body is the row codec's block of the batch's rows,
+    /// whatever the batch's layout or origin, and a cached slice sends
+    /// the same bytes a live batch of its rows would.
     #[test]
-    fn chunk_bodies_round_trip_both_layouts() {
-        use oodb_value::BatchKind;
-        let rows = vec![
-            Value::tuple([("a", Value::Int(1)), ("b", Value::str("x"))]),
-            Value::tuple([("a", Value::Int(2)), ("b", Value::str("y"))]),
+    fn every_chunk_is_one_row_block() {
+        use crate::cache::CachedResult;
+        use oodb_value::{batch::BATCH_SIZE, BatchKind, Oid, Set, Tuple};
+        let row = |i: i64| {
+            Value::tuple([
+                ("a", Value::Int(i)),
+                ("b", Value::str(&format!("s{}", i % 3))),
+                ("c", Value::set([Value::Oid(Oid(i as u64))])),
+            ])
+        };
+        let rows: Vec<Value> = (0..10).map(row).collect();
+        let set = Set::from_values(rows.clone());
+        let mixed = vec![
+            Value::tuple([("a", Value::Int(1)), ("pad", Value::Null)]),
+            Value::tuple([("a", Value::Int(2)), ("pad", Value::str("y"))]),
+            Value::tuple([("a", Value::Int(3)), ("pad", Value::Int(7))]),
         ];
-        for kind in [BatchKind::Row, BatchKind::Columnar] {
-            let batch = Batch::of(kind, rows.clone());
+        let batches = [
+            ("rows", Batch::of(BatchKind::Row, rows.clone())),
+            ("columnar", Batch::of(BatchKind::Columnar, rows.clone())),
+            ("shared", Batch::shared(BatchKind::Columnar, &set, 2..9)),
+            ("mixed", Batch::of(BatchKind::Columnar, mixed)),
+            (
+                "empty tuples",
+                Batch::of(BatchKind::Columnar, vec![Value::Tuple(Tuple::empty()); 3]),
+            ),
+        ];
+        assert!(matches!(&batches[2].1, Batch::Columnar(cb) if cb.origin().is_some()));
+        assert!(matches!(&batches[4].1, Batch::Columnar(_)));
+        for (what, batch) in batches {
             let mut body = Vec::new();
             encode_chunk(&batch, &mut body);
-            assert_eq!(decode_chunk(&body).unwrap(), rows, "layout {kind:?}");
+            let want = batch.into_values();
+            let mut block = Vec::new();
+            codec::encode_rows(&want, &mut block);
+            assert_eq!(body, block, "{what}");
+            assert_eq!(decode_chunk(&body).unwrap(), want, "{what}");
         }
-        assert!(decode_chunk(&[]).is_err());
-        assert!(decode_chunk(&[9, 0, 0, 0, 0]).is_err());
+
+        let n = 2 * BATCH_SIZE + 5;
+        let value = Value::set((0..n as i64).map(row));
+        let cached = CachedResult::new(value, Vec::new(), Default::default());
+        let mut i = 0;
+        while let Some((len, body)) = cached.chunk_body(i) {
+            let slice = cached.slice(i).unwrap();
+            assert_eq!(len, slice.len());
+            for kind in [BatchKind::Row, BatchKind::Columnar] {
+                let mut live = Vec::new();
+                encode_chunk(&Batch::of(kind, slice.to_vec()), &mut live);
+                assert_eq!(body, &live[..], "slice {i}, {kind:?}");
+            }
+            i += 1;
+        }
+        assert_eq!(i, n.div_ceil(BATCH_SIZE));
     }
 
-    /// Rows of empty tuples are a columnar batch without columns, which
-    /// costs no bytes per row; they travel in row layout, and a columnar
-    /// body claiming more rows than bytes is refused before any row is
-    /// materialized.
+    /// Malformed CHUNK bodies are codec errors. The preallocation of
+    /// `decode_rows` is capped by the body's size, so a count of
+    /// `u32::MAX` rows allocates a few slots, not billions of them.
     #[test]
-    fn chunks_spend_a_byte_per_row() {
-        let rows = vec![Value::Tuple(oodb_value::Tuple::empty()); 3];
-        let batch = Batch::of(oodb_value::BatchKind::Columnar, rows.clone());
-        assert!(matches!(batch, Batch::Columnar(_)));
-        let mut body = Vec::new();
-        encode_chunk(&batch, &mut body);
-        let mut rows_body = Vec::new();
-        encode_row_chunk(&rows, &mut rows_body);
-        assert_eq!(body, rows_body);
-        assert_eq!(decode_chunk(&body).unwrap(), rows);
-
-        let mut hostile = vec![layout::COLUMNAR];
-        hostile.extend_from_slice(&u32::MAX.to_le_bytes()); // rows
-        hostile.extend_from_slice(&0u32.to_le_bytes()); // columns
-        assert!(matches!(decode_chunk(&hostile), Err(ValueError::Codec(_))));
+    fn hostile_chunk_bodies_are_codec_errors() {
+        let mut valid = Vec::new();
+        encode_chunk(
+            &Batch::from_rows(vec![Value::Int(1), Value::str("x")]),
+            &mut valid,
+        );
+        let mut past_the_bytes = valid.clone();
+        past_the_bytes[..4].copy_from_slice(&3u32.to_le_bytes());
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        // `u32::MAX` rows claimed, one NULL row present
+        let mut huge_count = u32::MAX.to_le_bytes().to_vec();
+        huge_count.push(0);
+        // the retired column-block shape: a layout byte, then a row count
+        let mut column_block = vec![1];
+        column_block.extend_from_slice(&u32::MAX.to_le_bytes());
+        column_block.extend_from_slice(&1u32.to_le_bytes());
+        for (what, body) in [
+            ("empty", Vec::new()),
+            ("short count", vec![1, 0]),
+            ("count past the bytes", past_the_bytes),
+            ("trailing bytes", trailing),
+            ("u32::MAX rows", huge_count),
+            ("column block", column_block),
+        ] {
+            assert!(
+                matches!(decode_chunk(&body), Err(ValueError::Codec(_))),
+                "{what}"
+            );
+        }
+        assert_eq!(
+            decode_chunk(&valid).unwrap(),
+            vec![Value::Int(1), Value::str("x")]
+        );
     }
 
     /// A row nested 100 000 sets deep is refused by the decoder's depth
@@ -593,8 +611,7 @@ mod tests {
         // `{null}` encodes as a one-element SET header plus the null
         let set_of_null = codec::encode(&Value::set([Value::Null]));
         let (header, null) = set_of_null.split_at(set_of_null.len() - 1);
-        let mut hostile = vec![layout::ROWS];
-        hostile.extend_from_slice(&1u32.to_le_bytes()); // rows
+        let mut hostile = 1u32.to_le_bytes().to_vec(); // rows
         for _ in 0..100_000 {
             hostile.extend_from_slice(header);
         }

@@ -3,9 +3,9 @@
 //! A client decodes whatever bytes arrive in a CHUNK frame, so
 //! [`wire::decode_chunk`] must answer `Ok` or `Err` for any body — never
 //! panic, and never abort on an allocation sized by a count the bytes do
-//! not back. The property starts from valid row and columnar encodings
-//! of random values and damages them: it truncates them, flips bytes in
-//! them, or overwrites a length/count word with a large value.
+//! not back. The property starts from valid encodings of random rows,
+//! batched in either layout, and damages them: it truncates them, flips
+//! bytes in them, or overwrites a length/count word with a large value.
 
 use oodb_server::wire;
 use oodb_value::{Batch, BatchKind, Oid, Value};
@@ -38,8 +38,8 @@ fn value() -> BoxedStrategy<Value> {
 }
 
 /// The rows of one chunk: tuples over the first `k` names (a uniform
-/// block, which the columnar layout takes; `k = 0` is rows of empty
-/// tuples), or arbitrary values (always row layout).
+/// block, which the columnar layout transposes; `k = 0` is rows of
+/// empty tuples), or arbitrary values (always a row batch).
 fn rows() -> impl Strategy<Value = Vec<Value>> {
     prop_oneof![
         (
@@ -62,13 +62,14 @@ enum Damage {
     Truncate(usize),
     /// XOR the byte at `at` with a non-zero mask.
     Flip(usize, u8),
-    /// Overwrite the little-endian `u32` at `at` with `word`. Offsets 1
-    /// and 5 are the row/column counts every body starts with.
+    /// Overwrite the little-endian `u32` at `at` with `word`. Offset 0
+    /// is the row count every body starts with; offset 5 is the first
+    /// row's field or element count when that row is a tuple or set.
     Count(usize, u32),
 }
 
 fn damage() -> impl Strategy<Value = Damage> {
-    let at = prop_oneof![Just(1usize), Just(5usize), any::<usize>()];
+    let at = prop_oneof![Just(0usize), Just(5usize), any::<usize>()];
     let word = prop_oneof![
         Just(u32::MAX),
         Just(1u32 << 31),

@@ -3,12 +3,11 @@
 //!
 //! The paper's whole argument is set-oriented evaluation, but a batch of
 //! boxed [`Value`]s still chases a heap pointer per attribute access.
-//! This module flattens a batch of same-schema tuples into **columns of
-//! unboxed primitives** — `i64`/`f64`/`bool`/oid vectors, dictionary-
-//! interned strings — with nested `Set`/`Tuple` values dictionary-
-//! interned into a per-batch pool, in the spirit of query shredding
-//! (Cheney, Lindley & Wadler): nested collections flatten into efficient
-//! flat representations while the algebra on top is unchanged.
+//! This module flattens a batch of same-schema tuples into **columns**:
+//! unboxed `i64`/`f64`/`bool`/oid vectors, a vector of shared strings,
+//! and one value per row for nested `Set`/`Tuple` attributes. Column
+//! fast paths read a primitive column without touching a tuple; the
+//! algebra on top is unchanged.
 //!
 //! * [`Batch`] — what operators exchange: either a legacy row batch
 //!   (`Vec<Value>`) or a [`ColumnarBatch`]. [`Batch::of`] builds the
@@ -16,8 +15,8 @@
 //!   batch is not a uniform block of tuples (scalar streams, mixed
 //!   schemas), so columnar mode is always total.
 //! * [`Column`] — one attribute's values. Primitive kinds are unboxed;
-//!   [`Column::Str`] and [`Column::Interned`] store `u32` dictionary ids
-//!   next to a per-batch pool, so equal nested values are stored once.
+//!   [`Column::Str`] holds one shared string per row; [`Column::Values`]
+//!   holds everything else (nested values, `Null` padding, mixed kinds).
 //! * Row view: [`Batch::row_at`] / [`ColumnarBatch::row`] give a single
 //!   row on demand; operators whose expression is not a simple attribute
 //!   access fall back to this view and keep exact reference semantics
@@ -28,18 +27,17 @@
 //! * Sharing: the column list and each column sit behind an `Arc`, so
 //!   cloning a batch is a reference-count bump, and projection and
 //!   renaming copy names and pointers, never column data.
-//! * Wire codec: [`ColumnarBatch::encode_into`] / [`ColumnarBatch::decode`]
-//!   serialize whole column blocks (length-prefixed per column) instead
-//!   of row-by-row values — the wire protocol's columnar CHUNK format.
+//!
+//! Batches have no byte encoding of their own: spill files and the wire
+//! protocol write a batch's rows with the row codec
+//! ([`crate::codec::encode_rows`]), whatever its layout.
 //!
 //! Row order is preserved exactly in every conversion, so the two
 //! layouts are observationally equivalent (the row/columnar differential
 //! tests depend on this).
 
-use crate::fxhash::FxHashMap;
-use crate::{codec, Name, Oid, Set, Tuple, Value, ValueError, F64};
+use crate::{Name, Oid, Set, Tuple, Value, F64};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -94,24 +92,49 @@ pub enum Column {
     Date(Vec<i64>),
     /// `Value::Oid` values.
     Oid(Vec<u64>),
-    /// `Value::Str` values, dictionary-interned: `ids[i]` indexes `dict`.
-    Str {
-        /// Per-row dictionary ids.
-        ids: Vec<u32>,
-        /// Distinct strings, in first-appearance order.
-        dict: Vec<Name>,
-    },
-    /// Everything else — nested `Set`/`Tuple` values, `Null` padding,
-    /// mixed-kind columns — dictionary-interned into a per-batch pool.
-    Interned {
-        /// Per-row dictionary ids.
-        ids: Vec<u32>,
-        /// Distinct values, in first-appearance order.
-        dict: Vec<Value>,
-    },
+    /// `Value::Str` values. A kind of its own, like the unboxed ones,
+    /// because every row holds the same constructor: a comparison with a
+    /// string column errors for all rows or for none.
+    Str(Vec<Name>),
+    /// Everything else: nested `Set`/`Tuple` values, `Null` padding and
+    /// mixed-kind columns, one value per row.
+    Values(Vec<Value>),
 }
 
 impl Column {
+    /// An empty column of the kind `v` starts, with room for `capacity`
+    /// rows.
+    fn for_value(v: &Value, capacity: usize) -> Column {
+        match v {
+            Value::Int(_) => Column::Int(Vec::with_capacity(capacity)),
+            Value::Float(_) => Column::Float(Vec::with_capacity(capacity)),
+            Value::Bool(_) => Column::Bool(Vec::with_capacity(capacity)),
+            Value::Date(_) => Column::Date(Vec::with_capacity(capacity)),
+            Value::Oid(_) => Column::Oid(Vec::with_capacity(capacity)),
+            Value::Str(_) => Column::Str(Vec::with_capacity(capacity)),
+            _ => Column::Values(Vec::with_capacity(capacity)),
+        }
+    }
+
+    /// Appends `v`, upgrading the column to [`Column::Values`] on the
+    /// first value that does not fit the kind it started with.
+    fn push(&mut self, v: Value) {
+        match (&mut *self, v) {
+            (Column::Int(xs), Value::Int(i)) => xs.push(i),
+            (Column::Float(xs), Value::Float(f)) => xs.push(f),
+            (Column::Bool(xs), Value::Bool(b)) => xs.push(b),
+            (Column::Date(xs), Value::Date(d)) => xs.push(d),
+            (Column::Oid(xs), Value::Oid(Oid(o))) => xs.push(o),
+            (Column::Str(xs), Value::Str(s)) => xs.push(s),
+            (Column::Values(xs), v) => xs.push(v),
+            (_, v) => {
+                let mut values: Vec<Value> = (0..self.len()).map(|i| self.value_at(i)).collect();
+                values.push(v);
+                *self = Column::Values(values);
+            }
+        }
+    }
+
     /// Rows in the column.
     pub fn len(&self) -> usize {
         match self {
@@ -119,7 +142,8 @@ impl Column {
             Column::Float(v) => v.len(),
             Column::Bool(v) => v.len(),
             Column::Oid(v) => v.len(),
-            Column::Str { ids, .. } | Column::Interned { ids, .. } => ids.len(),
+            Column::Str(v) => v.len(),
+            Column::Values(v) => v.len(),
         }
     }
 
@@ -128,8 +152,8 @@ impl Column {
         self.len() == 0
     }
 
-    /// Materializes row `i`'s value. Cheap for primitive kinds (a copy);
-    /// a clone of the pooled value for interned kinds.
+    /// Materializes row `i`'s value: a copy for primitive kinds, a
+    /// reference-count bump for strings, a clone for [`Column::Values`].
     pub fn value_at(&self, i: usize) -> Value {
         match self {
             Column::Int(v) => Value::Int(v[i]),
@@ -137,41 +161,19 @@ impl Column {
             Column::Bool(v) => Value::Bool(v[i]),
             Column::Date(v) => Value::Date(v[i]),
             Column::Oid(v) => Value::Oid(Oid(v[i])),
-            Column::Str { ids, dict } => Value::Str(dict[ids[i] as usize].clone()),
-            Column::Interned { ids, dict } => dict[ids[i] as usize].clone(),
+            Column::Str(v) => Value::Str(v[i].clone()),
+            Column::Values(v) => v[i].clone(),
         }
     }
 
-    /// The rows where `keep[i]` holds, preserving order. Interned kinds
-    /// re-map their dictionary to the entries surviving rows actually
-    /// reference — a selective filter must not deep-clone pooled nested
-    /// values no output row can reach.
+    /// The rows where `keep[i]` holds, preserving order.
     fn filter(&self, keep: &[bool]) -> Column {
-        fn sel<T: Copy>(v: &[T], keep: &[bool]) -> Vec<T> {
+        fn sel<T: Clone>(v: &[T], keep: &[bool]) -> Vec<T> {
             v.iter()
                 .zip(keep)
                 .filter(|(_, k)| **k)
-                .map(|(x, _)| *x)
+                .map(|(x, _)| x.clone())
                 .collect()
-        }
-        /// Selects surviving ids and clones only the referenced
-        /// dictionary entries, renumbered in first-reference order.
-        fn sel_dict<T: Clone>(ids: &[u32], keep: &[bool], dict: &[T]) -> (Vec<u32>, Vec<T>) {
-            let mut remap: Vec<u32> = vec![u32::MAX; dict.len()];
-            let mut new_dict = Vec::new();
-            let mut new_ids = Vec::new();
-            for (id, k) in ids.iter().zip(keep) {
-                if !*k {
-                    continue;
-                }
-                let slot = &mut remap[*id as usize];
-                if *slot == u32::MAX {
-                    *slot = new_dict.len() as u32;
-                    new_dict.push(dict[*id as usize].clone());
-                }
-                new_ids.push(*slot);
-            }
-            (new_ids, new_dict)
         }
         match self {
             Column::Int(v) => Column::Int(sel(v, keep)),
@@ -179,124 +181,8 @@ impl Column {
             Column::Bool(v) => Column::Bool(sel(v, keep)),
             Column::Date(v) => Column::Date(sel(v, keep)),
             Column::Oid(v) => Column::Oid(sel(v, keep)),
-            Column::Str { ids, dict } => {
-                let (ids, dict) = sel_dict(ids, keep, dict);
-                Column::Str { ids, dict }
-            }
-            Column::Interned { ids, dict } => {
-                let (ids, dict) = sel_dict(ids, keep, dict);
-                Column::Interned { ids, dict }
-            }
-        }
-    }
-}
-
-/// Accumulates one column, upgrading to the interned pool on the first
-/// value that does not fit the kind the column started with.
-enum ColumnBuilder {
-    Int(Vec<i64>),
-    Float(Vec<F64>),
-    Bool(Vec<bool>),
-    Date(Vec<i64>),
-    Oid(Vec<u64>),
-    /// `map` is the only store while building (no value is held twice);
-    /// [`ColumnBuilder::finish`] rebuilds the id-ordered dictionary.
-    /// Strings keep the std hasher: FxHash leaves the low bits of short,
-    /// similar strings (`part-0` … `part-1023`) clustered, and hashbrown
-    /// picks buckets by those bits. Nested values, hashed whole, take
-    /// FxHash.
-    Str {
-        ids: Vec<u32>,
-        map: HashMap<Name, u32>,
-    },
-    Interned {
-        ids: Vec<u32>,
-        map: FxHashMap<Value, u32>,
-    },
-}
-
-impl ColumnBuilder {
-    fn for_value(v: &Value, capacity: usize) -> ColumnBuilder {
-        match v {
-            Value::Int(_) => ColumnBuilder::Int(Vec::with_capacity(capacity)),
-            Value::Float(_) => ColumnBuilder::Float(Vec::with_capacity(capacity)),
-            Value::Bool(_) => ColumnBuilder::Bool(Vec::with_capacity(capacity)),
-            Value::Date(_) => ColumnBuilder::Date(Vec::with_capacity(capacity)),
-            Value::Oid(_) => ColumnBuilder::Oid(Vec::with_capacity(capacity)),
-            Value::Str(_) => ColumnBuilder::Str {
-                ids: Vec::with_capacity(capacity),
-                map: HashMap::new(),
-            },
-            _ => ColumnBuilder::Interned {
-                ids: Vec::with_capacity(capacity),
-                map: FxHashMap::default(),
-            },
-        }
-    }
-
-    /// Converts the values accumulated so far into an interned builder —
-    /// the upgrade path when a column turns out to be mixed-kind.
-    fn into_interned(self) -> ColumnBuilder {
-        let built = self.finish();
-        let n = built.len();
-        let mut up = ColumnBuilder::Interned {
-            ids: Vec::with_capacity(n),
-            map: FxHashMap::default(),
-        };
-        for i in 0..n {
-            up.push(built.value_at(i));
-        }
-        up
-    }
-
-    fn push(&mut self, v: Value) {
-        match (&mut *self, &v) {
-            (ColumnBuilder::Int(xs), Value::Int(i)) => xs.push(*i),
-            (ColumnBuilder::Float(xs), Value::Float(f)) => xs.push(*f),
-            (ColumnBuilder::Bool(xs), Value::Bool(b)) => xs.push(*b),
-            (ColumnBuilder::Date(xs), Value::Date(d)) => xs.push(*d),
-            (ColumnBuilder::Oid(xs), Value::Oid(Oid(o))) => xs.push(*o),
-            (ColumnBuilder::Str { ids, map }, Value::Str(_)) => {
-                let Value::Str(s) = v else { unreachable!() };
-                let next = map.len() as u32;
-                ids.push(*map.entry(s).or_insert(next));
-            }
-            (ColumnBuilder::Interned { ids, map }, _) => {
-                // one hash per row, no clone: the map is the pool until
-                // `finish` lays it out in id order
-                let next = map.len() as u32;
-                ids.push(*map.entry(v).or_insert(next));
-            }
-            // kind mismatch: upgrade everything accumulated so far
-            _ => {
-                let upgraded = std::mem::replace(self, ColumnBuilder::Int(Vec::new()));
-                *self = upgraded.into_interned();
-                self.push(v);
-            }
-        }
-    }
-
-    fn finish(self) -> Column {
-        /// Lays the interning map out as the id-ordered dictionary.
-        fn dict_of<T, S>(map: HashMap<T, u32, S>) -> Vec<T> {
-            let mut pairs: Vec<(u32, T)> = map.into_iter().map(|(v, id)| (id, v)).collect();
-            pairs.sort_unstable_by_key(|(id, _)| *id);
-            pairs.into_iter().map(|(_, v)| v).collect()
-        }
-        match self {
-            ColumnBuilder::Int(v) => Column::Int(v),
-            ColumnBuilder::Float(v) => Column::Float(v),
-            ColumnBuilder::Bool(v) => Column::Bool(v),
-            ColumnBuilder::Date(v) => Column::Date(v),
-            ColumnBuilder::Oid(v) => Column::Oid(v),
-            ColumnBuilder::Str { ids, map } => Column::Str {
-                ids,
-                dict: dict_of(map),
-            },
-            ColumnBuilder::Interned { ids, map } => Column::Interned {
-                ids,
-                dict: dict_of(map),
-            },
+            Column::Str(v) => Column::Str(sel(v, keep)),
+            Column::Values(v) => Column::Values(sel(v, keep)),
         }
     }
 }
@@ -307,9 +193,9 @@ impl ColumnBuilder {
 ///
 /// The column list and every column are shared (`Arc`), so a clone is a
 /// reference-count bump. A batch built by [`Batch::shared`] also keeps
-/// the rows it was transposed from (its *origin*); equality and the
-/// codec look at the columns only, so such a batch equals, and encodes
-/// like, the same rows built by [`Batch::of`].
+/// the rows it was transposed from (its *origin*); equality looks at
+/// the columns only, so such a batch equals the same rows built by
+/// [`Batch::of`].
 #[derive(Debug, Clone)]
 pub struct ColumnarBatch {
     len: usize,
@@ -376,23 +262,23 @@ impl ColumnarBatch {
             return None;
         }
         let len = rows.len();
-        let mut builders: Vec<ColumnBuilder> = first
+        let mut cols: Vec<Column> = first
             .iter()
-            .map(|(_, v)| ColumnBuilder::for_value(v, len))
+            .map(|(_, v)| Column::for_value(v, len))
             .collect();
         for row in rows {
             let Value::Tuple(t) = row else {
                 unreachable!("uniformity checked above")
             };
-            for (b, (_, v)) in builders.iter_mut().zip(t.iter()) {
-                b.push(v.clone());
+            for (c, (_, v)) in cols.iter_mut().zip(t.iter()) {
+                c.push(v.clone());
             }
         }
         Some(ColumnarBatch::of_cols(
             len,
             names
                 .into_iter()
-                .zip(builders.into_iter().map(|b| Arc::new(b.finish())))
+                .zip(cols.into_iter().map(Arc::new))
                 .collect(),
         ))
     }
@@ -430,11 +316,6 @@ impl ColumnarBatch {
     /// The column for `name`, if the schema has it.
     pub fn column(&self, name: &str) -> Option<&Column> {
         self.shared_column(name).map(|c| &**c)
-    }
-
-    /// The schema's columns in canonical order.
-    pub fn columns(&self) -> &[(Name, Arc<Column>)] {
-        &self.cols
     }
 
     /// Row `i` as a canonical tuple value: the stored tuple for a batch
@@ -509,222 +390,6 @@ impl ColumnarBatch {
         cols.sort_by(|a, b| a.0.cmp(&b.0));
         Some(ColumnarBatch::of_cols(self.len, cols))
     }
-
-    // -----------------------------------------------------------------
-    // Wire codec: length-prefixed column blocks.
-
-    /// Serializes the batch as a column block: row/column counts, then
-    /// each column as a length-prefixed name, a kind tag, and the
-    /// column's packed payload (dictionaries written once).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_u32(out, self.len as u32);
-        push_u32(out, self.cols.len() as u32);
-        for (name, col) in self.cols.iter() {
-            push_u32(out, name.len() as u32);
-            out.extend_from_slice(name.as_bytes());
-            match &**col {
-                Column::Int(v) => {
-                    out.push(col_tag::INT);
-                    for x in v {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                Column::Float(v) => {
-                    out.push(col_tag::FLOAT);
-                    for x in v {
-                        out.extend_from_slice(&x.get().to_bits().to_le_bytes());
-                    }
-                }
-                Column::Bool(v) => {
-                    out.push(col_tag::BOOL);
-                    out.extend(v.iter().map(|b| u8::from(*b)));
-                }
-                Column::Date(v) => {
-                    out.push(col_tag::DATE);
-                    for x in v {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                Column::Oid(v) => {
-                    out.push(col_tag::OID);
-                    for x in v {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                Column::Str { ids, dict } => {
-                    out.push(col_tag::STR);
-                    push_u32(out, dict.len() as u32);
-                    for s in dict {
-                        push_u32(out, s.len() as u32);
-                        out.extend_from_slice(s.as_bytes());
-                    }
-                    for id in ids {
-                        push_u32(out, *id);
-                    }
-                }
-                Column::Interned { ids, dict } => {
-                    out.push(col_tag::INTERNED);
-                    push_u32(out, dict.len() as u32);
-                    for v in dict {
-                        let at = out.len();
-                        push_u32(out, 0);
-                        codec::encode_into(v, out);
-                        let n = (out.len() - at - 4) as u32;
-                        out[at..at + 4].copy_from_slice(&n.to_le_bytes());
-                    }
-                    for id in ids {
-                        push_u32(out, *id);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Decodes a block produced by [`ColumnarBatch::encode_into`].
-    pub fn decode(bytes: &[u8]) -> Result<ColumnarBatch, ValueError> {
-        let mut pos = 0usize;
-        let len = read_u32(bytes, &mut pos)? as usize;
-        let ncols = read_u32(bytes, &mut pos)? as usize;
-        // A column costs at least its name length and its tag.
-        let mut cols = capped(ncols, bytes, pos, 5);
-        for _ in 0..ncols {
-            let name = read_str(bytes, &mut pos)?;
-            let tag = *bytes
-                .get(pos)
-                .ok_or_else(|| ValueError::Codec("truncated column tag".into()))?;
-            pos += 1;
-            let col = match tag {
-                col_tag::INT => Column::Int(read_i64s(bytes, &mut pos, len)?),
-                col_tag::FLOAT => {
-                    let mut v = capped(len, bytes, pos, 8);
-                    for _ in 0..len {
-                        v.push(F64::new(f64::from_bits(read_u64(bytes, &mut pos)?)));
-                    }
-                    Column::Float(v)
-                }
-                col_tag::BOOL => {
-                    let slice = codec::take(bytes, &mut pos, len)?;
-                    Column::Bool(slice.iter().map(|b| *b != 0).collect())
-                }
-                col_tag::DATE => Column::Date(read_i64s(bytes, &mut pos, len)?),
-                col_tag::OID => {
-                    let mut v = capped(len, bytes, pos, 8);
-                    for _ in 0..len {
-                        v.push(read_u64(bytes, &mut pos)?);
-                    }
-                    Column::Oid(v)
-                }
-                col_tag::STR => {
-                    let n = read_u32(bytes, &mut pos)? as usize;
-                    let mut dict = capped(n, bytes, pos, 4);
-                    for _ in 0..n {
-                        dict.push(read_str(bytes, &mut pos)?);
-                    }
-                    let ids = read_ids(bytes, &mut pos, len, n)?;
-                    Column::Str { ids, dict }
-                }
-                col_tag::INTERNED => {
-                    let n = read_u32(bytes, &mut pos)? as usize;
-                    let mut dict = capped(n, bytes, pos, 5);
-                    let mut decoder = codec::Decoder::default();
-                    for _ in 0..n {
-                        let vlen = read_u32(bytes, &mut pos)? as usize;
-                        let end = pos + vlen;
-                        let payload = bytes
-                            .get(pos..end)
-                            .ok_or_else(|| ValueError::Codec("truncated pooled value".into()))?;
-                        let (v, used) = decoder.prefix(payload)?;
-                        if used != vlen {
-                            return Err(ValueError::Codec("pooled value length mismatch".into()));
-                        }
-                        pos = end;
-                        dict.push(v);
-                    }
-                    let ids = read_ids(bytes, &mut pos, len, n)?;
-                    Column::Interned { ids, dict }
-                }
-                other => {
-                    return Err(ValueError::Codec(format!("unknown column tag {other}")));
-                }
-            };
-            cols.push((name, Arc::new(col)));
-        }
-        if pos != bytes.len() {
-            return Err(ValueError::Codec(
-                "trailing bytes after column block".into(),
-            ));
-        }
-        Ok(ColumnarBatch::of_cols(len, cols))
-    }
-}
-
-/// Column kind tags of the column block format.
-mod col_tag {
-    pub const INT: u8 = 0;
-    pub const FLOAT: u8 = 1;
-    pub const BOOL: u8 = 2;
-    pub const DATE: u8 = 3;
-    pub const OID: u8 = 4;
-    pub const STR: u8 = 5;
-    pub const INTERNED: u8 = 6;
-}
-
-// Byte-cursor helpers delegate to the value codec's primitives
-// (`codec.rs` owns them; a second implementation would let the column
-// block and value formats drift).
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    codec::push_len(out, v as usize);
-}
-
-fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, ValueError> {
-    Ok(codec::take_u32(bytes, pos)? as u32)
-}
-
-fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, ValueError> {
-    codec::take_u64(bytes, pos)
-}
-
-/// An empty vector with room for `n` items of at least `min_bytes`
-/// encoded bytes each, capped by the bytes left after `pos`: a hostile
-/// count must not allocate ahead of the bytes that back it.
-fn capped<T>(n: usize, bytes: &[u8], pos: usize, min_bytes: usize) -> Vec<T> {
-    Vec::with_capacity(n.min(bytes.len().saturating_sub(pos) / min_bytes))
-}
-
-fn read_i64s(bytes: &[u8], pos: &mut usize, n: usize) -> Result<Vec<i64>, ValueError> {
-    let mut v = capped(n, bytes, *pos, 8);
-    for _ in 0..n {
-        v.push(read_u64(bytes, pos)? as i64);
-    }
-    Ok(v)
-}
-
-fn read_str(bytes: &[u8], pos: &mut usize) -> Result<Name, ValueError> {
-    let n = codec::take_u32(bytes, pos)?;
-    let slice = codec::take(bytes, pos, n)?;
-    let s =
-        std::str::from_utf8(slice).map_err(|e| ValueError::Codec(format!("invalid utf-8: {e}")))?;
-    Ok(Name::from(s))
-}
-
-fn read_ids(
-    bytes: &[u8],
-    pos: &mut usize,
-    n: usize,
-    dict_len: usize,
-) -> Result<Vec<u32>, ValueError> {
-    let mut ids = capped(n, bytes, *pos, 4);
-    for _ in 0..n {
-        let id = read_u32(bytes, pos)?;
-        if id as usize >= dict_len {
-            return Err(ValueError::Codec(format!(
-                "dictionary id {id} out of range (pool size {dict_len})"
-            )));
-        }
-        ids.push(id);
-    }
-    Ok(ids)
 }
 
 /// One batch of rows flowing between streaming operators, in either
@@ -827,6 +492,18 @@ impl Batch {
         }
     }
 
+    /// Every row, in order: borrowed from a row batch or a columnar
+    /// batch's origin, materialized from the columns otherwise.
+    pub fn rows(&self) -> Cow<'_, [Value]> {
+        match self {
+            Batch::Rows(v) => Cow::Borrowed(v),
+            Batch::Columnar(cb) => match cb.origin_rows() {
+                Some(rows) => Cow::Borrowed(rows),
+                None => Cow::Owned(cb.to_rows()),
+            },
+        }
+    }
+
     /// Every row, in order, consuming the batch.
     pub fn into_values(self) -> Vec<Value> {
         match self {
@@ -839,7 +516,7 @@ impl Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{name, Set};
+    use crate::{codec, name, Set};
 
     fn row(i: i64) -> Value {
         Value::tuple([
@@ -861,17 +538,12 @@ mod tests {
             panic!("uniform tuples must go columnar")
         };
         assert_eq!(cb.len(), 40);
-        // unboxed primitive columns, interned strings, pooled sets
+        // unboxed primitive columns, a string column, a value column
+        // for the nested sets
         assert!(matches!(cb.column("n"), Some(Column::Int(_))));
         assert!(matches!(cb.column("id"), Some(Column::Oid(_))));
-        match cb.column("name") {
-            Some(Column::Str { dict, .. }) => assert_eq!(dict.len(), 2),
-            other => panic!("expected interned strings, got {other:?}"),
-        }
-        match cb.column("refs") {
-            Some(Column::Interned { dict, .. }) => assert_eq!(dict.len(), 3),
-            other => panic!("expected pooled sets, got {other:?}"),
-        }
+        assert!(matches!(cb.column("name"), Some(Column::Str(v)) if v.len() == 40));
+        assert!(matches!(cb.column("refs"), Some(Column::Values(v)) if v.len() == 40));
         assert_eq!(b.clone().into_values(), rows);
         for (i, want) in rows.iter().enumerate() {
             assert_eq!(b.row_at(i).as_ref(), want);
@@ -913,13 +585,15 @@ mod tests {
         let Batch::Columnar(cb) = &b else {
             panic!("uniform schema must go columnar")
         };
-        match cb.column("a") {
-            Some(Column::Interned { dict, ids }) => {
-                assert_eq!(dict.len(), 2); // 1 and "two", deduplicated
-                assert_eq!(ids, &vec![0, 1, 0]);
-            }
-            other => panic!("expected pooled column, got {other:?}"),
-        }
+        // the Int column becomes a value column at the first string
+        assert_eq!(
+            cb.column("a"),
+            Some(&Column::Values(vec![
+                Value::Int(1),
+                Value::str("two"),
+                Value::Int(1)
+            ]))
+        );
         assert_eq!(b.clone().into_values(), rows);
     }
 
@@ -939,6 +613,15 @@ mod tests {
             .map(|(r, _)| r.clone())
             .collect();
         assert_eq!(filtered.to_rows(), want);
+        // every column keeps its kind through the filter
+        for (n, c) in filtered.cols.iter() {
+            assert_eq!(
+                std::mem::discriminant(&**c),
+                std::mem::discriminant(cb.column(n).unwrap()),
+                "{n}"
+            );
+            assert_eq!(c.len(), 7, "{n}");
+        }
         // project
         let p = cb.project(&[name("n"), name("id")]).unwrap();
         let want: Vec<Value> = rows
@@ -980,86 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn column_blocks_roundtrip_through_the_codec() {
-        let rows: Vec<Value> = (0..33)
-            .map(|i| {
-                Value::tuple([
-                    ("b", Value::Bool(i % 2 == 0)),
-                    ("d", Value::Date(940101 + i)),
-                    ("f", Value::float(i as f64 / 3.0)),
-                    ("n", Value::Int(i)),
-                    ("nested", Value::set([Value::Int(i % 5), Value::str("x")])),
-                    ("s", Value::str(&format!("s{}", i % 4))),
-                ])
-            })
-            .collect();
-        let Batch::Columnar(cb) = Batch::of(BatchKind::Columnar, rows.clone()) else {
-            panic!("columnar")
-        };
-        let mut bytes = Vec::new();
-        cb.encode_into(&mut bytes);
-        let back = ColumnarBatch::decode(&bytes).unwrap();
-        assert_eq!(back, cb);
-        assert_eq!(back.to_rows(), rows);
-        // corrupt id → defined error, not a panic
-        let mut bad = bytes.clone();
-        let n = bad.len();
-        bad[n - 1] = 0xFF;
-        assert!(matches!(
-            ColumnarBatch::decode(&bad),
-            Err(ValueError::Codec(_))
-        ));
-        assert!(matches!(
-            ColumnarBatch::decode(&bytes[..bytes.len() - 2]),
-            Err(ValueError::Codec(_))
-        ));
-    }
-
-    /// A hostile row or column count is an error, not an allocation of
-    /// the size it claims: every preallocation is capped by the bytes
-    /// left to back it.
-    #[test]
-    fn hostile_counts_are_codec_errors() {
-        let mut huge_len = Vec::new();
-        push_u32(&mut huge_len, u32::MAX); // len
-        push_u32(&mut huge_len, 1); // ncols
-        push_u32(&mut huge_len, 1);
-        huge_len.push(b'a');
-        huge_len.push(col_tag::INT);
-        assert_eq!(huge_len.len(), 14);
-        let mut huge_ncols = Vec::new();
-        push_u32(&mut huge_ncols, 1);
-        push_u32(&mut huge_ncols, u32::MAX);
-        for body in [huge_len, huge_ncols] {
-            assert!(matches!(
-                ColumnarBatch::decode(&body),
-                Err(ValueError::Codec(_))
-            ));
-        }
-        // The same for every other counted column kind and dictionary.
-        for (tag, tail) in [
-            (col_tag::FLOAT, vec![]),
-            (col_tag::OID, vec![]),
-            (col_tag::DATE, vec![]),
-            (col_tag::STR, 0u32.to_le_bytes().to_vec()),
-            (col_tag::STR, u32::MAX.to_le_bytes().to_vec()),
-            (col_tag::INTERNED, u32::MAX.to_le_bytes().to_vec()),
-        ] {
-            let mut body = Vec::new();
-            push_u32(&mut body, u32::MAX);
-            push_u32(&mut body, 1);
-            push_u32(&mut body, 1);
-            body.push(b'a');
-            body.push(tag);
-            body.extend_from_slice(&tail);
-            assert!(
-                matches!(ColumnarBatch::decode(&body), Err(ValueError::Codec(_))),
-                "tag {tag}"
-            );
-        }
-    }
-
-    #[test]
     fn float_columns_keep_canonical_nan_and_zero() {
         let rows = vec![
             Value::tuple([("f", Value::float(f64::NAN))]),
@@ -1070,9 +673,6 @@ mod tests {
             panic!("columnar")
         };
         assert_eq!(cb.to_rows(), rows);
-        let mut bytes = Vec::new();
-        cb.encode_into(&mut bytes);
-        assert_eq!(ColumnarBatch::decode(&bytes).unwrap().to_rows(), rows);
     }
 
     #[test]
@@ -1083,6 +683,10 @@ mod tests {
             Value::tuple([("a", Value::Int(2)), ("pad", Value::str("y"))]),
         ];
         let b = Batch::of(BatchKind::Columnar, rows.clone());
+        assert_eq!(
+            b.column("pad"),
+            Some(&Column::Values(vec![Value::Null, Value::str("y")]))
+        );
         assert_eq!(b.into_values(), rows);
         let _ = Set::from_values(rows); // still canonicalizable downstream
     }
@@ -1150,9 +754,10 @@ mod tests {
             panic!("columnar")
         };
         assert!(pb.origin().is_none());
+        // both encode as the same row block
         let (mut x, mut y) = (Vec::new(), Vec::new());
-        cb.encode_into(&mut x);
-        pb.encode_into(&mut y);
+        codec::encode_rows(&cb.to_rows(), &mut x);
+        codec::encode_rows(&pb.to_rows(), &mut y);
         assert_eq!(x, y);
         // the row layout of a shared cut is a plain slice copy
         assert_eq!(
@@ -1169,13 +774,12 @@ mod tests {
             panic!("columnar")
         };
         let keep: Vec<bool> = (0..20).map(|i| i % 2 == 0).collect();
-        let mut bytes = Vec::new();
-        cb.encode_into(&mut bytes);
+        let all: Vec<Name> = cb.cols.iter().map(|(n, _)| n.clone()).collect();
         let derived = [
             cb.filter(&keep),
             cb.project(&[name("n")]).unwrap(),
             cb.rename(&[(name("n"), name("zz"))]).unwrap(),
-            ColumnarBatch::decode(&bytes).unwrap(),
+            cb.project(&all).unwrap(),
         ];
         for d in &derived {
             assert!(d.origin().is_none(), "{d:?}");

@@ -1,8 +1,9 @@
-//! Compact binary encoding of [`Value`]s for spill files.
+//! Compact binary encoding of [`Value`]s for spill files and the wire.
 //!
 //! The external-memory subsystem (`oodb-spill`) persists rows to disk as
-//! length-prefixed records; this module is the row payload format. The
-//! encoding is:
+//! length-prefixed records, and the wire protocol sends every result
+//! chunk as one row block ([`encode_rows`]); this module is the payload
+//! format of both. The encoding is:
 //!
 //! * **canonical** — encoding a value and decoding it yields a value that
 //!   is `==` to the original (tuples and sets keep their canonical field
@@ -112,8 +113,8 @@ pub fn encoded_row_size(t: &Tuple) -> usize {
 
 /// Encodes `rows` as a length-prefixed row block — a `u32` count
 /// followed by the concatenated self-delimiting encodings. This is the
-/// payload format of the wire protocol's row chunks: the serving layer
-/// frames each pipeline batch with this exact encoding, so the wire
+/// body of every wire CHUNK: the serving layer frames each pipeline
+/// batch and each cached slice with this exact encoding, so the wire
 /// format and the spill format share one codec.
 pub fn encode_rows(rows: &[Value], out: &mut Vec<u8>) {
     push_len(out, rows.len());
@@ -210,8 +211,7 @@ const MAX_INTERNED_NAMES: usize = 64;
 /// the engine builds nest a handful of levels deep.
 pub const MAX_DEPTH: usize = 256;
 
-/// Scratch state of one decode call: a row block, a column block's
-/// value dictionary, or one value.
+/// Scratch state of one decode call: a row block or one value.
 ///
 /// * **Field names are interned**: every tuple of the block that carries
 ///   a name shares one [`Name`] for it instead of allocating its own.

@@ -410,7 +410,7 @@ fn pushdown_shapes_in_the_corpus_reach_the_rule() {
 /// leaf `x.a ⟨cmp⟩ x.b`, composed with every connective up to three
 /// levels deep.
 fn mask_pred() -> BoxedStrategy<Expr> {
-    let leaf = (0usize..6, 0usize..4, 0i64..1_050, 0usize..5).prop_map(|(op, shape, n, s)| {
+    let leaf = (0usize..6, 0usize..5, 0i64..1_050, 0usize..5).prop_map(|(op, shape, n, s)| {
         let cmps: [fn(Expr, Expr) -> Expr; 6] = [eq, ne, lt, le, gt, ge];
         let cmp = cmps[op];
         let strs = ["red", "green", "blue", "part-3", "zzz"];
@@ -418,6 +418,7 @@ fn mask_pred() -> BoxedStrategy<Expr> {
             0 => cmp(var("p").field("price"), int(n)),
             1 => cmp(int(n), var("p").field("price")),
             2 => cmp(var("p").field("color"), str_lit(strs[s])),
+            3 => cmp(str_lit(strs[s]), var("p").field("color")),
             _ => cmp(var("p").field("color"), var("p").field("pname")),
         }
     });
