@@ -564,6 +564,45 @@ mod tests {
         assert_eq!(i, n.div_ceil(BATCH_SIZE));
     }
 
+    /// A row batch and a columnar batch of the same rows both decode
+    /// back to those rows; an empty body, or one whose count runs past
+    /// its bytes, does not decode.
+    #[test]
+    fn chunk_bodies_round_trip_both_layouts() {
+        use oodb_value::BatchKind;
+        let rows = vec![
+            Value::tuple([("a", Value::Int(1)), ("b", Value::str("x"))]),
+            Value::tuple([("a", Value::Int(2)), ("b", Value::str("y"))]),
+        ];
+        for kind in [BatchKind::Row, BatchKind::Columnar] {
+            let batch = Batch::of(kind, rows.clone());
+            let mut body = Vec::new();
+            encode_chunk(&batch, &mut body);
+            assert_eq!(decode_chunk(&body).unwrap(), rows, "layout {kind:?}");
+        }
+        assert!(decode_chunk(&[]).is_err());
+        assert!(decode_chunk(&[9, 0, 0, 0, 0]).is_err());
+    }
+
+    /// Rows of empty tuples are a columnar batch without columns, yet
+    /// each row still spends at least one byte of the body, so a body
+    /// claiming more rows than bytes is refused before any row is
+    /// materialized.
+    #[test]
+    fn chunks_spend_a_byte_per_row() {
+        let rows = vec![Value::Tuple(oodb_value::Tuple::empty()); 3];
+        let batch = Batch::of(oodb_value::BatchKind::Columnar, rows.clone());
+        assert!(matches!(batch, Batch::Columnar(_)));
+        let mut body = Vec::new();
+        encode_chunk(&batch, &mut body);
+        assert!(body.len() >= 4 + rows.len(), "{} bytes", body.len());
+        assert_eq!(decode_chunk(&body).unwrap(), rows);
+
+        let mut hostile = u32::MAX.to_le_bytes().to_vec(); // rows
+        hostile.extend_from_slice(&body[4..]);
+        assert!(matches!(decode_chunk(&hostile), Err(ValueError::Codec(_))));
+    }
+
     /// Malformed CHUNK bodies are codec errors. The preallocation of
     /// `decode_rows` is capped by the body's size, so a count of
     /// `u32::MAX` rows allocates a few slots, not billions of them.
