@@ -30,4 +30,4 @@ pub use class::ClassDef;
 pub use database::{Catalog, Database};
 pub use error::CatalogError;
 pub use stats::{AttrStats, CatalogStats, StatsCollector, TableStats};
-pub use table::{SnapshotWork, Table};
+pub use table::{OwnerIndex, SnapshotWork, Table};

@@ -28,10 +28,13 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 ///   such attribute of a [`crate::Database`] extent: the objects whose
 ///   set holds a given oid ([`Table::owners`]). They answer `x.a ⊇ E`,
 ///   `x.a = E` and `x.a ∋ e` by intersecting posting lists instead of
-///   reading the extent.
+///   reading the extent, and they find the owners of every right row
+///   of a nestjoin, semijoin or antijoin on `k(y) ∈ x.a`.
 ///
-/// Both probes return ascending row positions, which
-/// [`Table::rows_at`] turns into rows without copying a list.
+/// Both probes return ascending insertion positions, which
+/// [`Table::rows_at`] turns into rows without copying a list, and
+/// [`Table::position`] gives the position of a row read from the
+/// snapshot.
 ///
 /// Readers see the extent as a canonical [`Set`] (the *snapshot*, see
 /// [`Table::as_set`]) cut into [`BATCH_SIZE`]-row scan chunks (see
@@ -257,15 +260,26 @@ impl Table {
     }
 
     /// Probes the reverse-reference index on `attr` for `elem`: the
-    /// ascending positions of the rows whose `attr` set holds it (see
-    /// [`Table::rows_at`]). Empty for an element no row holds, a
-    /// non-oid one included; `None` when no such index exists.
+    /// ascending insertion positions of the rows whose `attr` set holds
+    /// it (see [`Table::rows_at`] and [`Table::position`]). Empty for an
+    /// element no row holds, a non-oid one included; `None` when no such
+    /// index exists.
     pub fn owners(&self, attr: &str, elem: &Value) -> Option<&[usize]> {
-        let idx = self.owners.get(attr)?;
-        Some(match elem {
-            Value::Oid(oid) => idx.get(oid).map_or(&[], Vec::as_slice),
-            _ => &[],
-        })
+        Some(self.owner_index(attr)?.owners(elem))
+    }
+
+    /// The reverse-reference index on `attr`, resolved once for a caller
+    /// that probes it many times; `None` when no such index exists.
+    pub fn owner_index(&self, attr: &str) -> Option<OwnerIndex<'_>> {
+        self.owners.get(attr).map(OwnerIndex)
+    }
+
+    /// The insertion position of the row with oid `oid`, one lookup in
+    /// the oid index: what relates a row read from the snapshot (which
+    /// is in canonical order) to the positions [`Table::owners`] and
+    /// [`Table::index_probe`] return.
+    pub fn position(&self, oid: Oid) -> Option<usize> {
+        self.oid_index.get(&oid).copied()
     }
 
     /// The rows at `positions`, as an index probe returns them.
@@ -430,6 +444,23 @@ impl Table {
                 })
                 .clone(),
         })
+    }
+}
+
+/// One reverse-reference index of a [`Table`] (see
+/// [`Table::owner_index`]).
+#[derive(Clone, Copy, Debug)]
+pub struct OwnerIndex<'t>(&'t FxHashMap<Oid, Vec<usize>>);
+
+impl<'t> OwnerIndex<'t> {
+    /// The ascending insertion positions of the rows whose set holds
+    /// `elem`; empty for an element no row holds, a non-oid one
+    /// included.
+    pub fn owners(self, elem: &Value) -> &'t [usize] {
+        match elem {
+            Value::Oid(oid) => self.0.get(oid).map_or(&[], Vec::as_slice),
+            _ => &[],
+        }
     }
 }
 

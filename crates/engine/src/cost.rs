@@ -685,6 +685,27 @@ impl<'a> CostModel<'a> {
                     io: [NO_IO; 2],
                 }
             }
+            JoinFamily::Owners { rkey, attr, .. } => {
+                let shape = MemberShape::RightInLeftSet {
+                    lset: Expr::Var(lvar.clone()).field(attr.as_ref()),
+                    rkey: rkey.clone(),
+                };
+                let (_, _, pairs, p_match) = self.member_shape_est(&shape, lvar, rvar, &l, &r);
+                FamilyEst {
+                    // no build and no hash probes: one owner lookup per
+                    // right row, one oid lookup per left row, and the
+                    // postings they read (one per matched pair)
+                    build: 0.0,
+                    probes: r.rows + l.rows,
+                    candidates: pairs,
+                    pairs,
+                    p_match,
+                    checked: pairs,
+                    // the right side drains to a canonical set, as a
+                    // loop's does
+                    io: [self.sort_io(r_bytes), NO_IO],
+                }
+            }
             JoinFamily::Loop => {
                 // every pair is iterated and the predicate evaluated;
                 // without one (the product) every pair matches

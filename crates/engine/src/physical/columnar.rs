@@ -386,6 +386,15 @@ impl<'a> ProbeInput<'a> {
         row_column(key, cb)
     }
 
+    /// The column of attribute `name`, when the input is a columnar
+    /// batch that has one.
+    pub(crate) fn column(&self, name: &str) -> Option<&'a Column> {
+        match self {
+            ProbeInput::Batch(b) => b.column(name),
+            ProbeInput::Rows(_) => None,
+        }
+    }
+
     /// The columns a composite key reads — `Some` only when *every* key
     /// has one, so the whole key vector evaluates without materializing
     /// the row.

@@ -1,6 +1,6 @@
 //! The join family: one `JoinSpec` and one operator for every join the
-//! planner emits — hash, membership, sort-merge, nested-loop, product
-//! and index joins.
+//! planner emits — hash, membership, sort-merge, nested-loop, product,
+//! index and owner joins.
 //!
 //! "For example, the join can be implemented as an index nested-loop
 //! join, a sort-merge join, a hash join, etc." (paper §6), and "to
@@ -15,18 +15,23 @@
 //!   planner, the cost model, EXPLAIN and the executor read the same
 //!   value. The [`JoinFamily`] is equi keys or a [`MemberShape`] (hash
 //!   tables), `Sorted` (both sides sorted on equi keys and merged),
-//!   `Loop` (no keys: every row of the drained right set is a candidate)
-//!   or `Index` (no right child: candidates come from the extent's
-//!   secondary index); the [`JoinMode`] is join rows or nestjoin groups.
+//!   `Loop` (no keys: every row of the drained right set is a candidate),
+//!   `Index` (no right child: candidates come from the extent's
+//!   secondary index) or `Owners` (a membership predicate `k(y) ∈ x.a`
+//!   answered by the reverse-reference index of the extent the left
+//!   side scans); the [`JoinMode`] is join rows or nestjoin groups.
 //!   Family and mode also name the operator ([`JoinSpec::node_line`],
 //!   [`JoinSpec::op_label`]).
 //! * **One build.** A hash family evaluates every build row's keys once
 //!   and hashes the keyed rows into `JoinHashTable`s or
 //!   `MemberHashTable`s: one table, or one per [`key_hash`] partition of
 //!   a parallel build. A loop build keeps the drained rows; an index
-//!   build only checks that the extent and its index exist. A sort-merge
-//!   join builds nothing: it keys and sorts both sides into the runs of
-//!   one merge cursor (`spill_exec::MergeCursor`).
+//!   build only checks that the extent and its index exist. An owner
+//!   build looks each drained right row's key up once in the left
+//!   extent's owner index and inverts the owners into per-left-position
+//!   lists of right rows (`OwnerLists`: two `u32` arrays, no hash
+//!   table). A sort-merge join builds nothing: it keys and sorts both
+//!   sides into the runs of one merge cursor (`spill_exec::MergeCursor`).
 //! * **One probe.** Every probe row turns its residual-checked
 //!   candidates into output the same way, whether it came from a
 //!   streaming batch, a materialized set, a grace-join spill partition
@@ -155,6 +160,22 @@ pub enum JoinFamily {
         /// The right extent.
         extent: Name,
     },
+    /// Owner join, for `rkey(y) ∈ x.attr` when the left side scans
+    /// `extent`, whose reverse-reference index on `attr` lists the
+    /// owners of every oid: no hash table and no hash probe. Each right
+    /// row's key is looked up once in that index (one `index_probes`
+    /// each), the owners are inverted into left-position → right-row
+    /// lists, and each left row finds its list by its oid's position
+    /// (one `oid_lookups` each). Only nestjoins, semijoins and
+    /// antijoins, and only as a cost-based choice.
+    Owners {
+        /// Scalar key over the right variable.
+        rkey: Expr,
+        /// The left extent's reverse-indexed set-of-oid attribute.
+        attr: Name,
+        /// The left extent.
+        extent: Name,
+    },
 }
 
 impl JoinFamily {
@@ -189,6 +210,34 @@ pub enum JoinMode {
 /// join, or the membership keys the row is reachable under.
 pub(crate) type Keyed<V = Value> = (Vec<Value>, V);
 
+/// The probe keys one membership-join row contributes, held without
+/// copying a set's elements: every element of `lset(x)`
+/// (`RightInLeftSet`), or the one `lkey(x)`.
+pub(crate) enum ProbeKeys {
+    /// The elements of `lset(x)`.
+    Elems(Set),
+    /// `lkey(x)`.
+    One(Value),
+}
+
+impl ProbeKeys {
+    /// The keys of a row whose `lset` or `lkey` (per `shape`) is `v`.
+    fn new(shape: &MemberShape, v: Value) -> Result<ProbeKeys, EvalError> {
+        Ok(match shape {
+            MemberShape::RightInLeftSet { .. } => ProbeKeys::Elems(v.into_set()?),
+            MemberShape::LeftInRightSet { .. } => ProbeKeys::One(v),
+        })
+    }
+
+    /// The keys, in probe order.
+    pub(crate) fn as_slice(&self) -> &[Value] {
+        match self {
+            ProbeKeys::Elems(s) => s.as_slice(),
+            ProbeKeys::One(v) => std::slice::from_ref(v),
+        }
+    }
+}
+
 /// What a join computes: build on the right (`rvar`), probe with the
 /// left (`lvar`), finding candidates per `family`, emitting per `mode`,
 /// with `residual` checked on every candidate. The payload of
@@ -215,6 +264,10 @@ struct RowMatches {
     matched: bool,
     /// The nestjoin group (empty in join mode).
     group: Vec<Value>,
+    /// Whether `group` is collected in canonical order, so it is checked
+    /// instead of sorted: an owner join's identity group, which takes
+    /// right rows of a canonical set in ascending index order.
+    sorted: bool,
 }
 
 impl JoinSpec {
@@ -274,20 +327,26 @@ impl JoinSpec {
             JoinFamily::Loop if nest => "NLNestJoin",
             JoinFamily::Loop => "NLJoin",
             JoinFamily::Index { .. } => "IndexNLJoin",
+            JoinFamily::Owners { .. } if nest => "OwnersNestJoin",
+            JoinFamily::Owners { .. } => "OwnersJoin",
         }
     }
 
     /// The EXPLAIN line: `HashJoin Semi`, `MemberNestJoin ⊣→ys`,
-    /// `IndexNLJoin Inner on PART.pid`, `Product`, `SortMergeJoin`.
+    /// `IndexNLJoin Inner on PART.pid`, `OwnersNestJoin ⊣→ys on
+    /// SUPPLIER.parts`, `Product`, `SortMergeJoin`.
     pub fn node_line(&self) -> String {
         let name = self.name();
-        match (&self.mode, &self.family) {
-            _ if self.bare() => name.into(),
-            (JoinMode::Join { kind, .. }, JoinFamily::Index { attr, extent, .. }) => {
-                format!("{name} {kind:?} on {extent}.{attr}")
+        let on = match &self.family {
+            JoinFamily::Index { attr, extent, .. } | JoinFamily::Owners { attr, extent, .. } => {
+                format!(" on {extent}.{attr}")
             }
-            (JoinMode::Join { kind, .. }, _) => format!("{name} {kind:?}"),
-            (JoinMode::Nest { as_attr, .. }, _) => format!("{name} ⊣→{as_attr}"),
+            _ => String::new(),
+        };
+        match &self.mode {
+            _ if self.bare() => name.into(),
+            JoinMode::Join { kind, .. } => format!("{name} {kind:?}{on}"),
+            JoinMode::Nest { as_attr, .. } => format!("{name} ⊣→{as_attr}{on}"),
         }
     }
 
@@ -305,7 +364,8 @@ impl JoinSpec {
     }
 
     /// The operator label `Stats::operators` reports:
-    /// `HashJoin(Semi)`, `MemberNestJoin(ys)`, `Product`, `SortMergeJoin`.
+    /// `HashJoin(Semi)`, `MemberNestJoin(ys)`, `OwnersJoin(Semi)`,
+    /// `Product`, `SortMergeJoin`.
     pub fn op_label(&self) -> String {
         let name = self.name();
         match &self.mode {
@@ -329,7 +389,10 @@ impl JoinSpec {
             JoinFamily::Member { .. } => {
                 BuildSide::Member(vec![MemberHashTable::from_keyed(entries, inserted)])
             }
-            JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => not_hashed(),
+            JoinFamily::Loop
+            | JoinFamily::Index { .. }
+            | JoinFamily::Sorted { .. }
+            | JoinFamily::Owners { .. } => not_hashed(),
         }
     }
 
@@ -371,7 +434,10 @@ impl JoinSpec {
                     buckets[p].push((ks, r));
                 }
             }
-            JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => not_hashed(),
+            JoinFamily::Loop
+            | JoinFamily::Index { .. }
+            | JoinFamily::Sorted { .. }
+            | JoinFamily::Owners { .. } => not_hashed(),
         }
     }
 
@@ -405,7 +471,10 @@ impl JoinSpec {
                     Ok(t)
                 })?)
             }
-            JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => not_hashed(),
+            JoinFamily::Loop
+            | JoinFamily::Index { .. }
+            | JoinFamily::Sorted { .. }
+            | JoinFamily::Owners { .. } => not_hashed(),
         })
     }
 
@@ -439,7 +508,14 @@ impl JoinSpec {
             }
             JoinMode::Nest { as_attr, .. } => {
                 let x = xc.get_or_insert_with(|| probe.row_at(i));
-                out.push(with_group(x, as_attr, row.group)?);
+                let group = if row.sorted {
+                    Set::from_sorted(row.group).ok_or(EvalError::OperatorProtocol(
+                        "an owner join's group is out of canonical order",
+                    ))?
+                } else {
+                    Set::from_values(row.group)
+                };
+                out.push(with_group(x, as_attr, group)?);
             }
             JoinMode::Join { .. } => {}
         }
@@ -457,7 +533,11 @@ impl JoinSpec {
         group: Vec<Value>,
         out: &mut Vec<Value>,
     ) -> Result<(), EvalError> {
-        let row = RowMatches { matched, group };
+        let row = RowMatches {
+            matched,
+            group,
+            sorted: false,
+        };
         let none = ProbeInput::Rows(&[]);
         self.finish_row(row, &mut Some(Cow::Owned(x)), &none, 0, out)
     }
@@ -477,7 +557,7 @@ pub(crate) struct BoundJoin {
     /// `lkey`, a membership join's `lset` or `lkey`.
     left: Vec<BoundExpr>,
     /// Over `rvar`: an equi or sort-merge join's `rkeys`, a membership
-    /// join's `rkey` or `rset`.
+    /// or owner join's `rkey`, a membership join's `rset`.
     right: Vec<BoundExpr>,
     /// Over `lvar` and `rvar`.
     residual: Option<BoundExpr>,
@@ -500,6 +580,7 @@ impl BoundJoin {
                 shape: MemberShape::LeftInRightSet { lkey, rset },
             } => (vec![lkey], vec![rset]),
             JoinFamily::Index { lkey, .. } => (vec![lkey], Vec::new()),
+            JoinFamily::Owners { rkey, .. } => (Vec::new(), vec![rkey]),
             JoinFamily::Loop => (Vec::new(), Vec::new()),
         };
         let mut b = Binder::new();
@@ -556,13 +637,8 @@ impl BoundJoin {
         shape: &MemberShape,
         x: &Value,
         cx: &mut Cx<'_, '_>,
-    ) -> Result<Vec<Value>, EvalError> {
-        match shape {
-            MemberShape::RightInLeftSet { .. } => {
-                cx.with(&self.left[0], &[x], |s| Ok(s.as_set()?.as_slice().to_vec()))
-            }
-            MemberShape::LeftInRightSet { .. } => Ok(vec![cx.value(&self.left[0], &[x])?]),
-        }
+    ) -> Result<ProbeKeys, EvalError> {
+        ProbeKeys::new(shape, cx.value(&self.left[0], &[x])?)
     }
 
     /// Whether the residual holds on `(x, y)`; each check is one
@@ -599,18 +675,22 @@ impl BoundJoin {
             } => cx.with(&self.right[0], &[y], |s| {
                 Ok(s.as_set()?.as_slice().to_vec())
             }),
-            JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => not_hashed(),
+            JoinFamily::Loop
+            | JoinFamily::Index { .. }
+            | JoinFamily::Sorted { .. }
+            | JoinFamily::Owners { .. } => not_hashed(),
         }
     }
 
     /// The build of every join that needs neither partitions nor a
     /// budget check: a hash family keys `rows` and hashes them into one
-    /// table as they stream past, a loop keeps them, and an index join
-    /// (whose `rows` are empty) checks its extent and index. Generic over
-    /// row ownership: the streaming operator moves owned rows in
-    /// (`V = Value`, so the build outlives any one probe batch), the
-    /// materialized join borrows its input set (`V = &Value`, zero
-    /// copies).
+    /// table as they stream past, a loop keeps them, an index join
+    /// (whose `rows` are empty) checks its extent and index, and an owner
+    /// join inverts the owners of its rows' keys into
+    /// [`OwnerLists`]. Generic over row ownership: the streaming operator
+    /// moves owned rows in (`V = Value`, so the build outlives any one
+    /// probe batch), the materialized join borrows its input set
+    /// (`V = &Value`, zero copies).
     fn build<V: Borrow<Value>>(
         &self,
         rows: impl IntoIterator<Item = V>,
@@ -619,8 +699,13 @@ impl BoundJoin {
         match &self.spec.family {
             JoinFamily::Loop => return Ok(BuildSide::Loop(rows.into_iter().collect())),
             JoinFamily::Index { attr, extent, .. } => {
-                index_table(cx.db(), extent, attr)?;
+                index_table(cx.db(), extent, attr, false)?;
                 return Ok(BuildSide::Index);
+            }
+            JoinFamily::Owners { attr, extent, .. } => {
+                let table = index_table(cx.db(), extent, attr, true)?;
+                let lists = self.owner_lists(table, attr, rows.into_iter().collect(), cx)?;
+                return Ok(BuildSide::Owners(lists));
             }
             JoinFamily::Sorted { .. } => not_hashed(),
             JoinFamily::Equi { .. } | JoinFamily::Member { .. } => {}
@@ -660,11 +745,112 @@ impl BoundJoin {
             }
             (JoinFamily::Loop, BuildSide::Loop(rows)) => self.probe_loop(rows, probe, cx),
             (JoinFamily::Index { attr, extent, .. }, BuildSide::Index) => {
-                let table = index_table(cx.db(), extent, attr)?;
+                let table = index_table(cx.db(), extent, attr, false)?;
                 self.probe_index(table, attr, probe, cx)
+            }
+            (JoinFamily::Owners { attr, extent, .. }, BuildSide::Owners(lists)) => {
+                let table = index_table(cx.db(), extent, attr, true)?;
+                self.probe_owners(lists, table, probe, cx)
             }
             _ => unreachable!("a spec only probes the side it built"),
         }
+    }
+
+    /// An owner join's build over the right `rows` (a canonical set, in
+    /// order): each row's key is looked up once in `table`'s owner index
+    /// on `attr`, and the owners are inverted into [`OwnerLists`], so
+    /// each left row's list holds its right rows in ascending order.
+    fn owner_lists<V: Borrow<Value>>(
+        &self,
+        table: &Table,
+        attr: &Name,
+        rows: Vec<V>,
+        cx: &mut Cx<'_, '_>,
+    ) -> Result<OwnerLists<V>, EvalError> {
+        let index = table.owner_index(attr).expect("index_table checked it");
+        let mut owners = Vec::with_capacity(rows.len());
+        for y in &rows {
+            cx.stats.index_probes += 1;
+            owners.push(cx.with(&self.right[0], &[y.borrow()], |k| Ok(index.owners(k)))?);
+        }
+        let postings: usize = owners.iter().map(|o| o.len()).sum();
+        if u32::try_from(rows.len().max(postings)).is_err() {
+            return Err(EvalError::OperatorProtocol(
+                "an owner join holds over u32::MAX rows or postings",
+            ));
+        }
+        // counting sort by left position: offsets[p]..offsets[p + 1]
+        // is position p's slice of `indices`
+        let mut offsets = vec![0u32; table.len() + 1];
+        for &p in owners.iter().flat_map(|o| o.iter()) {
+            offsets[p + 1] += 1;
+        }
+        for p in 1..offsets.len() {
+            offsets[p] += offsets[p - 1];
+        }
+        let mut next = offsets.clone();
+        let mut indices = vec![0u32; postings];
+        for (j, o) in owners.iter().enumerate() {
+            for &p in o.iter() {
+                indices[next[p] as usize] = j as u32;
+                next[p] += 1;
+            }
+        }
+        Ok(OwnerLists {
+            rows,
+            offsets,
+            indices,
+        })
+    }
+
+    /// The owner probe: each probe row — an object of `table`, the
+    /// extent the left side scans — finds its candidates in `lists`
+    /// under its position, one oid lookup per row. A columnar batch
+    /// gives the oid off its identity column, and a row without
+    /// candidates is not read.
+    fn probe_owners<V: Borrow<Value>>(
+        &self,
+        lists: &OwnerLists<V>,
+        table: &Table,
+        probe: ProbeInput<'_>,
+        cx: &mut Cx<'_, '_>,
+    ) -> Result<Vec<Value>, EvalError> {
+        let identity = table.identity();
+        let ids = probe.column(identity);
+        let nest = matches!(self.spec.mode, JoinMode::Nest { .. });
+        let mut out = Vec::new();
+        for i in 0..probe.len() {
+            let mut xc = None;
+            let oid = match ids {
+                Some(col) => col.value_at(i).as_oid().ok(),
+                None => {
+                    let x = xc.get_or_insert_with(|| probe.row_at(i));
+                    x.as_tuple()?.get(identity).and_then(|v| v.as_oid().ok())
+                }
+            };
+            cx.stats.oid_lookups += 1;
+            let Some(pos) = oid.and_then(|o| table.position(o)) else {
+                return Err(EvalError::OperatorProtocol(
+                    "an owner join's left row is not an object of its extent",
+                ));
+            };
+            let matches = lists.at(pos);
+            let mut row = RowMatches {
+                group: Vec::with_capacity(if nest { matches.len() } else { 0 }),
+                sorted: self.rfunc.is_none(),
+                ..RowMatches::default()
+            };
+            if !matches.is_empty() {
+                let x = xc.get_or_insert_with(|| probe.row_at(i));
+                for &j in matches {
+                    if !self.candidate(x, lists.row(j), &mut row, &mut out, cx)? {
+                        break;
+                    }
+                }
+            }
+            self.spec.finish_row(row, &mut xc, &probe, i, &mut out)?;
+        }
+        Ok(out)
     }
 
     /// The loop probe: every row of `rows` is a candidate of every probe
@@ -810,19 +996,27 @@ pub(crate) fn not_hashed() -> ! {
     unreachable!("only the hash families key, partition or spill build rows")
 }
 
-/// The extent an index join probes, checked to carry the index on
-/// `attr`. The planner guards this (see `Planner::index_nl_candidate`), so
-/// a failure means a hand-built or stale plan — fail loudly instead of
-/// probing a missing index.
+/// The extent an index join probes, checked to carry the secondary
+/// index on `attr`, or (`owners`) the extent an owner join's left side
+/// scans, checked to carry the reverse-reference index on `attr`. The
+/// planner guards this (see `Planner::index_nl_candidate` and
+/// `Planner::owners_family`), so a failure means a hand-built or stale
+/// plan — fail loudly instead of probing a missing index.
 fn index_table<'db>(
     db: &'db Database,
     extent: &Name,
     attr: &Name,
+    owners: bool,
 ) -> Result<&'db Table, EvalError> {
     let table = db
         .table(extent)
         .ok_or_else(|| EvalError::UnknownTable(extent.clone()))?;
-    if !table.has_index(attr) {
+    let indexed = if owners {
+        table.has_owner_index(attr)
+    } else {
+        table.has_index(attr)
+    };
+    if !indexed {
         return Err(EvalError::MissingIndex {
             extent: extent.clone(),
             attr: attr.clone(),
@@ -836,7 +1030,8 @@ fn index_table<'db>(
 
 /// The built side of a join: for a hash family one table, or one per
 /// hash partition of a parallel build; for a loop the drained right
-/// rows; nothing for an index join, which probes its extent's index.
+/// rows; nothing for an index join, which probes its extent's index;
+/// for an owner join the right rows listed by left position.
 enum BuildSide<V = Value> {
     /// Equi-join tables.
     Equi(Vec<JoinHashTable<V>>),
@@ -846,6 +1041,31 @@ enum BuildSide<V = Value> {
     Loop(Vec<V>),
     /// The index join's checked extent, looked up per probe batch.
     Index,
+    /// The owner join's lists.
+    Owners(OwnerLists<V>),
+}
+
+/// An owner join's build ([`JoinFamily::Owners`]): the right rows of a
+/// canonical set, and for every insertion position `p` of the left
+/// extent the ascending indices of the right rows whose key its set
+/// holds, `indices[offsets[p]..offsets[p + 1]]` (two `u32` arrays, one
+/// entry per posting, in place of a hash table).
+struct OwnerLists<V = Value> {
+    rows: Vec<V>,
+    offsets: Vec<u32>,
+    indices: Vec<u32>,
+}
+
+impl<V: Borrow<Value>> OwnerLists<V> {
+    /// The indices of left position `p`'s right rows, ascending.
+    fn at(&self, p: usize) -> &[u32] {
+        &self.indices[self.offsets[p] as usize..self.offsets[p + 1] as usize]
+    }
+
+    /// Right row `j`.
+    fn row(&self, j: u32) -> &Value {
+        self.rows[j as usize].borrow()
+    }
 }
 
 /// A built hash table over the right (build) side of an equi-join,
@@ -1055,15 +1275,10 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
         i: usize,
         cache: &mut Option<Cow<'p, Value>>,
         cx: &mut Cx<'_, '_>,
-    ) -> Result<Vec<Value>, EvalError> {
-        match (left_col, shape) {
-            (Some(col), MemberShape::RightInLeftSet { .. }) => Ok(col
-                .value_at(i)
-                .into_set()
-                .map_err(EvalError::Value)?
-                .into_values()),
-            (Some(col), MemberShape::LeftInRightSet { .. }) => Ok(vec![col.value_at(i)]),
-            (None, _) => {
+    ) -> Result<ProbeKeys, EvalError> {
+        match left_col {
+            Some(col) => ProbeKeys::new(shape, col.value_at(i)),
+            None => {
                 let x = cache.get_or_insert_with(|| probe.row_at(i));
                 join.probe_keys(shape, x, cx)
             }
@@ -1088,7 +1303,7 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
             let probes = Self::probe_keys_at(join, shape, &probe, left_col, i, &mut xc, cx)?;
             let mut row = RowMatches::default();
             let mut seen: Vec<(usize, usize)> = Vec::new();
-            'probe: for p in &probes {
+            'probe: for p in probes.as_slice() {
                 cx.stats.hash_probes += 1;
                 let (ti, table) = Self::pick(tables, p);
                 if let Some(candidates) = table.index.get(p) {
@@ -1163,9 +1378,10 @@ impl JoinInput {
 ///
 /// **dop 1** runs on the calling thread with the caller's context. The
 /// build side drains through the canonical-set breaker and is hashed
-/// into one table (a loop keeps the drained rows; an index join has no
-/// build side and only checks its extent and index); then the probe
-/// side streams, one left batch per `next_batch`. A sort-merge join
+/// into one table (a loop keeps the drained rows; an owner join lists
+/// them by left position; an index join has no build side and only
+/// checks its extent and index); then the probe side streams, one left
+/// batch per `next_batch`. A sort-merge join
 /// drains both sides instead, sorts them into the runs of one
 /// [`MergeCursor`] (spilled runs under a bounded budget), and streams
 /// the merge, one chunk of key groups per `next_batch`.
@@ -1195,6 +1411,9 @@ pub(crate) struct JoinOp {
     right: Option<JoinInput>,
     state: JoinState,
     spill: SpillMetrics,
+    /// An owner join's probed rows not yet handed out (see
+    /// [`JoinOp::next_batch`]).
+    carry: Vec<Value>,
 }
 
 /// Where a [`JoinOp`] is between `open` and exhaustion.
@@ -1237,6 +1456,7 @@ impl JoinOp {
                 .map(|r| JoinInput::new(r, kids[1], true, dop)),
             state: JoinState::Pending,
             spill: SpillMetrics::default(),
+            carry: Vec::new(),
         })
     }
 
@@ -1397,6 +1617,7 @@ impl JoinOp {
 impl Operator for JoinOp {
     fn open(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<(), EvalError> {
         self.state = JoinState::Pending;
+        self.carry.clear();
         self.left.op.open(ctx)?;
         match &mut self.right {
             Some(right) => right.op.open(ctx),
@@ -1404,6 +1625,12 @@ impl Operator for JoinOp {
         }
     }
 
+    /// A join at dop 1 hands out what each probe batch produced. An
+    /// owner join instead hands out full [`BATCH_SIZE`] batches, as the
+    /// buffered parallel hash join it replaces did: its probe batches
+    /// are a scan's chunks, of which a semi- or antijoin keeps a part,
+    /// and a served result is replayed from the cache in full batches,
+    /// so a live read and its replay then agree chunk for chunk.
     fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
         if matches!(self.state, JoinState::Pending) {
             self.state = self.start(ctx)?;
@@ -1418,13 +1645,22 @@ impl Operator for JoinOp {
             JoinState::Probing(build) => &*build,
             JoinState::Pending => unreachable!("started above"),
         };
+        let coalesce = matches!(self.join.spec.family, JoinFamily::Owners { .. });
         loop {
+            if self.carry.len() >= BATCH_SIZE {
+                let rest = self.carry.split_off(BATCH_SIZE);
+                let full = std::mem::replace(&mut self.carry, rest);
+                return Ok(Some(Batch::from_rows(full)));
+            }
             let Some(batch) = self.left.op.next_batch(ctx)? else {
-                return Ok(None);
+                let rest = std::mem::take(&mut self.carry);
+                return Ok((!rest.is_empty()).then(|| Batch::from_rows(rest)));
             };
             let mut cx = self.join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
             let out = self.join.probe(build, (&batch).into(), &mut cx)?;
-            if !out.is_empty() {
+            if coalesce {
+                self.carry.extend(out);
+            } else if !out.is_empty() {
                 return Ok(Some(Batch::from_rows(out)));
             }
         }
@@ -1432,6 +1668,7 @@ impl Operator for JoinOp {
 
     fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
         self.state = JoinState::Pending;
+        self.carry = Vec::new();
         self.left.op.close(ctx);
         if let Some(right) = &mut self.right {
             right.op.close(ctx);
@@ -1449,10 +1686,8 @@ impl Operator for JoinOp {
 /// Appends the collected group to a left tuple, inserting the plan's
 /// `as_attr` at its sorted slot in one allocation (a left tuple that
 /// already has it fails with `concat`'s `DuplicateField`).
-pub(crate) fn with_group(x: &Value, as_attr: &Name, group: Vec<Value>) -> Result<Value, EvalError> {
-    let t = x
-        .as_tuple()?
-        .insert(as_attr, Value::Set(Set::from_values(group)))?;
+pub(crate) fn with_group(x: &Value, as_attr: &Name, group: Set) -> Result<Value, EvalError> {
+    let t = x.as_tuple()?.insert(as_attr, Value::Set(group))?;
     Ok(Value::Tuple(t))
 }
 

@@ -8,8 +8,9 @@
 //!   [`JoinSpec`]) and one operator for `⋈`, `⋉`, `▷`, `⟕` and the
 //!   nestjoin `⊣`, implemented as a hash join (equi keys, or membership
 //!   keys for predicates like `p.pid ∈ s.parts`), a sort-merge join, an
-//!   index nested-loop join, or a nested loop (the fallback for
-//!   arbitrary predicates, and the Cartesian product).
+//!   index nested-loop join, an owner join (`p.pid ∈ s.parts` read off
+//!   SUPPLIER's reverse-reference index), or a nested loop (the
+//!   fallback for arbitrary predicates, and the Cartesian product).
 //! * [`set_index`] — the set-index scan ([`PhysPlan::SetIndexScan`]):
 //!   a selection on `x.a ⊇ E`, `x.a = E` or `x.a ∋ e` reads the rows an
 //!   extent's reverse-reference index names instead of the extent.
@@ -156,9 +157,9 @@ pub enum PhysPlan {
     /// Every join — `⋈ ⋉ ▷ ⟕`, the nestjoin `⊣` (paper §6.1) and the
     /// Cartesian product — as one [`JoinSpec`]: its [`JoinFamily`] says
     /// how candidates are found (hash on equi keys, hash on a membership
-    /// predicate, sort-merge on equi keys, nested loop, or a secondary
-    /// index), its [`JoinMode`] whether join rows or nestjoin groups come
-    /// out.
+    /// predicate, sort-merge on equi keys, nested loop, a secondary
+    /// index, or the left extent's reverse-reference index), its
+    /// [`JoinMode`] whether join rows or nestjoin groups come out.
     Join {
         /// What the join computes (boxed: the spec is several times
         /// the size of any other variant).

@@ -1437,7 +1437,15 @@ mod tests {
     }
 
     fn both_paths(db: &Database, e: &Expr) -> (Value, Stats, Value, Stats) {
-        let plan = Planner::new(db).plan(e).unwrap();
+        both_paths_with(db, e, PlannerConfig::default())
+    }
+
+    fn both_paths_with(
+        db: &Database,
+        e: &Expr,
+        config: PlannerConfig,
+    ) -> (Value, Stats, Value, Stats) {
+        let plan = Planner::with_config(db, config).plan(e).unwrap();
         let mut ms = Stats::new();
         let materialized = plan.execute(&mut ms).unwrap();
         let mut ss = Stats::new();
@@ -1701,13 +1709,39 @@ mod tests {
             table("SUPPLIER"),
             table("PART"),
         );
-        let (m, ms, s, ss) = both_paths(&db, &e);
+        // forced hash joins keep the membership hash join; the cost-based
+        // pick over the bare SUPPLIER scan is the owner join
+        let (m, ms, s, ss) = both_paths_with(&db, &e, forced_hash());
         assert_eq!(m, s);
         assert_eq!(ms.hash_build_rows, ss.hash_build_rows);
         assert_eq!(ms.hash_probes, ss.hash_probes);
         assert_eq!(ss.loop_iterations, 0);
         let join_op = ss.operator("HashMemberJoin").unwrap();
         assert_eq!(join_op.rows_out, 3); // s1, s2, s3
+        let (m, ms, s, ss) = both_paths_with(&db, &e, unbounded_cheapest());
+        assert_eq!(m, s);
+        assert_eq!(ms.index_probes, ss.index_probes);
+        assert_eq!(ms.oid_lookups, ss.oid_lookups);
+        assert_eq!(ss.hash_probes + ss.loop_iterations, 0);
+        let join_op = ss.operator("OwnersJoin").unwrap();
+        assert_eq!(join_op.rows_out, 3);
+    }
+
+    /// Forced hash joins: a membership predicate plans a membership hash
+    /// join whatever the budget.
+    fn forced_hash() -> PlannerConfig {
+        PlannerConfig {
+            join_algo: crate::plan::JoinAlgo::Hash,
+            ..PlannerConfig::default()
+        }
+    }
+
+    /// The cost-based planner with no memory budget.
+    fn unbounded_cheapest() -> PlannerConfig {
+        PlannerConfig {
+            memory_budget: 0,
+            ..PlannerConfig::default()
+        }
     }
 
     #[test]
@@ -1723,9 +1757,12 @@ mod tests {
             table("SUPPLIER"),
             table("PART"),
         );
-        let (m, _, s, ss) = both_paths(&db, &nj);
+        let (m, _, s, ss) = both_paths_with(&db, &nj, forced_hash());
         assert_eq!(m, s);
         assert_eq!(ss.operator("MemberNestJoin").unwrap().rows_out, 5);
+        let (m, _, s, ss) = both_paths_with(&db, &nj, unbounded_cheapest());
+        assert_eq!(m, s);
+        assert_eq!(ss.operator("OwnersNestJoin").unwrap().rows_out, 5);
     }
 
     #[test]

@@ -166,9 +166,10 @@ pub(crate) fn grace_join(
         JoinFamily::Member { shape } => {
             grace_member_join(join, shape, keyed_build, probe, &budget, local, ctx)
         }
-        JoinFamily::Loop | JoinFamily::Index { .. } | JoinFamily::Sorted { .. } => {
-            hashjoin::not_hashed()
-        }
+        JoinFamily::Loop
+        | JoinFamily::Index { .. }
+        | JoinFamily::Sorted { .. }
+        | JoinFamily::Owners { .. } => hashjoin::not_hashed(),
     }
 }
 
@@ -303,13 +304,14 @@ fn grace_member_join(
         let mut cx = join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
         for x in batch.into_values() {
             let probes = join.probe_keys(shape, &x, &mut cx)?;
+            let probes = probes.as_slice();
             if probes.is_empty() {
                 spec.finish_owned_row(x, false, Vec::new(), &mut out)?;
                 continue;
             }
             let id = ordinal;
             ordinal += 1;
-            for (p, ks) in group_by_partition(probes, 0) {
+            for (p, ks) in group_by_partition(probes.iter().cloned(), 0) {
                 let idv = Value::Int(id);
                 let mut parts: Vec<&Value> = Vec::with_capacity(ks.len() + 2);
                 parts.push(&idv);

@@ -72,8 +72,9 @@ pub enum JoinAlgo {
 
 impl JoinAlgo {
     /// Where a forced algorithm ranks a candidate (lower wins); `None`
-    /// when it never picks it. Swapped build sides are cost-based
-    /// choices only. (`Cheapest` picks by cost and ranks no join.)
+    /// when it never picks it. Swapped build sides and owner joins are
+    /// cost-based choices only. (`Cheapest` picks by cost and ranks no
+    /// join.)
     fn rank(self, cand: Cand) -> Option<usize> {
         use Cand::*;
         let joins: &[Cand] = match self {
@@ -97,6 +98,7 @@ pub(crate) enum Cand {
     Index,
     SwappedIndex,
     Member,
+    Owners,
     NestedLoop,
 }
 
@@ -540,8 +542,13 @@ impl<'a> Planner<'a> {
     /// member build sides, sort runs and aggregate drains all pull
     /// their segment through an exchange), and
     /// hash-family joins get hash-partitioned parallel build + probe.
-    /// Only called with `parallelism > 1`; `1` preserves the serial
-    /// plan exactly.
+    /// An owner join runs at dop 1 with no exchange under it: its left
+    /// scan is read row by row, where an exchange would only gather a
+    /// cached scan, and its right side drains into one canonical set,
+    /// where a round-robin exchange would transpose the gathered rows
+    /// into batches only for the drain to take them apart again. Only
+    /// called with `parallelism > 1`; `1` preserves the serial plan
+    /// exactly.
     fn parallelize(&self, plan: &mut PhysPlan) {
         // A maximal per-row segment: wrap it whole (nothing inside a
         // segment can parallelize on its own).
@@ -549,6 +556,12 @@ impl<'a> Planner<'a> {
             if self.worth_exchange(self.extent_rows(extent)) {
                 exchanged(plan, Partitioning::RoundRobin, self.config.parallelism);
             }
+            return;
+        }
+        if matches!(
+            plan,
+            PhysPlan::Join { spec, .. } if matches!(spec.family, JoinFamily::Owners { .. })
+        ) {
             return;
         }
         for child in plan.children_mut() {
@@ -735,7 +748,8 @@ impl<'a> Planner<'a> {
     /// The physical candidates of one orientation of a join `l ⋈ r` or
     /// nestjoin `l ⊣ r`, in tie-break order: hash, sort-merge (inner
     /// joins), index nested-loop (joins whose `r` scans an extent indexed
-    /// on an equi-key), membership hash, nested loops. [`Planner::plan_join`]
+    /// on an equi-key), membership hash, owner join (see
+    /// [`Planner::owners_family`]), nested loops. [`Planner::plan_join`]
     /// adds an inner join's swapped build sides; join-order enumeration
     /// prices both orientations.
     pub(crate) fn join_candidates(
@@ -790,7 +804,12 @@ impl<'a> Planner<'a> {
             let equi = split.equi.into_iter();
             let equi = equi.map(|(lk, rk)| Expr::Cmp(CmpOp::Eq, lk.into(), rk.into()));
             let residual = build_residual(split.residual.into_iter().chain(equi).collect());
-            candidates.push((Cand::Member, join(JoinFamily::Member { shape }, residual)));
+            let owners = self.owners_family(&mode, lvar, &shape, l);
+            candidates.push((
+                Cand::Member,
+                join(JoinFamily::Member { shape }, residual.clone()),
+            ));
+            candidates.extend(owners.map(|family| (Cand::Owners, join(family, residual))));
         }
         candidates.push((Cand::NestedLoop, join(JoinFamily::Loop, Some(pred.clone()))));
         candidates
@@ -848,6 +867,46 @@ impl<'a> Planner<'a> {
             }),
             left: Box::new(left.clone()),
             right: None,
+        })
+    }
+
+    /// The owner-join family ([`JoinFamily::Owners`]) of a membership
+    /// join `rkey(y) ∈ x.attr`, when `left` scans an extent that keeps a
+    /// reverse-reference index on `attr`. Only for nestjoins, semijoins
+    /// and antijoins (an inner or outer join would order the rows within
+    /// one left row differently from the membership hash join), and only
+    /// under an unbounded budget: under a bounded one the grace
+    /// membership join keeps the job.
+    fn owners_family(
+        &self,
+        mode: &JoinMode,
+        lvar: &Name,
+        shape: &MemberShape,
+        left: &PhysPlan,
+    ) -> Option<JoinFamily> {
+        let modes = matches!(
+            mode,
+            JoinMode::Nest { .. }
+                | JoinMode::Join {
+                    kind: JoinKind::Semi | JoinKind::Anti,
+                    ..
+                }
+        );
+        let (MemberShape::RightInLeftSet { lset, rkey }, PhysPlan::Scan(extent)) = (shape, left)
+        else {
+            return None;
+        };
+        let Expr::Field(base, attr) = lset else {
+            return None;
+        };
+        let indexed = self.db.table(extent)?.has_owner_index(attr);
+        let over_left = matches!(base.as_ref(), Expr::Var(v) if v == lvar);
+        (modes && self.config.memory_budget == 0 && over_left && indexed).then(|| {
+            JoinFamily::Owners {
+                rkey: rkey.clone(),
+                attr: attr.clone(),
+                extent: extent.clone(),
+            }
         })
     }
 
@@ -966,11 +1025,28 @@ mod tests {
     }
 
     fn plan_and_run(db: &Database, e: &Expr) -> (PhysPlan, Value, Stats) {
-        let planner = Planner::new(db);
+        plan_and_run_with(db, e, PlannerConfig::default())
+    }
+
+    fn plan_and_run_with(
+        db: &Database,
+        e: &Expr,
+        config: PlannerConfig,
+    ) -> (PhysPlan, Value, Stats) {
+        let planner = Planner::with_config(db, config);
         let plan = planner.plan(e).unwrap();
         let mut stats = Stats::new();
         let v = plan.execute(&mut stats).unwrap();
         (plan.phys, v, stats)
+    }
+
+    /// The default configuration under memory budget `bytes` (`0`:
+    /// unbounded), whatever the environment sets.
+    fn budgeted(bytes: usize) -> PlannerConfig {
+        PlannerConfig {
+            memory_budget: bytes,
+            ..PlannerConfig::default()
+        }
     }
 
     #[test]
@@ -1012,21 +1088,28 @@ mod tests {
             table("SUPPLIER"),
             table("PART"),
         );
-        let (phys, v, _) = plan_and_run(&db, &e);
-        assert!(
-            matches!(
-                &phys,
-                PhysPlan::Join { spec, .. } if matches!(
-                    (&spec.family, &spec.mode, &spec.residual),
-                    (JoinFamily::Member { .. }, JoinMode::Join { .. }, Some(_))
-                )
-            ),
-            "{}",
-            phys.explain()
-        );
-        let ev = Evaluator::new(&db);
-        assert_eq!(v, ev.eval_closed(&e).unwrap());
-        assert_eq!(v.as_set().unwrap().len(), 3);
+        // unbounded, the bare SUPPLIER scan's owner index answers the
+        // membership; bounded, the membership hash join does
+        for (bytes, owners) in [(0, true), (4096, false)] {
+            let (phys, v, _) = plan_and_run_with(&db, &e, budgeted(bytes));
+            assert!(
+                matches!(
+                    &phys,
+                    PhysPlan::Join { spec, .. } if matches!(
+                        (&spec.family, &spec.mode, &spec.residual),
+                        (JoinFamily::Owners { .. }, JoinMode::Join { .. }, Some(_)) if owners
+                    ) || matches!(
+                        (&spec.family, &spec.mode, &spec.residual),
+                        (JoinFamily::Member { .. }, JoinMode::Join { .. }, Some(_)) if !owners
+                    )
+                ),
+                "{}",
+                phys.explain()
+            );
+            let ev = Evaluator::new(&db);
+            assert_eq!(v, ev.eval_closed(&e).unwrap());
+            assert_eq!(v.as_set().unwrap().len(), 3);
+        }
     }
 
     #[test]
@@ -1198,12 +1281,19 @@ mod tests {
             table("SUPPLIER"),
             table("PART"),
         );
-        let (phys, v, _) = plan_and_run(&db, &e);
+        // unbounded an owner nestjoin, bounded a membership hash one
+        let (phys, v, _) = plan_and_run_with(&db, &e, budgeted(0));
+        assert!(matches!(
+            join_shape(&phys),
+            Some((JoinFamily::Owners { .. }, JoinMode::Nest { .. }))
+        ));
+        let ev = Evaluator::new(&db);
+        assert_eq!(v, ev.eval_closed(&e).unwrap());
+        let (phys, v, _) = plan_and_run_with(&db, &e, budgeted(4096));
         assert!(matches!(
             join_shape(&phys),
             Some((JoinFamily::Member { .. }, JoinMode::Nest { .. }))
         ));
-        let ev = Evaluator::new(&db);
         assert_eq!(v, ev.eval_closed(&e).unwrap());
     }
 

@@ -99,13 +99,19 @@ fn root_estimate_tracks_result_cardinality() {
 #[test]
 fn explain_shows_algorithm_and_estimates_for_paper_queries() {
     let db = oodb::catalog::fixtures::supplier_part_db();
-    let pipeline = Pipeline::new(&db);
+    // unbounded: under a bounded budget (the CI spilling pass) the owner
+    // joins give way to membership hash joins
+    let config = PlannerConfig {
+        memory_budget: 0,
+        ..PlannerConfig::default()
+    };
+    let pipeline = Pipeline::with_config(&db, config);
     // (query, operator the cost-based planner must surface in EXPLAIN)
     let cases = [
         (
             "select s.sname from s in SUPPLIER where exists x in s.parts : \
              exists p in PART : x = p.pid and p.color = \"red\"",
-            "HashMemberJoin Semi",
+            "OwnersJoin Semi on SUPPLIER.parts",
         ),
         (
             "select s.eid from s in SUPPLIER \
@@ -115,7 +121,14 @@ fn explain_shows_algorithm_and_estimates_for_paper_queries() {
         (
             "select (sname := s.sname, partssuppl := select p from p in PART \
              where p.pid in s.parts) from s in SUPPLIER",
-            "MemberNestJoin",
+            "OwnersNestJoin ⊣→ys on SUPPLIER.parts",
+        ),
+        // a selection on SUPPLIER ahead of the nestjoin: no bare scan to
+        // read owners for, so the membership hash join keeps the job
+        (
+            "select (sname := s.sname, partssuppl := select p from p in PART \
+             where p.pid in s.parts) from s in SUPPLIER where s.sname <> \"s2\"",
+            "MemberNestJoin ⊣→ys",
         ),
     ];
     for (q, operator) in cases {

@@ -49,18 +49,35 @@ fn unknown_table_is_a_type_error() {
 #[test]
 fn explain_shows_set_oriented_operators() {
     let db = oodb::catalog::fixtures::supplier_part_db();
-    let pipeline = Pipeline::new(&db);
+    // unbounded: under a bounded budget (the CI spilling pass) the owner
+    // join gives way to a membership hash join
+    let config = PlannerConfig {
+        memory_budget: 0,
+        ..PlannerConfig::default()
+    };
+    let pipeline = Pipeline::with_config(&db, config.clone());
     let out = pipeline
         .run(
             "select s.sname from s in SUPPLIER where exists x in s.parts : \
              exists p in PART : x = p.pid and p.color = \"red\"",
         )
         .unwrap();
-    let planner = Planner::new(&db);
+    let planner = Planner::with_config(&db, config);
     let plan = planner.plan(&out.rewrite.expr).unwrap();
     let explain = plan.explain();
-    assert!(explain.contains("HashMemberJoin"), "plan:\n{explain}");
+    assert!(explain.contains("OwnersJoin Semi"), "plan:\n{explain}");
     assert!(explain.contains("Scan SUPPLIER"));
+    // a selection on SUPPLIER ahead of a nestjoin leaves no bare scan to
+    // read owners for: the membership hash join keeps the job
+    let out = pipeline
+        .run(
+            "select (sname := s.sname, partssuppl := select p from p in PART \
+             where p.pid in s.parts) from s in SUPPLIER where s.sname <> \"s2\"",
+        )
+        .unwrap();
+    let explain = planner.plan(&out.rewrite.expr).unwrap().explain();
+    assert!(explain.contains("MemberNestJoin"), "plan:\n{explain}");
+    assert!(explain.contains("Filter [(s.sname ≠ \"s2\")]"));
 }
 
 /// `Pipeline::run` is a session of the pipeline's own query server: a

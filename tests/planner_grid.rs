@@ -367,7 +367,8 @@ proptest! {
 /// §6.2's materialization runs two ways on the same query. Unrewritten,
 /// it is a correlated map, whose body the reference evaluator answers
 /// per supplier; rewritten, `nestjoin-map` has made it a membership
-/// nestjoin, which a tight byte budget spills through the grace hash
+/// nestjoin: an owner join without a budget, and under one a membership
+/// hash join, which a tight byte budget spills through the grace hash
 /// join. Each runs under every memory budget of the grid at dop 1 and 2,
 /// must show its operator in EXPLAIN (so the check cannot go vacuous),
 /// and must stream exactly the naive result.
@@ -378,8 +379,15 @@ fn materialization_strategies_agree_under_any_budget() {
     let q = materialize_query();
     let (reference, _) = run_naive(&db, &q);
     let rewritten = Optimizer.optimize(&q, db.catalog()).expect("optimize").expr;
-    for (expr, op) in [(&q, "Map"), (&rewritten, "MemberNestJoin")] {
+    for (expr, rewritten) in [(&q, false), (&rewritten, true)] {
         for memory_budget in [0usize, 64 << 10, 4 << 10] {
+            // unbounded, the nestjoin reads SUPPLIER's owner index;
+            // bounded, the membership hash join can spill
+            let op = match (rewritten, memory_budget) {
+                (false, _) => "Map",
+                (true, 0) => "OwnersNestJoin",
+                (true, _) => "MemberNestJoin",
+            };
             for parallelism in [1usize, 2] {
                 let cfg = PlannerConfig {
                     memory_budget,
@@ -474,6 +482,8 @@ fn forced_algorithms_stay_forced() {
                     "MemberNestJoin",
                     "SortMergeJoin",
                     "IndexNLJoin",
+                    "OwnersJoin",
+                    "OwnersNestJoin",
                 ] {
                     assert!(!ops.contains(&set_oriented), "{context}");
                 }
