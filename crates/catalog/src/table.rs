@@ -83,7 +83,7 @@ struct Snapshot {
     /// The rows as a canonical set. Rows are unique by oid, so its length
     /// is the number of rows it covers: the first `set.len()` of the table.
     set: Set,
-    /// Cell `i` holds `Batch::shared(Columnar, set, i·BATCH_SIZE ..)`, at
+    /// Cell `i` holds `Batch::scan_chunk(Columnar, set, i·BATCH_SIZE ..)`, at
     /// most [`BATCH_SIZE`] rows, built by the first scan that reads it.
     /// Its origin is `set`, never a retired snapshot's.
     columnar: Box<[OnceLock<Batch>]>,
@@ -426,21 +426,22 @@ impl Table {
 
     /// Scan chunk `i` in layout `kind`: rows `i·BATCH_SIZE ..` of
     /// [`Table::as_set`], at most [`BATCH_SIZE`] of them, cut by
-    /// [`Batch::shared`]; `None` past the last chunk. A columnar chunk is
-    /// transposed by the first call that asks for it, kept across an
-    /// insert that did not shift it, and shared with every caller: a
-    /// clone of it is a reference-count bump, and its row view is the
-    /// snapshot's tuples. A row chunk is a slice copy.
+    /// [`Batch::scan_chunk`]; `None` past the last chunk. This is the one
+    /// place columns are built: a columnar chunk is transposed by the
+    /// first call that asks for it, kept across an insert that did not
+    /// shift it, and shared with every caller. A clone of it is a
+    /// reference-count bump, and its row view is the snapshot's tuples.
+    /// A row chunk is a slice copy.
     pub fn chunk(&self, i: usize, kind: BatchKind) -> Option<Batch> {
         let snap = self.snapshot();
         let cell = snap.columnar.get(i)?;
         let rows = i * BATCH_SIZE..snap.set.len().min((i + 1) * BATCH_SIZE);
         Some(match kind {
-            BatchKind::Row => Batch::shared(kind, &snap.set, rows),
+            BatchKind::Row => Batch::scan_chunk(kind, &snap.set, rows),
             BatchKind::Columnar => cell
                 .get_or_init(|| {
                     self.work.chunks_transposed.fetch_add(1, Ordering::Relaxed);
-                    Batch::shared(kind, &snap.set, rows)
+                    Batch::scan_chunk(kind, &snap.set, rows)
                 })
                 .clone(),
         })
@@ -568,7 +569,9 @@ mod snapshot_tests {
         let chunks: Vec<&[Value]> = rebuilt.as_slice().chunks(BATCH_SIZE).collect();
         for kind in [BatchKind::Columnar, BatchKind::Row] {
             for (i, rows) in chunks.iter().enumerate() {
-                assert_eq!(t.chunk(i, kind), Some(Batch::of(kind, rows.to_vec())));
+                let at = i * BATCH_SIZE;
+                let fresh = Batch::scan_chunk(kind, &rebuilt, at..at + rows.len());
+                assert_eq!(t.chunk(i, kind), Some(fresh));
             }
             assert_eq!(t.chunk(chunks.len(), kind), None);
         }

@@ -71,8 +71,7 @@ fn read(t: &Table, kind: BatchKind, mask: u64) {
 }
 
 /// The snapshot and every chunk, in both layouts, equal a from-scratch
-/// build from the table's rows: their columns, and (since `==` looks at
-/// columns only) their row view too. Every columnar chunk's origin is
+/// build from the table's rows: their row views and their columns. Every columnar chunk's origin is
 /// the current snapshot at the chunk's offset, never `retired`, the
 /// snapshot a write since the last check set aside.
 fn assert_exact(t: &Table, retired: Option<&Set>, context: &str) {
@@ -83,14 +82,15 @@ fn assert_exact(t: &Table, retired: Option<&Set>, context: &str) {
     for kind in [BatchKind::Columnar, BatchKind::Row] {
         for (i, rows) in chunks.iter().enumerate() {
             let chunk = t.chunk(i, kind);
+            let at = i * BATCH_SIZE;
             assert_eq!(
                 chunk,
-                Some(Batch::of(kind, rows.to_vec())),
+                Some(Batch::scan_chunk(kind, &rebuilt, at..at + rows.len())),
                 "{context}: chunk {i} ({kind:?})"
             );
             let chunk = chunk.unwrap();
             if let Batch::Columnar(cb) = &chunk {
-                let (origin, start) = cb.origin().expect("a scan chunk keeps its rows");
+                let (origin, start) = cb.origin();
                 assert!(
                     std::ptr::eq(origin.as_slice(), current.as_slice()),
                     "{context}: chunk {i} is cut from another set"

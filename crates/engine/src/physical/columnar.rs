@@ -1,35 +1,37 @@
 //! Column-at-a-time execution helpers.
 //!
-//! The streaming pipeline ships [`Batch`]es that are columnar by default
-//! (see `oodb_value::batch`). Operators evaluate their
-//! [bound](crate::bound) expressions over the row view, but the hot
-//! shapes get a column fast path. Every fast path reads its shape from
-//! the operator's `BoundExpr`, so the binder is the one lowering that
-//! decides what runs column-at-a-time, and `row_column` is the one
-//! test: *is this a field of the operator's row, `Field(Row(0), a)`,
-//! with a live column?*
+//! A pipeline [`Batch`] is a row batch or a view of a stored chunk: a
+//! scan chunk the catalog cached with its columns, narrowed by a
+//! selection as filters pass it on (see `oodb_value::batch`). Operators
+//! evaluate their [bound](crate::bound) expressions over the row view,
+//! but the hot shapes get a column fast path over a chunk view. Every
+//! fast path reads its shape from the operator's `BoundExpr`, so the
+//! binder is the one lowering that decides what runs column-at-a-time,
+//! and `row_column` is the one test: *is this a field of the operator's
+//! row, `Field(Row(0), a)`, with a live column?* Every column read goes
+//! through the view's selection ([`ColumnView`]).
 //!
 //! * `filter_mask` binds the leaves of a filter's `AND`/`OR`/`NOT`
 //!   tree of comparisons (a row field against a literal or another row
-//!   field) to the batch's columns and evaluates the predicate as a
+//!   field) to the chunk's columns and evaluates the predicate as a
 //!   selection mask, with the [`Evaluator`](crate::eval::Evaluator)'s
 //!   exact `Cmp` semantics (`NULL` rejection, type-mismatch errors and
-//!   their order);
-//! * a `Map` whose body is a row field copies that column;
+//!   their order); the caller narrows the view's selection by it;
+//! * a `Map` whose body is a row field reads that column;
 //! * [`ProbeInput`] lets the join family probe either a plain row slice
 //!   (the materialized path, exchange worker chunks) or a streaming
 //!   [`Batch`], reading the join's bound left keys straight off key
-//!   columns without materializing probe rows.
+//!   columns without touching the probe rows.
 //!
 //! Every fast path preserves the reference work counters: the callers
-//! keep charging `predicate_evals` / `hash_probes` per row, and a column
-//! read evaluates no stats-bearing operator, so row and columnar layouts
-//! produce identical [`crate::stats::Stats`].
+//! keep charging `predicate_evals` / `hash_probes` per selected row, and
+//! a column read evaluates no stats-bearing operator, so row and
+//! columnar layouts produce identical [`crate::stats::Stats`].
 
 use crate::bound::BoundExpr;
 use crate::eval::EvalError;
 use crate::stats::Stats;
-use oodb_value::{Batch, CmpOp, Column, ColumnarBatch, Name, Oid, Value, F64};
+use oodb_value::{Batch, CmpOp, Column, ColumnView, ColumnarBatch, Name, Oid, Value, F64};
 use std::borrow::Cow;
 
 /// The process default for the vectorized fast paths: `OODB_VECTORIZE`
@@ -47,43 +49,46 @@ pub fn vectorize_from_env() -> bool {
     }
 }
 
-/// The column `e` reads from `cb`: `Some` when `e` is a field of the
-/// operator's (first) row variable, `Field(Row(0), a)`, and `cb` carries
-/// attribute `a`. The one shape test of every column fast path.
-pub(crate) fn row_column<'a>(e: &BoundExpr, cb: &'a ColumnarBatch) -> Option<&'a Column> {
+/// The column `e` reads from `cb`, through its selection: `Some` when
+/// `e` is a field of the operator's (first) row variable,
+/// `Field(Row(0), a)`, and `cb` carries attribute `a`. The one shape
+/// test of every column fast path.
+pub(crate) fn row_column<'a>(e: &BoundExpr, cb: &'a ColumnarBatch) -> Option<ColumnView<'a>> {
     match e {
         BoundExpr::Field(base, attr) if matches!(**base, BoundExpr::Row(0)) => cb.column(attr),
         _ => None,
     }
 }
 
-/// Evaluates a filter's bound predicate over one columnar batch as a
-/// selection mask, when its leaves bind to the batch's columns.
+/// Evaluates a filter's bound predicate over one chunk view as a
+/// selection mask, when its leaves bind to the chunk's columns. The
+/// mask has one entry per row of the view.
 ///
 /// The predicate must be an `AND`/`OR`/`NOT` tree whose leaves compare
 /// a row field with a literal (either side) or with another row field:
 /// `Cmp` over `Field(Row(0), a)` and `Lit` or `Field(Row(0), b)`. For
-/// each batch the leaves bind to its columns, and one of three tiers
-/// runs:
+/// each batch the leaves bind to the chunk's full columns, and one of
+/// three tiers runs:
 ///
 /// 1. **Bitmask** — no leaf can error on any row (primitive and string
 ///    columns are constructor-uniform and never hold `NULL`, so one
 ///    witness comparison per leaf decides this). Leaves evaluate whole
-///    columns in chunk-friendly loops (`i64`/`f64`/string
+///    chunk columns in chunk-friendly loops (`i64`/`f64`/string
 ///    specializations that compare values in place), `AND`
 ///    short-circuits when its left mask is all-false and `OR` when
-///    all-true.
+///    all-true; the result is read through the view's selection.
 /// 2. **Per-row tree walk** — some leaf could error (value columns,
-///    `NULL` literals, uncomparable constructors). Rows evaluate in
-///    order with the interpreter's left-to-right short-circuit, so the
-///    first error surfaced is the reference one.
+///    `NULL` literals, uncomparable constructors). The selected rows
+///    evaluate in order with the interpreter's left-to-right
+///    short-circuit, so the first error surfaced is the reference one
+///    and a row an earlier filter removed raises none.
 /// 3. **Row fallback** — the predicate has another shape, or a leaf's
 ///    column is missing from this batch: `None`, and the caller
 ///    evaluates the bound predicate over the row view, which reports the
 ///    reference error.
 ///
-/// Charges `predicate_evals` once per row reached (all of them on
-/// success; up to and including the erroring row on failure) and
+/// Charges `predicate_evals` once per selected row reached (all of them
+/// on success; up to and including the erroring row on failure) and
 /// `mask_batches` once, so row and mask paths keep identical reference
 /// counters.
 pub(crate) fn filter_mask(
@@ -95,12 +100,13 @@ pub(crate) fn filter_mask(
     stats.mask_batches += 1;
     if mask.infallible() {
         stats.predicate_evals += cb.len() as u64;
-        return Some(Ok(mask.eval_mask(cb.len())));
+        let chunk = mask.eval_mask(cb.chunk_len());
+        return Some(Ok(cb.selected().map(|j| chunk[j]).collect()));
     }
     let mut keep = Vec::with_capacity(cb.len());
-    for i in 0..cb.len() {
+    for j in cb.selected() {
         stats.predicate_evals += 1;
-        match mask.eval_row(i) {
+        match mask.eval_row(j) {
             Ok(k) => keep.push(k),
             Err(e) => return Some(Err(e)),
         }
@@ -152,10 +158,10 @@ fn cmp_lanes<T: PartialOrd>(op: CmpOp, l: Lane<'_, T>, r: Lane<'_, T>, len: usiz
     }
 }
 
-/// One side of a mask comparison, bound to a batch.
+/// One side of a mask comparison, bound to a chunk.
 #[derive(Clone, Copy)]
 enum Operand<'a> {
-    /// A row field's column.
+    /// A row field's column, every row of the chunk.
     Col(&'a Column),
     /// A literal of the plan.
     Lit(&'a Value),
@@ -165,11 +171,11 @@ impl<'a> Operand<'a> {
     fn bind(e: &'a BoundExpr, cb: &'a ColumnarBatch) -> Option<Self> {
         match e {
             BoundExpr::Lit(v) => Some(Operand::Lit(v)),
-            _ => row_column(e, cb).map(Operand::Col),
+            _ => row_column(e, cb).map(|c| Operand::Col(c.chunk())),
         }
     }
 
-    /// Row `i`'s value.
+    /// Chunk row `i`'s value.
     fn at(self, i: usize) -> Cow<'a, Value> {
         match self {
             Operand::Col(c) => Cow::Owned(c.value_at(i)),
@@ -223,7 +229,7 @@ impl<'a> Operand<'a> {
     }
 }
 
-/// A filter predicate's leaves bound to one batch's columns.
+/// A filter predicate's leaves bound to one chunk's columns.
 enum Mask<'a> {
     /// A comparison with at least one column operand.
     Cmp(CmpOp, Operand<'a>, Operand<'a>),
@@ -311,7 +317,7 @@ impl<'a> Mask<'a> {
         }
     }
 
-    /// Tier 2: one row, with the interpreter's left-to-right
+    /// Tier 2: one chunk row, with the interpreter's left-to-right
     /// short-circuit and error order.
     fn eval_row(&self, i: usize) -> Result<bool, EvalError> {
         match self {
@@ -365,30 +371,29 @@ impl<'a> ProbeInput<'a> {
         self.len() == 0
     }
 
-    /// Row `i`: borrowed where the input owns rows or a columnar batch
-    /// keeps its origin ([`Batch::row_at`]), materialized from columns
-    /// otherwise. Probe loops call this lazily — only when the full row
-    /// is actually needed (residuals, output construction).
+    /// Row `i`, borrowed: a row of the input or a chunk's stored tuple
+    /// ([`Batch::row_at`]). Probe loops call this lazily — only when the
+    /// full row is actually needed (residuals, output construction).
     pub fn row_at(&self, i: usize) -> Cow<'a, Value> {
-        match self {
-            ProbeInput::Rows(r) => Cow::Borrowed(&r[i]),
+        Cow::Borrowed(match self {
+            ProbeInput::Rows(r) => &r[i],
             ProbeInput::Batch(b) => b.row_at(i),
-        }
+        })
     }
 
-    /// The column `key` reads, when the input is a columnar batch and
-    /// `key` a field of the probe row with a live column (see
-    /// [`row_column`]).
-    pub(crate) fn key_column(&self, key: &BoundExpr) -> Option<&'a Column> {
+    /// The column `key` reads, through the selection, when the input is
+    /// a chunk view and `key` a field of the probe row with a live
+    /// column (see [`row_column`]).
+    pub(crate) fn key_column(&self, key: &BoundExpr) -> Option<ColumnView<'a>> {
         let ProbeInput::Batch(Batch::Columnar(cb)) = self else {
             return None;
         };
         row_column(key, cb)
     }
 
-    /// The column of attribute `name`, when the input is a columnar
-    /// batch that has one.
-    pub(crate) fn column(&self, name: &str) -> Option<&'a Column> {
+    /// The column of attribute `name`, through the selection, when the
+    /// input is a chunk view that has one.
+    pub(crate) fn column(&self, name: &str) -> Option<ColumnView<'a>> {
         match self {
             ProbeInput::Batch(b) => b.column(name),
             ProbeInput::Rows(_) => None,
@@ -396,17 +401,16 @@ impl<'a> ProbeInput<'a> {
     }
 
     /// The columns a composite key reads — `Some` only when *every* key
-    /// has one, so the whole key vector evaluates without materializing
-    /// the row.
-    pub(crate) fn key_columns(&self, keys: &[BoundExpr]) -> Option<Vec<&'a Column>> {
+    /// has one, so the whole key vector evaluates without reading the
+    /// row.
+    pub(crate) fn key_columns(&self, keys: &[BoundExpr]) -> Option<Vec<ColumnView<'a>>> {
         keys.iter().map(|k| self.key_column(k)).collect()
     }
 }
 
-/// Takes the (lazily materialized) probe row out of its cache, reading
-/// it from the input if nothing cached it yet — the "emit the probe row
-/// itself" path of semi/anti joins, with no extra clone for columnar
-/// inputs.
+/// Takes the (lazily read) probe row out of its cache, reading it from
+/// the input if nothing cached it yet — the "emit the probe row itself"
+/// path of semi/anti joins, with one clone of the borrowed row.
 pub(crate) fn take_row(
     cache: &mut Option<Cow<'_, Value>>,
     probe: &ProbeInput<'_>,
@@ -421,17 +425,32 @@ pub(crate) fn take_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oodb_catalog::Table;
     use oodb_value::batch::BatchKind;
+    use oodb_value::Oid;
 
     fn rows() -> Vec<Value> {
         (0..5)
-            .map(|i| {
-                Value::tuple([
-                    ("a", Value::Int(i)),
-                    ("s", Value::str(if i < 3 { "lo" } else { "hi" })),
-                ])
-            })
+            .map(|i| row(i, Value::str(if i < 3 { "lo" } else { "hi" })))
             .collect()
+    }
+
+    fn row(i: i64, s: Value) -> Value {
+        Value::tuple([
+            ("a", Value::Int(i)),
+            ("id", Value::Oid(Oid(i as u64))),
+            ("s", s),
+        ])
+    }
+
+    /// Scan chunk 0 of a table of `rows`, in layout `kind`.
+    fn chunk(rows: Vec<Value>, kind: BatchKind) -> Batch {
+        let mut t = Table::new("id".into());
+        for r in rows {
+            t.insert(&"T".into(), r.as_tuple().unwrap().clone())
+                .unwrap();
+        }
+        t.chunk(0, kind).unwrap()
     }
 
     /// `Field(Row(row), attr)`.
@@ -441,7 +460,7 @@ mod tests {
 
     #[test]
     fn probe_input_reads_keys_off_columns() {
-        let batch = Batch::of(BatchKind::Columnar, rows());
+        let batch = chunk(rows(), BatchKind::Columnar);
         let probe: ProbeInput = (&batch).into();
         let cols = probe
             .key_columns(&[field(0, "a")])
@@ -454,11 +473,50 @@ mod tests {
             .key_columns(&[field(0, "a"), BoundExpr::Lit(Value::Int(1))])
             .is_none());
         assert!(probe.key_columns(&[field(1, "a")]).is_none());
+        // a filtered view reads its keys through the selection
+        let Batch::Columnar(cb) = &batch else {
+            panic!("uniform tuples get columns")
+        };
+        let odd = Batch::Columnar(cb.filter(&[false, true, false, true, false]));
+        let probe: ProbeInput = (&odd).into();
+        let cols = probe.key_columns(&[field(0, "a")]).unwrap();
+        assert_eq!(cols[0].value_at(1), Value::Int(3));
+        assert_eq!(probe.row_at(1).as_ref(), &rows()[3]);
         // row batches have no columns
-        let rb = Batch::of(BatchKind::Row, rows());
+        let rb = chunk(rows(), BatchKind::Row);
         let probe: ProbeInput = (&rb).into();
         assert!(probe.key_columns(&[field(0, "a")]).is_none());
         assert_eq!(probe.row_at(2).as_ref(), &rows()[2]);
+    }
+
+    /// The mask tier binds the chunk's full columns and reads its result
+    /// through the view's selection, on both tiers, and charges only the
+    /// selected rows.
+    #[test]
+    fn masks_read_through_the_selection() {
+        let Batch::Columnar(cb) = chunk(rows(), BatchKind::Columnar) else {
+            panic!("columnar")
+        };
+        let view = cb.filter(&[true, false, true, true, false]); // a = 0, 2, 3
+        let lo = |lit: Value| {
+            BoundExpr::Cmp(
+                CmpOp::Lt,
+                Box::new(field(0, "a")),
+                Box::new(BoundExpr::Lit(lit)),
+            )
+        };
+        // infallible (bitmask), then fallible (per-row walk): `a < "x"`
+        // errors on every row the `OR` reaches
+        let fallible = BoundExpr::Or(Box::new(lo(Value::Int(3))), Box::new(lo(Value::str("x"))));
+        let mut stats = Stats::new();
+        let keep = filter_mask(&lo(Value::Int(3)), &view, &mut stats).unwrap();
+        assert_eq!(keep.unwrap(), [true, true, false]);
+        assert_eq!((stats.predicate_evals, stats.mask_batches), (3, 1));
+        let narrowed = view.filter(&[true, true, false]); // a = 0, 2
+        let keep = filter_mask(&fallible, &narrowed, &mut stats).unwrap();
+        assert_eq!(keep.unwrap(), [true, true]);
+        assert_eq!((stats.predicate_evals, stats.mask_batches), (5, 2));
+        assert!(filter_mask(&fallible, &view, &mut stats).unwrap().is_err());
     }
 
     /// A string column is constructor-uniform and so has a witness: a
@@ -467,11 +525,11 @@ mod tests {
     #[test]
     fn string_columns_have_a_witness_value_columns_none() {
         let mut mixed = rows();
-        mixed.push(Value::tuple([("a", Value::Int(9)), ("s", Value::Null)]));
-        let Batch::Columnar(uniform) = Batch::of(BatchKind::Columnar, rows()) else {
+        mixed.push(row(9, Value::Null));
+        let Batch::Columnar(uniform) = chunk(rows(), BatchKind::Columnar) else {
             panic!("columnar")
         };
-        let Batch::Columnar(padded) = Batch::of(BatchKind::Columnar, mixed) else {
+        let Batch::Columnar(padded) = chunk(mixed, BatchKind::Columnar) else {
             panic!("columnar")
         };
         let s = field(0, "s");

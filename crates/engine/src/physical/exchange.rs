@@ -344,11 +344,7 @@ impl Operator for ExchangeOp {
             let rows = self.run_workers(ctx)?;
             self.buf = Some(Buffered::new(rows));
         }
-        let chunk = self
-            .buf
-            .as_mut()
-            .expect("gathered above")
-            .next_chunk(ctx.opts.batch_kind);
+        let chunk = self.buf.as_mut().expect("gathered above").next_chunk();
         if chunk.is_none() {
             self.state = InstrState::Exhausted;
         }
@@ -506,6 +502,51 @@ mod tests {
             ctx.stats.rows_scanned, scanned,
             "close misuse re-ran workers"
         );
+    }
+
+    /// Columns exist only in the catalog's scan chunks: an exchange's
+    /// gathered rows, and every buffered output, leave as row batches
+    /// even when scans hand out columnar chunks.
+    #[test]
+    fn exchange_and_buffered_output_are_row_batches() {
+        let db = big_part_db(2 * BATCH_SIZE + 3);
+        let e = select("p", lt(var("p").field("price"), int(50)), table("PART"));
+        let plan = Planner::with_config(&db, config(2)).plan(&e).unwrap();
+        assert!(matches!(plan.phys, PhysPlan::Exchange { .. }));
+        let mut stats = Stats::new();
+        let mut ctx = ExecCtx {
+            ev: Evaluator::new(&db),
+            env: Env::new(),
+            stats: &mut stats,
+            opts: ExecOptions {
+                budget: MemoryBudget::unbounded(),
+                batch_kind: oodb_value::BatchKind::Columnar,
+                vectorize: true,
+                timing: false,
+            },
+        };
+        let mut op = plan.phys.compile();
+        op.open(&mut ctx).unwrap();
+        let mut chunks = 0;
+        while let Some(b) = op.next_batch(&mut ctx).unwrap() {
+            assert!(matches!(b, Batch::Rows(_)), "{b:?}");
+            chunks += 1;
+        }
+        assert!(chunks > 1);
+        op.close(&mut ctx);
+
+        let set = db.table("PART").unwrap().as_set().clone();
+        for mut buf in [
+            Buffered::shared(set.clone()),
+            Buffered::new(set.into_values()),
+        ] {
+            let mut rows = 0;
+            while let Some(b) = buf.next_chunk() {
+                assert!(matches!(b, Batch::Rows(_)), "{b:?}");
+                rows += b.len();
+            }
+            assert_eq!(rows, 2 * BATCH_SIZE + 3);
+        }
     }
 
     /// A database whose extents all span several batches: `n` parts

@@ -66,7 +66,7 @@ use oodb_adl::expr::{Expr, JoinKind};
 use oodb_catalog::{Database, Table};
 use oodb_spill::{MemoryBudget, SpillMetrics};
 use oodb_value::fxhash::FxHashMap;
-use oodb_value::{Batch, BatchKind, Name, Set, Value};
+use oodb_value::{Batch, Name, Set, Value};
 use std::borrow::{Borrow, Cow};
 
 /// The two supported membership predicate shapes.
@@ -1271,7 +1271,7 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
         join: &BoundJoin,
         shape: &MemberShape,
         probe: &ProbeInput<'p>,
-        left_col: Option<&oodb_value::Column>,
+        left_col: Option<oodb_value::ColumnView<'_>>,
         i: usize,
         cache: &mut Option<Cow<'p, Value>>,
         cx: &mut Cx<'_, '_>,
@@ -1636,7 +1636,7 @@ impl Operator for JoinOp {
             self.state = self.start(ctx)?;
         }
         let build = match &mut self.state {
-            JoinState::Done(buf) => return Ok(buf.next_chunk(BatchKind::Row)),
+            JoinState::Done(buf) => return Ok(buf.next_chunk()),
             JoinState::Merging(merge) => {
                 let mut cx = self.join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
                 let out = merge.next_chunk(&self.join, BATCH_SIZE, &mut cx)?;
@@ -1699,6 +1699,7 @@ mod tests {
     use crate::plan::PlannerConfig;
     use oodb_adl::dsl::*;
     use oodb_catalog::fixtures::{figure3_db, supplier_part_db};
+    use oodb_value::BatchKind;
 
     fn run(
         db: &oodb_catalog::Database,

@@ -22,8 +22,8 @@
 //!   are lowered once into a [`Bound`] expression and evaluated against
 //!   each borrowed row of the batch, with the outer variables read once
 //!   per batch — no environment push, no by-name variable lookup and no
-//!   operand clone per row. A filter over a columnar batch emits its
-//!   selection of the columns.
+//!   operand clone per row. A filter over a scan chunk's view narrows
+//!   its selection.
 //!
 //! Entry point: [`PhysPlan::execute_streaming`], which
 //! [`crate::plan::Plan::execute_streaming`] calls with the planner
@@ -45,9 +45,8 @@ use std::time::Instant;
 
 pub use oodb_value::batch::BATCH_SIZE;
 
-/// One batch of rows flowing between operators — columnar by default,
-/// legacy `Vec<Value>` rows under `BatchKind::Row` (see
-/// [`oodb_value::batch`]).
+/// One batch of rows flowing between operators: a row batch, or a view
+/// of a stored scan chunk (see [`oodb_value::batch`]).
 pub use oodb_value::Batch;
 
 /// A boxed operator node.
@@ -67,12 +66,12 @@ pub struct ExecOptions {
     /// grouping state) is held to; shared across the pipeline, divided
     /// into per-worker shares by the exchanges.
     pub budget: MemoryBudget,
-    /// Which layout batch *sources* (scans, scalar-set streams,
-    /// round-robin exchange gathers) build their batches in —
-    /// [`BatchKind::Columnar`] or the legacy boxed rows of
-    /// [`BatchKind::Row`]. Layout-preserving transforms keep columnar
-    /// batches columnar; operators that construct fresh rows (join
-    /// outputs, blocking drains) emit row batches.
+    /// Whether scan chunks carry their columns
+    /// ([`BatchKind::Columnar`]) or are row batches
+    /// ([`BatchKind::Row`]). A filter keeps a chunk view a view;
+    /// every other batch (join outputs, blocking drains, exchange
+    /// gathers, scalar-set streams, set-index candidates) is a row
+    /// batch.
     pub batch_kind: BatchKind,
     /// Master switch for the vectorized fast paths: selection masks,
     /// column-at-a-time transforms and the streaming ν/`Agg` group
@@ -216,10 +215,9 @@ fn drain_value(op: &mut BoxOp, ctx: &mut ExecCtx<'_, '_>) -> Result<Value, EvalE
     }
 }
 
-/// Buffered rows emitted in [`BATCH_SIZE`] chunks (blocking operators'
-/// output side). Owned rows are moved out chunk by chunk; a shared set
-/// is cut into chunks in place by [`Batch::shared`], so buffering it
-/// copies nothing and a columnar chunk's row view is the set's tuples.
+/// Buffered rows emitted as [`BATCH_SIZE`]-row row batches (blocking
+/// operators' output side). Owned rows are moved out chunk by chunk; a
+/// shared set's rows are handed out as reference-count bumps.
 #[derive(Debug)]
 pub(crate) struct Buffered {
     rows: Rows,
@@ -248,7 +246,7 @@ impl Buffered {
         }
     }
 
-    pub(crate) fn next_chunk(&mut self, kind: BatchKind) -> Option<Batch> {
+    pub(crate) fn next_chunk(&mut self) -> Option<Batch> {
         let total = match &self.rows {
             Rows::Owned(v) => v.len(),
             Rows::Shared(s) => s.len(),
@@ -261,14 +259,13 @@ impl Buffered {
         Some(match &mut self.rows {
             // Move rows out (leaving cheap `Null`s) — each buffered row
             // is emitted exactly once.
-            Rows::Owned(v) => Batch::of(
-                kind,
+            Rows::Owned(v) => Batch::from_rows(
                 v[start..end]
                     .iter_mut()
                     .map(|v| std::mem::replace(v, Value::Null))
                     .collect(),
             ),
-            Rows::Shared(s) => Batch::shared(kind, s, start..end),
+            Rows::Shared(s) => Batch::from_rows(s.as_slice()[start..end].to_vec()),
         })
     }
 }
@@ -647,11 +644,7 @@ impl Operator for ScalarRows {
             let v = drain_scalar(&mut self.child, ctx)?;
             self.buf = Some(Buffered::shared(v.into_set()?));
         }
-        Ok(self
-            .buf
-            .as_mut()
-            .expect("buffered above")
-            .next_chunk(ctx.opts.batch_kind))
+        Ok(self.buf.as_mut().expect("buffered above").next_chunk())
     }
 
     fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {
@@ -681,26 +674,25 @@ enum RowTransform {
 
 /// Applies a [`RowTransform`] to each input batch as it streams past.
 ///
-/// Columnar batches run column-at-a-time where the bound expression has
+/// Scan chunk views run column-at-a-time where the bound expression has
 /// a column shape (a filter's comparison tree over row fields and
-/// literals, a map to a row field; see [`super::columnar`]) and for
-/// project and rename; anything else — or any irregularity the column
-/// fast path cannot express (missing attributes, name collisions) —
-/// falls back to the row view, which reproduces the reference
-/// semantics and error messages exactly. On the row view a filter or
-/// map evaluates its [bound](crate::bound) expression against each
-/// borrowed row ([`Batch::row_at`]); a filter hands a columnar batch
-/// on as its selection ([`ColumnarBatch::filter`](oodb_value::ColumnarBatch::filter)),
-/// or whole when every row passes.
+/// literals, a map to a row field; see [`super::columnar`]); anything
+/// else — or a column the chunk lacks — falls back to the row view,
+/// which reproduces the reference semantics and error messages exactly.
+/// On the row view a filter or map evaluates its [bound](crate::bound)
+/// expression against each borrowed row ([`Batch::row_at`]). Either
+/// way a filter hands a chunk view on with its selection narrowed
+/// ([`ColumnarBatch::filter`](oodb_value::ColumnarBatch::filter)), and
+/// any batch on whole when every row passes.
 struct TransformOp {
     t: RowTransform,
     child: BoxOp,
 }
 
 impl TransformOp {
-    /// The columnar fast path for this batch, if the transform shape and
-    /// the batch layout both allow one. `None` falls through to
-    /// [`TransformOp::apply_rows`].
+    /// The column fast path for this batch, if the transform shape and
+    /// the batch (a chunk view) both allow one. `None` falls through to
+    /// the row view.
     fn apply_columns(
         &self,
         batch: &Batch,
@@ -727,8 +719,6 @@ impl TransformOp {
                 let out: Vec<Value> = (0..cb.len()).map(|i| col.value_at(i)).collect();
                 Ok(Some(Batch::from_rows(out)))
             }
-            RowTransform::Project { attrs } => Ok(cb.project(attrs).map(Batch::Columnar)),
-            RowTransform::Rename { pairs } => Ok(cb.rename(pairs).map(Batch::Columnar)),
             _ => Ok(None),
         }
     }
@@ -739,7 +729,7 @@ impl TransformOp {
         let keep = (0..batch.len())
             .map(|i| {
                 cx.stats.predicate_evals += 1;
-                cx.truth(pred.expr(), &[&batch.row_at(i)])
+                cx.truth(pred.expr(), &[batch.row_at(i)])
             })
             .collect::<Result<Vec<bool>, EvalError>>()?;
         if keep.iter().all(|k| *k) {
@@ -762,7 +752,7 @@ impl TransformOp {
         let out = (0..batch.len())
             .map(|i| {
                 cx.stats.predicate_evals += 1;
-                cx.value(body.expr(), &[&batch.row_at(i)])
+                cx.value(body.expr(), &[batch.row_at(i)])
             })
             .collect::<Result<Vec<Value>, EvalError>>()?;
         Ok(Batch::from_rows(out))
@@ -777,12 +767,12 @@ impl TransformOp {
             RowTransform::Filter { pred } => return Self::filter(pred, batch, ctx),
             RowTransform::Map { body } => return Self::map(body, &batch, ctx),
             RowTransform::Project { attrs } => {
-                for elem in &batch.into_values() {
+                for elem in batch.rows().iter() {
                     out.push(Value::Tuple(elem.as_tuple()?.subscript(attrs)?));
                 }
             }
             RowTransform::Rename { pairs } => {
-                for elem in &batch.into_values() {
+                for elem in batch.rows().iter() {
                     let mut t = elem.as_tuple()?.clone();
                     for (old, new) in pairs {
                         t = t.rename(old, new)?;
@@ -791,12 +781,12 @@ impl TransformOp {
                 }
             }
             RowTransform::Unnest { attr } => {
-                for elem in &batch.into_values() {
+                for elem in batch.rows().iter() {
                     unnest_value(elem, attr, &mut out)?;
                 }
             }
             RowTransform::Flatten => {
-                for elem in batch.into_values() {
+                for elem in batch.rows().iter() {
                     match elem {
                         Value::Set(s) => out.extend_from_slice(s.as_slice()),
                         other => {
@@ -917,11 +907,7 @@ impl Operator for BlockingOp {
             };
             self.buf = Some(buf);
         }
-        Ok(self
-            .buf
-            .as_mut()
-            .expect("buffered above")
-            .next_chunk(BatchKind::Row))
+        Ok(self.buf.as_mut().expect("buffered above").next_chunk())
     }
 
     fn close(&mut self, ctx: &mut ExecCtx<'_, '_>) {

@@ -252,17 +252,16 @@ impl Operator for SetIndexScanOp {
                 })
             }
         };
-        let kind = ctx.opts.batch_kind;
         Ok(match cursor {
             Cursor::Extent(i) => {
                 *i += 1;
-                table.chunk(*i - 1, kind)
+                table.chunk(*i - 1, ctx.opts.batch_kind)
             }
             Cursor::Rows(rows, at) if *at < rows.len() => {
                 let end = (*at + BATCH_SIZE).min(rows.len());
                 let chunk = table.rows_at(&rows[*at..end]);
                 *at = end;
-                Some(Batch::of(kind, chunk.cloned().map(Value::Tuple).collect()))
+                Some(Batch::from_rows(chunk.cloned().map(Value::Tuple).collect()))
             }
             Cursor::Rows(..) => None,
         })

@@ -875,7 +875,7 @@ mod tests {
     use oodb_catalog::fixtures::supplier_part_db;
     use oodb_value::{Batch, BatchKind};
 
-    /// A source that hands out fixed batches in the context's layout.
+    /// A source that hands out fixed row batches.
     struct Chunks(Vec<Vec<Value>>);
 
     impl Operator for Chunks {
@@ -883,8 +883,8 @@ mod tests {
             Ok(())
         }
 
-        fn next_batch(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
-            Ok((!self.0.is_empty()).then(|| Batch::of(ctx.opts.batch_kind, self.0.remove(0))))
+        fn next_batch(&mut self, _: &mut ExecCtx<'_, '_>) -> Result<Option<Batch>, EvalError> {
+            Ok((!self.0.is_empty()).then(|| Batch::from_rows(self.0.remove(0))))
         }
 
         fn close(&mut self, _: &mut ExecCtx<'_, '_>) {}

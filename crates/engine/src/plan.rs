@@ -146,10 +146,10 @@ pub struct PlannerConfig {
     /// candidate selection can prefer, say, sort-merge when grace
     /// recursion would be expensive.
     pub memory_budget: usize,
-    /// Which layout the streaming pipeline ships batches in. Columnar
-    /// (the default) flattens uniform tuple batches into unboxed
-    /// columns, with strings and nested values stored one per row (see
-    /// `oodb_value::batch`); `Row` preserves the legacy boxed-row
+    /// Whether scan chunks carry columns. Columnar (the default) hands
+    /// out the catalog's cached chunks with their unboxed columns, with
+    /// strings and nested values stored one per row, as views that
+    /// filters narrow (see `oodb_value::batch`); `Row` cuts them as row
     /// batches. The `OODB_BATCH_KIND` environment variable supplies the
     /// process default (how CI runs a whole pass under the row layout);
     /// results, operator row totals and classic work counters are

@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use oodb_adl::expr::Expr;
 use oodb_catalog::Database;
 use oodb_core::strategy::Optimized;
-use oodb_engine::{PhysPlan, Stats, BATCH_SIZE};
+use oodb_engine::{PhysPlan, Stats};
 use oodb_value::{codec, Name, Value};
 
 /// Extent versions at the time a cache entry was built. An entry is
@@ -110,8 +110,9 @@ pub struct CachedPlan {
 
 /// A cached query (or hoisted-`let` subquery) result.
 ///
-/// A hit replays the value in [`BATCH_SIZE`] slices
-/// ([`CachedResult::slice`]). Each slice has one slot for its encoded
+/// A hit replays the value in slices ([`CachedResult::slice`]) cut at
+/// the row counts of the chunks the live read streamed, so a hit repeats
+/// the live read's chunk count. Each slice has one slot for its encoded
 /// CHUNK body, filled by the first wire reader of that slice and shared
 /// by every later one, so a result is encoded at most once however often
 /// it is served. In-process readers never fill a slot.
@@ -128,30 +129,48 @@ pub struct CachedResult {
     /// then assert identical profiles whether or not a value came from
     /// the cache.
     pub profile: Stats,
+    /// Where each replay slice ends in the value's rows, ascending.
+    ends: Box<[usize]>,
     /// `chunks[i]` holds the CHUNK body of slice `i` once a wire reader
     /// asked for it.
     chunks: Box<[OnceLock<Box<[u8]>>]>,
 }
 
 impl CachedResult {
-    /// An entry with one empty chunk slot per replay slice.
-    pub fn new(value: Value, stamp: Stamp, profile: Stats) -> Self {
-        let slices = replay_rows(&value).len().div_ceil(BATCH_SIZE);
+    /// An entry whose replay cuts the value's rows at `chunk_rows`, the
+    /// row counts of the chunks its live read streamed, with one empty
+    /// chunk slot per slice. The value's rows are the streamed rows
+    /// deduplicated, never more, so a slice that comes out empty is
+    /// skipped. A hoisted `let` binding is never replayed as chunks and
+    /// passes no counts.
+    pub fn new(value: Value, stamp: Stamp, profile: Stats, chunk_rows: &[usize]) -> Self {
+        let total = replay_rows(&value).len();
+        let mut ends = Vec::with_capacity(chunk_rows.len());
+        let mut end = 0;
+        for &rows in chunk_rows {
+            let next = (end + rows).min(total);
+            if next > end {
+                ends.push(next);
+                end = next;
+            }
+        }
         CachedResult {
             value,
             stamp,
             profile,
-            chunks: (0..slices).map(|_| OnceLock::new()).collect(),
+            chunks: ends.iter().map(|_| OnceLock::new()).collect(),
+            ends: ends.into(),
         }
     }
 
-    /// Replay slice `i`: the next [`BATCH_SIZE`] rows of the value, a
-    /// set's in canonical order; any other (scalar) value is one 1-row
-    /// slice, and an empty set has none. `None` past the last slice.
+    /// Replay slice `i`: the value's rows, a set's in canonical order,
+    /// from the end of slice `i - 1` to the end of slice `i`; any other
+    /// (scalar) value is one 1-row slice, and an empty set has none.
+    /// `None` past the last slice.
     pub fn slice(&self, i: usize) -> Option<&[Value]> {
-        let rows = replay_rows(&self.value);
-        let start = i.checked_mul(BATCH_SIZE).filter(|&s| s < rows.len())?;
-        Some(&rows[start..(start + BATCH_SIZE).min(rows.len())])
+        let end = *self.ends.get(i)?;
+        let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
+        Some(&replay_rows(&self.value)[start..end])
     }
 
     /// Slice `i`'s row count and CHUNK body — exactly what
@@ -503,7 +522,7 @@ mod tests {
     /// A result entry over `db`'s SUPPLIER extent, current as of now.
     fn supplier_entry(db: &Database) -> CachedResult {
         let extents = [Name::from("SUPPLIER")];
-        CachedResult::new(Value::Int(1), stamp(&extents, db), Stats::default())
+        CachedResult::new(Value::Int(1), stamp(&extents, db), Stats::default(), &[1])
     }
 
     fn admits(cache: &ResultCache, key: &str, db: &Database) -> bool {

@@ -722,6 +722,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                     result_key,
                     admitted: false,
                     accumulate: None,
+                    chunk_rows: Vec::new(),
                     scalar,
                     exec_start_us,
                     ttfb_us: None,
@@ -779,6 +780,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
             result_key,
             admitted,
             accumulate: admitted.then(Vec::new),
+            chunk_rows: Vec::new(),
             scalar,
             exec_start_us,
             ttfb_us: None,
@@ -880,6 +882,7 @@ impl<'srv, 'db> Session<'srv, 'db> {
                                     v.clone(),
                                     cache::stamp(&extents, db),
                                     local.clone(),
+                                    &[],
                                 ),
                             );
                         } else {
@@ -902,10 +905,9 @@ impl<'srv, 'db> Session<'srv, 'db> {
 }
 
 /// Where a [`ResultCursor`]'s chunks come from: a live streaming
-/// pipeline, or the replay of a shared result-cache entry in its
-/// [`BATCH_SIZE`](oodb_engine::BATCH_SIZE) slices
-/// ([`CachedResult::slice`]), so both sources look identical to the
-/// consumer.
+/// pipeline, or the replay of a shared result-cache entry in its slices
+/// ([`CachedResult::slice`]), cut where the live read's chunks ended, so
+/// both sources look identical to the consumer.
 enum CursorSource<'db> {
     Live(Box<ResultStream<'db>>),
     /// The shared cache entry and the index of the next slice to replay.
@@ -947,6 +949,9 @@ pub struct ResultCursor<'srv, 'db> {
     /// collect-all consumer); `None` on the pure streaming path — the
     /// server then never holds a whole `Vec<Value>` result.
     accumulate: Option<Vec<Value>>,
+    /// The row count of each chunk pulled while `accumulate` was on: a
+    /// cached replay of the result cuts its slices at these counts.
+    chunk_rows: Vec<usize>,
     scalar: bool,
     exec_start_us: u64,
     ttfb_us: Option<u64>,
@@ -1090,6 +1095,9 @@ impl<'srv, 'db> ResultCursor<'srv, 'db> {
                 }
                 self.rows_streamed += rows as u64;
                 self.chunks_streamed += 1;
+                if self.accumulate.is_some() {
+                    self.chunk_rows.push(rows);
+                }
                 self.server.shared.metrics.streamed_chunks.inc();
                 Ok(true)
             }
@@ -1170,6 +1178,7 @@ impl<'srv, 'db> ResultCursor<'srv, 'db> {
                                 value.clone(),
                                 cache::stamp(&self.entry.extents, server.db),
                                 profile,
+                                &self.chunk_rows,
                             ),
                         );
                     }

@@ -186,9 +186,8 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> io::Result<Option<Frame>> 
 }
 
 /// Encodes one pipeline batch as a CHUNK body: its rows as one row
-/// block ([`codec::encode_rows`]). A row batch and a scan chunk with an
-/// origin are encoded from the rows they hold, without a copy; any
-/// other columnar batch materializes its rows first.
+/// block ([`codec::encode_rows`]). A row batch is encoded from the rows
+/// it holds; a scan chunk view from the stored tuples it selects.
 pub fn encode_chunk(batch: &Batch, out: &mut Vec<u8>) {
     codec::encode_rows(&batch.rows(), out);
 }
@@ -504,39 +503,58 @@ mod tests {
         );
     }
 
+    /// Scan chunk 0 of a table of `rows` (each carries its oid in
+    /// `id`), with columns.
+    fn scan_chunk(rows: Vec<Value>) -> Batch {
+        let mut t = oodb_catalog::Table::new("id".into());
+        for r in rows {
+            t.insert(&"T".into(), r.as_tuple().unwrap().clone())
+                .unwrap();
+        }
+        t.chunk(0, oodb_value::BatchKind::Columnar).unwrap()
+    }
+
     /// Every CHUNK body is the row codec's block of the batch's rows,
-    /// whatever the batch's layout or origin, and a cached slice sends
+    /// whatever the batch's layout or selection, and a cached slice sends
     /// the same bytes a live batch of its rows would.
     #[test]
     fn every_chunk_is_one_row_block() {
         use crate::cache::CachedResult;
-        use oodb_value::{batch::BATCH_SIZE, BatchKind, Oid, Set, Tuple};
+        use oodb_value::{batch::BATCH_SIZE, Oid, Tuple};
         let row = |i: i64| {
             Value::tuple([
                 ("a", Value::Int(i)),
                 ("b", Value::str(&format!("s{}", i % 3))),
                 ("c", Value::set([Value::Oid(Oid(i as u64))])),
+                ("id", Value::Oid(Oid(i as u64))),
             ])
         };
         let rows: Vec<Value> = (0..10).map(row).collect();
-        let set = Set::from_values(rows.clone());
-        let mixed = vec![
-            Value::tuple([("a", Value::Int(1)), ("pad", Value::Null)]),
-            Value::tuple([("a", Value::Int(2)), ("pad", Value::str("y"))]),
-            Value::tuple([("a", Value::Int(3)), ("pad", Value::Int(7))]),
-        ];
+        let chunk = scan_chunk(rows.clone());
+        let Batch::Columnar(cb) = &chunk else {
+            panic!("uniform tuples get columns")
+        };
+        let keep: Vec<bool> = (0..10).map(|i| i % 3 == 1).collect();
+        let filtered = Batch::Columnar(cb.filter(&keep));
+        let mixed = (1..4).map(|i| {
+            let pad = [Value::Null, Value::str("y"), Value::Int(7)][i as usize - 1].clone();
+            Value::tuple([
+                ("a", Value::Int(i)),
+                ("id", Value::Oid(Oid(i as u64))),
+                ("pad", pad),
+            ])
+        });
         let batches = [
-            ("rows", Batch::of(BatchKind::Row, rows.clone())),
-            ("columnar", Batch::of(BatchKind::Columnar, rows.clone())),
-            ("shared", Batch::shared(BatchKind::Columnar, &set, 2..9)),
-            ("mixed", Batch::of(BatchKind::Columnar, mixed)),
+            ("rows", Batch::from_rows(rows.clone())),
+            ("chunk", chunk.clone()),
+            ("filtered chunk", filtered),
+            ("mixed", scan_chunk(mixed.collect())),
             (
                 "empty tuples",
-                Batch::of(BatchKind::Columnar, vec![Value::Tuple(Tuple::empty()); 3]),
+                Batch::from_rows(vec![Value::Tuple(Tuple::empty()); 3]),
             ),
         ];
-        assert!(matches!(&batches[2].1, Batch::Columnar(cb) if cb.origin().is_some()));
-        assert!(matches!(&batches[4].1, Batch::Columnar(_)));
+        assert!(matches!(&batches[3].1, Batch::Columnar(_)));
         for (what, batch) in batches {
             let mut body = Vec::new();
             encode_chunk(&batch, &mut body);
@@ -549,50 +567,49 @@ mod tests {
 
         let n = 2 * BATCH_SIZE + 5;
         let value = Value::set((0..n as i64).map(row));
-        let cached = CachedResult::new(value, Vec::new(), Default::default());
+        let cached = CachedResult::new(value, Vec::new(), Default::default(), &[BATCH_SIZE; 3]);
         let mut i = 0;
         while let Some((len, body)) = cached.chunk_body(i) {
             let slice = cached.slice(i).unwrap();
             assert_eq!(len, slice.len());
-            for kind in [BatchKind::Row, BatchKind::Columnar] {
-                let mut live = Vec::new();
-                encode_chunk(&Batch::of(kind, slice.to_vec()), &mut live);
-                assert_eq!(body, &live[..], "slice {i}, {kind:?}");
+            let mut live = Vec::new();
+            encode_chunk(&Batch::from_rows(slice.to_vec()), &mut live);
+            assert_eq!(body, &live[..], "slice {i}");
+            if i == 0 {
+                let mut from_chunk = Vec::new();
+                encode_chunk(&scan_chunk(slice.to_vec()), &mut from_chunk);
+                assert_eq!(body, &from_chunk[..], "slice {i} as a scan chunk");
             }
             i += 1;
         }
         assert_eq!(i, n.div_ceil(BATCH_SIZE));
     }
 
-    /// A row batch and a columnar batch of the same rows both decode
-    /// back to those rows; an empty body, or one whose count runs past
-    /// its bytes, does not decode.
+    /// A row batch and a scan chunk of the same rows both decode back to
+    /// those rows; an empty body, or one whose count runs past its
+    /// bytes, does not decode.
     #[test]
     fn chunk_bodies_round_trip_both_layouts() {
-        use oodb_value::BatchKind;
         let rows = vec![
-            Value::tuple([("a", Value::Int(1)), ("b", Value::str("x"))]),
-            Value::tuple([("a", Value::Int(2)), ("b", Value::str("y"))]),
+            Value::tuple([("a", Value::Int(1)), ("id", Value::Oid(oodb_value::Oid(1)))]),
+            Value::tuple([("a", Value::Int(2)), ("id", Value::Oid(oodb_value::Oid(2)))]),
         ];
-        for kind in [BatchKind::Row, BatchKind::Columnar] {
-            let batch = Batch::of(kind, rows.clone());
+        for batch in [Batch::from_rows(rows.clone()), scan_chunk(rows.clone())] {
             let mut body = Vec::new();
             encode_chunk(&batch, &mut body);
-            assert_eq!(decode_chunk(&body).unwrap(), rows, "layout {kind:?}");
+            assert_eq!(decode_chunk(&body).unwrap(), rows, "{batch:?}");
         }
         assert!(decode_chunk(&[]).is_err());
         assert!(decode_chunk(&[9, 0, 0, 0, 0]).is_err());
     }
 
-    /// Rows of empty tuples are a columnar batch without columns, yet
-    /// each row still spends at least one byte of the body, so a body
-    /// claiming more rows than bytes is refused before any row is
-    /// materialized.
+    /// Rows of empty tuples hold no field, yet each row still spends at
+    /// least one byte of the body, so a body claiming more rows than
+    /// bytes is refused before any row is materialized.
     #[test]
     fn chunks_spend_a_byte_per_row() {
         let rows = vec![Value::Tuple(oodb_value::Tuple::empty()); 3];
-        let batch = Batch::of(oodb_value::BatchKind::Columnar, rows.clone());
-        assert!(matches!(batch, Batch::Columnar(_)));
+        let batch = Batch::from_rows(rows.clone());
         let mut body = Vec::new();
         encode_chunk(&batch, &mut body);
         assert!(body.len() >= 4 + rows.len(), "{} bytes", body.len());

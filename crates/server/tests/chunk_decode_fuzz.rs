@@ -3,12 +3,12 @@
 //! A client decodes whatever bytes arrive in a CHUNK frame, so
 //! [`wire::decode_chunk`] must answer `Ok` or `Err` for any body — never
 //! panic, and never abort on an allocation sized by a count the bytes do
-//! not back. The property starts from valid encodings of random rows,
-//! batched in either layout, and damages them: it truncates them, flips
-//! bytes in them, or overwrites a length/count word with a large value.
+//! not back. The property starts from valid encodings of random row
+//! batches and damages them: it truncates them, flips bytes in them, or
+//! overwrites a length/count word with a large value.
 
 use oodb_server::wire;
-use oodb_value::{Batch, BatchKind, Oid, Value};
+use oodb_value::{Batch, Oid, Value};
 use proptest::prelude::*;
 
 fn atom() -> impl Strategy<Value = Value> {
@@ -38,8 +38,7 @@ fn value() -> BoxedStrategy<Value> {
 }
 
 /// The rows of one chunk: tuples over the first `k` names (a uniform
-/// block, which the columnar layout transposes; `k = 0` is rows of
-/// empty tuples), or arbitrary values (always a row batch).
+/// block; `k = 0` is rows of empty tuples), or arbitrary values.
 fn rows() -> impl Strategy<Value = Vec<Value>> {
     prop_oneof![
         (
@@ -109,12 +108,10 @@ proptest! {
     #[test]
     fn damaged_chunks_decode_or_error(
         rows in rows(),
-        columnar in any::<bool>(),
         damages in proptest::collection::vec(damage(), 1..4),
     ) {
-        let kind = if columnar { BatchKind::Columnar } else { BatchKind::Row };
         let mut body = Vec::new();
-        wire::encode_chunk(&Batch::of(kind, rows.clone()), &mut body);
+        wire::encode_chunk(&Batch::from_rows(rows.clone()), &mut body);
         prop_assert_eq!(wire::decode_chunk(&body).expect("valid body"), rows);
         for d in &damages {
             apply(&mut body, d);

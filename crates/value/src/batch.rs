@@ -1,42 +1,35 @@
-//! Columnar batches: the cache-friendly row-block representation the
-//! streaming pipeline ships between operators.
+//! Batches: what the streaming pipeline ships between operators, either
+//! a row batch or a view of a stored chunk.
 //!
-//! The paper's whole argument is set-oriented evaluation, but a batch of
-//! boxed [`Value`]s still chases a heap pointer per attribute access.
-//! This module flattens a batch of same-schema tuples into **columns**:
-//! unboxed `i64`/`f64`/`bool`/oid vectors, a vector of shared strings,
-//! and one value per row for nested `Set`/`Tuple` attributes. Column
-//! fast paths read a primitive column without touching a tuple; the
-//! algebra on top is unchanged.
+//! The paper stores each object as one clustered tuple, so the stored
+//! tuple is the data and a column is a derived index over it. Columns
+//! therefore exist only next to the stored rows they index: in the scan
+//! chunks a table snapshot caches.
 //!
-//! * [`Batch`] — what operators exchange: either a legacy row batch
-//!   (`Vec<Value>`) or a [`ColumnarBatch`]. [`Batch::of`] builds the
-//!   layout a [`BatchKind`] asks for, falling back to rows whenever the
-//!   batch is not a uniform block of tuples (scalar streams, mixed
-//!   schemas), so columnar mode is always total.
-//! * [`Column`] — one attribute's values. Primitive kinds are unboxed;
-//!   [`Column::Str`] holds one shared string per row; [`Column::Values`]
-//!   holds everything else (nested values, `Null` padding, mixed kinds).
-//! * Row view: [`Batch::row_at`] / [`ColumnarBatch::row`] give a single
-//!   row on demand; operators whose expression is not a simple attribute
-//!   access fall back to this view and keep exact reference semantics
-//!   (including error messages). A scan chunk cut from a shared [`Set`]
-//!   by [`Batch::shared`] keeps that set as its *origin*, so its row view
-//!   hands out the stored tuples (a borrow or an `Arc` clone); any other
-//!   batch materializes the row from its columns.
-//! * Sharing: the column list and each column sit behind an `Arc`, so
-//!   cloning a batch is a reference-count bump, and projection and
-//!   renaming copy names and pointers, never column data.
+//! * [`Batch`] — what operators exchange: a row batch (`Vec<Value>`) or
+//!   a [`ColumnarBatch`].
+//! * [`ColumnarBatch`] — a view of one scan chunk: the snapshot [`Set`]
+//!   the chunk was cut from and the chunk's first row in it (its
+//!   *origin*), the chunk's shared columns, and an optional *selection*
+//!   of chunk-relative row indices. [`Batch::scan_chunk`], which the
+//!   catalog calls to fill its chunk cache, is the only constructor. A
+//!   filter narrows the selection ([`ColumnarBatch::filter`]): no column
+//!   is copied and the origin is kept.
+//! * [`Column`] — one attribute's values across a chunk. Primitive kinds
+//!   are unboxed; [`Column::Str`] holds one shared string per row;
+//!   [`Column::Values`] holds everything else (nested values, `Null`
+//!   padding, mixed kinds). Readers see a column through the batch's
+//!   selection, as a [`ColumnView`].
+//! * Row view: [`Batch::row_at`], [`Batch::rows`] and
+//!   [`Batch::into_values`] hand out a chunk's stored tuples through its
+//!   selection, as borrows or `Arc` clones. No row is ever rebuilt from
+//!   columns, and no row batch is ever transposed into columns.
 //!
 //! Batches have no byte encoding of their own: spill files and the wire
 //! protocol write a batch's rows with the row codec
 //! ([`crate::codec::encode_rows`]), whatever its layout.
-//!
-//! Row order is preserved exactly in every conversion, so the two
-//! layouts are observationally equivalent (the row/columnar differential
-//! tests depend on this).
 
-use crate::{Name, Oid, Set, Tuple, Value, F64};
+use crate::{Name, Oid, Set, Value, F64};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
@@ -48,13 +41,14 @@ use std::sync::Arc;
 /// catalog that caches them and the engine that streams them alike.
 pub const BATCH_SIZE: usize = 1024;
 
-/// Which layout the pipeline ships batches in.
+/// Whether a scan chunk carries columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchKind {
-    /// Legacy layout: a batch is a `Vec<Value>` of boxed rows.
+    /// Scan chunks are row batches.
     Row,
-    /// Columnar layout (the default): uniform tuple batches flatten
-    /// into [`ColumnarBatch`]es; everything else stays a row batch.
+    /// Scan chunks of uniform tuples (the default) are [`ColumnarBatch`]es,
+    /// so the column fast paths can read them; everything else is a row
+    /// batch.
     #[default]
     Columnar,
 }
@@ -79,7 +73,7 @@ impl BatchKind {
     }
 }
 
-/// One attribute's values across a batch, unboxed where the kind allows.
+/// One attribute's values across a chunk, unboxed where the kind allows.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// `Value::Int` values.
@@ -165,94 +159,82 @@ impl Column {
             Column::Values(v) => v[i].clone(),
         }
     }
+}
 
-    /// The rows where `keep[i]` holds, preserving order.
-    fn filter(&self, keep: &[bool]) -> Column {
-        fn sel<T: Clone>(v: &[T], keep: &[bool]) -> Vec<T> {
-            v.iter()
-                .zip(keep)
-                .filter(|(_, k)| **k)
-                .map(|(x, _)| x.clone())
-                .collect()
-        }
-        match self {
-            Column::Int(v) => Column::Int(sel(v, keep)),
-            Column::Float(v) => Column::Float(sel(v, keep)),
-            Column::Bool(v) => Column::Bool(sel(v, keep)),
-            Column::Date(v) => Column::Date(sel(v, keep)),
-            Column::Oid(v) => Column::Oid(sel(v, keep)),
-            Column::Str(v) => Column::Str(sel(v, keep)),
-            Column::Values(v) => Column::Values(sel(v, keep)),
-        }
+/// A chunk's column read through a batch's selection: row `i` of the
+/// view is the chunk row the selection's `i`-th entry names.
+#[derive(Debug, Clone, Copy)]
+pub struct ColumnView<'a> {
+    col: &'a Column,
+    sel: Option<&'a [u32]>,
+}
+
+impl<'a> ColumnView<'a> {
+    /// The whole chunk's column, every row, whatever the selection.
+    pub fn chunk(self) -> &'a Column {
+        self.col
+    }
+
+    /// Row `i` of the view's value (see [`Column::value_at`]).
+    pub fn value_at(self, i: usize) -> Value {
+        self.col.value_at(self.sel.map_or(i, |sel| sel[i] as usize))
     }
 }
 
-/// A batch of same-schema tuples stored column-wise. Columns are kept in
-/// the tuples' canonical (name-sorted) attribute order, so materialized
-/// rows are canonical without re-sorting.
+/// A view of one scan chunk: rows `start .. start + chunk_len` of the
+/// snapshot `set` (its origin), their columns in the tuples' canonical
+/// (name-sorted) attribute order, and the selected chunk rows.
 ///
-/// The column list and every column are shared (`Arc`), so a clone is a
-/// reference-count bump. A batch built by [`Batch::shared`] also keeps
-/// the rows it was transposed from (its *origin*); equality looks at
-/// the columns only, so such a batch equals the same rows built by
-/// [`Batch::of`].
-#[derive(Debug, Clone)]
-pub struct ColumnarBatch {
-    len: usize,
-    cols: Arc<[(Name, Arc<Column>)]>,
-    origin: Option<Origin>,
-}
-
-/// The shared set a scan chunk was cut from and the chunk's first row in
-/// it: rows `start .. start + len` of `set` are the batch's rows.
+/// The columns sit behind one `Arc`, so a clone or a filter shares them.
+/// Equality compares the views: two batches holding the same rows in
+/// the same order, with the same columns read through their selections,
+/// are equal wherever they were cut from.
 #[derive(Clone)]
-struct Origin {
+pub struct ColumnarBatch {
     set: Set,
     start: usize,
+    chunk_len: usize,
+    cols: Arc<[(Name, Column)]>,
+    /// The chunk rows the view holds, ascending; `None` for all of them.
+    sel: Option<Arc<[u32]>>,
 }
 
-impl fmt::Debug for Origin {
+impl fmt::Debug for ColumnarBatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Origin")
+        f.debug_struct("ColumnarBatch")
             .field("start", &self.start)
             .field("of", &self.set.len())
+            .field("chunk_len", &self.chunk_len)
+            .field("sel", &self.sel)
             .finish()
     }
 }
 
 impl PartialEq for ColumnarBatch {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.cols == other.cols
+        self.rows() == other.rows()
+            && self.cols.len() == other.cols.len()
+            && self
+                .cols
+                .iter()
+                .zip(other.cols.iter())
+                .all(|((n, a), (m, b))| {
+                    let (a, b) = (self.view(a), other.view(b));
+                    n == m && (0..self.len()).all(|i| a.value_at(i) == b.value_at(i))
+                })
     }
 }
 
 impl ColumnarBatch {
-    /// A batch with no origin over `cols`.
-    fn of_cols(len: usize, cols: Vec<(Name, Arc<Column>)>) -> ColumnarBatch {
-        ColumnarBatch {
-            len,
-            cols: cols.into(),
-            origin: None,
-        }
-    }
-
-    /// Flattens `rows` into columns. Every row must be a tuple with the
-    /// same attribute names; otherwise the rows are handed back so the
-    /// caller can keep the row layout (`Batch::of` does exactly that).
-    /// The empty batch has no schema and also stays row-shaped.
-    #[allow(clippy::result_large_err)]
-    pub fn try_new(rows: Vec<Value>) -> Result<ColumnarBatch, Vec<Value>> {
-        ColumnarBatch::transpose(&rows).ok_or(rows)
-    }
-
-    /// The columns of `rows`, when they are a non-empty block of tuples
-    /// with one schema.
-    fn transpose(rows: &[Value]) -> Option<ColumnarBatch> {
-        let Some(Value::Tuple(first)) = rows.first() else {
+    /// Rows `rows` of `set` with their columns, when they are a non-empty
+    /// block of tuples with one schema.
+    fn cut(set: &Set, rows: Range<usize>) -> Option<ColumnarBatch> {
+        let slice = &set.as_slice()[rows.clone()];
+        let Some(Value::Tuple(first)) = slice.first() else {
             return None;
         };
         let names = first.attr_names();
-        let uniform = rows.iter().all(|r| match r {
+        let uniform = slice.iter().all(|r| match r {
             Value::Tuple(t) => {
                 t.arity() == names.len() && t.iter().map(|(n, _)| n).eq(names.iter())
             }
@@ -261,12 +243,11 @@ impl ColumnarBatch {
         if !uniform {
             return None;
         }
-        let len = rows.len();
         let mut cols: Vec<Column> = first
             .iter()
-            .map(|(_, v)| Column::for_value(v, len))
+            .map(|(_, v)| Column::for_value(v, slice.len()))
             .collect();
-        for row in rows {
+        for row in slice {
             let Value::Tuple(t) = row else {
                 unreachable!("uniformity checked above")
             };
@@ -274,188 +255,144 @@ impl ColumnarBatch {
                 c.push(v.clone());
             }
         }
-        Some(ColumnarBatch::of_cols(
-            len,
-            names
-                .into_iter()
-                .zip(cols.into_iter().map(Arc::new))
-                .collect(),
-        ))
+        Some(ColumnarBatch {
+            set: set.clone(),
+            start: rows.start,
+            chunk_len: slice.len(),
+            cols: names.into_iter().zip(cols).collect(),
+            sel: None,
+        })
     }
 
-    /// The stored rows this batch was cut from, when it has an origin.
-    fn origin_rows(&self) -> Option<&[Value]> {
-        let o = self.origin.as_ref()?;
-        Some(&o.set.as_slice()[o.start..o.start + self.len])
+    /// The snapshot this chunk was cut from and the position of its
+    /// first row in it.
+    pub fn origin(&self) -> (&Set, usize) {
+        (&self.set, self.start)
     }
 
-    /// The set this batch was cut from by [`Batch::shared`] and the
-    /// position of its first row in it; `None` for every other batch.
-    pub fn origin(&self) -> Option<(&Set, usize)> {
-        self.origin.as_ref().map(|o| (&o.set, o.start))
-    }
-
-    /// Rows in the batch.
+    /// Rows in the view.
     pub fn len(&self) -> usize {
-        self.len
+        self.sel.as_ref().map_or(self.chunk_len, |sel| sel.len())
     }
 
-    /// True when the batch holds no rows.
+    /// True when the view holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// The shared column for `name`, if the schema has it.
-    fn shared_column(&self, name: &str) -> Option<&Arc<Column>> {
-        self.cols
-            .binary_search_by(|(n, _)| n.as_ref().cmp(name))
-            .ok()
-            .map(|i| &self.cols[i].1)
+    /// Rows in the chunk, and so in each of its columns.
+    pub fn chunk_len(&self) -> usize {
+        self.chunk_len
     }
 
-    /// The column for `name`, if the schema has it.
-    pub fn column(&self, name: &str) -> Option<&Column> {
-        self.shared_column(name).map(|c| &**c)
+    /// The chunk row that row `i` of the view is.
+    fn chunk_row(&self, i: usize) -> usize {
+        self.sel.as_ref().map_or(i, |sel| sel[i] as usize)
     }
 
-    /// Row `i` as a canonical tuple value: the stored tuple for a batch
-    /// with an origin, materialized from the columns otherwise.
-    pub fn row(&self, i: usize) -> Value {
-        if let Some(rows) = self.origin_rows() {
-            return rows[i].clone();
+    /// The chunk rows the view holds, in order: row `i` of the view is
+    /// the `i`-th of them.
+    pub fn selected(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).map(|i| self.chunk_row(i))
+    }
+
+    /// `col`, one of this chunk's columns, read through the selection.
+    fn view<'a>(&'a self, col: &'a Column) -> ColumnView<'a> {
+        ColumnView {
+            col,
+            sel: self.sel.as_deref(),
         }
-        let fields = self
+    }
+
+    /// The column for `name`, read through the selection, if the schema
+    /// has it.
+    pub fn column(&self, name: &str) -> Option<ColumnView<'_>> {
+        let i = self
             .cols
-            .iter()
-            .map(|(n, c)| (n.clone(), c.value_at(i)))
-            .collect();
-        // columns are sorted and unique by construction
-        Value::Tuple(Tuple::from_sorted_unchecked(fields))
+            .binary_search_by(|(n, _)| n.as_ref().cmp(name))
+            .ok()?;
+        Some(self.view(&self.cols[i].1))
     }
 
-    /// Every row, in order (see [`ColumnarBatch::row`]).
-    pub fn to_rows(&self) -> Vec<Value> {
-        match self.origin_rows() {
-            Some(rows) => rows.to_vec(),
-            None => (0..self.len).map(|i| self.row(i)).collect(),
+    /// The chunk's stored rows, every one of them.
+    fn chunk_rows(&self) -> &[Value] {
+        &self.set.as_slice()[self.start..self.start + self.chunk_len]
+    }
+
+    /// Row `i` of the view: the stored tuple.
+    pub fn row_at(&self, i: usize) -> &Value {
+        &self.chunk_rows()[self.chunk_row(i)]
+    }
+
+    /// Every row of the view, in order: the stored tuples, borrowed when
+    /// nothing is deselected and reference-count bumps otherwise.
+    pub fn rows(&self) -> Cow<'_, [Value]> {
+        let rows = self.chunk_rows();
+        match &self.sel {
+            None => Cow::Borrowed(rows),
+            Some(sel) => Cow::Owned(sel.iter().map(|&j| rows[j as usize].clone()).collect()),
         }
     }
 
-    /// The rows where `keep[i]` holds — the column-at-a-time filter.
+    /// The view's rows where `keep[i]` holds: the selection narrowed,
+    /// the columns and the origin shared.
     pub fn filter(&self, keep: &[bool]) -> ColumnarBatch {
-        debug_assert_eq!(keep.len(), self.len);
-        let len = keep.iter().filter(|k| **k).count();
-        ColumnarBatch::of_cols(
-            len,
-            self.cols
-                .iter()
-                .map(|(n, c)| (n.clone(), Arc::new(c.filter(keep))))
-                .collect(),
-        )
-    }
-
-    /// Tuple subscription `π[attrs]` as a column selection. `None` when
-    /// an attribute is missing or duplicated — the caller falls back to
-    /// the row view, which reports the exact reference error.
-    pub fn project(&self, attrs: &[Name]) -> Option<ColumnarBatch> {
-        let mut cols: Vec<(Name, Arc<Column>)> = Vec::with_capacity(attrs.len());
-        for a in attrs {
-            cols.push((a.clone(), Arc::clone(self.shared_column(a)?)));
+        debug_assert_eq!(keep.len(), self.len());
+        if keep.iter().all(|&k| k) {
+            return self.clone();
         }
-        cols.sort_by(|a, b| a.0.cmp(&b.0));
-        if cols.windows(2).any(|w| w[0].0 == w[1].0) {
-            return None;
+        let sel = self
+            .selected()
+            .zip(keep)
+            .filter_map(|(j, k)| k.then_some(j as u32))
+            .collect();
+        ColumnarBatch {
+            sel: Some(sel),
+            ..self.clone()
         }
-        Some(ColumnarBatch::of_cols(self.len, cols))
-    }
-
-    /// Attribute renaming `ρ` as a column relabeling. `None` when an old
-    /// name is missing or a rename collides — row-view fallback. The
-    /// pairs apply **sequentially with a collision check after each
-    /// one**, mirroring the row path (`Tuple::rename` per pair), so a
-    /// chain like `[(a→b), (b→c)]` over a schema that already has `b`
-    /// falls back and reports exactly the reference error instead of
-    /// silently relabeling through the transient duplicate.
-    pub fn rename(&self, pairs: &[(Name, Name)]) -> Option<ColumnarBatch> {
-        let mut cols = self.cols.to_vec();
-        for (old, new) in pairs {
-            let i = cols.iter().position(|(n, _)| n == old)?;
-            cols[i].0 = new.clone();
-            let mut names: Vec<&Name> = cols.iter().map(|(n, _)| n).collect();
-            names.sort();
-            if names.windows(2).any(|w| w[0] == w[1]) {
-                return None;
-            }
-        }
-        cols.sort_by(|a, b| a.0.cmp(&b.0));
-        Some(ColumnarBatch::of_cols(self.len, cols))
     }
 }
 
-/// One batch of rows flowing between streaming operators, in either
-/// layout. Operators read it through the row view ([`Batch::row_at`] /
-/// [`Batch::into_values`]) unless they have a column fast path.
+/// One batch of rows flowing between streaming operators. Operators read
+/// it through the row view ([`Batch::row_at`] / [`Batch::into_values`])
+/// unless they have a column fast path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Batch {
-    /// Legacy layout: boxed rows.
+    /// Rows.
     Rows(Vec<Value>),
-    /// Columnar layout (uniform tuple batches only).
+    /// A view of a scan chunk (uniform tuple chunks only).
     Columnar(ColumnarBatch),
 }
 
 impl Batch {
-    /// Builds a batch in the layout `kind` asks for. Columnar mode falls
-    /// back to rows when the batch is not a uniform block of tuples.
-    pub fn of(kind: BatchKind, rows: Vec<Value>) -> Batch {
-        match kind {
-            BatchKind::Row => Batch::Rows(rows),
-            BatchKind::Columnar => match ColumnarBatch::try_new(rows) {
-                Ok(cb) => Batch::Columnar(cb),
-                Err(rows) => Batch::Rows(rows),
-            },
-        }
-    }
-
-    /// A row-layout batch (scalar streams and layout-agnostic callers).
+    /// A row batch.
     pub fn from_rows(rows: Vec<Value>) -> Batch {
         Batch::Rows(rows)
     }
 
-    /// Rows `rows` of the shared `set` in the layout `kind` asks for, as
-    /// [`Batch::of`] lays them out. A columnar batch keeps `set` as its
-    /// origin, so its row view hands out the stored tuples instead of
-    /// materializing them from the columns. This is how scan chunks are
-    /// cut, by the catalog and by the engine's buffered operators alike.
-    pub fn shared(kind: BatchKind, set: &Set, rows: Range<usize>) -> Batch {
-        let slice = &set.as_slice()[rows.clone()];
+    /// Scan chunk `rows` of the snapshot `set`: a [`ColumnarBatch`] over
+    /// it under [`BatchKind::Columnar`] when the rows are a uniform block
+    /// of tuples, a row batch of the slice otherwise. The catalog's chunk
+    /// cache (`Table::chunk`) is the caller; nothing else builds columns.
+    pub fn scan_chunk(kind: BatchKind, set: &Set, rows: Range<usize>) -> Batch {
         if kind == BatchKind::Columnar {
-            if let Some(mut cb) = ColumnarBatch::transpose(slice) {
-                cb.origin = Some(Origin {
-                    set: set.clone(),
-                    start: rows.start,
-                });
+            if let Some(cb) = ColumnarBatch::cut(set, rows.clone()) {
                 return Batch::Columnar(cb);
             }
         }
-        Batch::Rows(slice.to_vec())
+        Batch::Rows(set.as_slice()[rows].to_vec())
     }
 
-    /// Points the origin of a batch built by [`Batch::shared`] at `set`,
-    /// which must hold the same rows at the same positions (a set merged
-    /// from the origin that kept this batch's prefix). Other batches are
-    /// left as they are.
+    /// Points the origin of a columnar chunk at `set`, which must hold
+    /// the same rows at the same positions (a set merged from the origin
+    /// that kept this chunk's prefix). A row batch is left as it is.
     pub fn move_origin(&mut self, set: &Set) {
-        if let Batch::Columnar(ColumnarBatch {
-            len,
-            origin: Some(o),
-            ..
-        }) = self
-        {
+        if let Batch::Columnar(cb) = self {
             debug_assert_eq!(
-                set.as_slice().get(o.start..o.start + *len),
-                Some(&o.set.as_slice()[o.start..o.start + *len])
+                set.as_slice().get(cb.start..cb.start + cb.chunk_len),
+                Some(cb.chunk_rows())
             );
-            o.set = set.clone();
+            cb.set = set.clone();
         }
     }
 
@@ -472,35 +409,28 @@ impl Batch {
         self.len() == 0
     }
 
-    /// The column for `name`, when the batch is columnar and has it.
-    pub fn column(&self, name: &str) -> Option<&Column> {
+    /// The column for `name`, read through the selection, when the batch
+    /// is a chunk view and has it.
+    pub fn column(&self, name: &str) -> Option<ColumnView<'_>> {
         match self {
             Batch::Rows(_) => None,
             Batch::Columnar(cb) => cb.column(name),
         }
     }
 
-    /// Row `i`: borrowed from a row batch or a columnar batch's origin,
-    /// materialized from columns otherwise.
-    pub fn row_at(&self, i: usize) -> Cow<'_, Value> {
+    /// Row `i`, borrowed: a row batch's row or a chunk's stored tuple.
+    pub fn row_at(&self, i: usize) -> &Value {
         match self {
-            Batch::Rows(v) => Cow::Borrowed(&v[i]),
-            Batch::Columnar(cb) => match cb.origin_rows() {
-                Some(rows) => Cow::Borrowed(&rows[i]),
-                None => Cow::Owned(cb.row(i)),
-            },
+            Batch::Rows(v) => &v[i],
+            Batch::Columnar(cb) => cb.row_at(i),
         }
     }
 
-    /// Every row, in order: borrowed from a row batch or a columnar
-    /// batch's origin, materialized from the columns otherwise.
+    /// Every row, in order (see [`ColumnarBatch::rows`]).
     pub fn rows(&self) -> Cow<'_, [Value]> {
         match self {
             Batch::Rows(v) => Cow::Borrowed(v),
-            Batch::Columnar(cb) => match cb.origin_rows() {
-                Some(rows) => Cow::Borrowed(rows),
-                None => Cow::Owned(cb.to_rows()),
-            },
+            Batch::Columnar(cb) => cb.rows(),
         }
     }
 
@@ -508,7 +438,7 @@ impl Batch {
     pub fn into_values(self) -> Vec<Value> {
         match self {
             Batch::Rows(v) => v,
-            Batch::Columnar(cb) => cb.to_rows(),
+            Batch::Columnar(cb) => cb.rows().into_owned(),
         }
     }
 }
@@ -516,7 +446,7 @@ impl Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{codec, name, Set};
+    use crate::codec;
 
     fn row(i: i64) -> Value {
         Value::tuple([
@@ -530,215 +460,151 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn columnar_roundtrips_rows_in_order() {
-        let rows: Vec<Value> = (0..40).map(row).collect();
-        let b = Batch::of(BatchKind::Columnar, rows.clone());
-        let Batch::Columnar(cb) = &b else {
-            panic!("uniform tuples must go columnar")
+    /// The snapshot of `rows` and its columnar scan chunk `range`.
+    fn chunk(rows: Vec<Value>, range: Range<usize>) -> (Set, ColumnarBatch) {
+        let set = Set::from_values(rows);
+        let Batch::Columnar(cb) = Batch::scan_chunk(BatchKind::Columnar, &set, range) else {
+            panic!("uniform tuples must get columns")
         };
-        assert_eq!(cb.len(), 40);
-        // unboxed primitive columns, a string column, a value column
-        // for the nested sets
-        assert!(matches!(cb.column("n"), Some(Column::Int(_))));
-        assert!(matches!(cb.column("id"), Some(Column::Oid(_))));
-        assert!(matches!(cb.column("name"), Some(Column::Str(v)) if v.len() == 40));
-        assert!(matches!(cb.column("refs"), Some(Column::Values(v)) if v.len() == 40));
-        assert_eq!(b.clone().into_values(), rows);
-        for (i, want) in rows.iter().enumerate() {
-            assert_eq!(b.row_at(i).as_ref(), want);
+        (set, cb)
+    }
+
+    /// One tuple storage: the first fields sit at the same address.
+    fn same(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Tuple(x), Value::Tuple(y)) => {
+                std::ptr::eq(x.iter().next().unwrap().1, y.iter().next().unwrap().1)
+            }
+            _ => false,
+        }
+    }
+
+    /// Every column of `cb`, read through its selection, holds the
+    /// fields of the batch's rows.
+    fn assert_columns_match_rows(cb: &ColumnarBatch) {
+        for (i, r) in cb.rows().iter().enumerate() {
+            for (n, v) in r.as_tuple().unwrap().iter() {
+                assert_eq!(&cb.column(n).unwrap().value_at(i), v, "row {i}, {n}");
+            }
         }
     }
 
     #[test]
+    fn columnar_roundtrips_rows_in_order() {
+        let (set, cb) = chunk((0..40).map(row).collect(), 0..40);
+        assert_eq!(cb.len(), 40);
+        // unboxed primitive columns, a string column, a value column
+        // for the nested sets
+        let kind = |n: &str| cb.column(n).unwrap().chunk();
+        assert!(matches!(kind("n"), Column::Int(_)));
+        assert!(matches!(kind("id"), Column::Oid(_)));
+        assert!(matches!(kind("name"), Column::Str(v) if v.len() == 40));
+        assert!(matches!(kind("refs"), Column::Values(v) if v.len() == 40));
+        assert_columns_match_rows(&cb);
+        let b = Batch::Columnar(cb);
+        for (i, want) in set.as_slice().iter().enumerate() {
+            assert_eq!(b.row_at(i), want);
+        }
+        assert_eq!(b.into_values(), set.as_slice());
+    }
+
+    #[test]
     fn non_uniform_batches_stay_rows() {
+        let cut = |rows: Vec<Value>, kind| {
+            let set = Set::from_values(rows);
+            Batch::scan_chunk(kind, &set, 0..set.len())
+        };
         // scalar stream
-        let b = Batch::of(BatchKind::Columnar, vec![Value::Int(1), Value::Int(2)]);
+        let b = cut(vec![Value::Int(1), Value::Int(2)], BatchKind::Columnar);
         assert!(matches!(b, Batch::Rows(_)));
         // mixed schemas
-        let b = Batch::of(
-            BatchKind::Columnar,
+        let b = cut(
             vec![
                 Value::tuple([("a", Value::Int(1))]),
                 Value::tuple([("b", Value::Int(2))]),
             ],
+            BatchKind::Columnar,
         );
         assert!(matches!(b, Batch::Rows(_)));
-        // empty batches have no schema
-        assert!(matches!(
-            Batch::of(BatchKind::Columnar, vec![]),
-            Batch::Rows(_)
-        ));
-        // row mode never converts
-        let b = Batch::of(BatchKind::Row, (0..4).map(row).collect());
+        // empty chunks have no schema
+        assert!(matches!(cut(vec![], BatchKind::Columnar), Batch::Rows(_)));
+        // row mode never builds columns
+        let b = cut((0..4).map(row).collect(), BatchKind::Row);
         assert!(matches!(b, Batch::Rows(_)));
     }
 
     #[test]
     fn mixed_kind_column_upgrades_to_pool() {
-        let rows = vec![
-            Value::tuple([("a", Value::Int(1))]),
-            Value::tuple([("a", Value::str("two"))]),
-            Value::tuple([("a", Value::Int(1))]),
-        ];
-        let b = Batch::of(BatchKind::Columnar, rows.clone());
-        let Batch::Columnar(cb) = &b else {
-            panic!("uniform schema must go columnar")
-        };
-        // the Int column becomes a value column at the first string
-        assert_eq!(
-            cb.column("a"),
-            Some(&Column::Values(vec![
-                Value::Int(1),
-                Value::str("two"),
-                Value::Int(1)
-            ]))
+        let (set, cb) = chunk(
+            vec![
+                Value::tuple([("a", Value::Int(1))]),
+                Value::tuple([("a", Value::str("two"))]),
+                Value::tuple([("a", Value::Int(3))]),
+            ],
+            0..3,
         );
-        assert_eq!(b.clone().into_values(), rows);
-    }
-
-    #[test]
-    fn filter_project_rename_match_row_semantics() {
-        let rows: Vec<Value> = (0..20).map(row).collect();
-        let Batch::Columnar(cb) = Batch::of(BatchKind::Columnar, rows.clone()) else {
-            panic!("columnar")
-        };
-        // filter
-        let keep: Vec<bool> = (0..20).map(|i| i % 3 == 0).collect();
-        let filtered = cb.filter(&keep);
-        let want: Vec<Value> = rows
+        // the column starts with the first row's kind and becomes a
+        // value column at the first row of another
+        let want: Vec<Value> = set
             .iter()
-            .zip(&keep)
-            .filter(|(_, k)| **k)
-            .map(|(r, _)| r.clone())
+            .map(|r| r.as_tuple().unwrap().get("a").unwrap().clone())
             .collect();
-        assert_eq!(filtered.to_rows(), want);
-        // every column keeps its kind through the filter
-        for (n, c) in filtered.cols.iter() {
-            assert_eq!(
-                std::mem::discriminant(&**c),
-                std::mem::discriminant(cb.column(n).unwrap()),
-                "{n}"
-            );
-            assert_eq!(c.len(), 7, "{n}");
-        }
-        // project
-        let p = cb.project(&[name("n"), name("id")]).unwrap();
-        let want: Vec<Value> = rows
-            .iter()
-            .map(|r| {
-                Value::Tuple(
-                    r.as_tuple()
-                        .unwrap()
-                        .subscript(&[name("n"), name("id")])
-                        .unwrap(),
-                )
-            })
-            .collect();
-        assert_eq!(p.to_rows(), want);
-        assert!(cb.project(&[name("missing")]).is_none());
-        assert!(cb.project(&[name("n"), name("n")]).is_none());
-        // rename
-        let r = cb.rename(&[(name("n"), name("zz"))]).unwrap();
-        let want: Vec<Value> = rows
-            .iter()
-            .map(|v| Value::Tuple(v.as_tuple().unwrap().rename("n", &name("zz")).unwrap()))
-            .collect();
-        assert_eq!(r.to_rows(), want);
-        assert!(cb.rename(&[(name("missing"), name("zz"))]).is_none());
-        assert!(cb.rename(&[(name("n"), name("id"))]).is_none(), "collision");
-        // a chain through a transient duplicate must fall back too — the
-        // row path errors on the *first* colliding pair, and relabeling
-        // through the duplicate would silently swap columns
-        assert!(
-            cb.rename(&[(name("n"), name("id")), (name("id"), name("x"))])
-                .is_none(),
-            "transient collision"
-        );
-        // a collision-free chain (including reusing a freed name) is fine
-        let chained = cb
-            .rename(&[(name("n"), name("tmp")), (name("tmp"), name("n"))])
-            .unwrap();
-        assert_eq!(chained.to_rows(), rows);
+        assert_eq!(cb.column("a").unwrap().chunk(), &Column::Values(want));
+        assert_eq!(Batch::Columnar(cb).into_values(), set.as_slice());
     }
 
     #[test]
     fn float_columns_keep_canonical_nan_and_zero() {
-        let rows = vec![
-            Value::tuple([("f", Value::float(f64::NAN))]),
-            Value::tuple([("f", Value::float(-0.0))]),
-            Value::tuple([("f", Value::float(1.5))]),
-        ];
-        let Batch::Columnar(cb) = Batch::of(BatchKind::Columnar, rows.clone()) else {
-            panic!("columnar")
-        };
-        assert_eq!(cb.to_rows(), rows);
+        let (set, cb) = chunk(
+            vec![
+                Value::tuple([("f", Value::float(f64::NAN))]),
+                Value::tuple([("f", Value::float(-0.0))]),
+                Value::tuple([("f", Value::float(1.5))]),
+            ],
+            0..3,
+        );
+        assert!(matches!(cb.column("f").unwrap().chunk(), Column::Float(_)));
+        assert_columns_match_rows(&cb);
+        assert_eq!(cb.rows(), set.as_slice());
     }
 
     #[test]
     fn null_padding_lands_in_the_pool() {
-        // outer-join padded rows carry Null — must round-trip
-        let rows = vec![
-            Value::tuple([("a", Value::Int(1)), ("pad", Value::Null)]),
-            Value::tuple([("a", Value::Int(2)), ("pad", Value::str("y"))]),
-        ];
-        let b = Batch::of(BatchKind::Columnar, rows.clone());
-        assert_eq!(
-            b.column("pad"),
-            Some(&Column::Values(vec![Value::Null, Value::str("y")]))
+        // outer-join padded rows carry Null
+        let (set, cb) = chunk(
+            vec![
+                Value::tuple([("a", Value::Int(1)), ("pad", Value::Null)]),
+                Value::tuple([("a", Value::Int(2)), ("pad", Value::str("y"))]),
+            ],
+            0..2,
         );
-        assert_eq!(b.into_values(), rows);
-        let _ = Set::from_values(rows); // still canonicalizable downstream
-    }
-
-    /// A columnar batch cut from a shared set, with its origin.
-    fn shared(rows: &[Value], start: usize, end: usize) -> (Set, Batch) {
-        let set = Set::from_values(rows.to_vec());
-        let b = Batch::shared(BatchKind::Columnar, &set, start..end);
-        assert!(matches!(&b, Batch::Columnar(cb) if cb.origin().is_some()));
-        (set, b)
+        let want: Vec<Value> = set
+            .iter()
+            .map(|r| r.as_tuple().unwrap().get("pad").unwrap().clone())
+            .collect();
+        assert_eq!(cb.column("pad").unwrap().chunk(), &Column::Values(want));
+        assert_columns_match_rows(&cb);
     }
 
     #[test]
     fn clone_shares_column_storage() {
-        let Batch::Columnar(cb) = Batch::of(BatchKind::Columnar, (0..8).map(row).collect()) else {
-            panic!("columnar")
-        };
+        let (_, cb) = chunk((0..8).map(row).collect(), 0..8);
         let copy = cb.clone();
         assert!(Arc::ptr_eq(&cb.cols, &copy.cols));
-        // projection and renaming share the columns too
-        let p = cb.project(&[name("n"), name("refs")]).unwrap();
-        let r = cb.rename(&[(name("n"), name("zz"))]).unwrap();
-        for (out, attr, from) in [(&p, "n", "n"), (&p, "refs", "refs"), (&r, "zz", "n")] {
-            assert!(Arc::ptr_eq(
-                out.shared_column(attr).unwrap(),
-                cb.shared_column(from).unwrap()
-            ));
-        }
+        // a filter shares the columns too
+        let keep: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
+        assert!(Arc::ptr_eq(&cb.cols, &cb.filter(&keep).cols));
     }
 
     #[test]
     fn a_shared_chunk_hands_out_the_stored_tuples() {
-        let rows: Vec<Value> = (0..20).map(row).collect();
-        let (set, b) = shared(&rows, 4, 12);
+        let (set, cb) = chunk((0..20).map(row).collect(), 4..12);
         let stored = &set.as_slice()[4..12];
-        // one tuple storage: the first fields sit at the same address
-        let same = |a: &Value, b: &Value| match (a, b) {
-            (Value::Tuple(x), Value::Tuple(y)) => {
-                std::ptr::eq(x.iter().next().unwrap().1, y.iter().next().unwrap().1)
-            }
-            _ => false,
-        };
-        let Batch::Columnar(cb) = &b else {
-            unreachable!("checked by `shared`")
-        };
+        let b = Batch::Columnar(cb);
         for (i, want) in stored.iter().enumerate() {
-            let Cow::Borrowed(got) = b.row_at(i) else {
-                panic!("row {i} was materialized")
-            };
-            assert!(std::ptr::eq(got, want));
-            assert!(same(&cb.row(i), want));
+            assert!(std::ptr::eq(b.row_at(i), want));
         }
+        assert!(matches!(b.rows(), Cow::Borrowed(_)));
         let values = b.into_values();
         assert_eq!(values.len(), stored.len());
         assert!(values.iter().zip(stored).all(|(a, b)| same(a, b)));
@@ -747,46 +613,76 @@ mod tests {
     #[test]
     fn the_origin_is_invisible_to_equality_and_the_codec() {
         let rows: Vec<Value> = (0..20).map(row).collect();
-        let (set, b) = shared(&rows, 3, 17);
-        let plain = Batch::of(BatchKind::Columnar, set.as_slice()[3..17].to_vec());
-        assert_eq!(b, plain);
-        let (Batch::Columnar(cb), Batch::Columnar(pb)) = (&b, &plain) else {
-            panic!("columnar")
-        };
-        assert!(pb.origin().is_none());
+        let (set, cb) = chunk(rows, 3..17);
+        // the same rows cut from another snapshot, at another offset
+        let (other, ob) = chunk(set.as_slice()[3..17].to_vec(), 0..14);
+        assert_eq!(cb.origin().1, 3);
+        assert_eq!(ob.origin().1, 0);
+        assert!(!std::ptr::eq(cb.origin().0.as_slice(), other.as_slice()));
+        assert_eq!(cb, ob);
         // both encode as the same row block
         let (mut x, mut y) = (Vec::new(), Vec::new());
-        codec::encode_rows(&cb.to_rows(), &mut x);
-        codec::encode_rows(&pb.to_rows(), &mut y);
+        codec::encode_rows(&cb.rows(), &mut x);
+        codec::encode_rows(&ob.rows(), &mut y);
         assert_eq!(x, y);
-        // the row layout of a shared cut is a plain slice copy
+        // the row layout of a chunk is a plain slice copy
         assert_eq!(
-            Batch::shared(BatchKind::Row, &set, 3..17),
-            Batch::of(BatchKind::Row, set.as_slice()[3..17].to_vec())
+            Batch::scan_chunk(BatchKind::Row, &set, 3..17),
+            Batch::Rows(set.as_slice()[3..17].to_vec())
         );
     }
 
+    /// A filter narrows the selection: the view keeps the origin and the
+    /// columns, and its row view is the stored tuples it kept. Stacked
+    /// filters narrow in chunk terms.
     #[test]
-    fn derived_batches_drop_the_origin() {
-        let rows: Vec<Value> = (0..20).map(row).collect();
-        let (_, b) = shared(&rows, 0, 20);
-        let Batch::Columnar(cb) = b else {
-            panic!("columnar")
-        };
-        let keep: Vec<bool> = (0..20).map(|i| i % 2 == 0).collect();
-        let all: Vec<Name> = cb.cols.iter().map(|(n, _)| n.clone()).collect();
-        let derived = [
-            cb.filter(&keep),
-            cb.project(&[name("n")]).unwrap(),
-            cb.rename(&[(name("n"), name("zz"))]).unwrap(),
-            cb.project(&all).unwrap(),
-        ];
-        for d in &derived {
-            assert!(d.origin().is_none(), "{d:?}");
+    fn a_filtered_chunk_hands_out_the_stored_tuples() {
+        let (set, cb) = chunk((0..40).map(row).collect(), 8..40);
+        let stored = &set.as_slice()[8..40];
+        let keep: Vec<bool> = (0..32).map(|i| i % 3 != 0).collect();
+        let once = cb.filter(&keep);
+        let keep: Vec<bool> = (0..once.len()).map(|i| i % 2 == 0).collect();
+        let twice = once.filter(&keep);
+        let kept: Vec<usize> = (0..32).filter(|i| i % 3 != 0).step_by(2).collect();
+        assert_eq!(twice.selected().collect::<Vec<_>>(), kept);
+        assert_eq!(twice.len(), kept.len());
+        assert!(std::ptr::eq(twice.origin().0.as_slice(), set.as_slice()));
+        assert_eq!(twice.origin().1, 8);
+        assert_columns_match_rows(&twice);
+        let b = Batch::Columnar(twice);
+        for (i, &j) in kept.iter().enumerate() {
+            assert!(std::ptr::eq(b.row_at(i), &stored[j]), "row {i}");
         }
-        // with no origin the rows come from the columns, unchanged
-        assert_eq!(derived[3].to_rows(), cb.to_rows());
-        assert_eq!(derived[0].to_rows().len(), 10);
+        for (got, &j) in b.rows().iter().zip(&kept) {
+            assert!(same(got, &stored[j]));
+        }
+        let values = b.into_values();
+        assert_eq!(values.len(), kept.len());
+        assert!(values.iter().zip(&kept).all(|(v, &j)| same(v, &stored[j])));
+        // a filter that keeps every row is the view it filtered
+        let all = cb.filter(&vec![true; cb.len()]);
+        assert!(all.sel.is_none());
+        assert!(matches!(all.rows(), Cow::Borrowed(_)));
+    }
+
+    /// A filtered chunk's row block is the codec's block of the stored
+    /// rows it kept, so a CHUNK frame of it carries exactly those.
+    #[test]
+    fn a_filtered_chunk_encodes_its_kept_stored_rows() {
+        let (set, cb) = chunk((0..30).map(row).collect(), 10..30);
+        let keep: Vec<bool> = (0..20).map(|i| i % 4 == 1).collect();
+        let filtered = Batch::Columnar(cb.filter(&keep));
+        let kept: Vec<Value> = set.as_slice()[10..30]
+            .iter()
+            .zip(&keep)
+            .filter(|(_, &k)| k)
+            .map(|(r, _)| r.clone())
+            .collect();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        codec::encode_rows(&filtered.rows(), &mut got);
+        codec::encode_rows(&kept, &mut want);
+        assert_eq!(got, want);
+        assert_eq!(codec::decode_rows(&got).unwrap(), kept);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod tuple;
 pub mod types;
 pub mod value;
 
-pub use batch::{Batch, BatchKind, Column, ColumnarBatch};
+pub use batch::{Batch, BatchKind, Column, ColumnView, ColumnarBatch};
 pub use error::ValueError;
 pub use float::F64;
 pub use oid::{Oid, OidGenerator};

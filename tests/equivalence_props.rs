@@ -442,14 +442,25 @@ proptest! {
     /// batch_kind × dop ∈ {1, 4} × budget ∈ {unbounded, 4 KiB}, so
     /// every mask tier meets its row-interpreter twin through the
     /// exchanges and the spill paths, and the streaming `Agg` scalar
-    /// root meets the drain-to-set reference.
+    /// root meets the drain-to-set reference. The last input stacks a
+    /// second `Filter` on the first: its predicate reads the columns
+    /// through the first filter's selection, and would raise a type
+    /// mismatch on exactly the rows the first one removed, so a
+    /// selection that leaks a removed row fails it.
     #[test]
     fn compound_masks_agree(config in db_config(), pred in mask_pred()) {
         let db = generate(&config);
         let ev = Evaluator::new(&db);
+        let errs_where_removed = or(pred.clone(), lt(var("p").field("price"), str_lit("x")));
+        let stacked = select(
+            "p",
+            and(errs_where_removed, le(var("p").field("color"), var("p").field("pname"))),
+            select("p", pred.clone(), table("PART")),
+        );
         let queries = [
             select("p", pred.clone(), table("PART")),
             count(select("p", pred, table("PART"))),
+            stacked,
         ];
         let mk = |vectorize: bool, batch_kind: BatchKind, dop: usize, budget: usize| {
             PlannerConfig {
@@ -462,22 +473,21 @@ proptest! {
             }
         };
         for q in &queries {
-            let reference = ev.eval_closed(q).expect("reference evaluation");
+            let mut es = Stats::new();
+            let reference = ev.eval_closed_with(q, &mut es);
             for batch_kind in [BatchKind::Columnar, BatchKind::Row] {
                 for dop in [1usize, 4] {
                     for budget in [0usize, 4 << 10] {
+                        let run = |vectorize: bool, stats: &mut Stats| {
+                            Planner::with_config(&db, mk(vectorize, batch_kind, dop, budget))
+                                .plan(q)
+                                .expect("plan")
+                                .execute_streaming(stats)
+                        };
                         let mut vs = Stats::new();
-                        let vectorized = Planner::with_config(&db, mk(true, batch_kind, dop, budget))
-                            .plan(q)
-                            .expect("plan")
-                            .execute_streaming(&mut vs)
-                            .expect("vectorized streaming");
+                        let vectorized = run(true, &mut vs);
                         let mut rs = Stats::new();
-                        let row = Planner::with_config(&db, mk(false, batch_kind, dop, budget))
-                            .plan(q)
-                            .expect("plan")
-                            .execute_streaming(&mut rs)
-                            .expect("row-interpreter streaming");
+                        let row = run(false, &mut rs);
                         prop_assert_eq!(
                             &vectorized, &reference,
                             "vectorized ≠ reference at {:?} dop {} budget {}",
@@ -494,11 +504,17 @@ proptest! {
                             "operator row totals diverged at {:?} dop {} budget {}",
                             batch_kind, dop, budget
                         );
+                        prop_assert_eq!(vs.rows_scanned, es.rows_scanned);
+                        prop_assert_eq!(vs.predicate_evals, es.predicate_evals);
                         prop_assert_eq!(vs.rows_scanned, rs.rows_scanned);
                         prop_assert_eq!(vs.predicate_evals, rs.predicate_evals);
                         prop_assert_eq!(vs.loop_iterations, rs.loop_iterations);
                         prop_assert_eq!(vs.hash_probes, rs.hash_probes);
                         prop_assert_eq!(vs.hash_build_rows, rs.hash_build_rows);
+                        prop_assert_eq!(vs.oid_lookups, rs.oid_lookups);
+                        prop_assert_eq!(vs.index_probes, rs.index_probes);
+                        prop_assert_eq!(vs.spill_bytes, rs.spill_bytes);
+                        prop_assert_eq!(vs.output_rows, rs.output_rows);
                     }
                 }
             }

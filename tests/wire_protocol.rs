@@ -7,8 +7,9 @@
 //!   across dop × budget × layout;
 //! * the first result chunk leaves the server before the pipeline is
 //!   exhausted;
-//! * a result-cache hit replays the cached set in `BATCH_SIZE` chunks,
-//!   each encoded once and sent as the same bytes to every connection;
+//! * a result-cache hit replays the cached set in the live read's chunk
+//!   sizes, each chunk encoded once and sent as the same bytes to every
+//!   connection;
 //! * a cached round trip does not wait on Nagle's algorithm;
 //! * malformed / truncated frames and mid-stream client disconnects
 //!   never panic the server or leak an admission-pool slot (property
@@ -367,6 +368,59 @@ fn result_cache_hits_replay_in_batch_sized_chunks() {
         assert_eq!(end, (1, 1));
     }
     assert_eq!(cached_chunks(), 3 * slices + 1);
+    drop(client);
+    handle.shutdown();
+}
+
+/// On one worker a `Filter` streams each scan chunk's survivors as one
+/// chunk of fewer than `BATCH_SIZE` rows. A result-cache hit repeats the
+/// live read's chunk boundaries: the same row count of every chunk, and
+/// so the same `(rows, chunks)` totals, in process and in the wire END
+/// frame.
+#[test]
+fn result_cache_hits_repeat_the_live_chunk_boundaries() {
+    let db = Arc::new(generate(&GenConfig {
+        parts: 3 * BATCH_SIZE + 7,
+        ..GenConfig::scaled(80)
+    }));
+    let config = ServerConfig {
+        planner: PlannerConfig {
+            parallelism: 1,
+            ..Default::default()
+        },
+        ..ServerConfig::default()
+    };
+    let selective = "select p from p in PART where p.price < 300";
+
+    let server = QueryServer::with_config(&db, config.clone());
+    let session = server.session();
+    let read = || {
+        let mut cursor = session.open_stream(selective).unwrap();
+        let mut lens = Vec::new();
+        while let Some(batch) = cursor.next_chunk().unwrap() {
+            lens.push(batch.len());
+        }
+        let end = (cursor.rows_streamed(), cursor.chunks_streamed());
+        (cursor.result_hit(), lens, end)
+    };
+    let (hit, live, live_end) = read();
+    assert!(!hit, "first run is live");
+    assert!(live.len() > 1, "{live:?}");
+    assert!(live.iter().all(|&n| n < BATCH_SIZE), "{live:?}");
+    let (hit, replay, end) = read();
+    assert!(hit, "second run is a hit");
+    assert_eq!(replay, live);
+    assert_eq!(end, live_end);
+
+    let handle = net::serve(Arc::clone(&db), config, "127.0.0.1:0").unwrap();
+    let mut client = binary_client(handle.addr());
+    let lens = |chunks: Vec<Vec<Value>>| chunks.iter().map(Vec::len).collect::<Vec<_>>();
+    let (flags, live, live_end) = query_chunks(&mut client, 1, selective);
+    assert_eq!(flags & wire::flags::RESULT_HIT, 0, "first run is live");
+    let (flags, hit, end) = query_chunks(&mut client, 2, selective);
+    assert_ne!(flags & wire::flags::RESULT_HIT, 0, "second run is a hit");
+    assert_eq!(end, live_end);
+    assert_eq!(lens(hit), lens(live));
     drop(client);
     handle.shutdown();
 }
