@@ -19,9 +19,9 @@
 //!   their order); the caller narrows the view's selection by it;
 //! * a `Map` whose body is a row field reads that column;
 //! * [`ProbeInput`] lets the join family probe either a plain row slice
-//!   (the materialized path, exchange worker chunks) or a streaming
-//!   [`Batch`], reading the join's bound left keys straight off key
-//!   columns without touching the probe rows.
+//!   (the materialized path) or a streaming [`Batch`], lending every
+//!   probe row and reading the join's bound left keys straight off key
+//!   columns instead of evaluating them over the row.
 //!
 //! Every fast path preserves the reference work counters: the callers
 //! keep charging `predicate_evals` / `hash_probes` per selected row, and
@@ -329,9 +329,9 @@ impl<'a> Mask<'a> {
     }
 }
 
-/// What a join probe phase iterates: a borrowed row slice (materialized
-/// entry points, exchange worker chunks) or a streaming [`Batch`] whose
-/// key columns can be read without materializing rows.
+/// What a join probe phase iterates: a borrowed row slice (the
+/// materialized join) or a streaming [`Batch`], whose key columns can be
+/// read instead of evaluating the keys.
 pub enum ProbeInput<'a> {
     /// Plain rows.
     Rows(&'a [Value]),
@@ -341,12 +341,6 @@ pub enum ProbeInput<'a> {
 
 impl<'a> From<&'a [Value]> for ProbeInput<'a> {
     fn from(rows: &'a [Value]) -> Self {
-        ProbeInput::Rows(rows)
-    }
-}
-
-impl<'a> From<&'a Vec<Value>> for ProbeInput<'a> {
-    fn from(rows: &'a Vec<Value>) -> Self {
         ProbeInput::Rows(rows)
     }
 }
@@ -372,13 +366,12 @@ impl<'a> ProbeInput<'a> {
     }
 
     /// Row `i`, borrowed: a row of the input or a chunk's stored tuple
-    /// ([`Batch::row_at`]). Probe loops call this lazily — only when the
-    /// full row is actually needed (residuals, output construction).
-    pub fn row_at(&self, i: usize) -> Cow<'a, Value> {
-        Cow::Borrowed(match self {
+    /// ([`Batch::row_at`]).
+    pub fn row_at(&self, i: usize) -> &'a Value {
+        match self {
             ProbeInput::Rows(r) => &r[i],
             ProbeInput::Batch(b) => b.row_at(i),
-        })
+        }
     }
 
     /// The column `key` reads, through the selection, when the input is
@@ -405,20 +398,6 @@ impl<'a> ProbeInput<'a> {
     /// row.
     pub(crate) fn key_columns(&self, keys: &[BoundExpr]) -> Option<Vec<ColumnView<'a>>> {
         keys.iter().map(|k| self.key_column(k)).collect()
-    }
-}
-
-/// Takes the (lazily read) probe row out of its cache, reading it from
-/// the input if nothing cached it yet — the "emit the probe row itself"
-/// path of semi/anti joins, with one clone of the borrowed row.
-pub(crate) fn take_row(
-    cache: &mut Option<Cow<'_, Value>>,
-    probe: &ProbeInput<'_>,
-    i: usize,
-) -> Value {
-    match cache.take() {
-        Some(c) => c.into_owned(),
-        None => probe.row_at(i).into_owned(),
     }
 }
 
@@ -481,12 +460,12 @@ mod tests {
         let probe: ProbeInput = (&odd).into();
         let cols = probe.key_columns(&[field(0, "a")]).unwrap();
         assert_eq!(cols[0].value_at(1), Value::Int(3));
-        assert_eq!(probe.row_at(1).as_ref(), &rows()[3]);
+        assert_eq!(probe.row_at(1), &rows()[3]);
         // row batches have no columns
         let rb = chunk(rows(), BatchKind::Row);
         let probe: ProbeInput = (&rb).into();
         assert!(probe.key_columns(&[field(0, "a")]).is_none());
-        assert_eq!(probe.row_at(2).as_ref(), &rows()[2]);
+        assert_eq!(probe.row_at(2), &rows()[2]);
     }
 
     /// The mask tier binds the chunk's full columns and reads its result

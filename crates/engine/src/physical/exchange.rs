@@ -18,11 +18,11 @@
 //!   worker order — a blocking boundary, like the breaker it feeds.
 //! * **Hash**: the hash join family's one operator
 //!   ([`super::hashjoin`]) at the exchange's degree of parallelism — the
-//!   same operator a plain join node runs at dop 1. Its build and probe
-//!   workers run on the harness below, each taking its stride of a
-//!   round-robin input segment instead of gathering it, with build rows
-//!   routed by [`hashjoin::key_hash`](super::hashjoin::key_hash) into
-//!   per-partition tables.
+//!   same operator a plain join node runs at dop 1, with the same one
+//!   hash table. Its build and probe workers run on the harness below,
+//!   each taking its stride of a round-robin input segment instead of
+//!   gathering it: build workers key their rows, which are then hashed
+//!   into the one table in worker order, and probe workers share it.
 //!
 //! The worker harness (`run_workers` over per-worker `Share`s of an
 //! input) is shared by both: each worker gets its own execution context
@@ -664,11 +664,35 @@ mod tests {
             // batch 2, which worker 0 of 2 owns — its rows reach the
             // build ahead of batch 1's.
             let residual = join(
-                and(keys, lt(var("d").field("date"), lit(Value::Date(940_119)))),
+                and(
+                    keys.clone(),
+                    lt(var("d").field("date"), lit(Value::Date(940_119))),
+                ),
+                table("DELIVERY"),
+            );
+            // A residual that fails on one candidate a semi/anti probe
+            // never reaches at dop 1: supplier 57's deliveries are dids
+            // 2593 and 1306 (canonical batch 1) and 19 (batch 2), so the
+            // probe stops at 2593 before it reaches 19. Strided over two
+            // workers, worker 0 (batches 0 and 2) keys 19 first; only
+            // canonical candidate order keeps the error unraised.
+            let failing = Value::Oid(Oid(3_000_019));
+            let early_stop = join(
+                and(
+                    keys,
+                    or(
+                        ne(var("d").field("did"), lit(failing)),
+                        eq(var("s").field("sname").field("oops"), int(0)),
+                    ),
+                ),
                 table("DELIVERY"),
             );
             assert_parallel_matches_serial(&fixture, &projected, &[4]);
-            for e in [projected, extent, residual] {
+            let mut queries = vec![projected, extent, residual];
+            if kind != JoinKind::Inner {
+                queries.push(early_stop);
+            }
+            for e in queries {
                 assert_parallel_matches_serial(&big, &e, &[2, 3, 4, 7]);
             }
         }
@@ -709,6 +733,32 @@ mod tests {
                 "p",
                 "s",
                 member(var("p").field("pid"), var("s").field("parts")),
+                table("PART"),
+                table("SUPPLIER"),
+            ),
+            // LeftInRightSet inner join over a bare (strided) build: a
+            // supplier sits under each of its parts, and each (part,
+            // supplier) pair must come out once
+            join(
+                "p",
+                "s",
+                member(var("p").field("pid"), var("s").field("parts")),
+                table("PART"),
+                table("SUPPLIER"),
+            ),
+            // membership nestjoin with a residual over both sides, which
+            // drops about half of the (part, supplier) pairs
+            nestjoin(
+                "p",
+                "s",
+                and(
+                    member(var("p").field("pid"), var("s").field("parts")),
+                    or(
+                        lt(var("p").field("price"), int(48)),
+                        eq(var("s").field("sname"), str_lit("supplier-2")),
+                    ),
+                ),
+                "ss",
                 table("PART"),
                 table("SUPPLIER"),
             ),

@@ -23,10 +23,10 @@
 //!   Family and mode also name the operator ([`JoinSpec::node_line`],
 //!   [`JoinSpec::op_label`]).
 //! * **One build.** A hash family evaluates every build row's keys once
-//!   and hashes the keyed rows into `JoinHashTable`s or
-//!   `MemberHashTable`s: one table, or one per [`key_hash`] partition of
-//!   a parallel build. A loop build keeps the drained rows; an index
-//!   build only checks that the extent and its index exist. An owner
+//!   and hashes the keyed rows into one `JoinHashTable` or
+//!   `MemberHashTable` at every dop (a parallel build keys its shares on
+//!   the worker pool first). A loop build keeps the drained rows; an
+//!   index build only checks that the extent and its index exist. An owner
 //!   build looks each drained right row's key up once in the left
 //!   extent's owner index and inverts the owners into per-left-position
 //!   lists of right rows (`OwnerLists`: two `u32` arrays, no hash
@@ -39,9 +39,10 @@
 //! * **One streaming operator.** At dop 1 it runs on the calling thread
 //!   and streams its probe side batch by batch (a sort-merge join streams
 //!   its merge instead); a hash family at dop > 1 (under a hash
-//!   `Exchange`) runs build and probe on the worker pool. Under a bounded
-//!   memory budget an oversized hash build falls back to the grace hash
-//!   join at every dop, and a sort-merge join sorts in spilled runs.
+//!   `Exchange`) keys its build and runs its probe on the worker pool,
+//!   around the one table. Under a bounded memory budget an oversized
+//!   hash build falls back to the grace hash join at every dop, and a
+//!   sort-merge join sorts in spilled runs.
 //!
 //! Keys are arbitrary ADL expressions over one side's variable; the
 //! residual predicate (non-equi conjuncts, or a nested-loop join's whole
@@ -52,7 +53,7 @@
 //! evaluated through one `Cx` per batch. Only the materialized
 //! [`PhysPlan::exec`] binds a spec per call (`JoinSpec::join_sets`).
 
-use super::columnar::{take_row, ProbeInput};
+use super::columnar::ProbeInput;
 use super::exchange::{duplicate_free, run_workers, segment_scan, Segment, Share};
 use super::operator::{
     drain_raw, drain_rows, drain_to_set, BoxOp, Buffered, ExecCtx, Operator, BATCH_SIZE,
@@ -67,7 +68,7 @@ use oodb_catalog::{Database, Table};
 use oodb_spill::{MemoryBudget, SpillMetrics};
 use oodb_value::fxhash::FxHashMap;
 use oodb_value::{Batch, Name, Set, Value};
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 
 /// The two supported membership predicate shapes.
 #[derive(Debug, Clone)]
@@ -88,11 +89,10 @@ pub enum MemberShape {
     },
 }
 
-/// Stable partition hash of a composite join key. Both sides of a
-/// hash-partitioned parallel join use this function — build rows are
-/// routed to the partition table it names, and a probe key consults
-/// exactly that partition — so it must stay deterministic across
-/// workers and runs (FxHash over the canonical key values is).
+/// Stable hash of a composite join key: the grace join routes build and
+/// probe rows to spill partitions by it (see `spill_exec`), so equal keys
+/// must meet in the same partition on every run (FxHash over the
+/// canonical key values does).
 pub fn key_hash(key: &[Value]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = oodb_value::fxhash::FxHasher::default();
@@ -180,7 +180,7 @@ pub enum JoinFamily {
 
 impl JoinFamily {
     /// Whether the family builds hash tables — the only families that
-    /// partition across workers or fall back to the grace join.
+    /// key their build on the worker pool or fall back to the grace join.
     pub(crate) fn hashed(&self) -> bool {
         matches!(self, JoinFamily::Equi { .. } | JoinFamily::Member { .. })
     }
@@ -260,14 +260,14 @@ pub struct JoinSpec {
 
 /// The output a probe row has accumulated from its matches so far.
 #[derive(Default)]
-struct RowMatches {
-    matched: bool,
+pub(crate) struct RowMatches {
+    pub(crate) matched: bool,
     /// The nestjoin group (empty in join mode).
-    group: Vec<Value>,
+    pub(crate) group: Vec<Value>,
     /// Whether `group` is collected in canonical order, so it is checked
     /// instead of sorted: an owner join's identity group, which takes
     /// right rows of a canonical set in ascending index order.
-    sorted: bool,
+    pub(crate) sorted: bool,
 }
 
 impl JoinSpec {
@@ -376,138 +376,61 @@ impl JoinSpec {
     }
 
     /// One table over pre-keyed build entries; each index insertion is
-    /// counted into `inserted` (the `hash_build_rows` counter).
+    /// counted into `inserted` (the `hash_build_rows` counter). With
+    /// `canonical` each key's candidates are put back in canonical row
+    /// order (see [`JoinHashTable::sort_candidates`]).
     fn table<V: Borrow<Value>>(
         &self,
         entries: impl IntoIterator<Item = Keyed<V>>,
+        canonical: bool,
         inserted: &mut u64,
     ) -> BuildSide<V> {
         match self.family {
             JoinFamily::Equi { .. } => {
-                BuildSide::Equi(vec![JoinHashTable::from_keyed(entries, inserted)])
-            }
-            JoinFamily::Member { .. } => {
-                BuildSide::Member(vec![MemberHashTable::from_keyed(entries, inserted)])
-            }
-            JoinFamily::Loop
-            | JoinFamily::Index { .. }
-            | JoinFamily::Sorted { .. }
-            | JoinFamily::Owners { .. } => not_hashed(),
-        }
-    }
-
-    /// Routes one keyed build row into `buckets` (one per partition).
-    /// For equi joins the whole key vector hashes as a unit; for
-    /// membership joins each key routes separately, and a row reachable
-    /// from several partitions is replicated into each, indexed only
-    /// under that partition's keys (a keyless row — empty `rset` —
-    /// indexes nowhere, exactly as in a one-table build). A single
-    /// bucket takes every row whole, with all its keys.
-    fn route(&self, keys: Vec<Value>, row: Value, buckets: &mut [Vec<Keyed>]) {
-        let parts = buckets.len() as u64;
-        if parts == 1 {
-            buckets[0].push((keys, row));
-            return;
-        }
-        match &self.family {
-            JoinFamily::Equi { .. } => {
-                let p = (key_hash(&keys) % parts) as usize;
-                buckets[p].push((keys, row));
-            }
-            JoinFamily::Member { .. } => {
-                let mut per_part: Vec<(usize, Vec<Value>)> = Vec::new();
-                for k in keys {
-                    let p = (value_hash(&k) % parts) as usize;
-                    match per_part.iter_mut().find(|(q, _)| *q == p) {
-                        Some((_, ks)) => ks.push(k),
-                        None => per_part.push((p, vec![k])),
-                    }
-                }
-                let replicas = per_part.len();
-                let mut row = Some(row);
-                for (i, (p, ks)) in per_part.into_iter().enumerate() {
-                    let r = if i + 1 == replicas {
-                        row.take().expect("moved into the last replica only")
-                    } else {
-                        row.as_ref().expect("not yet moved").clone()
-                    };
-                    buckets[p].push((ks, r));
-                }
-            }
-            JoinFamily::Loop
-            | JoinFamily::Index { .. }
-            | JoinFamily::Sorted { .. }
-            | JoinFamily::Owners { .. } => not_hashed(),
-        }
-    }
-
-    /// The partition tables of a parallel build, built concurrently on
-    /// the worker pool: partition *p* from bucket *p* of every routing
-    /// worker, in worker order. With `canonical` each key's candidates
-    /// are put back in canonical row order (see
-    /// [`JoinHashTable::sort_candidates`]).
-    fn partition_tables(
-        &self,
-        partitions: Vec<Vec<Vec<Keyed>>>,
-        canonical: bool,
-        ctx: &mut ExecCtx<'_, '_>,
-    ) -> Result<BuildSide, EvalError> {
-        Ok(match self.family {
-            JoinFamily::Equi { .. } => BuildSide::Equi(run_workers(partitions, ctx, |b, w| {
-                let entries = b.into_iter().flatten();
-                let mut t = JoinHashTable::from_keyed(entries, &mut w.stats.hash_build_rows);
+                let mut t = JoinHashTable::from_keyed(entries, inserted);
                 if canonical {
                     t.sort_candidates();
                 }
-                Ok(t)
-            })?),
+                BuildSide::Equi(t)
+            }
             JoinFamily::Member { .. } => {
-                BuildSide::Member(run_workers(partitions, ctx, |b, w| {
-                    let entries = b.into_iter().flatten();
-                    let mut t = MemberHashTable::from_keyed(entries, &mut w.stats.hash_build_rows);
-                    if canonical {
-                        t.sort_candidates();
-                    }
-                    Ok(t)
-                })?)
+                let mut t = MemberHashTable::from_keyed(entries, inserted);
+                if canonical {
+                    t.sort_candidates();
+                }
+                BuildSide::Member(t)
             }
             JoinFamily::Loop
             | JoinFamily::Index { .. }
             | JoinFamily::Sorted { .. }
             | JoinFamily::Owners { .. } => not_hashed(),
-        })
+        }
     }
 
-    /// What probe row `i` emits once its matches are in: a semijoin
+    /// What probe row `x` emits once its matches are in: a semijoin
     /// keeps a matched row, an antijoin an unmatched one, an outer join
     /// pads an unmatched one, a nestjoin attaches the (possibly empty)
-    /// group. `xc` holds the row if it was already materialized.
-    fn finish_row<'p>(
+    /// group.
+    pub(crate) fn finish_row(
         &self,
         row: RowMatches,
-        xc: &mut Option<Cow<'p, Value>>,
-        probe: &ProbeInput<'p>,
-        i: usize,
+        x: &Value,
         out: &mut Vec<Value>,
     ) -> Result<(), EvalError> {
         match &self.mode {
             JoinMode::Join {
                 kind: JoinKind::Semi,
                 ..
-            } if row.matched => out.push(take_row(xc, probe, i)),
+            } if row.matched => out.push(x.clone()),
             JoinMode::Join {
                 kind: JoinKind::Anti,
                 ..
-            } if !row.matched => out.push(take_row(xc, probe, i)),
+            } if !row.matched => out.push(x.clone()),
             JoinMode::Join {
                 kind: JoinKind::LeftOuter,
                 right_attrs,
-            } if !row.matched => {
-                let x = xc.get_or_insert_with(|| probe.row_at(i));
-                out.push(null_pad(x, right_attrs)?);
-            }
+            } if !row.matched => out.push(null_pad(x, right_attrs)?),
             JoinMode::Nest { as_attr, .. } => {
-                let x = xc.get_or_insert_with(|| probe.row_at(i));
                 let group = if row.sorted {
                     Set::from_sorted(row.group).ok_or(EvalError::OperatorProtocol(
                         "an owner join's group is out of canonical order",
@@ -520,26 +443,6 @@ impl JoinSpec {
             JoinMode::Join { .. } => {}
         }
         Ok(())
-    }
-
-    /// [`JoinSpec::finish_row`] for an owned probe row whose matches
-    /// were folded elsewhere (the membership grace join folds them
-    /// across partitions). The row is already in hand, so no probe input
-    /// is read.
-    pub(crate) fn finish_owned_row(
-        &self,
-        x: Value,
-        matched: bool,
-        group: Vec<Value>,
-        out: &mut Vec<Value>,
-    ) -> Result<(), EvalError> {
-        let row = RowMatches {
-            matched,
-            group,
-            sorted: false,
-        };
-        let none = ProbeInput::Rows(&[]);
-        self.finish_row(row, &mut Some(Cow::Owned(x)), &none, 0, out)
     }
 }
 
@@ -653,7 +556,7 @@ impl BoundJoin {
 
     /// What a nestjoin collects from matching right row `y`: the
     /// extended nestjoin's function of it, or `y` itself.
-    pub(crate) fn collect_right(&self, y: &Value, cx: &mut Cx<'_, '_>) -> Result<Value, EvalError> {
+    fn collect_right(&self, y: &Value, cx: &mut Cx<'_, '_>) -> Result<Value, EvalError> {
         match &self.rfunc {
             Some(g) => cx.value(g, &[y]),
             None => Ok(y.clone()),
@@ -682,9 +585,9 @@ impl BoundJoin {
         }
     }
 
-    /// The build of every join that needs neither partitions nor a
-    /// budget check: a hash family keys `rows` and hashes them into one
-    /// table as they stream past, a loop keeps them, an index join
+    /// The build of every join that needs neither workers nor a budget
+    /// check: a hash family keys `rows` and hashes them into one table
+    /// as they stream past, a loop keeps them, an index join
     /// (whose `rows` are empty) checks its extent and index, and an owner
     /// join inverts the owners of its rows' keys into
     /// [`OwnerLists`]. Generic over row ownership: the streaming operator
@@ -721,15 +624,13 @@ impl BoundJoin {
                     None
                 }
             });
-        let tables = self.spec.table(keyed, &mut inserted);
+        let tables = self.spec.table(keyed, false, &mut inserted);
         cx.stats.hash_build_rows += inserted;
         err.map_or(Ok(tables), Err)
     }
 
     /// Probes one batch of left rows against `build`, producing output
-    /// rows. Each hash probe key consults exactly the partition
-    /// [`key_hash`] (equi) or [`value_hash`] (membership) assigns it, so
-    /// a partitioned probe does the same lookups as a one-table probe.
+    /// rows.
     fn probe<V: Borrow<Value>>(
         &self,
         build: &BuildSide<V>,
@@ -737,11 +638,9 @@ impl BoundJoin {
         cx: &mut Cx<'_, '_>,
     ) -> Result<Vec<Value>, EvalError> {
         match (&self.spec.family, build) {
-            (JoinFamily::Equi { .. }, BuildSide::Equi(t)) => {
-                JoinHashTable::probe_batch(t, self, probe, cx)
-            }
+            (JoinFamily::Equi { .. }, BuildSide::Equi(t)) => t.probe_batch(self, probe, cx),
             (JoinFamily::Member { shape }, BuildSide::Member(t)) => {
-                MemberHashTable::probe_batch(t, self, shape, probe, cx)
+                t.probe_batch(self, shape, probe, cx)
             }
             (JoinFamily::Loop, BuildSide::Loop(rows)) => self.probe_loop(rows, probe, cx),
             (JoinFamily::Index { attr, extent, .. }, BuildSide::Index) => {
@@ -806,8 +705,7 @@ impl BoundJoin {
     /// The owner probe: each probe row — an object of `table`, the
     /// extent the left side scans — finds its candidates in `lists`
     /// under its position, one oid lookup per row. A columnar batch
-    /// gives the oid off its identity column, and a row without
-    /// candidates is not read.
+    /// gives the oid off its identity column.
     fn probe_owners<V: Borrow<Value>>(
         &self,
         lists: &OwnerLists<V>,
@@ -820,13 +718,10 @@ impl BoundJoin {
         let nest = matches!(self.spec.mode, JoinMode::Nest { .. });
         let mut out = Vec::new();
         for i in 0..probe.len() {
-            let mut xc = None;
+            let x = probe.row_at(i);
             let oid = match ids {
                 Some(col) => col.value_at(i).as_oid().ok(),
-                None => {
-                    let x = xc.get_or_insert_with(|| probe.row_at(i));
-                    x.as_tuple()?.get(identity).and_then(|v| v.as_oid().ok())
-                }
+                None => x.as_tuple()?.get(identity).and_then(|v| v.as_oid().ok()),
             };
             cx.stats.oid_lookups += 1;
             let Some(pos) = oid.and_then(|o| table.position(o)) else {
@@ -840,15 +735,12 @@ impl BoundJoin {
                 sorted: self.rfunc.is_none(),
                 ..RowMatches::default()
             };
-            if !matches.is_empty() {
-                let x = xc.get_or_insert_with(|| probe.row_at(i));
-                for &j in matches {
-                    if !self.candidate(x, lists.row(j), &mut row, &mut out, cx)? {
-                        break;
-                    }
+            for &j in matches {
+                if !self.candidate(x, lists.row(j), &mut row, &mut out, cx)? {
+                    break;
                 }
             }
-            self.spec.finish_row(row, &mut xc, &probe, i, &mut out)?;
+            self.spec.finish_row(row, x, &mut out)?;
         }
         Ok(out)
     }
@@ -864,26 +756,22 @@ impl BoundJoin {
     ) -> Result<Vec<Value>, EvalError> {
         let mut out = Vec::new();
         for i in 0..probe.len() {
-            let mut xc = None;
+            let x = probe.row_at(i);
             let mut row = RowMatches::default();
-            if !rows.is_empty() {
-                let x = xc.get_or_insert_with(|| probe.row_at(i));
-                for y in rows {
-                    cx.stats.loop_iterations += 1;
-                    if !self.candidate(x, y.borrow(), &mut row, &mut out, cx)? {
-                        break;
-                    }
+            for y in rows {
+                cx.stats.loop_iterations += 1;
+                if !self.candidate(x, y.borrow(), &mut row, &mut out, cx)? {
+                    break;
                 }
             }
-            self.spec.finish_row(row, &mut xc, &probe, i, &mut out)?;
+            self.spec.finish_row(row, x, &mut out)?;
         }
         Ok(out)
     }
 
     /// The index probe: each probe row's candidates are the rows of
     /// `table`'s index on `attr` under `lkey(x)`. A key that is a field
-    /// of the probe row reads its column of a columnar batch without
-    /// materializing the row.
+    /// of the probe row reads its column of a columnar batch.
     fn probe_index(
         &self,
         table: &Table,
@@ -894,27 +782,21 @@ impl BoundJoin {
         let key_col = probe.key_column(&self.left[0]);
         let mut out = Vec::new();
         for i in 0..probe.len() {
-            let mut xc = None;
+            let x = probe.row_at(i);
             let key = match key_col {
                 Some(col) => col.value_at(i),
-                None => {
-                    let x = xc.get_or_insert_with(|| probe.row_at(i));
-                    cx.value(&self.left[0], &[x])?
-                }
+                None => cx.value(&self.left[0], &[x])?,
             };
             cx.stats.index_probes += 1;
             let mut row = RowMatches::default();
             let candidates = table.index_probe(attr, &key).unwrap_or_default();
-            if !candidates.is_empty() {
-                let x = xc.get_or_insert_with(|| probe.row_at(i));
-                for t in table.rows_at(candidates) {
-                    let y = Value::Tuple(t.clone());
-                    if !self.candidate(x, &y, &mut row, &mut out, cx)? {
-                        break;
-                    }
+            for t in table.rows_at(candidates) {
+                let y = Value::Tuple(t.clone());
+                if !self.candidate(x, &y, &mut row, &mut out, cx)? {
+                    break;
                 }
             }
-            self.spec.finish_row(row, &mut xc, &probe, i, &mut out)?;
+            self.spec.finish_row(row, x, &mut out)?;
         }
         Ok(out)
     }
@@ -989,8 +871,8 @@ impl BoundJoin {
     }
 }
 
-/// The arm of a hash-only step (keying, routing, partitioning, grace)
-/// for a family without hash tables: the operator never sends one there
+/// The arm of a hash-only step (keying, tables, grace) for a family
+/// without hash tables: the operator never sends one there
 /// (see [`JoinFamily::hashed`]).
 pub(crate) fn not_hashed() -> ! {
     unreachable!("only the hash families key, partition or spill build rows")
@@ -1028,15 +910,14 @@ fn index_table<'db>(
 // ---------------------------------------------------------------------
 // The tables.
 
-/// The built side of a join: for a hash family one table, or one per
-/// hash partition of a parallel build; for a loop the drained right
-/// rows; nothing for an index join, which probes its extent's index;
+/// The built side of a join: for a hash family its table; for a loop
+/// the drained right rows; nothing for an index join, which probes its extent's index;
 /// for an owner join the right rows listed by left position.
 enum BuildSide<V = Value> {
-    /// Equi-join tables.
-    Equi(Vec<JoinHashTable<V>>),
-    /// Membership-join tables.
-    Member(Vec<MemberHashTable<V>>),
+    /// The equi-join table.
+    Equi(JoinHashTable<V>),
+    /// The membership-join table.
+    Member(MemberHashTable<V>),
     /// The right set, every row a candidate.
     Loop(Vec<V>),
     /// The index join's checked extent, looked up per probe batch.
@@ -1106,11 +987,9 @@ impl<V: Borrow<Value>> JoinHashTable<V> {
 
     /// Probe phase over one batch. Columnar probe batches whose keys are
     /// fields of the probe row read the whole key vector straight off the
-    /// key columns; the probe row itself is materialized only when
-    /// actually needed (residual checks, output construction) — semi/anti
-    /// misses never touch it.
+    /// key columns.
     fn probe_batch(
-        tables: &[Self],
+        &self,
         join: &BoundJoin,
         probe: ProbeInput<'_>,
         cx: &mut Cx<'_, '_>,
@@ -1118,59 +997,44 @@ impl<V: Borrow<Value>> JoinHashTable<V> {
         let key_cols = probe.key_columns(&join.left);
         let mut out = Vec::new();
         for i in 0..probe.len() {
-            let mut xc = None;
+            let x = probe.row_at(i);
             let key = match &key_cols {
                 Some(cols) => cols.iter().map(|c| c.value_at(i)).collect::<Vec<_>>(),
-                None => {
-                    let x = xc.get_or_insert_with(|| probe.row_at(i));
-                    join.left_keys(x, cx)?
-                }
+                None => join.left_keys(x, cx)?,
             };
-            Self::probe_row(tables, join, &key, &probe, i, &mut xc, &mut out, cx)?;
+            self.probe_row(join, &key, x, &mut out, cx)?;
         }
         Ok(out)
     }
 
-    /// Probes row `i` of `probe` under its evaluated `key` — also the
-    /// grace join's per-row probe, whose keys were evaluated to route
-    /// the row to its partition file. Kind-specific unmatched handling
-    /// is safe there too: an equi-keyed probe row can only ever match
-    /// inside its own partition.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_row<'p>(
-        tables: &[Self],
+    /// Probes row `x` under its evaluated `key` — also the grace join's
+    /// per-row probe, whose keys were evaluated to route the row to its
+    /// partition file. Kind-specific unmatched handling is safe there
+    /// too: an equi-keyed probe row can only ever match inside its own
+    /// partition.
+    pub(crate) fn probe_row(
+        &self,
         join: &BoundJoin,
         key: &[Value],
-        probe: &ProbeInput<'p>,
-        i: usize,
-        xc: &mut Option<Cow<'p, Value>>,
+        x: &Value,
         out: &mut Vec<Value>,
         cx: &mut Cx<'_, '_>,
     ) -> Result<(), EvalError> {
         cx.stats.hash_probes += 1;
         let mut row = RowMatches::default();
-        let table = if tables.len() == 1 {
-            &tables[0]
-        } else {
-            &tables[(key_hash(key) % tables.len() as u64) as usize]
-        };
-        if let Some(candidates) = table.map.get(key) {
-            let x = xc.get_or_insert_with(|| probe.row_at(i));
-            for y in candidates {
-                if !join.candidate(x, y.borrow(), &mut row, out, cx)? {
-                    break;
-                }
+        for y in self.map.get(key).map_or(&[][..], Vec::as_slice) {
+            if !join.candidate(x, y.borrow(), &mut row, out, cx)? {
+                break;
             }
         }
-        join.spec.finish_row(row, xc, probe, i, out)
+        join.spec.finish_row(row, x, out)
     }
 }
 
 /// A built hash table for membership joins: right rows are stored once
 /// and indexed by key (for `RightInLeftSet`, `rkey(y)`; for
-/// `LeftInRightSet`, every element of `rset(y)`). Row *indices* in the
-/// multimap make the per-left-tuple dedupe exact even though the rows
-/// are owned.
+/// `LeftInRightSet`, every element of `rset(y)`), so a row reachable
+/// under several keys is not copied.
 pub(crate) struct MemberHashTable<V = Value> {
     rows: Vec<V>,
     index: FxHashMap<Value, Vec<usize>>,
@@ -1178,11 +1042,9 @@ pub(crate) struct MemberHashTable<V = Value> {
 
 impl<V: Borrow<Value>> MemberHashTable<V> {
     /// Build phase over pre-evaluated `(keys, row)` entries — one entry
-    /// per row, carrying every index key the row is reachable under in
-    /// **this** partition (a `LeftInRightSet` row whose set elements
-    /// hash to several partitions is replicated, each replica indexed
-    /// only under its partition's elements). Each index insertion is
-    /// counted into `inserted`, as in [`JoinHashTable::from_keyed`].
+    /// per row, carrying every index key the row is reachable under.
+    /// Each index insertion is counted into `inserted`, as in
+    /// [`JoinHashTable::from_keyed`].
     pub(crate) fn from_keyed(
         entries: impl IntoIterator<Item = Keyed<V>>,
         inserted: &mut u64,
@@ -1212,85 +1074,39 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
         }
     }
 
-    /// The partition of `tables` that owns probe key `p`, with its
-    /// index (for cross-partition dedupe bookkeeping).
-    fn pick<'t>(tables: &'t [Self], p: &Value) -> (usize, &'t Self) {
-        if tables.len() == 1 {
-            (0, &tables[0])
-        } else {
-            let ti = (value_hash(p) % tables.len() as u64) as usize;
-            (ti, &tables[ti])
-        }
-    }
-
-    /// The distinct right rows a pre-keyed probe row reaches in this
-    /// **single** (grace-partition) table through `keys`, residual
-    /// checked, deduplicated per probe row. With `first_only` the scan
-    /// stops at the first match (semi/anti probes need only existence).
-    /// Cross-partition dedupe is unnecessary: equal key values always
-    /// land in the same partition, so one `(x, y)` pair can match in at
-    /// most one partition.
-    pub(crate) fn keyed_matches(
+    /// Walks the candidates of probe row `x` under its membership `keys`,
+    /// one hash probe per key, checking each against the residual and
+    /// recording it into `row`, until the row wants no more (see
+    /// [`BoundJoin::candidate`]). Both the streaming probe and the grace
+    /// join's run through here. No right row is reached twice: a build
+    /// row sits under distinct keys (the elements of its `rset`, or its
+    /// one `rkey`), and the probe keys are distinct too (the elements of
+    /// `lset(x)`, or its one `lkey`), so each `(x, y)` pair meets under
+    /// at most one key.
+    pub(crate) fn match_keys(
         &self,
         join: &BoundJoin,
         keys: &[Value],
         x: &Value,
-        first_only: bool,
+        row: &mut RowMatches,
+        out: &mut Vec<Value>,
         cx: &mut Cx<'_, '_>,
-    ) -> Result<Vec<&Value>, EvalError> {
-        let mut seen: Vec<usize> = Vec::new();
-        let mut out = Vec::new();
+    ) -> Result<(), EvalError> {
         for k in keys {
             cx.stats.hash_probes += 1;
-            if let Some(candidates) = self.index.get(k) {
-                for &yi in candidates {
-                    if seen.contains(&yi) {
-                        continue;
-                    }
-                    let y = self.rows[yi].borrow();
-                    if join.residual_holds(x, y, cx)? {
-                        seen.push(yi);
-                        out.push(y);
-                        if first_only {
-                            return Ok(out);
-                        }
-                    }
+            for &yi in self.index.get(k).map_or(&[][..], Vec::as_slice) {
+                if !join.candidate(x, self.rows[yi].borrow(), row, out, cx)? {
+                    return Ok(());
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// [`BoundJoin::probe_keys`] for probe row `i` of a batch,
-    /// reading the set/key column directly when the probe side is
-    /// columnar and the bound `lset`/`lkey` is a field of the probe row
-    /// — the row is not materialized. `cache` receives the row only
-    /// when the slow path had to build it.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_keys_at<'p>(
-        join: &BoundJoin,
-        shape: &MemberShape,
-        probe: &ProbeInput<'p>,
-        left_col: Option<oodb_value::ColumnView<'_>>,
-        i: usize,
-        cache: &mut Option<Cow<'p, Value>>,
-        cx: &mut Cx<'_, '_>,
-    ) -> Result<ProbeKeys, EvalError> {
-        match left_col {
-            Some(col) => ProbeKeys::new(shape, col.value_at(i)),
-            None => {
-                let x = cache.get_or_insert_with(|| probe.row_at(i));
-                join.probe_keys(shape, x, cx)
-            }
-        }
-    }
-
-    /// Probe phase over one batch of left rows. Every probe key consults
-    /// its owning partition, and the per-left-tuple dedupe tracks
-    /// `(partition, row)` pairs so a row matched through several set
-    /// elements still joins once.
+    /// Probe phase over one batch of left rows. A columnar batch whose
+    /// `lset`/`lkey` is a field of the probe row reads it off its column.
     fn probe_batch(
-        tables: &[Self],
+        &self,
         join: &BoundJoin,
         shape: &MemberShape,
         probe: ProbeInput<'_>,
@@ -1299,32 +1115,14 @@ impl<V: Borrow<Value>> MemberHashTable<V> {
         let left_col = probe.key_column(&join.left[0]);
         let mut out = Vec::new();
         for i in 0..probe.len() {
-            let mut xc = None;
-            let probes = Self::probe_keys_at(join, shape, &probe, left_col, i, &mut xc, cx)?;
+            let x = probe.row_at(i);
+            let keys = match left_col {
+                Some(col) => ProbeKeys::new(shape, col.value_at(i))?,
+                None => join.probe_keys(shape, x, cx)?,
+            };
             let mut row = RowMatches::default();
-            let mut seen: Vec<(usize, usize)> = Vec::new();
-            'probe: for p in probes.as_slice() {
-                cx.stats.hash_probes += 1;
-                let (ti, table) = Self::pick(tables, p);
-                if let Some(candidates) = table.index.get(p) {
-                    let x = xc.get_or_insert_with(|| probe.row_at(i));
-                    for &yi in candidates {
-                        // A right tuple may match through several
-                        // elements — dedupe per left tuple.
-                        if seen.contains(&(ti, yi)) {
-                            continue;
-                        }
-                        let y = table.rows[yi].borrow();
-                        if join.residual_holds(x, y, cx)? {
-                            seen.push((ti, yi));
-                            if !join.matched(x, y, &mut row, &mut out, cx)? {
-                                break 'probe;
-                            }
-                        }
-                    }
-                }
-            }
-            join.spec.finish_row(row, &mut xc, &probe, i, &mut out)?;
+            self.match_keys(join, keys.as_slice(), x, &mut row, &mut out, cx)?;
+            join.spec.finish_row(row, x, &mut out)?;
         }
         Ok(out)
     }
@@ -1387,22 +1185,21 @@ impl JoinInput {
 /// the merge, one chunk of key groups per `next_batch`.
 ///
 /// **dop > 1** (hash families only) runs build and probe on the worker
-/// pool. `dop` build workers each take a share of the build side,
-/// evaluate its keys and route every keyed row into one bucket per
-/// partition; partition *p*'s table is built from bucket *p* of every
-/// worker, in worker order, with the tables built concurrently. Then
-/// `dop` probe workers each stream a share of the probe side through
-/// the shared tables, and the output is buffered. A share is a worker's stride of the side's segment when the
-/// side is a round-robin exchange over one (its batches reach the probe
-/// with their key columns in place), else a contiguous chunk of the side
-/// drained on the calling thread — the build side through the usual
-/// canonical-set breaker, which is also how a build segment that may
-/// emit duplicate rows keeps its set semantics.
+/// pool around one table. `dop` build workers each take a share of the
+/// build side and evaluate its keys; the keyed rows are then hashed
+/// into one table on the calling thread, in worker order. Then `dop`
+/// probe workers each stream a share of the probe side through the
+/// shared table, and the output is buffered. A share is a worker's
+/// stride of the side's segment when the side is a round-robin exchange
+/// over one (its batches reach the probe with their key columns in
+/// place), else a contiguous chunk of the side drained on the calling
+/// thread — the build side through the usual canonical-set breaker,
+/// which is also how a build segment that may emit duplicate rows keeps
+/// its set semantics.
 ///
-/// Under a bounded memory budget a hash build side always drains and
-/// stays one partition, and a hash build that does not fit the budget
-/// falls back to the grace hash join (see `spill_exec::grace_join`) at
-/// every dop.
+/// Under a bounded memory budget a hash build side always drains, and
+/// a hash build that does not fit the budget falls back to the grace
+/// hash join (see `spill_exec::grace_join`) at every dop.
 pub(crate) struct JoinOp {
     join: BoundJoin,
     dop: usize,
@@ -1517,9 +1314,11 @@ impl JoinOp {
         self.build_bounded(keyed, ctx)
     }
 
-    /// The dop > 1 build: the workers key and route their shares. A
-    /// strided share skips the breaker (a duplicate-free segment is
-    /// already a set); anything else drains through it first.
+    /// The dop > 1 build: the workers key their shares, and the keyed
+    /// rows make one table in worker order. A strided share skips the
+    /// breaker (a duplicate-free segment is already a set); anything else
+    /// drains through it first and is cut into contiguous chunks, which
+    /// keep canonical order.
     fn build_parallel(&mut self, ctx: &mut ExecCtx<'_, '_>) -> Result<Built, EvalError> {
         let (dop, join) = (self.dop, &self.join);
         let right = self.right.as_mut().expect("a hash join has a build side");
@@ -1532,37 +1331,27 @@ impl JoinOp {
                 Share::chunks(set.into_values(), dop)
             }
         };
-        let parts = if bounded { 1 } else { dop };
-        let routed = run_workers(shares, ctx, |share, wctx| {
-            let mut buckets: Vec<Vec<Keyed>> = (0..parts).map(|_| Vec::new()).collect();
+        let keyed = run_workers(shares, ctx, |share, wctx| {
+            let mut keyed: Vec<Keyed> = Vec::new();
             share.for_each_batch(wctx, |batch, c| {
                 let mut cx = join.cx(&c.ev, &mut c.env, c.stats);
                 for y in batch.into_values() {
-                    let keys = join.build_keys(&y, &mut cx)?;
-                    join.spec.route(keys, y, &mut buckets);
+                    keyed.push((join.build_keys(&y, &mut cx)?, y));
                 }
                 Ok(())
             })?;
-            Ok(buckets)
+            Ok(keyed)
         })?;
-        if bounded {
-            let keyed = routed.into_iter().flatten().flatten().collect();
-            return self.build_bounded(keyed, ctx);
-        }
-        // Partition p takes bucket p of every worker, in worker order.
-        let mut partitions: Vec<Vec<Vec<Keyed>>> = (0..parts).map(|_| Vec::new()).collect();
-        for buckets in routed {
-            for (p, bucket) in buckets.into_iter().enumerate() {
-                partitions[p].push(bucket);
-            }
-        }
-        // Strided buckets hold each key's candidates in worker order; a
-        // residual can observe that order, so those tables restore the
-        // canonical order a one-table build has.
+        // Strided shares hold each key's candidates in worker order; a
+        // residual can observe that order, so their table restores the
+        // canonical order a dop 1 build has.
         let canonical = build_stride.is_some() && join.spec.residual.is_some();
-        Ok(Built::Side(
-            join.spec.partition_tables(partitions, canonical, ctx)?,
-        ))
+        let keyed = keyed.into_iter().flatten();
+        if bounded {
+            return self.build_bounded(keyed.collect(), ctx);
+        }
+        let inserted = &mut ctx.stats.hash_build_rows;
+        Ok(Built::Side(join.spec.table(keyed, canonical, inserted)))
     }
 
     /// The bounded build of every dop: keyed rows that fit the budget
@@ -1584,16 +1373,16 @@ impl JoinOp {
                 spill_exec::grace_join(&self.join, keyed, &mut self.left.op, &mut self.spill, ctx)?;
             return Ok(Built::Spilled(rows));
         }
-        let tables = self.join.spec.table(keyed, &mut ctx.stats.hash_build_rows);
-        Ok(Built::Side(tables))
+        let inserted = &mut ctx.stats.hash_build_rows;
+        Ok(Built::Side(self.join.spec.table(keyed, false, inserted)))
     }
 
     /// The dop > 1 probe: each worker streams its share's batches
-    /// through the shared tables. The probe side is a raw row stream
+    /// through the shared table. The probe side is a raw row stream
     /// (no probe deduplicates it).
     fn probe_parallel(
         &mut self,
-        tables: &BuildSide,
+        build: &BuildSide,
         ctx: &mut ExecCtx<'_, '_>,
     ) -> Result<Vec<Value>, EvalError> {
         let shares = match &self.left.stride {
@@ -1605,7 +1394,7 @@ impl JoinOp {
             let mut out = Vec::new();
             share.for_each_batch(wctx, |batch, c| {
                 let mut cx = join.cx(&c.ev, &mut c.env, c.stats);
-                out.extend(join.probe(tables, (&batch).into(), &mut cx)?);
+                out.extend(join.probe(build, (&batch).into(), &mut cx)?);
                 Ok(())
             })?;
             Ok(out)

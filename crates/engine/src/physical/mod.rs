@@ -40,12 +40,12 @@ pub enum Partitioning {
     /// is processed by exactly one worker (morsel-driven parallelism for
     /// per-row pipelines: filters, maps, projections, unnests).
     RoundRobin,
-    /// Hash-partitioned parallel build **and** probe for the hash join
-    /// family: build rows are routed by join-key hash to per-worker
-    /// partition tables (built concurrently), and probe rows are split
-    /// across workers, each probe key consulting exactly its owning
-    /// partition. The exchange's input must be a [`PhysPlan::Join`] of a
-    /// hash family (equi or membership keys).
+    /// Parallel build **and** probe for the hash join family: build
+    /// workers evaluate the keys of their share of the build rows, which
+    /// are hashed into one table in worker order, and probe rows are
+    /// split across workers that share that table. The exchange's input
+    /// must be a [`PhysPlan::Join`] of a hash family (equi or membership
+    /// keys).
     Hash,
 }
 

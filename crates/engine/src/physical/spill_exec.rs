@@ -35,9 +35,9 @@
 //! per-recursion-level remix, so equal keys always meet in the same
 //! partition and recursion actually redistributes.
 
-use super::columnar::ProbeInput;
 use super::hashjoin::{
     self, BoundJoin, JoinFamily, JoinHashTable, JoinMode, Keyed, MemberHashTable, MemberShape,
+    RowMatches,
 };
 use super::operator::{BoxOp, ExecCtx};
 use crate::bound::Cx;
@@ -64,8 +64,7 @@ pub(crate) const MAX_GRACE_DEPTH: u32 = 4;
 
 /// The partition a hashed key routes to at a recursion level. Levels are
 /// remixed so recursion redistributes instead of re-creating the parent
-/// partition, and so grace routing stays decorrelated from the parallel
-/// exchange's `hash % dop` routing.
+/// partition.
 fn partition_of(h: u64, level: u32) -> usize {
     let mixed = (h ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(level) + 1))
         .rotate_left(7 * (level + 1))
@@ -237,13 +236,10 @@ fn grace_equi_join(
             continue;
         }
         let table = JoinHashTable::from_keyed(entries, &mut ctx.stats.hash_build_rows);
-        let tables = std::slice::from_ref(&table);
         let mut cx = join.cx(&ctx.ev, &mut ctx.env, ctx.stats);
         while let Some(rec) = probe_r.next_record()? {
             let (keys, x) = split_keyed(rec);
-            let row = [x];
-            let probe = ProbeInput::Rows(&row);
-            JoinHashTable::probe_row(tables, join, &keys, &probe, 0, &mut None, &mut out, &mut cx)?;
+            table.probe_row(join, &keys, &x, &mut out, &mut cx)?;
         }
     }
     account(local, ctx.stats, &mgr);
@@ -251,12 +247,12 @@ fn grace_equi_join(
 }
 
 /// [`grace_join`] for the membership family ([`JoinFamily::Member`]:
-/// `HashMemberJoin` / `MemberNestJoin`). Build rows are replicated per partition with only
-/// that partition's index keys (mirroring the parallel exchange's
-/// routing); probe rows may probe several partitions, so each carries
-/// its ordinal and matches are folded across partitions: semi/anti and
-/// outer padding resolve in a final pass over a once-written pending
-/// file, and nestjoin groups accumulate per ordinal.
+/// `HashMemberJoin` / `MemberNestJoin`). Build rows are replicated per
+/// partition with only that partition's index keys; probe rows may
+/// probe several partitions, so each carries its ordinal and matches
+/// are folded across partitions: semi/anti and outer padding resolve in
+/// a final pass over a once-written pending file, and nestjoin groups
+/// accumulate per ordinal.
 fn grace_member_join(
     join: &BoundJoin,
     shape: &MemberShape,
@@ -306,7 +302,7 @@ fn grace_member_join(
             let probes = join.probe_keys(shape, &x, &mut cx)?;
             let probes = probes.as_slice();
             if probes.is_empty() {
-                spec.finish_owned_row(x, false, Vec::new(), &mut out)?;
+                spec.finish_row(RowMatches::default(), &x, &mut out)?;
                 continue;
             }
             let id = ordinal;
@@ -377,26 +373,14 @@ fn grace_member_join(
                 // No: a serial semi-join also stops at the first match.
                 continue;
             }
-            let ys = table.keyed_matches(join, &rec, &x, semi_like, &mut cx)?;
-            if ys.is_empty() {
-                continue;
+            // inner and outer pairs go straight to `out`; the rest folds
+            let mut row = RowMatches::default();
+            table.match_keys(join, &rec, &x, &mut row, &mut out, &mut cx)?;
+            if row.matched {
+                matched.insert(id);
             }
-            matched.insert(id);
-            match mode {
-                JoinMode::Join { kind, .. } => match kind {
-                    JoinKind::Inner | JoinKind::LeftOuter => {
-                        for y in ys {
-                            out.push(Value::Tuple(x.as_tuple()?.concat(y.as_tuple()?)?));
-                        }
-                    }
-                    JoinKind::Semi | JoinKind::Anti => {}
-                },
-                JoinMode::Nest { .. } => {
-                    let group = groups.entry(id).or_default();
-                    for y in ys {
-                        group.push(join.collect_right(y, &mut cx)?);
-                    }
-                }
+            if !row.group.is_empty() {
+                groups.entry(id).or_default().extend(row.group);
             }
         }
     }
@@ -407,8 +391,12 @@ fn grace_member_join(
             while let Some(mut rec) = r.next_record()? {
                 let x = rec.pop().expect("pending record has a row");
                 let id = rec.remove(0).as_int()?;
-                let group = groups.remove(&id).unwrap_or_default();
-                spec.finish_owned_row(x, matched.contains(&id), group, &mut out)?;
+                let row = RowMatches {
+                    matched: matched.contains(&id),
+                    group: groups.remove(&id).unwrap_or_default(),
+                    sorted: false,
+                };
+                spec.finish_row(row, &x, &mut out)?;
             }
         }
     }

@@ -541,7 +541,8 @@ impl<'a> Planner<'a> {
     /// (this is where pipelines split at breaker boundaries — hash and
     /// member build sides, sort runs and aggregate drains all pull
     /// their segment through an exchange), and
-    /// hash-family joins get hash-partitioned parallel build + probe.
+    /// hash-family joins get a parallel build (keyed by the workers,
+    /// hashed into one table) and a parallel probe of that table.
     /// An owner join runs at dop 1 with no exchange under it: its left
     /// scan is read row by row, where an exchange would only gather a
     /// cached scan, and its right side drains into one canonical set,
